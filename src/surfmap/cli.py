@@ -7,7 +7,9 @@ scrambles, composites).  oracle: compare the sheet-counting Euler
 characteristic of a cover against its explicitly assembled total space.
 
 Exit codes: 0 success, 1 bad input, 2 mathematically impossible outcome
-(a bug signal), 3 normalization dead end.
+(a bug signal), 3 normalization dead end.  Documents are shape-checked
+when read and maps validated on entry, so bad input is reported as a
+JSON error object, never as a traceback.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from . import covers as covers_mod
 from . import factorize as factorize_mod
 from . import moves as moves_mod
 from . import transverse as transverse_mod
-from .errors import ImpossibleError, InputError, Stuck, SurfmapError
+from .errors import ImpossibleError, InputError, InvalidMap, Stuck, SurfmapError
 from .surfaces import (BUILTIN_NAMES, SurfaceKind, Triangulation,
                        builtin_triangulation)
 
@@ -53,6 +55,8 @@ def _load(path: str):
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as ex:
         raise InputError(f"cannot read {path}: {ex}")
+    if not isinstance(obj, dict):
+        raise InputError(f"{path} does not hold a JSON object")
     kind = obj.get("type")
     if kind == "transverse_map":
         return transverse_mod.TransverseMap.from_json(obj)
@@ -71,11 +75,27 @@ def _as_map(doc):
     raise InputError("expected a transverse map or cover document")
 
 
+def _valid_map(doc):
+    """The document's map, validated on entry.  An invalid map is bad
+    input (exit 1), except that mixed preimage parity stays an impossible
+    outcome (exit 2): no map of closed surfaces has it."""
+    tm = _as_map(doc)
+    rep = transverse_mod.validate_map(tm)
+    if not rep.ok:
+        if tm.ribbon_facts().table_problem is None:
+            transverse_mod.mod2_degree(tm)
+        raise InvalidMap(rep.problems)
+    return tm
+
+
 def _base_triangulation(args) -> Triangulation:
     if getattr(args, "base_file", None):
         doc = _load(args.base_file)
         if not isinstance(doc, Triangulation):
             raise InputError("--base-file must hold a triangulation")
+        problems = doc.validate()
+        if problems:
+            raise InputError(f"invalid triangulation in --base-file: {problems[:4]}")
         return doc
     return builtin_triangulation(args.base)
 
@@ -126,7 +146,7 @@ def cmd_analyze(args) -> int:
         _emit({"valid": rep.ok, "problems": rep.problems, "circuits": classes})
         return 0 if rep.ok else 1
 
-    tm = _as_map(doc)
+    tm = _valid_map(doc)
     if args.dot:
         _dot_output(tm, args.dot)
 
@@ -193,7 +213,7 @@ def cmd_generate(args) -> int:
 
     if args.kind == "scramble":
         doc = _load(args.input)
-        tm = _as_map(doc)
+        tm = _valid_map(doc)
         if not (0 <= args.steps <= MAX_SCRAMBLE):
             raise InputError(f"--steps must be in 0..{MAX_SCRAMBLE}")
         import random
@@ -290,7 +310,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Stuck as ex:
-        _emit({"error": "stuck", "detail": str(ex)})
+        _emit({"error": "stuck", "detail": str(ex), "report": ex.report})
         return 3
     except moves_mod.OneSidedCircle as ex:
         _emit({"error": "one_sided_circle", "detail": str(ex)})
@@ -299,7 +319,10 @@ def main(argv=None) -> int:
         _emit({"error": "impossible", "detail": str(ex)})
         return 2
     except InputError as ex:
-        _emit({"error": "input", "detail": str(ex)})
+        out = {"error": "input", "detail": str(ex)}
+        if isinstance(ex, InvalidMap):
+            out["problems"] = ex.problems
+        _emit(out)
         return 1
     except SurfmapError as ex:
         _emit({"error": "input", "detail": str(ex)})

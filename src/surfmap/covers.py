@@ -14,8 +14,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .errors import Branched, InvalidSurface, NotClosed, Unsatisfiable
-from .surfaces import Triangulation, derive_rotations
+from .errors import (Branched, InputError, InvalidSurface, NotClosed,
+                     Unsatisfiable)
+from .surfaces import Triangulation, derive_rotations, doc_field, doc_int
 
 
 # -- permutation helpers (sheets are 1..d, perms stored as tuples) -----------
@@ -184,15 +185,34 @@ class MonodromyCover:
 
     @staticmethod
     def from_json(obj: dict) -> "MonodromyCover":
-        if obj.get("type") != "cover":
+        if not isinstance(obj, dict) or obj.get("type") != "cover":
             raise InvalidSurface("not a cover document")
-        base = Triangulation.from_json(obj["base"])
+        what = "cover"
+        base = Triangulation.from_json(doc_field(obj, "base", dict, what))
+        problems = base.validate()
+        if problems:
+            raise InvalidSurface(f"{what}: invalid base: {problems[:4]}")
+
+        def ints(xs, what_x):
+            if not isinstance(xs, list):
+                raise InputError(f"{what_x}: expected a list, got {xs!r}")
+            return tuple(doc_int(x, what_x) for x in xs)
+
+        branch_doc = obj.get("branch", {})
+        if not isinstance(branch_doc, dict):
+            raise InputError(f"{what}: 'branch' must be a JSON dict")
+        branch = {}
+        for t, cycles in branch_doc.items():
+            t = doc_int(t, f"{what} branch triangle")
+            if not 0 <= t < len(base.triangles) or not isinstance(cycles, list):
+                raise InputError(f"{what}: bad branch entry for triangle {t}")
+            branch[t] = [ints(c, f"{what} branch cycle") for c in cycles]
         return MonodromyCover(
             base=base,
-            d=int(obj["d"]),
-            edge_perm={int(e): tuple(p) for e, p in obj["edge_perm"].items()},
-            branch={int(t): [tuple(c) for c in cycles]
-                    for t, cycles in obj.get("branch", {}).items()},
+            d=doc_field(obj, "d", int, what),
+            edge_perm={doc_int(e, f"{what} edge"): ints(p, f"{what} edge permutation")
+                       for e, p in doc_field(obj, "edge_perm", dict, what).items()},
+            branch=branch,
         )
 
 

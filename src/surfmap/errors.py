@@ -15,6 +15,14 @@ class InputError(SurfmapError):
     """Invalid input data or violated operation precondition."""
 
 
+class InvalidMap(InputError):
+    """A map that fails validation; carries every problem found."""
+
+    def __init__(self, problems):
+        super().__init__(f"invalid map: {problems[:4]}")
+        self.problems = list(problems)
+
+
 class InvalidChi(InputError):
     pass
 

@@ -134,25 +134,20 @@ def _assemble_cover(tm: TransverseMap, table: _SheetTable) -> tuple:
     """Edge permutations from strand adjacency plus disk branch cycles."""
     T = tm.target
     d = table.d
-    tok2reg = tm.region_of_token()
-    tok2pos = {}
-    for ri, region in enumerate(tm.regions):
-        for pos, c in enumerate(region.circuits):
-            for tok in c.seq:
-                tok2pos[tok] = (ri, pos)
-
     winding_of = {}
     for (ri, pos), _ in table.indices.items():
         winding_of.update({tok: (ri, pos, w) for tok, w
                            in table.crossing_windings(ri, pos).items()})
 
+    keys_over = {}          # target edge -> edge keys mapping onto it
+    for k in tm.edge_keys():
+        keys_over.setdefault(tm.label_edge(k), []).append(k)
+
     sigma = {}
     for e in range(len(T.edges)):
         t1, _t2 = (s[0] for s in T.edge_sides(e))
         perm = [None] * d
-        for k in tm.edge_keys():
-            if tm.label_edge(k) != e:
-                continue
+        for k in keys_over.get(e, ()):
             sides = {}
             for x in (0, 1):
                 tok = (k, x)

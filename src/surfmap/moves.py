@@ -7,6 +7,14 @@ point.  Every move re-derives the region bookkeeping so that the domain
 surface (Euler characteristic, orientability, mod-2 degree) is exactly
 preserved; each move post-validates and raises InternalInconsistency on
 any drift, so convention bugs cannot pass silently.
+
+The post-move check is the full one: validate_map, chi_domain,
+domain_orientable, mod2_degree and edge_count on the result.  What it
+reuses is memoized, never trusted from the move: the result's ribbon
+facts (transverse.RibbonFacts) when its dart tables equal those of the
+map it was copied from, and the invariants of the move's input from that
+input's own check, while the input's tables, regions and isolated circles
+still equal what that check saw.
 """
 
 from __future__ import annotations
@@ -62,22 +70,47 @@ def flip_vertex(tm: TransverseMap, dart_at_vertex: int) -> TransverseMap:
 
 def _post_move_check(before: TransverseMap, after: TransverseMap, *,
                      edge_delta=None, context: str = "") -> TransverseMap:
+    """Validate the result in full and check that the domain surface and
+    the mod-2 degree did not drift.  The invariants of `before` are taken
+    from its own check as the previous move's result when its tables,
+    regions and isolated circles still equal what that check saw."""
     rep = validate_map(after)
     if not rep.ok:
         raise InternalInconsistency(f"{context}: invalid result: {rep.problems[:4]}")
-    if chi_domain(after) != chi_domain(before):
-        raise InternalInconsistency(f"{context}: Euler characteristic drifted")
-    if domain_orientable(after) != domain_orientable(before):
-        raise InternalInconsistency(f"{context}: orientability drifted")
-    if mod2_degree(after) != mod2_degree(before):
-        raise InternalInconsistency(f"{context}: mod-2 degree drifted")
+    prior = _recorded_invariants(before)
+    measures = (("Euler characteristic", chi_domain),
+                ("orientability", domain_orientable),
+                ("mod-2 degree", mod2_degree))
+    invariants = []
+    for i, (what, measure) in enumerate(measures):
+        value = measure(after)
+        if value != (prior[i] if prior else measure(before)):
+            raise InternalInconsistency(f"{context}: {what} drifted")
+        invariants.append(value)
     if edge_delta is not None:
         got = edge_count(after) - edge_count(before)
         lo, hi = edge_delta
         if not (lo <= got <= hi):
             raise InternalInconsistency(
                 f"{context}: edge count changed by {got}, expected in [{lo},{hi}]")
+    after._checked = (after.ribbon_facts(), _region_state(after), tuple(invariants))
     return after
+
+
+def _region_state(tm: TransverseMap) -> tuple:
+    return (tuple((r.label, r.kind, tuple(r.circuits)) for r in tm.regions),
+            tuple(tm.isolated))
+
+
+def _recorded_invariants(tm: TransverseMap):
+    """(chi, orientable, mod-2 degree) from tm's own post-move check, or
+    None unless its tables, regions and isolated circles are unchanged."""
+    if tm._checked is None:
+        return None
+    facts, state, invariants = tm._checked
+    if facts.matches(tm) and state == _region_state(tm):
+        return invariants
+    return None
 
 
 class _GroupTracker:

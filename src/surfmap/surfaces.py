@@ -12,7 +12,48 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import InvalidChi, InvalidSurface, UnknownName
+from .errors import InputError, InvalidChi, InvalidSurface, UnknownName
+
+
+# --------------------------------------------------------------------------
+# Document shape checks: a malformed JSON document raises InputError
+
+
+def doc_field(obj, key: str, kind: type, what: str):
+    """obj[key], which must be present and of JSON type `kind`."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise InputError(f"{what}: missing {key!r}")
+    value = obj[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise InputError(f"{what}: {key!r} must be a JSON {kind.__name__}")
+    return value
+
+
+def doc_int(x, what: str) -> int:
+    """An integer of a document: an int, or its decimal string (as in
+    JSON object keys)."""
+    if isinstance(x, str):
+        try:
+            return int(x)
+        except ValueError:
+            pass
+    elif isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise InputError(f"{what}: expected an integer, got {x!r}")
+
+
+def doc_pair(x, what: str) -> tuple:
+    """A two-element list of integers."""
+    if not isinstance(x, list) or len(x) != 2:
+        raise InputError(f"{what}: expected a pair, got {x!r}")
+    return doc_int(x[0], what), doc_int(x[1], what)
+
+
+def doc_id(x, what: str):
+    """A vertex id: an integer or a string."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise InputError(f"{what}: expected an integer or string id, got {x!r}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -68,8 +109,10 @@ class SurfaceKind:
 
     @staticmethod
     def from_json(obj: dict) -> "SurfaceKind":
-        return SurfaceKind(bool(obj["orientable"]), int(obj.get("handles", 0)),
-                           int(obj.get("crosscaps", 0)), int(obj.get("boundary", 0)))
+        orientable = doc_field(obj, "orientable", bool, "surface kind")
+        return SurfaceKind(orientable,
+                           *(doc_int(obj.get(k, 0), f"surface kind {k}")
+                             for k in ("handles", "crosscaps", "boundary")))
 
 
 SPHERE = SurfaceKind(True, 0)
@@ -426,18 +469,52 @@ class Triangulation:
 
     @staticmethod
     def from_json(obj: dict) -> "Triangulation":
-        if obj.get("type") != "triangulation":
+        """Parse a triangulation document.  Types, arities and references
+        (vertex ids, edge indices, signs) are checked here; the surface
+        conditions are validate()'s."""
+        if not isinstance(obj, dict) or obj.get("type") != "triangulation":
             raise InvalidSurface("not a triangulation document")
-        vertices = list(obj["vertices"])
+        what = "triangulation"
+        vertices = [doc_id(v, f"{what} vertex")
+                    for v in doc_field(obj, "vertices", list, what)]
         by_name = {str(v): v for v in vertices}
-        rotations = {by_name[k]: [int(e) for e in rot]
-                     for k, rot in obj["rotations"].items()}
-        return Triangulation(
-            vertices=vertices,
-            edges=[tuple(e) for e in obj["edges"]],
-            triangles=[[(int(e), int(s)) for (e, s) in walk] for walk in obj["triangles"]],
-            rotations=rotations,
-        )
+
+        def vertex(v):
+            if str(doc_id(v, f"{what} edge end")) not in by_name:
+                raise InputError(f"{what}: edge names unknown vertex {v!r}")
+            return by_name[str(v)]
+
+        edges = []
+        for e in doc_field(obj, "edges", list, what):
+            if not isinstance(e, list) or len(e) != 2:
+                raise InputError(f"{what}: edge {e!r} is not a vertex pair")
+            edges.append((vertex(e[0]), vertex(e[1])))
+
+        def edge(e, what_e):
+            e = doc_int(e, what_e)
+            if not 0 <= e < len(edges):
+                raise InputError(f"{what_e}: no edge {e}")
+            return e
+
+        triangles = []
+        for walk in doc_field(obj, "triangles", list, what):
+            if not isinstance(walk, list):
+                raise InputError(f"{what}: triangle {walk!r} is not a list")
+            sides = [doc_pair(side, f"{what} triangle side") for side in walk]
+            for e, sign in sides:
+                edge(e, f"{what} triangle side")
+                if sign not in (1, -1):
+                    raise InputError(f"{what}: triangle side sign {sign} is not +1/-1")
+            triangles.append(sides)
+        rotations = {}
+        for k, rot in doc_field(obj, "rotations", dict, what).items():
+            if k not in by_name:
+                raise InputError(f"{what}: rotation at unknown vertex {k!r}")
+            if not isinstance(rot, list):
+                raise InputError(f"{what}: rotation at {k} is not a list")
+            rotations[by_name[k]] = [edge(e, f"{what} rotation") for e in rot]
+        return Triangulation(vertices=vertices, edges=edges, triangles=triangles,
+                             rotations=rotations)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)

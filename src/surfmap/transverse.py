@@ -14,18 +14,34 @@ one induced by the region's reference orientation (of its planar part,
 for nonorientable kinds); this direction data is what makes orientability
 of the domain, surgery compatibility and factorization directions
 computable.
+
+Everything that depends only on the target and the five dart tables
+(pairing, rotation, edge_sign, vertex_label, dart_label) lives in one
+RibbonFacts object per map: vertex ids, traced circuits, local signs,
+edge keys, V - E, preimage counts, graph components and band-forced chart
+flips, the verdict of validate_map's dart-level sections, and per-circuit
+results keyed by the circuit's token tuple (and region label where it
+matters): the boundary-walk test, the corner condition, the corners'
+orientation constraints and classify_circuit.  A copy inherits the facts
+of its original, and a map uses inherited facts only after its own tables
+compare equal (plain dict ==) to the snapshot they were computed from;
+the comparison runs once per map and again after invalidate_caches().
+The region-level checks (tiling, isolated sides, side coherence, parity)
+and the connectivity of the domain are recomputed on every call.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (BadKind, Disconnected, DisconnectedCover,
                      InconsistentParity, InputError, InternalInconsistency,
                      InvalidSurface, NotOrientable, UnknownName)
-from .surfaces import (SurfaceKind, Triangulation, classify_surface,
-                       connected_sum_kind, builtin_triangulation)
+from .surfaces import (SurfaceKind, Triangulation, builtin_triangulation,
+                       classify_surface, connected_sum_kind, doc_field, doc_id,
+                       doc_int, doc_pair)
 from . import covers as covers_mod
 
 
@@ -135,8 +151,25 @@ class TransverseMap:
     dart_label: dict           # dart -> (target edge, end)
     isolated: list = field(default_factory=list)   # list[IsolatedCircle]
     regions: list = field(default_factory=list)    # list[Region]
+    # RibbonFacts candidate (inherited through copy()) and whether this
+    # map's tables were compared equal to its snapshot since the last
+    # invalidate_caches()
+    _facts: object = field(default=None, init=False, repr=False, compare=False)
+    _facts_checked: bool = field(default=False, init=False, repr=False,
+                                 compare=False)
+    # (facts, region state, invariants) recorded by a move's self-check
+    _checked: tuple = field(default=None, init=False, repr=False, compare=False)
 
     # -- elementary structure -------------------------------------------------
+
+    def ribbon_facts(self) -> "RibbonFacts":
+        """The facts of this map's dart tables: the inherited ones when the
+        tables still equal their snapshot, otherwise freshly started."""
+        if not self._facts_checked:
+            if self._facts is None or not self._facts.matches(self):
+                self._facts = RibbonFacts(self)
+            self._facts_checked = True
+        return self._facts
 
     def darts(self):
         return sorted(self.pairing)
@@ -145,100 +178,40 @@ class TransverseMap:
         return min(d, self.pairing[d])
 
     def edge_keys(self):
-        return sorted({self.edge_key(d) for d in self.pairing})
+        """Sorted edge keys (a shared list; do not modify)."""
+        return self.ribbon_facts().edge_keys
 
     def sign(self, d: int) -> int:
         return self.edge_sign[self.edge_key(d)]
 
-    def rot_inv(self):
-        cache = self.__dict__.get("_rot_inv")
-        if cache is None:
-            cache = {v: k for k, v in self.rotation.items()}
-            self.__dict__["_rot_inv"] = cache
-        return cache
-
     def vertex_of(self, d: int) -> int:
         """Canonical vertex id: minimal dart of the rotation orbit."""
-        cache = self.__dict__.get("_vertex_of")
-        if cache is None:
-            cache = {}
-            for d0 in self.pairing:
-                if d0 in cache:
-                    continue
-                orbit = [d0]
-                cur = self.rotation[d0]
-                while cur != d0:
-                    orbit.append(cur)
-                    cur = self.rotation[cur]
-                rep = min(orbit)
-                for x in orbit:
-                    cache[x] = rep
-            self.__dict__["_vertex_of"] = cache
-        return cache[d]
+        return self.ribbon_facts().vertex_of[d]
 
     def vertex_darts(self, d: int) -> list:
         """Darts at d's vertex in rotation order, starting at the rep."""
-        rep = self.vertex_of(d)
-        orbit = [rep]
-        cur = self.rotation[rep]
-        while cur != rep:
-            orbit.append(cur)
-            cur = self.rotation[cur]
-        return orbit
+        facts = self.ribbon_facts()
+        return facts.vertex_darts(facts.vertex_of[d])
 
     def vertex_reps(self) -> list:
-        return sorted({self.vertex_of(d) for d in self.pairing})
+        """Sorted vertex ids (a shared list; do not modify)."""
+        return self.ribbon_facts().vertex_reps
 
     def invalidate_caches(self):
-        for k in ("_vertex_of", "_rot_inv", "_traced", "_local_signs"):
-            self.__dict__.pop(k, None)
+        """Call after changing a dart table in place: the next use of the
+        ribbon facts compares the tables with the snapshot again."""
+        self._facts_checked = False
 
     # -- token walking ----------------------------------------------------------
 
     def band_step(self, token):
-        d, x = token
-        d2 = self.pairing[d]
-        return (d2, 1 - x) if self.sign(d) > 0 else (d2, x)
-
-    def corner_step(self, token):
-        d, x = token
-        if x == 1:
-            return (self.rotation[d], 0)
-        return (self.rot_inv()[d], 1)
+        return self.ribbon_facts().band_step(token)
 
     def trace_circuits(self):
         """All boundary circuits of the ribbon graph, each an alternating
-        token tuple starting with a band step from its minimal token."""
-        cached = self.__dict__.get("_traced")
-        if cached is not None:
-            return cached
-        tokens = [(d, x) for d in sorted(self.pairing) for x in (0, 1)]
-        seen = set()
-        out = []
-        for t0 in tokens:
-            if t0 in seen:
-                continue
-            seq = []
-            cur = t0
-            while True:
-                nxt = self.band_step(cur)
-                seq.append(cur)
-                seq.append(nxt)
-                cur = self.corner_step(nxt)
-                if cur == t0:
-                    break
-            start = seq.index(min(seq))
-            if start % 2 == 1:
-                # keep the band-step phase: walk the same direction but
-                # begin at the minimal even-position token
-                evens = [seq[i] for i in range(0, len(seq), 2)]
-                start = seq.index(min(evens))
-            seq = seq[start:] + seq[:start]
-            out.append(RibbonCircuit(tuple(seq)))
-            seen.update(seq)
-        out.sort(key=lambda c: c.seq[0] if c.seq else (-1, -1))
-        self.__dict__["_traced"] = out
-        return out
+        token tuple starting with a band step from its minimal token
+        (a shared list; do not modify)."""
+        return self.ribbon_facts().trace_circuits
 
     # -- derived labels -----------------------------------------------------------
 
@@ -248,31 +221,7 @@ class TransverseMap:
     def local_signs(self):
         """Per vertex rep: +1 if the dart labels in rotation order read the
         target rotation forward, -1 if backward, None if neither."""
-        cached = self.__dict__.get("_local_signs")
-        if cached is not None:
-            return cached
-        out = {}
-        for rep in self.vertex_reps():
-            darts = self.vertex_darts(rep)
-            labels = [self.label_edge(d) for d in darts]
-            P = self.vertex_label[rep]
-            rot = self.target.rotations.get(P)
-            out[rep] = None
-            if rot is None or len(rot) != len(labels):
-                continue
-            m = len(rot)
-            for shift in range(m):
-                if all(labels[(shift + i) % m] == rot[i] for i in range(m)):
-                    out[rep] = 1
-                    break
-            if out[rep] is None:
-                rrot = list(reversed(rot))
-                for shift in range(m):
-                    if all(labels[(shift + i) % m] == rrot[i] for i in range(m)):
-                        out[rep] = -1
-                        break
-        self.__dict__["_local_signs"] = out
-        return out
+        return self.ribbon_facts().local_signs
 
     # -- region-side structure ------------------------------------------------------
 
@@ -306,7 +255,10 @@ class TransverseMap:
         return succ
 
     def copy(self) -> "TransverseMap":
-        return TransverseMap(
+        """Independent tables and regions; the ribbon facts are passed on
+        and adopted once the copy's tables are seen to equal their
+        snapshot."""
+        out = TransverseMap(
             target=self.target,
             pairing=dict(self.pairing),
             rotation=dict(self.rotation),
@@ -316,6 +268,8 @@ class TransverseMap:
             isolated=list(self.isolated),
             regions=[r.copy() for r in self.regions],
         )
+        out._facts = self._facts
+        return out
 
     # -- serialization ----------------------------------------------------------------
 
@@ -341,28 +295,50 @@ class TransverseMap:
 
     @staticmethod
     def from_json(obj: dict) -> "TransverseMap":
-        if obj.get("type") != "transverse_map":
+        """Parse a map document.  Types, arities and the target are checked
+        here (malformed input raises InputError); the map conditions are
+        validate_map's."""
+        if not isinstance(obj, dict) or obj.get("type") != "transverse_map":
             raise InputError("not a transverse_map document")
-        target = Triangulation.from_json(obj["target"])
+        what = "transverse_map"
+        target = Triangulation.from_json(doc_field(obj, "target", dict, what))
+        problems = target.validate()
+        if problems:
+            raise InputError(f"{what}: invalid target: {problems[:4]}")
         vmap = {str(v): v for v in target.vertices}
 
+        def table(key, value):
+            return {doc_int(d, f"{what} {key} dart"): value(v, f"{what} {key}")
+                    for d, v in doc_field(obj, key, dict, what).items()}
+
         def circ(c):
-            if c["kind"] == "ribbon":
-                return RibbonCircuit(tuple(tuple(t) for t in c["seq"]))
-            return IsoSide(int(c["index"]), int(c["side"]), int(c["direction"]))
+            kind = doc_field(c, "kind", str, f"{what} circuit")
+            if kind == "ribbon":
+                seq = doc_field(c, "seq", list, f"{what} circuit")
+                return RibbonCircuit(tuple(doc_pair(t, f"{what} circuit token")
+                                           for t in seq))
+            if kind == "iso":
+                return IsoSide(*(doc_field(c, k, int, f"{what} circuit")
+                                 for k in ("index", "side", "direction")))
+            raise InputError(f"{what}: unknown circuit kind {kind!r}")
+
+        def region(r):
+            where = f"{what} region"
+            return Region(doc_field(r, "label", int, where),
+                          SurfaceKind.from_json(doc_field(r, "kind", dict, where)),
+                          [circ(c) for c in doc_field(r, "circuits", list, where)])
+
         return TransverseMap(
             target=target,
-            pairing={int(d): int(p) for d, p in obj["pairing"].items()},
-            rotation={int(d): int(r) for d, r in obj["rotation"].items()},
-            edge_sign={int(k): int(s) for k, s in obj["edge_sign"].items()},
-            vertex_label={int(d): vmap.get(str(v), v)
-                          for d, v in obj["vertex_label"].items()},
-            dart_label={int(d): (int(l[0]), int(l[1]))
-                        for d, l in obj["dart_label"].items()},
-            isolated=[IsolatedCircle(int(c["edge"])) for c in obj["isolated"]],
-            regions=[Region(int(r["label"]), SurfaceKind.from_json(r["kind"]),
-                            [circ(c) for c in r["circuits"]])
-                     for r in obj["regions"]],
+            pairing=table("pairing", doc_int),
+            rotation=table("rotation", doc_int),
+            edge_sign=table("edge_sign", doc_int),
+            vertex_label=table("vertex_label",
+                               lambda v, w: vmap.get(str(doc_id(v, w)), v)),
+            dart_label=table("dart_label", doc_pair),
+            isolated=[IsolatedCircle(doc_field(c, "edge", int, f"{what} isolated circle"))
+                      for c in doc_field(obj, "isolated", list, what)],
+            regions=[region(r) for r in doc_field(obj, "regions", list, what)],
         )
 
     def dumps(self) -> str:
@@ -380,25 +356,386 @@ class CircuitClass:
     direction: int = 0
 
 
-def circuit_word(tm: TransverseMap, circuit: RibbonCircuit) -> list:
-    """Target edges crossed by the circuit, in stored order."""
-    return [tm.label_edge(circuit.seq[i][0]) for i in range(0, len(circuit.seq), 2)]
-
-
 def classify_circuit(tm: TransverseMap, region: Region, circuit) -> CircuitClass:
     if isinstance(circuit, IsoSide):
         return CircuitClass("isolated_side")
-    word = circuit_word(tm, circuit)
-    tri_word = tm.target.triangle_edges(region.label)
-    n = len(word)
-    if n % 3 == 0 and n > 0:
-        k = n // 3
-        for direction, base in ((1, tri_word), (-1, list(reversed(tri_word)))):
-            pattern = base * k
-            for shift in range(3):
-                if all(word[i] == pattern[(i + shift) % n] for i in range(n)):
-                    return CircuitClass("essential", k, direction)
-    return CircuitClass("irregular")
+    return tm.ribbon_facts().circuit_class(region.label, circuit.seq)
+
+
+# --------------------------------------------------------------------------
+# Ribbon facts
+
+
+class RibbonFacts:
+    """The facts that depend only on the target and the five dart tables
+    (pairing, rotation, edge_sign, vertex_label, dart_label).
+
+    The object holds its own snapshot of the tables it describes.  A map
+    uses it only after its tables compare equal to that snapshot (plain
+    dict ==, in TransverseMap.ribbon_facts); copies inherit it, so a move
+    that leaves the dart tables alone reuses every fact here.  Each fact
+    is computed on first use:
+
+    * vertex_of, rot_inv, trace_circuits, local_signs, edge_keys,
+      vertex_reps, V - E and the preimage count per target vertex;
+    * the verdict of validate_map's dart-level sections;
+    * the vertex components of the graph and the vertex chart flips that
+      its band signs force;
+    * per stored circuit, keyed by its token tuple (and by the region
+      label where the answer depends on it): the boundary-walk test, the
+      corner condition, the orientation constraints of its corners and
+      classify_circuit.
+    """
+
+    def __init__(self, tm: TransverseMap):
+        self.target = tm.target
+        self.pairing = dict(tm.pairing)
+        self.rotation = dict(tm.rotation)
+        self.edge_sign = dict(tm.edge_sign)
+        self.vertex_label = dict(tm.vertex_label)
+        self.dart_label = dict(tm.dart_label)
+        self._walks = {}       # token tuple -> walk_key result
+        self._corners = {}     # (label, token tuple) -> corner problem or None
+        self._classes = {}     # (label, token tuple) -> CircuitClass
+        self._constraints = {}   # token tuple -> corner_constraints result
+
+    def matches(self, tm: TransverseMap) -> bool:
+        return (tm.target is self.target
+                and tm.pairing == self.pairing
+                and tm.rotation == self.rotation
+                and tm.edge_sign == self.edge_sign
+                and tm.vertex_label == self.vertex_label
+                and tm.dart_label == self.dart_label)
+
+    # -- structure --------------------------------------------------------------
+
+    @cached_property
+    def edge_keys(self) -> list:
+        return sorted({min(d, p) for d, p in self.pairing.items()})
+
+    @cached_property
+    def rot_inv(self) -> dict:
+        return {v: k for k, v in self.rotation.items()}
+
+    @cached_property
+    def vertex_of(self) -> dict:
+        out = {}
+        rotation = self.rotation
+        for d0 in self.pairing:
+            if d0 in out:
+                continue
+            orbit = [d0]
+            cur = rotation[d0]
+            while cur != d0:
+                orbit.append(cur)
+                cur = rotation[cur]
+            rep = min(orbit)
+            for x in orbit:
+                out[x] = rep
+        return out
+
+    @cached_property
+    def vertex_reps(self) -> list:
+        return sorted(set(self.vertex_of.values()))
+
+    def vertex_darts(self, rep: int) -> list:
+        """Darts at the vertex `rep` in rotation order, starting at rep."""
+        orbit = [rep]
+        cur = self.rotation[rep]
+        while cur != rep:
+            orbit.append(cur)
+            cur = self.rotation[cur]
+        return orbit
+
+    @cached_property
+    def graph_euler(self) -> int:
+        return len(self.vertex_reps) - len(self.edge_keys)
+
+    @cached_property
+    def preimage_counts(self) -> dict:
+        """Target vertex -> number of preimage vertices labeled by it."""
+        counts = {P: 0 for P in self.target.vertices}
+        for vrep in self.vertex_reps:
+            P = self.vertex_label[vrep]
+            if P in counts:
+                counts[P] += 1
+        return counts
+
+    @cached_property
+    def vertex_charts(self) -> tuple:
+        """(charts, consistent): charts maps each vertex id to (number of
+        its connected component in the graph, chart flip relative to that
+        component) in a solution of the band-sign constraints, which are
+        consistent when `consistent` is true."""
+        uf = ParityUF()
+        vertex_of = self.vertex_of
+        for k in self.edge_keys:
+            uf.union(vertex_of[k], vertex_of[self.pairing[k]],
+                     0 if self.edge_sign[k] > 0 else 1)
+        roots = {}
+        charts = {}
+        for v in self.vertex_reps:
+            root, flip = uf.find(v)
+            charts[v] = (roots.setdefault(root, len(roots)), flip)
+        return charts, uf.ok
+
+    # -- token walking ------------------------------------------------------------
+
+    def band_step(self, token):
+        """Across a dart's band to the paired dart: a token (dart, side)
+        keeps its side on a twisted band and swaps it on a plain one."""
+        d, x = token
+        d2 = self.pairing[d]
+        return (d2, 1 - x) if self.edge_sign[min(d, d2)] > 0 else (d2, x)
+
+    def corner_step(self, token):
+        d, x = token
+        if x == 1:
+            return (self.rotation[d], 0)
+        return (self.rot_inv[d], 1)
+
+    @cached_property
+    def trace_circuits(self) -> list:
+        tokens = [(d, x) for d in sorted(self.pairing) for x in (0, 1)]
+        seen = set()
+        out = []
+        for t0 in tokens:
+            if t0 in seen:
+                continue
+            seq = []
+            cur = t0
+            while True:
+                nxt = self.band_step(cur)
+                seq.append(cur)
+                seq.append(nxt)
+                cur = self.corner_step(nxt)
+                if cur == t0:
+                    break
+            start = seq.index(min(seq))
+            if start % 2 == 1:
+                # keep the band-step phase: walk the same direction but
+                # begin at the minimal even-position token
+                evens = [seq[i] for i in range(0, len(seq), 2)]
+                start = seq.index(min(evens))
+            seq = seq[start:] + seq[:start]
+            out.append(RibbonCircuit(tuple(seq)))
+            seen.update(seq)
+        out.sort(key=lambda c: c.seq[0] if c.seq else (-1, -1))
+        return out
+
+    @cached_property
+    def circuit_of_token(self) -> dict:
+        """token -> index of the traced circuit through it."""
+        return {tok: i for i, c in enumerate(self.trace_circuits) for tok in c.seq}
+
+    @cached_property
+    def flanks(self) -> list:
+        """Per edge key k: (k, traced circuit through (k, 0), traced
+        circuit through (k, 1), the triangles at k's target edge)."""
+        out = []
+        for k in self.edge_keys:
+            sides = self.target.edge_sides(self.dart_label[k][0])
+            out.append((k, self.circuit_of_token[(k, 0)],
+                        self.circuit_of_token[(k, 1)], {t for t, _ in sides}))
+        return out
+
+    @cached_property
+    def local_signs(self) -> dict:
+        out = {}
+        for rep in self.vertex_reps:
+            labels = [self.dart_label[d][0] for d in self.vertex_darts(rep)]
+            rot = self.target.rotations.get(self.vertex_label[rep])
+            out[rep] = None
+            if rot is None or len(rot) != len(labels):
+                continue
+            m = len(rot)
+            for shift in range(m):
+                if all(labels[(shift + i) % m] == rot[i] for i in range(m)):
+                    out[rep] = 1
+                    break
+            if out[rep] is None:
+                rrot = list(reversed(rot))
+                for shift in range(m):
+                    if all(labels[(shift + i) % m] == rrot[i] for i in range(m)):
+                        out[rep] = -1
+                        break
+        return out
+
+    # -- dart-level validation ------------------------------------------------------
+
+    @cached_property
+    def table_problem(self):
+        """The first violated dart-table axiom, or None.  Only when this
+        is None are the rotation orbits (vertices) well defined."""
+        darts = set(self.pairing)
+        if set(self.rotation) != darts or set(self.dart_label) != darts \
+                or set(self.vertex_label) != darts:
+            return "dart tables disagree on the dart set"
+        for d, p in self.pairing.items():
+            if p == d or self.pairing.get(p) != d:
+                return f"pairing is not a fixed-point-free involution at dart {d}"
+        if sorted(self.rotation.values()) != sorted(darts):
+            return "rotation is not a permutation of the darts"
+        for d in darts:
+            k = min(d, self.pairing[d])
+            if self.edge_sign.get(k) not in (1, -1):
+                return f"missing or bad sign for edge {k}"
+        return None
+
+    @cached_property
+    def vertex_edge_problems(self) -> list:
+        """Vertex-label, half-edge, fan-order, edge and band-sign problems
+        (meaningful once table_problem is None)."""
+        T = self.target
+        problems = []
+        local = self.local_signs
+        for vrep in self.vertex_reps:
+            vd = self.vertex_darts(vrep)
+            P = self.vertex_label[vrep]
+            if any(self.vertex_label[d] != P for d in vd):
+                problems.append(f"vertex labels differ around vertex {vrep}")
+                continue
+            if P not in T.rotations:
+                problems.append(f"vertex {vrep} labeled by unknown target vertex {P}")
+                continue
+            half_at_P = sorted((e, end) for e, (a, b) in enumerate(T.edges)
+                               for end in (0, 1) if (a, b)[end] == P)
+            labels = sorted(self.dart_label[d] for d in vd)
+            if labels != half_at_P:
+                problems.append(f"darts at vertex {vrep} do not biject onto "
+                                f"the half-edges at {P}")
+                continue
+            if local[vrep] is None:
+                problems.append(f"dart labels around vertex {vrep} do not read "
+                                "the target rotation")
+
+        # edge coherence and band sign coherence
+        vertex_of = self.vertex_of
+        for k in self.edge_keys:
+            d1, d2 = k, self.pairing[k]
+            e1, end1 = self.dart_label[d1]
+            e2, end2 = self.dart_label[d2]
+            if e1 != e2:
+                problems.append(f"edge {k} carries two different target edges")
+                continue
+            s = self.edge_sign[k]
+            l1 = local.get(vertex_of[d1])
+            l2 = local.get(vertex_of[d2])
+            if l1 is None or l2 is None:
+                continue
+            if vertex_of[d1] == vertex_of[d2]:
+                problems.append(f"edge {k} is a loop")
+                continue
+            if (e1, end1) == (e2, end2):
+                want = -l1 * l2
+            else:
+                want = l1 * l2 * (1 if T.edge_compatible(e1) else -1)
+            if s != want:
+                problems.append(f"edge {k} has sign {s}, band geometry forces {want}")
+        return problems
+
+    # -- per-circuit results ----------------------------------------------------------
+
+    def walk_key(self, seq: tuple):
+        """None when the token tuple is not an alternating boundary walk;
+        otherwise the index of the traced circuit with the same token set,
+        or that token set itself when no traced circuit has it."""
+        try:
+            return self._walks[seq]
+        except KeyError:
+            pass
+        key = None
+        if self._walk_ok(seq):
+            tokens = frozenset(seq)
+            i = self.circuit_of_token.get(seq[0])
+            if i is not None and frozenset(self.trace_circuits[i].seq) == tokens:
+                key = i
+            else:
+                key = tokens
+        self._walks[seq] = key
+        return key
+
+    def _walk_ok(self, seq: tuple) -> bool:
+        n = len(seq)
+        if n == 0 or n % 2 != 0:
+            return False
+        for i in range(0, n, 2):
+            if seq[i][0] not in self.pairing or seq[i + 1][0] not in self.pairing:
+                return False
+            if self.band_step(seq[i]) != seq[i + 1]:
+                return False
+            if self.corner_step(seq[i + 1]) != seq[(i + 2) % n]:
+                return False
+        return True
+
+    def corner_problem(self, label: int, seq: tuple):
+        """None, or how a boundary walk of a region labeled `label` breaks
+        the corner condition."""
+        key = (label, seq)
+        try:
+            return self._corners[key]
+        except KeyError:
+            pass
+        T = self.target
+        tri_edges = set(T.triangle_edges(label))
+        out = None
+        n = len(seq)
+        for i in range(1, n + 1, 2):
+            a = seq[i % n]
+            b = seq[(i + 1) % n]
+            # corner step between a and b at a's vertex
+            ea = self.dart_label[a[0]][0]
+            eb = self.dart_label[b[0]][0]
+            P = self.vertex_label[a[0]]
+            if ea not in tri_edges or eb not in tri_edges:
+                out = "corner labels not on its triangle"
+                break
+            if P not in T.edges[ea] or P not in T.edges[eb]:
+                out = "corner not at its vertex label"
+                break
+        self._corners[key] = out
+        return out
+
+    def corner_constraints(self, seq: tuple) -> frozenset:
+        """The orientation constraints of a boundary walk's corners, as
+        (component, bit): its region's reference flip is the component's
+        flip xor bit."""
+        try:
+            return self._constraints[seq]
+        except KeyError:
+            pass
+        charts = self.vertex_charts[0]
+        out = set()
+        n = len(seq)
+        for i in range(1, n + 1, 2):
+            a = seq[i % n]
+            # corner step from a: type bit 0 when leaving side 1 (ccw)
+            tbit = 0 if a[1] == 1 else 1
+            component, flip = charts[self.vertex_of[a[0]]]
+            out.add((component, flip ^ 1 ^ tbit))
+        out = self._constraints[seq] = frozenset(out)
+        return out
+
+    def circuit_class(self, label: int, seq: tuple) -> CircuitClass:
+        key = (label, seq)
+        try:
+            return self._classes[key]
+        except KeyError:
+            pass
+        word = [self.dart_label[seq[i][0]][0] for i in range(0, len(seq), 2)]
+        tri_word = self.target.triangle_edges(label)
+        out = CircuitClass("irregular")
+        n = len(word)
+        if n % 3 == 0 and n > 0:
+            k = n // 3
+            for direction, base in ((1, tri_word), (-1, list(reversed(tri_word)))):
+                pattern = base * k
+                if any(all(word[i] == pattern[(i + shift) % n] for i in range(n))
+                       for shift in range(3)):
+                    out = CircuitClass("essential", k, direction)
+                    break
+        self._classes[key] = out
+        return out
 
 
 # --------------------------------------------------------------------------
@@ -419,81 +756,30 @@ class ValidationReport:
 
 
 def validate_map(tm: TransverseMap) -> ValidationReport:
+    """Every violated invariant of the map.
+
+    The dart-level sections (table axioms, vertices, edges and band signs)
+    are read from the ribbon facts; the region-level sections (tiling of
+    the traced circuits, isolated sides, corner condition, side coherence
+    and preimage parity) run on every call, with per-circuit results
+    memoized in the facts."""
     rep = ValidationReport()
     T = tm.target
+    facts = tm.ribbon_facts()
 
-    darts = set(tm.pairing)
-    if set(tm.rotation) != darts or set(tm.dart_label) != darts \
-            or set(tm.vertex_label) != darts:
-        rep.add("dart tables disagree on the dart set")
+    if facts.table_problem is not None:
+        rep.add(facts.table_problem)
         return rep
-    for d, p in tm.pairing.items():
-        if p == d or tm.pairing.get(p) != d:
-            rep.add(f"pairing is not a fixed-point-free involution at dart {d}")
-            return rep
-    if sorted(tm.rotation.values()) != sorted(darts):
-        rep.add("rotation is not a permutation of the darts")
-        return rep
-    for d in darts:
-        k = tm.edge_key(d)
-        if tm.edge_sign.get(k) not in (1, -1):
-            rep.add(f"missing or bad sign for edge {k}")
-            return rep
     for c in tm.isolated:
         if not (0 <= c.edge < len(T.edges)):
             rep.add(f"isolated circle labeled by unknown edge {c.edge}")
             return rep
-
-    # vertex labels constant on rotation orbits; half-edge bijection; fan order
-    local = tm.local_signs()
-    for vrep in tm.vertex_reps():
-        vd = tm.vertex_darts(vrep)
-        P = tm.vertex_label[vrep]
-        if any(tm.vertex_label[d] != P for d in vd):
-            rep.add(f"vertex labels differ around vertex {vrep}")
-            continue
-        if P not in T.rotations:
-            rep.add(f"vertex {vrep} labeled by unknown target vertex {P}")
-            continue
-        half_at_P = sorted((e, end) for e, (a, b) in enumerate(T.edges)
-                           for end in (0, 1) if (a, b)[end] == P)
-        labels = sorted(tm.dart_label[d] for d in vd)
-        if labels != half_at_P:
-            rep.add(f"darts at vertex {vrep} do not biject onto the half-edges at {P}")
-            continue
-        if local[vrep] is None:
-            rep.add(f"dart labels around vertex {vrep} do not read the target rotation")
-
-    # edge coherence and band sign coherence
-    for k in tm.edge_keys():
-        d1, d2 = k, tm.pairing[k]
-        e1, end1 = tm.dart_label[d1]
-        e2, end2 = tm.dart_label[d2]
-        if e1 != e2:
-            rep.add(f"edge {k} carries two different target edges")
-            continue
-        s = tm.edge_sign[k]
-        l1 = local.get(tm.vertex_of(d1))
-        l2 = local.get(tm.vertex_of(d2))
-        if l1 is None or l2 is None:
-            continue
-        if tm.vertex_of(d1) == tm.vertex_of(d2):
-            rep.add(f"edge {k} is a loop")
-            continue
-        if (e1, end1) == (e2, end2):
-            want = -l1 * l2
-        else:
-            want = l1 * l2 * (1 if T.edge_compatible(e1) else -1)
-        if s != want:
-            rep.add(f"edge {k} has sign {s}, band geometry forces {want}")
-
-    if rep.problems:
+    if facts.vertex_edge_problems:
+        rep.problems.extend(facts.vertex_edge_problems)
         return rep
 
     # stored circuits must tile the traced circuits and isolated sides
-    traced = tm.trace_circuits()
-    traced_sets = {c.token_set(): c for c in traced}
-    stored_sets = {}
+    stored = {}            # walk key -> region index
     iso_seen = {}
     for ri, region in enumerate(tm.regions):
         if region.kind.boundary != len(region.circuits):
@@ -510,17 +796,17 @@ def validate_map(tm: TransverseMap) -> ValidationReport:
                     rep.add(f"isolated side ({c.index},{c.side}) used twice")
                 iso_seen[(c.index, c.side)] = ri
                 continue
-            if not _walk_ok(tm, c):
+            key = facts.walk_key(c.seq)
+            if key is None:
                 rep.add(f"region {ri} circuit {pos} is not an alternating boundary walk")
                 continue
-            key = c.token_set()
-            if key in stored_sets:
-                rep.add(f"circuit stored twice (regions {stored_sets[key]} and {ri})")
-            stored_sets[key] = ri
-            if key not in traced_sets:
+            if key in stored:
+                rep.add(f"circuit stored twice (regions {stored[key]} and {ri})")
+            stored[key] = ri
+            if not isinstance(key, int):
                 rep.add(f"region {ri} circuit {pos} does not match any traced circuit")
-    for key in traced_sets:
-        if key not in stored_sets:
+    for i in range(len(facts.trace_circuits)):
+        if i not in stored:
             rep.add("a traced boundary circuit belongs to no region")
     for i in range(len(tm.isolated)):
         for side in (0, 1):
@@ -531,41 +817,23 @@ def validate_map(tm: TransverseMap) -> ValidationReport:
 
     # corner condition and classification
     for ri, region in enumerate(tm.regions):
-        B = region.label
-        tri_edges = set(T.triangle_edges(B))
         for pos, c in enumerate(region.circuits):
             rep.circuit_classes[(ri, pos)] = classify_circuit(tm, region, c)
             if isinstance(c, IsoSide):
                 continue
-            n = len(c.seq)
-            for i in range(1, n + 1, 2):
-                a = c.seq[i % n]
-                b = c.seq[(i + 1) % n]
-                # corner step between a and b at a's vertex
-                ea = tm.label_edge(a[0])
-                eb = tm.label_edge(b[0])
-                P = tm.vertex_label[a[0]]
-                if ea not in tri_edges or eb not in tri_edges:
-                    rep.add(f"region {ri} circuit {pos} corner labels not on its triangle")
-                    break
-                if P not in (T.edges[ea][0], T.edges[ea][1]) or \
-                        P not in (T.edges[eb][0], T.edges[eb][1]):
-                    rep.add(f"region {ri} circuit {pos} corner not at its vertex label")
-                    break
+            problem = facts.corner_problem(region.label, c.seq)
+            if problem is not None:
+                rep.add(f"region {ri} circuit {pos} {problem}")
 
-    # side coherence: regions flanking an edge are labeled by its two triangles
-    tok2reg = tm.region_of_token()
-    for k in tm.edge_keys():
-        e = tm.label_edge(k)
-        t1, t2 = (s[0] for s in T.edge_sides(e))
-        sides = set()
-        for tok in ((k, 0), (k, 1)):
-            ri = tok2reg.get(tok)
-            if ri is not None:
-                sides.add(tm.regions[ri].label)
-        if sides != {t1, t2}:
+    # side coherence: regions flanking an edge are labeled by its two
+    # triangles; after the tiling above, a token's region is the one that
+    # stores its traced circuit
+    labels = {i: tm.regions[ri].label for i, ri in stored.items()}
+    for k, c0, c1, want in facts.flanks:
+        sides = {labels[c0], labels[c1]}
+        if sides != want:
             rep.add(f"edge {k} flanked by regions labeled {sorted(sides)}, "
-                    f"expected {sorted({t1, t2})}")
+                    f"expected {sorted(want)}")
     iso2reg = tm.region_of_iso_side()
     for i, circle in enumerate(tm.isolated):
         t1, t2 = (s[0] for s in T.edge_sides(circle.edge))
@@ -576,26 +844,10 @@ def validate_map(tm: TransverseMap) -> ValidationReport:
                     f"expected {sorted({t1, t2})}")
 
     # mod-2 preimage parity agreement across target vertices
-    counts = {P: 0 for P in T.vertices}
-    for vrep in tm.vertex_reps():
-        counts[tm.vertex_label[vrep]] += 1
-    parities = {c % 2 for c in counts.values()}
+    parities = {c % 2 for c in facts.preimage_counts.values()}
     if len(parities) > 1:
         rep.add("preimage counts of target vertices have mixed parity")
     return rep
-
-
-def _walk_ok(tm: TransverseMap, c: RibbonCircuit) -> bool:
-    n = len(c.seq)
-    if n == 0 or n % 2 != 0:
-        return False
-    for i in range(0, n, 2):
-        if tm.band_step(c.seq[i]) != c.seq[i + 1]:
-            return False
-        nxt = c.seq[(i + 2) % n]
-        if tm.corner_step(c.seq[i + 1]) != nxt:
-            return False
-    return True
 
 
 def require_valid(tm: TransverseMap, context: str = ""):
@@ -615,7 +867,7 @@ def edge_count(tm: TransverseMap) -> int:
 
 
 def graph_euler(tm: TransverseMap) -> int:
-    return len(tm.vertex_reps()) - len(tm.edge_keys())
+    return tm.ribbon_facts().graph_euler
 
 
 def chi_domain(tm: TransverseMap) -> int:
@@ -624,17 +876,18 @@ def chi_domain(tm: TransverseMap) -> int:
 
 
 def _require_connected(tm: TransverseMap):
+    """Connectivity of the domain: the graph's vertex components (from the
+    ribbon facts) joined through regions and isolated circles."""
+    facts = tm.ribbon_facts()
+    charts = facts.vertex_charts[0]
+    vertex_of = facts.vertex_of
     uf = ParityUF()
-    nodes = set()
-    for d in tm.pairing:
-        nodes.add(("v", tm.vertex_of(d)))
-    for k in tm.edge_keys():
-        uf.union(("v", tm.vertex_of(k)), ("v", tm.vertex_of(tm.pairing[k])), 0)
+    nodes = {("c", component) for component, _flip in charts.values()}
     for ri, region in enumerate(tm.regions):
         nodes.add(("r", ri))
         for c in region.circuits:
             if isinstance(c, RibbonCircuit):
-                uf.union(("r", ri), ("v", tm.vertex_of(c.seq[0][0])), 0)
+                uf.union(("r", ri), ("c", charts[vertex_of[c.seq[0][0]]][0]), 0)
             else:
                 uf.union(("r", ri), ("i", c.index), 0)
     for i in range(len(tm.isolated)):
@@ -644,28 +897,25 @@ def _require_connected(tm: TransverseMap):
         raise Disconnected(f"domain has {len(roots)} components")
 
 
-def _orientation_system(tm: TransverseMap, *, ignore_kinds: bool = False):
-    """Parity union-find of the orientation constraints.
+def _orientation_system(tm: TransverseMap):
+    """The orientation constraints, solved.
 
-    Variables: ('v', vertex) chart flips and ('r', region) reference flips.
-    Returns (uf, plain_orientable) where plain_orientable means the system
-    is consistent; the domain additionally needs orientable region kinds.
+    Variables: vertex chart flips and region reference flips.  The band
+    signs fix every vertex flip relative to its graph component (ribbon
+    facts), and the corners of each boundary circuit reduce to constraints
+    between its region and components, so the parity union-find runs over
+    ('c', component) and ('r', region) only.  Returns (flip, ok): ok when
+    the system is consistent (the domain additionally needs orientable
+    region kinds), and flip(v) the flip of vertex v in a solution.
     """
+    facts = tm.ribbon_facts()
+    charts, bands_ok = facts.vertex_charts
     uf = ParityUF()
-    for k in tm.edge_keys():
-        sbit = 0 if tm.edge_sign[k] > 0 else 1
-        uf.union(("v", tm.vertex_of(k)), ("v", tm.vertex_of(tm.pairing[k])), sbit)
     for ri, region in enumerate(tm.regions):
         for c in region.circuits:
-            if not isinstance(c, RibbonCircuit):
-                continue
-            n = len(c.seq)
-            for i in range(1, n + 1, 2):
-                a = c.seq[i % n]
-                # corner step from a: type bit 0 when leaving side 1 (ccw)
-                tbit = 0 if a[1] == 1 else 1
-                v = tm.vertex_of(a[0])
-                uf.union(("v", v), ("r", ri), 1 ^ tbit)
+            if isinstance(c, RibbonCircuit):
+                for component, bit in facts.corner_constraints(c.seq):
+                    uf.union(("c", component), ("r", ri), bit)
     iso_sides = tm.region_of_iso_side()
     for i in range(len(tm.isolated)):
         a = iso_sides.get((i, 0))
@@ -676,13 +926,17 @@ def _orientation_system(tm: TransverseMap, *, ignore_kinds: bool = False):
         bit_a = 0 if da > 0 else 1
         bit_b = 0 if db > 0 else 1
         uf.union(("r", ra), ("r", rb), 1 ^ bit_a ^ bit_b)
-    return uf, uf.ok
+
+    def flip(v):
+        component, rel = charts[v]
+        return rel ^ uf.find(("c", component))[1]
+    return flip, bands_ok and uf.ok
 
 
 def domain_orientable(tm: TransverseMap) -> bool:
     if any(not r.kind.orientable for r in tm.regions):
         return False
-    _uf, ok = _orientation_system(tm)
+    _flip, ok = _orientation_system(tm)
     return ok
 
 
@@ -692,9 +946,7 @@ def domain_kind(tm: TransverseMap) -> SurfaceKind:
 
 
 def mod2_degree(tm: TransverseMap) -> int:
-    counts = {P: 0 for P in tm.target.vertices}
-    for vrep in tm.vertex_reps():
-        counts[tm.vertex_label[vrep]] += 1
+    counts = tm.ribbon_facts().preimage_counts
     parities = {c % 2 for c in counts.values()}
     if len(parities) > 1:
         raise InconsistentParity(f"preimage parities differ: {counts}")
@@ -712,7 +964,7 @@ def signed_degree(tm: TransverseMap, orient_m: int = 1, orient_n: int = 1) -> in
         raise NotOrientable("domain is not orientable")
     signs = tm.target.triangle_signs()
     rot_bits = tm.target.rotation_ccw_bits(signs)
-    uf, ok = _orientation_system(tm)
+    flip, ok = _orientation_system(tm)
     if not ok:
         raise NotOrientable("domain is not orientable")
     local = tm.local_signs()
@@ -722,9 +974,8 @@ def signed_degree(tm: TransverseMap, orient_m: int = 1, orient_n: int = 1) -> in
         return 0
     base = {}
     for vrep in vreps:
-        _root, p = uf.find(("v", vrep))
         P = tm.vertex_label[vrep]
-        base[vrep] = (-1) ** p * local[vrep] * (-1) ** rot_bits[P]
+        base[vrep] = (-1) ** flip(vrep) * local[vrep] * (-1) ** rot_bits[P]
     # canonical: least vertex counts +1
     norm = base[min(vreps)]
     sums = {P: 0 for P in tm.target.vertices}

@@ -1,0 +1,174 @@
+"""The CLI's input contract: every document it reads is checked on entry.
+
+Malformed documents and invalid maps exit 1 with a JSON error object
+(`{"error": "input", ...}`), never with a traceback; a normalization
+dead end exits 3 with its report as a JSON object.
+"""
+
+import contextlib
+import copy
+import io
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from surfmap import cli, moves
+from surfmap.errors import Stuck
+from surfmap.surfaces import builtin_triangulation
+
+ANALYZE = ("degree", "kneser", "factorize", "normalize", "contours")
+
+
+def run_cli(argv):
+    """(exit code, the JSON object printed on stdout)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(argv)
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1, lines
+    return rc, json.loads(lines[0])
+
+
+@pytest.fixture(scope="module")
+def docs(tmp_path_factory):
+    """Small valid documents of every type, as parsed JSON."""
+    tmp = tmp_path_factory.mktemp("docs")
+    paths = {"cover": tmp / "cover.json", "map": tmp / "map.json"}
+    assert run_cli(["generate", "cover", "--base", "torus_7", "--d", "2",
+                    "--seed", "1", "--out", str(paths["cover"])])[0] == 0
+    assert run_cli(["generate", "composite", "--base", "sphere_tetra", "--d", "2",
+                    "--branch", "2,2", "--pinch", "rp2", "--seed", "0",
+                    "--out", str(tmp / "pinched.json")])[0] == 0
+    assert run_cli(["generate", "scramble", "--in", str(tmp / "pinched.json"),
+                    "--steps", "3", "--seed", "1", "--out", str(paths["map"])])[0] == 0
+    out = {k: json.loads(p.read_text()) for k, p in paths.items()}
+    out["triangulation"] = builtin_triangulation("rp2_6").to_json()
+    return out
+
+
+def _write(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _missing_key(doc):
+    del doc["pairing"]
+
+
+def _non_integer_dart(doc):
+    doc["pairing"]["x"] = 1
+
+
+def _short_dart_label(doc):
+    doc["dart_label"][next(iter(doc["dart_label"]))] = [0]
+
+
+def _unknown_target_vertex(doc):
+    doc["target"]["edges"][0] = [0, 99]
+
+
+MALFORMED = {
+    "missing_key": _missing_key,
+    "non_integer_dart": _non_integer_dart,
+    "short_dart_label": _short_dart_label,
+    "unknown_target_vertex": _unknown_target_vertex,
+}
+
+
+@pytest.mark.parametrize("what", ("validate",) + ANALYZE)
+@pytest.mark.parametrize("case", sorted(MALFORMED) + ["top_level_list"])
+def test_malformed_document_is_an_input_error(tmp_path, docs, case, what):
+    doc = copy.deepcopy(docs["map"])
+    if case == "top_level_list":
+        doc = [doc]
+    else:
+        MALFORMED[case](doc)
+    rc, out = run_cli(["analyze", what, _write(tmp_path / "bad.json", doc)])
+    assert rc == 1 and out["error"] == "input"
+
+
+def _identity_rotation(doc):
+    doc["rotation"] = {d: int(d) for d in doc["rotation"]}
+    return doc
+
+
+@pytest.mark.parametrize("argv", [["analyze", what] for what in ANALYZE]
+                         + [["generate", "scramble", "--steps", "4",
+                             "--out", "unused.json", "--in"]])
+def test_invalid_map_is_rejected_on_entry(tmp_path, docs, argv):
+    path = _write(tmp_path / "bad.json", _identity_rotation(copy.deepcopy(docs["map"])))
+    rc, out = run_cli(argv + [path])
+    assert rc == 1 and out["error"] == "input"
+    assert out["problems"] and all(isinstance(p, str) for p in out["problems"])
+    assert not (tmp_path / "unused.json").exists()
+
+
+def test_stuck_report_is_json(tmp_path, docs, monkeypatch):
+    report = {"reason": "step budget exhausted", "state": {"normal": False}}
+
+    def dead_end(tm, *args, **kwargs):
+        raise Stuck(report)
+
+    monkeypatch.setattr(moves, "normalize", dead_end)
+    rc, out = run_cli(["analyze", "normalize", _write(tmp_path / "m.json", docs["map"])])
+    assert rc == 3 and out["error"] == "stuck"
+    assert out["report"] == report and "detail" in out
+
+
+# --------------------------------------------------------------------------
+# Single-field corruption
+
+
+def _paths(node, prefix=()):
+    """Every path to a value inside a JSON document."""
+    yield prefix
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _paths(v, prefix + (k,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from _paths(v, prefix + (i,))
+
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 40), st.floats(allow_nan=False),
+    st.text(max_size=3), st.lists(st.integers(-2, 12), max_size=3),
+    st.just({}), st.just([[0, 1], [1, 0]]), st.just({"0": 1}))
+
+COMMANDS = {
+    "map": (["analyze", "validate"], ["analyze", "degree"]),
+    "cover": (["analyze", "validate"], ["oracle"], ["analyze", "degree"]),
+    "triangulation": (["analyze", "validate"],
+                      ["generate", "pinch", "--pinch", "torus", "--out", "{out}",
+                       "--base-file"]),
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(kind=st.sampled_from(sorted(COMMANDS)), pick=st.integers(0, 10 ** 6),
+       value=JSON_VALUES, delete=st.booleans())
+def test_single_field_corruption_never_escapes(tmp_path_factory, docs, kind, pick,
+                                               value, delete):
+    doc = copy.deepcopy(docs[kind])
+    paths = list(_paths(doc))[1:]
+    path = paths[pick % len(paths)]
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if delete and isinstance(parent, dict):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    tmp = tmp_path_factory.mktemp("fuzz")
+    name = _write(tmp / "doc.json", doc)
+    for argv in COMMANDS[kind]:
+        argv = [a.replace("{out}", str(tmp / "out.json")) for a in argv]
+        rc, out = run_cli(argv + [name])
+        if rc == 0:
+            continue
+        assert rc in (1, 2), (path, out)
+        if rc == 2:
+            assert "parit" in out["detail"], (path, out)
+        else:
+            assert out.get("error") == "input" or out.get("valid") is False, (path, out)
