@@ -49,22 +49,6 @@ def perm_from_cycles(cycles, d: int) -> tuple:
     return tuple(out)
 
 
-def perms_transitive(perms, d: int) -> bool:
-    if d <= 1:
-        return True
-    seen = {1}
-    frontier = [1]
-    invs = [perm_inv(p) for p in perms]
-    while frontier:
-        s = frontier.pop()
-        for p in list(perms) + invs:
-            t = perm_apply(p, s)
-            if t not in seen:
-                seen.add(t)
-                frontier.append(t)
-    return len(seen) == d
-
-
 @dataclass
 class MonodromyCover:
     base: Triangulation
@@ -256,12 +240,6 @@ def cover_connected(cover: MonodromyCover) -> bool:
                 seen.add((t, s2))
                 frontier.append((t, s2))
     return len(seen) == F * cover.d
-
-
-def sheets_over(cover: MonodromyCover, triangle: int) -> int:
-    if not (0 <= triangle < len(cover.base.triangles)):
-        raise InvalidSurface(f"no triangle {triangle}")
-    return cover.d
 
 
 # --------------------------------------------------------------------------

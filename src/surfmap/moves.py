@@ -25,8 +25,8 @@ from .errors import (BadEdge, BadTarget, InternalInconsistency, InvalidChi,
 from .surfaces import SurfaceKind, classify_with_boundary
 from .transverse import (IsolatedCircle, IsoSide, ParityUF, Region,
                          RibbonCircuit, TransverseMap, chi_domain,
-                         classify_circuit, domain_orientable, edge_count,
-                         mod2_degree, validate_map)
+                         classify_circuit, corners, domain_orientable,
+                         edge_count, mod2_degree, successor_map, validate_map)
 
 
 class OneSidedCircle(SurfmapError):
@@ -179,15 +179,27 @@ def _direction_votes(new_circuit: RibbonCircuit, old_succ: dict):
     """Compare the traced direction of a rewritten circuit against stored
     direction data of its constituents: +1 votes forward, -1 backward."""
     votes = []
-    n = len(new_circuit.seq)
-    for i in range(1, n + 1, 2):
-        a = new_circuit.seq[i % n]
-        b = new_circuit.seq[(i + 1) % n]
+    for a, b in corners(new_circuit.seq):
         if old_succ.get(a) == b:
             votes.append(1)
         elif old_succ.get(b) == a:
             votes.append(-1)
     return votes
+
+
+def _orient(c: RibbonCircuit, old_succ: dict, strict: bool,
+            context: str) -> RibbonCircuit:
+    """A rewritten circuit in the direction most of its corners had in
+    the stored circuits (successor map old_succ); with `strict`, in an
+    orientable setting, votes both ways are a convention error."""
+    votes = _direction_votes(c, old_succ)
+    if not votes:
+        raise InternalInconsistency(f"{context}: no direction evidence "
+                                    "for a rewritten circuit")
+    fwd, bwd = votes.count(1), votes.count(-1)
+    if strict and fwd and bwd:
+        raise InternalInconsistency(f"{context}: direction votes conflict")
+    return c if fwd >= bwd else c.reversed()
 
 
 def _kind_from(chi: int, boundary: int, orientable: bool, context: str) -> SurfaceKind:
@@ -309,29 +321,25 @@ def _rebuild_regions(work: TransverseMap, out: TransverseMap,
     group tracker; out: post-move map with empty regions, possibly with
     freshly appended isolated circles described by circle_info."""
     dead_tokens = {(d, x) for d in dead_darts for x in (0, 1)}
-    member_flip = {ri: groups.parity(ri) for ri in range(len(work.regions))}
+    group_members = groups.groups()
+    orientable = {root: root not in groups.twisted and
+                  all(work.regions[ri].kind.orientable for ri in members)
+                  for root, members in group_members.items()}
 
     # old direction data in group-aligned form
-    old_succ = {}
+    aligned = [(groups.root(ri), _flip_circuit_entry(c, bool(groups.parity(ri))))
+               for ri, reg in enumerate(work.regions) for c in reg.circuits]
+    old_succ = successor_map(c for _root, c in aligned)
     old_iso_entries = {}      # group root -> list[IsoSide] (aligned)
-    old_kept = {}             # group root -> list of (token_set -> aligned circuit)
-    for ri, reg in enumerate(work.regions):
-        root = groups.root(ri)
-        flip = bool(member_flip[ri])
-        for c in reg.circuits:
-            c2 = _flip_circuit_entry(c, flip)
-            if isinstance(c2, RibbonCircuit):
-                n = len(c2.seq)
-                for i in range(n):
-                    old_succ[c2.seq[i]] = c2.seq[(i + 1) % n]
-                if not (set(c2.seq) & dead_tokens):
-                    old_kept.setdefault(root, {})[c2.token_set()] = c2
-            else:
-                old_iso_entries.setdefault(root, []).append(c2)
+    old_kept = {}             # group root -> {token set: aligned circuit}
+    for root, c2 in aligned:
+        if isinstance(c2, IsoSide):
+            old_iso_entries.setdefault(root, []).append(c2)
+        elif not (set(c2.seq) & dead_tokens):
+            old_kept.setdefault(root, {})[c2.token_set()] = c2
 
     out.invalidate_caches()
     traced = out.trace_circuits()
-    group_members = groups.groups()
 
     new_circuits = {root: [] for root in group_members}
     for c in traced:
@@ -349,19 +357,7 @@ def _rebuild_regions(work: TransverseMap, out: TransverseMap,
         if key in kept:
             new_circuits[root].append(kept[key])
             continue
-        votes = _direction_votes(c, old_succ)
-        if not votes:
-            raise InternalInconsistency(f"{context}: no direction evidence "
-                                        "for a rewritten circuit")
-        fwd = votes.count(1)
-        bwd = votes.count(-1)
-        group_orientable = (root not in groups.twisted and
-                            all(work.regions[ri].kind.orientable
-                                for ri in group_members[root]))
-        if group_orientable and fwd and bwd:
-            raise InternalInconsistency(f"{context}: direction votes conflict "
-                                        "in an orientable region")
-        new_circuits[root].append(c if fwd >= bwd else c.reversed())
+        new_circuits[root].append(_orient(c, old_succ, orientable[root], context))
 
     # new isolated circles created by the rewrite
     new_iso_entries = {}
@@ -386,12 +382,10 @@ def _rebuild_regions(work: TransverseMap, out: TransverseMap,
                                         f"different labels {labels}")
         chi = sum(work.regions[ri].kind.euler for ri in members) \
             - groups.strips.get(root, 0)
-        orientable = (root not in groups.twisted and
-                      all(work.regions[ri].kind.orientable for ri in members))
         circuits = (new_circuits.get(root, [])
                     + old_iso_entries.get(root, [])
                     + new_iso_entries.get(root, []))
-        kind = _kind_from(chi, len(circuits), orientable, context)
+        kind = _kind_from(chi, len(circuits), orientable[root], context)
         regions.append(Region(base.label, kind, circuits))
     out.regions = regions
 
@@ -409,11 +403,8 @@ def join_isolated_circle(tm: TransverseMap, iso_index: int,
     if not (0 <= region_index < len(tm.regions)):
         raise NotAdjacent(f"no region {region_index}")
     A = tm.regions[region_index]
-    side_entry = None
-    for c in A.circuits:
-        if isinstance(c, IsoSide) and c.index == iso_index:
-            side_entry = c
-            break
+    side_entry = next((c for c in A.circuits
+                       if isinstance(c, IsoSide) and c.index == iso_index), None)
     if side_entry is None:
         raise NotAdjacent("the circle is not a boundary circuit of that region")
     if not (0 <= circuit_pos < len(A.circuits)):
@@ -548,9 +539,11 @@ def split_circle(tm: TransverseMap, region_index: int, circuit_pos: int,
 # Boundary surgery
 
 
-def _strand_info(tm: TransverseMap, region_index: int, dart: int):
+def _strand_info(tm: TransverseMap, region_index: int, dart: int,
+                 tok2reg: dict, succ: dict):
     """A-side data for the strand through `dart`: tokens, side bit at the
-    end-0 dart, stored direction bit."""
+    end-0 dart, stored direction bit.  tok2reg and succ are tm's
+    region_of_token() and stored_direction_bits()."""
     if dart not in tm.pairing:
         raise NotCompatible(f"no dart {dart}")
     d1, d2 = dart, tm.pairing[dart]
@@ -559,16 +552,10 @@ def _strand_info(tm: TransverseMap, region_index: int, dart: int):
         raise NotCompatible("strand folds back; collapse it instead")
     u = d1 if l1[1] == 0 else d2        # the end-0 dart
     w = tm.pairing[u]
-    tok2reg = tm.region_of_token()
-    side_tokens = None
-    for x in (0, 1):
-        if tok2reg.get((u, x)) == region_index:
-            side_tokens = {(u, x), tm.band_step((u, x))}
-            xi = x
-            break
-    if side_tokens is None:
+    xi = next((x for x in (0, 1) if tok2reg.get((u, x)) == region_index), None)
+    if xi is None:
         raise NotCompatible("strand does not bound the given region")
-    succ = tm.stored_direction_bits()
+    side_tokens = {(u, xi), tm.band_step((u, xi))}
     dep = next(t for t in side_tokens if succ.get(t) in side_tokens)
     sigma = tm.dart_label[dep[0]][1]    # 0: stored departs the end-0 dart
     far = {(u, 1 - xi)} | {tm.band_step((u, 1 - xi))}
@@ -593,9 +580,11 @@ def boundary_surgery(tm: TransverseMap, region_index: int,
     before = tm
     work = tm.copy()
     A = work.regions[region_index]
+    tok2reg = work.region_of_token()
+    succ = work.stored_direction_bits()
 
-    s1 = _strand_info(work, region_index, dart1)
-    s2 = _strand_info(work, region_index, dart2)
+    s1 = _strand_info(work, region_index, dart1, tok2reg, succ)
+    s2 = _strand_info(work, region_index, dart2, tok2reg, succ)
     if s1["u"] == s2["u"]:
         raise NotCompatible("the two positions lie on one strand")
     if s1["edge"] != s2["edge"]:
@@ -609,8 +598,6 @@ def boundary_surgery(tm: TransverseMap, region_index: int,
         raise NotCompatible("same-direction strands of an orientable region "
                             "admit no compatible coorientation")
 
-    tok2reg = work.region_of_token()
-    succ = work.stored_direction_bits()
     u1, w1, u2, w2 = s1["u"], s1["w"], s2["u"], s2["w"]
 
     # far-side owners and direction bits before rewiring
@@ -619,12 +606,12 @@ def boundary_surgery(tm: TransverseMap, region_index: int,
         owners = {tok2reg[t] for t in toks}
         if len(owners) != 1:
             raise InternalInconsistency("far side owned by several regions")
-        owner = owners.pop()
         dep = next(t for t in toks if succ.get(t) in toks)
-        return owner, work.dart_label[dep[0]][1], toks
+        return owners.pop(), work.dart_label[dep[0]][1]
 
-    rfar1, fsig1, ftok1 = far_data(s1)
-    rfar2, fsig2, ftok2 = far_data(s2)
+    rfar1, fsig1 = far_data(s1)
+    rfar2, fsig2 = far_data(s2)
+    ftoks = s1["far_tokens"] | s2["far_tokens"]
     if rfar1 == region_index or rfar2 == region_index:
         raise InternalInconsistency("far side equals the cut region")
 
@@ -654,38 +641,22 @@ def boundary_surgery(tm: TransverseMap, region_index: int,
     work.invalidate_caches()
 
     traced = work.trace_circuits()
-    affected = s1["tokens"] | s2["tokens"] | ftok1 | ftok2
 
     # --- region A restructuring ------------------------------------------------
     new_A_side = [c for c in traced
                   if set(c.seq) & (s1["tokens"] | s2["tokens"])]
-    old_succ_A = {}
-    for c in A.circuits:
-        if isinstance(c, RibbonCircuit):
-            n = len(c.seq)
-            for i in range(n):
-                old_succ_A[c.seq[i]] = c.seq[(i + 1) % n]
-
-    def orient_new(c: RibbonCircuit, orientable_ctx: bool,
-                   twisted: bool = False) -> RibbonCircuit:
-        votes = _direction_votes(c, old_succ_A)
-        if not votes:
-            raise InternalInconsistency("surgery: no direction evidence")
-        fwd, bwd = votes.count(1), votes.count(-1)
-        if orientable_ctx and not twisted and fwd and bwd:
-            raise InternalInconsistency("surgery: direction votes conflict")
-        return c if fwd >= bwd else c.reversed()
+    old_succ_A = successor_map(A.circuits)
 
     keep = [c for pos, c in enumerate(A.circuits) if pos not in cpos.values()]
     extra_region = None
     if not gamma_same:
         if len(new_A_side) != 1:
             raise InternalInconsistency("surgery: expected circuit merge")
-        kind = _kind_from(A.kind.euler + 1, A.kind.boundary - 1,
-                          A.kind.orientable, "boundary_surgery")
-        A.kind = kind
-        A.circuits = keep + [orient_new(new_A_side[0], A.kind.orientable,
-                                        twisted=route_crosscap)]
+        A.kind = _kind_from(A.kind.euler + 1, A.kind.boundary - 1,
+                            A.kind.orientable, "boundary_surgery")
+        A.circuits = keep + [_orient(new_A_side[0], old_succ_A,
+                                     A.kind.orientable and not route_crosscap,
+                                     "boundary_surgery")]
     elif not route_crosscap:
         if len(new_A_side) != 2:
             raise InternalInconsistency("surgery: expected circuit split")
@@ -694,17 +665,20 @@ def boundary_surgery(tm: TransverseMap, region_index: int,
         tok_pref = next(iter(s2["tokens"]))
         c_disk = next(c for c in new_A_side if tok_pref in set(c.seq))
         c_keep = next(c for c in new_A_side if c is not c_disk)
-        A.circuits = keep + [orient_new(c_keep, A.kind.orientable)]
+        A.circuits = keep + [_orient(c_keep, old_succ_A, A.kind.orientable,
+                                     "boundary_surgery")]
         A.kind = _kind_from(A.kind.euler, len(A.circuits),
                             A.kind.orientable, "boundary_surgery")
         extra_region = Region(A.label, SurfaceKind(True, 0, 0, 1),
-                              [orient_new(c_disk, True)])
+                              [_orient(c_disk, old_succ_A, True,
+                                       "boundary_surgery")])
     else:
         if len(new_A_side) != 1:
             raise InternalInconsistency("surgery: twisted rejoin should keep "
                                         "one circuit")
         orientable = A.kind.crosscaps == 1
-        A.circuits = keep + [orient_new(new_A_side[0], orientable, twisted=True)]
+        A.circuits = keep + [_orient(new_A_side[0], old_succ_A, False,
+                                     "boundary_surgery")]
         A.kind = _kind_from(A.kind.euler + 1, len(A.circuits), orientable,
                             "boundary_surgery")
 
@@ -713,26 +687,11 @@ def boundary_surgery(tm: TransverseMap, region_index: int,
     # fsig ^ sigma ^ 1; the frames differ by the route twist, which itself
     # is [sigma1 == sigma2], so the twist cancels and only the fsig bits
     # decide whether the second far region must flip
-    new_far = [c for c in traced if set(c.seq) & (ftok1 | ftok2)]
+    new_far = [c for c in traced if set(c.seq) & ftoks]
     flip_far = 1 if fsig1 == fsig2 else 0
-    old_succ_far = {}
-    for ri in {rfar1, rfar2}:
-        for c in work.regions[ri].circuits:
-            if isinstance(c, RibbonCircuit):
-                cc = _flip_circuit_entry(c, ri == rfar2 and rfar1 != rfar2
-                                         and bool(flip_far))
-                n = len(cc.seq)
-                for i in range(n):
-                    old_succ_far[cc.seq[i]] = cc.seq[(i + 1) % n]
-
-    def orient_far(c: RibbonCircuit, orientable_ctx: bool) -> RibbonCircuit:
-        votes = _direction_votes(c, old_succ_far)
-        if not votes:
-            raise InternalInconsistency("surgery: no far direction evidence")
-        fwd, bwd = votes.count(1), votes.count(-1)
-        if orientable_ctx and flip_far == 0 and fwd and bwd:
-            raise InternalInconsistency("surgery: far direction votes conflict")
-        return c if fwd >= bwd else c.reversed()
+    old_succ_far = successor_map(
+        _flip_circuit_entry(c, ri == rfar2 and rfar1 != rfar2 and bool(flip_far))
+        for ri in {rfar1, rfar2} for c in work.regions[ri].circuits)
 
     R1 = work.regions[rfar1]
     if rfar1 != rfar2:
@@ -742,14 +701,15 @@ def boundary_surgery(tm: TransverseMap, region_index: int,
         if len(new_far) != 1:
             raise InternalInconsistency("surgery: far sides should merge")
         orientable = R1.kind.orientable and R2.kind.orientable
-        far_affected = set()
         circuits = []
         for src, flip in ((R1, False), (R2, bool(flip_far))):
             for c in src.circuits:
-                if isinstance(c, RibbonCircuit) and set(c.seq) & (ftok1 | ftok2):
+                if isinstance(c, RibbonCircuit) and set(c.seq) & ftoks:
                     continue
                 circuits.append(_flip_circuit_entry(c, flip))
-        circuits.append(orient_far(new_far[0], orientable))
+        circuits.append(_orient(new_far[0], old_succ_far,
+                                orientable and flip_far == 0,
+                                "boundary_surgery far"))
         kind = _kind_from(R1.kind.euler + R2.kind.euler - 1, len(circuits),
                           orientable, "boundary_surgery far")
         merged = Region(R1.label, kind, circuits)
@@ -758,7 +718,7 @@ def boundary_surgery(tm: TransverseMap, region_index: int,
     else:
         old_far_circuits = [c for c in R1.circuits
                             if isinstance(c, RibbonCircuit)
-                            and set(c.seq) & (ftok1 | ftok2)]
+                            and set(c.seq) & ftoks]
         beta_same = len(old_far_circuits) == 1
         expect = 2 if (beta_same and flip_far == 0) else 1
         if len(new_far) != expect:
@@ -767,9 +727,9 @@ def boundary_surgery(tm: TransverseMap, region_index: int,
                 f"expected {expect}")
         orientable = R1.kind.orientable and flip_far == 0
         circuits = [c for c in R1.circuits
-                    if not (isinstance(c, RibbonCircuit)
-                            and set(c.seq) & (ftok1 | ftok2))]
-        circuits += [orient_far(c, orientable) for c in new_far]
+                    if not (isinstance(c, RibbonCircuit) and set(c.seq) & ftoks)]
+        circuits += [_orient(c, old_succ_far, orientable, "boundary_surgery far")
+                     for c in new_far]
         R1.kind = _kind_from(R1.kind.euler - 1, len(circuits), orientable,
                              "boundary_surgery far")
         R1.circuits = circuits
@@ -785,14 +745,16 @@ def boundary_surgery(tm: TransverseMap, region_index: int,
 # Crosscap relocation
 
 
+def _branchy(region: Region, classes) -> bool:
+    """Whether a region can take a crosscap: several boundary circuits or
+    an essential one of index above one (`classes` may be a generator)."""
+    return len(region.circuits) >= 2 or any(
+        c.variant == "essential" and c.index > 1 for c in classes)
+
+
 def _qualifies_as_target(tm: TransverseMap, region: Region) -> bool:
-    if len(region.circuits) >= 2:
-        return True
-    for c in region.circuits:
-        cls = classify_circuit(tm, region, c)
-        if cls.variant == "essential" and cls.index > 1:
-            return True
-    return False
+    return _branchy(region, (classify_circuit(tm, region, c)
+                             for c in region.circuits))
 
 
 def relocate_crosscap(tm: TransverseMap, source_index: int,
@@ -829,6 +791,18 @@ def relocate_crosscap(tm: TransverseMap, source_index: int,
 # Normal form
 
 
+def _region_reduced(region: Region, classes: list) -> bool:
+    """The reduced-region condition: one essential circuit of index one,
+    or an orientable region whose circuits are all essential and run the
+    same way."""
+    if (len(classes) == 1 and classes[0].variant == "essential"
+            and classes[0].index == 1):
+        return True
+    return (region.kind.orientable
+            and all(c.variant == "essential" for c in classes)
+            and len({c.direction for c in classes}) <= 1)
+
+
 def is_normal(tm: TransverseMap) -> dict:
     """Per-property report of the reduced-form conditions."""
     rep = validate_map(tm)
@@ -847,19 +821,13 @@ def is_normal(tm: TransverseMap) -> dict:
     any_nonorientable = False
     any_branchy = False
     if has_vertices:
-        for ri, region in enumerate(tm.regions):
+        for region in tm.regions:
             classes = [classify_circuit(tm, region, c) for c in region.circuits]
             if not region.kind.orientable:
                 any_nonorientable = True
-            if len(region.circuits) >= 2 or any(
-                    c.variant == "essential" and c.index > 1 for c in classes):
+            if _branchy(region, classes):
                 any_branchy = True
-            single_ok = (len(classes) == 1 and classes[0].variant == "essential"
-                         and classes[0].index == 1)
-            same_dir = (region.kind.orientable
-                        and all(c.variant == "essential" for c in classes)
-                        and len({c.direction for c in classes}) <= 1)
-            if not (single_ok or same_dir):
+            if not _region_reduced(region, classes):
                 regions_ok = False
     out["regions_reduced"] = regions_ok
     out["crosscap_separation"] = not (any_nonorientable and any_branchy)
@@ -869,7 +837,16 @@ def is_normal(tm: TransverseMap) -> dict:
     return out
 
 
+def _find_collapse(tm: TransverseMap):
+    cands = collapsible_edges(tm)
+    return (cands[0],) if cands else None
+
+
 def _find_join(tm: TransverseMap):
+    """An isolated circle, a region it bounds and an essential circuit of
+    that region, on a map with both vertices and isolated circles."""
+    if not (tm.isolated and tm.pairing):
+        return None
     for ri, region in enumerate(tm.regions):
         iso_pos = [c.index for c in region.circuits if isinstance(c, IsoSide)]
         if not iso_pos:
@@ -878,7 +855,8 @@ def _find_join(tm: TransverseMap):
             if isinstance(c, RibbonCircuit) and \
                     classify_circuit(tm, region, c).variant == "essential":
                 return min(iso_pos), ri, pos
-    return None
+    raise Stuck({"reason": "isolated circles but no join target",
+                 "state": is_normal(tm)})
 
 
 def _find_surgery(tm: TransverseMap):
@@ -886,12 +864,7 @@ def _find_surgery(tm: TransverseMap):
     pair of strand darts over one target edge."""
     for ri, region in enumerate(tm.regions):
         classes = [classify_circuit(tm, region, c) for c in region.circuits]
-        single_ok = (len(classes) == 1 and classes[0].variant == "essential"
-                     and classes[0].index == 1)
-        same_dir = (region.kind.orientable and
-                    all(c.variant == "essential" for c in classes)
-                    and len({c.direction for c in classes}) <= 1)
-        if single_ok or same_dir:
+        if _region_reduced(region, classes):
             continue
         ribbons = [(pos, c) for pos, c in enumerate(region.circuits)
                    if isinstance(c, RibbonCircuit)]
@@ -921,7 +894,7 @@ def _find_surgery(tm: TransverseMap):
             if cls.variant == "essential":
                 dirs.setdefault(cls.direction, (pos, c))
         if len(dirs) == 2:
-            (p1, c1), (p2, c2) = dirs[1], dirs[-1]
+            (_p1, c1), (_p2, c2) = dirs[1], dirs[-1]
             s1, s2 = strands_on(c1), strands_on(c2)
             if s1 and s2:
                 return ri, s1[0], s2[0]
@@ -929,17 +902,36 @@ def _find_surgery(tm: TransverseMap):
 
 
 def _find_relocation(tm: TransverseMap):
-    src = None
-    for ri, region in enumerate(tm.regions):
-        if not region.kind.orientable:
-            src = ri
-            break
+    src = next((ri for ri, region in enumerate(tm.regions)
+                if not region.kind.orientable), None)
     if src is None:
         return None
     for ri, region in enumerate(tm.regions):
         if ri != src and _qualifies_as_target(tm, region):
             return src, ri
     return None
+
+
+def _with_vertices(find):
+    """`find` on maps that still have vertices.  A map without any is
+    graph-like, hence normal whatever its regions: surgery and crosscap
+    relocation stop there."""
+    return lambda tm: find(tm) if tm.pairing else None
+
+
+# The reductions in priority order: (move name, finder, trace params).
+# A finder returns the move's arguments after the map, or None.  The
+# move itself is looked up in this module when it is applied, so a
+# rebound module attribute (a tracing wrapper, say) is the one called.
+_REDUCTIONS = (
+    ("collapse_edge", _find_collapse, lambda edge: {"edge": edge}),
+    ("join_isolated_circle", _find_join,
+     lambda iso, ri, pos: {"iso": iso, "region": ri, "circuit": pos}),
+    ("boundary_surgery", _with_vertices(_find_surgery),
+     lambda ri, d1, d2: {"region": ri, "darts": [d1, d2]}),
+    ("relocate_crosscap", _with_vertices(_find_relocation),
+     lambda src, tgt: {"source": src, "target": tgt}),
+)
 
 
 def normalize(tm: TransverseMap, max_steps: int = None, observer=None):
@@ -953,62 +945,25 @@ def normalize(tm: TransverseMap, max_steps: int = None, observer=None):
     work = tm
     trace = []
     budget = max_steps if max_steps is not None else 12 * edge_count(tm) + 64
-
-    def log(move, params, e_before, e_after):
-        trace.append({"move": move, "params": params,
-                      "E_before": e_before, "E_after": e_after})
-
     steps = 0
     while True:
         steps += 1
         if steps > budget:
             raise Stuck({"reason": "step budget exhausted",
                          "state": is_normal(work)})
-        e0 = edge_count(work)
-        cands = collapsible_edges(work)
-        if cands:
-            work2 = collapse_edge(work, cands[0])
-            log("collapse_edge", {"edge": cands[0]}, e0, edge_count(work2))
-            if observer:
-                observer(work, work2, "collapse_edge")
-            work = work2
-            continue
-        if work.isolated and work.pairing:
-            found = _find_join(work)
-            if found is None:
-                raise Stuck({"reason": "isolated circles but no join target",
-                             "state": is_normal(work)})
-            iso, ri, pos = found
-            work2 = join_isolated_circle(work, iso, ri, pos)
-            log("join_isolated_circle", {"iso": iso, "region": ri, "circuit": pos},
-                e0, edge_count(work2))
-            if observer:
-                observer(work, work2, "join_isolated_circle")
-            work = work2
-            continue
-        if not work.pairing:
+        for move, find, params in _REDUCTIONS:
+            args = find(work)
+            if args is not None:
+                break
+        else:
             break
-        found = _find_surgery(work)
-        if found is not None:
-            ri, d1, d2 = found
-            work2 = boundary_surgery(work, ri, d1, d2)
-            log("boundary_surgery", {"region": ri, "darts": [d1, d2]},
-                e0, edge_count(work2))
-            if observer:
-                observer(work, work2, "boundary_surgery")
-            work = work2
-            continue
-        found = _find_relocation(work)
-        if found is not None:
-            src, tgt = found
-            work2 = relocate_crosscap(work, src, tgt)
-            log("relocate_crosscap", {"source": src, "target": tgt},
-                e0, edge_count(work2))
-            if observer:
-                observer(work, work2, "relocate_crosscap")
-            work = work2
-            continue
-        break
+        e0 = edge_count(work)
+        after = globals()[move](work, *args)
+        trace.append({"move": move, "params": params(*args),
+                      "E_before": e0, "E_after": edge_count(after)})
+        if observer:
+            observer(work, after, move)
+        work = after
 
     state = is_normal(work)
     if not state["normal"]:

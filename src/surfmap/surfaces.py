@@ -115,16 +115,6 @@ class SurfaceKind:
                              for k in ("handles", "crosscaps", "boundary")))
 
 
-SPHERE = SurfaceKind(True, 0)
-TORUS = SurfaceKind(True, 1)
-PROJECTIVE_PLANE = SurfaceKind(False, crosscaps=1)
-KLEIN_BOTTLE = SurfaceKind(False, crosscaps=2)
-
-
-def euler_char(kind: SurfaceKind) -> int:
-    return kind.euler
-
-
 def classify_surface(chi: int, orientable: bool) -> SurfaceKind:
     """The unique closed surface with the given Euler characteristic."""
     if chi > 2:
@@ -182,21 +172,6 @@ class Triangulation:
     rotations: dict = field(default_factory=dict)
 
     # -- basic incidence ----------------------------------------------------
-
-    def edge_ends(self, e: int) -> tuple:
-        return self.edges[e]
-
-    def half_edge_at(self, e: int, v) -> tuple:
-        a, b = self.edges[e]
-        if v == a:
-            return (e, 0)
-        if v == b:
-            return (e, 1)
-        raise InvalidSurface(f"edge {e} not incident to vertex {v}")
-
-    def half_edge_vertex(self, he: tuple):
-        e, end = he
-        return self.edges[e][end]
 
     def directed_ends(self, d: tuple) -> tuple:
         """(tail, head) of the directed edge d = (edge, sign)."""
@@ -266,9 +241,6 @@ class Triangulation:
                 sectors.append(corners[pick][0])
             cache[v] = sectors
         return cache[v]
-
-    def vertex_degree(self, v) -> int:
-        return len(self.rotations[v])
 
     def rotation_succ(self, v, e: int) -> int:
         rot = self.rotations[v]
@@ -520,14 +492,6 @@ class Triangulation:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-def validate_triangulation(tri: Triangulation) -> list:
-    return tri.validate()
-
-
-def orientability(tri: Triangulation) -> bool:
-    return tri.orientability()
-
-
 # --------------------------------------------------------------------------
 # Construction helpers and built-in complexes
 
@@ -597,12 +561,6 @@ def complex_from_faces(face_lists) -> Triangulation:
             e = edge_idx[tuple(sorted((a, b)))]
             walk.append((e, 1 if edges[e] == (a, b) else -1))
         triangles.append(walk)
-    rotations = derive_rotations(vertices, edges, triangles)
-    return Triangulation(vertices, edges, triangles, rotations)
-
-
-def glued_complex(vertices, edges, triangles) -> Triangulation:
-    """Triangulation from explicit edge/walk data (parallel edges allowed)."""
     rotations = derive_rotations(vertices, edges, triangles)
     return Triangulation(vertices, edges, triangles, rotations)
 

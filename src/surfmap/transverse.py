@@ -91,13 +91,6 @@ class ParityUF:
         self.parent[rx] = ry
         self.parity[rx] = px ^ py ^ rel
 
-    def value(self, x, seed_root_values=None):
-        root, p = self.find(x)
-        return p
-
-    def same(self, x, y):
-        return self.find(x)[0] == self.find(y)[0]
-
 
 # --------------------------------------------------------------------------
 # Data model
@@ -114,14 +107,27 @@ class RibbonCircuit:
     (dart, side) pairs, side 0/1 being the two ends of a dart's band side."""
     seq: tuple
 
-    def tokens(self):
-        return self.seq
-
     def token_set(self):
         return frozenset(self.seq)
 
     def reversed(self):
         return RibbonCircuit(tuple(reversed(self.seq)))
+
+
+def corners(seq: tuple):
+    """The corner steps (a, b) of an alternating boundary walk: a at each
+    odd position, b the token after it."""
+    return zip(seq[1::2], seq[2::2] + seq[:1])
+
+
+def successor_map(circuits) -> dict:
+    """token -> next token along each ribbon circuit among `circuits`
+    (isolated sides are skipped)."""
+    succ = {}
+    for c in circuits:
+        if isinstance(c, RibbonCircuit):
+            succ.update(zip(c.seq, c.seq[1:] + c.seq[:1]))
+    return succ
 
 
 @dataclass(frozen=True)
@@ -171,18 +177,12 @@ class TransverseMap:
             self._facts_checked = True
         return self._facts
 
-    def darts(self):
-        return sorted(self.pairing)
-
     def edge_key(self, d: int) -> int:
         return min(d, self.pairing[d])
 
     def edge_keys(self):
         """Sorted edge keys (a shared list; do not modify)."""
         return self.ribbon_facts().edge_keys
-
-    def sign(self, d: int) -> int:
-        return self.edge_sign[self.edge_key(d)]
 
     def vertex_of(self, d: int) -> int:
         """Canonical vertex id: minimal dart of the rotation orbit."""
@@ -245,14 +245,7 @@ class TransverseMap:
 
     def stored_direction_bits(self):
         """(token -> successor token) along each stored circuit."""
-        succ = {}
-        for reg in self.regions:
-            for c in reg.circuits:
-                if isinstance(c, RibbonCircuit):
-                    n = len(c.seq)
-                    for i in range(n):
-                        succ[c.seq[i]] = c.seq[(i + 1) % n]
-        return succ
+        return successor_map(c for reg in self.regions for c in reg.circuits)
 
     def copy(self) -> "TransverseMap":
         """Independent tables and regions; the ribbon facts are passed on
@@ -679,10 +672,7 @@ class RibbonFacts:
         T = self.target
         tri_edges = set(T.triangle_edges(label))
         out = None
-        n = len(seq)
-        for i in range(1, n + 1, 2):
-            a = seq[i % n]
-            b = seq[(i + 1) % n]
+        for a, b in corners(seq):
             # corner step between a and b at a's vertex
             ea = self.dart_label[a[0]][0]
             eb = self.dart_label[b[0]][0]
@@ -992,26 +982,46 @@ def signed_degree(tm: TransverseMap, orient_m: int = 1, orient_n: int = 1) -> in
 
 
 def _assign_region_labels(tm: TransverseMap, circuits) -> list:
-    """Pick the target triangle whose corner fan matches each circuit."""
+    """The target triangle of each circuit's disk region: the one whose
+    corner fan matches every corner of the circuit.  Where several match
+    (two triangles on the same three edges), the labels already given
+    across the circuit's bands are excluded; circuits are visited in
+    band-adjacency order, so a labeled neighbour is there to exclude."""
     T = tm.target
-    labels = []
-    for c in circuits:
-        n = len(c.seq)
-        cands = None
-        for i in range(1, n + 1, 2):
-            a = c.seq[i % n]
-            b = c.seq[(i + 1) % n]
-            ea, eb = tm.label_edge(a[0]), tm.label_edge(b[0])
-            P = tm.vertex_label[a[0]]
-            here = set()
-            for (t, e_in, e_out) in T.corners_at(P):
-                if {e_in, e_out} == {ea, eb}:
-                    here.add(t)
-            cands = here if cands is None else (cands & here)
-        if not cands:
-            raise InternalInconsistency("circuit corners match no triangle")
-        labels.append(min(cands))
+    circuit_of = {tok: i for i, c in enumerate(circuits) for tok in c.seq}
+    labels = [None] * len(circuits)
+    queued = set()
+    for root in range(len(circuits)):
+        if root in queued:
+            continue
+        queued.add(root)
+        order = [root]
+        for i in order:
+            seq = circuits[i].seq
+            cands = None
+            for a, b in corners(seq):
+                ea, eb = tm.label_edge(a[0]), tm.label_edge(b[0])
+                here = {t for (t, x, y) in T.corners_at(tm.vertex_label[a[0]])
+                        if {x, y} == {ea, eb}}
+                cands = here if cands is None else cands & here
+            across = [circuit_of[(d, 1 - x)] for d, x in seq]
+            if cands and len(cands) > 1:
+                cands = cands - {labels[k] for k in across}
+            if not cands:
+                raise InternalInconsistency("circuit corners match no triangle")
+            labels[i] = min(cands)
+            for k in across:
+                if k not in queued:
+                    queued.add(k)
+                    order.append(k)
     return labels
+
+
+def _disk_regions(tm: TransverseMap) -> list:
+    """One disk region per traced circuit, labeled by its triangle."""
+    circuits = tm.trace_circuits()
+    return [Region(label, SurfaceKind(True, 0, 0, 1), [c])
+            for c, label in zip(circuits, _assign_region_labels(tm, circuits))]
 
 
 def identity_map(tri: Triangulation) -> TransverseMap:
@@ -1044,22 +1054,7 @@ def identity_map(tri: Triangulation) -> TransverseMap:
 
     tm = TransverseMap(tri, pairing, rotation, edge_sign,
                        vertex_label, dart_label, [], [])
-    circuits = tm.trace_circuits()
-    regions = []
-    remaining = set(range(len(tri.triangles)))
-    for c in circuits:
-        n = len(c.seq)
-        cands = None
-        for i in range(1, n + 1, 2):
-            a, b = c.seq[i % n], c.seq[(i + 1) % n]
-            ea, eb = tm.label_edge(a[0]), tm.label_edge(b[0])
-            P = tm.vertex_label[a[0]]
-            here = {t for (t, x, y) in tri.corners_at(P) if {x, y} == {ea, eb}}
-            cands = here if cands is None else cands & here
-        pick = min(cands & remaining)
-        remaining.discard(pick)
-        regions.append(Region(pick, SurfaceKind(True, 0, 0, 1), [c]))
-    tm.regions = regions
+    tm.regions = _disk_regions(tm)
     require_valid(tm, "identity_map")
     return tm
 
@@ -1111,11 +1106,7 @@ def map_from_cover(cover) -> TransverseMap:
 
     tm = TransverseMap(cover.base, pairing, rotation, edge_sign,
                        vertex_label, dart_label, [], [])
-    circuits = tm.trace_circuits()
-    labels_r = _assign_region_labels(tm, circuits)
-    regions = [Region(lab, SurfaceKind(True, 0, 0, 1), [c])
-               for c, lab in zip(circuits, labels_r)]
-    tm.regions = regions
+    tm.regions = _disk_regions(tm)
     require_valid(tm, "map_from_cover")
 
     chi = chi_domain(tm)
@@ -1201,10 +1192,7 @@ def _fold_degree_zero() -> TransverseMap:
 
     tm = TransverseMap(tri, pairing, rotation, edge_sign,
                        vertex_label, dart_label, [], [])
-    circuits = tm.trace_circuits()
-    labels = _assign_region_labels(tm, circuits)
-    tm.regions = [Region(lab, SurfaceKind(True, 0, 0, 1), [c])
-                  for c, lab in zip(circuits, labels)]
+    tm.regions = _disk_regions(tm)
     require_valid(tm, "fold_degree_zero")
     if chi_domain(tm) != 2 or mod2_degree(tm) != 0:
         raise InternalInconsistency("fold model is not a degree-zero sphere map")

@@ -6,9 +6,11 @@ TransverseMap.from_json(tm.to_json()), which shares nothing with `tm`.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
+from surfmap import moves
 from surfmap.covers import random_cover
 from surfmap.errors import InternalInconsistency
 from surfmap.moves import (_post_move_check, insert_trivial_circle, normalize)
@@ -73,6 +75,30 @@ def test_every_move_of_a_corpus_slice_matches_the_oracle():
         normalize(tm, observer=observer)
     assert seen == {"collapse_edge", "join_isolated_circle", "boundary_surgery",
                     "relocate_crosscap"}
+
+
+def test_normalize_calls_the_moves_bound_in_the_module(monkeypatch):
+    """normalize looks every move up in surfmap.moves when it applies it,
+    so wrappers installed on the module (as perfbench's tracer does) see
+    each application the trace records."""
+    reductions = ("collapse_edge", "join_isolated_circle", "boundary_surgery",
+                  "relocate_crosscap")
+    calls = Counter()
+
+    def counting(name, move):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return move(*args, **kwargs)
+        return wrapper
+
+    for name in reductions:
+        monkeypatch.setattr(moves, name, counting(name, getattr(moves, name)))
+    logged = Counter()
+    for spec in SLICE:
+        _norm, trace = normalize(_slice_map(*spec))
+        logged.update(step["move"] for step in trace)
+    assert set(logged) == set(reductions)
+    assert calls == logged
 
 
 def test_long_scramble_of_a_large_map_matches_the_oracle():

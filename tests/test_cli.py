@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+from surfmap.surfaces import Triangulation, derive_rotations
+
 PY = [sys.executable, "-m", "surfmap.cli"]
 
 
@@ -152,3 +154,22 @@ def test_loop_edge_triangulation_rejected(tmp_path):
     assert rc == 1
     rep = _json.loads(stdout)
     assert not rep["valid"] and any("loop edge" in p for p in rep["problems"])
+
+
+def test_composite_over_two_triangles_on_the_same_three_edges(tmp_path):
+    """A sphere of two triangles sharing all three edges: every corner fits
+    both triangles, so each disk region takes the label its neighbours
+    across the bands leave free."""
+    V, E = [0, 1, 2], [(0, 1), (1, 2), (0, 2)]
+    T = [[(0, 1), (1, 1), (2, -1)], [(2, 1), (1, -1), (0, -1)]]
+    base = tmp_path / "base.json"
+    base.write_text(Triangulation(V, E, T, derive_rotations(V, E, T)).dumps())
+    for d, branch in ((1, []), (2, ["--branch", "2,2"]), (3, ["--branch", "3,3"])):
+        out = tmp_path / f"d{d}.json"
+        rc, stdout, _ = run("generate", "composite", "--base-file", str(base),
+                            "--d", str(d), *branch, "--seed", "1", "--out", str(out))
+        assert rc == 0, stdout
+        rc, stdout, _ = run("analyze", "degree", str(out))
+        assert rc == 0 and json.loads(stdout)["degree"] == d
+        rc, stdout, _ = run("analyze", "kneser", str(out))
+        assert rc == 0 and json.loads(stdout)["holds"] is True

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from surfmap.covers import (MonodromyCover, assemble_total_space, cover_chi,
                             cover_connected, disk_pieces, induced_triangulation,
                             perm_from_cycles, perm_id, perm_inv, perm_mul,
-                            random_cover, sheets_over)
+                            random_cover)
 from surfmap.errors import Branched, NotClosed, Unsatisfiable
 from surfmap.surfaces import builtin_triangulation
 
@@ -38,7 +38,7 @@ def test_trivial_cover():
     assert c.validate() == []
     assert cover_chi(c) == 2
     assert cover_connected(c)
-    assert sheets_over(c, 0) == 1
+    assert c.d == 1
     total = assemble_total_space(c)
     assert total.euler == 2 and total.validate() == []
 

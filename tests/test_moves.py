@@ -225,3 +225,16 @@ def test_is_normal_flags():
     assert not state2["normal"] and not state2["no_mixed_circles"]
     fold = builtin_example("fold_degree_zero")
     assert not is_normal(fold)["no_collapsible_edge"]
+
+
+def test_graph_like_map_keeps_its_crosscap():
+    """A map whose preimage graph normalizes away is graph-like and hence
+    normal, even where a crosscap relocation would still fit: normalize
+    stops before surgery and relocation."""
+    fold = builtin_example("fold_degree_zero")
+    tm = scrambled(add_pinch(fold, 0, SurfaceKind(False, crosscaps=1)), 6, seed=1)
+    norm, trace = normalize(tm)
+    assert not norm.pairing and is_normal(norm)["graph_like"]
+    assert moves_mod._find_relocation(norm) == (0, 1)
+    assert "relocate_crosscap" not in {step["move"] for step in trace}
+    assert norm.regions[0].kind.crosscaps == 1

@@ -4,15 +4,13 @@ from hypothesis import given, strategies as st
 from surfmap.errors import InvalidChi, InvalidSurface, UnknownName
 from surfmap.surfaces import (BUILTIN_NAMES, SurfaceKind, Triangulation,
                               builtin_triangulation, classify_surface,
-                              classify_with_boundary, connected_sum_kind,
-                              euler_char, orientability,
-                              validate_triangulation)
+                              classify_with_boundary, connected_sum_kind)
 
 
 def test_euler_char_examples():
-    assert euler_char(SurfaceKind(True, 0)) == 2
-    assert euler_char(SurfaceKind(False, crosscaps=2)) == 0
-    assert euler_char(SurfaceKind(True, 2)) == -2
+    assert SurfaceKind(True, 0).euler == 2
+    assert SurfaceKind(False, crosscaps=2).euler == 0
+    assert SurfaceKind(True, 2).euler == -2
 
 
 def test_classify_examples():
@@ -79,8 +77,8 @@ def test_builtin_triangulations(name):
     v, e, f, chi, ori = EXPECTED[name]
     assert (len(tri.vertices), len(tri.edges), len(tri.triangles)) == (v, e, f)
     assert tri.euler == chi
-    assert orientability(tri) == ori
-    assert validate_triangulation(tri) == []
+    assert tri.orientability() == ori
+    assert tri.validate() == []
     assert tri.classify() == classify_surface(chi, ori)
 
 
