@@ -134,6 +134,8 @@ class MonodromyCover:
             if p is None or len(p) != self.d or sorted(p) != list(ident):
                 problems.append(f"edge {e} has no valid sheet permutation")
         for t, cycles in self.branch.items():
+            if t not in range(len(self.base.triangles)):
+                problems.append(f"branch cycles on triangle {t}, which the base lacks")
             seen = set()
             for cyc in cycles:
                 if len(cyc) < 2:
@@ -458,6 +460,114 @@ def _random_branch(rng: random.Random, tri: Triangulation, d: int, spec):
     return branch
 
 
+def _fan_programs(tri: Triangulation) -> dict:
+    """v -> the fan walk at v compiled to indices into a sheet table.
+
+    The table holds 0-based permutations: entry 2*e is edge e's (side0 ->
+    side1), 2*e + 1 its inverse; entry 2*(E + t) is triangle t's seam
+    permutation, 2*(E + t) + 1 its inverse, or None while t has no branch
+    cycle.  The steps are those of MonodromyCover._fan_steps; seam sectors
+    away from a triangle's seam vertex act as the identity and are left
+    out.  Compiled once per triangulation and cached on it.
+    """
+    cache = tri.__dict__.get("_fan_programs")
+    if cache is None:
+        n_edges = len(tri.edges)
+        cache = {}
+        for v in tri.vertices:
+            rot = tri.rotations[v]
+            sectors = tri.sector_triangles(v)
+            m = len(rot)
+            program = []
+            for i in range(m):
+                e = rot[i]
+                crosses_back = sectors[i - 1] != tri.edge_sides(e)[0][0]
+                program.append(2 * e + crosses_back)
+                t = sectors[i]
+                walk = tri.triangles[t]
+                if tri.directed_ends(walk[0])[0] != v:
+                    continue
+                sector = (e, rot[(i + 1) % m])
+                if sector == (walk[2][0], walk[0][0]):
+                    program.append(2 * (n_edges + t))
+                elif sector == (walk[0][0], walk[2][0]):
+                    program.append(2 * (n_edges + t) + 1)
+                else:
+                    raise InvalidSurface(
+                        f"seam sector of triangle {t} at {v} mismatches fan")
+            cache[v] = tuple(program)
+        tri.__dict__["_fan_programs"] = cache
+    return cache
+
+
+def _sampler_plan(tri: Triangulation) -> tuple:
+    """random_cover's per-try schedule, which the triangulation alone fixes:
+    (edges drawn, in draw order; (table index of the parent-edge crossing,
+    the fan program rotated to start just after it) per non-root vertex,
+    leaves of a breadth-first spanning tree first; the root's program;
+    the order edges enter edge_perm).  Cached on the triangulation."""
+    plan = tri.__dict__.get("_sampler_plan")
+    if plan is None:
+        root = tri.vertices[0]
+        parent_edge = {root: None}
+        order = [root]
+        adj = {v: [] for v in tri.vertices}
+        for e, (a, b) in enumerate(tri.edges):
+            adj[a].append((e, b))
+            adj[b].append((e, a))
+        for v in order:
+            for (e, w) in adj[v]:
+                if w not in parent_edge:
+                    parent_edge[w] = e
+                    order.append(w)
+        programs = _fan_programs(tri)
+        draws, solves, assigned = [], [], []
+        for v in reversed(order):
+            e_solve = parent_edge[v]
+            for e in tri.rotations[v]:
+                if e not in assigned and e != e_solve:
+                    draws.append(e)
+                    assigned.append(e)
+            if e_solve is not None:
+                program = programs[v]
+                k = next(i for i, step in enumerate(program) if step >> 1 == e_solve)
+                solves.append((program[k], program[k + 1:] + program[:k]))
+                assigned.append(e_solve)
+        plan = (tuple(draws), tuple(solves), programs[root], tuple(assigned))
+        tri.__dict__["_sampler_plan"] = plan
+    return plan
+
+
+def _inverse(p: tuple) -> tuple:
+    out = [0] * len(p)
+    for i, s in enumerate(p):
+        out[s] = i
+    return tuple(out)
+
+
+def _seam_table(tri: Triangulation, d: int, branch: dict) -> list:
+    """A sheet table (see _fan_programs) with the seam entries of `branch`
+    filled in and every edge entry still None."""
+    n_edges = len(tri.edges)
+    table = [None] * (2 * (n_edges + len(tri.triangles)))
+    for t, cycles in branch.items():
+        if cycles:
+            beta = tuple(s - 1 for s in perm_from_cycles(cycles, d))
+            table[2 * (n_edges + t)] = beta
+            table[2 * (n_edges + t) + 1] = _inverse(beta)
+    return table
+
+
+def _run_fan(program, table, acc: tuple) -> tuple:
+    """acc followed by the program's sheet actions: p o acc for each step's
+    table entry p, 0-based; None entries are the identity."""
+    for i in program:
+        p = table[i]
+        if p is not None:
+            acc = tuple(map(p.__getitem__, acc))
+    return acc
+
+
 def random_cover(tri: Triangulation, d: int, branch_spec=None, seed: int = 0,
                  *, require_transitive: bool = True,
                  max_tries: int = 50000) -> MonodromyCover:
@@ -468,6 +578,13 @@ def random_cover(tri: Triangulation, d: int, branch_spec=None, seed: int = 0,
     still-free parent edge (loop edges are forbidden, so each edge crosses
     a fan exactly once and the solve is exact).  The root's fan is the one
     genuine constraint; fresh randomness retries it.
+
+    The fan walks are compiled once per triangulation (_fan_programs), so
+    a try composes 0-based tuples: one pass over the rotated program and
+    one inversion per solved edge, one pass for the root.  The random
+    stream and the accepted cover are those of the uncompiled walk
+    (tests/sampler_digests.json pins them), and an accepted cover still
+    passes validate(), the uncompiled oracle, and cover_connected.
     """
     if d < 1:
         raise Unsatisfiable("d must be >= 1")
@@ -476,6 +593,10 @@ def random_cover(tri: Triangulation, d: int, branch_spec=None, seed: int = 0,
     lengths = []
     if isinstance(branch_spec, dict):
         lengths = [int(x) for ls in branch_spec.values() for x in ls]
+        outside = sorted(int(t) for t in branch_spec
+                         if not 0 <= int(t) < len(tri.triangles))
+        if outside:
+            raise Unsatisfiable(f"branch triangles {outside} are not in the base")
     elif branch_spec is not None:
         lengths = [int(x) for x in branch_spec]
     if any(ln < 2 or ln > d for ln in lengths):
@@ -492,76 +613,28 @@ def random_cover(tri: Triangulation, d: int, branch_spec=None, seed: int = 0,
         raise Unsatisfiable(
             f"connected total space cannot have Euler characteristic {chi_total} > 2")
 
-    root = tri.vertices[0]
-    parent_edge = {root: None}
-    order = [root]
-    seen = {root}
-    adj = {v: [] for v in tri.vertices}
-    for e, (a, b) in enumerate(tri.edges):
-        adj[a].append((e, b))
-        adj[b].append((e, a))
-    qi = 0
-    while qi < len(order):
-        v = order[qi]
-        qi += 1
-        for (e, w) in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                parent_edge[w] = e
-                order.append(w)
-    process = list(reversed(order))
-    ident = perm_id(d)
-
-    def rand_perm():
-        p = list(range(1, d + 1))
-        rng.shuffle(p)
-        return tuple(p)
-
-    def solve_vertex(cover, v, e_solve):
-        """Assign sigma_{e_solve} so the fan at v closes: split the fan
-        product around its single crossing of e_solve."""
-        pre = ident
-        post = ident
-        crossed = False
-        eps = 1
-        for step in cover._fan_steps(v):
-            if step[0] == "edge":
-                _k, e, from_t = step
-                if e == e_solve:
-                    crossed = True
-                    eps = 1 if from_t == cover.side_triangles(e)[0] else -1
-                    continue
-                sigma = cover.edge_perm[e]
-                p = sigma if from_t == cover.side_triangles(e)[0] else perm_inv(sigma)
-            else:
-                _k, t, enter, leave = step
-                p = cover._seam_step(v, t, enter, leave)
-            if crossed:
-                post = perm_mul(p, post)
-            else:
-                pre = perm_mul(p, pre)
-        # id = post * X^eps * pre
-        need = perm_mul(perm_inv(post), perm_inv(pre))
-        return need if eps == 1 else perm_inv(need)
-
+    draws, solves, root_program, assigned = _sampler_plan(tri)
+    ident = tuple(range(d))
     for _ in range(max_tries):
         branch = _random_branch(rng, tri, d, branch_spec)
         cover = MonodromyCover(tri, d, {}, branch)
-        ok = True
-        for v in process:
-            rot = tri.rotations[v]
-            e_solve = parent_edge[v]
-            for e in rot:
-                if e not in cover.edge_perm and e != e_solve:
-                    cover.edge_perm[e] = rand_perm()
-            if e_solve is None:
-                if cover.fan_product(v) != ident:
-                    ok = False
-                    break
-            else:
-                cover.edge_perm[e_solve] = solve_vertex(cover, v, e_solve)
-        if not ok:
+        table = _seam_table(tri, d, branch)
+        for e in draws:
+            p = list(ident)
+            rng.shuffle(p)   # moves positions only: the 1-based draw, minus 1
+            p = tuple(p)
+            table[2 * e] = p
+            table[2 * e + 1] = _inverse(p)
+        for cross, program in solves:
+            # the fan closes when X^eps = (pre * post)^-1, the rotated program's
+            # product inverted, X^eps being the table entry at `cross`
+            acc = _run_fan(program, table, ident)
+            table[cross] = _inverse(acc)
+            table[cross ^ 1] = acc
+        if _run_fan(root_program, table, ident) != ident:
             continue
+        for e in assigned:
+            cover.edge_perm[e] = tuple(s + 1 for s in table[2 * e])
         if cover.validate():
             continue
         if require_transitive and not cover_connected(cover):

@@ -380,9 +380,6 @@ class Triangulation:
     def orientability(self) -> bool:
         return self.triangle_signs() is not None
 
-    def classify(self) -> SurfaceKind:
-        return classify_surface(self.euler, self.orientability())
-
     def edge_compatible(self, e: int) -> bool:
         """Whether the stored rotations at the two ends of e induce the
         same local orientation on the two-triangle band around e.

@@ -1,12 +1,15 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from surfmap import covers
 from surfmap.covers import (MonodromyCover, assemble_total_space, cover_chi,
                             cover_connected, disk_pieces, induced_triangulation,
                             perm_from_cycles, perm_id, perm_inv, perm_mul,
                             random_cover)
 from surfmap.errors import Branched, NotClosed, Unsatisfiable
-from surfmap.surfaces import builtin_triangulation
+from surfmap.surfaces import BUILTIN_NAMES, builtin_triangulation
 
 
 @st.composite
@@ -56,6 +59,59 @@ def test_bad_branch_data_reported():
     assert any("length < 2" in p for p in c.validate())
     c2 = MonodromyCover(tri, 2, {e: (1, 2) for e in range(6)}, {0: [(1, 2), (2, 1)]})
     assert any("overlapping" in p for p in c2.validate())
+
+
+def test_branch_on_a_triangle_the_base_lacks_reported():
+    tri = builtin_triangulation("sphere_tetra")
+    c = random_cover(tri, 2, [2, 2], seed=0)
+    assert c.validate() == []
+    c.branch[99] = [(1, 2)]
+    assert any("triangle 99" in p for p in c.validate())
+
+
+@pytest.mark.parametrize("spec", [{999: [2], 0: [2]}, {-1: [2], 0: [2]}])
+def test_branch_spec_outside_the_base_refused_before_sampling(monkeypatch, spec):
+    built = []
+    init = MonodromyCover.__init__
+    monkeypatch.setattr(MonodromyCover, "__init__",
+                        lambda obj, *a, **k: built.append(1) or init(obj, *a, **k))
+    with pytest.raises(Unsatisfiable, match="not in the base"):
+        random_cover(builtin_triangulation("genus2"), 4, spec, seed=3)
+    assert built == []
+
+
+def _random_cycles(rng, d):
+    """Disjoint cycles of length >= 2 on a random subset of the d sheets."""
+    sheets = rng.sample(range(1, d + 1), rng.randint(0, d))
+    cycles = []
+    while len(sheets) >= 2:
+        n = rng.randint(2, len(sheets))
+        cycles.append(tuple(sheets[:n]))
+        sheets = sheets[n:]
+    return cycles
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_compiled_fans_match_the_uncompiled_walk(name):
+    """The sampler's compiled fan programs against MonodromyCover.fan_product
+    on arbitrary (mostly invalid) covers with d <= 8."""
+    tri = builtin_triangulation(name)
+    programs = covers._fan_programs(tri)
+    rng = random.Random(BUILTIN_NAMES.index(name))
+    for _ in range(200):
+        d = rng.randint(1, 8)
+        edge_perm = {e: tuple(rng.sample(range(1, d + 1), d))
+                     for e in range(len(tri.edges))}
+        branch = {t: _random_cycles(rng, d) for t in range(len(tri.triangles))
+                  if rng.random() < 0.4}
+        cover = MonodromyCover(tri, d, edge_perm, branch)
+        table = covers._seam_table(tri, d, branch)
+        for e, p in edge_perm.items():
+            table[2 * e] = tuple(s - 1 for s in p)
+            table[2 * e + 1] = covers._inverse(table[2 * e])
+        for v in tri.vertices:
+            got = covers._run_fan(programs[v], table, tuple(range(d)))
+            assert tuple(s + 1 for s in got) == cover.fan_product(v), (d, v)
 
 
 def test_open_fan_reported():

@@ -1,8 +1,11 @@
-"""Every module-level function, class and constant of the package has a
-caller: some reference to it in src/ or perfbench/ outside its own
-definition, or a place in the short list of public entry points below."""
+"""Every module-level function, class and constant of the package, and
+every method of its classes, has a caller: some reference to it in src/
+or perfbench/ outside its own definition, or a place in the short list of
+public entry points below.  Dunder methods (dataclass hooks such as
+__post_init__ among them) are called by Python itself and are exempt."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -16,54 +19,63 @@ PUBLIC_API = {"domain_kind", "builtin_example", "split_circle",
 
 
 def _definitions(tree: ast.Module):
-    """(name, node) for the module-level functions, classes and constants."""
+    """(name, name, node) for the module-level functions, classes and
+    constants."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, node
+            yield node.name, node.name, node
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 if isinstance(target, ast.Name) and not target.id.startswith("__"):
-                    yield target.id, node
+                    yield target.id, target.id, node
 
 
-def _names_used(tree: ast.AST, skip=()) -> set:
-    """Identifiers, attribute names, imported names and string constants
-    used in `tree`, leaving out the subtrees in `skip`."""
-    out = set()
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node in skip:
+def _methods(tree: ast.Module):
+    """(Class.name, name, node) for the methods of the module-level classes,
+    dunders left out."""
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
             continue
+        for node in cls.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))):
+                yield f"{cls.name}.{node.name}", node.name, node
+
+
+def _names_used(tree: ast.AST) -> Counter:
+    """How often each identifier, attribute name, imported name and string
+    constant occurs in `tree`."""
+    out = Counter()
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            out[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            out[node.attr] += 1
         elif isinstance(node, ast.alias):
-            out.add(node.name.rsplit(".", 1)[-1])
+            out[node.name.rsplit(".", 1)[-1]] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.add(node.value)
-        stack.extend(ast.iter_child_nodes(node))
+            out[node.value] += 1
     return out
 
 
-def _trees():
+def _unused(definitions) -> list:
+    """The definitions (shown name, name, node) of the package's modules
+    whose name nothing outside their own node refers to."""
     files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    return {path: ast.parse(path.read_text(), str(path)) for path in files}
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in files}
+    used = sum((_names_used(tree) for tree in trees.values()), Counter())
+    return [f"{path.name}: {shown}"
+            for path, tree in trees.items() if path.parent == PACKAGE
+            for shown, name, node in definitions(tree)
+            if shown not in PUBLIC_API and used[name] == _names_used(node)[name]]
 
 
 def test_every_module_level_name_has_a_caller():
-    trees = _trees()
-    unused = []
-    for path, tree in trees.items():
-        if path.parent != PACKAGE:
-            continue
-        for name, node in _definitions(tree):
-            if name in PUBLIC_API:
-                continue
-            used = any(name in _names_used(other, skip={node} if other is tree else ())
-                       for other in trees.values())
-            if not used:
-                unused.append(f"{path.name}: {name}")
+    unused = _unused(_definitions)
     assert not unused, f"module-level names nothing refers to: {unused}"
+
+
+def test_every_method_has_a_caller():
+    unused = _unused(_methods)
+    assert not unused, f"methods nothing refers to: {unused}"
