@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from .errors import (Branched, InputError, InvalidSurface, NotClosed,
                      Unsatisfiable)
 from .surfaces import Triangulation, derive_rotations, doc_field, doc_int
+from .unionfind import ParityUF
 
 
 # -- permutation helpers (sheets are 1..d, perms stored as tuples) -----------
@@ -302,18 +303,7 @@ def assemble_total_space(cover: MonodromyCover, *, with_labels: bool = False):
     for pi, gon in enumerate(polygons):
         for ci in range(len(gon)):
             corner_ids[(pi, ci)] = len(corner_ids)
-    parent = list(range(len(corner_ids)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
+    uf = ParityUF(len(corner_ids))
 
     occurrences = {}
     for pi, gon in enumerate(polygons):
@@ -327,16 +317,16 @@ def assemble_total_space(cover: MonodromyCover, *, with_labels: bool = False):
         tail1, head1 = corner_ids[(p1, c1)], corner_ids[(p1, (c1 + 1) % n1)]
         tail2, head2 = corner_ids[(p2, c2)], corner_ids[(p2, (c2 + 1) % n2)]
         if s1 == s2:
-            union(tail1, tail2)
-            union(head1, head2)
+            uf.union(tail1, tail2, 0)
+            uf.union(head1, head2, 0)
         else:
-            union(tail1, head2)
-            union(head1, tail2)
+            uf.union(tail1, head2, 0)
+            uf.union(head1, tail2, 0)
 
     lift_of_corner = {}
     reps = {}
     for (pi, ci), cid in corner_ids.items():
-        r = find(cid)
+        r = uf.find(cid)[0]
         if r not in reps:
             reps[r] = len(reps)
         lift_of_corner[(pi, ci)] = reps[r]
@@ -424,23 +414,29 @@ def induced_triangulation(cover: MonodromyCover):
 # Seeded random generation
 
 
-def _random_branch(rng: random.Random, tri: Triangulation, d: int, spec):
+def _random_branch(rng: random.Random, triangles: list, d: int, spec):
     """Distribute requested cycle lengths over triangles, keeping cycles
-    support-disjoint within each triangle."""
+    support-disjoint within each triangle.  `triangles` lists the base's
+    triangles 0..F-1 (shared across tries; not modified)."""
     if spec is None:
         return {}
     if isinstance(spec, dict):
         lengths_by_t = {int(t): list(ls) for t, ls in spec.items()}
     else:
         lengths_by_t = {}
-        used = {t: 0 for t in range(len(tri.triangles))}
+        used = {}     # triangle given cycles in this try -> sheets they use
         for ln in spec:
-            fits = [t for t, u in used.items() if u + int(ln) <= d]
+            ln = int(ln)
+            # the triangles with ln free sheets, in order: all but the full
+            # ones, cut out from the top down so the indices still hold
+            fits = triangles
+            for t in sorted((t for t, u in used.items() if u + ln > d), reverse=True):
+                fits = fits[:t] + fits[t + 1:]
             if not fits:
                 raise Unsatisfiable(f"cycle lengths {list(spec)} do not fit on {d} sheets")
             t = rng.choice(fits)
-            used[t] += int(ln)
-            lengths_by_t.setdefault(t, []).append(int(ln))
+            used[t] = used.get(t, 0) + ln
+            lengths_by_t.setdefault(t, []).append(ln)
     branch = {}
     for t, lengths in lengths_by_t.items():
         if sum(lengths) > d:
@@ -615,8 +611,9 @@ def random_cover(tri: Triangulation, d: int, branch_spec=None, seed: int = 0,
 
     draws, solves, root_program, assigned = _sampler_plan(tri)
     ident = tuple(range(d))
+    triangles = list(range(len(tri.triangles)))
     for _ in range(max_tries):
-        branch = _random_branch(rng, tri, d, branch_spec)
+        branch = _random_branch(rng, triangles, d, branch_spec)
         cover = MonodromyCover(tri, d, {}, branch)
         table = _seam_table(tri, d, branch)
         for e in draws:

@@ -12,9 +12,10 @@ The post-move check is the full one: validate_map, chi_domain,
 domain_orientable, mod2_degree and edge_count on the result.  What it
 reuses is memoized, never trusted from the move: the result's ribbon
 facts (transverse.RibbonFacts) when its dart tables equal those of the
-map it was copied from, and the invariants of the move's input from that
-input's own check, while the input's tables, regions and isolated circles
-still equal what that check saw.
+map it was copied from, the result's domain solve (transverse.domain_solve,
+shared by chi_domain and domain_orientable), and the invariants of the
+move's input from that input's own check, while the input's tables,
+regions and isolated circles still equal what that check saw.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from .errors import (BadEdge, BadTarget, InternalInconsistency, InvalidChi,
                      NoCrosscap, NotAdjacent, NotCollapsible, NotCompatible,
                      NotEssential, Stuck, SurfmapError)
 from .surfaces import SurfaceKind, classify_with_boundary
-from .transverse import (IsolatedCircle, IsoSide, ParityUF, Region,
-                         RibbonCircuit, TransverseMap, chi_domain,
-                         classify_circuit, corners, domain_orientable,
-                         edge_count, mod2_degree, successor_map, validate_map)
+from .transverse import (IsolatedCircle, IsoSide, Region, RibbonCircuit,
+                         TransverseMap, chi_domain, classify_circuit, corners,
+                         domain_orientable, edge_count, mod2_degree,
+                         successor_map, validate_map)
+from .unionfind import ParityUF
 
 
 class OneSidedCircle(SurfmapError):
@@ -93,13 +95,8 @@ def _post_move_check(before: TransverseMap, after: TransverseMap, *,
         if not (lo <= got <= hi):
             raise InternalInconsistency(
                 f"{context}: edge count changed by {got}, expected in [{lo},{hi}]")
-    after._checked = (after.ribbon_facts(), _region_state(after), tuple(invariants))
+    after._checked = (after.ribbon_facts(), after.region_state(), tuple(invariants))
     return after
-
-
-def _region_state(tm: TransverseMap) -> tuple:
-    return (tuple((r.label, r.kind, tuple(r.circuits)) for r in tm.regions),
-            tuple(tm.isolated))
 
 
 def _recorded_invariants(tm: TransverseMap):
@@ -108,7 +105,7 @@ def _recorded_invariants(tm: TransverseMap):
     if tm._checked is None:
         return None
     facts, state, invariants = tm._checked
-    if facts.matches(tm) and state == _region_state(tm):
+    if facts.matches(tm) and state == tm.region_state():
         return invariants
     return None
 
@@ -119,18 +116,18 @@ class _GroupTracker:
 
     def __init__(self, tm: TransverseMap):
         self.tm = tm
-        self.uf = ParityUF()
+        self.uf = ParityUF(len(tm.regions))
         self.strips = {}
         self.twisted = set()   # roots made nonorientable by a twisted self-strip
 
     def glue(self, r1: int, r2: int, flip_bit: int):
-        root1 = self.uf.find(("r", r1))
-        root2 = self.uf.find(("r", r2))
+        root1 = self.uf.find(r1)
+        root2 = self.uf.find(r2)
         if root1[0] == root2[0]:
             if root1[1] ^ root2[1] != flip_bit:
                 self.twisted.add(root1[0])
-        self.uf.union(("r", r1), ("r", r2), flip_bit)
-        root = self.uf.find(("r", r1))[0]
+        self.uf.union(r1, r2, flip_bit)
+        root = self.uf.find(r1)[0]
         # re-key strip counts and twist marks onto the new root
         for old in (root1[0], root2[0]):
             if old != root:
@@ -141,10 +138,10 @@ class _GroupTracker:
         self.strips[root] = self.strips.get(root, 0) + 1
 
     def root(self, ri: int):
-        return self.uf.find(("r", ri))[0]
+        return self.uf.find(ri)[0]
 
     def parity(self, ri: int) -> int:
-        return self.uf.find(("r", ri))[1]
+        return self.uf.find(ri)[1]
 
     def groups(self):
         """root -> list of member region indices."""
@@ -394,6 +391,23 @@ def _rebuild_regions(work: TransverseMap, out: TransverseMap,
 # Absorbing an isolated circle
 
 
+def _stored_successors(tm: TransverseMap, tokens) -> dict:
+    """token -> (index of the region storing it, its successor along the
+    stored circuit) for a few tokens; the regions are scanned only until
+    every token is found."""
+    out = {}
+    for ri, reg in enumerate(tm.regions):
+        for c in reg.circuits:
+            if isinstance(c, RibbonCircuit):
+                seq = c.seq
+                for t in tokens:
+                    if t in seq:
+                        out[t] = (ri, seq[(seq.index(t) + 1) % len(seq)])
+        if len(out) == len(tokens):
+            break
+    return out
+
+
 def join_isolated_circle(tm: TransverseMap, iso_index: int,
                          region_index: int, circuit_pos: int) -> TransverseMap:
     """Merge an isolated circle into an essential circuit of a region it
@@ -435,13 +449,12 @@ def join_isolated_circle(tm: TransverseMap, iso_index: int,
 
     # far side of the strand
     far_tokens = {(dep[0], 1 - dep[1]), (arr[0], 1 - arr[1])}
-    tok2reg = work.region_of_token()
-    far_regions = {tok2reg[t] for t in far_tokens}
-    if len(far_regions) != 1:
+    held = _stored_successors(work, far_tokens)
+    far_regions = {ri for ri, _nxt in held.values()}
+    if len(held) != len(far_tokens) or len(far_regions) != 1:
         raise InternalInconsistency("strand sides are inconsistent")
     r2 = far_regions.pop()
-    succ = work.stored_direction_bits()
-    far_dep = next(t for t in far_tokens if succ.get(t) in far_tokens)
+    far_dep = next(t for t in far_tokens if held[t][1] in far_tokens)
     d_R = work.dart_label[far_dep[0]][1]
 
     iso_sides = work.region_of_iso_side()

@@ -27,7 +27,10 @@ of its original, and a map uses inherited facts only after its own tables
 compare equal (plain dict ==) to the snapshot they were computed from;
 the comparison runs once per map and again after invalidate_caches().
 The region-level checks (tiling, isolated sides, side coherence, parity)
-and the connectivity of the domain are recomputed on every call.
+are recomputed on every call.  The connectivity and orientation of the
+domain come from one solve (domain_solve) per map state: it is memoized
+on the map together with the facts and the regions and isolated circles
+it saw, and runs again once any of them changed.
 """
 
 from __future__ import annotations
@@ -43,53 +46,7 @@ from .surfaces import (SurfaceKind, Triangulation, builtin_triangulation,
                        classify_surface, connected_sum_kind, doc_field, doc_id,
                        doc_int, doc_pair)
 from . import covers as covers_mod
-
-
-# --------------------------------------------------------------------------
-# Small helpers
-
-
-class ParityUF:
-    """Union-find over arbitrary keys with a parity bit per edge;
-    detects contradictions in xor-constraint systems."""
-
-    def __init__(self):
-        self.parent = {}
-        self.parity = {}
-        self.ok = True
-
-    def find(self, x):
-        if x not in self.parent:
-            self.parent[x] = x
-            self.parity[x] = 0
-        # full path compression with parity accumulation
-        root = x
-        acc = 0
-        while self.parent[root] != root:
-            acc ^= self.parity[root]
-            root = self.parent[root]
-        # second pass
-        cur = x
-        p = acc
-        while self.parent[cur] != cur:
-            nxt = self.parent[cur]
-            np = p ^ self.parity[cur]
-            self.parent[cur] = root
-            self.parity[cur] = p
-            p = np
-            cur = nxt
-        return root, acc
-
-    def union(self, x, y, rel: int):
-        """Impose value(x) xor value(y) == rel."""
-        rx, px = self.find(x)
-        ry, py = self.find(y)
-        if rx == ry:
-            if px ^ py != rel:
-                self.ok = False
-            return
-        self.parent[rx] = ry
-        self.parity[rx] = px ^ py ^ rel
+from .unionfind import ParityUF
 
 
 # --------------------------------------------------------------------------
@@ -165,6 +122,8 @@ class TransverseMap:
                                  compare=False)
     # (facts, region state, invariants) recorded by a move's self-check
     _checked: tuple = field(default=None, init=False, repr=False, compare=False)
+    # (facts, region state, DomainSolve) of the last domain_solve
+    _solved: tuple = field(default=None, init=False, repr=False, compare=False)
 
     # -- elementary structure -------------------------------------------------
 
@@ -246,6 +205,12 @@ class TransverseMap:
     def stored_direction_bits(self):
         """(token -> successor token) along each stored circuit."""
         return successor_map(c for reg in self.regions for c in reg.circuits)
+
+    def region_state(self) -> tuple:
+        """The regions (label, kind, circuits) and isolated circles, by
+        value: what the memoized checks are keyed on besides the facts."""
+        return (tuple((r.label, r.kind, tuple(r.circuits)) for r in self.regions),
+                tuple(self.isolated))
 
     def copy(self) -> "TransverseMap":
         """Independent tables and regions; the ribbon facts are passed on
@@ -349,9 +314,12 @@ class CircuitClass:
     direction: int = 0
 
 
+_ISOLATED_SIDE = CircuitClass("isolated_side")
+
+
 def classify_circuit(tm: TransverseMap, region: Region, circuit) -> CircuitClass:
     if isinstance(circuit, IsoSide):
-        return CircuitClass("isolated_side")
+        return _ISOLATED_SIDE
     return tm.ribbon_facts().circuit_class(region.label, circuit.seq)
 
 
@@ -456,21 +424,23 @@ class RibbonFacts:
 
     @cached_property
     def vertex_charts(self) -> tuple:
-        """(charts, consistent): charts maps each vertex id to (number of
-        its connected component in the graph, chart flip relative to that
-        component) in a solution of the band-sign constraints, which are
-        consistent when `consistent` is true."""
-        uf = ParityUF()
+        """(charts, components, consistent): charts maps each vertex id to
+        (number of its connected component in the graph, chart flip
+        relative to that component) in a solution of the band-sign
+        constraints, which are consistent when `consistent` is true;
+        the components are numbered 0..components-1."""
+        node = {v: i for i, v in enumerate(self.vertex_reps)}
         vertex_of = self.vertex_of
+        uf = ParityUF(len(node))
         for k in self.edge_keys:
-            uf.union(vertex_of[k], vertex_of[self.pairing[k]],
+            uf.union(node[vertex_of[k]], node[vertex_of[self.pairing[k]]],
                      0 if self.edge_sign[k] > 0 else 1)
         roots = {}
         charts = {}
-        for v in self.vertex_reps:
-            root, flip = uf.find(v)
+        for v, i in node.items():
+            root, flip = uf.find(i)
             charts[v] = (roots.setdefault(root, len(roots)), flip)
-        return charts, uf.ok
+        return charts, len(roots), uf.ok
 
     # -- token walking ------------------------------------------------------------
 
@@ -805,13 +775,17 @@ def validate_map(tm: TransverseMap) -> ValidationReport:
     if rep.problems:
         return rep
 
-    # corner condition and classification
+    # corner condition and classification (classify_circuit's answers,
+    # read from the facts)
+    classes = rep.circuit_classes
     for ri, region in enumerate(tm.regions):
+        label = region.label
         for pos, c in enumerate(region.circuits):
-            rep.circuit_classes[(ri, pos)] = classify_circuit(tm, region, c)
             if isinstance(c, IsoSide):
+                classes[(ri, pos)] = _ISOLATED_SIDE
                 continue
-            problem = facts.corner_problem(region.label, c.seq)
+            classes[(ri, pos)] = facts.circuit_class(label, c.seq)
+            problem = facts.corner_problem(label, c.seq)
             if problem is not None:
                 rep.add(f"region {ri} circuit {pos} {problem}")
 
@@ -860,74 +834,68 @@ def graph_euler(tm: TransverseMap) -> int:
     return tm.ribbon_facts().graph_euler
 
 
-def chi_domain(tm: TransverseMap) -> int:
-    _require_connected(tm)
-    return graph_euler(tm) + sum(r.kind.euler for r in tm.regions)
+@dataclass(frozen=True)
+class DomainSolve:
+    """The domain's connectivity and orientation constraints, solved."""
+    components: int      # connected components of the domain
+    consistent: bool     # the orientation constraints have a solution
+    chart_flips: tuple   # per graph component: its chart flip in that solution
 
 
-def _require_connected(tm: TransverseMap):
-    """Connectivity of the domain: the graph's vertex components (from the
-    ribbon facts) joined through regions and isolated circles."""
-    facts = tm.ribbon_facts()
-    charts = facts.vertex_charts[0]
-    vertex_of = facts.vertex_of
-    uf = ParityUF()
-    nodes = {("c", component) for component, _flip in charts.values()}
-    for ri, region in enumerate(tm.regions):
-        nodes.add(("r", ri))
-        for c in region.circuits:
-            if isinstance(c, RibbonCircuit):
-                uf.union(("r", ri), ("c", charts[vertex_of[c.seq[0][0]]][0]), 0)
-            else:
-                uf.union(("r", ri), ("i", c.index), 0)
-    for i in range(len(tm.isolated)):
-        nodes.add(("i", i))
-    roots = {uf.find(n)[0] for n in nodes}
-    if len(roots) > 1:
-        raise Disconnected(f"domain has {len(roots)} components")
+def domain_solve(tm: TransverseMap) -> DomainSolve:
+    """Connectivity and orientation of the domain in one parity union-find.
 
+    Nodes, in this order: the graph's vertex components (whose vertex
+    flips the band signs fix, ribbon facts), the regions, the isolated
+    circles.  A node's value is a chart flip, a region's reference flip or
+    an isolated circle's own direction flip.  The corners of a ribbon
+    circuit tie its region to its component (the facts' corner
+    constraints); an isolated circle is tied to the region on each of its
+    sides by that side's direction: a region whose flip equals the
+    circle's induces the circle's own direction on side 0 and the opposite
+    one on side 1.  Every tie is a constraint, so the classes are the
+    components of the domain, and the domain is orientable when the
+    system is consistent and every region kind is.
 
-def _orientation_system(tm: TransverseMap):
-    """The orientation constraints, solved.
-
-    Variables: vertex chart flips and region reference flips.  The band
-    signs fix every vertex flip relative to its graph component (ribbon
-    facts), and the corners of each boundary circuit reduce to constraints
-    between its region and components, so the parity union-find runs over
-    ('c', component) and ('r', region) only.  Returns (flip, ok): ok when
-    the system is consistent (the domain additionally needs orientable
-    region kinds), and flip(v) the flip of vertex v in a solution.
+    The result is memoized on the map, keyed by its ribbon facts and its
+    region state (region_state), so the checks of one map state share one
+    solve and a map changed in place is solved again.  Meaningful for maps
+    that pass validate_map.
     """
     facts = tm.ribbon_facts()
-    charts, bands_ok = facts.vertex_charts
-    uf = ParityUF()
-    for ri, region in enumerate(tm.regions):
+    state = tm.region_state()
+    memo = tm._solved
+    if memo is not None and memo[0] is facts and memo[1] == state:
+        return memo[2]
+    _charts, n_components, bands_ok = facts.vertex_charts
+    first_circle = n_components + len(tm.regions)
+    uf = ParityUF(first_circle + len(tm.isolated))
+    union = uf.union
+    constraints = facts.corner_constraints
+    for node, region in enumerate(tm.regions, n_components):
         for c in region.circuits:
             if isinstance(c, RibbonCircuit):
-                for component, bit in facts.corner_constraints(c.seq):
-                    uf.union(("c", component), ("r", ri), bit)
-    iso_sides = tm.region_of_iso_side()
-    for i in range(len(tm.isolated)):
-        a = iso_sides.get((i, 0))
-        b = iso_sides.get((i, 1))
-        if a is None or b is None:
-            continue
-        (ra, da), (rb, db) = a, b
-        bit_a = 0 if da > 0 else 1
-        bit_b = 0 if db > 0 else 1
-        uf.union(("r", ra), ("r", rb), 1 ^ bit_a ^ bit_b)
+                for component, bit in constraints(c.seq):
+                    union(component, node, bit)
+            else:
+                union(first_circle + c.index, node, c.side ^ (c.direction < 0))
+    solve = DomainSolve(uf.sets, bands_ok and uf.ok,
+                        tuple(uf.find(c)[1] for c in range(n_components)))
+    tm._solved = (facts, state, solve)
+    return solve
 
-    def flip(v):
-        component, rel = charts[v]
-        return rel ^ uf.find(("c", component))[1]
-    return flip, bands_ok and uf.ok
+
+def chi_domain(tm: TransverseMap) -> int:
+    components = domain_solve(tm).components
+    if components > 1:
+        raise Disconnected(f"domain has {components} components")
+    return graph_euler(tm) + sum(r.kind.euler for r in tm.regions)
 
 
 def domain_orientable(tm: TransverseMap) -> bool:
     if any(not r.kind.orientable for r in tm.regions):
         return False
-    _flip, ok = _orientation_system(tm)
-    return ok
+    return domain_solve(tm).consistent
 
 
 def domain_kind(tm: TransverseMap) -> SurfaceKind:
@@ -954,9 +922,8 @@ def signed_degree(tm: TransverseMap, orient_m: int = 1, orient_n: int = 1) -> in
         raise NotOrientable("domain is not orientable")
     signs = tm.target.triangle_signs()
     rot_bits = tm.target.rotation_ccw_bits(signs)
-    flip, ok = _orientation_system(tm)
-    if not ok:
-        raise NotOrientable("domain is not orientable")
+    chart_flips = domain_solve(tm).chart_flips
+    charts = tm.ribbon_facts().vertex_charts[0]
     local = tm.local_signs()
 
     vreps = tm.vertex_reps()
@@ -965,7 +932,9 @@ def signed_degree(tm: TransverseMap, orient_m: int = 1, orient_n: int = 1) -> in
     base = {}
     for vrep in vreps:
         P = tm.vertex_label[vrep]
-        base[vrep] = (-1) ** flip(vrep) * local[vrep] * (-1) ** rot_bits[P]
+        component, rel = charts[vrep]
+        flip = rel ^ chart_flips[component]
+        base[vrep] = (-1) ** flip * local[vrep] * (-1) ** rot_bits[P]
     # canonical: least vertex counts +1
     norm = base[min(vreps)]
     sums = {P: 0 for P in tm.target.vertices}

@@ -1,0 +1,45 @@
+"""The package's one union-find: nodes 0..n-1 with a parity bit per node,
+stored in two lists."""
+
+from __future__ import annotations
+
+
+class ParityUF:
+    """Union-find over the nodes 0..n-1 with a parity bit per node (its
+    value xor its parent's); solves xor-constraint systems.  `ok` turns
+    false at the first contradiction and `sets` counts the classes."""
+
+    __slots__ = ("parent", "parity", "sets", "ok")
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.parity = [0] * n
+        self.sets = n
+        self.ok = True
+
+    def find(self, x: int) -> tuple:
+        """(root of x, value of x xor value of the root), compressing the
+        path from x."""
+        parent, parity = self.parent, self.parity
+        path = []
+        while parent[x] != x:
+            path.append(x)
+            x = parent[x]
+        acc = 0
+        for y in reversed(path):
+            acc ^= parity[y]
+            parent[y] = x
+            parity[y] = acc
+        return x, acc
+
+    def union(self, x: int, y: int, rel: int):
+        """Impose value(x) xor value(y) == rel."""
+        rx, px = self.find(x)
+        ry, py = self.find(y)
+        if rx == ry:
+            if px ^ py != rel:
+                self.ok = False
+            return
+        self.parent[rx] = ry
+        self.parity[rx] = px ^ py ^ rel
+        self.sets -= 1

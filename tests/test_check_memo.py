@@ -12,15 +12,16 @@ import pytest
 
 from surfmap import moves
 from surfmap.covers import random_cover
-from surfmap.errors import InternalInconsistency
+from surfmap.errors import Disconnected, InternalInconsistency
 from surfmap.moves import (_post_move_check, insert_trivial_circle, normalize)
 from surfmap.surfaces import SurfaceKind, builtin_triangulation
-from surfmap.transverse import (IsoSide, RibbonCircuit, TransverseMap,
-                                add_pinch, chi_domain, classify_circuit,
-                                domain_orientable, map_from_cover,
-                                mod2_degree, signed_degree, validate_map)
+from surfmap.transverse import (IsolatedCircle, IsoSide, RibbonCircuit,
+                                TransverseMap, add_pinch, chi_domain,
+                                classify_circuit, domain_orientable,
+                                identity_map, map_from_cover, mod2_degree,
+                                signed_degree, validate_map)
 
-from helpers import scrambled
+from helpers import scrambled, tube_double
 
 # (base, d, branch, pinch, cover seed); together their normalizations run
 # every move, the dart-rewiring ones included
@@ -114,6 +115,32 @@ def test_long_scramble_of_a_large_map_matches_the_oracle():
     assert len(tm.edge_keys()) + len(tm.isolated) >= 190
 
 
+def test_klein_target_at_d6_scramble_and_normalize_match_the_oracle():
+    """The corpus stops at d = 4 and never targets klein_8; the CLI takes
+    d <= 8 and 64 scramble steps.  Every move of this normalization (all
+    four reductions run) keeps chi, orientability and the mod-2 degree
+    equal to the oracle's."""
+    base = builtin_triangulation("klein_8")
+    tm = map_from_cover(random_cover(base, 6, [3, 3], seed=0))
+    tm = add_pinch(tm, 0, SurfaceKind(False, crosscaps=2))
+    tm = scrambled(tm, 64, seed=0)
+    seen = Counter()
+
+    def invariants(m):
+        return chi_domain(m), domain_orientable(m), mod2_degree(m)
+
+    def observer(before, after, move):
+        seen[move] += 1
+        assert invariants(after) == invariants(TransverseMap.from_json(after.to_json()))
+
+    start = invariants(TransverseMap.from_json(tm.to_json()))
+    assert invariants(tm) == start
+    normal, _trace = normalize(tm, observer=observer)
+    assert set(seen) == {"collapse_edge", "join_isolated_circle",
+                         "boundary_surgery", "relocate_crosscap"}
+    assert invariants(normal) == start
+
+
 # --------------------------------------------------------------------------
 # In-place tampering with a map whose checks already ran
 
@@ -194,3 +221,85 @@ def test_tampered_ribbon_circuit_is_reported(checked):
     problems = validate_map(work).problems
     assert any("not an alternating boundary walk" in p for p in problems)
     assert validate_map(tm).ok
+
+
+# --------------------------------------------------------------------------
+# The domain solve (connectivity, orientation) is memoized per map state:
+# a map changed in place after its solve must get the oracle's answers
+
+
+def _domain_answers(tm: TransverseMap):
+    """chi_domain (or the Disconnected text), domain_orientable and the
+    signed degree where it is defined."""
+    try:
+        chi = chi_domain(tm)
+    except Disconnected as ex:
+        chi = str(ex)
+    orientable = domain_orientable(tm)
+    signed = (signed_degree(tm)
+              if orientable and tm.target.orientability() else None)
+    return chi, orientable, signed
+
+
+def _handle_map() -> TransverseMap:
+    """The sphere's identity map with two isolated circles between the same
+    two regions (a handle: region 0 with two more holes, and an annulus
+    across the circles), so the two circles' directions are tied."""
+    tm = identity_map(builtin_triangulation("sphere_tetra"))
+    edge = tm.target.triangle_edges(tm.regions[0].label)[0]
+    tm = insert_trivial_circle(tm, 0, edge)
+    holed, annulus = tm.regions[0], tm.regions[-1]
+    idx = len(tm.isolated)
+    tm.isolated.append(IsolatedCircle(edge))
+    holed.circuits.append(IsoSide(idx, 0, 1))
+    holed.kind = SurfaceKind(True, 0, 0, len(holed.circuits))
+    annulus.circuits.append(IsoSide(idx, 1, -1))
+    annulus.kind = SurfaceKind(True, 0, 0, 2)
+    assert validate_map(tm).ok
+    return tm
+
+
+def _flip_iso_direction(tm):
+    """The annulus side of the second circle turns around: a Klein handle."""
+    annulus = tm.regions[-1]
+    side = annulus.circuits[-1]
+    annulus.circuits[-1] = IsoSide(side.index, side.side, -side.direction)
+
+
+def _reverse_ribbon_circuit(tm):
+    """One boundary of the annulus joining the two sheets reverses: the
+    signed degree changes between 2 and 0."""
+    annulus = next(r for r in tm.regions if len(r.circuits) == 2)
+    annulus.circuits[1] = annulus.circuits[1].reversed()
+
+
+def _drop_circuit(tm):
+    """The last scramble step's disk loses its only circuit: it is cut
+    off from the rest of the domain."""
+    tm.regions[-1].circuits.pop()
+
+
+def _add_isolated_circle(tm):
+    """A circle no region is bounded by: a second component."""
+    tm.isolated.append(IsolatedCircle(tm.isolated[0].edge))
+
+
+IN_PLACE_EDITS = {
+    "iso_direction": (_handle_map, _flip_iso_direction),
+    "ribbon_reversed": (lambda: tube_double(builtin_triangulation("sphere_tetra")),
+                        _reverse_ribbon_circuit),
+    "circuit_dropped": (lambda: _slice_map(*SLICE[0]), _drop_circuit),
+    "isolated_added": (lambda: _slice_map(*SLICE[0]), _add_isolated_circle),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IN_PLACE_EDITS))
+def test_domain_solve_follows_an_in_place_edit(name):
+    build, edit = IN_PLACE_EDITS[name]
+    tm = build()
+    chi_domain(tm)
+    before = _domain_answers(tm)
+    edit(tm)
+    after = _domain_answers(tm)
+    assert after == _domain_answers(TransverseMap.from_json(tm.to_json()))
+    assert after != before

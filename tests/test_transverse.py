@@ -4,7 +4,7 @@ from surfmap.covers import MonodromyCover, random_cover
 from surfmap.errors import (BadKind, DisconnectedCover, InconsistentParity,
                             NotOrientable, UnknownName)
 from surfmap.surfaces import SurfaceKind, builtin_triangulation, classify_surface
-from surfmap.transverse import (TransverseMap,
+from surfmap.transverse import (IsolatedCircle, IsoSide, TransverseMap,
                                 add_pinch, builtin_example, chi_domain,
                                 classify_circuit, domain_kind,
                                 domain_orientable, edge_count, identity_map,
@@ -209,5 +209,31 @@ def test_disconnected_domain_detected():
         double.regions.append(Region(reg.label, SurfaceKind(True, 0, 0, 1), shifted))
     double.invalidate_caches()
     assert validate_map(double).ok          # locally fine, two components
-    with pytest.raises(Disconnected):
+    with pytest.raises(Disconnected, match="^domain has 2 components$"):
         chi_domain(double)
+
+
+@pytest.mark.parametrize("directions, kind", [
+    ((1, 1), SurfaceKind(True, 1)),
+    ((-1, -1), SurfaceKind(True, 1)),
+    ((1, -1), SurfaceKind(False, crosscaps=2)),
+    ((-1, 1), SurfaceKind(False, crosscaps=2)),
+])
+def test_isolated_circle_between_adjacent_regions(directions, kind):
+    """A tube from one disk of the sphere's identity map to the disk across
+    one of its edges.  The two disks' stored circuits run along that edge
+    the same way, so their reference orientations are opposite: the tube
+    keeps the domain orientable (a torus) when both regions induce the
+    same direction on the circle, and makes a Klein bottle otherwise."""
+    from surfmap.transverse import IsolatedCircle, IsoSide
+    tm = identity_map(builtin_triangulation("sphere_tetra"))
+    T = tm.target
+    edge = T.triangle_edges(tm.regions[0].label)[0]
+    across = next(t for t, _ in T.edge_sides(edge) if t != tm.regions[0].label)
+    b = next(ri for ri, r in enumerate(tm.regions) if r.label == across)
+    tm.isolated.append(IsolatedCircle(edge))
+    for side, ri in enumerate((0, b)):
+        tm.regions[ri].circuits.append(IsoSide(0, side, directions[side]))
+        tm.regions[ri].kind = SurfaceKind(True, 0, 0, 2)
+    assert validate_map(tm).ok
+    assert domain_kind(tm) == kind
