@@ -8,8 +8,9 @@ characteristic of a cover against its explicitly assembled total space.
 
 Exit codes: 0 success, 1 bad input, 2 mathematically impossible outcome
 (a bug signal), 3 normalization dead end.  Documents are shape-checked
-when read and maps validated on entry, so bad input is reported as a
-JSON error object, never as a traceback.
+when read and maps validated on entry, so bad input (a usage error, an
+unreadable or unwritable path among it) is reported as a JSON error
+object, never as a traceback.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from . import covers as covers_mod
 from . import factorize as factorize_mod
 from . import moves as moves_mod
 from . import transverse as transverse_mod
-from .errors import ImpossibleError, InputError, InvalidMap, Stuck, SurfmapError
+from .errors import (ImpossibleError, InputError, InternalInconsistency,
+                     InvalidMap, Stuck, SurfmapError)
 from .surfaces import (BUILTIN_NAMES, SurfaceKind, Triangulation,
                        builtin_triangulation)
 
@@ -44,9 +46,16 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as ex:
+        raise InputError(f"cannot write {path}: {ex}")
+
+
 def _write_json(path: str, obj) -> None:
-    with open(path, "w") as fh:
-        fh.write(json.dumps(obj, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(obj, sort_keys=True) + "\n")
 
 
 def _load(path: str):
@@ -108,18 +117,17 @@ def _dot_output(tm, path: str) -> None:
         a, b = tm.vertex_of(k), tm.vertex_of(tm.pairing[k])
         sign = "+" if tm.edge_sign[k] > 0 else "-"
         lines.append(f'  v{a} -- v{b} [label="e{tm.label_edge(k)}{sign}"];')
-    for i, circle in enumerate(tm.isolated):
+    for i, circle in enumerate(tm.isolated.values()):
         lines.append(f'  iso{i} [shape=doublecircle,label="e{circle.edge}"];')
     lines.append("}")
     lines.append("graph dual_image {")
     hit = sorted({tm.label_edge(k) for k in tm.edge_keys()}
-                 | {c.edge for c in tm.isolated})
+                 | {c.edge for c in tm.isolated.values()})
     for e in hit:
         (t1, _), (t2, _) = tm.target.edge_sides(e)
         lines.append(f'  t{t1} -- t{t2} [label="e{e}"];')
     lines.append("}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 # --------------------------------------------------------------------------
@@ -185,7 +193,10 @@ def cmd_analyze(args) -> int:
 def _parse_branch(text):
     if not text:
         return None
-    return [int(x) for x in text.replace(",", " ").split()]
+    try:
+        return [int(x) for x in text.replace(",", " ").split()]
+    except ValueError:
+        raise InputError(f"--branch must list integers, got {text!r}")
 
 
 def cmd_generate(args) -> int:
@@ -212,6 +223,8 @@ def cmd_generate(args) -> int:
         return 0
 
     if args.kind == "scramble":
+        if not args.input:
+            raise InputError("generate scramble needs --in")
         doc = _load(args.input)
         tm = _valid_map(doc)
         if not (0 <= args.steps <= MAX_SCRAMBLE):
@@ -267,8 +280,18 @@ def cmd_oracle(args) -> int:
 # --------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are bad input (exit 1 with a JSON error), not
+    argparse's exit 2, which the exit codes reserve for impossible
+    outcomes.  The usage line still goes to stderr."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="surfmap",
         description="Combinatorial surface maps: normalization, "
                     "factorization, degree, and exact inequality checks.")
@@ -306,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except Stuck as ex:
         _emit({"error": "stuck", "detail": str(ex), "report": ex.report})
@@ -316,7 +339,12 @@ def main(argv=None) -> int:
         _emit({"error": "one_sided_circle", "detail": str(ex)})
         return 3
     except ImpossibleError as ex:
-        _emit({"error": "impossible", "detail": str(ex)})
+        out = {"error": "impossible", "detail": str(ex)}
+        if isinstance(ex, InternalInconsistency):
+            out.update((key, value) for key, value in (("context", ex.context),
+                                                       ("problems", ex.problems))
+                       if value is not None)
+        _emit(out)
         return 2
     except InputError as ex:
         out = {"error": "input", "detail": str(ex)}

@@ -108,7 +108,14 @@ class ImpossibleError(SurfmapError):
 
 
 class InternalInconsistency(ImpossibleError):
-    pass
+    """A self-check failed.  `context` names the check (a move's name for
+    a post-move check) and `problems` lists the first problems found;
+    either is None when not known."""
+
+    def __init__(self, message, context=None, problems=None):
+        super().__init__(message)
+        self.context = context
+        self.problems = problems
 
 
 class InconsistentParity(ImpossibleError):

@@ -20,8 +20,9 @@ from .errors import (Branched, GraphLike, ImpossibleError, InputError,
                      InconsistentSheets, InternalInconsistency, NotNormal,
                      ZeroDegree)
 from .surfaces import SurfaceKind
-from .transverse import (TransverseMap, chi_domain, classify_circuit,
-                         domain_orientable, mod2_degree, signed_degree)
+from .transverse import (IsolatedCircle, Region, TransverseMap, chi_domain,
+                         classify_circuit, domain_orientable, mod2_degree,
+                         require_valid, signed_degree)
 from .moves import is_normal, normalize
 from . import covers as covers_mod
 
@@ -281,7 +282,7 @@ def factorize(tm: TransverseMap) -> Decomposition:
         raise NotNormal(f"map is not in normal form: {state}")
 
     if state["graph_like"]:
-        edges_hit = sorted({c.edge for c in tm.isolated})
+        edges_hit = sorted({c.edge for c in tm.isolated.values()})
         triangles_hit = sorted({r.label for r in tm.regions})
         return Decomposition(variant="graph_like",
                              image={"dual_edges_hit": edges_hit,
@@ -417,11 +418,9 @@ def compose_with_covering(tm: TransverseMap, cover: MonodromyCover) -> Transvers
     out.target = cover.base
     out.vertex_label = {d: vlab[v] for d, v in tm.vertex_label.items()}
     out.dart_label = {d: (elab[e], end) for d, (e, end) in tm.dart_label.items()}
-    from .transverse import IsolatedCircle
-    out.isolated = [IsolatedCircle(elab[c.edge]) for c in tm.isolated]
-    for reg in out.regions:
-        reg.label = tlab[reg.label]
+    out.isolated = {cid: IsolatedCircle(elab[c.edge]) for cid, c in tm.isolated.items()}
+    out.regions = [Region(tlab[reg.label], reg.kind, reg.circuits)
+                   for reg in out.regions]
     out.invalidate_caches()
-    from .transverse import require_valid
     require_valid(out, "compose_with_covering")
     return out

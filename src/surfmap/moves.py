@@ -12,10 +12,16 @@ The post-move check is the full one: validate_map, chi_domain,
 domain_orientable, mod2_degree and edge_count on the result.  What it
 reuses is memoized, never trusted from the move: the result's ribbon
 facts (transverse.RibbonFacts) when its dart tables equal those of the
-map it was copied from, the result's domain solve (transverse.domain_solve,
-shared by chi_domain and domain_orientable), and the invariants of the
-move's input from that input's own check, while the input's tables,
-regions and isolated circles still equal what that check saw.
+map it was copied from, the per-region results in those facts for every
+region object the result shares with maps checked before, the result's
+domain solve (transverse.domain_solve, shared by chi_domain and
+domain_orientable), and the invariants of the move's input from that
+input's own check, while the input's tables, regions and isolated
+circles still equal what that check saw.  Regions are frozen: a move
+replaces the regions it changes and shares the rest, so its check
+computes per-region results only for those (a join or an insert changes
+at most three).  Isolated circles keep their ids, so a join deletes one
+circle and renumbers nothing.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from .errors import (BadEdge, BadTarget, InternalInconsistency, InvalidChi,
                      NoCrosscap, NotAdjacent, NotCollapsible, NotCompatible,
                      NotEssential, Stuck, SurfmapError)
 from .surfaces import SurfaceKind, classify_with_boundary
-from .transverse import (IsolatedCircle, IsoSide, Region, RibbonCircuit,
+from .transverse import (IsoSide, Region, RibbonCircuit,
                          TransverseMap, chi_domain, classify_circuit, corners,
                          domain_orientable, edge_count, mod2_degree,
                          successor_map, validate_map)
@@ -58,10 +64,11 @@ def flip_vertex(tm: TransverseMap, dart_at_vertex: int) -> TransverseMap:
         d, x = tok
         return (d, 1 - x) if d in oset else tok
 
-    for reg in out.regions:
-        reg.circuits = [RibbonCircuit(tuple(fix(t) for t in c.seq))
-                        if isinstance(c, RibbonCircuit) else c
-                        for c in reg.circuits]
+    out.regions = [Region(reg.label, reg.kind,
+                          tuple(RibbonCircuit(tuple(fix(t) for t in c.seq))
+                                if isinstance(c, RibbonCircuit) else c
+                                for c in reg.circuits))
+                   for reg in out.regions]
     out.invalidate_caches()
     return out
 
@@ -75,10 +82,16 @@ def _post_move_check(before: TransverseMap, after: TransverseMap, *,
     """Validate the result in full and check that the domain surface and
     the mod-2 degree did not drift.  The invariants of `before` are taken
     from its own check as the previous move's result when its tables,
-    regions and isolated circles still equal what that check saw."""
+    regions and isolated circles still equal what that check saw.  A
+    failure raises InternalInconsistency with the move's name as
+    `context` and the first problems as `problems`."""
+    def fail(detail, problems):
+        raise InternalInconsistency(f"{context}: {detail}", context=context,
+                                    problems=problems)
+
     rep = validate_map(after)
     if not rep.ok:
-        raise InternalInconsistency(f"{context}: invalid result: {rep.problems[:4]}")
+        fail(f"invalid result: {rep.problems[:4]}", rep.problems[:4])
     prior = _recorded_invariants(before)
     measures = (("Euler characteristic", chi_domain),
                 ("orientability", domain_orientable),
@@ -87,15 +100,18 @@ def _post_move_check(before: TransverseMap, after: TransverseMap, *,
     for i, (what, measure) in enumerate(measures):
         value = measure(after)
         if value != (prior[i] if prior else measure(before)):
-            raise InternalInconsistency(f"{context}: {what} drifted")
+            fail(f"{what} drifted", [f"{what} drifted"])
         invariants.append(value)
     if edge_delta is not None:
         got = edge_count(after) - edge_count(before)
         lo, hi = edge_delta
         if not (lo <= got <= hi):
-            raise InternalInconsistency(
-                f"{context}: edge count changed by {got}, expected in [{lo},{hi}]")
-    after._checked = (after.ribbon_facts(), after.region_state(), tuple(invariants))
+            detail = f"edge count changed by {got}, expected in [{lo},{hi}]"
+            fail(detail, [detail])
+    # the facts and region snapshot that chi_domain's solve of `after`
+    # was keyed on
+    facts, state, _solve = after._solved
+    after._checked = (facts, state, tuple(invariants))
     return after
 
 
@@ -105,7 +121,7 @@ def _recorded_invariants(tm: TransverseMap):
     if tm._checked is None:
         return None
     facts, state, invariants = tm._checked
-    if facts.matches(tm) and state == tm.region_state():
+    if facts.matches(tm) and tm.has_state(state):
         return invariants
     return None
 
@@ -156,20 +172,7 @@ def _flip_circuit_entry(c, flip: bool):
         return c
     if isinstance(c, RibbonCircuit):
         return c.reversed()
-    return IsoSide(c.index, c.side, -c.direction)
-
-
-def _reindex_iso(circuits, removed_index: int):
-    out = []
-    for c in circuits:
-        if isinstance(c, IsoSide):
-            if c.index == removed_index:
-                continue
-            idx = c.index - 1 if c.index > removed_index else c.index
-            out.append(IsoSide(idx, c.side, c.direction))
-        else:
-            out.append(c)
-    return out
+    return IsoSide(c.circle, c.side, -c.direction)
 
 
 def _direction_votes(new_circuit: RibbonCircuit, old_succ: dict):
@@ -279,8 +282,9 @@ def collapse_edge(tm: TransverseMap, edge_key: int) -> TransverseMap:
             continue
         new_sign[k] = work.edge_sign[k]
 
-    new_isolated = list(work.isolated)
-    new_circle_info = []      # (iso index, strand dart x_i)
+    out = TransverseMap(work.target, new_pairing, new_rotation, new_sign,
+                        new_vlabel, new_dlabel, dict(work.isolated), [])
+    new_circle_info = []      # (circle id, strand dart x_i)
     for i in range(1, m):
         a_i = work.pairing[xs[i]]
         b_i = work.pairing[ys[m - i]]
@@ -290,18 +294,13 @@ def collapse_edge(tm: TransverseMap, edge_key: int) -> TransverseMap:
             if s_total < 0:
                 raise OneSidedCircle(
                     "collapse would close a strand into a one-sided circle")
-            e0 = work.label_edge(xs[i])
-            new_circle_info.append((len(new_isolated), xs[i]))
-            new_isolated.append(IsolatedCircle(e0))
+            new_circle_info.append((out.add_circle(work.label_edge(xs[i])), xs[i]))
             continue
         new_pairing[a_i] = b_i
         new_pairing[b_i] = a_i
         s_new = (work.edge_sign[work.edge_key(xs[i])]
                  * work.edge_sign[work.edge_key(ys[m - i])])
         new_sign[min(a_i, b_i)] = s_new
-
-    out = TransverseMap(work.target, new_pairing, new_rotation, new_sign,
-                        new_vlabel, new_dlabel, new_isolated, [])
 
     _rebuild_regions(work, out, groups, tok2reg, dead,
                      circle_info=new_circle_info, context="collapse_edge")
@@ -316,7 +315,8 @@ def _rebuild_regions(work: TransverseMap, out: TransverseMap,
 
     work: pre-move map (post gauge normalization) whose regions feed the
     group tracker; out: post-move map with empty regions, possibly with
-    freshly appended isolated circles described by circle_info."""
+    freshly appended isolated circles described by circle_info.  A region
+    that is its own group and comes out equal is kept as the same object."""
     dead_tokens = {(d, x) for d in dead_darts for x in (0, 1)}
     group_members = groups.groups()
     orientable = {root: root not in groups.twisted and
@@ -358,7 +358,7 @@ def _rebuild_regions(work: TransverseMap, out: TransverseMap,
 
     # new isolated circles created by the rewrite
     new_iso_entries = {}
-    for iso_index, strand in circle_info:
+    for cid, strand in circle_info:
         for side in (0, 1):
             ri = tok2reg[(strand, side)]
             root = groups.root(ri)
@@ -368,7 +368,7 @@ def _rebuild_regions(work: TransverseMap, out: TransverseMap,
             nxt = old_succ.get(tok)
             direction = 1 if nxt == away else -1
             new_iso_entries.setdefault(root, []).append(
-                IsoSide(iso_index, side, direction))
+                IsoSide(cid, side, direction))
 
     regions = []
     for root, members in sorted(group_members.items()):
@@ -379,11 +379,12 @@ def _rebuild_regions(work: TransverseMap, out: TransverseMap,
                                         f"different labels {labels}")
         chi = sum(work.regions[ri].kind.euler for ri in members) \
             - groups.strips.get(root, 0)
-        circuits = (new_circuits.get(root, [])
-                    + old_iso_entries.get(root, [])
-                    + new_iso_entries.get(root, []))
+        circuits = tuple(new_circuits.get(root, [])
+                         + old_iso_entries.get(root, [])
+                         + new_iso_entries.get(root, []))
         kind = _kind_from(chi, len(circuits), orientable[root], context)
-        regions.append(Region(base.label, kind, circuits))
+        region = Region(base.label, kind, circuits)
+        regions.append(base if len(members) == 1 and region == base else region)
     out.regions = regions
 
 
@@ -391,34 +392,19 @@ def _rebuild_regions(work: TransverseMap, out: TransverseMap,
 # Absorbing an isolated circle
 
 
-def _stored_successors(tm: TransverseMap, tokens) -> dict:
-    """token -> (index of the region storing it, its successor along the
-    stored circuit) for a few tokens; the regions are scanned only until
-    every token is found."""
-    out = {}
-    for ri, reg in enumerate(tm.regions):
-        for c in reg.circuits:
-            if isinstance(c, RibbonCircuit):
-                seq = c.seq
-                for t in tokens:
-                    if t in seq:
-                        out[t] = (ri, seq[(seq.index(t) + 1) % len(seq)])
-        if len(out) == len(tokens):
-            break
-    return out
-
-
 def join_isolated_circle(tm: TransverseMap, iso_index: int,
                          region_index: int, circuit_pos: int) -> TransverseMap:
-    """Merge an isolated circle into an essential circuit of a region it
-    bounds, through a tube inside that region."""
+    """Merge an isolated circle (by position in tm.isolated) into an
+    essential circuit of a region it bounds, through a tube inside that
+    region."""
     if not (0 <= iso_index < len(tm.isolated)):
         raise NotAdjacent(f"no isolated circle {iso_index}")
     if not (0 <= region_index < len(tm.regions)):
         raise NotAdjacent(f"no region {region_index}")
+    cid = list(tm.isolated)[iso_index]
     A = tm.regions[region_index]
     side_entry = next((c for c in A.circuits
-                       if isinstance(c, IsoSide) and c.index == iso_index), None)
+                       if isinstance(c, IsoSide) and c.circle == cid), None)
     if side_entry is None:
         raise NotAdjacent("the circle is not a boundary circuit of that region")
     if not (0 <= circuit_pos < len(A.circuits)):
@@ -427,14 +413,12 @@ def join_isolated_circle(tm: TransverseMap, iso_index: int,
     cls = classify_circuit(tm, A, alpha1)
     if cls.variant != "essential":
         raise NotEssential("target circuit is not essential")
-    e0 = tm.isolated[iso_index].edge
+    e0 = tm.isolated[cid].edge
     if e0 not in tm.target.triangle_edges(A.label):
         raise NotAdjacent("circle label is not an edge of the region's triangle")
 
     before = tm
     work = tm.copy()
-    A = work.regions[region_index]
-    alpha1 = A.circuits[circuit_pos]
 
     # canonical strand of alpha1 over e0
     strand_pos = None
@@ -447,18 +431,25 @@ def join_isolated_circle(tm: TransverseMap, iso_index: int,
     dep, arr = alpha1.seq[strand_pos], alpha1.seq[strand_pos + 1]
     d_S = work.dart_label[dep[0]][1]          # 0 iff departing the end-0 dart
 
-    # far side of the strand
+    # far side of the strand: the region storing the traced circuit
+    # through its two (band-adjacent) far tokens, found by the regions'
+    # memoized walk keys
+    facts = work.ribbon_facts()
+    checks = facts.region_checks(work.regions)
     far_tokens = {(dep[0], 1 - dep[1]), (arr[0], 1 - arr[1])}
-    held = _stored_successors(work, far_tokens)
-    far_regions = {ri for ri, _nxt in held.values()}
-    if len(held) != len(far_tokens) or len(far_regions) != 1:
+    far_key = facts.circuit_of_token[(dep[0], 1 - dep[1])]
+    r2 = next((ri for ri, ch in enumerate(checks) if far_key in ch.walk_keys), None)
+    succ = successor_map(work.regions[r2].circuits) if r2 is not None else {}
+    if not far_tokens <= succ.keys():
         raise InternalInconsistency("strand sides are inconsistent")
-    r2 = far_regions.pop()
-    far_dep = next(t for t in far_tokens if held[t][1] in far_tokens)
+    far_dep = next(t for t in far_tokens if succ[t] in far_tokens)
     d_R = work.dart_label[far_dep[0]][1]
 
-    iso_sides = work.region_of_iso_side()
-    rb, delta_b = iso_sides[(iso_index, 1 - side_entry.side)]
+    # the region on the circle's other side
+    far_side = (cid, 1 - side_entry.side)
+    rb = next(ri for ri, ch in enumerate(checks) if far_side in ch.iso_sides)
+    delta_b = next(c.direction for c in work.regions[rb].circuits
+                   if isinstance(c, IsoSide) and (c.circle, c.side) == far_side)
     delta_a = side_entry.direction
     if rb == region_index:
         raise InternalInconsistency("circle has the same region on both sides")
@@ -466,41 +457,40 @@ def join_isolated_circle(tm: TransverseMap, iso_index: int,
     mu = 1 if d_R == d_S else 0
     flip_needed = mu ^ (1 if delta_a == delta_b else 0)
 
-    # region A: drop the circle slot, boundary count down by one
-    A.circuits = [c for c in A.circuits
-                  if not (isinstance(c, IsoSide) and c.index == iso_index)]
-    A.kind = _kind_from(A.kind.euler + 1, A.kind.boundary - 1,
-                        A.kind.orientable, "join_isolated_circle")
+    def without_circle(circuits):
+        return tuple(c for c in circuits
+                     if not (isinstance(c, IsoSide) and c.circle == cid))
 
+    # region A: drop the circle slot, boundary count down by one
+    work.regions[region_index] = Region(
+        A.label,
+        _kind_from(A.kind.euler + 1, A.kind.boundary - 1, A.kind.orientable,
+                   "join_isolated_circle"),
+        without_circle(A.circuits))
+
+    R2 = work.regions[r2]
     if rb != r2:
-        RB, R2 = work.regions[rb], work.regions[r2]
+        RB = work.regions[rb]
         if RB.label != R2.label:
             raise InternalInconsistency("far-side merge across labels")
-        circuits = list(R2.circuits)
-        for c in RB.circuits:
-            if isinstance(c, IsoSide) and c.index == iso_index:
-                continue
-            circuits.append(_flip_circuit_entry(c, bool(flip_needed)))
+        circuits = R2.circuits + tuple(_flip_circuit_entry(c, bool(flip_needed))
+                                       for c in without_circle(RB.circuits))
         kind = _kind_from(RB.kind.euler + R2.kind.euler - 1,
                           len(circuits),
                           RB.kind.orientable and R2.kind.orientable,
                           "join_isolated_circle")
-        merged = Region(R2.label, kind, circuits)
-        work.regions = [merged if ri == r2 else reg
-                        for ri, reg in enumerate(work.regions) if ri != rb]
+        work.regions[r2] = Region(R2.label, kind, circuits)
+        del work.regions[rb]
     else:
-        R2 = work.regions[r2]
-        circuits = [c for c in R2.circuits
-                    if not (isinstance(c, IsoSide) and c.index == iso_index)]
+        circuits = without_circle(R2.circuits)
         orientable = R2.kind.orientable and flip_needed == 0
-        R2.kind = _kind_from(R2.kind.euler - 1, len(circuits), orientable,
-                             "join_isolated_circle")
-        R2.circuits = circuits
+        work.regions[r2] = Region(
+            R2.label,
+            _kind_from(R2.kind.euler - 1, len(circuits), orientable,
+                       "join_isolated_circle"),
+            circuits)
 
-    del work.isolated[iso_index]
-    for reg in work.regions:
-        reg.circuits = _reindex_iso(reg.circuits, iso_index)
-    work.invalidate_caches()
+    del work.isolated[cid]
     return _post_move_check(before, work, edge_delta=(-1, -1),
                             context="join_isolated_circle")
 
@@ -522,14 +512,14 @@ def insert_trivial_circle(tm: TransverseMap, region_index: int,
         raise BadEdge("edge is not on the region's triangle")
     t1, t2 = (s[0] for s in work.target.edge_sides(t_edge))
     other = t2 if A.label == t1 else t1
-    idx = len(work.isolated)
-    work.isolated.append(IsolatedCircle(t_edge))
-    A.circuits = list(A.circuits) + [IsoSide(idx, 0, 1)]
-    A.kind = _kind_from(A.kind.euler - 1, A.kind.boundary + 1,
-                        A.kind.orientable, "insert_trivial_circle")
+    cid = work.add_circle(t_edge)
+    work.regions[region_index] = Region(
+        A.label,
+        _kind_from(A.kind.euler - 1, A.kind.boundary + 1, A.kind.orientable,
+                   "insert_trivial_circle"),
+        A.circuits + (IsoSide(cid, 0, 1),))
     work.regions.append(Region(other, SurfaceKind(True, 0, 0, 1),
-                               [IsoSide(idx, 1, -1)]))
-    work.invalidate_caches()
+                               (IsoSide(cid, 1, -1),)))
     return _post_move_check(before, work, edge_delta=(1, 1),
                             context="insert_trivial_circle")
 
@@ -665,11 +655,11 @@ def boundary_surgery(tm: TransverseMap, region_index: int,
     if not gamma_same:
         if len(new_A_side) != 1:
             raise InternalInconsistency("surgery: expected circuit merge")
-        A.kind = _kind_from(A.kind.euler + 1, A.kind.boundary - 1,
-                            A.kind.orientable, "boundary_surgery")
-        A.circuits = keep + [_orient(new_A_side[0], old_succ_A,
-                                     A.kind.orientable and not route_crosscap,
-                                     "boundary_surgery")]
+        kind = _kind_from(A.kind.euler + 1, A.kind.boundary - 1,
+                          A.kind.orientable, "boundary_surgery")
+        circuits = keep + [_orient(new_A_side[0], old_succ_A,
+                                   A.kind.orientable and not route_crosscap,
+                                   "boundary_surgery")]
     elif not route_crosscap:
         if len(new_A_side) != 2:
             raise InternalInconsistency("surgery: expected circuit split")
@@ -678,22 +668,23 @@ def boundary_surgery(tm: TransverseMap, region_index: int,
         tok_pref = next(iter(s2["tokens"]))
         c_disk = next(c for c in new_A_side if tok_pref in set(c.seq))
         c_keep = next(c for c in new_A_side if c is not c_disk)
-        A.circuits = keep + [_orient(c_keep, old_succ_A, A.kind.orientable,
-                                     "boundary_surgery")]
-        A.kind = _kind_from(A.kind.euler, len(A.circuits),
-                            A.kind.orientable, "boundary_surgery")
+        circuits = keep + [_orient(c_keep, old_succ_A, A.kind.orientable,
+                                   "boundary_surgery")]
+        kind = _kind_from(A.kind.euler, len(circuits),
+                          A.kind.orientable, "boundary_surgery")
         extra_region = Region(A.label, SurfaceKind(True, 0, 0, 1),
-                              [_orient(c_disk, old_succ_A, True,
-                                       "boundary_surgery")])
+                              (_orient(c_disk, old_succ_A, True,
+                                       "boundary_surgery"),))
     else:
         if len(new_A_side) != 1:
             raise InternalInconsistency("surgery: twisted rejoin should keep "
                                         "one circuit")
         orientable = A.kind.crosscaps == 1
-        A.circuits = keep + [_orient(new_A_side[0], old_succ_A, False,
-                                     "boundary_surgery")]
-        A.kind = _kind_from(A.kind.euler + 1, len(A.circuits), orientable,
-                            "boundary_surgery")
+        circuits = keep + [_orient(new_A_side[0], old_succ_A, False,
+                                   "boundary_surgery")]
+        kind = _kind_from(A.kind.euler + 1, len(circuits), orientable,
+                          "boundary_surgery")
+    work.regions[region_index] = Region(A.label, kind, tuple(circuits))
 
     # --- far-side corridor gluing ------------------------------------------------
     # reference alignment of each far region in its strand frame is
@@ -725,9 +716,8 @@ def boundary_surgery(tm: TransverseMap, region_index: int,
                                 "boundary_surgery far"))
         kind = _kind_from(R1.kind.euler + R2.kind.euler - 1, len(circuits),
                           orientable, "boundary_surgery far")
-        merged = Region(R1.label, kind, circuits)
-        work.regions = [merged if ri == rfar1 else reg
-                        for ri, reg in enumerate(work.regions) if ri != rfar2]
+        work.regions[rfar1] = Region(R1.label, kind, tuple(circuits))
+        del work.regions[rfar2]
     else:
         old_far_circuits = [c for c in R1.circuits
                             if isinstance(c, RibbonCircuit)
@@ -743,9 +733,11 @@ def boundary_surgery(tm: TransverseMap, region_index: int,
                     if not (isinstance(c, RibbonCircuit) and set(c.seq) & ftoks)]
         circuits += [_orient(c, old_succ_far, orientable, "boundary_surgery far")
                      for c in new_far]
-        R1.kind = _kind_from(R1.kind.euler - 1, len(circuits), orientable,
-                             "boundary_surgery far")
-        R1.circuits = circuits
+        work.regions[rfar1] = Region(
+            R1.label,
+            _kind_from(R1.kind.euler - 1, len(circuits), orientable,
+                       "boundary_surgery far"),
+            tuple(circuits))
 
     if extra_region is not None:
         work.regions.append(extra_region)
@@ -791,11 +783,15 @@ def relocate_crosscap(tm: TransverseMap, source_index: int,
                                 context="relocate_crosscap")
     src = work.regions[source_index]
     tgt = work.regions[target_index]
-    src.kind = _kind_from(src.kind.euler + 1, src.kind.boundary,
-                          src.kind.crosscaps == 1, "relocate_crosscap")
-    tgt.kind = _kind_from(tgt.kind.euler - 1, tgt.kind.boundary, False,
-                          "relocate_crosscap")
-    work.invalidate_caches()
+    work.regions[source_index] = Region(
+        src.label,
+        _kind_from(src.kind.euler + 1, src.kind.boundary, src.kind.crosscaps == 1,
+                   "relocate_crosscap"),
+        src.circuits)
+    work.regions[target_index] = Region(
+        tgt.label,
+        _kind_from(tgt.kind.euler - 1, tgt.kind.boundary, False, "relocate_crosscap"),
+        tgt.circuits)
     return _post_move_check(before, work, edge_delta=(0, 0),
                             context="relocate_crosscap")
 
@@ -861,13 +857,14 @@ def _find_join(tm: TransverseMap):
     if not (tm.isolated and tm.pairing):
         return None
     for ri, region in enumerate(tm.regions):
-        iso_pos = [c.index for c in region.circuits if isinstance(c, IsoSide)]
-        if not iso_pos:
+        circles = [c.circle for c in region.circuits if isinstance(c, IsoSide)]
+        if not circles:
             continue
         for pos, c in enumerate(region.circuits):
             if isinstance(c, RibbonCircuit) and \
                     classify_circuit(tm, region, c).variant == "essential":
-                return min(iso_pos), ri, pos
+                position = tm.circle_positions()
+                return min(position[cid] for cid in circles), ri, pos
     raise Stuck({"reason": "isolated circles but no join target",
                  "state": is_normal(tm)})
 

@@ -6,7 +6,11 @@ edge saying whether the edge's band preserves the local sheet orientation.
 Every dart is labeled by a half-edge of the target; the complement of the
 graph is a list of regions, each an abstract compact surface attached
 along boundary circuits of the ribbon structure (or along sides of
-isolated circles, which carry no vertices).
+isolated circles, which carry no vertices).  Regions are frozen: a map
+and its copies share them, and an edit replaces a region.  Isolated
+circles are kept in a dict under ids that never change, so removing one
+renumbers nothing; documents, normalize traces and messages give a
+circle's position in that dict instead, and to_json/from_json convert.
 
 Boundary circuits are traced on side-end tokens (dart, side).  A region
 stores each of its circuits as a token sequence whose direction is the
@@ -26,11 +30,15 @@ orientation constraints and classify_circuit.  A copy inherits the facts
 of its original, and a map uses inherited facts only after its own tables
 compare equal (plain dict ==) to the snapshot they were computed from;
 the comparison runs once per map and again after invalidate_caches().
-The region-level checks (tiling, isolated sides, side coherence, parity)
-are recomputed on every call.  The connectivity and orientation of the
-domain come from one solve (domain_solve) per map state: it is memoized
-on the map together with the facts and the regions and isolated circles
-it saw, and runs again once any of them changed.
+What a region's checks find on their own (RegionChecks: walk keys,
+isolated sides, its problems, corner problems, classes, domain-solve
+ties) is memoized in the facts per region object, so a check computes it
+only for regions it has not seen; what spans regions (tiling, the side
+coherence of edges and circles, parity) is put together from those
+results on every validate_map call.  The connectivity and orientation of
+the domain come from one solve (domain_solve) per map state: it is
+memoized on the map together with the facts and a snapshot of the
+regions and isolated circles, and runs again once any of them changed.
 """
 
 from __future__ import annotations
@@ -89,19 +97,18 @@ def successor_map(circuits) -> dict:
 
 @dataclass(frozen=True)
 class IsoSide:
-    index: int        # isolated circle index
+    circle: int       # isolated circle id (a key of TransverseMap.isolated)
     side: int         # 0 or 1
     direction: int    # +1: the region-induced direction equals the circle's own
 
 
-@dataclass
+@dataclass(frozen=True)
 class Region:
+    """Frozen, so maps and the per-region check memo share a region
+    object until a move replaces it."""
     label: int                 # target triangle
     kind: SurfaceKind          # boundary == len(circuits)
-    circuits: list = field(default_factory=list)
-
-    def copy(self):
-        return Region(self.label, self.kind, list(self.circuits))
+    circuits: tuple = ()
 
 
 @dataclass
@@ -112,7 +119,9 @@ class TransverseMap:
     edge_sign: dict            # edge key (min dart of the pair) -> +1/-1
     vertex_label: dict         # dart -> target vertex (constant on rotation orbits)
     dart_label: dict           # dart -> (target edge, end)
-    isolated: list = field(default_factory=list)   # list[IsolatedCircle]
+    # circle id -> IsolatedCircle; a circle's position in this order is
+    # its index in documents, traces and messages, and ids never change
+    isolated: dict = field(default_factory=dict)
     regions: list = field(default_factory=list)    # list[Region]
     # RibbonFacts candidate (inherited through copy()) and whether this
     # map's tables were compared equal to its snapshot since the last
@@ -184,6 +193,17 @@ class TransverseMap:
 
     # -- region-side structure ------------------------------------------------------
 
+    def add_circle(self, edge: int) -> int:
+        """Add an isolated circle over `edge`, last in order, under an id
+        above every id in use; return that id."""
+        cid = max(self.isolated, default=-1) + 1
+        self.isolated[cid] = IsolatedCircle(edge)
+        return cid
+
+    def circle_positions(self) -> dict:
+        """circle id -> position in `isolated`."""
+        return {cid: i for i, cid in enumerate(self.isolated)}
+
     def region_of_token(self):
         """token -> region index, from the stored circuits."""
         out = {}
@@ -194,28 +214,25 @@ class TransverseMap:
                         out[tok] = ri
         return out
 
-    def region_of_iso_side(self):
-        out = {}
-        for ri, reg in enumerate(self.regions):
-            for c in reg.circuits:
-                if isinstance(c, IsoSide):
-                    out[(c.index, c.side)] = (ri, c.direction)
-        return out
-
     def stored_direction_bits(self):
         """(token -> successor token) along each stored circuit."""
         return successor_map(c for reg in self.regions for c in reg.circuits)
 
     def region_state(self) -> tuple:
-        """The regions (label, kind, circuits) and isolated circles, by
-        value: what the memoized checks are keyed on besides the facts."""
-        return (tuple((r.label, r.kind, tuple(r.circuits)) for r in self.regions),
-                tuple(self.isolated))
+        """A snapshot of the region list and the isolated circles (shallow:
+        regions and circles are frozen): what the memoized checks are
+        keyed on besides the facts.  Compare it with has_state."""
+        return list(self.regions), dict(self.isolated)
+
+    def has_state(self, state: tuple) -> bool:
+        """Whether the regions and circles equal a region_state() snapshot
+        (regions shared with it compare by identity)."""
+        return state[0] == self.regions and state[1] == self.isolated
 
     def copy(self) -> "TransverseMap":
-        """Independent tables and regions; the ribbon facts are passed on
-        and adopted once the copy's tables are seen to equal their
-        snapshot."""
+        """Independent tables, region list and circle dict, sharing the
+        frozen regions and circles; the ribbon facts are passed on and
+        adopted once the copy's tables are seen to equal their snapshot."""
         out = TransverseMap(
             target=self.target,
             pairing=dict(self.pairing),
@@ -223,8 +240,8 @@ class TransverseMap:
             edge_sign=dict(self.edge_sign),
             vertex_label=dict(self.vertex_label),
             dart_label=dict(self.dart_label),
-            isolated=list(self.isolated),
-            regions=[r.copy() for r in self.regions],
+            isolated=dict(self.isolated),
+            regions=list(self.regions),
         )
         out._facts = self._facts
         return out
@@ -232,10 +249,16 @@ class TransverseMap:
     # -- serialization ----------------------------------------------------------------
 
     def to_json(self) -> dict:
+        position = self.circle_positions()
+        n = len(position)
+
         def circ(c):
             if isinstance(c, RibbonCircuit):
                 return {"kind": "ribbon", "seq": [list(t) for t in c.seq]}
-            return {"kind": "iso", "index": c.index, "side": c.side,
+            # a dangling id is written out of range, so it stays dangling
+            cid = c.circle
+            index = position.get(cid, n + cid if 0 <= cid < n else cid)
+            return {"kind": "iso", "index": index, "side": c.side,
                     "direction": c.direction}
         return {
             "type": "transverse_map",
@@ -245,7 +268,7 @@ class TransverseMap:
             "edge_sign": {str(k): s for k, s in sorted(self.edge_sign.items())},
             "vertex_label": {str(d): v for d, v in sorted(self.vertex_label.items())},
             "dart_label": {str(d): list(l) for d, l in sorted(self.dart_label.items())},
-            "isolated": [{"edge": c.edge} for c in self.isolated],
+            "isolated": [{"edge": c.edge} for c in self.isolated.values()],
             "regions": [{"label": r.label, "kind": r.kind.to_json(),
                          "circuits": [circ(c) for c in r.circuits]}
                         for r in self.regions],
@@ -270,6 +293,7 @@ class TransverseMap:
                     for d, v in doc_field(obj, key, dict, what).items()}
 
         def circ(c):
+            # a document's circle index is the circle's id
             kind = doc_field(c, "kind", str, f"{what} circuit")
             if kind == "ribbon":
                 seq = doc_field(c, "seq", list, f"{what} circuit")
@@ -284,7 +308,7 @@ class TransverseMap:
             where = f"{what} region"
             return Region(doc_field(r, "label", int, where),
                           SurfaceKind.from_json(doc_field(r, "kind", dict, where)),
-                          [circ(c) for c in doc_field(r, "circuits", list, where)])
+                          tuple(circ(c) for c in doc_field(r, "circuits", list, where)))
 
         return TransverseMap(
             target=target,
@@ -294,8 +318,9 @@ class TransverseMap:
             vertex_label=table("vertex_label",
                                lambda v, w: vmap.get(str(doc_id(v, w)), v)),
             dart_label=table("dart_label", doc_pair),
-            isolated=[IsolatedCircle(doc_field(c, "edge", int, f"{what} isolated circle"))
-                      for c in doc_field(obj, "isolated", list, what)],
+            isolated={i: IsolatedCircle(doc_field(c, "edge", int,
+                                                  f"{what} isolated circle"))
+                      for i, c in enumerate(doc_field(obj, "isolated", list, what))},
             regions=[region(r) for r in doc_field(obj, "regions", list, what)],
         )
 
@@ -345,7 +370,10 @@ class RibbonFacts:
     * per stored circuit, keyed by its token tuple (and by the region
       label where the answer depends on it): the boundary-walk test, the
       corner condition, the orientation constraints of its corners and
-      classify_circuit.
+      classify_circuit;
+    * per region object, its RegionChecks (region_checks);
+    * per assignment of region labels to the traced circuits, the side
+      coherence of the edges (flank_problems).
     """
 
     def __init__(self, tm: TransverseMap):
@@ -359,6 +387,9 @@ class RibbonFacts:
         self._corners = {}     # (label, token tuple) -> corner problem or None
         self._classes = {}     # (label, token tuple) -> CircuitClass
         self._constraints = {}   # token tuple -> corner_constraints result
+        self._regions = {}     # id(region) -> RegionChecks (holding the region)
+        self._last_checks = None   # (region list snapshot, its RegionChecks)
+        self._flank_memo = {}  # labels of the traced circuits -> flank problems
 
     def matches(self, tm: TransverseMap) -> bool:
         return (tm.target is self.target
@@ -492,15 +523,19 @@ class RibbonFacts:
         return {tok: i for i, c in enumerate(self.trace_circuits) for tok in c.seq}
 
     @cached_property
+    def edge_triangles(self) -> list:
+        """Per target edge: the set of triangles at it."""
+        T = self.target
+        return [frozenset(t for t, _ in T.edge_sides(e)) for e in range(len(T.edges))]
+
+    @cached_property
     def flanks(self) -> list:
         """Per edge key k: (k, traced circuit through (k, 0), traced
         circuit through (k, 1), the triangles at k's target edge)."""
-        out = []
-        for k in self.edge_keys:
-            sides = self.target.edge_sides(self.dart_label[k][0])
-            out.append((k, self.circuit_of_token[(k, 0)],
-                        self.circuit_of_token[(k, 1)], {t for t, _ in sides}))
-        return out
+        triangles = self.edge_triangles
+        return [(k, self.circuit_of_token[(k, 0)], self.circuit_of_token[(k, 1)],
+                 triangles[self.dart_label[k][0]])
+                for k in self.edge_keys]
 
     @cached_property
     def local_signs(self) -> dict:
@@ -698,6 +733,127 @@ class RibbonFacts:
         return out
 
 
+    # -- per-region results --------------------------------------------------------
+
+    def region_checks(self, regions) -> list:
+        """The RegionChecks of each region, computed on first use for each
+        region object.  The memo keeps the region alive, so its id is not
+        reused while the entry lives: a hit is the same frozen object.  The
+        list for the last region list asked for is kept (a shared list; do
+        not modify), so the checks of one map state build it once."""
+        last = self._last_checks
+        if last is not None and last[0] == regions:
+            return last[1]
+        memo = self._regions
+        out = []
+        for region in regions:
+            checks = memo.get(id(region))
+            if checks is None:
+                checks = memo[id(region)] = RegionChecks(self, region)
+            out.append(checks)
+        self._last_checks = (list(regions), out)
+        return out
+
+    def flank_problems(self, labels: tuple) -> list:
+        """The side-coherence problems of the edges when each traced
+        circuit i is stored in a region labeled labels[i]: the regions
+        flanking an edge are labeled by its two triangles."""
+        try:
+            return self._flank_memo[labels]
+        except KeyError:
+            pass
+        out = []
+        for k, c0, c1, want in self.flanks:
+            sides = {labels[c0], labels[c1]}
+            if sides != want:
+                out.append(f"edge {k} flanked by regions labeled {sorted(sides)}, "
+                           f"expected {sorted(want)}")
+        self._flank_memo[labels] = out
+        return out
+
+
+class RegionChecks:
+    """What one region's checks find on their own, for one RibbonFacts
+    (which memoizes it by the region object, region_checks):
+
+    * walk_keys: the traced circuit each stored ribbon circuit matches;
+    * iso_sides: the (circle id, side) of each isolated side;
+    * problems: what the region breaks by itself (kind against circuit
+      count, label, side bit, boundary walks), and corner_problems: how
+      its boundary walks break the corner condition, both as format
+      strings taking the region's index;
+    * ties: (component ties, circle ties) of the region's node in
+      domain_solve, the distinct (graph component, bit) constraints of its
+      boundary walks' corners and (circle id, bit) of its isolated sides,
+      and needs_node: whether there are other than exactly one;
+    * euler and orientable, of the region's kind;
+    * classes(facts): classify_circuit's answers, on first use.
+
+    A region labeled by an unknown triangle has its circuits left out.
+    """
+
+    __slots__ = ("region", "walk_keys", "iso_sides", "problems",
+                 "corner_problems", "ties", "needs_node", "euler", "orientable",
+                 "_classes")
+
+    def __init__(self, facts: RibbonFacts, region: Region):
+        self.region = region
+        self.euler = region.kind.euler
+        self.orientable = region.kind.orientable
+        self._classes = None
+        problems = []
+        corner_problems = []
+        keys = []
+        sides = []
+        components = set()
+        circles = set()
+        if region.kind.boundary != len(region.circuits):
+            problems.append("region {} kind boundary count disagrees with its circuits")
+        circuits = region.circuits
+        label = region.label
+        if not (0 <= label < len(facts.target.triangles)):
+            problems.append("region {} labeled by unknown triangle")
+            circuits = ()
+        for pos, c in enumerate(circuits):
+            if isinstance(c, IsoSide):
+                if c.side in (0, 1):
+                    sides.append((c.circle, c.side))
+                else:
+                    problems.append("region {} references a bad isolated side")
+                circles.add((c.circle, c.side ^ (c.direction < 0)))
+                continue
+            key = facts.walk_key(c.seq)
+            if key is None:
+                problems.append(f"region {{}} circuit {pos} is not an "
+                                "alternating boundary walk")
+                continue
+            if isinstance(key, int):
+                keys.append(key)
+            else:
+                problems.append(f"region {{}} circuit {pos} does not match "
+                                "any traced circuit")
+            problem = facts.corner_problem(label, c.seq)
+            if problem is not None:
+                corner_problems.append(f"region {{}} circuit {pos} {problem}")
+            components |= facts.corner_constraints(c.seq)
+        self.walk_keys = tuple(keys)
+        self.iso_sides = tuple(sides)
+        self.problems = tuple(problems)
+        self.corner_problems = tuple(corner_problems)
+        self.ties = (tuple(components), tuple(circles))
+        self.needs_node = len(components) + len(circles) != 1
+
+    def classes(self, facts: RibbonFacts) -> tuple:
+        """classify_circuit's answer for each circuit, in order."""
+        if self._classes is None:
+            label = self.region.label
+            self._classes = tuple(
+                _ISOLATED_SIDE if isinstance(c, IsoSide)
+                else facts.circuit_class(label, c.seq)
+                for c in self.region.circuits)
+        return self._classes
+
+
 # --------------------------------------------------------------------------
 # Validation
 
@@ -705,7 +861,8 @@ class RibbonFacts:
 @dataclass
 class ValidationReport:
     problems: list = field(default_factory=list)
-    circuit_classes: dict = field(default_factory=dict)   # (region idx, pos) -> CircuitClass
+    # (facts, RegionChecks per region) once the tiling holds
+    _classified: tuple = field(default=None, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -714,15 +871,27 @@ class ValidationReport:
     def add(self, msg: str):
         self.problems.append(msg)
 
+    @cached_property
+    def circuit_classes(self) -> dict:
+        """(region idx, pos) -> CircuitClass, filled on first use; empty
+        unless the stored circuits tile the traced ones."""
+        if self._classified is None:
+            return {}
+        facts, entries = self._classified
+        return {(ri, pos): cls for ri, checks in enumerate(entries)
+                for pos, cls in enumerate(checks.classes(facts))}
+
 
 def validate_map(tm: TransverseMap) -> ValidationReport:
     """Every violated invariant of the map.
 
     The dart-level sections (table axioms, vertices, edges and band signs)
-    are read from the ribbon facts; the region-level sections (tiling of
-    the traced circuits, isolated sides, corner condition, side coherence
-    and preimage parity) run on every call, with per-circuit results
-    memoized in the facts."""
+    are read from the ribbon facts, and what each region finds on its own
+    from its memoized RegionChecks.  What spans regions is put together on
+    every call: the stored circuits and isolated sides must be the traced
+    circuits and the circles' sides, each exactly once; the side coherence
+    of the edges (memoized on the regions' labels) and of the circles; and
+    the preimage parity."""
     rep = ValidationReport()
     T = tm.target
     facts = tm.ribbon_facts()
@@ -730,7 +899,8 @@ def validate_map(tm: TransverseMap) -> ValidationReport:
     if facts.table_problem is not None:
         rep.add(facts.table_problem)
         return rep
-    for c in tm.isolated:
+    isolated = tm.isolated
+    for c in isolated.values():
         if not (0 <= c.edge < len(T.edges)):
             rep.add(f"isolated circle labeled by unknown edge {c.edge}")
             return rep
@@ -738,74 +908,57 @@ def validate_map(tm: TransverseMap) -> ValidationReport:
         rep.problems.extend(facts.vertex_edge_problems)
         return rep
 
-    # stored circuits must tile the traced circuits and isolated sides
-    stored = {}            # walk key -> region index
-    iso_seen = {}
-    for ri, region in enumerate(tm.regions):
-        if region.kind.boundary != len(region.circuits):
-            rep.add(f"region {ri} kind boundary count disagrees with its circuits")
-        if not (0 <= region.label < len(T.triangles)):
-            rep.add(f"region {ri} labeled by unknown triangle")
-            continue
-        for pos, c in enumerate(region.circuits):
-            if isinstance(c, IsoSide):
-                if not (0 <= c.index < len(tm.isolated)) or c.side not in (0, 1):
-                    rep.add(f"region {ri} references a bad isolated side")
-                    continue
-                if (c.index, c.side) in iso_seen:
-                    rep.add(f"isolated side ({c.index},{c.side}) used twice")
-                iso_seen[(c.index, c.side)] = ri
-                continue
-            key = facts.walk_key(c.seq)
-            if key is None:
-                rep.add(f"region {ri} circuit {pos} is not an alternating boundary walk")
-                continue
+    # tiling: each traced circuit and each side of a circle belongs to
+    # exactly one region
+    regions = tm.regions
+    entries = facts.region_checks(regions)
+    position = tm.circle_positions()
+    stored = {}            # traced circuit index -> region index
+    owner = {}             # (circle id, side) -> region index
+    for ri, checks in enumerate(entries):
+        if checks.problems:
+            rep.problems.extend(problem.format(ri) for problem in checks.problems)
+        for key in checks.walk_keys:
             if key in stored:
                 rep.add(f"circuit stored twice (regions {stored[key]} and {ri})")
             stored[key] = ri
-            if not isinstance(key, int):
-                rep.add(f"region {ri} circuit {pos} does not match any traced circuit")
-    for i in range(len(facts.trace_circuits)):
-        if i not in stored:
-            rep.add("a traced boundary circuit belongs to no region")
-    for i in range(len(tm.isolated)):
-        for side in (0, 1):
-            if (i, side) not in iso_seen:
-                rep.add(f"isolated circle {i} side {side} belongs to no region")
+        for side in checks.iso_sides:
+            if side[0] not in position:
+                rep.add(f"region {ri} references a bad isolated side")
+                continue
+            if side in owner:
+                rep.add(f"isolated side ({position[side[0]]},{side[1]}) used twice")
+            owner[side] = ri
+    n_traced = len(facts.trace_circuits)
+    if len(stored) != n_traced:
+        rep.problems.extend("a traced boundary circuit belongs to no region"
+                            for i in range(n_traced) if i not in stored)
+    if len(owner) != 2 * len(isolated):
+        rep.problems.extend(f"isolated circle {i} side {side} belongs to no region"
+                            for i, cid in enumerate(isolated) for side in (0, 1)
+                            if (cid, side) not in owner)
     if rep.problems:
         return rep
 
-    # corner condition and classification (classify_circuit's answers,
-    # read from the facts)
-    classes = rep.circuit_classes
-    for ri, region in enumerate(tm.regions):
-        label = region.label
-        for pos, c in enumerate(region.circuits):
-            if isinstance(c, IsoSide):
-                classes[(ri, pos)] = _ISOLATED_SIDE
-                continue
-            classes[(ri, pos)] = facts.circuit_class(label, c.seq)
-            problem = facts.corner_problem(label, c.seq)
-            if problem is not None:
-                rep.add(f"region {ri} circuit {pos} {problem}")
+    # corner condition; the classes are read on first use
+    for ri, checks in enumerate(entries):
+        if checks.corner_problems:
+            rep.problems.extend(problem.format(ri)
+                                for problem in checks.corner_problems)
+    rep._classified = (facts, entries)
 
-    # side coherence: regions flanking an edge are labeled by its two
-    # triangles; after the tiling above, a token's region is the one that
-    # stores its traced circuit
-    labels = {i: tm.regions[ri].label for i, ri in stored.items()}
-    for k, c0, c1, want in facts.flanks:
-        sides = {labels[c0], labels[c1]}
-        if sides != want:
-            rep.add(f"edge {k} flanked by regions labeled {sorted(sides)}, "
-                    f"expected {sorted(want)}")
-    iso2reg = tm.region_of_iso_side()
-    for i, circle in enumerate(tm.isolated):
-        t1, t2 = (s[0] for s in T.edge_sides(circle.edge))
-        got = {tm.regions[iso2reg[(i, s)][0]].label for s in (0, 1)
-               if (i, s) in iso2reg}
-        if got != {t1, t2}:
+    # side coherence: regions flanking an edge or a circle are labeled by
+    # its two triangles
+    labels = [None] * n_traced
+    for key, ri in stored.items():
+        labels[key] = regions[ri].label
+    rep.problems.extend(facts.flank_problems(tuple(labels)))
+    for i, (cid, circle) in enumerate(isolated.items()):
+        got = {regions[owner[(cid, 0)]].label, regions[owner[(cid, 1)]].label}
+        want = facts.edge_triangles[circle.edge]
+        if got != want:
             rep.add(f"isolated circle {i} flanked by regions labeled {sorted(got)}, "
-                    f"expected {sorted({t1, t2})}")
+                    f"expected {sorted(want)}")
 
     # mod-2 preimage parity agreement across target vertices
     parities = {c % 2 for c in facts.preimage_counts.values()}
@@ -817,7 +970,8 @@ def validate_map(tm: TransverseMap) -> ValidationReport:
 def require_valid(tm: TransverseMap, context: str = ""):
     rep = validate_map(tm)
     if not rep.ok:
-        raise InternalInconsistency(f"{context}: {rep.problems[:4]}")
+        raise InternalInconsistency(f"{context}: {rep.problems[:4]}",
+                                    context=context, problems=rep.problems[:4])
     return rep
 
 
@@ -834,68 +988,85 @@ def graph_euler(tm: TransverseMap) -> int:
     return tm.ribbon_facts().graph_euler
 
 
-@dataclass(frozen=True)
 class DomainSolve:
-    """The domain's connectivity and orientation constraints, solved."""
-    components: int      # connected components of the domain
-    consistent: bool     # the orientation constraints have a solution
-    chart_flips: tuple   # per graph component: its chart flip in that solution
+    """The domain's connectivity and orientation constraints, solved, with
+    the sums over the regions that chi_domain and domain_orientable add."""
+
+    def __init__(self, uf: ParityUF, n_components: int, bands_ok: bool,
+                 regions_euler: int, kinds_orientable: bool):
+        self.components = uf.sets        # connected components of the domain
+        # the orientation constraints have a solution and every region
+        # kind is orientable
+        self.orientable = bands_ok and uf.ok and kinds_orientable
+        self.regions_euler = regions_euler
+        self._uf = uf
+        self._n_components = n_components
+
+    @cached_property
+    def chart_flips(self) -> tuple:
+        """Per graph component: its chart flip in the solution."""
+        return tuple(self._uf.find(c)[1] for c in range(self._n_components))
 
 
 def domain_solve(tm: TransverseMap) -> DomainSolve:
     """Connectivity and orientation of the domain in one parity union-find.
 
     Nodes, in this order: the graph's vertex components (whose vertex
-    flips the band signs fix, ribbon facts), the regions, the isolated
-    circles.  A node's value is a chart flip, a region's reference flip or
-    an isolated circle's own direction flip.  The corners of a ribbon
+    flips the band signs fix, ribbon facts), the isolated circles, the
+    regions.  A node's value is a chart flip, an isolated circle's own
+    direction flip or a region's reference flip.  The corners of a ribbon
     circuit tie its region to its component (the facts' corner
     constraints); an isolated circle is tied to the region on each of its
     sides by that side's direction: a region whose flip equals the
     circle's induces the circle's own direction on side 0 and the opposite
     one on side 1.  Every tie is a constraint, so the classes are the
     components of the domain, and the domain is orientable when the
-    system is consistent and every region kind is.
+    system is consistent and every region kind is.  A region with exactly
+    one distinct tie gets no node: it can neither join two classes nor
+    contradict one.  The ties of a region are memoized in its RegionChecks.
 
-    The result is memoized on the map, keyed by its ribbon facts and its
-    region state (region_state), so the checks of one map state share one
-    solve and a map changed in place is solved again.  Meaningful for maps
-    that pass validate_map.
+    The result is memoized on the map, keyed by its ribbon facts and a
+    snapshot of its regions and circles (region_state), so the checks of
+    one map state share one solve and a map changed in place is solved
+    again.  Meaningful for maps that pass validate_map.
     """
     facts = tm.ribbon_facts()
-    state = tm.region_state()
     memo = tm._solved
-    if memo is not None and memo[0] is facts and memo[1] == state:
+    if memo is not None and memo[0] is facts and tm.has_state(memo[1]):
         return memo[2]
     _charts, n_components, bands_ok = facts.vertex_charts
-    first_circle = n_components + len(tm.regions)
-    uf = ParityUF(first_circle + len(tm.isolated))
+    circle_node = {cid: i for i, cid in enumerate(tm.isolated, n_components)}
+    linked = []
+    euler = 0
+    kinds_orientable = True
+    for checks in facts.region_checks(tm.regions):
+        euler += checks.euler
+        kinds_orientable = kinds_orientable and checks.orientable
+        if checks.needs_node:
+            linked.append(checks.ties)
+    node = n_components + len(circle_node)
+    uf = ParityUF(node + len(linked))
     union = uf.union
-    constraints = facts.corner_constraints
-    for node, region in enumerate(tm.regions, n_components):
-        for c in region.circuits:
-            if isinstance(c, RibbonCircuit):
-                for component, bit in constraints(c.seq):
-                    union(component, node, bit)
-            else:
-                union(first_circle + c.index, node, c.side ^ (c.direction < 0))
-    solve = DomainSolve(uf.sets, bands_ok and uf.ok,
-                        tuple(uf.find(c)[1] for c in range(n_components)))
-    tm._solved = (facts, state, solve)
+    for components, circles in linked:
+        for component, bit in components:
+            union(component, node, bit)
+        for cid, bit in circles:
+            union(circle_node[cid], node, bit)
+        node += 1
+    solve = DomainSolve(uf, n_components, bands_ok, euler, kinds_orientable)
+    tm._solved = (facts, tm.region_state(), solve)
     return solve
 
 
 def chi_domain(tm: TransverseMap) -> int:
-    components = domain_solve(tm).components
-    if components > 1:
-        raise Disconnected(f"domain has {components} components")
-    return graph_euler(tm) + sum(r.kind.euler for r in tm.regions)
+    solve = domain_solve(tm)
+    if solve.components > 1:
+        raise Disconnected(f"domain has {solve.components} components")
+    return graph_euler(tm) + solve.regions_euler
 
 
 def domain_orientable(tm: TransverseMap) -> bool:
-    if any(not r.kind.orientable for r in tm.regions):
-        return False
-    return domain_solve(tm).consistent
+    return domain_solve(tm).orientable
 
 
 def domain_kind(tm: TransverseMap) -> SurfaceKind:
@@ -989,7 +1160,7 @@ def _assign_region_labels(tm: TransverseMap, circuits) -> list:
 def _disk_regions(tm: TransverseMap) -> list:
     """One disk region per traced circuit, labeled by its triangle."""
     circuits = tm.trace_circuits()
-    return [Region(label, SurfaceKind(True, 0, 0, 1), [c])
+    return [Region(label, SurfaceKind(True, 0, 0, 1), (c,))
             for c, label in zip(circuits, _assign_region_labels(tm, circuits))]
 
 
@@ -1022,7 +1193,7 @@ def identity_map(tri: Triangulation) -> TransverseMap:
             rotation[d] = ds[(i + 1) % len(ds)]
 
     tm = TransverseMap(tri, pairing, rotation, edge_sign,
-                       vertex_label, dart_label, [], [])
+                       vertex_label, dart_label, {}, [])
     tm.regions = _disk_regions(tm)
     require_valid(tm, "identity_map")
     return tm
@@ -1074,7 +1245,7 @@ def map_from_cover(cover) -> TransverseMap:
             rotation[d] = ds[(i + 1) % len(ds)]
 
     tm = TransverseMap(cover.base, pairing, rotation, edge_sign,
-                       vertex_label, dart_label, [], [])
+                       vertex_label, dart_label, {}, [])
     tm.regions = _disk_regions(tm)
     require_valid(tm, "map_from_cover")
 
@@ -1095,7 +1266,9 @@ def add_pinch(tm: TransverseMap, region_index: int, closed_kind: SurfaceKind) ->
         raise BadKind(f"no region {region_index}")
     out = tm.copy()
     reg = out.regions[region_index]
-    reg.kind = connected_sum_kind(reg.kind, closed_kind)
+    out.regions[region_index] = Region(reg.label,
+                                       connected_sum_kind(reg.kind, closed_kind),
+                                       reg.circuits)
     require_valid(out, "add_pinch")
     return out
 
@@ -1160,7 +1333,7 @@ def _fold_degree_zero() -> TransverseMap:
                 rotation[d] = ds[(i + 1) % len(ds)]
 
     tm = TransverseMap(tri, pairing, rotation, edge_sign,
-                       vertex_label, dart_label, [], [])
+                       vertex_label, dart_label, {}, [])
     tm.regions = _disk_regions(tm)
     require_valid(tm, "fold_degree_zero")
     if chi_domain(tm) != 2 or mod2_degree(tm) != 0:

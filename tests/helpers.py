@@ -31,7 +31,7 @@ def tube_double(tri, t0=0, same_direction=True):
             ds = [dart(e, 0 if tri.edges[e][0] == P else 1, copy) for e in rot]
             for i, d in enumerate(ds):
                 rotation[d] = ds[(i + 1) % len(ds)]
-    tm = TransverseMap(tri, pairing, rotation, edge_sign, vlab, dlab, [], [])
+    tm = TransverseMap(tri, pairing, rotation, edge_sign, vlab, dlab, {}, [])
     circuits = tm.trace_circuits()
     labels = _assign_region_labels(tm, circuits)
     regions = []
@@ -40,14 +40,14 @@ def tube_double(tri, t0=0, same_direction=True):
         if lab == t0:
             t0_circuits.append(c)
         else:
-            regions.append(Region(lab, SurfaceKind(True, 0, 0, 1), [c]))
+            regions.append(Region(lab, SurfaceKind(True, 0, 0, 1), (c,)))
     assert len(t0_circuits) == 2
     for flip in (False, True):
-        cs = [t0_circuits[0],
-              t0_circuits[1].reversed() if flip else t0_circuits[1]]
+        cs = (t0_circuits[0],
+              t0_circuits[1].reversed() if flip else t0_circuits[1])
         annulus = Region(t0, SurfaceKind(True, 0, 0, 2), cs)
         tm2 = tm.copy()
-        tm2.regions = regions + [annulus.copy()]
+        tm2.regions = regions + [annulus]
         tm2.invalidate_caches()
         rep = validate_map(tm2)
         assert rep.ok and domain_orientable(tm2), (flip, rep.problems[:2])

@@ -10,12 +10,12 @@ from collections import Counter
 
 import pytest
 
-from surfmap import moves
+from surfmap import moves, transverse
 from surfmap.covers import random_cover
 from surfmap.errors import Disconnected, InternalInconsistency
 from surfmap.moves import (_post_move_check, insert_trivial_circle, normalize)
 from surfmap.surfaces import SurfaceKind, builtin_triangulation
-from surfmap.transverse import (IsolatedCircle, IsoSide, RibbonCircuit,
+from surfmap.transverse import (IsoSide, Region, RibbonCircuit,
                                 TransverseMap, add_pinch, chi_domain,
                                 classify_circuit, domain_orientable,
                                 identity_map, map_from_cover, mod2_degree,
@@ -141,6 +141,48 @@ def test_klein_target_at_d6_scramble_and_normalize_match_the_oracle():
     assert invariants(normal) == start
 
 
+def test_join_and_insert_check_only_the_regions_they_change(monkeypatch):
+    """Regions are frozen and shared: a copy and a move keep every region
+    they do not change, so a join or an insert computes the per-region
+    results of at most the three regions it replaces or adds, while the
+    full validate_map still runs once per move."""
+    misses = Counter()
+    validations = Counter()
+
+    class CountedChecks(transverse.RegionChecks):
+        def __init__(self, facts, region):
+            misses["total"] += 1
+            super().__init__(facts, region)
+
+    def counted_validate(tm):
+        validations["total"] += 1
+        return validate_map(tm)
+
+    per_move = []
+
+    def counting(name, move):
+        def wrapper(*args, **kwargs):
+            start = misses["total"], validations["total"]
+            out = move(*args, **kwargs)
+            per_move.append((name, misses["total"] - start[0],
+                             validations["total"] - start[1]))
+            return out
+        return wrapper
+
+    base = builtin_triangulation("klein_8")
+    tm = map_from_cover(random_cover(base, 6, [3, 3], seed=0))
+    tm = add_pinch(tm, 0, SurfaceKind(False, crosscaps=2))
+    monkeypatch.setattr(transverse, "RegionChecks", CountedChecks)
+    monkeypatch.setattr(moves, "validate_map", counted_validate)
+    for name in ("join_isolated_circle", "insert_trivial_circle"):
+        monkeypatch.setattr(moves, name, counting(name, getattr(moves, name)))
+    normalize(scrambled(tm, 64, seed=0))
+    counts = Counter(name for name, _m, _v in per_move)
+    assert counts["insert_trivial_circle"] == 64 and counts["join_isolated_circle"] >= 64
+    assert all(v == 1 for _name, _m, v in per_move)
+    assert max(m for _name, m, _v in per_move) <= 3
+
+
 # --------------------------------------------------------------------------
 # In-place tampering with a map whose checks already ran
 
@@ -175,23 +217,36 @@ def test_tampered_rotation_entry_is_reported(checked):
     assert validate_map(tm).ok
 
 
-def _add_summand(region):
+def _add_summand(tm, ri):
+    """Region ri gains a handle or a crosscap (regions are frozen: the
+    edit replaces it)."""
+    region = tm.regions[ri]
     kind = region.kind
-    region.kind = (SurfaceKind(True, kind.handles + 1, 0, kind.boundary)
-                   if kind.orientable else
-                   SurfaceKind(False, 0, kind.crosscaps + 1, kind.boundary))
+    kind = (SurfaceKind(True, kind.handles + 1, 0, kind.boundary)
+            if kind.orientable else
+            SurfaceKind(False, 0, kind.crosscaps + 1, kind.boundary))
+    tm.regions[ri] = Region(region.label, kind, region.circuits)
+
+
+def _replace_circuit(tm, ri, pos, circuit):
+    region = tm.regions[ri]
+    pos %= len(region.circuits)
+    circuits = region.circuits[:pos] + (circuit,) + region.circuits[pos + 1:]
+    tm.regions[ri] = Region(region.label, region.kind, circuits)
 
 
 def test_tampered_region_kind_is_reported(checked):
     tm, work = checked
-    _add_summand(work.regions[0])
+    _add_summand(work, 0)
     work.invalidate_caches()
     assert validate_map(work).ok        # kinds are free data for the validator
-    with pytest.raises(InternalInconsistency, match="Euler characteristic drifted"):
+    with pytest.raises(InternalInconsistency, match="Euler characteristic drifted") as ex:
         _post_move_check(tm, work, context="tamper")
+    assert ex.value.context == "tamper"
+    assert ex.value.problems == ["Euler characteristic drifted"]
     # tampered after its own check, a map's recorded invariants are stale;
     # reusing them would report a drift in the next move
-    _add_summand(tm.regions[0])
+    _add_summand(tm, 0)
     tm.invalidate_caches()
     chi = chi_domain(TransverseMap.from_json(tm.to_json()))
     edge = tm.target.triangle_edges(tm.regions[0].label)[0]
@@ -203,7 +258,7 @@ def test_tampered_iso_side_is_reported(checked):
     ri, pos, side = next((ri, pos, c) for ri, reg in enumerate(work.regions)
                          for pos, c in enumerate(reg.circuits)
                          if isinstance(c, IsoSide) and c.side == 1)
-    work.regions[ri].circuits[pos] = IsoSide(side.index, 0, side.direction)
+    _replace_circuit(work, ri, pos, IsoSide(side.circle, 0, side.direction))
     work.invalidate_caches()
     problems = validate_map(work).problems
     assert any("used twice" in p for p in problems)
@@ -217,7 +272,7 @@ def test_tampered_ribbon_circuit_is_reported(checked):
                    for pos, c in enumerate(reg.circuits)
                    if isinstance(c, RibbonCircuit))
     c = work.regions[ri].circuits[pos]
-    work.regions[ri].circuits[pos] = RibbonCircuit(c.seq[2:] + c.seq[:1])
+    _replace_circuit(work, ri, pos, RibbonCircuit(c.seq[2:] + c.seq[:1]))
     problems = validate_map(work).problems
     assert any("not an alternating boundary walk" in p for p in problems)
     assert validate_map(tm).ok
@@ -249,39 +304,39 @@ def _handle_map() -> TransverseMap:
     edge = tm.target.triangle_edges(tm.regions[0].label)[0]
     tm = insert_trivial_circle(tm, 0, edge)
     holed, annulus = tm.regions[0], tm.regions[-1]
-    idx = len(tm.isolated)
-    tm.isolated.append(IsolatedCircle(edge))
-    holed.circuits.append(IsoSide(idx, 0, 1))
-    holed.kind = SurfaceKind(True, 0, 0, len(holed.circuits))
-    annulus.circuits.append(IsoSide(idx, 1, -1))
-    annulus.kind = SurfaceKind(True, 0, 0, 2)
+    cid = tm.add_circle(edge)
+    circuits = holed.circuits + (IsoSide(cid, 0, 1),)
+    tm.regions[0] = Region(holed.label, SurfaceKind(True, 0, 0, len(circuits)),
+                           circuits)
+    tm.regions[-1] = Region(annulus.label, SurfaceKind(True, 0, 0, 2),
+                            annulus.circuits + (IsoSide(cid, 1, -1),))
     assert validate_map(tm).ok
     return tm
 
 
 def _flip_iso_direction(tm):
     """The annulus side of the second circle turns around: a Klein handle."""
-    annulus = tm.regions[-1]
-    side = annulus.circuits[-1]
-    annulus.circuits[-1] = IsoSide(side.index, side.side, -side.direction)
+    side = tm.regions[-1].circuits[-1]
+    _replace_circuit(tm, -1, -1, IsoSide(side.circle, side.side, -side.direction))
 
 
 def _reverse_ribbon_circuit(tm):
     """One boundary of the annulus joining the two sheets reverses: the
     signed degree changes between 2 and 0."""
-    annulus = next(r for r in tm.regions if len(r.circuits) == 2)
-    annulus.circuits[1] = annulus.circuits[1].reversed()
+    ri = next(ri for ri, r in enumerate(tm.regions) if len(r.circuits) == 2)
+    _replace_circuit(tm, ri, 1, tm.regions[ri].circuits[1].reversed())
 
 
 def _drop_circuit(tm):
     """The last scramble step's disk loses its only circuit: it is cut
     off from the rest of the domain."""
-    tm.regions[-1].circuits.pop()
+    region = tm.regions[-1]
+    tm.regions[-1] = Region(region.label, region.kind, region.circuits[:-1])
 
 
 def _add_isolated_circle(tm):
     """A circle no region is bounded by: a second component."""
-    tm.isolated.append(IsolatedCircle(tm.isolated[0].edge))
+    tm.add_circle(next(iter(tm.isolated.values())).edge)
 
 
 IN_PLACE_EDITS = {

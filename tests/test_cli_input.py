@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from surfmap import cli, moves
 from surfmap.errors import Stuck
 from surfmap.surfaces import builtin_triangulation
+from surfmap.transverse import ValidationReport
 
 ANALYZE = ("degree", "kneser", "factorize", "normalize", "contours")
 
@@ -114,6 +115,61 @@ def test_stuck_report_is_json(tmp_path, docs, monkeypatch):
     rc, out = run_cli(["analyze", "normalize", _write(tmp_path / "m.json", docs["map"])])
     assert rc == 3 and out["error"] == "stuck"
     assert out["report"] == report and "detail" in out
+
+
+def test_internal_inconsistency_reports_its_move_and_problems(tmp_path, docs,
+                                                              monkeypatch):
+    """A failed post-move check exits 2 with the move's name and the first
+    problems as fields of the JSON object."""
+    def planted(tm):
+        return ValidationReport(problems=["planted problem"])
+
+    monkeypatch.setattr(moves, "validate_map", planted)
+    rc, out = run_cli(["analyze", "normalize", _write(tmp_path / "m.json", docs["map"])])
+    assert rc == 2 and out["error"] == "impossible"
+    assert out["context"] in ("collapse_edge", "join_isolated_circle",
+                              "boundary_surgery", "relocate_crosscap")
+    assert out["problems"] == ["planted problem"]
+
+
+# --------------------------------------------------------------------------
+# Arguments: usage errors and unusable paths are input errors (exit 1)
+
+
+def test_scramble_without_input_is_an_input_error(tmp_path):
+    rc, out = run_cli(["generate", "scramble", "--out", str(tmp_path / "x.json")])
+    assert rc == 1 and out["error"] == "input"
+
+
+def test_non_integer_branch_is_an_input_error(tmp_path):
+    rc, out = run_cli(["generate", "cover", "--d", "2", "--branch", "2,x",
+                       "--out", str(tmp_path / "x.json")])
+    assert rc == 1 and out["error"] == "input"
+
+
+def test_unwritable_out_is_an_input_error(tmp_path):
+    rc, out = run_cli(["generate", "cover", "--out", str(tmp_path / "no" / "x.json")])
+    assert rc == 1 and out["error"] == "input"
+
+
+def test_unwritable_dot_is_an_input_error(tmp_path, docs):
+    rc, out = run_cli(["analyze", "degree", _write(tmp_path / "m.json", docs["map"]),
+                       "--dot", str(tmp_path / "no" / "x.dot")])
+    assert rc == 1 and out["error"] == "input"
+
+
+@pytest.mark.parametrize("argv", [[], ["analyze", "bogus", "x"],
+                                  ["generate", "cover", "--d", "abc", "--out", "x"],
+                                  ["generate", "cover"], ["oracle"]])
+def test_usage_error_is_an_input_error(argv):
+    rc, out = run_cli(argv)
+    assert rc == 1 and out["error"] == "input"
+
+
+def test_help_exits_zero():
+    with pytest.raises(SystemExit) as ex, contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["--help"])
+    assert ex.value.code == 0
 
 
 # --------------------------------------------------------------------------

@@ -4,13 +4,13 @@ from surfmap.covers import MonodromyCover, random_cover
 from surfmap.errors import (BadKind, DisconnectedCover, InconsistentParity,
                             NotOrientable, UnknownName)
 from surfmap.surfaces import SurfaceKind, builtin_triangulation, classify_surface
-from surfmap.transverse import (IsolatedCircle, IsoSide, TransverseMap,
+from surfmap.transverse import (IsoSide, Region, TransverseMap,
                                 add_pinch, builtin_example, chi_domain,
                                 classify_circuit, domain_kind,
                                 domain_orientable, edge_count, identity_map,
                                 map_from_cover, mod2_degree, signed_degree,
                                 validate_map)
-from surfmap.moves import flip_vertex
+from surfmap.moves import flip_vertex, insert_trivial_circle
 
 from helpers import tube_double
 
@@ -52,7 +52,7 @@ def test_side_coherence_violation_detected():
     e_on = set(bad.target.triangle_edges(r0.label))
     for t in range(len(bad.target.triangles)):
         if len(e_on & set(bad.target.triangle_edges(t))) < 3 and t != r0.label:
-            r0.label = t
+            bad.regions[0] = Region(t, r0.kind, r0.circuits)
             break
     rep = validate_map(bad)
     assert not rep.ok
@@ -201,11 +201,11 @@ def test_disconnected_domain_detected():
     double.edge_sign.update({k + off: s for k, s in tm.edge_sign.items()})
     double.vertex_label.update({d + off: v for d, v in tm.vertex_label.items()})
     double.dart_label.update({d + off: l for d, l in tm.dart_label.items()})
-    from surfmap.transverse import RibbonCircuit, Region
+    from surfmap.transverse import RibbonCircuit
     from surfmap.surfaces import SurfaceKind
     for reg in tm.regions:
-        shifted = [RibbonCircuit(tuple((d + off, x) for (d, x) in c.seq))
-                   for c in reg.circuits]
+        shifted = tuple(RibbonCircuit(tuple((d + off, x) for (d, x) in c.seq))
+                        for c in reg.circuits)
         double.regions.append(Region(reg.label, SurfaceKind(True, 0, 0, 1), shifted))
     double.invalidate_caches()
     assert validate_map(double).ok          # locally fine, two components
@@ -225,15 +225,33 @@ def test_isolated_circle_between_adjacent_regions(directions, kind):
     the same way, so their reference orientations are opposite: the tube
     keeps the domain orientable (a torus) when both regions induce the
     same direction on the circle, and makes a Klein bottle otherwise."""
-    from surfmap.transverse import IsolatedCircle, IsoSide
     tm = identity_map(builtin_triangulation("sphere_tetra"))
     T = tm.target
     edge = T.triangle_edges(tm.regions[0].label)[0]
     across = next(t for t, _ in T.edge_sides(edge) if t != tm.regions[0].label)
     b = next(ri for ri, r in enumerate(tm.regions) if r.label == across)
-    tm.isolated.append(IsolatedCircle(edge))
+    cid = tm.add_circle(edge)
     for side, ri in enumerate((0, b)):
-        tm.regions[ri].circuits.append(IsoSide(0, side, directions[side]))
-        tm.regions[ri].kind = SurfaceKind(True, 0, 0, 2)
+        region = tm.regions[ri]
+        side_entry = IsoSide(cid, side, directions[side])
+        tm.regions[ri] = Region(region.label, SurfaceKind(True, 0, 0, 2),
+                                region.circuits + (side_entry,))
     assert validate_map(tm).ok
     assert domain_kind(tm) == kind
+
+
+def test_dangling_circle_id_survives_the_round_trip():
+    """Documents number circles by position and maps by stable id; a side
+    naming a circle that is gone is written out of range, so it is still
+    reported after reading the document back."""
+    tm = identity_map(builtin_triangulation("sphere_tetra"))
+    edge = tm.target.triangle_edges(tm.regions[0].label)[0]
+    for _ in range(3):
+        tm = insert_trivial_circle(tm, 0, edge)
+    del tm.isolated[next(iter(tm.isolated))]
+    problems = validate_map(tm).problems
+    assert problems == ["region 0 references a bad isolated side",
+                        "region 4 references a bad isolated side"]
+    fresh = TransverseMap.from_json(tm.to_json())
+    assert validate_map(fresh).problems == problems
+    assert TransverseMap.from_json(fresh.to_json()).to_json() == fresh.to_json()
