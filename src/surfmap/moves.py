@@ -282,6 +282,7 @@ def collapse_edge(tm: TransverseMap, edge_key: int) -> TransverseMap:
             continue
         new_sign[k] = work.edge_sign[k]
 
+    # the result holds the tables rewired below and takes the new circles
     out = TransverseMap(work.target, new_pairing, new_rotation, new_sign,
                         new_vlabel, new_dlabel, dict(work.isolated), [])
     new_circle_info = []      # (circle id, strand dart x_i)
@@ -447,7 +448,9 @@ def join_isolated_circle(tm: TransverseMap, iso_index: int,
 
     # the region on the circle's other side
     far_side = (cid, 1 - side_entry.side)
-    rb = next(ri for ri, ch in enumerate(checks) if far_side in ch.iso_sides)
+    rb = next((ri for ri, ch in enumerate(checks) if far_side in ch.iso_sides), None)
+    if rb is None:
+        raise InternalInconsistency("circle side belongs to no region")
     delta_b = next(c.direction for c in work.regions[rb].circuits
                    if isinstance(c, IsoSide) and (c.circle, c.side) == far_side)
     delta_a = side_entry.direction

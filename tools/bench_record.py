@@ -41,7 +41,8 @@ def record(before_path: str, after_path: str) -> dict:
     before, after = load(before_path), load(after_path)
     out = {"before": {"git_sha": _shas(before)}, "after": {"git_sha": _shas(after)},
            "workloads": {}}
-    for w in sorted({w for (w, t) in before if t == 0} & {w for (w, t) in after if t == 0}):
+    untraced = {w for (w, t) in before if t == 0} & {w for (w, t) in after if t == 0}
+    for w in sorted(untraced):
         b_runs, a_runs = before[(w, 0)], after[(w, 0)]
         common = sorted(set(b_runs) & set(a_runs))
         seeds = ([(s, s) for s in common] if common
