@@ -10,18 +10,22 @@ any drift, so convention bugs cannot pass silently.
 
 The post-move check is the full one: validate_map, chi_domain,
 domain_orientable, mod2_degree and edge_count on the result.  What it
-reuses is memoized, never trusted from the move: the result's ribbon
-facts (transverse.RibbonFacts) when its dart tables equal those of the
-map it was copied from, the per-region results in those facts for every
-region object the result shares with maps checked before, the result's
-domain solve (transverse.domain_solve, shared by chi_domain and
-domain_orientable), and the invariants of the move's input from that
-input's own check, while the input's tables, regions and isolated
-circles still equal what that check saw.  Regions are frozen: a move
-replaces the regions it changes and shares the rest, so its check
-computes per-region results only for those (a join or an insert changes
-at most three).  Isolated circles keep their ids, so a join deletes one
-circle and renumbers nothing.
+reuses is memoized or derived, never trusted from the move: the result's
+ribbon facts (transverse.RibbonFacts) when its dart tables equal those of
+the map it was copied from, and otherwise facts derived from those
+(RibbonFacts.derive, which finds the changed darts in the tables
+itself), the per-region results in those facts for every region object
+the result shares with maps checked before, the result's domain solve
+(transverse.domain_solve, shared by chi_domain and domain_orientable),
+and the invariants of the move's input from that input's own check,
+while the input's tables, regions and isolated circles still equal what
+that check saw.  Regions are frozen: a move replaces the regions it
+changes and shares the rest, so its check computes per-region results
+only for those (a join or an insert changes at most three, a collapse
+the regions around the collapsed edge).  Isolated circles keep their
+ids, so a join deletes one circle and renumbers nothing.  The moves that
+rewire darts (collapse_edge, boundary_surgery) find the regions they
+touch through the memoized walk keys of their input.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .surfaces import SurfaceKind, classify_with_boundary
 from .transverse import (IsoSide, Region, RibbonCircuit,
                          TransverseMap, chi_domain, classify_circuit, corners,
                          domain_orientable, edge_count, mod2_degree,
-                         successor_map, validate_map)
+                         rotation_orbit, successor_map, validate_map)
 from .unionfind import ParityUF
 
 
@@ -49,9 +53,10 @@ class OneSidedCircle(SurfmapError):
 def flip_vertex(tm: TransverseMap, dart_at_vertex: int) -> TransverseMap:
     """Reverse the chart at one vertex: rotation reversed, incident edge
     signs flipped, stored tokens at the vertex mirrored.  A pure
-    re-coordinatization; every observable is unchanged."""
+    re-coordinatization; every observable is unchanged.  The regions with
+    no stored token at the vertex are shared with tm."""
     out = tm.copy()
-    orbit = tm.vertex_darts(tm.vertex_of(dart_at_vertex))
+    orbit = rotation_orbit(tm.rotation, dart_at_vertex)
     oset = set(orbit)
     n = len(orbit)
     for i, d in enumerate(orbit):
@@ -64,13 +69,52 @@ def flip_vertex(tm: TransverseMap, dart_at_vertex: int) -> TransverseMap:
         d, x = tok
         return (d, 1 - x) if d in oset else tok
 
-    out.regions = [Region(reg.label, reg.kind,
-                          tuple(RibbonCircuit(tuple(fix(t) for t in c.seq))
-                                if isinstance(c, RibbonCircuit) else c
-                                for c in reg.circuits))
-                   for reg in out.regions]
-    out.invalidate_caches()
+    for ri in _regions_through(tm, {(d, x) for d in orbit for x in (0, 1)}):
+        reg = out.regions[ri]
+        out.regions[ri] = Region(reg.label, reg.kind,
+                                 tuple(RibbonCircuit(tuple(fix(t) for t in c.seq))
+                                       if isinstance(c, RibbonCircuit) else c
+                                       for c in reg.circuits))
     return out
+
+
+def _regions_through(tm: TransverseMap, tokens: set) -> list:
+    """The indices of the regions with a stored ribbon circuit through a
+    token in `tokens`.  A region whose checks found no problem stores only
+    walks of traced circuits, so its memoized walk keys say it; the others
+    are scanned."""
+    facts = tm.ribbon_facts()
+    key_of = facts.circuit_of_token
+    keys = {key_of.get(t) for t in tokens}
+    out = []
+    for ri, checks in enumerate(facts.region_checks(tm.regions)):
+        if checks.problems:
+            if any(isinstance(c, RibbonCircuit) and not tokens.isdisjoint(c.seq)
+                   for c in checks.region.circuits):
+                out.append(ri)
+        elif not keys.isdisjoint(checks.walk_keys):
+            out.append(ri)
+    return out
+
+
+def _stored_through(regions: list, indices) -> tuple:
+    """(token -> region index, token -> next token) along the stored
+    ribbon circuits of the regions with the given indices."""
+    tok2reg, succ = {}, {}
+    for ri in indices:
+        for c in regions[ri].circuits:
+            if isinstance(c, RibbonCircuit):
+                tok2reg.update(dict.fromkeys(c.seq, ri))
+                succ.update(zip(c.seq, c.seq[1:] + c.seq[:1]))
+    return tok2reg, succ
+
+
+def _circuits_through(tm: TransverseMap, tokens) -> list:
+    """The traced circuits of tm through the given tokens, in key order
+    (the order of trace_circuits)."""
+    facts = tm.ribbon_facts()
+    key_of, by_key = facts.circuit_of_token, facts.circuit_by_key
+    return [by_key[key] for key in sorted({key_of[t] for t in tokens})]
 
 
 # --------------------------------------------------------------------------
@@ -127,25 +171,29 @@ def _recorded_invariants(tm: TransverseMap):
 
 
 class _GroupTracker:
-    """Union-find over region indices with a relative-flip parity and
-    strip-gluing accounting; yields merged-region kind data."""
+    """Union-find over the regions a rewrite touches (by region index,
+    ascending) with a relative-flip parity and strip-gluing accounting;
+    yields merged-region kind data.  Groups are named by their root
+    region: the root of the second region of a gluing's set becomes the
+    root of the union."""
 
-    def __init__(self, tm: TransverseMap):
-        self.tm = tm
-        self.uf = ParityUF(len(tm.regions))
+    def __init__(self, regions):
+        self.regions = sorted(regions)
+        self.node = {ri: i for i, ri in enumerate(self.regions)}
+        self.uf = ParityUF(len(self.regions))
         self.strips = {}
         self.twisted = set()   # roots made nonorientable by a twisted self-strip
 
     def glue(self, r1: int, r2: int, flip_bit: int):
-        root1 = self.uf.find(r1)
-        root2 = self.uf.find(r2)
-        if root1[0] == root2[0]:
-            if root1[1] ^ root2[1] != flip_bit:
-                self.twisted.add(root1[0])
-        self.uf.union(r1, r2, flip_bit)
-        root = self.uf.find(r1)[0]
+        n1, n2 = self.node[r1], self.node[r2]
+        (root1, p1), (root2, p2) = self.uf.find(n1), self.uf.find(n2)
+        root1, root2 = self.regions[root1], self.regions[root2]
+        if root1 == root2 and p1 ^ p2 != flip_bit:
+            self.twisted.add(root1)
+        self.uf.union(n1, n2, flip_bit)
+        root = self.root(r1)
         # re-key strip counts and twist marks onto the new root
-        for old in (root1[0], root2[0]):
+        for old in (root1, root2):
             if old != root:
                 self.strips[root] = self.strips.get(root, 0) + self.strips.pop(old, 0)
                 if old in self.twisted:
@@ -153,16 +201,16 @@ class _GroupTracker:
                     self.twisted.add(root)
         self.strips[root] = self.strips.get(root, 0) + 1
 
-    def root(self, ri: int):
-        return self.uf.find(ri)[0]
+    def root(self, ri: int) -> int:
+        return self.regions[self.uf.find(self.node[ri])[0]]
 
     def parity(self, ri: int) -> int:
-        return self.uf.find(ri)[1]
+        return self.uf.find(self.node[ri])[1]
 
     def groups(self):
         """root -> list of member region indices."""
         out = {}
-        for ri in range(len(self.tm.regions)):
+        for ri in self.regions:
             out.setdefault(self.root(ri), []).append(ri)
         return out
 
@@ -230,20 +278,18 @@ def collapse_edge(tm: TransverseMap, edge_key: int) -> TransverseMap:
                              "endpoint images differ")
     before = tm
 
-    work = tm.copy()
-    work.invalidate_caches()
-    if work.edge_sign[edge_key] < 0:
-        work = flip_vertex(work, dp)
-    assert work.edge_sign[edge_key] > 0
+    work = flip_vertex(tm, dp) if tm.edge_sign[edge_key] < 0 else tm.copy()
+    if not work.edge_sign[edge_key] > 0:
+        detail = f"the gauge flip left edge {edge_key} twisted"
+        raise InternalInconsistency(f"collapse_edge: {detail}",
+                                    context="collapse_edge", problems=[detail])
 
-    v = work.vertex_of(d)
-    w = work.vertex_of(dp)
-    if v == w:
+    # the endpoints' darts, read off work's tables: work's ribbon facts
+    # are never needed, the result's are derived from tm's
+    xs = rotation_orbit(work.rotation, d)             # starts with d
+    if dp in xs:
         raise InternalInconsistency("collapse found a loop edge")
-    xs = work.vertex_darts(v)
-    xs = xs[xs.index(d):] + xs[:xs.index(d)]          # starts with d
-    ys = work.vertex_darts(w)
-    ys = ys[ys.index(dp):] + ys[:ys.index(dp)]        # starts with dp
+    ys = rotation_orbit(work.rotation, dp)            # starts with dp
     m = len(xs)
     if len(ys) != m:
         raise InternalInconsistency("collapse endpoints have different degrees")
@@ -253,8 +299,11 @@ def collapse_edge(tm: TransverseMap, edge_key: int) -> TransverseMap:
         if work.dart_label[xs[i]] != work.dart_label[ys[m - i]]:
             raise InternalInconsistency("collapse strands do not match by label")
 
-    tok2reg = work.region_of_token()
-    succ = work.stored_direction_bits()
+    # the regions through the darts of the two endpoints (the gauge flip
+    # kept every region's index), and their stored circuits
+    dead = set(xs) | set(ys)
+    touched = _regions_through(before, {(x, s) for x in dead for s in (0, 1)})
+    tok2reg, succ = _stored_through(work.regions, touched)
 
     def corner_pass_bit(da, db):
         """0 if some stored circuit passes the corner (da -> db) forward."""
@@ -264,27 +313,29 @@ def collapse_edge(tm: TransverseMap, edge_key: int) -> TransverseMap:
             return 1, tok2reg[(db, 0)]
         raise InternalInconsistency("corner not on any stored circuit")
 
-    groups = _GroupTracker(work)
+    groups = _GroupTracker(touched)
     for i in range(1, m - 1):
         pv, rv = corner_pass_bit(xs[i], xs[i + 1])
         pw, rw = corner_pass_bit(ys[m - i - 1], ys[m - i])
         groups.glue(rv, rw, pv ^ pw)
 
     # rewire the ribbon structure
-    dead = set(xs) | set(ys)
-    new_pairing = {a: b for a, b in work.pairing.items() if a not in dead}
-    new_rotation = {a: b for a, b in work.rotation.items() if a not in dead}
-    new_vlabel = {a: b for a, b in work.vertex_label.items() if a not in dead}
-    new_dlabel = {a: b for a, b in work.dart_label.items() if a not in dead}
-    new_sign = {}
-    for k in work.edge_keys():
-        if k in dead or work.pairing[k] in dead:
-            continue
-        new_sign[k] = work.edge_sign[k]
+    def without_dead(table):
+        out = dict(table)
+        for a in dead:
+            out.pop(a, None)
+        return out
 
-    # the result holds the tables rewired below and takes the new circles
-    out = TransverseMap(work.target, new_pairing, new_rotation, new_sign,
-                        new_vlabel, new_dlabel, dict(work.isolated), [])
+    new_pairing = without_dead(work.pairing)
+    new_sign = {a: work.edge_sign[a] for a, b in work.pairing.items()
+                if a < b and a not in dead and b not in dead}
+
+    # the result holds the tables rewired below and takes the new circles;
+    # its ribbon facts are derived from tm's
+    out = TransverseMap(work.target, new_pairing, without_dead(work.rotation),
+                        new_sign, without_dead(work.vertex_label),
+                        without_dead(work.dart_label), dict(work.isolated), [])
+    out._facts = before.ribbon_facts()
     new_circle_info = []      # (circle id, strand dart x_i)
     for i in range(1, m):
         a_i = work.pairing[xs[i]]
@@ -303,67 +354,71 @@ def collapse_edge(tm: TransverseMap, edge_key: int) -> TransverseMap:
                  * work.edge_sign[work.edge_key(ys[m - i])])
         new_sign[min(a_i, b_i)] = s_new
 
-    _rebuild_regions(work, out, groups, tok2reg, dead,
+    _rebuild_regions(work, out, groups, dead,
                      circle_info=new_circle_info, context="collapse_edge")
     return _post_move_check(before, out, edge_delta=(-m, -1),
                             context="collapse_edge")
 
 
 def _rebuild_regions(work: TransverseMap, out: TransverseMap,
-                     groups: _GroupTracker, tok2reg: dict, dead_darts: set,
+                     groups: _GroupTracker, dead_darts: set,
                      *, circle_info=(), context: str = ""):
     """Shared region reconstruction after a ribbon rewrite.
 
-    work: pre-move map (post gauge normalization) whose regions feed the
-    group tracker; out: post-move map with empty regions, possibly with
-    freshly appended isolated circles described by circle_info.  A region
-    that is its own group and comes out equal is kept as the same object."""
+    work: pre-move map (post gauge normalization); groups: the regions of
+    work with a stored circuit through a dead dart, glued by the rewrite;
+    out: post-move map with empty regions, possibly with freshly appended
+    isolated circles described by circle_info.  Only those regions are
+    rebuilt: a circuit through no dead dart runs through no rewired dart
+    either (every rewired dart was band-adjacent to a dead one), so it is
+    a traced circuit of out as it stands, and every traced circuit of out
+    through a token of a rebuilt region is made of such circuits' pieces.
+    A rebuilt region lists its ribbon circuits in key order (the order of
+    trace_circuits), then its isolated sides; every other region is kept,
+    as the same object unless its circuits must be put in that order."""
+    regions = work.regions
     dead_tokens = {(d, x) for d in dead_darts for x in (0, 1)}
     group_members = groups.groups()
     orientable = {root: root not in groups.twisted and
-                  all(work.regions[ri].kind.orientable for ri in members)
+                  all(regions[ri].kind.orientable for ri in members)
                   for root, members in group_members.items()}
 
-    # old direction data in group-aligned form
+    # old direction data of the glued regions in group-aligned form
     aligned = [(groups.root(ri), _flip_circuit_entry(c, bool(groups.parity(ri))))
-               for ri, reg in enumerate(work.regions) for c in reg.circuits]
+               for ri in groups.regions for c in regions[ri].circuits]
     old_succ = successor_map(c for _root, c in aligned)
+    facts = out.ribbon_facts()
+    key_of = facts.circuit_of_token
+    tok2root = {}             # token -> group root, over the glued regions
     old_iso_entries = {}      # group root -> list[IsoSide] (aligned)
-    old_kept = {}             # group root -> {token set: aligned circuit}
+    new_circuits = {root: [] for root in group_members}   # (key, circuit)
+    rewired = set()           # surviving tokens of circuits through dead darts
     for root, c2 in aligned:
         if isinstance(c2, IsoSide):
             old_iso_entries.setdefault(root, []).append(c2)
-        elif not (set(c2.seq) & dead_tokens):
-            old_kept.setdefault(root, {})[c2.token_set()] = c2
+            continue
+        tok2root.update(dict.fromkeys(c2.seq, root))
+        if dead_tokens.isdisjoint(c2.seq):
+            new_circuits[root].append((key_of[c2.seq[0]], c2))
+        else:
+            rewired.update(c2.seq)
+    rewired -= dead_tokens
 
-    out.invalidate_caches()
-    traced = out.trace_circuits()
-
-    new_circuits = {root: [] for root in group_members}
-    for c in traced:
-        key = c.token_set()
-        roots = set()
-        for tok in c.seq:
-            ri = tok2reg.get(tok)
-            if ri is not None:
-                roots.add(groups.root(ri))
-        if len(roots) != 1:
+    for c in _circuits_through(out, rewired):
+        roots = {tok2root.get(tok) for tok in c.seq}
+        if len(roots) != 1 or None in roots:
             raise InternalInconsistency(f"{context}: rewritten circuit spans "
                                         f"{len(roots)} region groups")
         root = roots.pop()
-        kept = old_kept.get(root, {})
-        if key in kept:
-            new_circuits[root].append(kept[key])
-            continue
-        new_circuits[root].append(_orient(c, old_succ, orientable[root], context))
+        new_circuits[root].append((c.seq[0], _orient(c, old_succ, orientable[root],
+                                                     context)))
 
     # new isolated circles created by the rewrite
     new_iso_entries = {}
     for cid, strand in circle_info:
         for side in (0, 1):
-            ri = tok2reg[(strand, side)]
-            root = groups.root(ri)
             tok = (strand, side)
+            root = tok2root[tok]
             # direction +1: the aligned stored walk leaves the vertex
             away = work.band_step(tok)
             nxt = old_succ.get(tok)
@@ -371,22 +426,39 @@ def _rebuild_regions(work: TransverseMap, out: TransverseMap,
             new_iso_entries.setdefault(root, []).append(
                 IsoSide(cid, side, direction))
 
-    regions = []
-    for root, members in sorted(group_members.items()):
-        base = work.regions[members[0]]
-        labels = {work.regions[ri].label for ri in members}
+    rebuilt = {}
+    for root, members in group_members.items():
+        base = regions[members[0]]
+        labels = {regions[ri].label for ri in members}
         if len(labels) != 1:
             raise InternalInconsistency(f"{context}: merged regions with "
                                         f"different labels {labels}")
-        chi = sum(work.regions[ri].kind.euler for ri in members) \
+        chi = sum(regions[ri].kind.euler for ri in members) \
             - groups.strips.get(root, 0)
-        circuits = tuple(new_circuits.get(root, [])
+        circuits = tuple([c for _key, c in sorted(new_circuits[root],
+                                                  key=lambda kc: kc[0])]
                          + old_iso_entries.get(root, [])
                          + new_iso_entries.get(root, []))
         kind = _kind_from(chi, len(circuits), orientable[root], context)
-        region = Region(base.label, kind, circuits)
-        regions.append(base if len(members) == 1 and region == base else region)
-    out.regions = regions
+        rebuilt[root] = Region(base.label, kind, circuits)
+    out.regions = [rebuilt[ri] if ri in rebuilt else _in_key_order(region, key_of)
+                   for ri, region in enumerate(regions)
+                   if ri in rebuilt or ri not in groups.node]
+
+
+def _in_key_order(region: Region, key_of: dict) -> Region:
+    """The region with its ribbon circuits in key order (key_of: token ->
+    key of its traced circuit) followed by its isolated sides, as the same
+    object when they already are."""
+    circuits = region.circuits
+    ribbons = [c for c in circuits if isinstance(c, RibbonCircuit)]
+    if len(ribbons) < 2 and (not ribbons or circuits[0] is ribbons[0]):
+        return region
+    ribbons.sort(key=lambda c: key_of[c.seq[0]])
+    ordered = tuple(ribbons + [c for c in circuits if isinstance(c, IsoSide)])
+    if all(a is b for a, b in zip(ordered, circuits)):
+        return region
+    return Region(region.label, region.kind, ordered)
 
 
 # --------------------------------------------------------------------------
@@ -548,8 +620,9 @@ def split_circle(tm: TransverseMap, region_index: int, circuit_pos: int,
 def _strand_info(tm: TransverseMap, region_index: int, dart: int,
                  tok2reg: dict, succ: dict):
     """A-side data for the strand through `dart`: tokens, side bit at the
-    end-0 dart, stored direction bit.  tok2reg and succ are tm's
-    region_of_token() and stored_direction_bits()."""
+    end-0 dart, stored direction bit.  tok2reg and succ map the tokens of
+    the stored circuits of the regions through the strand
+    (_stored_through)."""
     if dart not in tm.pairing:
         raise NotCompatible(f"no dart {dart}")
     d1, d2 = dart, tm.pairing[dart]
@@ -586,8 +659,9 @@ def boundary_surgery(tm: TransverseMap, region_index: int,
     before = tm
     work = tm.copy()
     A = work.regions[region_index]
-    tok2reg = work.region_of_token()
-    succ = work.stored_direction_bits()
+    strands = {(d, x) for dart in (dart1, dart2) if dart in work.pairing
+               for d in (dart, work.pairing[dart]) for x in (0, 1)}
+    tok2reg, succ = _stored_through(work.regions, _regions_through(tm, strands))
 
     s1 = _strand_info(work, region_index, dart1, tok2reg, succ)
     s2 = _strand_info(work, region_index, dart2, tok2reg, succ)
@@ -646,11 +720,8 @@ def boundary_surgery(tm: TransverseMap, region_index: int,
     work.edge_sign[min(w1, w2)] = 1 if sbF1 == 0 else -1
     work.invalidate_caches()
 
-    traced = work.trace_circuits()
-
     # --- region A restructuring ------------------------------------------------
-    new_A_side = [c for c in traced
-                  if set(c.seq) & (s1["tokens"] | s2["tokens"])]
+    new_A_side = _circuits_through(work, s1["tokens"] | s2["tokens"])
     old_succ_A = successor_map(A.circuits)
 
     keep = [c for pos, c in enumerate(A.circuits) if pos not in cpos.values()]
@@ -694,7 +765,7 @@ def boundary_surgery(tm: TransverseMap, region_index: int,
     # fsig ^ sigma ^ 1; the frames differ by the route twist, which itself
     # is [sigma1 == sigma2], so the twist cancels and only the fsig bits
     # decide whether the second far region must flip
-    new_far = [c for c in traced if set(c.seq) & ftoks]
+    new_far = _circuits_through(work, ftoks)
     flip_far = 1 if fsig1 == fsig2 else 0
     old_succ_far = successor_map(
         _flip_circuit_entry(c, ri == rfar2 and rfar1 != rfar2 and bool(flip_far))
@@ -744,7 +815,6 @@ def boundary_surgery(tm: TransverseMap, region_index: int,
 
     if extra_region is not None:
         work.regions.append(extra_region)
-    work.invalidate_caches()
     return _post_move_check(before, work, edge_delta=(0, 0),
                             context="boundary_surgery")
 

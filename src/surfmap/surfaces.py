@@ -216,6 +216,19 @@ class Triangulation:
             self.__dict__["_edge_sides"] = cache
         return cache[e]
 
+    def half_edges_at(self, v) -> list:
+        """The sorted half-edges (edge, end) at v."""
+        cache = self.__dict__.get("_half_edges")
+        if cache is None:
+            cache = {}
+            for e, ends in enumerate(self.edges):
+                for end in (0, 1):
+                    cache.setdefault(ends[end], []).append((e, end))
+            for half in cache.values():
+                half.sort()
+            self.__dict__["_half_edges"] = cache
+        return cache.get(v, [])
+
     def sector_triangles(self, v) -> list:
         """Triangle occupying each rotation sector (rot[i] -> rot[i+1]) at v."""
         cache = self.__dict__.get("_sectors")

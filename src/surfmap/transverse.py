@@ -21,21 +21,29 @@ computable.
 
 Everything that depends only on the target and the five dart tables
 (pairing, rotation, edge_sign, vertex_label, dart_label) lives in one
-RibbonFacts object per map: vertex ids, traced circuits, local signs,
-edge keys, V - E, preimage counts, graph components and band-forced chart
-flips, the verdict of validate_map's dart-level sections, and per-circuit
-results keyed by the circuit's token tuple (and region label where it
-matters): the boundary-walk test, the corner condition, the corners'
-orientation constraints and classify_circuit.  A copy inherits the facts
-of its original, and a map uses inherited facts only after its own tables
-compare equal (plain dict ==) to the snapshot they were computed from;
-the comparison runs once per map and again after invalidate_caches().
-What a region's checks find on their own (RegionChecks: walk keys,
-isolated sides, its problems, corner problems, classes, domain-solve
-ties) is memoized in the facts per region object, so a check computes it
-only for regions it has not seen; what spans regions (tiling, the side
-coherence of edges and circles, parity) is put together from those
-results on every validate_map call.  The connectivity and orientation of
+RibbonFacts object per map: vertex ids, traced circuits (keyed by their
+first token), local signs, edge keys, V - E, preimage counts, graph
+components and band-forced chart flips, the verdict of validate_map's
+dart-level sections per vertex and per edge, and per-circuit results
+keyed by the circuit's token tuple (and region label where it matters):
+the boundary-walk test, the corner condition, the corners' orientation
+constraints and classify_circuit.  A copy inherits the facts of its
+original.  A map uses inherited facts as they are when its own tables
+compare equal (plain dict ==) to the snapshot they were computed from,
+and otherwise derives its facts from them (RibbonFacts.derive): the
+darts where the tables differ are read off the tables, the circuits,
+vertices and edges through them are traced and checked again, and the
+rest is carried over.  The comparison runs once per map and again after
+invalidate_caches(), so a map edited in place is derived again.  What a
+region's checks find on their own (RegionChecks: walk keys, isolated
+sides, its problems, corner problems, classes, domain-solve ties) is
+memoized in the facts per region object, so a check computes it only
+for regions it has not seen, and derived facts carry it over for the
+regions whose circuits are all unchanged.  What spans regions (tiling,
+the side coherence of edges and circles, parity) is put together from
+those results on every validate_map call; the side coherence of edges
+is checked again only on circuits whose region label changed or that
+were traced anew.  The connectivity and orientation of
 the domain come from one solve (domain_solve) per map state: it is
 memoized on the map together with the facts and a snapshot of the
 regions and isolated circles, and runs again once any of them changed.
@@ -43,6 +51,7 @@ regions and isolated circles, and runs again once any of them changed.
 
 from __future__ import annotations
 
+import bisect
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -72,9 +81,6 @@ class RibbonCircuit:
     (dart, side) pairs, side 0/1 being the two ends of a dart's band side."""
     seq: tuple
 
-    def token_set(self):
-        return frozenset(self.seq)
-
     def reversed(self):
         return RibbonCircuit(tuple(reversed(self.seq)))
 
@@ -93,6 +99,17 @@ def successor_map(circuits) -> dict:
         if isinstance(c, RibbonCircuit):
             succ.update(zip(c.seq, c.seq[1:] + c.seq[:1]))
     return succ
+
+
+def rotation_orbit(rotation: dict, d: int) -> list:
+    """The darts of d's rotation orbit (its vertex) in rotation order,
+    starting at d."""
+    orbit = [d]
+    cur = rotation[d]
+    while cur != d:
+        orbit.append(cur)
+        cur = rotation[cur]
+    return orbit
 
 
 @dataclass(frozen=True)
@@ -138,10 +155,12 @@ class TransverseMap:
 
     def ribbon_facts(self) -> "RibbonFacts":
         """The facts of this map's dart tables: the inherited ones when the
-        tables still equal their snapshot, otherwise freshly started."""
+        tables still equal their snapshot, otherwise derived from them
+        (RibbonFacts.derive), or fresh when there are none."""
         if not self._facts_checked:
-            if self._facts is None or not self._facts.matches(self):
-                self._facts = RibbonFacts(self)
+            facts = self._facts
+            self._facts = (RibbonFacts(self) if facts is None
+                           else RibbonFacts.derive(facts, self))
             self._facts_checked = True
         return self._facts
 
@@ -173,7 +192,14 @@ class TransverseMap:
     # -- token walking ----------------------------------------------------------
 
     def band_step(self, token):
-        return self.ribbon_facts().band_step(token)
+        """Across a dart's band to the paired dart: a token (dart, side)
+        keeps its side on a twisted band and swaps it on a plain one.
+        (RibbonFacts traces circuits by this rule and the corner rule:
+        from side 1 to the next dart's side 0, from side 0 to the previous
+        dart's side 1.)"""
+        d, x = token
+        p = self.pairing[d]
+        return (p, 1 - x) if self.edge_sign[min(d, p)] > 0 else (p, x)
 
     def trace_circuits(self):
         """All boundary circuits of the ribbon graph, each an alternating
@@ -203,20 +229,6 @@ class TransverseMap:
     def circle_positions(self) -> dict:
         """circle id -> position in `isolated`."""
         return {cid: i for i, cid in enumerate(self.isolated)}
-
-    def region_of_token(self):
-        """token -> region index, from the stored circuits."""
-        out = {}
-        for ri, reg in enumerate(self.regions):
-            for c in reg.circuits:
-                if isinstance(c, RibbonCircuit):
-                    for tok in c.seq:
-                        out[tok] = ri
-        return out
-
-    def stored_direction_bits(self):
-        """(token -> successor token) along each stored circuit."""
-        return successor_map(c for reg in self.regions for c in reg.circuits)
 
     def region_state(self) -> tuple:
         """A snapshot of the region list and the isolated circles (shallow:
@@ -352,28 +364,39 @@ def classify_circuit(tm: TransverseMap, region: Region, circuit) -> CircuitClass
 # Ribbon facts
 
 
+_TABLES = ("pairing", "rotation", "edge_sign", "vertex_label", "dart_label")
+_MISSING = object()
+
+
 class RibbonFacts:
     """The facts that depend only on the target and the five dart tables
     (pairing, rotation, edge_sign, vertex_label, dart_label).
 
-    The object holds its own snapshot of the tables it describes.  A map
-    uses it only after its tables compare equal to that snapshot (plain
-    dict ==, in TransverseMap.ribbon_facts); copies inherit it, so a move
-    that leaves the dart tables alone reuses every fact here.  Each fact
-    is computed on first use:
+    The object holds its own snapshot of the tables it describes, and a
+    map uses it only while its tables equal that snapshot (plain dict ==,
+    in TransverseMap.ribbon_facts).  A map whose tables differ from the
+    snapshot of the facts it inherited gets facts derived from those
+    (derive), which carry over every fact away from the changed darts.
+    Each fact is computed on first use, or carried over:
 
-    * vertex_of, rot_inv, trace_circuits, local_signs, edge_keys,
-      vertex_reps, V - E and the preimage count per target vertex;
-    * the verdict of validate_map's dart-level sections;
+    * vertex_of, rot_inv, edge_keys, vertex_reps, local_signs, V - E and
+      the preimage count per target vertex;
+    * the traced circuits, each keyed by its first token, which is its
+      least token (circuit_by_key, circuit_of_token; trace_circuits lists
+      them in key order);
+    * the verdict of validate_map's dart-level sections, kept per vertex
+      and per edge;
     * the vertex components of the graph and the vertex chart flips that
       its band signs force;
     * per stored circuit, keyed by its token tuple (and by the region
-      label where the answer depends on it): the boundary-walk test, the
-      corner condition, the orientation constraints of its corners and
-      classify_circuit;
+      label where the answer depends on it), in buckets per traced
+      circuit: the boundary-walk test, and for the tuples that walk a
+      traced circuit, the corner condition, the orientation constraints of
+      its corners and classify_circuit;
     * per region object, its RegionChecks (region_checks);
-    * per assignment of region labels to the traced circuits, the side
-      coherence of the edges (flank_problems).
+    * per edge, its flanking circuits, and for the last assignment of
+      region labels to the traced circuits, the side coherence of the
+      edges (flank_problems).
     """
 
     def __init__(self, tm: TransverseMap):
@@ -383,13 +406,17 @@ class RibbonFacts:
         self.edge_sign = dict(tm.edge_sign)
         self.vertex_label = dict(tm.vertex_label)
         self.dart_label = dict(tm.dart_label)
+        # per-token-tuple memos, in buckets per traced circuit (walk_key)
         self._walks = {}       # token tuple -> walk_key result
         self._corners = {}     # (label, token tuple) -> corner problem or None
         self._classes = {}     # (label, token tuple) -> CircuitClass
         self._constraints = {}   # token tuple -> corner_constraints result
         self._regions = {}     # id(region) -> RegionChecks (holding the region)
         self._last_checks = None   # (region list snapshot, its RegionChecks)
-        self._flank_memo = {}  # labels of the traced circuits -> flank problems
+        # (label per circuit key, problem per edge key, problems) of the
+        # last flank_problems call, and the keys of circuits traced since
+        self._flanks_last = None
+        self._flanks_dirty = set()
 
     def matches(self, tm: TransverseMap) -> bool:
         return (tm.target is self.target
@@ -399,7 +426,257 @@ class RibbonFacts:
                 and tm.vertex_label == self.vertex_label
                 and tm.dart_label == self.dart_label)
 
+    # -- derivation ---------------------------------------------------------------
+
+    @classmethod
+    def derive(cls, parent: "RibbonFacts", tm: TransverseMap) -> "RibbonFacts":
+        """The facts of tm's tables, from the facts of a parent map: the
+        parent itself when the tables equal its snapshot, otherwise new
+        facts that carry over what lies away from the darts where they
+        differ.
+
+        Those darts are read off the tables, as the symmetric difference
+        of each table's items with the snapshot, with the darts whose
+        steps read a changed entry: the old and new partners and rotation
+        targets (the corner steps read rot_inv too) and both darts of an
+        edge whose sign changed.  Locality: band and corner steps change
+        only at those darts, and a traced circuit is an orbit of the
+        steps, so a circuit through none of them is the same circuit; a
+        vertex is a rotation orbit, so a vertex without one keeps its
+        darts, rep, local sign and problems, and an edge between two such
+        vertices keeps its problems.  The memos of a token tuple depend on
+        its own tokens only, so one that walks an unchanged circuit keeps
+        them, and a region whose circuits all do keeps its RegionChecks.
+        What names a graph component (corner constraints, a region's ties)
+        is renumbered where each old component's surviving darts all keep
+        their chart flip relative to one new component, and is computed
+        again otherwise.  A new target, or tables that break an axiom of
+        table_problem (now or in the parent), give fresh facts."""
+        if tm.target is not parent.target:
+            return cls(tm)
+        old_pairing, new_pairing = parent.pairing, tm.pairing
+        touched = set()        # darts whose band or corner steps may differ
+        moved = set()          # darts whose rotation orbit or labels may differ
+        try:
+            for name in _TABLES:
+                new, old = getattr(tm, name), getattr(parent, name)
+                if new == old:
+                    continue
+                changed = new.items() ^ old.items()
+                if name == "edge_sign":
+                    for k, _sign in changed:
+                        touched.update((k, old_pairing.get(k), new_pairing.get(k)))
+                elif name == "pairing":
+                    for d, other in changed:
+                        touched.add(d)
+                        touched.add(other)
+                elif name == "rotation":
+                    for d, other in changed:
+                        moved.add(d)
+                        moved.add(other)
+                else:
+                    moved.update(d for d, _label in changed)
+        except TypeError:      # an unhashable table value
+            return cls(tm)
+        touched |= moved
+        if not touched:
+            return parent
+        touched.discard(None)
+        moved.discard(None)
+        out = cls(tm)
+        if parent.table_problem is None and out._tables_hold(touched):
+            out._carry(parent, touched, moved)
+        return out
+
+    def _tables_hold(self, touched: set) -> bool:
+        """Whether the tables pass table_problem's axioms, given that they
+        pass them at every dart outside `touched`; if so that is the
+        verdict."""
+        pairing, rotation, sign = self.pairing, self.rotation, self.edge_sign
+        if not (pairing.keys() == rotation.keys() == self.dart_label.keys()
+                == self.vertex_label.keys()):
+            return False
+        if rotation.keys() != set(rotation.values()):
+            return False
+        for d in touched:
+            if d not in pairing:
+                continue
+            p = pairing[d]
+            if p == d or pairing.get(p) != d or sign.get(min(d, p)) not in (1, -1):
+                return False
+        self.table_problem = None
+        return True
+
+    def _carry(self, parent: "RibbonFacts", touched: set, moved: set):
+        """Fill in what parent's facts give away from the touched darts;
+        vertices are recomputed only where a dart moved (derive)."""
+        pairing, rotation = self.pairing, self.rotation
+        old_pairing = parent.pairing
+        live = [d for d in touched if d in pairing]
+        self.target_edges = parent.target_edges
+
+        keys = set(parent.edge_keys)
+        keys.difference_update(min(d, old_pairing[d]) for d in touched
+                               if d in old_pairing)
+        keys.update(min(d, pairing[d]) for d in live)
+        self.edge_keys = sorted(keys)
+
+        rot_inv = dict(parent.rot_inv)
+        old_rotation = parent.rotation
+        for d in moved:
+            if d in old_rotation:
+                rot_inv.pop(old_rotation[d], None)
+        for d in moved:
+            if d in rotation:
+                rot_inv[rotation[d]] = d
+        self.rot_inv = rot_inv
+
+        # vertices: the orbits through moved darts, old and new; edges: at
+        # those and at touched darts
+        old_of = parent.vertex_of
+        old_vertices = {old_of[d] for d in moved if d in old_of}
+        vertex_of = dict(old_of)
+        local = dict(parent.local_signs)
+        vertex_problems = dict(parent.vertex_problems)
+        edge_problems = dict(parent.edge_problems)
+        counts = dict(parent.preimage_counts)
+        for d in touched:
+            if d in old_pairing:
+                edge_problems.pop(min(d, old_pairing[d]), None)
+        for rep in old_vertices:
+            del local[rep]
+            vertex_problems.pop(rep, None)
+            P = parent.vertex_label[rep]
+            if P in counts:
+                counts[P] -= 1
+            for d in parent.vertex_darts(rep):
+                del vertex_of[d]
+                edge_problems.pop(min(d, old_pairing[d]), None)
+        new_vertices = []
+        for d in moved:
+            if d in pairing and d not in vertex_of:
+                orbit = self.vertex_darts(d)
+                rep = min(orbit)
+                vertex_of.update(dict.fromkeys(orbit, rep))
+                new_vertices.append(rep)
+        self.vertex_of = vertex_of
+        reps = [r for r in parent.vertex_reps if r not in old_vertices]
+        for rep in new_vertices:
+            bisect.insort(reps, rep)
+        self.vertex_reps = reps
+        self.local_signs = local
+        for rep in new_vertices:
+            local[rep] = self._local_sign(rep)
+        recheck = {min(d, pairing[d]) for d in live}
+        for rep in new_vertices:
+            problem = self._vertex_problem(rep)
+            if problem is not None:
+                vertex_problems[rep] = problem
+            P = self.vertex_label[rep]
+            if P in counts:
+                counts[P] += 1
+            recheck.update(min(d, pairing[d]) for d in self.vertex_darts(rep))
+        for k in recheck:
+            problem = self._edge_problem(k)
+            if problem is not None:
+                edge_problems[k] = problem
+        self.vertex_problems = vertex_problems
+        self.edge_problems = edge_problems
+        self.preimage_counts = counts
+
+        # circuits: the ones through touched tokens are traced again
+        old_key_of = parent.circuit_of_token
+        old_circuits = parent.circuit_by_key
+        dead = {old_key_of[t] for d in touched for t in ((d, 0), (d, 1))
+                if t in old_key_of}
+        key_of = dict(old_key_of)
+        by_key = dict(old_circuits)
+        for key in dead:
+            for tok in by_key.pop(key).seq:
+                del key_of[tok]
+        born = []
+        for d in live:
+            for tok in ((d, 0), (d, 1)):
+                if tok not in key_of:
+                    c = self._trace_from(tok)
+                    key = c.seq[0]
+                    by_key[key] = c
+                    key_of.update(dict.fromkeys(c.seq, key))
+                    born.append(key)
+        self.circuit_by_key = by_key
+        self.circuit_of_token = key_of
+
+        if "flanks" in parent.__dict__ and not (vertex_problems or edge_problems):
+            flanks = dict(parent.flanks)
+            for key in dead:
+                for d, _x in old_circuits[key].seq[::2]:
+                    flanks.pop(min(d, old_pairing[d]), None)
+            for k in {min(d, pairing[d]) for key in born
+                      for d, _x in by_key[key].seq[::2]}:
+                flanks[k] = self._flank(k)
+            self.flanks = flanks
+            self._flanks_last = parent._flanks_last
+            self._flanks_dirty = parent._flanks_dirty | set(born)
+
+        # the memo buckets of unchanged circuits
+        self._walks = _kept(parent._walks, dead)
+        self._corners = _kept(parent._corners, dead)
+        self._classes = _kept(parent._classes, dead)
+        if "vertex_charts" not in parent.__dict__:
+            return
+        relabel = self._component_map(parent, touched)
+        if relabel is None:
+            self._constraints = _kept(parent._constraints, dead)
+        last = parent._last_checks
+        sources = last[1] if last is not None else parent._regions.values()
+        regions = self._regions
+        for checks in sources:
+            if checks.problems or not dead.isdisjoint(checks.walk_keys):
+                continue
+            if relabel is not None:
+                checks = checks.relabeled(relabel)
+                if checks is None:
+                    continue
+            regions[id(checks.region)] = checks
+
+    def _component_map(self, parent: "RibbonFacts", touched: set):
+        """None when every graph component of the parent keeps its number
+        and its chart flips at the darts outside `touched` (the only ones
+        a carried result reads); otherwise old component -> (new
+        component, flip change) where one holds for all those darts of the
+        component, None where none does."""
+        old_charts, old_of = parent.vertex_charts[0], parent.vertex_of
+        charts, vertex_of = self.vertex_charts[0], self.vertex_of
+        changed = {vertex_of[d] for d in touched if d in vertex_of}
+        pairs = []
+        for rep, (component, flip) in charts.items():
+            if rep in changed:
+                for d in self.vertex_darts(rep):
+                    if d not in touched:
+                        pairs.append((old_charts[old_of[d]], component, flip))
+            else:
+                pairs.append((old_charts[rep], component, flip))
+        out = {}
+        for (old_component, old_flip), component, flip in pairs:
+            if old_flip is None or flip is None:
+                move = (component, 0) if old_flip is flip else None
+            else:
+                move = (component, old_flip ^ flip)
+            if out.setdefault(old_component, move) != move:
+                out[old_component] = None
+        if all(move == (c, 0) for c, move in out.items()):
+            return None
+        return out
+
     # -- structure --------------------------------------------------------------
+
+    @cached_property
+    def target_edges(self) -> tuple:
+        """Per target edge: (the set of triangles at it, whether its band
+        preserves the orientation)."""
+        T = self.target
+        return tuple((frozenset(t for t, _ in T.edge_sides(e)), T.edge_compatible(e))
+                     for e in range(len(T.edges)))
 
     @cached_property
     def edge_keys(self) -> list:
@@ -412,18 +689,10 @@ class RibbonFacts:
     @cached_property
     def vertex_of(self) -> dict:
         out = {}
-        rotation = self.rotation
         for d0 in self.pairing:
-            if d0 in out:
-                continue
-            orbit = [d0]
-            cur = rotation[d0]
-            while cur != d0:
-                orbit.append(cur)
-                cur = rotation[cur]
-            rep = min(orbit)
-            for x in orbit:
-                out[x] = rep
+            if d0 not in out:
+                orbit = self.vertex_darts(d0)
+                out.update(dict.fromkeys(orbit, min(orbit)))
         return out
 
     @cached_property
@@ -431,13 +700,8 @@ class RibbonFacts:
         return sorted(set(self.vertex_of.values()))
 
     def vertex_darts(self, rep: int) -> list:
-        """Darts at the vertex `rep` in rotation order, starting at rep."""
-        orbit = [rep]
-        cur = self.rotation[rep]
-        while cur != rep:
-            orbit.append(cur)
-            cur = self.rotation[cur]
-        return orbit
+        """Darts at the vertex of `rep` in rotation order, starting at rep."""
+        return rotation_orbit(self.rotation, rep)
 
     @cached_property
     def graph_euler(self) -> int:
@@ -456,108 +720,127 @@ class RibbonFacts:
     @cached_property
     def vertex_charts(self) -> tuple:
         """(charts, components, consistent): charts maps each vertex id to
-        (number of its connected component in the graph, chart flip
-        relative to that component) in a solution of the band-sign
-        constraints, which are consistent when `consistent` is true;
-        the components are numbered 0..components-1."""
-        node = {v: i for i, v in enumerate(self.vertex_reps)}
+        (number of its connected component in the graph, its chart flip
+        relative to the component's least vertex); components are numbered
+        in the order of their least vertices, and `consistent` says whether
+        the band signs admit the flips on every component.  On a component
+        where they do not, the flip is None: the domain is not orientable,
+        so no answer depends on flips there, and so none depends on the
+        spanning tree they were read along."""
+        pairing, rotation, sign = self.pairing, self.rotation, self.edge_sign
         vertex_of = self.vertex_of
-        uf = ParityUF(len(node))
-        for k in self.edge_keys:
-            uf.union(node[vertex_of[k]], node[vertex_of[self.pairing[k]]],
-                     0 if self.edge_sign[k] > 0 else 1)
-        roots = {}
         charts = {}
-        for v, i in node.items():
-            root, flip = uf.find(i)
-            charts[v] = (roots.setdefault(root, len(roots)), flip)
-        return charts, len(roots), uf.ok
+        consistent = True
+        n = 0
+        for root in self.vertex_reps:
+            if root in charts:
+                continue
+            charts[root] = (n, 0)
+            stack = [root]
+            component = []
+            twisted = False
+            while stack:
+                v = stack.pop()
+                component.append(v)
+                flip = charts[v][1]
+                d = v
+                while True:
+                    p = pairing[d]
+                    u = vertex_of[p]
+                    f = flip ^ (sign[d if d < p else p] < 0)
+                    seen = charts.get(u)
+                    if seen is None:
+                        charts[u] = (n, f)
+                        stack.append(u)
+                    elif seen[1] != f:
+                        twisted = True
+                    d = rotation[d]
+                    if d == v:
+                        break
+            if twisted:
+                consistent = False
+                charts.update(dict.fromkeys(component, (n, None)))
+            n += 1
+        return charts, n, consistent
 
     # -- token walking ------------------------------------------------------------
 
-    def band_step(self, token):
-        """Across a dart's band to the paired dart: a token (dart, side)
-        keeps its side on a twisted band and swaps it on a plain one."""
-        d, x = token
-        d2 = self.pairing[d]
-        return (d2, 1 - x) if self.edge_sign[min(d, d2)] > 0 else (d2, x)
-
-    def corner_step(self, token):
-        d, x = token
-        if x == 1:
-            return (self.rotation[d], 0)
-        return (self.rot_inv[d], 1)
+    def _trace_from(self, t0) -> RibbonCircuit:
+        """The traced circuit through token t0: it starts at its least
+        token, with a band step."""
+        pairing, sign = self.pairing, self.edge_sign
+        rotation, rot_inv = self.rotation, self.rot_inv
+        seq = []
+        d, x = t0
+        while True:
+            p = pairing[d]
+            y = 1 - x if sign[d if d < p else p] > 0 else x
+            seq.append((d, x))
+            seq.append((p, y))
+            d, x = (rotation[p], 0) if y == 1 else (rot_inv[p], 1)
+            if (d, x) == t0:
+                break
+        start = seq.index(min(seq))
+        if start % 2:
+            # the least token is entered by a band step: the walk that
+            # leaves it by one runs the other way
+            seq.reverse()
+            start = len(seq) - 1 - start
+        return RibbonCircuit(tuple(seq[start:] + seq[:start]))
 
     @cached_property
-    def trace_circuits(self) -> list:
-        tokens = [(d, x) for d in sorted(self.pairing) for x in (0, 1)]
-        seen = set()
-        out = []
-        for t0 in tokens:
-            if t0 in seen:
-                continue
-            seq = []
-            cur = t0
-            while True:
-                nxt = self.band_step(cur)
-                seq.append(cur)
-                seq.append(nxt)
-                cur = self.corner_step(nxt)
-                if cur == t0:
-                    break
-            start = seq.index(min(seq))
-            if start % 2 == 1:
-                # keep the band-step phase: walk the same direction but
-                # begin at the minimal even-position token
-                evens = [seq[i] for i in range(0, len(seq), 2)]
-                start = seq.index(min(evens))
-            seq = seq[start:] + seq[:start]
-            out.append(RibbonCircuit(tuple(seq)))
-            seen.update(seq)
-        out.sort(key=lambda c: c.seq[0] if c.seq else (-1, -1))
-        return out
+    def circuit_by_key(self) -> dict:
+        """Key (first token) -> traced circuit, for all boundary circuits
+        of the ribbon graph (a shared dict; do not modify); fills
+        circuit_of_token too."""
+        by_key = {}
+        key_of = {}
+        for d in sorted(self.pairing):
+            for tok in ((d, 0), (d, 1)):
+                if tok not in key_of:
+                    c = self._trace_from(tok)
+                    by_key[tok] = c
+                    key_of.update(dict.fromkeys(c.seq, tok))
+        self.circuit_of_token = key_of
+        return by_key
 
     @cached_property
     def circuit_of_token(self) -> dict:
-        """token -> index of the traced circuit through it."""
-        return {tok: i for i, c in enumerate(self.trace_circuits) for tok in c.seq}
+        """token -> key of the traced circuit through it."""
+        self.circuit_by_key
+        return self.__dict__["circuit_of_token"]
 
     @cached_property
-    def edge_triangles(self) -> list:
-        """Per target edge: the set of triangles at it."""
-        T = self.target
-        return [frozenset(t for t, _ in T.edge_sides(e)) for e in range(len(T.edges))]
+    def trace_circuits(self) -> list:
+        by_key = self.circuit_by_key
+        return [by_key[key] for key in sorted(by_key)]
+
+    def _flank(self, k: int) -> tuple:
+        key_of = self.circuit_of_token
+        return (key_of[(k, 0)], key_of[(k, 1)],
+                self.target_edges[self.dart_label[k][0]][0])
 
     @cached_property
-    def flanks(self) -> list:
-        """Per edge key k: (k, traced circuit through (k, 0), traced
-        circuit through (k, 1), the triangles at k's target edge)."""
-        triangles = self.edge_triangles
-        return [(k, self.circuit_of_token[(k, 0)], self.circuit_of_token[(k, 1)],
-                 triangles[self.dart_label[k][0]])
-                for k in self.edge_keys]
+    def flanks(self) -> dict:
+        """Per edge key k: (key of the traced circuit through (k, 0), key
+        of the one through (k, 1), the triangles at k's target edge)."""
+        return {k: self._flank(k) for k in self.edge_keys}
+
+    def _local_sign(self, rep):
+        labels = [self.dart_label[d][0] for d in self.vertex_darts(rep)]
+        rot = self.target.rotations.get(self.vertex_label[rep])
+        if rot is None or len(rot) != len(labels):
+            return None
+        m = len(rot)
+        for base in (rot, rot[::-1]):
+            for shift in range(m):
+                if all(labels[(shift + i) % m] == base[i] for i in range(m)):
+                    return 1 if base is rot else -1
+        return None
 
     @cached_property
     def local_signs(self) -> dict:
-        out = {}
-        for rep in self.vertex_reps:
-            labels = [self.dart_label[d][0] for d in self.vertex_darts(rep)]
-            rot = self.target.rotations.get(self.vertex_label[rep])
-            out[rep] = None
-            if rot is None or len(rot) != len(labels):
-                continue
-            m = len(rot)
-            for shift in range(m):
-                if all(labels[(shift + i) % m] == rot[i] for i in range(m)):
-                    out[rep] = 1
-                    break
-            if out[rep] is None:
-                rrot = list(reversed(rot))
-                for shift in range(m):
-                    if all(labels[(shift + i) % m] == rrot[i] for i in range(m)):
-                        out[rep] = -1
-                        break
-        return out
+        return {rep: self._local_sign(rep) for rep in self.vertex_reps}
 
     # -- dart-level validation ------------------------------------------------------
 
@@ -580,100 +863,143 @@ class RibbonFacts:
                 return f"missing or bad sign for edge {k}"
         return None
 
+    def _vertex_problem(self, rep):
+        """The vertex-label, half-edge or fan-order problem of a vertex."""
+        T = self.target
+        vd = self.vertex_darts(rep)
+        P = self.vertex_label[rep]
+        if any(self.vertex_label[d] != P for d in vd):
+            return f"vertex labels differ around vertex {rep}"
+        if P not in T.rotations:
+            return f"vertex {rep} labeled by unknown target vertex {P}"
+        if sorted(self.dart_label[d] for d in vd) != T.half_edges_at(P):
+            return f"darts at vertex {rep} do not biject onto the half-edges at {P}"
+        if self.local_signs[rep] is None:
+            return f"dart labels around vertex {rep} do not read the target rotation"
+        return None
+
+    def _edge_problem(self, k):
+        """The edge-coherence or band-sign problem of an edge."""
+        d1, d2 = k, self.pairing[k]
+        e1, end1 = self.dart_label[d1]
+        e2, end2 = self.dart_label[d2]
+        if e1 != e2:
+            return f"edge {k} carries two different target edges"
+        local, vertex_of = self.local_signs, self.vertex_of
+        l1 = local.get(vertex_of[d1])
+        l2 = local.get(vertex_of[d2])
+        if l1 is None or l2 is None:
+            return None
+        if vertex_of[d1] == vertex_of[d2]:
+            return f"edge {k} is a loop"
+        if (e1, end1) == (e2, end2):
+            want = -l1 * l2
+        else:
+            want = l1 * l2 * (1 if self.target_edges[e1][1] else -1)
+        s = self.edge_sign[k]
+        if s != want:
+            return f"edge {k} has sign {s}, band geometry forces {want}"
+        return None
+
+    @cached_property
+    def vertex_problems(self) -> dict:
+        """Vertex id -> its problem, for the vertices that have one."""
+        out = {}
+        for rep in self.vertex_reps:
+            problem = self._vertex_problem(rep)
+            if problem is not None:
+                out[rep] = problem
+        return out
+
+    @cached_property
+    def edge_problems(self) -> dict:
+        """Edge key -> its problem, for the edges that have one."""
+        out = {}
+        for k in self.edge_keys:
+            problem = self._edge_problem(k)
+            if problem is not None:
+                out[k] = problem
+        return out
+
     @cached_property
     def vertex_edge_problems(self) -> list:
         """Vertex-label, half-edge, fan-order, edge and band-sign problems
-        (meaningful once table_problem is None)."""
-        T = self.target
-        problems = []
-        local = self.local_signs
-        for vrep in self.vertex_reps:
-            vd = self.vertex_darts(vrep)
-            P = self.vertex_label[vrep]
-            if any(self.vertex_label[d] != P for d in vd):
-                problems.append(f"vertex labels differ around vertex {vrep}")
-                continue
-            if P not in T.rotations:
-                problems.append(f"vertex {vrep} labeled by unknown target vertex {P}")
-                continue
-            half_at_P = sorted((e, end) for e, (a, b) in enumerate(T.edges)
-                               for end in (0, 1) if (a, b)[end] == P)
-            labels = sorted(self.dart_label[d] for d in vd)
-            if labels != half_at_P:
-                problems.append(f"darts at vertex {vrep} do not biject onto "
-                                f"the half-edges at {P}")
-                continue
-            if local[vrep] is None:
-                problems.append(f"dart labels around vertex {vrep} do not read "
-                                "the target rotation")
-
-        # edge coherence and band sign coherence
-        vertex_of = self.vertex_of
-        for k in self.edge_keys:
-            d1, d2 = k, self.pairing[k]
-            e1, end1 = self.dart_label[d1]
-            e2, end2 = self.dart_label[d2]
-            if e1 != e2:
-                problems.append(f"edge {k} carries two different target edges")
-                continue
-            s = self.edge_sign[k]
-            l1 = local.get(vertex_of[d1])
-            l2 = local.get(vertex_of[d2])
-            if l1 is None or l2 is None:
-                continue
-            if vertex_of[d1] == vertex_of[d2]:
-                problems.append(f"edge {k} is a loop")
-                continue
-            if (e1, end1) == (e2, end2):
-                want = -l1 * l2
-            else:
-                want = l1 * l2 * (1 if T.edge_compatible(e1) else -1)
-            if s != want:
-                problems.append(f"edge {k} has sign {s}, band geometry forces {want}")
-        return problems
+        (meaningful once table_problem is None): the vertices' in vertex
+        order, then the edges' in edge key order."""
+        vertex, edge = self.vertex_problems, self.edge_problems
+        return ([vertex[rep] for rep in sorted(vertex)]
+                + [edge[k] for k in sorted(edge)])
 
     # -- per-circuit results ----------------------------------------------------------
 
     def walk_key(self, seq: tuple):
         """None when the token tuple is not an alternating boundary walk;
-        otherwise the index of the traced circuit with the same token set,
-        or that token set itself when no traced circuit has it."""
+        otherwise the key of the traced circuit with the same token set,
+        or that token set itself when no traced circuit has it.
+
+        The memo's bucket for a tuple is the one of the traced circuit
+        through its first token.  Whether a tuple walks a traced circuit,
+        and which, depends on its own tokens only: if it walks one, that is
+        its bucket's circuit, and if it does not, it does not while that
+        circuit stays unchanged.  So the buckets of unchanged circuits
+        carry over to derived facts.  The answers that depend on more than
+        the walk are kept only for tuples that walk their bucket's circuit
+        (_remember)."""
+        first = self.circuit_of_token.get(seq[0]) if seq else None
+        bucket = self._walks.get(first)
+        if bucket is None:
+            bucket = self._walks[first] = {}
         try:
-            return self._walks[seq]
+            return bucket[seq]
         except KeyError:
             pass
         key = None
         if self._walk_ok(seq):
             tokens = frozenset(seq)
-            i = self.circuit_of_token.get(seq[0])
-            if i is not None and frozenset(self.trace_circuits[i].seq) == tokens:
-                key = i
-            else:
+            key = self.circuit_of_token.get(seq[0])
+            if key is None or frozenset(self.circuit_by_key[key].seq) != tokens:
                 key = tokens
-        self._walks[seq] = key
+        bucket[seq] = key
         return key
 
     def _walk_ok(self, seq: tuple) -> bool:
+        """Whether seq alternates band steps (from even positions) and
+        corner steps around a cycle."""
         n = len(seq)
         if n == 0 or n % 2 != 0:
             return False
+        pairing, sign = self.pairing, self.edge_sign
+        rotation, rot_inv = self.rotation, self.rot_inv
         for i in range(0, n, 2):
-            if seq[i][0] not in self.pairing or seq[i + 1][0] not in self.pairing:
+            d, x = seq[i]
+            p, y = seq[i + 1]
+            if d not in pairing or p not in pairing or pairing[d] != p:
                 return False
-            if self.band_step(seq[i]) != seq[i + 1]:
+            if y != (1 - x if sign[d if d < p else p] > 0 else x):
                 return False
-            if self.corner_step(seq[i + 1]) != seq[(i + 2) % n]:
+            if ((rotation[p], 0) if y == 1 else (rot_inv[p], 1)) != seq[(i + 2) % n]:
                 return False
         return True
+
+    def _recall(self, memo: dict, seq: tuple, entry):
+        """memo's answer for entry (seq, or a label and seq), or _MISSING."""
+        bucket = memo.get(self.circuit_of_token.get(seq[0]) if seq else None)
+        return _MISSING if bucket is None else bucket.get(entry, _MISSING)
+
+    def _remember(self, memo: dict, seq: tuple, entry, answer):
+        """Keep an answer in memo when seq walks a traced circuit (walk_key),
+        and return it."""
+        key = self.walk_key(seq)
+        if key.__class__ is tuple:
+            memo.setdefault(key, {})[entry] = answer
+        return answer
 
     def corner_problem(self, label: int, seq: tuple):
         """None, or how a boundary walk of a region labeled `label` breaks
         the corner condition."""
-        key = (label, seq)
-        try:
-            return self._corners[key]
-        except KeyError:
-            pass
+        out = self._recall(self._corners, seq, (label, seq))
+        if out is not _MISSING:
+            return out
         T = self.target
         tri_edges = set(T.triangle_edges(label))
         out = None
@@ -688,17 +1014,16 @@ class RibbonFacts:
             if P not in T.edges[ea] or P not in T.edges[eb]:
                 out = "corner not at its vertex label"
                 break
-        self._corners[key] = out
-        return out
+        return self._remember(self._corners, seq, (label, seq), out)
 
     def corner_constraints(self, seq: tuple) -> frozenset:
         """The orientation constraints of a boundary walk's corners, as
         (component, bit): its region's reference flip is the component's
-        flip xor bit."""
-        try:
-            return self._constraints[seq]
-        except KeyError:
-            pass
+        flip xor bit.  On a component whose band signs admit no flips the
+        bit is 0: the constraint then only ties the region to it."""
+        out = self._recall(self._constraints, seq, seq)
+        if out is not _MISSING:
+            return out
         charts = self.vertex_charts[0]
         out = set()
         n = len(seq)
@@ -707,16 +1032,13 @@ class RibbonFacts:
             # corner step from a: type bit 0 when leaving side 1 (ccw)
             tbit = 0 if a[1] == 1 else 1
             component, flip = charts[self.vertex_of[a[0]]]
-            out.add((component, flip ^ 1 ^ tbit))
-        out = self._constraints[seq] = frozenset(out)
-        return out
+            out.add((component, 0 if flip is None else flip ^ 1 ^ tbit))
+        return self._remember(self._constraints, seq, seq, frozenset(out))
 
     def circuit_class(self, label: int, seq: tuple) -> CircuitClass:
-        key = (label, seq)
-        try:
-            return self._classes[key]
-        except KeyError:
-            pass
+        out = self._recall(self._classes, seq, (label, seq))
+        if out is not _MISSING:
+            return out
         word = [self.dart_label[seq[i][0]][0] for i in range(0, len(seq), 2)]
         tri_word = self.target.triangle_edges(label)
         out = CircuitClass("irregular")
@@ -729,9 +1051,7 @@ class RibbonFacts:
                        for shift in range(3)):
                     out = CircuitClass("essential", k, direction)
                     break
-        self._classes[key] = out
-        return out
-
+        return self._remember(self._classes, seq, (label, seq), out)
 
     # -- per-region results --------------------------------------------------------
 
@@ -754,29 +1074,58 @@ class RibbonFacts:
         self._last_checks = (list(regions), out)
         return out
 
-    def flank_problems(self, labels: tuple) -> list:
+    def flank_problems(self, labels: dict) -> list:
         """The side-coherence problems of the edges when each traced
-        circuit i is stored in a region labeled labels[i]: the regions
-        flanking an edge are labeled by its two triangles."""
-        try:
-            return self._flank_memo[labels]
-        except KeyError:
-            pass
-        out = []
-        for k, c0, c1, want in self.flanks:
+        circuit is stored in a region labeled labels[its key]: the regions
+        flanking an edge are labeled by its two triangles.  Only the edges
+        on circuits whose label changed, or that were traced since, are
+        checked again (a shared list; do not modify)."""
+        last, dirty = self._flanks_last, self._flanks_dirty
+        if last is not None and not dirty and last[0] == labels:
+            return last[2]
+        flanks = self.flanks
+        if last is None:
+            recheck = flanks.keys()
+            bad = {}
+        else:
+            changed = {key for key, _label in labels.items() ^ last[0].items()}
+            recheck = set()
+            by_key, pairing = self.circuit_by_key, self.pairing
+            for key in changed | dirty:
+                c = by_key.get(key)
+                if c is not None:
+                    recheck.update(min(d, pairing[d]) for d, _x in c.seq[::2])
+            bad = {k: problem for k, problem in last[1].items()
+                   if k not in recheck and k in flanks}
+        for k in recheck:
+            c0, c1, want = flanks[k]
             sides = {labels[c0], labels[c1]}
             if sides != want:
-                out.append(f"edge {k} flanked by regions labeled {sorted(sides)}, "
-                           f"expected {sorted(want)}")
-        self._flank_memo[labels] = out
-        return out
+                bad[k] = (f"edge {k} flanked by regions labeled {sorted(sides)}, "
+                          f"expected {sorted(want)}")
+        problems = [bad[k] for k in sorted(bad)]
+        self._flanks_last = (labels, bad, problems)
+        self._flanks_dirty = set()
+        return problems
+
+
+def _kept(memo: dict, dead: set) -> dict:
+    """The buckets of a per-token-tuple memo (RibbonFacts.walk_key) whose
+    traced circuit is not in `dead`, shared: what is added to such a bucket
+    holds for every map that traces the circuit."""
+    out = dict(memo)
+    out.pop(None, None)
+    for key in dead:
+        out.pop(key, None)
+    return out
 
 
 class RegionChecks:
     """What one region's checks find on their own, for one RibbonFacts
     (which memoizes it by the region object, region_checks):
 
-    * walk_keys: the traced circuit each stored ribbon circuit matches;
+    * walk_keys: the key of the traced circuit each stored ribbon circuit
+      matches;
     * iso_sides: the (circle id, side) of each isolated side;
     * problems: what the region breaks by itself (kind against circuit
       count, label, side bit, boundary walks), and corner_problems: how
@@ -827,7 +1176,7 @@ class RegionChecks:
                 problems.append(f"region {{}} circuit {pos} is not an "
                                 "alternating boundary walk")
                 continue
-            if isinstance(key, int):
+            if key.__class__ is tuple:
                 keys.append(key)
             else:
                 problems.append(f"region {{}} circuit {pos} does not match "
@@ -840,8 +1189,27 @@ class RegionChecks:
         self.iso_sides = tuple(sides)
         self.problems = tuple(problems)
         self.corner_problems = tuple(corner_problems)
+        self._set_ties(components, circles)
+
+    def _set_ties(self, components, circles):
         self.ties = (tuple(components), tuple(circles))
         self.needs_node = len(components) + len(circles) != 1
+
+    def relabeled(self, relabel: dict):
+        """A copy whose component ties are renumbered by relabel (old
+        component -> (new component, flip change), or None), or None when
+        one of them has no new number."""
+        components = set()
+        for component, bit in self.ties[0]:
+            move = relabel.get(component)
+            if move is None:
+                return None
+            components.add((move[0], bit ^ move[1]))
+        out = RegionChecks.__new__(RegionChecks)
+        for name in RegionChecks.__slots__:
+            setattr(out, name, getattr(self, name))
+        out._set_ties(components, self.ties[1])
+        return out
 
     def classes(self, facts: RibbonFacts) -> tuple:
         """classify_circuit's answer for each circuit, in order."""
@@ -913,7 +1281,7 @@ def validate_map(tm: TransverseMap) -> ValidationReport:
     regions = tm.regions
     entries = facts.region_checks(regions)
     position = tm.circle_positions()
-    stored = {}            # traced circuit index -> region index
+    stored = {}            # traced circuit key -> region index
     owner = {}             # (circle id, side) -> region index
     for ri, checks in enumerate(entries):
         if checks.problems:
@@ -929,10 +1297,9 @@ def validate_map(tm: TransverseMap) -> ValidationReport:
             if side in owner:
                 rep.add(f"isolated side ({position[side[0]]},{side[1]}) used twice")
             owner[side] = ri
-    n_traced = len(facts.trace_circuits)
-    if len(stored) != n_traced:
+    if len(stored) != len(facts.circuit_by_key):
         rep.problems.extend("a traced boundary circuit belongs to no region"
-                            for i in range(n_traced) if i not in stored)
+                            for c in facts.trace_circuits if c.seq[0] not in stored)
     if len(owner) != 2 * len(isolated):
         rep.problems.extend(f"isolated circle {i} side {side} belongs to no region"
                             for i, cid in enumerate(isolated) for side in (0, 1)
@@ -949,13 +1316,11 @@ def validate_map(tm: TransverseMap) -> ValidationReport:
 
     # side coherence: regions flanking an edge or a circle are labeled by
     # its two triangles
-    labels = [None] * n_traced
-    for key, ri in stored.items():
-        labels[key] = regions[ri].label
-    rep.problems.extend(facts.flank_problems(tuple(labels)))
+    rep.problems.extend(facts.flank_problems(
+        {key: regions[ri].label for key, ri in stored.items()}))
     for i, (cid, circle) in enumerate(isolated.items()):
         got = {regions[owner[(cid, 0)]].label, regions[owner[(cid, 1)]].label}
-        want = facts.edge_triangles[circle.edge]
+        want = facts.target_edges[circle.edge][0]
         if got != want:
             rep.add(f"isolated circle {i} flanked by regions labeled {sorted(got)}, "
                     f"expected {sorted(want)}")

@@ -13,7 +13,8 @@ import pytest
 from surfmap import moves, transverse
 from surfmap.covers import random_cover
 from surfmap.errors import Disconnected, InternalInconsistency
-from surfmap.moves import (_post_move_check, insert_trivial_circle, normalize)
+from surfmap.moves import (_post_move_check, collapse_edge, collapsible_edges,
+                           flip_vertex, insert_trivial_circle, normalize)
 from surfmap.surfaces import SurfaceKind, builtin_triangulation
 from surfmap.transverse import (IsoSide, Region, RibbonCircuit,
                                 TransverseMap, add_pinch, chi_domain,
@@ -115,15 +116,19 @@ def test_long_scramble_of_a_large_map_matches_the_oracle():
     assert len(tm.edge_keys()) + len(tm.isolated) >= 190
 
 
+def _klein_scramble() -> TransverseMap:
+    base = builtin_triangulation("klein_8")
+    tm = map_from_cover(random_cover(base, 6, [3, 3], seed=0))
+    tm = add_pinch(tm, 0, SurfaceKind(False, crosscaps=2))
+    return scrambled(tm, 64, seed=0)
+
+
 def test_klein_target_at_d6_scramble_and_normalize_match_the_oracle():
     """The corpus stops at d = 4 and never targets klein_8; the CLI takes
     d <= 8 and 64 scramble steps.  Every move of this normalization (all
     four reductions run) keeps chi, orientability and the mod-2 degree
     equal to the oracle's."""
-    base = builtin_triangulation("klein_8")
-    tm = map_from_cover(random_cover(base, 6, [3, 3], seed=0))
-    tm = add_pinch(tm, 0, SurfaceKind(False, crosscaps=2))
-    tm = scrambled(tm, 64, seed=0)
+    tm = _klein_scramble()
     seen = Counter()
 
     def invariants(m):
@@ -181,6 +186,184 @@ def test_join_and_insert_check_only_the_regions_they_change(monkeypatch):
     assert counts["insert_trivial_circle"] == 64 and counts["join_isolated_circle"] >= 64
     assert all(v == 1 for _name, _m, v in per_move)
     assert max(m for _name, m, _v in per_move) <= 3
+
+
+# --------------------------------------------------------------------------
+# Derived ribbon facts: a move that rewires darts gets its result's facts
+# derived from its input's, and they must be the facts built fresh
+
+FACT_FIELDS = ("trace_circuits", "circuit_by_key", "circuit_of_token",
+               "vertex_of", "vertex_reps", "local_signs", "vertex_charts",
+               "table_problem", "vertex_edge_problems", "flanks", "edge_keys",
+               "rot_inv", "preimage_counts")
+CHECKS_FIELDS = ("walk_keys", "iso_sides", "problems", "corner_problems",
+                 "needs_node", "euler", "orientable")
+
+
+def assert_facts_match_fresh(tm: TransverseMap):
+    """Every fact, memoized answer and RegionChecks in tm's ribbon facts
+    equals what RibbonFacts(tm), built from scratch, gives (a region's
+    ties as sets: their order is a set's)."""
+    live, fresh = tm.ribbon_facts(), transverse.RibbonFacts(tm)
+    for name in FACT_FIELDS:
+        assert getattr(live, name) == getattr(fresh, name), name
+    for bucket in live._walks.values():
+        for seq, key in bucket.items():
+            assert fresh.walk_key(seq) == key
+    for bucket in live._corners.values():
+        for (label, seq), problem in bucket.items():
+            assert fresh.corner_problem(label, seq) == problem
+    for bucket in live._classes.values():
+        for (label, seq), cls in bucket.items():
+            assert fresh.circuit_class(label, seq) == cls
+    for bucket in live._constraints.values():
+        for seq, constraints in bucket.items():
+            assert fresh.corner_constraints(seq) == constraints
+    for checks in live._regions.values():
+        again = transverse.RegionChecks(fresh, checks.region)
+        for name in CHECKS_FIELDS:
+            assert getattr(checks, name) == getattr(again, name), name
+        assert [set(t) for t in checks.ties] == [set(t) for t in again.ties]
+        assert checks.classes(live) == again.classes(fresh)
+
+
+def _tube_maps():
+    """The two-sheet tube maps of the orientable bases whose tube joins
+    circuits of opposite directions: each normalizes by a surgery and the
+    collapses it enables."""
+    return [tube_double(builtin_triangulation(name), 0, same_direction=False)
+            for name in ("sphere_tetra", "torus_7", "genus2")]
+
+
+def test_derived_facts_of_every_collapse_and_surgery_match_fresh_facts(monkeypatch):
+    carried = Counter()
+    carry = transverse.RibbonFacts._carry
+
+    def counting(facts, *args):
+        carried["derived"] += 1
+        return carry(facts, *args)
+
+    monkeypatch.setattr(transverse.RibbonFacts, "_carry", counting)
+    seen = Counter()
+
+    def observer(before, after, move):
+        if move in ("collapse_edge", "boundary_surgery"):
+            seen[move] += 1
+            assert_facts_match_fresh(after)
+            assert_matches_oracle(after)
+
+    maps = [_slice_map(*spec) for spec in SLICE] + [_klein_scramble()] + _tube_maps()
+    for tm in maps:
+        normalize(tm, observer=observer)
+    assert seen["collapse_edge"] >= 60 and seen["boundary_surgery"] >= 8
+    # each result's facts were derived, none built afresh
+    assert carried["derived"] >= sum(seen.values())
+
+
+def test_collapse_checks_only_the_regions_it_replaces(monkeypatch):
+    """A collapse traces again only the circuits through the darts it
+    rewires, and builds RegionChecks only for the regions it replaces
+    whenever locality holds for the graph's chart flips: here, a graph of
+    one component that keeps its orientation character (a twisted band
+    cycle appearing or vanishing changes every flip, and then the
+    results that name flips are computed again)."""
+    built = Counter()
+
+    class CountedChecks(transverse.RegionChecks):
+        def __init__(self, facts, region):
+            built["checks"] += 1
+            super().__init__(facts, region)
+
+    trace = transverse.RibbonFacts._trace_from
+
+    def counted_trace(facts, token):
+        built["traces"] += 1
+        return trace(facts, token)
+
+    monkeypatch.setattr(transverse, "RegionChecks", CountedChecks)
+    monkeypatch.setattr(transverse.RibbonFacts, "_trace_from", counted_trace)
+    local = Counter()
+
+    def observer(before, after, move):
+        if move != "collapse_edge":
+            return
+        start = built.copy()
+        redo = collapse_edge(before, collapsible_edges(before)[0])
+        traces = built["traces"] - start["traces"]
+        checks = built["checks"] - start["checks"]
+        assert traces == len(set(redo.trace_circuits()) - set(before.trace_circuits()))
+        old, new = (m.ribbon_facts().vertex_charts for m in (before, redo))
+        if old[1] == new[1] == 1 and old[2] == new[2]:
+            local["collapses"] += 1
+            assert checks == sum(1 for r in redo.regions
+                                 if not any(r is s for s in before.regions))
+
+    for tm in [_slice_map(*spec) for spec in SLICE] + [_klein_scramble()]:
+        normalize(tm, observer=observer)
+    assert local["collapses"] >= 30
+
+
+def test_derived_side_coherence_matches_fresh_facts_for_any_labels():
+    """Derived facts check the side coherence of an edge again only where
+    the label of a circuit through it changed or the circuit was traced
+    anew.  With arbitrary labels, also where a new circuit has the key
+    and the label of a circuit it replaced, they answer as fresh facts
+    do."""
+    rng = random.Random(3)
+    compared = Counter()
+
+    def observer(before, after, move):
+        if move not in ("collapse_edge", "boundary_surgery"):
+            return
+        parent = before.ribbon_facts()
+        labels = {key: rng.randrange(4) for key in parent.circuit_by_key}
+        parent.flank_problems(labels)
+        derived = transverse.RibbonFacts.derive(parent, after)
+        again = {key: labels.get(key, rng.randrange(4)) for key in derived.circuit_by_key}
+        fresh = transverse.RibbonFacts(after)
+        assert derived.flank_problems(again) == fresh.flank_problems(again)
+        compared[move] += 1
+
+    for tm in [_slice_map(*spec) for spec in SLICE] + _tube_maps():
+        normalize(tm, observer=observer)
+    assert compared["collapse_edge"] >= 30 and compared["boundary_surgery"] >= 5
+
+
+def test_flip_vertex_shares_the_regions_it_does_not_touch():
+    tm = _slice_map(*SLICE[0])
+    d = tm.vertex_reps()[0]
+    at_vertex = {(x, side) for x in tm.vertex_darts(d) for side in (0, 1)}
+    flipped = flip_vertex(tm, d)
+    touched = [not at_vertex.isdisjoint(t for c in r.circuits
+                                        if isinstance(c, RibbonCircuit) for t in c.seq)
+               for r in tm.regions]
+    assert any(touched) and not all(touched)
+    for region, again, hit in zip(tm.regions, flipped.regions, touched):
+        assert (again is not region) if hit else (again is region)
+    assert validate_map(flipped).ok
+    assert_facts_match_fresh(flipped)
+
+
+def test_in_place_edit_after_a_collapse_is_read_off_the_tables():
+    """The facts of a map edited in place are derived from the tables: a
+    sign flipped on an edge far from a collapse is found."""
+    tm = tube_double(builtin_triangulation("torus_7"), 0, same_direction=False)
+    while not collapsible_edges(tm):
+        tm = moves.boundary_surgery(tm, *moves._find_surgery(tm))
+    before_keys = set(tm.edge_keys())
+    out = collapse_edge(tm, collapsible_edges(tm)[0])
+    assert validate_map(out).ok
+    rewired = {k for k in out.edge_keys() if k not in before_keys
+               or out.pairing[k] != tm.pairing[k]}
+    near = {out.vertex_of(d) for k in rewired for d in (k, out.pairing[k])}
+    far = next(k for k in out.edge_keys()
+               if out.vertex_of(k) not in near
+               and out.vertex_of(out.pairing[k]) not in near)
+    out.edge_sign[far] = -out.edge_sign[far]
+    out.invalidate_caches()
+    problems = validate_map(out).problems
+    assert any(f"edge {far} has sign" in p for p in problems)
+    assert problems == validate_map(TransverseMap.from_json(out.to_json())).problems
 
 
 # --------------------------------------------------------------------------

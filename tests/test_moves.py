@@ -1,8 +1,9 @@
 import pytest
 
 from surfmap.covers import random_cover
-from surfmap.errors import (BadEdge, BadTarget, NoCrosscap, NotAdjacent,
-                            NotCollapsible, NotCompatible, NotEssential)
+from surfmap.errors import (BadEdge, BadTarget, InternalInconsistency,
+                            NoCrosscap, NotAdjacent, NotCollapsible,
+                            NotCompatible, NotEssential)
 from surfmap.surfaces import SurfaceKind, builtin_triangulation
 from surfmap.transverse import (add_pinch, builtin_example, chi_domain,
                                 classify_circuit, domain_kind, edge_count,
@@ -183,6 +184,19 @@ def test_surgery_enables_collapse():
     check_invariants(opp, out)
     assert edge_count(out) == edge_count(opp)
     assert collapsible_edges(out)
+
+
+def test_collapse_reports_a_gauge_flip_that_leaves_the_edge_twisted(monkeypatch):
+    """The gauge check is a raise, not an assert, so it also runs under
+    python -O."""
+    opp = tube_double(builtin_triangulation("sphere_tetra"), 0, same_direction=False)
+    out = boundary_surgery(opp, *moves_mod._find_surgery(opp))
+    k = next(k for k in collapsible_edges(out) if out.edge_sign[k] < 0)
+    monkeypatch.setattr(moves_mod, "flip_vertex", lambda tm, dart: tm.copy())
+    with pytest.raises(InternalInconsistency) as ex:
+        collapse_edge(out, k)
+    assert ex.value.context == "collapse_edge"
+    assert ex.value.problems == [f"the gauge flip left edge {k} twisted"]
 
 
 def test_relocate_crosscap_errors():
