@@ -457,27 +457,27 @@ class RibbonFacts:
         old_pairing, new_pairing = parent.pairing, tm.pairing
         touched = set()        # darts whose band or corner steps may differ
         moved = set()          # darts whose rotation orbit or labels may differ
-        try:
-            for name in _TABLES:
-                new, old = getattr(tm, name), getattr(parent, name)
-                if new == old:
-                    continue
+        for name in _TABLES:
+            new, old = getattr(tm, name), getattr(parent, name)
+            if new == old:
+                continue
+            try:
                 changed = new.items() ^ old.items()
-                if name == "edge_sign":
-                    for k, _sign in changed:
-                        touched.update((k, old_pairing.get(k), new_pairing.get(k)))
-                elif name == "pairing":
-                    for d, other in changed:
-                        touched.add(d)
-                        touched.add(other)
-                elif name == "rotation":
-                    for d, other in changed:
-                        moved.add(d)
-                        moved.add(other)
-                else:
-                    moved.update(d for d, _label in changed)
-        except TypeError:      # an unhashable table value
-            return cls(tm)
+            except TypeError:      # an unhashable table value
+                return cls(tm)
+            if name == "edge_sign":
+                for k, _sign in changed:
+                    touched.update((k, old_pairing.get(k), new_pairing.get(k)))
+            elif name == "pairing":
+                for d, other in changed:
+                    touched.add(d)
+                    touched.add(other)
+            elif name == "rotation":
+                for d, other in changed:
+                    moved.add(d)
+                    moved.add(other)
+            else:
+                moved.update(d for d, _label in changed)
         touched |= moved
         if not touched:
             return parent
