@@ -14,8 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .errors import (Branched, InputError, InvalidSurface, NotClosed,
-                     Unsatisfiable)
+from .errors import (Branched, InputError, InternalInconsistency, InvalidSurface,
+                     NotClosed, Unsatisfiable)
 from .surfaces import Triangulation, derive_rotations, doc_field, doc_int
 from .unionfind import ParityUF
 
@@ -130,6 +130,9 @@ class MonodromyCover:
         if self.d < 1:
             return ["sheet count must be positive"]
         ident = perm_id(self.d)
+        for e in self.edge_perm:
+            if e not in range(len(self.base.edges)):
+                problems.append(f"edge_perm names edge {e}, which the base lacks")
         for e in range(len(self.base.edges)):
             p = self.edge_perm.get(e)
             if p is None or len(p) != self.d or sorted(p) != list(ident):
@@ -414,10 +417,30 @@ def induced_triangulation(cover: MonodromyCover):
 # Seeded random generation
 
 
-def _random_branch(rng: random.Random, triangles: list, d: int, spec):
+def _shuffle_steps(n: int) -> tuple:
+    """The swaps random.Random.shuffle makes on n items, in order: (position
+    i, bound i + 1, the bound's bit length) for i from n - 1 down to 1."""
+    return tuple((i, i + 1, (i + 1).bit_length()) for i in range(n - 1, 0, -1))
+
+
+def _shuffle(getrandbits, steps: tuple, x: list) -> None:
+    """random.Random.shuffle(x) with its _randbelow inlined over the bound
+    `getrandbits` of the same generator: the same calls, so the same
+    permutation and the same stream afterwards.  `steps` is
+    _shuffle_steps(len(x))."""
+    for i, n, k in steps:
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
+
+
+def _random_branch(getrandbits, steps: tuple, triangles: list, d: int, spec):
     """Distribute requested cycle lengths over triangles, keeping cycles
     support-disjoint within each triangle.  `triangles` lists the base's
-    triangles 0..F-1 (shared across tries; not modified)."""
+    triangles 0..F-1 (shared across tries; not modified).  The draws are
+    random.Random's choice and shuffle over its bound `getrandbits`, with
+    their _randbelow inlined; `steps` is _shuffle_steps(d)."""
     if spec is None:
         return {}
     if isinstance(spec, dict):
@@ -434,7 +457,12 @@ def _random_branch(rng: random.Random, triangles: list, d: int, spec):
                 fits = fits[:t] + fits[t + 1:]
             if not fits:
                 raise Unsatisfiable(f"cycle lengths {list(spec)} do not fit on {d} sheets")
-            t = rng.choice(fits)
+            n = len(fits)
+            k = n.bit_length()
+            i = getrandbits(k)
+            while i >= n:
+                i = getrandbits(k)
+            t = fits[i]
             used[t] = used.get(t, 0) + ln
             lengths_by_t.setdefault(t, []).append(ln)
     branch = {}
@@ -443,7 +471,7 @@ def _random_branch(rng: random.Random, triangles: list, d: int, spec):
             raise Unsatisfiable(
                 f"cycle lengths {lengths} in one triangle exceed {d} sheets")
         avail = list(range(1, d + 1))
-        rng.shuffle(avail)
+        _shuffle(getrandbits, steps, avail)
         cycles = []
         pos = 0
         for ln in lengths:
@@ -459,12 +487,13 @@ def _random_branch(rng: random.Random, triangles: list, d: int, spec):
 def _fan_programs(tri: Triangulation) -> dict:
     """v -> the fan walk at v compiled to indices into a sheet table.
 
-    The table holds 0-based permutations: entry 2*e is edge e's (side0 ->
-    side1), 2*e + 1 its inverse; entry 2*(E + t) is triangle t's seam
-    permutation, 2*(E + t) + 1 its inverse, or None while t has no branch
-    cycle.  The steps are those of MonodromyCover._fan_steps; seam sectors
-    away from a triangle's seam vertex act as the identity and are left
-    out.  Compiled once per triangulation and cached on it.
+    The table holds 0-based permutations by slot: slot e is edge e's
+    (side0 -> side1) and slot E + t triangle t's seam permutation, None
+    while t has no branch cycle.  Table entry 2*k is slot k's permutation
+    and 2*k + 1 its inverse (_sheet_table).  The steps are those of
+    MonodromyCover._fan_steps; seam sectors away from a triangle's seam
+    vertex act as the identity and are left out.  Compiled once per
+    triangulation and cached on it.
     """
     cache = tri.__dict__.get("_fan_programs")
     if cache is None:
@@ -500,8 +529,18 @@ def _sampler_plan(tri: Triangulation) -> tuple:
     """random_cover's per-try schedule, which the triangulation alone fixes:
     (edges drawn, in draw order; (table index of the parent-edge crossing,
     the fan program rotated to start just after it) per non-root vertex,
-    leaves of a breadth-first spanning tree first; the root's program;
-    the order edges enter edge_perm).  Cached on the triangulation."""
+    leaves of a breadth-first spanning tree first; the root's program; the
+    root word; the order edges enter edge_perm).  Cached on the
+    triangulation.
+
+    The root word is the root's program with every solved entry replaced
+    by its defining product, leaves first: entry `cross ^ 1` by the
+    rotated program, entry `cross` by that program reversed with every
+    index inverted (^ 1).  It reads only drawn edges, each twice, and
+    seams: the surface relator.  Its product is the root's fan product
+    itself, not a conjugate.  Steps are (slot, inverse?) pairs, as _walk
+    reads them.
+    """
     plan = tri.__dict__.get("_sampler_plan")
     if plan is None:
         root = tri.vertices[0]
@@ -529,7 +568,18 @@ def _sampler_plan(tri: Triangulation) -> tuple:
                 k = next(i for i, step in enumerate(program) if step >> 1 == e_solve)
                 solves.append((program[k], program[k + 1:] + program[:k]))
                 assigned.append(e_solve)
-        plan = (tuple(draws), tuple(solves), programs[root], tuple(assigned))
+        expansion = {}    # solved table entry -> its word
+
+        def expand(program):
+            return tuple(j for i in program for j in expansion.get(i, (i,)))
+
+        for cross, program in solves:
+            word = expand(program)
+            expansion[cross ^ 1] = word
+            expansion[cross] = tuple(i ^ 1 for i in reversed(word))
+        root_word = tuple(divmod(i, 2) for i in expand(programs[root]))
+        plan = (tuple(draws), tuple(solves), programs[root], root_word,
+                tuple(assigned))
         tri.__dict__["_sampler_plan"] = plan
     return plan
 
@@ -541,16 +591,33 @@ def _inverse(p: tuple) -> tuple:
     return tuple(out)
 
 
-def _seam_table(tri: Triangulation, d: int, branch: dict) -> list:
-    """A sheet table (see _fan_programs) with the seam entries of `branch`
-    filled in and every edge entry still None."""
+def _sheet_slots(tri: Triangulation, d: int, branch: dict) -> list:
+    """The slots of a sheet table (see _fan_programs), forward permutations
+    only: the seam slots of `branch` filled in, every edge slot None."""
     n_edges = len(tri.edges)
-    table = [None] * (2 * (n_edges + len(tri.triangles)))
+    perms = [None] * (n_edges + len(tri.triangles))
     for t, cycles in branch.items():
         if cycles:
-            beta = tuple(s - 1 for s in perm_from_cycles(cycles, d))
-            table[2 * (n_edges + t)] = beta
-            table[2 * (n_edges + t) + 1] = _inverse(beta)
+            perms[n_edges + t] = tuple(s - 1 for s in perm_from_cycles(cycles, d))
+    return perms
+
+
+def _sheet_table(perms: list, solves: tuple, d: int) -> list:
+    """The sheet table of the slots `perms` (entry 2*k slot k's permutation,
+    2*k + 1 its inverse, None for None), with the entries of `solves` (see
+    _sampler_plan) solved in order."""
+    table = [None] * (2 * len(perms))
+    for k, p in enumerate(perms):
+        if p is not None:
+            table[2 * k] = p = tuple(p)
+            table[2 * k + 1] = _inverse(p)
+    ident = tuple(range(d))
+    for cross, program in solves:
+        # the fan closes when X^eps = (pre * post)^-1, the rotated program's
+        # product inverted, X^eps being the table entry at `cross`
+        acc = _run_fan(program, table, ident)
+        table[cross] = _inverse(acc)
+        table[cross ^ 1] = acc
     return table
 
 
@@ -564,6 +631,16 @@ def _run_fan(program, table, acc: tuple) -> tuple:
     return acc
 
 
+def _walk(word: tuple, perms: list, s: int) -> int:
+    """Sheet s carried through `word`, whose steps (slot, inverse?) read the
+    forward permutations `perms` by slot; a None slot is the identity."""
+    for k, inverse in word:
+        p = perms[k]
+        if p is not None:
+            s = p.index(s) if inverse else p[s]
+    return s
+
+
 def random_cover(tri: Triangulation, d: int, branch_spec=None, seed: int = 0,
                  *, require_transitive: bool = True,
                  max_tries: int = 50000) -> MonodromyCover:
@@ -575,12 +652,16 @@ def random_cover(tri: Triangulation, d: int, branch_spec=None, seed: int = 0,
     a fan exactly once and the solve is exact).  The root's fan is the one
     genuine constraint; fresh randomness retries it.
 
-    The fan walks are compiled once per triangulation (_fan_programs), so
-    a try composes 0-based tuples: one pass over the rotated program and
-    one inversion per solved edge, one pass for the root.  The random
-    stream and the accepted cover are those of the uncompiled walk
-    (tests/sampler_digests.json pins them), and an accepted cover still
-    passes validate(), the uncompiled oracle, and cover_connected.
+    A try draws its permutations and then walks sheets through the root
+    word (_sampler_plan), the root's fan with every solve substituted:
+    its product is the root's fan product, so the try fails at the first
+    sheet the word moves, before any solve or inverse is computed.  Only
+    a try that fixes every sheet builds its sheet table from the
+    compiled fan walks (_fan_programs), checks the root fan there too and
+    fills edge_perm.  The random stream and the accepted cover are those
+    of the uncompiled walk (tests/sampler_digests.json pins them), and an
+    accepted cover still passes validate(), the uncompiled oracle, and
+    cover_connected.
     """
     if d < 1:
         raise Unsatisfiable("d must be >= 1")
@@ -609,27 +690,26 @@ def random_cover(tri: Triangulation, d: int, branch_spec=None, seed: int = 0,
         raise Unsatisfiable(
             f"connected total space cannot have Euler characteristic {chi_total} > 2")
 
-    draws, solves, root_program, assigned = _sampler_plan(tri)
+    draws, solves, root_program, root_word, assigned = _sampler_plan(tri)
     ident = tuple(range(d))
+    steps = _shuffle_steps(d)
+    getrandbits = rng.getrandbits
     triangles = list(range(len(tri.triangles)))
     for _ in range(max_tries):
-        branch = _random_branch(rng, triangles, d, branch_spec)
-        cover = MonodromyCover(tri, d, {}, branch)
-        table = _seam_table(tri, d, branch)
+        branch = _random_branch(getrandbits, steps, triangles, d, branch_spec)
+        cover = MonodromyCover(tri, d, {}, branch)   # one per try, as counted
+        perms = _sheet_slots(tri, d, branch)
         for e in draws:
             p = list(ident)
-            rng.shuffle(p)   # moves positions only: the 1-based draw, minus 1
-            p = tuple(p)
-            table[2 * e] = p
-            table[2 * e + 1] = _inverse(p)
-        for cross, program in solves:
-            # the fan closes when X^eps = (pre * post)^-1, the rotated program's
-            # product inverted, X^eps being the table entry at `cross`
-            acc = _run_fan(program, table, ident)
-            table[cross] = _inverse(acc)
-            table[cross ^ 1] = acc
-        if _run_fan(root_program, table, ident) != ident:
+            _shuffle(getrandbits, steps, p)   # the 1-based draw, minus 1
+            perms[e] = p
+        if any(_walk(root_word, perms, s) != s for s in ident):
             continue
+        table = _sheet_table(perms, solves, d)
+        if _run_fan(root_program, table, ident) != ident:
+            raise InternalInconsistency(
+                "the root word fixes every sheet but the root fan does not close",
+                context="random_cover")
         for e in assigned:
             cover.edge_perm[e] = tuple(s + 1 for s in table[2 * e])
         if cover.validate():

@@ -310,7 +310,7 @@ class Triangulation:
         # rotations realize the corner structure at every vertex
         for v in self.vertices:
             rot = self.rotations.get(v)
-            incident = sorted(e for e, (a, b) in enumerate(self.edges) if v in (a, b))
+            incident = sorted({e for e, _end in self.half_edges_at(v)})
             if rot is None:
                 problems.append(f"missing rotation at vertex {v}")
                 continue
@@ -517,7 +517,7 @@ def derive_rotations(vertices, edges, triangles) -> dict:
     rotations = {}
     for v in vertices:
         corners = [(e_in, e_out) for (_t, e_in, e_out) in tri.corners_at(v)]
-        incident = [e for e, (a, b) in enumerate(edges) if v in (a, b)]
+        incident = {e for e, _end in tri.half_edges_at(v)}
         if not corners:
             raise InvalidSurface(f"vertex {v} has no incident triangle corners")
         slots = {e: [] for e in incident}

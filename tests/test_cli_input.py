@@ -105,6 +105,15 @@ def test_invalid_map_is_rejected_on_entry(tmp_path, docs, argv):
     assert not (tmp_path / "unused.json").exists()
 
 
+@pytest.mark.parametrize("argv", [["oracle"], ["analyze", "degree"]])
+def test_cover_naming_an_edge_the_base_lacks_is_rejected(tmp_path, docs, argv):
+    doc = copy.deepcopy(docs["cover"])
+    doc["edge_perm"]["99"] = [2, 1]
+    rc, out = run_cli(argv + [_write(tmp_path / "bad.json", doc)])
+    assert rc == 1 and out["error"] == "input"
+    assert "edge_perm names edge 99, which the base lacks" in out["detail"]
+
+
 def test_stuck_report_is_json(tmp_path, docs, monkeypatch):
     report = {"reason": "step budget exhausted", "state": {"normal": False}}
 

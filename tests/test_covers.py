@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,8 +9,10 @@ from surfmap.covers import (MonodromyCover, assemble_total_space, cover_chi,
                             cover_connected, disk_pieces, induced_triangulation,
                             perm_from_cycles, perm_id, perm_inv, perm_mul,
                             random_cover)
-from surfmap.errors import Branched, NotClosed, Unsatisfiable
-from surfmap.surfaces import BUILTIN_NAMES, builtin_triangulation
+from surfmap.errors import (Branched, InternalInconsistency, NotClosed,
+                            Unsatisfiable)
+from surfmap.surfaces import (BUILTIN_NAMES, Triangulation, builtin_triangulation,
+                              derive_rotations)
 
 
 @st.composite
@@ -105,13 +108,71 @@ def test_compiled_fans_match_the_uncompiled_walk(name):
         branch = {t: _random_cycles(rng, d) for t in range(len(tri.triangles))
                   if rng.random() < 0.4}
         cover = MonodromyCover(tri, d, edge_perm, branch)
-        table = covers._seam_table(tri, d, branch)
+        perms = covers._sheet_slots(tri, d, branch)
         for e, p in edge_perm.items():
-            table[2 * e] = tuple(s - 1 for s in p)
-            table[2 * e + 1] = covers._inverse(table[2 * e])
+            perms[e] = tuple(s - 1 for s in p)
+        table = covers._sheet_table(perms, (), d)
         for v in tri.vertices:
             got = covers._run_fan(programs[v], table, tuple(range(d)))
             assert tuple(s + 1 for s in got) == cover.fan_product(v), (d, v)
+
+
+def _two_triangle_sphere():
+    """A sphere of two triangles sharing all three edges."""
+    V, E = [0, 1, 2], [(0, 1), (1, 2), (0, 2)]
+    T = [[(0, 1), (1, 1), (2, -1)], [(2, 1), (1, -1), (0, -1)]]
+    return Triangulation(V, E, T, derive_rotations(V, E, T))
+
+
+ROOT_WORD_LENGTHS = {"sphere_tetra": 10, "rp2_6": 30, "torus_7": 44, "klein_8": 50,
+                     "genus2": 84, "two_triangles": 4}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ("two_triangles",))
+def test_root_word_matches_the_compiled_root_fan(name):
+    """Every sheet walked through the sampler's root word against the
+    compiled root fan after the solves, on random (mostly rejected) draws
+    and branch cycles with d <= 8."""
+    tri = (_two_triangle_sphere() if name == "two_triangles"
+           else builtin_triangulation(name))
+    draws, solves, root_program, word, _assigned = covers._sampler_plan(tri)
+    # the surface relator: every drawn edge twice, every seam once
+    assert len(word) == ROOT_WORD_LENGTHS[name]
+    assert Counter(k for k, _inverse in word) == Counter(
+        list(draws) * 2 + [len(tri.edges) + t for t in range(len(tri.triangles))])
+    rng = random.Random(name)
+    for _ in range(200):
+        d = rng.randint(1, 8)
+        branch = {t: _random_cycles(rng, d) for t in range(len(tri.triangles))
+                  if rng.random() < 0.4}
+        perms = covers._sheet_slots(tri, d, branch)
+        for e in draws:
+            perms[e] = rng.sample(range(d), d)
+        table = covers._sheet_table(perms, solves, d)
+        want = covers._run_fan(root_program, table, tuple(range(d)))
+        got = tuple(covers._walk(word, perms, s) for s in range(d))
+        assert got == want, (d, branch)
+
+
+def test_root_fan_contradicting_the_root_word_is_an_internal_inconsistency(
+        monkeypatch):
+    monkeypatch.setattr(covers, "_walk", lambda word, perms, s: s)
+    with pytest.raises(InternalInconsistency) as ex:
+        random_cover(builtin_triangulation("torus_7"), 3, None, seed=0)
+    assert ex.value.context == "random_cover"
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_inlined_shuffle_keeps_the_random_stream(d):
+    """The sampler's shuffle draws what random.Random.shuffle draws and
+    leaves the generator in the same state."""
+    steps = covers._shuffle_steps(d)
+    for seed in range(1000):
+        want, got = random.Random(seed), random.Random(seed)
+        x, y = list(range(d)), list(range(d))
+        want.shuffle(x)
+        covers._shuffle(got.getrandbits, steps, y)
+        assert y == x and got.getstate() == want.getstate(), seed
 
 
 def test_open_fan_reported():
