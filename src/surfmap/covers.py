@@ -697,7 +697,7 @@ def random_cover(tri: Triangulation, d: int, branch_spec=None, seed: int = 0,
     triangles = list(range(len(tri.triangles)))
     for _ in range(max_tries):
         branch = _random_branch(getrandbits, steps, triangles, d, branch_spec)
-        cover = MonodromyCover(tri, d, {}, branch)   # one per try, as counted
+        cover = MonodromyCover(tri, d, {}, branch)   # tries are counted by covers built
         perms = _sheet_slots(tri, d, branch)
         for e in draws:
             p = list(ident)
