@@ -92,7 +92,7 @@ class MonodromyCover:
             return perm_inv(beta)
         raise InvalidSurface(f"seam sector of triangle {t} at {v} mismatches fan")
 
-    def _fan_steps(self, v):
+    def fan_steps(self, v):
         """The fan walk at v as (kind, payload) steps: ('edge', e, from_t)
         then ('seam', t, enter, leave), repeated around the rotation."""
         cache = self.base.__dict__.setdefault("_fan_steps", {})
@@ -109,10 +109,12 @@ class MonodromyCover:
             cache[v] = steps
         return cache[v]
 
-    def fan_product(self, v) -> tuple:
-        """Sheet monodromy of a small loop around vertex v."""
+    def fan_product(self, v, start: int = 0) -> tuple:
+        """Sheet monodromy of a small loop around vertex v, read from step
+        `start` of fan_steps(v) round."""
+        steps = self.fan_steps(v)
         acc = perm_id(self.d)
-        for step in self._fan_steps(v):
+        for step in steps[start:] + steps[:start]:
             if step[0] == "edge":
                 _kind, e, from_t = step
                 sigma = self.edge_perm[e]
@@ -213,39 +215,45 @@ def cover_chi(cover: MonodromyCover) -> int:
     return cover.d * cover.base.euler - defect
 
 
-def cover_connected(cover: MonodromyCover) -> bool:
-    """Connectivity of the total space: one orbit of (triangle, sheet)
-    states under edge crossings and branch-cycle merges.
+def cover_components(cover: MonodromyCover) -> dict:
+    """(triangle, sheet) -> number of its connected component of the total
+    space: the orbits of (triangle, sheet) states under edge crossings and
+    branch-cycle merges, numbered from 0 in order of discovery.
 
-    Note this is stronger than transitivity of the group generated by all
-    edge permutations; crossing permutations compose along paths, so only
-    closed-path products act on a single fiber.
+    Note one component is stronger than transitivity of the group
+    generated by all edge permutations; crossing permutations compose
+    along paths, so only closed-path products act on a single fiber.
     """
-    F = len(cover.base.triangles)
-    if F == 0 or cover.d < 1:
-        return False
-    start = (0, 1)
-    seen = {start}
-    frontier = [start]
     cycle_mates = {}
     for t, cyc in cover.branch_cycles():
         for s in cyc:
             cycle_mates.setdefault((t, s), set()).update(cyc)
-    while frontier:
-        t, s = frontier.pop()
-        for e in cover.base.triangle_edges(t):
-            t1, t2 = cover.side_triangles(e)
-            other = t2 if t == t1 else t1
-            s2 = (perm_apply(cover.edge_perm[e], s) if t == t1
-                  else perm_apply(perm_inv(cover.edge_perm[e]), s))
-            if (other, s2) not in seen:
-                seen.add((other, s2))
-                frontier.append((other, s2))
-        for s2 in cycle_mates.get((t, s), ()):
-            if (t, s2) not in seen:
-                seen.add((t, s2))
-                frontier.append((t, s2))
-    return len(seen) == F * cover.d
+    comp = {}
+    for start in ((t, s) for t in range(len(cover.base.triangles))
+                  for s in range(1, cover.d + 1)):
+        if start in comp:
+            continue
+        n = comp[start] = len(set(comp.values()))     # components so far
+        frontier = [start]
+        while frontier:
+            t, s = frontier.pop()
+            for e in cover.base.triangle_edges(t):
+                t1, t2 = cover.side_triangles(e)
+                sigma = cover.edge_perm[e]
+                state = (t2, sigma[s - 1]) if t == t1 else (t1, sigma.index(s) + 1)
+                if state not in comp:
+                    comp[state] = n
+                    frontier.append(state)
+            for s2 in cycle_mates.get((t, s), ()):
+                if (t, s2) not in comp:
+                    comp[(t, s2)] = n
+                    frontier.append((t, s2))
+    return comp
+
+
+def cover_connected(cover: MonodromyCover) -> bool:
+    """Connectivity of the total space: one component (cover_components)."""
+    return set(cover_components(cover).values()) == {0}
 
 
 # --------------------------------------------------------------------------
@@ -437,26 +445,28 @@ def _shuffle(getrandbits, steps: tuple, x: list) -> None:
 
 def _random_branch(getrandbits, steps: tuple, triangles: list, d: int, spec):
     """Distribute requested cycle lengths over triangles, keeping cycles
-    support-disjoint within each triangle.  `triangles` lists the base's
-    triangles 0..F-1 (shared across tries; not modified).  The draws are
-    random.Random's choice and shuffle over its bound `getrandbits`, with
-    their _randbelow inlined; `steps` is _shuffle_steps(d)."""
+    support-disjoint within each triangle.  `spec` is random_cover's
+    resolved spec: None, a list of lengths, or {triangle: lengths} with
+    each triangle's lengths summing to at most d; every length is an int
+    in 2..d.  `triangles` lists the base's triangles 0..F-1 (shared across
+    tries; not modified).  The draws are random.Random's choice and
+    shuffle over its bound `getrandbits`, with their _randbelow inlined;
+    `steps` is _shuffle_steps(d)."""
     if spec is None:
         return {}
     if isinstance(spec, dict):
-        lengths_by_t = {int(t): list(ls) for t, ls in spec.items()}
+        lengths_by_t = spec
     else:
         lengths_by_t = {}
         used = {}     # triangle given cycles in this try -> sheets they use
         for ln in spec:
-            ln = int(ln)
             # the triangles with ln free sheets, in order: all but the full
             # ones, cut out from the top down so the indices still hold
             fits = triangles
             for t in sorted((t for t, u in used.items() if u + ln > d), reverse=True):
                 fits = fits[:t] + fits[t + 1:]
             if not fits:
-                raise Unsatisfiable(f"cycle lengths {list(spec)} do not fit on {d} sheets")
+                raise Unsatisfiable(f"cycle lengths {spec} do not fit on {d} sheets")
             n = len(fits)
             k = n.bit_length()
             i = getrandbits(k)
@@ -467,19 +477,13 @@ def _random_branch(getrandbits, steps: tuple, triangles: list, d: int, spec):
             lengths_by_t.setdefault(t, []).append(ln)
     branch = {}
     for t, lengths in lengths_by_t.items():
-        if sum(lengths) > d:
-            raise Unsatisfiable(
-                f"cycle lengths {lengths} in one triangle exceed {d} sheets")
         avail = list(range(1, d + 1))
         _shuffle(getrandbits, steps, avail)
         cycles = []
         pos = 0
         for ln in lengths:
-            if ln < 2 or ln > d:
-                raise Unsatisfiable(f"cycle length {ln} out of range for d={d}")
-            cyc = avail[pos:pos + ln]
+            cycles.append(tuple(avail[pos:pos + ln]))
             pos += ln
-            cycles.append(tuple(cyc))
         branch[t] = cycles
     return branch
 
@@ -491,7 +495,7 @@ def _fan_programs(tri: Triangulation) -> dict:
     (side0 -> side1) and slot E + t triangle t's seam permutation, None
     while t has no branch cycle.  Table entry 2*k is slot k's permutation
     and 2*k + 1 its inverse (_sheet_table).  The steps are those of
-    MonodromyCover._fan_steps; seam sectors away from a triangle's seam
+    MonodromyCover.fan_steps; seam sectors away from a triangle's seam
     vertex act as the identity and are left out.  Compiled once per
     triangulation and cached on it.
     """
@@ -529,9 +533,8 @@ def _sampler_plan(tri: Triangulation) -> tuple:
     """random_cover's per-try schedule, which the triangulation alone fixes:
     (edges drawn, in draw order; (table index of the parent-edge crossing,
     the fan program rotated to start just after it) per non-root vertex,
-    leaves of a breadth-first spanning tree first; the root's program; the
-    root word; the order edges enter edge_perm).  Cached on the
-    triangulation.
+    leaves of a breadth-first spanning tree first; the root word; the
+    order edges enter edge_perm).  Cached on the triangulation.
 
     The root word is the root's program with every solved entry replaced
     by its defining product, leaves first: entry `cross ^ 1` by the
@@ -578,8 +581,7 @@ def _sampler_plan(tri: Triangulation) -> tuple:
             expansion[cross ^ 1] = word
             expansion[cross] = tuple(i ^ 1 for i in reversed(word))
         root_word = tuple(divmod(i, 2) for i in expand(programs[root]))
-        plan = (tuple(draws), tuple(solves), programs[root], root_word,
-                tuple(assigned))
+        plan = (tuple(draws), tuple(solves), root_word, tuple(assigned))
         tri.__dict__["_sampler_plan"] = plan
     return plan
 
@@ -657,25 +659,27 @@ def random_cover(tri: Triangulation, d: int, branch_spec=None, seed: int = 0,
     its product is the root's fan product, so the try fails at the first
     sheet the word moves, before any solve or inverse is computed.  Only
     a try that fixes every sheet builds its sheet table from the
-    compiled fan walks (_fan_programs), checks the root fan there too and
-    fills edge_perm.  The random stream and the accepted cover are those
-    of the uncompiled walk (tests/sampler_digests.json pins them), and an
-    accepted cover still passes validate(), the uncompiled oracle, and
-    cover_connected.
+    compiled fan walks (_fan_programs) and fills edge_perm.  Such a cover
+    must pass validate(), the uncompiled oracle (a failure is an
+    InternalInconsistency), and is kept when cover_connected allows.  The
+    random stream and the accepted cover are those of the uncompiled walk
+    (tests/sampler_digests.json pins them).  The spec is resolved to ints
+    and checked once, before the first try.
     """
     if d < 1:
         raise Unsatisfiable("d must be >= 1")
     rng = random.Random(seed)
 
-    lengths = []
+    spec, lengths = None, []      # the spec resolved to ints, and its lengths
     if isinstance(branch_spec, dict):
+        spec = {int(t): [int(x) for x in ls] for t, ls in branch_spec.items()}
         lengths = [int(x) for ls in branch_spec.values() for x in ls]
         outside = sorted(int(t) for t in branch_spec
                          if not 0 <= int(t) < len(tri.triangles))
         if outside:
             raise Unsatisfiable(f"branch triangles {outside} are not in the base")
     elif branch_spec is not None:
-        lengths = [int(x) for x in branch_spec]
+        spec = lengths = [int(x) for x in branch_spec]
     if any(ln < 2 or ln > d for ln in lengths):
         raise Unsatisfiable(f"cycle lengths {lengths} out of range for d={d}")
     if sum(ln - 1 for ln in lengths) % 2 != 0:
@@ -689,14 +693,18 @@ def random_cover(tri: Triangulation, d: int, branch_spec=None, seed: int = 0,
     if require_transitive and chi_total > 2:
         raise Unsatisfiable(
             f"connected total space cannot have Euler characteristic {chi_total} > 2")
+    for t_lengths in (spec.values() if isinstance(spec, dict) else ()):
+        if sum(t_lengths) > d:
+            raise Unsatisfiable(
+                f"cycle lengths {t_lengths} in one triangle exceed {d} sheets")
 
-    draws, solves, root_program, root_word, assigned = _sampler_plan(tri)
+    draws, solves, root_word, assigned = _sampler_plan(tri)
     ident = tuple(range(d))
     steps = _shuffle_steps(d)
     getrandbits = rng.getrandbits
     triangles = list(range(len(tri.triangles)))
     for _ in range(max_tries):
-        branch = _random_branch(getrandbits, steps, triangles, d, branch_spec)
+        branch = _random_branch(getrandbits, steps, triangles, d, spec)
         cover = MonodromyCover(tri, d, {}, branch)   # tries are counted by covers built
         perms = _sheet_slots(tri, d, branch)
         for e in draws:
@@ -706,14 +714,13 @@ def random_cover(tri: Triangulation, d: int, branch_spec=None, seed: int = 0,
         if any(_walk(root_word, perms, s) != s for s in ident):
             continue
         table = _sheet_table(perms, solves, d)
-        if _run_fan(root_program, table, ident) != ident:
-            raise InternalInconsistency(
-                "the root word fixes every sheet but the root fan does not close",
-                context="random_cover")
         for e in assigned:
             cover.edge_perm[e] = tuple(s + 1 for s in table[2 * e])
-        if cover.validate():
-            continue
+        problems = cover.validate()
+        if problems:
+            raise InternalInconsistency(
+                "the root word fixes every sheet but the cover is invalid",
+                context="random_cover", problems=problems)
         if require_transitive and not cover_connected(cover):
             continue
         return cover

@@ -8,17 +8,22 @@ are joined by tubes, each carrying two extra index-2 branch points.  Edge
 permutations come from strand adjacency of the preimage graph, so the
 emitted monodromy data can be validated and assembled independently of
 the arithmetic that predicted its Euler characteristic.
+
+A tube's two points are placed by construction (_place_tube), with no
+validation inside; as cycles in one triangle are disjoint, tubes needing
+more transpositions than the triangles' free sheets hold are refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
-from .covers import (MonodromyCover, cover_chi, cover_connected,
-                     perm_from_cycles, perm_inv, perm_mul)
+from .covers import (MonodromyCover, cover_chi, cover_components,
+                     cover_connected, perm_inv, perm_mul)
 from .errors import (Branched, GraphLike, ImpossibleError, InputError,
                      InconsistentSheets, InternalInconsistency, NotNormal,
-                     ZeroDegree)
+                     Unsatisfiable, ZeroDegree)
 from .surfaces import SurfaceKind
 from .transverse import (IsolatedCircle, Region, TransverseMap, chi_domain,
                          classify_circuit, domain_orientable, mod2_degree,
@@ -173,104 +178,84 @@ def _assemble_cover(tm: TransverseMap, table: _SheetTable) -> tuple:
     return sigma, branch
 
 
-def _cycle_disjoint(cover: MonodromyCover, t: int, cyc: tuple) -> bool:
-    support = set(cyc)
-    return all(not (support & set(other)) for other in cover.branch.get(t, ()))
+def _free_sheets(cover: MonodromyCover, t: int) -> set:
+    """The sheets of triangle t outside its branch cycles."""
+    return set(range(1, cover.d + 1)).difference(*cover.branch.get(t, ()))
 
 
-def _rotate_cycle(cyc: tuple) -> tuple:
-    k = cyc.index(min(cyc))
-    return tuple(cyc[k:] + cyc[:k])
+def _first_points(cover: MonodromyCover, home: int, tau: tuple):
+    """(triangle, transposition) places for a tube's first point: the
+    transpositions of a triangle's free sheets that join the same two
+    components of the total space built so far as `tau` over `home`, home
+    first.  Any of them adds the tube's two index-2 points and its
+    connection; the sheets themselves are a matter of labelling."""
+    comp = cover_components(cover)
+    want = sorted(comp[(home, s)] for s in tau)
+    for t in sorted(range(len(cover.base.triangles)), key=lambda t: t != home):
+        for pair in combinations(sorted(_free_sheets(cover, t)), 2):
+            if sorted(comp[(t, s)] for s in pair) == want:
+                yield t, pair
 
 
-def _try_place(cover: MonodromyCover, t: int, cyc: tuple) -> bool:
-    """Tentatively add the cycle in triangle t; keep it only when the whole
-    cover still validates (all vertex fans close)."""
-    if not _cycle_disjoint(cover, t, cyc):
-        return False
-    cover.branch.setdefault(t, []).append(cyc)
-    if not cover.validate():
-        return True
-    cover.branch[t].remove(cyc)
-    if not cover.branch[t]:
-        del cover.branch[t]
-    return False
+def _skeleton_path(base, v, w) -> list:
+    """(vertex, edge leaving it) steps of a shortest skeleton path v -> w."""
+    paths = {v: []}
+    queue = [v]
+    for u in queue:
+        for e in base.rotations[u]:
+            x = next(y for y in base.edges[e] if y != u)
+            if x not in paths:
+                paths[x] = paths[u] + [(u, e)]
+                queue.append(x)
+    return paths[w]
 
 
-def _crossing_variants(cover: MonodromyCover, t: int, e: int, cyc: tuple):
-    """Candidate (new sigma_e, transported cycle) pairs for carrying a
-    branch point with the given cycle out of triangle t across edge e."""
-    m = perm_from_cycles([cyc], cover.d)
-    t1, _t2 = cover.side_triangles(e)
-    sig_old = cover.edge_perm[e]
-    if t == t1:
-        sig_candidates = (perm_mul(sig_old, m), perm_mul(sig_old, perm_inv(m)))
-    else:
-        sig_candidates = (perm_mul(m, sig_old), perm_mul(perm_inv(m), sig_old))
-    out = []
-    for sig_new in sig_candidates:
-        for carrier in (sig_old, sig_new):
-            phi = carrier if t == t1 else perm_inv(carrier)
-            cyc2 = _rotate_cycle(tuple(phi[s - 1] for s in cyc))
-            out.append((sig_new, cyc2))
-    return out
+def _step_index(cover: MonodromyCover, v, head: tuple) -> int:
+    """The index in fan_steps(v) of the step beginning with `head`."""
+    return next(i for i, step in enumerate(cover.fan_steps(v)) if step[:2] == head)
 
 
-def _place_tube_pair(cover: MonodromyCover, home: int, cycle: tuple) -> bool:
-    """Place the two index-2 branch points a tube contributes.
+def _close_through_edge(cover: MonodromyCover, u, e: int) -> None:
+    """Solve edge e's permutation so that u's fan closes, as the sampler
+    does: the crossing X (sigma from side 0, else sigma^-1) becomes
+    (pre * post)^-1, the rest of the fan inverted: X * P^-1 for P the fan
+    read from X's step."""
+    k = _step_index(cover, u, ("edge", e))
+    p, sigma = cover.fan_product(u, k), cover.edge_perm[e]
+    forward = cover.fan_steps(u)[k][2] == cover.side_triangles(e)[0]
+    cover.edge_perm[e] = perm_mul(sigma, perm_inv(p)) if forward else perm_mul(p, sigma)
 
-    Vertex fans only close once both points are present, so the first
-    point is parked tentatively (at home or one crossing away) and the
-    second is walked until the whole cover validates.  Any surviving
-    configuration is a genuine cover with the required branch indices;
-    the later deficit and assembly checks pin everything else down.
+
+def _place_tube(cover: MonodromyCover, home: int, tau: tuple) -> bool:
+    """Add the two index-2 branch points of a tube joining the sheets of
+    the transposition `tau` over triangle `home`.
+
+    The first point goes to a triangle t1 (_first_points), which opens the
+    fan at v, t1's seam vertex.  The second goes to the first triangle
+    t2 != t1, those with seam vertex v first, where it closes that fan:
+    the open fan is moved along a skeleton path to t2's seam vertex w,
+    each fan on the way closed through its path edge, and the point is
+    w's fan product read from t2's seam step, if that is a transposition
+    of t2's free sheets: it commutes with t2's seam product, so adding it
+    multiplies that fan product by itself, the identity.  With v = w no
+    edge permutation changes.
     """
-    cyc = _rotate_cycle(tuple(cycle))
-
-    def second_point(t, cyc2, depth, seen):
-        if _try_place(cover, t, cyc2):
-            return True
-        if depth == 0:
-            return False
-        for (e, _s) in cover.base.triangles[t]:
-            t1, t2 = cover.side_triangles(e)
-            other = t2 if t == t1 else t1
-            if other in seen:
-                continue
-            sig_old = cover.edge_perm[e]
-            for sig_new, cyc3 in _crossing_variants(cover, t, e, cyc2):
-                cover.edge_perm[e] = sig_new
-                if second_point(other, cyc3, depth - 1, seen | {other}):
-                    return True
-                cover.edge_perm[e] = sig_old
-        return False
-
-    # candidate parking spots for the first point: home, then one crossing away
-    first_candidates = []
-    if _cycle_disjoint(cover, home, cyc):
-        first_candidates.append((home, cyc, None))
-    for (e, _s) in cover.base.triangles[home]:
-        t1, t2 = cover.side_triangles(e)
-        other = t2 if home == t1 else t1
-        for sig_new, cyc2 in _crossing_variants(cover, home, e, cyc):
-            first_candidates.append((other, cyc2, (e, sig_new)))
-
-    for (t_first, cyc_first, sig_change) in first_candidates:
-        if not _cycle_disjoint(cover, t_first, cyc_first):
-            continue
-        saved = None
-        if sig_change is not None:
-            e, sig_new = sig_change
-            saved = (e, cover.edge_perm[e])
-            cover.edge_perm[e] = sig_new
-        cover.branch.setdefault(t_first, []).append(cyc_first)
-        if second_point(home, cyc, 2, {t_first}):
-            return True
-        cover.branch[t_first].remove(cyc_first)
-        if not cover.branch[t_first]:
-            del cover.branch[t_first]
-        if saved is not None:
-            cover.edge_perm[saved[0]] = saved[1]
+    for t1, tau1 in _first_points(cover, home, tau):
+        cover.branch.setdefault(t1, []).append(tau1)
+        v = cover.seam_vertex(t1)
+        for t2 in sorted(set(range(len(cover.base.triangles))) - {t1},
+                         key=lambda t: cover.seam_vertex(t) != v):
+            saved = dict(cover.edge_perm)
+            w = cover.seam_vertex(t2)
+            for u, e in _skeleton_path(cover.base, v, w):
+                _close_through_edge(cover, u, e)
+            p = cover.fan_product(w, _step_index(cover, w, ("seam", t2)))
+            tau2 = tuple(s for s in range(1, cover.d + 1) if p[s - 1] != s)
+            if len(tau2) == 2 and _free_sheets(cover, t2).issuperset(tau2):
+                cover.branch.setdefault(t2, []).append(tau2)
+                return True
+            cover.edge_perm = saved
+        cover.branch[t1].remove(tau1)
     return False
 
 
@@ -304,13 +289,19 @@ def factorize(tm: TransverseMap) -> Decomposition:
         elif not kind.orientable:
             pinches.append(PinchPiece(region.label,
                                       SurfaceKind(False, crosscaps=kind.crosscaps)))
-        for j in range(k - 1):
-            a = table.sheet_no[(ri, j, 1)]
-            b = table.sheet_no[(ri, j + 1, 1)]
-            tubes.append((region.label, (a, b) if a < b else (b, a)))
+        # a tube joins the first sheets of consecutive circuits' disks
+        tubes += [(region.label, (table.sheet_no[(ri, j, 1)],
+                                  table.sheet_no[(ri, j + 1, 1)])) for j in range(k - 1)]
 
+    # cycles within one triangle are disjoint, so a triangle with f sheets
+    # outside its cycles holds at most f // 2 of the tubes' transpositions
+    room = sum(len(_free_sheets(cover, t)) // 2 for t in range(len(table.by_triangle)))
+    if 2 * len(tubes) > room:
+        raise Unsatisfiable(f"{len(tubes)} tubes need {2 * len(tubes)} index-2 branch "
+                            f"points, but the triangles' free sheets hold only "
+                            f"{room} disjoint transpositions")
     for (home, cyc) in tubes:
-        if not _place_tube_pair(cover, home, cyc):
+        if not _place_tube(cover, home, cyc):
             raise InternalInconsistency(
                 "could not place a tube's branch points disjointly")
 

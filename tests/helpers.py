@@ -2,24 +2,52 @@
 
 import random
 
-from surfmap.surfaces import SurfaceKind
+from surfmap.covers import random_cover
+from surfmap.surfaces import (SurfaceKind, builtin_triangulation,
+                              classify_with_boundary)
 from surfmap.transverse import (Region, TransverseMap, classify_circuit,
-                                domain_orientable, validate_map,
+                                domain_orientable, map_from_cover, validate_map,
                                 _assign_region_labels)
 
 
-def tube_double(tri, t0=0, same_direction=True):
-    """Two identity-like sheets tube-connected through the regions over
-    triangle t0: an annulus region with two index-1 circuits.  The stored
-    relative direction selects the degree-2 map (same_direction) or the
-    degree-0 fold-like map (opposite)."""
+def join_regions(tm, i, j, same_direction=True):
+    """The map with regions i and j, over one triangle, joined by a tube
+    into one region: chi(M) drops by 2.  Region j's circuits are kept or
+    all reversed, whichever gives a valid map whose circuits over the
+    joined region run in one direction (same_direction: the degree stays)
+    or not (opposite)."""
+    ri, rj = tm.regions[i], tm.regions[j]
+    assert ri.label == rj.label, (ri.label, rj.label)
+    kind = classify_with_boundary(ri.kind.euler + rj.kind.euler - 2,
+                                  ri.kind.boundary + rj.kind.boundary,
+                                  ri.kind.orientable and rj.kind.orientable)
+    rest = [r for k, r in enumerate(tm.regions) if k not in (i, j)]
+    for flip in (False, True):
+        cs = ri.circuits + (tuple(c.reversed() for c in rj.circuits) if flip
+                            else rj.circuits)
+        joined = Region(ri.label, kind, cs)
+        out = tm.copy()
+        out.regions = rest + [joined]
+        out.invalidate_caches()
+        if not validate_map(out).ok:
+            continue
+        dirs = {classify_circuit(out, joined, c).direction for c in cs}
+        if (len(dirs) == 1) == same_direction:
+            return out
+    raise AssertionError("no variant matched the requested direction pattern")
+
+
+def identity_copies(tri, n):
+    """n disjoint identity-like sheets over tri, one disk region per
+    triangle and sheet (not a valid map for n > 1: its domain is not
+    connected until regions are joined)."""
     pairing, rotation, edge_sign, vlab, dlab = {}, {}, {}, {}, {}
 
     def dart(e, end, copy):
-        return 4 * e + 2 * copy + end
+        return 2 * n * e + 2 * copy + end
 
     for e, (a, b) in enumerate(tri.edges):
-        for copy in (0, 1):
+        for copy in range(n):
             d0, d1 = dart(e, 0, copy), dart(e, 1, copy)
             pairing[d0], pairing[d1] = d1, d0
             dlab[d0], dlab[d1] = (e, 0), (e, 1)
@@ -27,34 +55,40 @@ def tube_double(tri, t0=0, same_direction=True):
             edge_sign[min(d0, d1)] = 1 if tri.edge_compatible(e) else -1
     for P in tri.vertices:
         rot = tri.rotations[P]
-        for copy in (0, 1):
+        for copy in range(n):
             ds = [dart(e, 0 if tri.edges[e][0] == P else 1, copy) for e in rot]
             for i, d in enumerate(ds):
                 rotation[d] = ds[(i + 1) % len(ds)]
     tm = TransverseMap(tri, pairing, rotation, edge_sign, vlab, dlab, {}, [])
     circuits = tm.trace_circuits()
-    labels = _assign_region_labels(tm, circuits)
-    regions = []
-    t0_circuits = []
-    for c, lab in zip(circuits, labels):
-        if lab == t0:
-            t0_circuits.append(c)
-        else:
-            regions.append(Region(lab, SurfaceKind(True, 0, 0, 1), (c,)))
-    assert len(t0_circuits) == 2
-    for flip in (False, True):
-        cs = (t0_circuits[0],
-              t0_circuits[1].reversed() if flip else t0_circuits[1])
-        annulus = Region(t0, SurfaceKind(True, 0, 0, 2), cs)
-        tm2 = tm.copy()
-        tm2.regions = regions + [annulus]
-        tm2.invalidate_caches()
-        rep = validate_map(tm2)
-        assert rep.ok and domain_orientable(tm2), (flip, rep.problems[:2])
-        dirs = {classify_circuit(tm2, annulus, c).direction for c in cs}
-        if (len(dirs) == 1) == same_direction:
-            return tm2
-    raise AssertionError("no variant matched the requested direction pattern")
+    tm.regions = [Region(lab, SurfaceKind(True, 0, 0, 1), (c,))
+                  for c, lab in zip(circuits, _assign_region_labels(tm, circuits))]
+    return tm
+
+
+def tube_double(tri, t0=0, same_direction=True):
+    """Two identity-like sheets tube-connected through the regions over
+    triangle t0: an annulus region with two index-1 circuits.  The stored
+    relative direction selects the degree-2 map (same_direction) or the
+    degree-0 fold-like map (opposite)."""
+    tm = identity_copies(tri, 2)
+    i, j = [k for k, r in enumerate(tm.regions) if r.label == t0]
+    out = join_regions(tm, i, j, same_direction)
+    assert domain_orientable(out)
+    return out
+
+
+def tube_cover_map(*pairs):
+    """map_from_cover(random_cover(sphere_tetra, 2, [2, 2], seed=0)) with
+    each pair of its regions (indices into that map's regions, both over
+    one triangle) joined by a tube, in the order given."""
+    tm = map_from_cover(random_cover(builtin_triangulation("sphere_tetra"), 2,
+                                     [2, 2], seed=0))
+    regions = list(tm.regions)
+    for i, j in pairs:
+        tm = join_regions(tm, tm.regions.index(regions[i]),
+                          tm.regions.index(regions[j]))
+    return tm
 
 
 def scrambled(tm, steps, seed):

@@ -18,6 +18,8 @@ from surfmap.errors import Stuck
 from surfmap.surfaces import builtin_triangulation
 from surfmap.transverse import ValidationReport
 
+from helpers import tube_cover_map
+
 ANALYZE = ("degree", "kneser", "factorize", "normalize", "contours")
 
 
@@ -112,6 +114,29 @@ def test_cover_naming_an_edge_the_base_lacks_is_rejected(tmp_path, docs, argv):
     rc, out = run_cli(argv + [_write(tmp_path / "bad.json", doc)])
     assert rc == 1 and out["error"] == "input"
     assert "edge_perm names edge 99, which the base lacks" in out["detail"]
+
+
+@pytest.mark.parametrize("what", ("degree", "kneser", "factorize"))
+def test_tube_map_is_analyzed(tmp_path, what):
+    """A tube joining two regions over one triangle of a branched double
+    cover; the factorization once exited 2 on it."""
+    path = tmp_path / "tube.json"
+    path.write_text(tube_cover_map((0, 4)).dumps())
+    rc, out = run_cli(["analyze", what, str(path)])
+    assert rc == 0, out
+    if what == "degree":
+        assert out == {"degree": 2, "mod2": 0}
+
+
+def test_tubes_without_room_in_the_cover_are_an_input_error(tmp_path):
+    """A second tube over triangle 2 needs six transpositions in all, but
+    the four triangles hold four."""
+    path = tmp_path / "tubes.json"
+    path.write_text(tube_cover_map((0, 4), (1, 5)).dumps())
+    assert run_cli(["analyze", "validate", str(path)])[0] == 0
+    rc, out = run_cli(["analyze", "degree", str(path)])
+    assert rc == 1 and out["error"] == "input", out
+    assert "tubes need" in out["detail"]
 
 
 def test_stuck_report_is_json(tmp_path, docs, monkeypatch):

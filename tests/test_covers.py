@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 
 from surfmap import covers
 from surfmap.covers import (MonodromyCover, assemble_total_space, cover_chi,
-                            cover_connected, disk_pieces, induced_triangulation,
+                            cover_components, cover_connected, disk_pieces,
+                            induced_triangulation,
                             perm_from_cycles, perm_id, perm_inv, perm_mul,
                             random_cover)
 from surfmap.errors import (Branched, InternalInconsistency, NotClosed,
@@ -54,6 +55,7 @@ def test_identity_perm_double_cover_is_disconnected():
     c = MonodromyCover(tri, 2, {e: (1, 2) for e in range(6)}, {})
     assert c.validate() == []
     assert not cover_connected(c)
+    assert cover_components(c) == {(t, s): s - 1 for t in range(4) for s in (1, 2)}
 
 
 def test_bad_branch_data_reported():
@@ -80,6 +82,17 @@ def test_branch_spec_outside_the_base_refused_before_sampling(monkeypatch, spec)
                         lambda obj, *a, **k: built.append(1) or init(obj, *a, **k))
     with pytest.raises(Unsatisfiable, match="not in the base"):
         random_cover(builtin_triangulation("genus2"), 4, spec, seed=3)
+    assert built == []
+
+
+def test_crowded_branch_triangle_refused_before_sampling(monkeypatch):
+    built = []
+    init = MonodromyCover.__init__
+    monkeypatch.setattr(MonodromyCover, "__init__",
+                        lambda obj, *a, **k: built.append(1) or init(obj, *a, **k))
+    with pytest.raises(Unsatisfiable, match=r"cycle lengths \[2, 2\] in one triangle "
+                                            r"exceed 3 sheets"):
+        random_cover(builtin_triangulation("sphere_tetra"), 3, {0: [2, 2], 1: [2, 2]})
     assert built == []
 
 
@@ -135,7 +148,8 @@ def test_root_word_matches_the_compiled_root_fan(name):
     and branch cycles with d <= 8."""
     tri = (_two_triangle_sphere() if name == "two_triangles"
            else builtin_triangulation(name))
-    draws, solves, root_program, word, _assigned = covers._sampler_plan(tri)
+    draws, solves, word, _assigned = covers._sampler_plan(tri)
+    root_program = covers._fan_programs(tri)[tri.vertices[0]]
     # the surface relator: every drawn edge twice, every seam once
     assert len(word) == ROOT_WORD_LENGTHS[name]
     assert Counter(k for k, _inverse in word) == Counter(

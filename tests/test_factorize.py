@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from surfmap.covers import (assemble_total_space, cover_chi, random_cover)
-from surfmap.errors import Branched, GraphLike, InputError, NotNormal, ZeroDegree
-from surfmap.surfaces import SurfaceKind, builtin_triangulation
+from surfmap.errors import (Branched, GraphLike, InputError, NotNormal,
+                            Unsatisfiable, ZeroDegree)
+from surfmap.surfaces import BUILTIN_NAMES, SurfaceKind, builtin_triangulation
 from surfmap.transverse import (add_pinch, builtin_example, chi_domain,
                                 identity_map, map_from_cover, mod2_degree,
                                 signed_degree)
@@ -11,7 +14,8 @@ from surfmap.factorize import (compose_with_covering, factorize,
                                verify_kneser)
 from surfmap.covers import induced_triangulation
 
-from helpers import scrambled, tube_double
+from helpers import (identity_copies, join_regions, scrambled, tube_cover_map,
+                     tube_double)
 
 
 def test_identity_decomposition():
@@ -108,6 +112,89 @@ def test_tube_double_factorizations():
 
     opp = tube_double(tet, 0, same_direction=False)
     assert geometric_degree(opp) == 0
+
+
+def test_tube_over_a_branched_double_cover():
+    """Regions 0 and 4 of a branched double cover of the tetrahedron, both
+    over triangle 0, joined by a tube: no edge permutation has to change,
+    the tube's points go to triangles 0 and 2, which share seam vertex 0;
+    the total space is a torus."""
+    tm = tube_cover_map((0, 4))
+    d, dec = geometric_degree(tm, with_decomposition=True)
+    assert d == 2 and dec.branch_indices == [2, 2, 2, 2]
+    assert dec.cover.branch == {t: [(1, 2)] for t in range(4)}
+    assert assemble_total_space(dec.cover).euler == cover_chi(dec.cover) == 0
+    rep = verify_kneser(tm)
+    assert rep["deficit"] == rep["branch_defect"] == 4
+
+
+def test_tubes_join_the_sheets_their_region_joins():
+    """Four identity sheets of the tetrahedron joined over triangle 0 into
+    one region with four circuits: each tube must join a sheet not yet
+    joined, not two joined ones again, or the cover falls apart."""
+    tm = identity_copies(builtin_triangulation("sphere_tetra"), 4)
+    for _ in range(3):
+        tm = join_regions(tm, *[k for k, r in enumerate(tm.regions) if r.label == 0][:2])
+    d, dec = geometric_degree(tm, with_decomposition=True)
+    assert d == 4 and dec.branch_indices == [2] * 6
+    assert assemble_total_space(dec.cover).euler == cover_chi(dec.cover) == 2
+
+
+def test_tubes_beyond_the_free_sheets_are_unsatisfiable():
+    """A second tube over triangle 2 needs four index-2 points besides the
+    cover's two, but triangles 0 and 2 hold one transposition each."""
+    with pytest.raises(Unsatisfiable, match="2 tubes need 4 index-2 branch "
+                                            "points, but the triangles' free "
+                                            "sheets hold only 2"):
+        geometric_degree(tube_cover_map((0, 4), (1, 5)))
+
+
+def _tube_specs(tri, d):
+    """Branch specs with connected covers of degree d over `tri`."""
+    if tri.euler == 2:
+        return [[d, d]]
+    if tri.euler == 1:          # the total defect is even: no odd degree
+        return [[d, d]] if d % 2 == 0 else []
+    return [None, [2, 2]]
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_tube_maps_factorize_unless_the_free_sheets_are_too_few(name):
+    """One to three random tubes joining regions over one triangle, on
+    covers of every base with d <= 6: the map factorizes with two more
+    index-2 points per tube, or is refused as Unsatisfiable exactly when
+    the triangles' free sheets hold fewer than two disjoint transpositions
+    per tube.  Never an InternalInconsistency."""
+    tri = builtin_triangulation(name)
+    for d in range(2, 7):
+        for spec in _tube_specs(tri, d):
+            for seed in range(3):
+                cover = random_cover(tri, d, spec, seed=seed)
+                room = sum((d - sum(map(len, cover.branch.get(t, ())))) // 2
+                           for t in range(len(tri.triangles)))
+                for wanted in (1, 2, 3):
+                    rng = random.Random(seed * 10 + wanted)
+                    tm, tubes = map_from_cover(cover), 0
+                    while tubes < wanted:
+                        over = {}
+                        for i, region in enumerate(tm.regions):
+                            over.setdefault(region.label, []).append(i)
+                        shared = sorted(t for t, rs in over.items() if len(rs) > 1)
+                        if not shared:
+                            break
+                        tm = join_regions(tm, *rng.sample(over[rng.choice(shared)], 2))
+                        tubes += 1
+                    if 2 * tubes > room:
+                        with pytest.raises(Unsatisfiable, match="tubes need"):
+                            geometric_degree(tm)
+                        continue
+                    got, dec = geometric_degree(tm, with_decomposition=True)
+                    assert got == d
+                    assert dec.branch_indices == sorted(
+                        cover.branch_indices() + [2] * (2 * tubes))
+                    assert dec.kneser_deficit == d * tri.euler - chi_domain(tm) \
+                        == sum(i - 1 for i in dec.branch_indices)
+                    assert assemble_total_space(dec.cover).euler == cover_chi(dec.cover)
 
 
 def test_degree_zero_pinched_branched_composite():
