@@ -243,12 +243,12 @@ def cmd_generate(args) -> int:
         base = _base_triangulation(args)
         if not (1 <= args.d <= MAX_D):
             raise InputError(f"--d must be in 1..{MAX_D}")
+        if args.pinch and args.pinch not in PINCH_KINDS:
+            raise InputError(f"--pinch must be one of {sorted(PINCH_KINDS)}")
         cover = covers_mod.random_cover(base, args.d, _parse_branch(args.branch),
                                         seed=args.seed)
         tm = transverse_mod.map_from_cover(cover)
         if args.pinch:
-            if args.pinch not in PINCH_KINDS:
-                raise InputError(f"--pinch must be one of {sorted(PINCH_KINDS)}")
             tm = transverse_mod.add_pinch(tm, args.region, PINCH_KINDS[args.pinch])
         _write_json(args.out, tm.to_json())
         _emit({"written": args.out,

@@ -215,45 +215,49 @@ def cover_chi(cover: MonodromyCover) -> int:
     return cover.d * cover.base.euler - defect
 
 
-def cover_components(cover: MonodromyCover) -> dict:
-    """(triangle, sheet) -> number of its connected component of the total
-    space: the orbits of (triangle, sheet) states under edge crossings and
-    branch-cycle merges, numbered from 0 in order of discovery.
+def cover_solve(cover: MonodromyCover) -> ParityUF:
+    """The total space's components and orientation in one parity
+    union-find over the (triangle, sheet) states, state (t, s) being node
+    t*d + s - 1.  A node's value is the flip of that lifted triangle
+    against the base walk of t.  An edge crossing ties its two states,
+    with parity 0 when the base's two triangle walks traverse the edge
+    oppositely and 1 otherwise; the sheets of a branch cycle are one
+    disk and are tied with parity 0.  The classes (`sets`) are the
+    components, and `ok` is the total space's orientability.
 
     Note one component is stronger than transitivity of the group
     generated by all edge permutations; crossing permutations compose
     along paths, so only closed-path products act on a single fiber.
     """
-    cycle_mates = {}
+    base, d = cover.base, cover.d
+    uf = ParityUF(len(base.triangles) * d)
+    union = uf.union
+    for e in range(len(base.edges)):
+        sigma = cover.edge_perm[e]
+        (t1, k1), (t2, k2) = base.edge_sides(e)
+        bit = int(base.triangles[t1][k1][1] == base.triangles[t2][k2][1])
+        n1, n2 = t1 * d, t2 * d - 1
+        for s, s2 in enumerate(sigma):
+            union(n1 + s, n2 + s2, bit)
     for t, cyc in cover.branch_cycles():
-        for s in cyc:
-            cycle_mates.setdefault((t, s), set()).update(cyc)
-    comp = {}
-    for start in ((t, s) for t in range(len(cover.base.triangles))
-                  for s in range(1, cover.d + 1)):
-        if start in comp:
-            continue
-        n = comp[start] = len(set(comp.values()))     # components so far
-        frontier = [start]
-        while frontier:
-            t, s = frontier.pop()
-            for e in cover.base.triangle_edges(t):
-                t1, t2 = cover.side_triangles(e)
-                sigma = cover.edge_perm[e]
-                state = (t2, sigma[s - 1]) if t == t1 else (t1, sigma.index(s) + 1)
-                if state not in comp:
-                    comp[state] = n
-                    frontier.append(state)
-            for s2 in cycle_mates.get((t, s), ()):
-                if (t, s2) not in comp:
-                    comp[(t, s2)] = n
-                    frontier.append((t, s2))
-    return comp
+        for s in cyc[1:]:
+            union(t * d + cyc[0] - 1, t * d + s - 1, 0)
+    return uf
+
+
+def cover_components(cover: MonodromyCover) -> dict:
+    """(triangle, sheet) -> number of its connected component of the total
+    space (cover_solve), numbered from 0 in order of each component's
+    least state."""
+    uf, d = cover_solve(cover), cover.d
+    number = {}
+    return {(t, s): number.setdefault(uf.find(t * d + s - 1)[0], len(number))
+            for t in range(len(cover.base.triangles)) for s in range(1, d + 1)}
 
 
 def cover_connected(cover: MonodromyCover) -> bool:
-    """Connectivity of the total space: one component (cover_components)."""
-    return set(cover_components(cover).values()) == {0}
+    """Connectivity of the total space: one component (cover_solve)."""
+    return cover_solve(cover).sets == 1
 
 
 # --------------------------------------------------------------------------
@@ -293,9 +297,11 @@ def assemble_total_space(cover: MonodromyCover, *, with_labels: bool = False):
     cover.require_valid()
     base = cover.base
 
+    inverse = {e: perm_inv(p) for e, p in cover.edge_perm.items()}
+
     def copy_id(e, t_from, s):
         t1, _t2 = cover.side_triangles(e)
-        return (e, s if t_from == t1 else perm_apply(perm_inv(cover.edge_perm[e]), s))
+        return (e, s if t_from == t1 else perm_apply(inverse[e], s))
 
     pieces = disk_pieces(cover)
     # polygon walks: per piece, a list of (edge_copy, sign, base_tail_vertex)
@@ -443,28 +449,28 @@ def _shuffle(getrandbits, steps: tuple, x: list) -> None:
         x[i], x[j] = x[j], x[i]
 
 
-def _random_branch(getrandbits, steps: tuple, triangles: list, d: int, spec):
+def _random_branch(getrandbits, steps: tuple, triangles: list, sheets: tuple, spec):
     """Distribute requested cycle lengths over triangles, keeping cycles
     support-disjoint within each triangle.  `spec` is random_cover's
     resolved spec: None, a list of lengths, or {triangle: lengths} with
     each triangle's lengths summing to at most d; every length is an int
-    in 2..d.  `triangles` lists the base's triangles 0..F-1 (shared across
-    tries; not modified).  The draws are random.Random's choice and
-    shuffle over its bound `getrandbits`, with their _randbelow inlined;
-    `steps` is _shuffle_steps(d)."""
+    in 2..d.  `triangles` lists the base's triangles 0..F-1 and `sheets`
+    is the tuple 1..d (both shared across tries; not modified).  The draws
+    are random.Random's choice and shuffle over its bound `getrandbits`,
+    with their _randbelow inlined; `steps` is _shuffle_steps(d)."""
     if spec is None:
         return {}
+    d = len(sheets)
     if isinstance(spec, dict):
         lengths_by_t = spec
     else:
         lengths_by_t = {}
         used = {}     # triangle given cycles in this try -> sheets they use
         for ln in spec:
-            # the triangles with ln free sheets, in order: all but the full
-            # ones, cut out from the top down so the indices still hold
+            # the triangles with ln free sheets, in order
             fits = triangles
-            for t in sorted((t for t, u in used.items() if u + ln > d), reverse=True):
-                fits = fits[:t] + fits[t + 1:]
+            if used and max(used.values()) + ln > d:
+                fits = [t for t in triangles if used.get(t, 0) + ln <= d]
             if not fits:
                 raise Unsatisfiable(f"cycle lengths {spec} do not fit on {d} sheets")
             n = len(fits)
@@ -477,7 +483,7 @@ def _random_branch(getrandbits, steps: tuple, triangles: list, d: int, spec):
             lengths_by_t.setdefault(t, []).append(ln)
     branch = {}
     for t, lengths in lengths_by_t.items():
-        avail = list(range(1, d + 1))
+        avail = list(sheets)
         _shuffle(getrandbits, steps, avail)
         cycles = []
         pos = 0
@@ -595,12 +601,19 @@ def _inverse(p: tuple) -> tuple:
 
 def _sheet_slots(tri: Triangulation, d: int, branch: dict) -> list:
     """The slots of a sheet table (see _fan_programs), forward permutations
-    only: the seam slots of `branch` filled in, every edge slot None."""
+    only: the seam slots of `branch` filled in, 0-based and straight from
+    the cycles, every edge slot None."""
     n_edges = len(tri.edges)
     perms = [None] * (n_edges + len(tri.triangles))
     for t, cycles in branch.items():
         if cycles:
-            perms[n_edges + t] = tuple(s - 1 for s in perm_from_cycles(cycles, d))
+            p = list(range(d))
+            for cyc in cycles:
+                prev = cyc[-1]
+                for s in cyc:
+                    p[prev - 1] = s - 1
+                    prev = s
+            perms[n_edges + t] = p
     return perms
 
 
@@ -703,8 +716,9 @@ def random_cover(tri: Triangulation, d: int, branch_spec=None, seed: int = 0,
     steps = _shuffle_steps(d)
     getrandbits = rng.getrandbits
     triangles = list(range(len(tri.triangles)))
+    sheets = tuple(range(1, d + 1))
     for _ in range(max_tries):
-        branch = _random_branch(getrandbits, steps, triangles, d, spec)
+        branch = _random_branch(getrandbits, steps, triangles, sheets, spec)
         cover = MonodromyCover(tri, d, {}, branch)   # tries are counted by covers built
         perms = _sheet_slots(tri, d, branch)
         for e in draws:

@@ -1567,57 +1567,110 @@ def identity_map(tri: Triangulation) -> TransverseMap:
 def map_from_cover(cover) -> TransverseMap:
     """Pull the skeleton back through a branched covering: the lifted
     skeleton with one disk region per preimage piece of a triangle (a
-    branch cycle of length i gives a single disk with an index-i circuit)."""
+    branch cycle of length i gives a single disk with an index-i circuit).
+
+    The lift is read off the cover, and the total space is not assembled;
+    the result is the map the assembled space (assemble_total_space)
+    gives.  The copies (e, sheet on e's first side) of the edges are
+    numbered in the order disk_pieces walks them, copy i having darts 2i
+    and 2i + 1 over e's ends 0 and 1.  The lifts of a base vertex w are
+    its fan walk (as in MonodromyCover.fan_steps) started once on each
+    sheet, and the darts crossed, in order, give a lift's rotation.  The
+    assembly's derive_rotations would turn a lift the way its first
+    corner runs, the one over w's least triangle (pieces are in triangle
+    order), so all lifts of w are reversed where that triangle's corner
+    runs against the fan.  A copy's band sign is its base edge's times
+    the turns (+1/-1) of its two end vertices, a two-edge vertex counting
+    +1 (its rotation reads the target's both ways, see validate_map's
+    local signs).  A disk region's label is the triangle of the sector at
+    its circuit's first corner.  The full validate_map runs on the
+    result, χ is checked against cover_chi and the domain's orientability
+    against the cover's (covers.cover_solve).
+    """
     cover.require_valid()
-    if not covers_mod.cover_connected(cover):
+    solve = covers_mod.cover_solve(cover)
+    if solve.sets != 1:
         raise DisconnectedCover("total space is not connected")
-    total, labels = covers_mod.assemble_total_space(cover, with_labels=True)
-    vlab = labels["vertices"]
-    elab = labels["edges"]
+    base, d = cover.base, cover.d
+    n_edges = len(base.edges)
+    inverse = {e: covers_mod.perm_inv(p) for e, p in cover.edge_perm.items()}
+    first_side = [base.edge_sides(e)[0][0] for e in range(n_edges)]
 
-    keep_edges = sorted(e for e, lab in elab.items() if lab is not None)
-    eidx = {e: i for i, e in enumerate(keep_edges)}
+    copy_of = [None] * (n_edges * d)    # e*d + s - 1 -> number of copy (e, s)
+    copy_edge = []
+    for t, loop in covers_mod.disk_pieces(cover):
+        for s in loop:
+            for e, _sg in base.triangles[t]:
+                k = e * d + (s if first_side[e] == t else inverse[e][s - 1]) - 1
+                if copy_of[k] is None:
+                    copy_of[k] = len(copy_edge)
+                    copy_edge.append(e)
 
-    pairing = {}
     rotation = {}
+    sector_of = {}    # dart -> triangle of the sector after it in rotation
+    local = {}        # base vertex -> its lifts' local sign
+    for w in base.vertices:
+        sectors = base.sector_triangles(w)
+        least = min(sectors)
+        steps = []
+        for i, e in enumerate(base.rotations[w]):
+            t = sectors[i]
+            walk = base.triangles[t]
+            k = base.walk_vertices(t).index(w)   # t's corner: in walk[k-1], out walk[k]
+            forward = walk[k - 1][0] == e
+            if t == least:
+                turn = 1 if forward else -1
+            beta = cover.seam_perm(t) if k == 0 and cover.branch.get(t) else None
+            if beta and not forward:
+                beta = covers_mod.perm_inv(beta)
+            steps.append((e, first_side[e] == sectors[i - 1], int(base.edges[e][1] == w),
+                          cover.edge_perm[e], inverse[e], beta))
+        m = len(steps)
+        local[w] = turn if m > 2 else 1
+        for s in range(1, d + 1):
+            darts = []
+            for e, from_first, end, sigma, sigma_inv, beta in steps:
+                if from_first:
+                    c, s = s, sigma[s - 1]
+                else:
+                    c = s = sigma_inv[s - 1]
+                darts.append(2 * copy_of[e * d + c - 1] + end)
+                if beta:
+                    s = beta[s - 1]
+            for i, t in enumerate(sectors):
+                a, b = darts[i], darts[(i + 1) % m]
+                if turn < 0:
+                    a, b = b, a
+                rotation[a] = b
+                sector_of[a] = t
+
+    band = [(1 if base.edge_compatible(e) else -1) * local[a] * local[b]
+            for e, (a, b) in enumerate(base.edges)]
+    pairing = {}
     edge_sign = {}
     vertex_label = {}
     dart_label = {}
+    for i, e in enumerate(copy_edge):
+        d0, d1 = 2 * i, 2 * i + 1
+        pairing[d0], pairing[d1] = d1, d0
+        dart_label[d0], dart_label[d1] = (e, 0), (e, 1)
+        vertex_label[d0], vertex_label[d1] = base.edges[e]
+        edge_sign[d0] = band[e]
 
-    def dart(e_q, end):
-        return 2 * eidx[e_q] + end
-
-    for e_q in keep_edges:
-        a, b = total.edges[e_q]
-        e0 = elab[e_q]
-        pairing[dart(e_q, 0)] = dart(e_q, 1)
-        pairing[dart(e_q, 1)] = dart(e_q, 0)
-        dart_label[dart(e_q, 0)] = (e0, 0)
-        dart_label[dart(e_q, 1)] = (e0, 1)
-        vertex_label[dart(e_q, 0)] = vlab[a]
-        vertex_label[dart(e_q, 1)] = vlab[b]
-        edge_sign[dart(e_q, 0)] = 1 if total.edge_compatible(e_q) else -1
-    for v_q in total.vertices:
-        if vlab.get(v_q) is None:
-            continue   # cone center: interior branch point
-        ds = []
-        for e_q in total.rotations[v_q]:
-            if elab[e_q] is None:
-                continue
-            end = 0 if total.edges[e_q][0] == v_q else 1
-            ds.append(dart(e_q, end))
-        for i, d in enumerate(ds):
-            rotation[d] = ds[(i + 1) % len(ds)]
-
-    tm = TransverseMap(cover.base, pairing, rotation, edge_sign,
+    tm = TransverseMap(base, pairing, rotation, edge_sign,
                        vertex_label, dart_label, {}, [])
-    tm.regions = _disk_regions(tm)
+    disk = SurfaceKind(True, 0, 0, 1)
+    regions = []
+    for c in tm.trace_circuits():
+        a, b = next(corners(c.seq))
+        regions.append(Region(sector_of[a[0] if a[1] == 1 else b[0]], disk, (c,)))
+    tm.regions = regions
     require_valid(tm, "map_from_cover")
 
     chi = chi_domain(tm)
     if chi != covers_mod.cover_chi(cover):
         raise InternalInconsistency("domain Euler characteristic disagrees with the cover")
-    if domain_orientable(tm) != total.orientability():
+    if domain_orientable(tm) != solve.ok:
         raise InternalInconsistency("domain orientability disagrees with the total space")
     return tm
 

@@ -2,12 +2,19 @@
 
 import random
 
-from surfmap.covers import random_cover
-from surfmap.surfaces import (SurfaceKind, builtin_triangulation,
-                              classify_with_boundary)
+from surfmap.covers import assemble_total_space, random_cover
+from surfmap.surfaces import (SurfaceKind, Triangulation, builtin_triangulation,
+                              classify_with_boundary, derive_rotations)
 from surfmap.transverse import (Region, TransverseMap, classify_circuit,
                                 domain_orientable, map_from_cover, validate_map,
-                                _assign_region_labels)
+                                _assign_region_labels, _disk_regions)
+
+
+def two_triangle_sphere():
+    """A sphere of two triangles sharing all three edges."""
+    V, E = [0, 1, 2], [(0, 1), (1, 2), (0, 2)]
+    T = [[(0, 1), (1, 1), (2, -1)], [(2, 1), (1, -1), (0, -1)]]
+    return Triangulation(V, E, T, derive_rotations(V, E, T))
 
 
 def join_regions(tm, i, j, same_direction=True):
@@ -88,6 +95,36 @@ def tube_cover_map(*pairs):
     for i, j in pairs:
         tm = join_regions(tm, tm.regions.index(regions[i]),
                           tm.regions.index(regions[j]))
+    return tm
+
+
+def assembled_map_from_cover(cover):
+    """map_from_cover by way of the assembled total space: the lifted
+    skeleton read out of assemble_total_space (edges with a base label,
+    in order; rotations with the cone spokes left out; band signs from
+    the assembled rotations) and regions labelled by the corner-matching
+    search.  The reference the direct lift is compared against."""
+    total, labels = assemble_total_space(cover, with_labels=True)
+    vlab, elab = labels["vertices"], labels["edges"]
+    keep = sorted(e for e, lab in elab.items() if lab is not None)
+    index = {e: i for i, e in enumerate(keep)}
+    pairing, rotation, edge_sign, vertex_label, dart_label = {}, {}, {}, {}, {}
+    for e in keep:
+        (a, b), d0 = total.edges[e], 2 * index[e]
+        pairing[d0], pairing[d0 + 1] = d0 + 1, d0
+        dart_label[d0], dart_label[d0 + 1] = (elab[e], 0), (elab[e], 1)
+        vertex_label[d0], vertex_label[d0 + 1] = vlab[a], vlab[b]
+        edge_sign[d0] = 1 if total.edge_compatible(e) else -1
+    for v in total.vertices:
+        if vlab.get(v) is None:
+            continue   # cone center: interior branch point
+        ds = [2 * index[e] + (total.edges[e][0] != v)
+              for e in total.rotations[v] if elab[e] is not None]
+        for i, d in enumerate(ds):
+            rotation[d] = ds[(i + 1) % len(ds)]
+    tm = TransverseMap(cover.base, pairing, rotation, edge_sign,
+                       vertex_label, dart_label, {}, [])
+    tm.regions = _disk_regions(tm)
     return tm
 
 

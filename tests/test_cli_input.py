@@ -13,7 +13,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from surfmap import cli, moves
+from surfmap import cli, covers, moves
 from surfmap.errors import Stuck
 from surfmap.surfaces import builtin_triangulation
 from surfmap.transverse import ValidationReport
@@ -179,6 +179,17 @@ def test_non_integer_branch_is_an_input_error(tmp_path):
     rc, out = run_cli(["generate", "cover", "--d", "2", "--branch", "2,x",
                        "--out", str(tmp_path / "x.json")])
     assert rc == 1 and out["error"] == "input"
+
+
+def test_bad_pinch_is_refused_before_a_cover_is_sampled(tmp_path, monkeypatch):
+    sampled = []
+    monkeypatch.setattr(covers, "random_cover", lambda *a, **k: sampled.append(a))
+    rc, out = run_cli(["generate", "composite", "--base", "genus2", "--d", "8",
+                       "--pinch", "sphere", "--out", str(tmp_path / "x.json")])
+    assert rc == 1 and out == {
+        "error": "input", "detail": "--pinch must be one of ['crosscaps3', "
+                                    "'crosscaps4', 'genus2', 'klein', 'rp2', 'torus']"}
+    assert sampled == [] and not (tmp_path / "x.json").exists()
 
 
 def test_unwritable_out_is_an_input_error(tmp_path):

@@ -12,8 +12,9 @@ from surfmap.covers import (MonodromyCover, assemble_total_space, cover_chi,
                             random_cover)
 from surfmap.errors import (Branched, InternalInconsistency, NotClosed,
                             Unsatisfiable)
-from surfmap.surfaces import (BUILTIN_NAMES, Triangulation, builtin_triangulation,
-                              derive_rotations)
+from surfmap.surfaces import BUILTIN_NAMES, builtin_triangulation
+
+from helpers import two_triangle_sphere
 
 
 @st.composite
@@ -130,13 +131,6 @@ def test_compiled_fans_match_the_uncompiled_walk(name):
             assert tuple(s + 1 for s in got) == cover.fan_product(v), (d, v)
 
 
-def _two_triangle_sphere():
-    """A sphere of two triangles sharing all three edges."""
-    V, E = [0, 1, 2], [(0, 1), (1, 2), (0, 2)]
-    T = [[(0, 1), (1, 1), (2, -1)], [(2, 1), (1, -1), (0, -1)]]
-    return Triangulation(V, E, T, derive_rotations(V, E, T))
-
-
 ROOT_WORD_LENGTHS = {"sphere_tetra": 10, "rp2_6": 30, "torus_7": 44, "klein_8": 50,
                      "genus2": 84, "two_triangles": 4}
 
@@ -146,7 +140,7 @@ def test_root_word_matches_the_compiled_root_fan(name):
     """Every sheet walked through the sampler's root word against the
     compiled root fan after the solves, on random (mostly rejected) draws
     and branch cycles with d <= 8."""
-    tri = (_two_triangle_sphere() if name == "two_triangles"
+    tri = (two_triangle_sphere() if name == "two_triangles"
            else builtin_triangulation(name))
     draws, solves, word, _assigned = covers._sampler_plan(tri)
     root_program = covers._fan_programs(tri)[tri.vertices[0]]
@@ -282,3 +276,61 @@ def test_cover_json_round_trip():
     again = MonodromyCover.from_json(cover.to_json())
     assert again.to_json() == cover.to_json()
     assert again.validate() == []
+
+
+def _bfs_components(cover):
+    """(triangle, sheet) -> component by breadth-first search over edge
+    crossings and branch-cycle mates, numbered in order of discovery."""
+    mates = {}
+    for t, cyc in cover.branch_cycles():
+        for s in cyc:
+            mates.setdefault((t, s), set()).update(cyc)
+    comp = {}
+    for start in ((t, s) for t in range(len(cover.base.triangles))
+                  for s in range(1, cover.d + 1)):
+        if start in comp:
+            continue
+        n = comp[start] = len(set(comp.values()))
+        frontier = [start]
+        while frontier:
+            t, s = frontier.pop()
+            near = [(t, s2) for s2 in mates.get((t, s), ())]
+            for e in cover.base.triangle_edges(t):
+                t1, t2 = cover.side_triangles(e)
+                sigma = cover.edge_perm[e]
+                near.append((t2, sigma[s - 1]) if t == t1 else (t1, sigma.index(s) + 1))
+            for state in near:
+                if state not in comp:
+                    comp[state] = n
+                    frontier.append(state)
+    return comp
+
+
+BRANCH_CHOICES = (None, (2, 2), (3, 3), (2, 2, 2, 2), (4, 4), (3, 2, 2, 3))
+
+
+def test_cover_solve_matches_the_search_and_the_assembly():
+    """cover_solve's components, numbered by least state, against a
+    breadth-first search, and its orientability against the assembled
+    total space's: every base and the two-triangle sphere, d <= 6, every
+    branch choice, connected covers and covers that may fall apart."""
+    n = disconnected = 0
+    for name in BUILTIN_NAMES + ("two_triangles",):
+        tri = (two_triangle_sphere() if name == "two_triangles"
+               else builtin_triangulation(name))
+        for d in range(1, 7):
+            for branch in BRANCH_CHOICES:
+                for transitive in (True, False):
+                    try:
+                        cover = random_cover(tri, d, list(branch or ()) or None,
+                                             seed=d, require_transitive=transitive)
+                    except Unsatisfiable:
+                        continue
+                    comp = cover_components(cover)
+                    assert comp == _bfs_components(cover), (name, d, branch)
+                    total = assemble_total_space(cover)
+                    assert covers.cover_solve(cover).ok == total.orientability()
+                    assert cover_connected(cover) == total.is_connected()
+                    n += 1
+                    disconnected += max(comp.values()) > 0
+    assert n >= 200 and disconnected >= 50, (n, disconnected)

@@ -1,9 +1,12 @@
 import pytest
 
-from surfmap.covers import MonodromyCover, random_cover
+from surfmap import covers
+from surfmap.covers import MonodromyCover, cover_chi, random_cover
 from surfmap.errors import (BadKind, DisconnectedCover, InconsistentParity,
-                            NotOrientable, UnknownName)
-from surfmap.surfaces import SurfaceKind, builtin_triangulation, classify_surface
+                            InternalInconsistency, NotOrientable, Unsatisfiable,
+                            UnknownName)
+from surfmap.surfaces import (SurfaceKind, Triangulation, builtin_triangulation,
+                              classify_surface, derive_rotations)
 from surfmap.transverse import (IsoSide, Region, TransverseMap,
                                 add_pinch, builtin_example, chi_domain,
                                 classify_circuit, domain_kind,
@@ -12,7 +15,7 @@ from surfmap.transverse import (IsoSide, Region, TransverseMap,
                                 validate_map)
 from surfmap.moves import flip_vertex, insert_trivial_circle
 
-from helpers import tube_double
+from helpers import assembled_map_from_cover, tube_double, two_triangle_sphere
 
 BUILTINS = ("sphere_tetra", "rp2_6", "torus_7", "klein_8", "genus2")
 
@@ -98,6 +101,99 @@ def test_map_from_cover_orientation_double():
     cover = random_cover(rp2, 2, None, seed=1)
     tm = map_from_cover(cover)
     assert domain_kind(tm) == SurfaceKind(True, 0)   # the sphere
+
+
+BRANCH_CHOICES = (None, (2, 2), (3, 3), (2, 2, 2, 2), (4, 4), (3, 2, 2, 3))
+
+
+def _turned(tri, vertices):
+    """tri with the rotations at `vertices` reversed: the same surface, its
+    lifts turned the other way."""
+    return Triangulation(tri.vertices, tri.edges, tri.triangles,
+                         {v: rot[::-1] if v in vertices else rot
+                          for v, rot in tri.rotations.items()})
+
+
+def _base(name):
+    if name == "two_triangles":
+        return two_triangle_sphere()
+    if name.endswith(" turned"):
+        tri = builtin_triangulation(name.split()[0])
+        return _turned(tri, tri.vertices[::2])
+    return builtin_triangulation(name)
+
+
+@pytest.mark.parametrize("name", BUILTINS + ("two_triangles", "torus_7 turned",
+                                             "klein_8 turned"))
+def test_direct_lift_equals_the_assembled_route(name):
+    """map_from_cover reads the lift off the cover; reading it out of the
+    assembled total space gives the same document byte for byte: d <= 6
+    with every branch choice, two seeds each (six on the small sphere).
+    On a turned base, half the lifts turn against their fans."""
+    tri = _base(name)
+    n = 0
+    for d in range(1, 7):
+        for branch in BRANCH_CHOICES:
+            for seed in range(6 if name == "two_triangles" else 2):
+                try:
+                    cover = random_cover(tri, d, list(branch or ()) or None, seed=seed)
+                except Unsatisfiable:
+                    continue
+                want = assembled_map_from_cover(cover)
+                assert validate_map(want).ok
+                assert map_from_cover(cover).dumps() == want.dumps(), (d, branch, seed)
+                n += 1
+    assert n >= 16, n
+
+
+@pytest.mark.parametrize("name, d, branch", [("torus_7", 7, None),
+                                             ("torus_7", 7, [3, 3])])
+def test_direct_lift_equals_the_assembled_route_at_d7(name, d, branch):
+    tri = builtin_triangulation(name)
+    for seed in range(4):
+        cover = random_cover(tri, d, branch, seed=seed)
+        assert map_from_cover(cover).dumps() == assembled_map_from_cover(cover).dumps()
+
+
+def _digon_tetra():
+    """The tetrahedron with a second edge 6 from 0 to 1 and a vertex 4 of
+    degree 2 in the digon between edges 0 and 6."""
+    V = [0, 1, 2, 3, 4]
+    E = [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (2, 3), (0, 1), (4, 0), (4, 1)]
+    T = [[(6, 1), (1, 1), (2, -1)], [(0, 1), (4, 1), (3, -1)],
+         [(1, 1), (5, 1), (4, -1)], [(2, 1), (5, 1), (3, -1)],
+         [(7, 1), (0, 1), (8, -1)], [(8, 1), (6, -1), (7, -1)]]
+    return Triangulation(V, E, T, derive_rotations(V, E, T))
+
+
+@pytest.mark.parametrize("turned", [(), (4,), (0, 4)])
+def test_branch_point_next_to_a_two_edge_vertex(turned):
+    """A lift over a two-edge vertex counts +1 in its copies' band signs,
+    as validate_map's local sign reads it, whichever way it turns.  The
+    assembled route took the turn of the cone spokes there and gave signs
+    validate_map refuses; without a branch point the two routes agree."""
+    tri = _turned(_digon_tetra(), turned)
+    cover = random_cover(tri, 2, [2, 2], seed=0)
+    assert 4 in cover.branch    # a branch point in the digon
+    assert not validate_map(assembled_map_from_cover(cover)).ok
+    tm = map_from_cover(cover)
+    assert chi_domain(tm) == cover_chi(cover) == 2 and mod2_degree(tm) == 0
+    plain = random_cover(tri, 1, None, seed=0)
+    assert map_from_cover(plain).dumps() == assembled_map_from_cover(plain).dumps()
+
+
+def test_orientability_disagreeing_with_the_cover_is_an_internal_inconsistency(
+        monkeypatch):
+    solve = covers.cover_solve
+
+    def flipped(cover):
+        uf = solve(cover)
+        uf.ok = not uf.ok
+        return uf
+
+    monkeypatch.setattr(covers, "cover_solve", flipped)
+    with pytest.raises(InternalInconsistency, match="orientability"):
+        map_from_cover(random_cover(builtin_triangulation("torus_7"), 2, None, seed=0))
 
 
 def test_map_from_cover_rejects_disconnected():
