@@ -131,13 +131,14 @@ class MonodromyCover:
         problems = []
         if self.d < 1:
             return ["sheet count must be positive"]
-        ident = perm_id(self.d)
         for e in self.edge_perm:
             if e not in range(len(self.base.edges)):
                 problems.append(f"edge_perm names edge {e}, which the base lacks")
         for e in range(len(self.base.edges)):
             p = self.edge_perm.get(e)
-            if p is None or len(p) != self.d or sorted(p) != list(ident):
+            # the length test comes first: nothing of size d is built before
+            # a permutation shows that d is no larger than the document
+            if p is None or len(p) != self.d or sorted(p) != list(range(1, self.d + 1)):
                 problems.append(f"edge {e} has no valid sheet permutation")
         for t, cycles in self.branch.items():
             if t not in range(len(self.base.triangles)):
@@ -153,6 +154,7 @@ class MonodromyCover:
                 seen |= set(cyc)
         if problems:
             return problems
+        ident = perm_id(self.d)
         for v in self.base.vertices:
             if self.fan_product(v) != ident:
                 problems.append(f"vertex fan at {v} does not close")

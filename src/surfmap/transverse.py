@@ -1486,82 +1486,14 @@ def signed_degree(tm: TransverseMap, orient_m: int = 1, orient_n: int = 1) -> in
 # Constructors
 
 
-def _assign_region_labels(tm: TransverseMap, circuits) -> list:
-    """The target triangle of each circuit's disk region: the one whose
-    corner fan matches every corner of the circuit.  Where several match
-    (two triangles on the same three edges), the labels already given
-    across the circuit's bands are excluded; circuits are visited in
-    band-adjacency order, so a labeled neighbour is there to exclude."""
-    T = tm.target
-    circuit_of = {tok: i for i, c in enumerate(circuits) for tok in c.seq}
-    labels = [None] * len(circuits)
-    queued = set()
-    for root in range(len(circuits)):
-        if root in queued:
-            continue
-        queued.add(root)
-        order = [root]
-        for i in order:
-            seq = circuits[i].seq
-            cands = None
-            for a, b in corners(seq):
-                ea, eb = tm.label_edge(a[0]), tm.label_edge(b[0])
-                here = {t for (t, x, y) in T.corners_at(tm.vertex_label[a[0]])
-                        if {x, y} == {ea, eb}}
-                cands = here if cands is None else cands & here
-            across = [circuit_of[(d, 1 - x)] for d, x in seq]
-            if cands and len(cands) > 1:
-                cands = cands - {labels[k] for k in across}
-            if not cands:
-                raise InternalInconsistency("circuit corners match no triangle")
-            labels[i] = min(cands)
-            for k in across:
-                if k not in queued:
-                    queued.add(k)
-                    order.append(k)
-    return labels
-
-
-def _disk_regions(tm: TransverseMap) -> list:
-    """One disk region per traced circuit, labeled by its triangle."""
-    circuits = tm.trace_circuits()
-    return [Region(label, SurfaceKind(True, 0, 0, 1), (c,))
-            for c, label in zip(circuits, _assign_region_labels(tm, circuits))]
-
-
 def identity_map(tri: Triangulation) -> TransverseMap:
-    """Preimage graph equal to the skeleton, one disk region per triangle."""
+    """The lift of the one-sheeted cover: preimage graph equal to the
+    skeleton, one disk region per triangle."""
     problems = tri.validate()
     if problems:
         raise InvalidSurface(f"invalid target: {problems}")
-    pairing = {}
-    rotation = {}
-    edge_sign = {}
-    vertex_label = {}
-    dart_label = {}
-
-    def dart(e, end):
-        return 2 * e + end
-
-    for e, (a, b) in enumerate(tri.edges):
-        pairing[dart(e, 0)] = dart(e, 1)
-        pairing[dart(e, 1)] = dart(e, 0)
-        dart_label[dart(e, 0)] = (e, 0)
-        dart_label[dart(e, 1)] = (e, 1)
-        vertex_label[dart(e, 0)] = a
-        vertex_label[dart(e, 1)] = b
-        edge_sign[dart(e, 0)] = 1 if tri.edge_compatible(e) else -1
-    for P in tri.vertices:
-        rot = tri.rotations[P]
-        ds = [dart(e, 0 if tri.edges[e][0] == P else 1) for e in rot]
-        for i, d in enumerate(ds):
-            rotation[d] = ds[(i + 1) % len(ds)]
-
-    tm = TransverseMap(tri, pairing, rotation, edge_sign,
-                       vertex_label, dart_label, {}, [])
-    tm.regions = _disk_regions(tm)
-    require_valid(tm, "identity_map")
-    return tm
+    return map_from_cover(covers_mod.MonodromyCover(
+        tri, 1, {e: (1,) for e in range(len(tri.edges))}, {}))
 
 
 def map_from_cover(cover) -> TransverseMap:
@@ -1694,7 +1626,10 @@ def add_pinch(tm: TransverseMap, region_index: int, closed_kind: SurfaceKind) ->
 def _fold_degree_zero() -> TransverseMap:
     """Sphere-to-sphere fold of vanishing degree: the target cut along one
     edge gives a disk; the domain is its double, two mirror copies glued
-    along the cut, and the preimage graph is the doubled truncated skeleton."""
+    along the cut, and the preimage graph is the doubled truncated skeleton.
+    A disk region's label is the triangle at its circuit's first corner, as
+    in map_from_cover; no two triangles of the tetrahedron share two edges,
+    so the corner's two edges name it."""
     tri = builtin_triangulation("sphere_tetra")
     e_cut = 0
     u, w = tri.edges[e_cut]
@@ -1752,7 +1687,15 @@ def _fold_degree_zero() -> TransverseMap:
 
     tm = TransverseMap(tri, pairing, rotation, edge_sign,
                        vertex_label, dart_label, {}, [])
-    tm.regions = _disk_regions(tm)
+    regions = []
+    for c in tm.trace_circuits():
+        a, b = next(corners(c.seq))
+        ends = {tm.label_edge(a[0]), tm.label_edge(b[0])}
+        fits = [t for t, x, y in tri.corners_at(tm.vertex_label[a[0]]) if {x, y} == ends]
+        if len(fits) != 1:
+            raise InternalInconsistency(f"fold circuit's first corner fits triangles {fits}")
+        regions.append(Region(fits[0], SurfaceKind(True, 0, 0, 1), (c,)))
+    tm.regions = regions
     require_valid(tm, "fold_degree_zero")
     if chi_domain(tm) != 2 or mod2_degree(tm) != 0:
         raise InternalInconsistency("fold model is not a degree-zero sphere map")

@@ -5,9 +5,8 @@ import random
 from surfmap.covers import assemble_total_space, random_cover
 from surfmap.surfaces import (SurfaceKind, Triangulation, builtin_triangulation,
                               classify_with_boundary, derive_rotations)
-from surfmap.transverse import (Region, TransverseMap, classify_circuit,
-                                domain_orientable, map_from_cover, validate_map,
-                                _assign_region_labels, _disk_regions)
+from surfmap.transverse import (Region, TransverseMap, classify_circuit, corners,
+                                domain_orientable, map_from_cover, validate_map)
 
 
 def two_triangle_sphere():
@@ -15,6 +14,55 @@ def two_triangle_sphere():
     V, E = [0, 1, 2], [(0, 1), (1, 2), (0, 2)]
     T = [[(0, 1), (1, 1), (2, -1)], [(2, 1), (1, -1), (0, -1)]]
     return Triangulation(V, E, T, derive_rotations(V, E, T))
+
+
+def with_rotations_reversed(tri, vertices):
+    """tri with the rotations at `vertices` reversed: the same surface, its
+    lifts turned the other way."""
+    return Triangulation(tri.vertices, tri.edges, tri.triangles,
+                         {v: rot[::-1] if v in vertices else rot
+                          for v, rot in tri.rotations.items()})
+
+
+def corner_matched_disks(tm):
+    """One disk region per traced circuit of tm, labelled by the target
+    triangle whose corner fan matches every corner of the circuit.  Where
+    several match (two triangles on the same three edges), the labels
+    already given across the circuit's bands are excluded; circuits are
+    visited in band-adjacency order, so a labelled neighbour is there to
+    exclude.  The package labels a circuit by the triangle at its first
+    corner instead; this search is the independent rule the references
+    below use."""
+    T = tm.target
+    circuits = tm.trace_circuits()
+    circuit_of = {tok: i for i, c in enumerate(circuits) for tok in c.seq}
+    labels = [None] * len(circuits)
+    queued = set()
+    for root in range(len(circuits)):
+        if root in queued:
+            continue
+        queued.add(root)
+        order = [root]
+        for i in order:
+            seq = circuits[i].seq
+            cands = None
+            for a, b in corners(seq):
+                ea, eb = tm.label_edge(a[0]), tm.label_edge(b[0])
+                here = {t for (t, x, y) in T.corners_at(tm.vertex_label[a[0]])
+                        if {x, y} == {ea, eb}}
+                cands = here if cands is None else cands & here
+            across = [circuit_of[(d, 1 - x)] for d, x in seq]
+            if cands and len(cands) > 1:
+                cands = cands - {labels[k] for k in across}
+            if not cands:
+                raise AssertionError("circuit corners match no triangle")
+            labels[i] = min(cands)
+            for k in across:
+                if k not in queued:
+                    queued.add(k)
+                    order.append(k)
+    return [Region(label, SurfaceKind(True, 0, 0, 1), (c,))
+            for c, label in zip(circuits, labels)]
 
 
 def join_regions(tm, i, j, same_direction=True):
@@ -67,9 +115,7 @@ def identity_copies(tri, n):
             for i, d in enumerate(ds):
                 rotation[d] = ds[(i + 1) % len(ds)]
     tm = TransverseMap(tri, pairing, rotation, edge_sign, vlab, dlab, {}, [])
-    circuits = tm.trace_circuits()
-    tm.regions = [Region(lab, SurfaceKind(True, 0, 0, 1), (c,))
-                  for c, lab in zip(circuits, _assign_region_labels(tm, circuits))]
+    tm.regions = corner_matched_disks(tm)
     return tm
 
 
@@ -102,8 +148,10 @@ def assembled_map_from_cover(cover):
     """map_from_cover by way of the assembled total space: the lifted
     skeleton read out of assemble_total_space (edges with a base label,
     in order; rotations with the cone spokes left out; band signs from
-    the assembled rotations) and regions labelled by the corner-matching
-    search.  The reference the direct lift is compared against."""
+    the assembled rotations) and regions labelled by corner_matched_disks,
+    a search kept here and used nowhere in the package, so the labels are
+    checked against a rule unrelated to map_from_cover's first-corner
+    one.  The reference the direct lift is compared against."""
     total, labels = assemble_total_space(cover, with_labels=True)
     vlab, elab = labels["vertices"], labels["edges"]
     keep = sorted(e for e, lab in elab.items() if lab is not None)
@@ -124,7 +172,7 @@ def assembled_map_from_cover(cover):
             rotation[d] = ds[(i + 1) % len(ds)]
     tm = TransverseMap(cover.base, pairing, rotation, edge_sign,
                        vertex_label, dart_label, {}, [])
-    tm.regions = _disk_regions(tm)
+    tm.regions = corner_matched_disks(tm)
     return tm
 
 

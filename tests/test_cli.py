@@ -2,7 +2,11 @@ import json
 import subprocess
 import sys
 
-from surfmap.surfaces import Triangulation, derive_rotations
+import pytest
+
+from surfmap.surfaces import Triangulation, builtin_triangulation, derive_rotations
+
+from helpers import with_rotations_reversed
 
 PY = [sys.executable, "-m", "surfmap.cli"]
 
@@ -158,8 +162,8 @@ def test_loop_edge_triangulation_rejected(tmp_path):
 
 def test_composite_over_two_triangles_on_the_same_three_edges(tmp_path):
     """A sphere of two triangles sharing all three edges: every corner fits
-    both triangles, so each disk region takes the label its neighbours
-    across the bands leave free."""
+    both triangles, and a disk region takes the triangle of the sector at
+    its circuit's first corner, which is one of the two."""
     V, E = [0, 1, 2], [(0, 1), (1, 2), (0, 2)]
     T = [[(0, 1), (1, 1), (2, -1)], [(2, 1), (1, -1), (0, -1)]]
     base = tmp_path / "base.json"
@@ -173,3 +177,26 @@ def test_composite_over_two_triangles_on_the_same_three_edges(tmp_path):
         assert rc == 0 and json.loads(stdout)["degree"] == d
         rc, stdout, _ = run("analyze", "kneser", str(out))
         assert rc == 0 and json.loads(stdout)["holds"] is True
+
+
+@pytest.mark.parametrize("name, pinch", [("torus_7", "torus"), ("klein_8", "rp2")])
+def test_pinch_over_a_base_with_reversed_rotations(tmp_path, name, pinch):
+    """identity_map is the one-sheeted lift, which turns each vertex the way
+    its least triangle's corner runs.  Where a base's rotation runs the
+    other way, the written map's rotations, band signs and regions change
+    with it (a gauge change, so the documents are not compared); its
+    degree and Kneser report stay those over the unturned base."""
+    tri = builtin_triangulation(name)
+    bases = {"plain": tri, "turned": with_rotations_reversed(tri, tri.vertices[::2])}
+    reports = {}
+    for key, base in bases.items():
+        base_path, out = tmp_path / f"{key}-base.json", tmp_path / f"{key}.json"
+        base_path.write_text(base.dumps())
+        rc, stdout, _ = run("generate", "pinch", "--base-file", str(base_path),
+                            "--pinch", pinch, "--out", str(out))
+        assert rc == 0, stdout
+        rc, stdout, _ = run("analyze", "degree", str(out))
+        assert rc == 0 and json.loads(stdout)["degree"] == 1, stdout
+        rc, reports[key], _ = run("analyze", "kneser", str(out))
+        assert rc == 0, reports[key]
+    assert reports["turned"] == reports["plain"]

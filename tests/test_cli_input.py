@@ -9,6 +9,9 @@ import contextlib
 import copy
 import io
 import json
+import resource
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -114,6 +117,30 @@ def test_cover_naming_an_edge_the_base_lacks_is_rejected(tmp_path, docs, argv):
     rc, out = run_cli(argv + [_write(tmp_path / "bad.json", doc)])
     assert rc == 1 and out["error"] == "input"
     assert "edge_perm names edge 99, which the base lacks" in out["detail"]
+
+
+def _limit_address_space():
+    _soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))
+
+
+@pytest.mark.parametrize("argv", [["oracle"], ["analyze", "validate"], ["analyze", "degree"]])
+def test_cover_with_a_huge_sheet_count_is_rejected(tmp_path, docs, argv):
+    """A sheet count no permutation of the document has is reported before
+    anything of that size is built.  The CLI runs in a child process under
+    a 1 GiB address-space limit, so a billion-sheet identity permutation
+    would fail there with a MemoryError and no JSON."""
+    doc = copy.deepcopy(docs["cover"])
+    doc["d"] = 10 ** 9
+    proc = subprocess.run([sys.executable, "-m", "surfmap.cli", *argv,
+                           _write(tmp_path / "huge.json", doc)],
+                          capture_output=True, text=True, preexec_fn=_limit_address_space)
+    assert proc.returncode == 1, proc.stderr
+    out = json.loads(proc.stdout)
+    # analyze validate reports an invalid cover in its own shape
+    text = str(out["problems"]) if argv[-1] == "validate" else out["detail"]
+    assert out.get("valid") is False or out["error"] == "input"
+    assert "edge 0 has no valid sheet permutation" in text, out
 
 
 @pytest.mark.parametrize("what", ("degree", "kneser", "factorize"))

@@ -3,8 +3,8 @@ import pytest
 from surfmap import covers
 from surfmap.covers import MonodromyCover, cover_chi, random_cover
 from surfmap.errors import (BadKind, DisconnectedCover, InconsistentParity,
-                            InternalInconsistency, NotOrientable, Unsatisfiable,
-                            UnknownName)
+                            InternalInconsistency, InvalidSurface, NotOrientable,
+                            Unsatisfiable, UnknownName)
 from surfmap.surfaces import (SurfaceKind, Triangulation, builtin_triangulation,
                               classify_surface, derive_rotations)
 from surfmap.transverse import (IsoSide, Region, TransverseMap,
@@ -15,7 +15,8 @@ from surfmap.transverse import (IsoSide, Region, TransverseMap,
                                 validate_map)
 from surfmap.moves import flip_vertex, insert_trivial_circle
 
-from helpers import assembled_map_from_cover, tube_double, two_triangle_sphere
+from helpers import (assembled_map_from_cover, tube_double, two_triangle_sphere,
+                     with_rotations_reversed)
 
 BUILTINS = ("sphere_tetra", "rp2_6", "torus_7", "klein_8", "genus2")
 
@@ -32,6 +33,16 @@ def test_identity_map(name):
     assert mod2_degree(tm) == 1
     for cls in rep.circuit_classes.values():
         assert cls.variant == "essential" and cls.index == 1
+
+
+def test_identity_map_refuses_an_invalid_target():
+    """The one-sheeted cover does not check its base, so identity_map
+    does."""
+    tri = builtin_triangulation("sphere_tetra")
+    loop = Triangulation(tri.vertices, [(0, 0)] + tri.edges[1:], tri.triangles,
+                         tri.rotations)
+    with pytest.raises(InvalidSurface, match="loop edge"):
+        identity_map(loop)
 
 
 def test_identity_signed_degree():
@@ -106,20 +117,12 @@ def test_map_from_cover_orientation_double():
 BRANCH_CHOICES = (None, (2, 2), (3, 3), (2, 2, 2, 2), (4, 4), (3, 2, 2, 3))
 
 
-def _turned(tri, vertices):
-    """tri with the rotations at `vertices` reversed: the same surface, its
-    lifts turned the other way."""
-    return Triangulation(tri.vertices, tri.edges, tri.triangles,
-                         {v: rot[::-1] if v in vertices else rot
-                          for v, rot in tri.rotations.items()})
-
-
 def _base(name):
     if name == "two_triangles":
         return two_triangle_sphere()
     if name.endswith(" turned"):
         tri = builtin_triangulation(name.split()[0])
-        return _turned(tri, tri.vertices[::2])
+        return with_rotations_reversed(tri, tri.vertices[::2])
     return builtin_triangulation(name)
 
 
@@ -172,7 +175,7 @@ def test_branch_point_next_to_a_two_edge_vertex(turned):
     as validate_map's local sign reads it, whichever way it turns.  The
     assembled route took the turn of the cone spokes there and gave signs
     validate_map refuses; without a branch point the two routes agree."""
-    tri = _turned(_digon_tetra(), turned)
+    tri = with_rotations_reversed(_digon_tetra(), turned)
     cover = random_cover(tri, 2, [2, 2], seed=0)
     assert 4 in cover.branch    # a branch point in the digon
     assert not validate_map(assembled_map_from_cover(cover)).ok

@@ -7,8 +7,9 @@ written by perfbench/run.py, as for perfbench/compare.py.  For each
 workload and each end-to-end metric of BENCHMARK.json, OUT gets both
 sides' medians and quartiles, the pairs AFTER won (runs paired by seed,
 or by rank of seed when no seed is on both sides) and compare.py's
-verdict, with the git SHA each side's runs recorded.  Only untraced runs
-count.  The statistics are compare.py's own functions.
+verdict, with the git SHA and the `src/` line count each side's runs
+recorded.  Only untraced runs count.  The statistics are compare.py's
+own functions.
 """
 
 from __future__ import annotations
@@ -24,9 +25,11 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from compare import load, quartiles, verdict  # noqa: E402
 
 
-def _shas(runs) -> list:
-    return sorted({r["meta"]["git_sha"] for by_seed in runs.values()
-                   for r in by_seed.values()})
+def _meta(runs) -> dict:
+    """The distinct git SHAs and src/ line counts the runs recorded."""
+    return {key: sorted({r["meta"][key] for by_seed in runs.values()
+                         for r in by_seed.values()})
+            for key in ("git_sha", "src_lines")}
 
 
 def _side(values) -> dict:
@@ -39,8 +42,7 @@ def record(before_path: str, after_path: str) -> dict:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     before, after = load(before_path), load(after_path)
-    out = {"before": {"git_sha": _shas(before)}, "after": {"git_sha": _shas(after)},
-           "workloads": {}}
+    out = {"before": _meta(before), "after": _meta(after), "workloads": {}}
     untraced = {w for (w, t) in before if t == 0} & {w for (w, t) in after if t == 0}
     for w in sorted(untraced):
         b_runs, a_runs = before[(w, 0)], after[(w, 0)]
