@@ -138,7 +138,10 @@ class MonodromyCover:
             p = self.edge_perm.get(e)
             # the length test comes first: nothing of size d is built before
             # a permutation shows that d is no larger than the document
-            if p is None or len(p) != self.d or sorted(p) != list(range(1, self.d + 1)):
+            if p is not None and len(p) != self.d:
+                problems.append(f"edge {e} has no valid sheet permutation "
+                                f"({len(p)} entries, d = {self.d})")
+            elif p is None or sorted(p) != list(range(1, self.d + 1)):
                 problems.append(f"edge {e} has no valid sheet permutation")
         for t, cycles in self.branch.items():
             if t not in range(len(self.base.triangles)):

@@ -15,11 +15,11 @@ ribbon facts (transverse.RibbonFacts) when its dart tables equal those of
 the map it was copied from, and otherwise facts derived from those
 (RibbonFacts.derive, which finds the changed darts in the tables
 itself), the per-region results in those facts for every region object
-the result shares with maps checked before, the result's domain solve
-(transverse.domain_solve, shared by chi_domain and domain_orientable),
-and the invariants of the move's input from that input's own check,
-while the input's tables, regions and isolated circles still equal what
-that check saw.  Regions are frozen: a move replaces the regions it
+the result shares with maps checked before, and the domain solve
+(transverse.domain_solve, shared by chi_domain and domain_orientable) of
+the result and of the move's input, which for a previous move's result
+is the one its own check made while its tables, regions and isolated
+circles are unchanged.  Regions are frozen: a move replaces the regions it
 changes and shares the rest, so its check computes per-region results
 only for those (a join or an insert changes at most three, a collapse
 the regions around the collapsed edge).  Isolated circles keep their
@@ -124,11 +124,12 @@ def _circuits_through(tm: TransverseMap, tokens) -> list:
 def _post_move_check(before: TransverseMap, after: TransverseMap, *,
                      edge_delta=None, context: str = "") -> TransverseMap:
     """Validate the result in full and check that the domain surface and
-    the mod-2 degree did not drift.  The invariants of `before` are taken
-    from its own check as the previous move's result when its tables,
-    regions and isolated circles still equal what that check saw.  A
-    failure raises InternalInconsistency with the move's name as
-    `context` and the first problems as `problems`."""
+    the mod-2 degree did not drift: each measure of `after` against the
+    same measure of `before`, which reads the memoized domain solve and
+    ribbon facts of `before` (for a previous move's result, those of its
+    own check) while they are current.  A failure raises
+    InternalInconsistency with the move's name as `context` and the first
+    problems as `problems`."""
     def fail(detail, problems):
         raise InternalInconsistency(f"{context}: {detail}", context=context,
                                     problems=problems)
@@ -136,38 +137,18 @@ def _post_move_check(before: TransverseMap, after: TransverseMap, *,
     rep = validate_map(after)
     if not rep.ok:
         fail(f"invalid result: {rep.problems[:4]}", rep.problems[:4])
-    prior = _recorded_invariants(before)
-    measures = (("Euler characteristic", chi_domain),
-                ("orientability", domain_orientable),
-                ("mod-2 degree", mod2_degree))
-    invariants = []
-    for i, (what, measure) in enumerate(measures):
-        value = measure(after)
-        if value != (prior[i] if prior else measure(before)):
+    for what, measure in (("Euler characteristic", chi_domain),
+                          ("orientability", domain_orientable),
+                          ("mod-2 degree", mod2_degree)):
+        if measure(after) != measure(before):
             fail(f"{what} drifted", [f"{what} drifted"])
-        invariants.append(value)
     if edge_delta is not None:
         got = edge_count(after) - edge_count(before)
         lo, hi = edge_delta
         if not (lo <= got <= hi):
             detail = f"edge count changed by {got}, expected in [{lo},{hi}]"
             fail(detail, [detail])
-    # the facts and region snapshot that chi_domain's solve of `after`
-    # was keyed on
-    facts, state, _solve = after._solved
-    after._checked = (facts, state, tuple(invariants))
     return after
-
-
-def _recorded_invariants(tm: TransverseMap):
-    """(chi, orientable, mod-2 degree) from tm's own post-move check, or
-    None unless its tables, regions and isolated circles are unchanged."""
-    if tm._checked is None:
-        return None
-    facts, state, invariants = tm._checked
-    if facts.matches(tm) and tm.has_state(state):
-        return invariants
-    return None
 
 
 class _GroupTracker:

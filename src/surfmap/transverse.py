@@ -39,7 +39,9 @@ region's checks find on their own (RegionChecks: walk keys, isolated
 sides, its problems, corner problems, classes, domain-solve ties) is
 memoized in the facts per region object, so a check computes it only
 for regions it has not seen, and derived facts carry it over for the
-regions whose circuits are all unchanged.  What spans regions (tiling,
+regions whose circuits are all unchanged: its ties name darts of its own
+circuits, never a graph component, so they hold after a move that
+splits a component or twists one.  What spans regions (tiling,
 the side coherence of edges and circles, parity) is put together from
 those results on every validate_map call; the side coherence of edges
 is checked again only on circuits whose region label changed or that
@@ -146,8 +148,6 @@ class TransverseMap:
     _facts: object = field(default=None, init=False, repr=False, compare=False)
     _facts_checked: bool = field(default=False, init=False, repr=False,
                                  compare=False)
-    # (facts, region state, invariants) recorded by a move's self-check
-    _checked: tuple = field(default=None, init=False, repr=False, compare=False)
     # (facts, region state, DomainSolve) of the last domain_solve
     _solved: tuple = field(default=None, init=False, repr=False, compare=False)
 
@@ -418,14 +418,6 @@ class RibbonFacts:
         self._flanks_last = None
         self._flanks_dirty = set()
 
-    def matches(self, tm: TransverseMap) -> bool:
-        return (tm.target is self.target
-                and tm.pairing == self.pairing
-                and tm.rotation == self.rotation
-                and tm.edge_sign == self.edge_sign
-                and tm.vertex_label == self.vertex_label
-                and tm.dart_label == self.dart_label)
-
     # -- derivation ---------------------------------------------------------------
 
     @classmethod
@@ -447,11 +439,11 @@ class RibbonFacts:
         vertices keeps its problems.  The memos of a token tuple depend on
         its own tokens only, so one that walks an unchanged circuit keeps
         them, and a region whose circuits all do keeps its RegionChecks.
-        What names a graph component (corner constraints, a region's ties)
-        is renumbered where each old component's surviving darts all keep
-        their chart flip relative to one new component, and is computed
-        again otherwise.  A new target, or tables that break an axiom of
-        table_problem (now or in the parent), give fresh facts."""
+        Nothing carried over names a graph component (a corner constraint
+        names a dart of its own walk), so a move that splits a component or
+        twists one carries as much as any other.  A new target, or tables
+        that break an axiom of table_problem (now or in the parent), give
+        fresh facts."""
         if tm.target is not parent.target:
             return cls(tm)
         old_pairing, new_pairing = parent.pairing, tm.pairing
@@ -622,51 +614,13 @@ class RibbonFacts:
         self._walks = _kept(parent._walks, dead)
         self._corners = _kept(parent._corners, dead)
         self._classes = _kept(parent._classes, dead)
-        if "vertex_charts" not in parent.__dict__:
-            return
-        relabel = self._component_map(parent, touched)
-        if relabel is None:
-            self._constraints = _kept(parent._constraints, dead)
+        self._constraints = _kept(parent._constraints, dead)
         last = parent._last_checks
         sources = last[1] if last is not None else parent._regions.values()
         regions = self._regions
         for checks in sources:
-            if checks.problems or not dead.isdisjoint(checks.walk_keys):
-                continue
-            if relabel is not None:
-                checks = checks.relabeled(relabel)
-                if checks is None:
-                    continue
-            regions[id(checks.region)] = checks
-
-    def _component_map(self, parent: "RibbonFacts", touched: set):
-        """None when every graph component of the parent keeps its number
-        and its chart flips at the darts outside `touched` (the only ones
-        a carried result reads); otherwise old component -> (new
-        component, flip change) where one holds for all those darts of the
-        component, None where none does."""
-        old_charts, old_of = parent.vertex_charts[0], parent.vertex_of
-        charts, vertex_of = self.vertex_charts[0], self.vertex_of
-        changed = {vertex_of[d] for d in touched if d in vertex_of}
-        pairs = []
-        for rep, (component, flip) in charts.items():
-            if rep in changed:
-                for d in self.vertex_darts(rep):
-                    if d not in touched:
-                        pairs.append((old_charts[old_of[d]], component, flip))
-            else:
-                pairs.append((old_charts[rep], component, flip))
-        out = {}
-        for (old_component, old_flip), component, flip in pairs:
-            if old_flip is None or flip is None:
-                move = (component, 0) if old_flip is flip else None
-            else:
-                move = (component, old_flip ^ flip)
-            if out.setdefault(old_component, move) != move:
-                out[old_component] = None
-        if all(move == (c, 0) for c, move in out.items()):
-            return None
-        return out
+            if not checks.problems and dead.isdisjoint(checks.walk_keys):
+                regions[id(checks.region)] = checks
 
     # -- structure --------------------------------------------------------------
 
@@ -1016,24 +970,28 @@ class RibbonFacts:
                 break
         return self._remember(self._corners, seq, (label, seq), out)
 
-    def corner_constraints(self, seq: tuple) -> frozenset:
+    def corner_constraints(self, seq: tuple) -> tuple:
         """The orientation constraints of a boundary walk's corners, as
-        (component, bit): its region's reference flip is the component's
-        flip xor bit.  On a component whose band signs admit no flips the
-        bit is 0: the constraint then only ties the region to it."""
+        (anchor, bits): the anchor is the dart seq[1][0], and for each bit
+        the region's reference flip is the anchor vertex's chart flip xor
+        bit.  A corner's bit reads its vertex's flip relative to the
+        anchor's along the walk's own band steps (a band of sign -1 toggles
+        it, as in vertex_charts), so the answer depends on the tuple and
+        the signs of its edges only and carries over like the walk."""
         out = self._recall(self._constraints, seq, seq)
         if out is not _MISSING:
             return out
-        charts = self.vertex_charts[0]
-        out = set()
-        n = len(seq)
-        for i in range(1, n + 1, 2):
-            a = seq[i % n]
-            # corner step from a: type bit 0 when leaving side 1 (ccw)
-            tbit = 0 if a[1] == 1 else 1
-            component, flip = charts[self.vertex_of[a[0]]]
-            out.add((component, 0 if flip is None else flip ^ 1 ^ tbit))
-        return self._remember(self._constraints, seq, seq, frozenset(out))
+        sign = self.edge_sign
+        bits = set()
+        rel = 0
+        for i in range(1, len(seq), 2):
+            # corner step from seq[i]: type bit 0 when leaving side 1 (ccw)
+            bits.add(rel ^ seq[i][1])
+            if i + 2 < len(seq):
+                d, p = seq[i + 1][0], seq[i + 2][0]
+                rel ^= sign[d if d < p else p] < 0
+        return self._remember(self._constraints, seq, seq,
+                              (seq[1][0], frozenset(bits)))
 
     def circuit_class(self, label: int, seq: tuple) -> CircuitClass:
         out = self._recall(self._classes, seq, (label, seq))
@@ -1131,10 +1089,11 @@ class RegionChecks:
       count, label, side bit, boundary walks), and corner_problems: how
       its boundary walks break the corner condition, both as format
       strings taking the region's index;
-    * ties: (component ties, circle ties) of the region's node in
-      domain_solve, the distinct (graph component, bit) constraints of its
-      boundary walks' corners and (circle id, bit) of its isolated sides,
-      and needs_node: whether there are other than exactly one;
+    * ties: (anchor ties, circle ties) of the region's node in
+      domain_solve, the distinct (anchor dart, bit) constraints of its
+      boundary walks' corners (corner_constraints) and (circle id, bit) of
+      its isolated sides, and needs_node: whether there are other than
+      exactly one;
     * euler and orientable, of the region's kind;
     * classes(facts): classify_circuit's answers, on first use.
 
@@ -1154,7 +1113,7 @@ class RegionChecks:
         corner_problems = []
         keys = []
         sides = []
-        components = set()
+        anchors = set()
         circles = set()
         if region.kind.boundary != len(region.circuits):
             problems.append("region {} kind boundary count disagrees with its circuits")
@@ -1184,32 +1143,14 @@ class RegionChecks:
             problem = facts.corner_problem(label, c.seq)
             if problem is not None:
                 corner_problems.append(f"region {{}} circuit {pos} {problem}")
-            components |= facts.corner_constraints(c.seq)
+            anchor, bits = facts.corner_constraints(c.seq)
+            anchors.update((anchor, bit) for bit in bits)
         self.walk_keys = tuple(keys)
         self.iso_sides = tuple(sides)
         self.problems = tuple(problems)
         self.corner_problems = tuple(corner_problems)
-        self._set_ties(components, circles)
-
-    def _set_ties(self, components, circles):
-        self.ties = (tuple(components), tuple(circles))
-        self.needs_node = len(components) + len(circles) != 1
-
-    def relabeled(self, relabel: dict):
-        """A copy whose component ties are renumbered by relabel (old
-        component -> (new component, flip change), or None), or None when
-        one of them has no new number."""
-        components = set()
-        for component, bit in self.ties[0]:
-            move = relabel.get(component)
-            if move is None:
-                return None
-            components.add((move[0], bit ^ move[1]))
-        out = RegionChecks.__new__(RegionChecks)
-        for name in RegionChecks.__slots__:
-            setattr(out, name, getattr(self, name))
-        out._set_ties(components, self.ties[1])
-        return out
+        self.ties = (tuple(anchors), tuple(circles))
+        self.needs_node = len(anchors) + len(circles) != 1
 
     def classes(self, facts: RibbonFacts) -> tuple:
         """classify_circuit's answer for each circuit, in order."""
@@ -1380,15 +1321,19 @@ def domain_solve(tm: TransverseMap) -> DomainSolve:
     flips the band signs fix, ribbon facts), the isolated circles, the
     regions.  A node's value is a chart flip, an isolated circle's own
     direction flip or a region's reference flip.  The corners of a ribbon
-    circuit tie its region to its component (the facts' corner
-    constraints); an isolated circle is tied to the region on each of its
-    sides by that side's direction: a region whose flip equals the
-    circle's induces the circle's own direction on side 0 and the opposite
-    one on side 1.  Every tie is a constraint, so the classes are the
-    components of the domain, and the domain is orientable when the
-    system is consistent and every region kind is.  A region with exactly
-    one distinct tie gets no node: it can neither join two classes nor
-    contradict one.  The ties of a region are memoized in its RegionChecks.
+    circuit tie its region to the component of the circuit's anchor dart
+    by the facts' corner constraints, which are read relative to the
+    anchor's vertex and resolved here by its chart flip (bit 0 on a
+    component whose band signs admit no flips: the tie then only joins).
+    An isolated circle is tied to the region on each of its sides by that
+    side's direction: a region whose flip equals the circle's induces the
+    circle's own direction on side 0 and the opposite one on side 1.
+    Every tie is a constraint, so the classes are the components of the
+    domain, and the domain is orientable when the system is consistent
+    and every region kind is.  A region with exactly one distinct tie
+    gets no node: it can neither join two classes nor contradict one (a
+    region whose several ties reach one class gets a node that changes
+    neither).  The ties of a region are memoized in its RegionChecks.
 
     The result is memoized on the map, keyed by its ribbon facts and a
     snapshot of its regions and circles (region_state), so the checks of
@@ -1399,7 +1344,8 @@ def domain_solve(tm: TransverseMap) -> DomainSolve:
     memo = tm._solved
     if memo is not None and memo[0] is facts and tm.has_state(memo[1]):
         return memo[2]
-    _charts, n_components, bands_ok = facts.vertex_charts
+    charts, n_components, bands_ok = facts.vertex_charts
+    vertex_of = facts.vertex_of
     circle_node = {cid: i for i, cid in enumerate(tm.isolated, n_components)}
     linked = []
     euler = 0
@@ -1412,9 +1358,10 @@ def domain_solve(tm: TransverseMap) -> DomainSolve:
     node = n_components + len(circle_node)
     uf = ParityUF(node + len(linked))
     union = uf.union
-    for components, circles in linked:
-        for component, bit in components:
-            union(component, node, bit)
+    for anchors, circles in linked:
+        for dart, bit in anchors:
+            component, flip = charts[vertex_of[dart]]
+            union(component, node, 0 if flip is None else flip ^ bit)
         for cid, bit in circles:
             union(circle_node[cid], node, bit)
         node += 1

@@ -245,28 +245,39 @@ def test_derived_facts_of_every_collapse_and_surgery_match_fresh_facts(monkeypat
 
     monkeypatch.setattr(transverse.RibbonFacts, "_carry", counting)
     seen = Counter()
+    changed = Counter()
 
     def observer(before, after, move):
         if move in ("collapse_edge", "boundary_surgery"):
             seen[move] += 1
             assert_facts_match_fresh(after)
             assert_matches_oracle(after)
+            # (components, consistent) of the graph: where either changes,
+            # the chart flips of whole components change
+            old, new = (m.ribbon_facts().vertex_charts[1:] for m in (before, after))
+            changed["components"] += old[0] != new[0]
+            changed["twistedness"] += old[1] != new[1]
 
     maps = [_slice_map(*spec) for spec in SLICE] + [_klein_scramble()] + _tube_maps()
     for tm in maps:
         normalize(tm, observer=observer)
     assert seen["collapse_edge"] >= 60 and seen["boundary_surgery"] >= 8
+    assert changed["components"] >= 10 and changed["twistedness"] >= 5
     # each result's facts were derived, none built afresh
     assert carried["derived"] >= sum(seen.values())
 
 
+# the move that rewires darts -> its finder, whose arguments redo it
+REWIRING = {"collapse_edge": moves._find_collapse,
+            "boundary_surgery": moves._find_surgery}
+
+
 def test_collapse_checks_only_the_regions_it_replaces(monkeypatch):
     """A collapse traces again only the circuits through the darts it
-    rewires, and builds RegionChecks only for the regions it replaces
-    whenever locality holds for the graph's chart flips: here, a graph of
-    one component that keeps its orientation character (a twisted band
-    cycle appearing or vanishing changes every flip, and then the
-    results that name flips are computed again)."""
+    rewires, and a collapse or a surgery builds RegionChecks only for the
+    regions it replaces, also where it splits a graph component or makes
+    one twisted or untwisted: a region's ties name darts of its own
+    circuits, not graph components or their chart flips."""
     built = Counter()
 
     class CountedChecks(transverse.RegionChecks):
@@ -285,22 +296,23 @@ def test_collapse_checks_only_the_regions_it_replaces(monkeypatch):
     local = Counter()
 
     def observer(before, after, move):
-        if move != "collapse_edge":
+        if move not in REWIRING:
             return
+        args = REWIRING[move](before)
         start = built.copy()
-        redo = collapse_edge(before, collapsible_edges(before)[0])
+        redo = getattr(moves, move)(before, *args)
         traces = built["traces"] - start["traces"]
         checks = built["checks"] - start["checks"]
-        assert traces == len(set(redo.trace_circuits()) - set(before.trace_circuits()))
-        old, new = (m.ribbon_facts().vertex_charts for m in (before, redo))
-        if old[1] == new[1] == 1 and old[2] == new[2]:
-            local["collapses"] += 1
-            assert checks == sum(1 for r in redo.regions
-                                 if not any(r is s for s in before.regions))
+        if move == "collapse_edge":
+            assert traces == len(set(redo.trace_circuits())
+                                 - set(before.trace_circuits()))
+        local[move] += 1
+        assert checks == sum(1 for r in redo.regions
+                             if not any(r is s for s in before.regions)), move
 
     for tm in [_slice_map(*spec) for spec in SLICE] + [_klein_scramble()]:
         normalize(tm, observer=observer)
-    assert local["collapses"] >= 30
+    assert local["collapse_edge"] >= 30 and local["boundary_surgery"] >= 5
 
 
 def test_derived_side_coherence_matches_fresh_facts_for_any_labels():
@@ -427,8 +439,8 @@ def test_tampered_region_kind_is_reported(checked):
         _post_move_check(tm, work, context="tamper")
     assert ex.value.context == "tamper"
     assert ex.value.problems == ["Euler characteristic drifted"]
-    # tampered after its own check, a map's recorded invariants are stale;
-    # reusing them would report a drift in the next move
+    # tampered after its own check, a map's invariants from that check are
+    # stale; reusing them would report a drift in the next move
     _add_summand(tm, 0)
     tm.invalidate_caches()
     chi = chi_domain(TransverseMap.from_json(tm.to_json()))

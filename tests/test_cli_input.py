@@ -141,6 +141,7 @@ def test_cover_with_a_huge_sheet_count_is_rejected(tmp_path, docs, argv):
     text = str(out["problems"]) if argv[-1] == "validate" else out["detail"]
     assert out.get("valid") is False or out["error"] == "input"
     assert "edge 0 has no valid sheet permutation" in text, out
+    assert "d = 1000000000" in text, out
 
 
 @pytest.mark.parametrize("what", ("degree", "kneser", "factorize"))

@@ -2,7 +2,9 @@
 every method of its classes, has a caller: some reference to it in src/
 or perfbench/ outside its own definition, or a place in the short list of
 public entry points below.  Dunder methods (dataclass hooks such as
-__post_init__ among them) are called by Python itself and are exempt."""
+__post_init__ among them) are called by Python itself and are exempt.
+Every field of the package's classes (dataclass annotations, __slots__
+entries) is read as an attribute somewhere in src/ or perfbench/."""
 
 import ast
 from collections import Counter
@@ -43,6 +45,22 @@ def _methods(tree: ast.Module):
                 yield f"{cls.name}.{node.name}", node.name, node
 
 
+def _fields(tree: ast.Module):
+    """(Class.name, name) for the fields of the module-level classes: their
+    annotated class attributes (dataclass fields) and __slots__ entries."""
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                yield f"{cls.name}.{node.target.id}", node.target.id
+            elif (isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                          for t in node.targets)):
+                for name in ast.literal_eval(node.value):
+                    yield f"{cls.name}.{name}", name
+
+
 def _names_used(tree: ast.AST) -> Counter:
     """How often each identifier, attribute name, imported name and string
     constant occurs in `tree`."""
@@ -59,11 +77,16 @@ def _names_used(tree: ast.AST) -> Counter:
     return out
 
 
+def _trees() -> dict:
+    """path -> parsed module, for src/surfmap and perfbench."""
+    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    return {path: ast.parse(path.read_text(), str(path)) for path in files}
+
+
 def _unused(definitions) -> list:
     """The definitions (shown name, name, node) of the package's modules
     whose name nothing outside their own node refers to."""
-    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in files}
+    trees = _trees()
     used = sum((_names_used(tree) for tree in trees.values()), Counter())
     return [f"{path.name}: {shown}"
             for path, tree in trees.items() if path.parent == PACKAGE
@@ -79,3 +102,15 @@ def test_every_module_level_name_has_a_caller():
 def test_every_method_has_a_caller():
     unused = _unused(_methods)
     assert not unused, f"methods nothing refers to: {unused}"
+
+
+def test_every_field_is_read():
+    """A dataclass field or __slots__ entry that no attribute load reads
+    is state nobody looks at."""
+    trees = _trees()
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.name}: {shown}"
+              for path, tree in trees.items() if path.parent == PACKAGE
+              for shown, name in _fields(tree) if name not in read]
+    assert not unread, f"fields no attribute load reads: {unread}"
