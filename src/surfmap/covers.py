@@ -56,6 +56,8 @@ class MonodromyCover:
     d: int
     edge_perm: dict = field(default_factory=dict)   # edge -> sheet perm, side0 -> side1
     branch: dict = field(default_factory=dict)      # triangle -> list of cycles (tuples)
+    # (snapshot, problems) of the last validate()
+    _verdict: tuple = field(default=None, init=False, repr=False, compare=False)
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -127,7 +129,32 @@ class MonodromyCover:
 
     # -- validation -------------------------------------------------------------
 
+    def _snapshot(self) -> tuple:
+        """The cover's data by value: base, d, edge_perm and branch, every
+        list as a tuple.  Equal snapshots mean equal covers."""
+        b = self.base
+        return (self.d, tuple(b.vertices), tuple(map(tuple, b.edges)),
+                tuple(tuple(map(tuple, walk)) for walk in b.triangles),
+                tuple((v, tuple(rot)) for v, rot in b.rotations.items()),
+                tuple((e, tuple(p)) for e, p in self.edge_perm.items()),
+                tuple((t, tuple(map(tuple, cycles)))
+                      for t, cycles in self.branch.items()))
+
     def validate(self) -> list:
+        """The cover's problems.  The verdict is memoized under the cover's
+        snapshot, so a cover checked again unchanged (random_cover checks
+        what it returns, map_from_cover and assemble_total_space check
+        what they are given) is not checked twice, and one changed in
+        place is checked in full."""
+        try:
+            key = self._snapshot()
+        except TypeError:      # data of the wrong shape: no memo
+            return self._problems()
+        if self._verdict is None or self._verdict[0] != key:
+            self._verdict = (key, tuple(self._problems()))
+        return list(self._verdict[1])
+
+    def _problems(self) -> list:
         problems = []
         if self.d < 1:
             return ["sheet count must be positive"]

@@ -10,22 +10,23 @@ any drift, so convention bugs cannot pass silently.
 
 The post-move check is the full one: validate_map, chi_domain,
 domain_orientable, mod2_degree and edge_count on the result.  What it
-reuses is memoized or derived, never trusted from the move: the result's
-ribbon facts (transverse.RibbonFacts) when its dart tables equal those of
-the map it was copied from, and otherwise facts derived from those
-(RibbonFacts.derive, which finds the changed darts in the tables
-itself), the per-region results in those facts for every region object
-the result shares with maps checked before, and the domain solve
-(transverse.domain_solve, shared by chi_domain and domain_orientable) of
-the result and of the move's input, which for a previous move's result
-is the one its own check made while its tables, regions and isolated
-circles are unchanged.  Regions are frozen: a move replaces the regions it
-changes and shares the rest, so its check computes per-region results
-only for those (a join or an insert changes at most three, a collapse
-the regions around the collapsed edge).  Isolated circles keep their
-ids, so a join deletes one circle and renumbers nothing.  The moves that
-rewire darts (collapse_edge, boundary_surgery) find the regions they
-touch through the memoized walk keys of their input.
+reuses is memoized or derived, never trusted from the move, which passes
+the check nothing: the result's ribbon facts (transverse.RibbonFacts)
+when its dart tables equal those of the map it was copied from, and
+otherwise facts derived from those (RibbonFacts.derive, which finds the
+changed darts in the tables itself); the per-region results in those
+facts for every region object the result shares with maps checked
+before; and the input's tiling (transverse.Tiling: the owners of the
+circuits and circle sides, and the domain solve that chi_domain and
+domain_orientable share), from which the result's is derived by the
+regions and circles that differ (Tiling.derived, DomainSolve.derived).
+Regions are frozen: a move replaces the regions it changes and shares
+the rest, so its check looks again only at those (a join or an insert
+changes at most three, a collapse the regions around the collapsed
+edge).  Isolated circles keep their ids, so a join deletes one circle
+and renumbers nothing.  A join finds the regions it touches through its
+input's tiling; the moves that rewire darts (collapse_edge,
+boundary_surgery) through the memoized walk keys of their input.
 """
 
 from __future__ import annotations
@@ -125,11 +126,13 @@ def _post_move_check(before: TransverseMap, after: TransverseMap, *,
                      edge_delta=None, context: str = "") -> TransverseMap:
     """Validate the result in full and check that the domain surface and
     the mod-2 degree did not drift: each measure of `after` against the
-    same measure of `before`, which reads the memoized domain solve and
-    ribbon facts of `before` (for a previous move's result, those of its
-    own check) while they are current.  A failure raises
-    InternalInconsistency with the move's name as `context` and the first
-    problems as `problems`."""
+    same measure of `before`.  validate_map derives the result's tiling
+    from the one `after` inherited from `before` (for a previous move's
+    result, the one of its own check), and chi_domain and
+    domain_orientable read the solve derived with it; the measures of
+    `before` read its own while its facts, regions and circles are the
+    ones checked.  A failure raises InternalInconsistency with the move's
+    name as `context` and the first problems as `problems`."""
     def fail(detail, problems):
         raise InternalInconsistency(f"{context}: {detail}", context=context,
                                     problems=problems)
@@ -243,8 +246,10 @@ def _kind_from(chi: int, boundary: int, orientable: bool, context: str) -> Surfa
 
 
 def collapsible_edges(tm: TransverseMap) -> list:
-    return [k for k in tm.edge_keys()
-            if tm.dart_label[k] == tm.dart_label[tm.pairing[k]]]
+    """The edge keys, in order, of the edges whose darts carry the same
+    half-edge (memoized in the ribbon facts: a shared list; do not
+    modify)."""
+    return tm.ribbon_facts().collapsible_edges
 
 
 def collapse_edge(tm: TransverseMap, edge_key: int) -> TransverseMap:
@@ -317,6 +322,7 @@ def collapse_edge(tm: TransverseMap, edge_key: int) -> TransverseMap:
                         new_sign, without_dead(work.vertex_label),
                         without_dead(work.dart_label), dict(work.isolated), [])
     out._facts = before.ribbon_facts()
+    out._tiling = before._tiling
     new_circle_info = []      # (circle id, strand dart x_i)
     for i in range(1, m):
         a_i = work.pairing[xs[i]]
@@ -486,22 +492,16 @@ def join_isolated_circle(tm: TransverseMap, iso_index: int,
     d_S = work.dart_label[dep[0]][1]          # 0 iff departing the end-0 dart
 
     # far side of the strand: the region storing the traced circuit
-    # through its two (band-adjacent) far tokens, found by the regions'
-    # memoized walk keys
-    facts = work.ribbon_facts()
-    checks = facts.region_checks(work.regions)
+    # through its two (band-adjacent) far tokens; and the region on the
+    # circle's other side
     far_tokens = {(dep[0], 1 - dep[1]), (arr[0], 1 - arr[1])}
-    far_key = facts.circuit_of_token[(dep[0], 1 - dep[1])]
-    r2 = next((ri for ri, ch in enumerate(checks) if far_key in ch.walk_keys), None)
+    far_side = (cid, 1 - side_entry.side)
+    r2, rb = _owners(work, (dep[0], 1 - dep[1]), far_side)
     succ = successor_map(work.regions[r2].circuits) if r2 is not None else {}
     if not far_tokens <= succ.keys():
         raise InternalInconsistency("strand sides are inconsistent")
     far_dep = next(t for t in far_tokens if succ[t] in far_tokens)
     d_R = work.dart_label[far_dep[0]][1]
-
-    # the region on the circle's other side
-    far_side = (cid, 1 - side_entry.side)
-    rb = next((ri for ri, ch in enumerate(checks) if far_side in ch.iso_sides), None)
     if rb is None:
         raise InternalInconsistency("circle side belongs to no region")
     delta_b = next(c.direction for c in work.regions[rb].circuits
@@ -549,6 +549,22 @@ def join_isolated_circle(tm: TransverseMap, iso_index: int,
     del work.isolated[cid]
     return _post_move_check(before, work, edge_delta=(-1, -1),
                             context="join_isolated_circle")
+
+
+def _owners(tm: TransverseMap, token: tuple, side: tuple) -> tuple:
+    """The indices of the region storing the traced circuit through a
+    token and of the region bounded by a circle side (None where there is
+    none): read off the map's tiling where it is current, otherwise found
+    by the regions' memoized checks."""
+    facts = tm.ribbon_facts()
+    key = facts.circuit_of_token[token]
+    tiling = tm.tiling()
+    if tiling is not None:
+        return tuple(None if checks is None else tm.regions.index(checks.region)
+                     for checks in (tiling.stored.get(key), tiling.owner.get(side)))
+    checks = facts.region_checks(tm.regions)
+    return (next((ri for ri, ch in enumerate(checks) if key in ch.walk_keys), None),
+            next((ri for ri, ch in enumerate(checks) if side in ch.iso_sides), None))
 
 
 # --------------------------------------------------------------------------

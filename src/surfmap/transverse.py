@@ -41,19 +41,29 @@ memoized in the facts per region object, so a check computes it only
 for regions it has not seen, and derived facts carry it over for the
 regions whose circuits are all unchanged: its ties name darts of its own
 circuits, never a graph component, so they hold after a move that
-splits a component or twists one.  What spans regions (tiling,
-the side coherence of edges and circles, parity) is put together from
-those results on every validate_map call; the side coherence of edges
-is checked again only on circuits whose region label changed or that
-were traced anew.  The connectivity and orientation of
-the domain come from one solve (domain_solve) per map state: it is
-memoized on the map together with the facts and a snapshot of the
-regions and isolated circles, and runs again once any of them changed.
+splits a component or twists one.
+
+What spans regions is the Tiling of a passed check: the owner of each
+traced circuit and circle side, and the domain solve (domain_solve), the
+connectivity and orientation of the domain in one parity union-find.  A
+copy inherits the tiling of its original as it inherits the facts, and
+its check derives its own from it (Tiling.derived): the regions and
+circles that differ from the tiling's snapshot are read off the map
+(regions as objects, circles by id and as objects), and only they are
+checked again and their owners updated.  The solve is derived the same
+way (DomainSolve.derived): its nodes have names a region keeps while a
+move replaces it, the ties of the replaced regions are compared, and it
+keeps the spanning forest of its unions as the certificate that tells
+when a deleted tie may split a class; only then is the domain solved
+again.  A derivation only ever answers that nothing is wrong: where it
+would find a problem, and for a map without a tiling, validate_map
+checks from scratch, with the same problem texts in the same order.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -65,15 +75,16 @@ from .surfaces import (SurfaceKind, Triangulation, builtin_triangulation,
                        classify_surface, connected_sum_kind, doc_field, doc_id,
                        doc_int, doc_pair)
 from . import covers as covers_mod
-from .unionfind import ParityUF
+from .unionfind import BROKEN, JOINED, ParityUF
 
 
 # --------------------------------------------------------------------------
 # Data model
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IsolatedCircle:
+    """Compared and hashed by identity, as regions are."""
     edge: int   # target edge whose interior the circle maps into
 
 
@@ -121,10 +132,11 @@ class IsoSide:
     direction: int    # +1: the region-induced direction equals the circle's own
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Region:
     """Frozen, so maps and the per-region check memo share a region
-    object until a move replaces it."""
+    object until a move replaces it; compared and hashed by identity, so
+    a check tells a replaced region from a kept one in sets and dicts."""
     label: int                 # target triangle
     kind: SurfaceKind          # boundary == len(circuits)
     circuits: tuple = ()
@@ -148,7 +160,10 @@ class TransverseMap:
     _facts: object = field(default=None, init=False, repr=False, compare=False)
     _facts_checked: bool = field(default=False, init=False, repr=False,
                                  compare=False)
-    # (facts, region state, DomainSolve) of the last domain_solve
+    # Tiling of the last passed validate_map (inherited through copy())
+    _tiling: object = field(default=None, init=False, repr=False, compare=False)
+    # (facts, region state, DomainSolve) of the last domain_solve made
+    # without a current tiling
     _solved: tuple = field(default=None, init=False, repr=False, compare=False)
 
     # -- elementary structure -------------------------------------------------
@@ -232,19 +247,32 @@ class TransverseMap:
 
     def region_state(self) -> tuple:
         """A snapshot of the region list and the isolated circles (shallow:
-        regions and circles are frozen): what the memoized checks are
-        keyed on besides the facts.  Compare it with has_state."""
+        regions and circles are frozen): what a Tiling and a memoized
+        domain solve are keyed on besides the facts.  Compare it with
+        has_state."""
         return list(self.regions), dict(self.isolated)
 
     def has_state(self, state: tuple) -> bool:
         """Whether the regions and circles equal a region_state() snapshot
-        (regions shared with it compare by identity)."""
+        (both compare by identity)."""
         return state[0] == self.regions and state[1] == self.isolated
+
+    def tiling(self):
+        """The Tiling of the last passed check of this map, or of the map
+        it was copied from, while the map's facts, regions and circles are
+        the ones checked; otherwise None."""
+        tiling = self._tiling
+        if (tiling is not None and tiling.facts is self.ribbon_facts()
+                and self.has_state(tiling.state)):
+            return tiling
+        return None
 
     def copy(self) -> "TransverseMap":
         """Independent tables, region list and circle dict, sharing the
         frozen regions and circles; the ribbon facts are passed on and
-        adopted once the copy's tables are seen to equal their snapshot."""
+        adopted once the copy's tables are seen to equal their snapshot,
+        and the tiling of the last passed check is passed on for the
+        copy's check to derive its own from (Tiling.derived)."""
         out = TransverseMap(
             target=self.target,
             pairing=dict(self.pairing),
@@ -256,6 +284,7 @@ class TransverseMap:
             regions=list(self.regions),
         )
         out._facts = self._facts
+        out._tiling = self._tiling
         return out
 
     # -- serialization ----------------------------------------------------------------
@@ -366,6 +395,7 @@ def classify_circuit(tm: TransverseMap, region: Region, circuit) -> CircuitClass
 
 _TABLES = ("pairing", "rotation", "edge_sign", "vertex_label", "dart_label")
 _MISSING = object()
+_SERIALS = itertools.count()
 
 
 class RibbonFacts:
@@ -411,12 +441,17 @@ class RibbonFacts:
         self._corners = {}     # (label, token tuple) -> corner problem or None
         self._classes = {}     # (label, token tuple) -> CircuitClass
         self._constraints = {}   # token tuple -> corner_constraints result
-        self._regions = {}     # id(region) -> RegionChecks (holding the region)
+        self._regions = {}     # region -> RegionChecks
         self._last_checks = None   # (region list snapshot, its RegionChecks)
         # (label per circuit key, problem per edge key, problems) of the
         # last flank_problems call, and the keys of circuits traced since
         self._flanks_last = None
         self._flanks_dirty = set()
+        # a number no other facts object has, and for facts derived from
+        # a parent (derive): (the parent's serial, the keys of its traced
+        # circuits that were traced again)
+        self.serial = next(_SERIALS)
+        self.origin = None
 
     # -- derivation ---------------------------------------------------------------
 
@@ -597,6 +632,7 @@ class RibbonFacts:
                     born.append(key)
         self.circuit_by_key = by_key
         self.circuit_of_token = key_of
+        self.origin = (parent.serial, dead)
 
         if "flanks" in parent.__dict__ and not (vertex_problems or edge_problems):
             flanks = dict(parent.flanks)
@@ -620,7 +656,7 @@ class RibbonFacts:
         regions = self._regions
         for checks in sources:
             if not checks.problems and dead.isdisjoint(checks.walk_keys):
-                regions[id(checks.region)] = checks
+                regions[checks.region] = checks
 
     # -- structure --------------------------------------------------------------
 
@@ -635,6 +671,13 @@ class RibbonFacts:
     @cached_property
     def edge_keys(self) -> list:
         return sorted({min(d, p) for d, p in self.pairing.items()})
+
+    @cached_property
+    def collapsible_edges(self) -> list:
+        """The edge keys, in order, whose two darts carry the same target
+        half-edge."""
+        label, pairing = self.dart_label, self.pairing
+        return [k for k in self.edge_keys if label[k] == label[pairing[k]]]
 
     @cached_property
     def rot_inv(self) -> dict:
@@ -1013,22 +1056,23 @@ class RibbonFacts:
 
     # -- per-region results --------------------------------------------------------
 
+    def checks_of(self, region: Region) -> "RegionChecks":
+        """The region's RegionChecks, computed on first use for each region
+        object."""
+        checks = self._regions.get(region)
+        if checks is None:
+            checks = self._regions[region] = RegionChecks(self, region)
+        return checks
+
     def region_checks(self, regions) -> list:
-        """The RegionChecks of each region, computed on first use for each
-        region object.  The memo keeps the region alive, so its id is not
-        reused while the entry lives: a hit is the same frozen object.  The
-        list for the last region list asked for is kept (a shared list; do
-        not modify), so the checks of one map state build it once."""
+        """The RegionChecks of each region (checks_of).  The list for the
+        last region list asked for is kept (a shared list; do not modify),
+        so the checks of one map state build it once."""
         last = self._last_checks
         if last is not None and last[0] == regions:
             return last[1]
         memo = self._regions
-        out = []
-        for region in regions:
-            checks = memo.get(id(region))
-            if checks is None:
-                checks = memo[id(region)] = RegionChecks(self, region)
-            out.append(checks)
+        out = [memo.get(region) or self.checks_of(region) for region in regions]
         self._last_checks = (list(regions), out)
         return out
 
@@ -1094,6 +1138,9 @@ class RegionChecks:
       boundary walks' corners (corner_constraints) and (circle id, bit) of
       its isolated sides, and needs_node: whether there are other than
       exactly one;
+    * name: the name of the region's node in domain_solve, something the
+      region keeps while a move replaces it: its least walk key, or when
+      it has none its least isolated side, or None;
     * euler and orientable, of the region's kind;
     * classes(facts): classify_circuit's answers, on first use.
 
@@ -1101,8 +1148,8 @@ class RegionChecks:
     """
 
     __slots__ = ("region", "walk_keys", "iso_sides", "problems",
-                 "corner_problems", "ties", "needs_node", "euler", "orientable",
-                 "_classes")
+                 "corner_problems", "ties", "needs_node", "name", "euler",
+                 "orientable", "_classes")
 
     def __init__(self, facts: RibbonFacts, region: Region):
         self.region = region
@@ -1151,6 +1198,8 @@ class RegionChecks:
         self.corner_problems = tuple(corner_problems)
         self.ties = (tuple(anchors), tuple(circles))
         self.needs_node = len(anchors) + len(circles) != 1
+        self.name = (("r", min(keys)) if keys else
+                     ("s", min(sides)) if sides else None)
 
     def classes(self, facts: RibbonFacts) -> tuple:
         """classify_circuit's answer for each circuit, in order."""
@@ -1170,7 +1219,7 @@ class RegionChecks:
 @dataclass
 class ValidationReport:
     problems: list = field(default_factory=list)
-    # (facts, RegionChecks per region) once the tiling holds
+    # (facts, the region list) once the tiling holds
     _classified: tuple = field(default=None, repr=False)
 
     @property
@@ -1186,9 +1235,137 @@ class ValidationReport:
         unless the stored circuits tile the traced ones."""
         if self._classified is None:
             return {}
-        facts, entries = self._classified
-        return {(ri, pos): cls for ri, checks in enumerate(entries)
+        facts, regions = self._classified
+        return {(ri, pos): cls
+                for ri, checks in enumerate(facts.region_checks(regions))
                 for pos, cls in enumerate(checks.classes(facts))}
+
+
+class Tiling:
+    """The cross-region half of a passed validate_map, for one map state
+    (`state`, a region_state() snapshot, under `facts`): the RegionChecks
+    of each region (`checks`), the owner (RegionChecks) of each traced
+    circuit key (`stored`) and of each circle side (`owner`), and the
+    domain solve, made on first use (domain_solve).
+
+    A map passes the tiling it was checked with on to its copies, and a
+    check of a copy derives the copy's tiling from it (derived), so the
+    tiling is put together from scratch only for a map that has none."""
+
+    __slots__ = ("facts", "state", "checks", "stored", "owner", "_solve",
+                 "_basis")
+
+    def __init__(self, facts, state, checks, stored, owner, basis=None):
+        self.facts = facts
+        self.state = state
+        self.checks = checks
+        self.stored = stored
+        self.owner = owner
+        self._solve = None
+        # (parent solve, regions gone, regions added, circles gone,
+        # circles added) for a derived solve, until the solve is made
+        self._basis = basis
+
+    def domain_solve(self) -> "DomainSolve":
+        """The domain solve of the state: derived from the parent's
+        (DomainSolve.derived) where the tiling was derived from a tiling
+        that had solved, otherwise solved from scratch."""
+        if self._solve is None:
+            basis, self._basis = self._basis, None
+            solve = basis and basis[0].derived(self.facts, *basis[1:])
+            regions, isolated = self.state
+            self._solve = solve or _solve(
+                self.facts, [self.checks[region] for region in regions], isolated)
+        return self._solve
+
+    def derived(self, tm: TransverseMap, facts: "RibbonFacts"):
+        """tm's tiling, from this one; None unless tm passes every
+        cross-region check (validate_map then looks again from scratch,
+        for the problem texts).
+
+        The difference is read off tm: its regions are compared with the
+        snapshot as objects, and its circles by id and as objects, since
+        add_circle may give a new circle the id of a removed one.  Where
+        tm's facts were derived from this tiling's (RibbonFacts.derive),
+        the regions storing a circuit traced again count as replaced too.
+        Only the replaced regions and the circles they or the difference
+        name are checked: each stored circuit key and circle side has one
+        owner, every traced circuit and circle side has one, and the side
+        coherence of their edges and circles holds.  The regions kept
+        passed these checks with the same owners and circuits."""
+        if facts is self.facts:
+            retraced = ()
+        elif facts.origin is not None and facts.origin[0] == self.facts.serial:
+            retraced = facts.origin[1]
+        else:
+            return None
+        regions, isolated = tm.regions, tm.isolated
+        now = set(regions)
+        if len(now) != len(regions):
+            return None
+        old, stored, owner = self.checks, self.stored, self.owner
+        gone = {region: old[region] for region in old.keys() - now}
+        new = now - old.keys()
+        for key in retraced:
+            checks = stored.get(key)
+            if checks is not None and checks.region in now:
+                gone[checks.region] = checks
+                new.add(checks.region)
+        was = self.state[1]
+        changed = {cid for cid, _circle in isolated.items() ^ was.items()}
+        stored, owner, checks_of = dict(stored), dict(owner), dict(old)
+        for region, checks in gone.items():
+            for key in checks.walk_keys:
+                del stored[key]
+            for side in checks.iso_sides:
+                del owner[side]
+            del checks_of[region]
+        added = [facts.checks_of(region) for region in new]
+        for checks in added:
+            if checks.problems or checks.corner_problems:
+                return None
+            for key in checks.walk_keys:
+                if key in stored:
+                    return None
+                stored[key] = checks
+            for side in checks.iso_sides:
+                if side in owner or side[0] not in isolated:
+                    return None
+                owner[side] = checks
+            checks_of[checks.region] = checks
+        if len(stored) != len(facts.circuit_by_key):
+            return None
+        edges = facts.target_edges
+        flanked = {side[0] for checks in added for side in checks.iso_sides}
+        for cid in changed:
+            if cid not in isolated:
+                if (cid, 0) in owner or (cid, 1) in owner:
+                    return None
+            elif 0 <= isolated[cid].edge < len(edges):
+                flanked.add(cid)
+            else:
+                return None
+        if len(owner) != 2 * len(isolated):
+            return None
+
+        flanks, pairing, by_key = facts.flanks, facts.pairing, facts.circuit_by_key
+        for checks in added:
+            for key in checks.walk_keys:
+                for d, _x in by_key[key].seq[::2]:
+                    c0, c1, want = flanks[d if d < pairing[d] else pairing[d]]
+                    if {stored[c0].region.label, stored[c1].region.label} != want:
+                        return None
+        for cid in flanked:
+            if ({owner[(cid, 0)].region.label, owner[(cid, 1)].region.label}
+                    != edges[isolated[cid].edge][0]):
+                return None
+
+        basis = None
+        if facts is self.facts and self._solve is not None:
+            basis = (self._solve, list(gone.values()), added,
+                     [cid for cid in changed if cid not in isolated],
+                     [cid for cid in changed if cid not in was])
+        return Tiling(facts, tm.region_state(), checks_of, stored, owner, basis)
 
 
 def validate_map(tm: TransverseMap) -> ValidationReport:
@@ -1196,11 +1373,14 @@ def validate_map(tm: TransverseMap) -> ValidationReport:
 
     The dart-level sections (table axioms, vertices, edges and band signs)
     are read from the ribbon facts, and what each region finds on its own
-    from its memoized RegionChecks.  What spans regions is put together on
-    every call: the stored circuits and isolated sides must be the traced
-    circuits and the circles' sides, each exactly once; the side coherence
-    of the edges (memoized on the regions' labels) and of the circles; and
-    the preimage parity."""
+    from its memoized RegionChecks.  What spans regions is the tiling: the
+    stored circuits and isolated sides must be the traced circuits and the
+    circles' sides, each exactly once; the side coherence of the edges
+    and of the circles; and the preimage parity.  A map that has a tiling
+    from a passed check (its own, or one a copy passed on) checks only
+    what differs from it (Tiling.derived); a map without one, or where
+    that finds a problem, is checked from scratch, which gives the problem
+    texts.  A passed check leaves the map its tiling."""
     rep = ValidationReport()
     T = tm.target
     facts = tm.ribbon_facts()
@@ -1208,6 +1388,16 @@ def validate_map(tm: TransverseMap) -> ValidationReport:
     if facts.table_problem is not None:
         rep.add(facts.table_problem)
         return rep
+    tiling = tm._tiling
+    if tiling is not None and not facts.vertex_edge_problems:
+        if tm.tiling() is None:
+            tiling = tiling.derived(tm, facts)
+        if tiling is not None:
+            tm._tiling = tiling
+            rep._classified = (facts, tiling.state[0])
+            _check_parity(rep, facts)
+            return rep
+
     isolated = tm.isolated
     for c in isolated.values():
         if not (0 <= c.edge < len(T.edges)):
@@ -1253,7 +1443,7 @@ def validate_map(tm: TransverseMap) -> ValidationReport:
         if checks.corner_problems:
             rep.problems.extend(problem.format(ri)
                                 for problem in checks.corner_problems)
-    rep._classified = (facts, entries)
+    rep._classified = (facts, list(regions))
 
     # side coherence: regions flanking an edge or a circle are labeled by
     # its two triangles
@@ -1265,12 +1455,20 @@ def validate_map(tm: TransverseMap) -> ValidationReport:
         if got != want:
             rep.add(f"isolated circle {i} flanked by regions labeled {sorted(got)}, "
                     f"expected {sorted(want)}")
+    checks = dict(zip(regions, entries))
+    if not rep.problems and len(checks) == len(regions):
+        tm._tiling = Tiling(facts, tm.region_state(), checks,
+                            {key: entries[ri] for key, ri in stored.items()},
+                            {side: entries[ri] for side, ri in owner.items()})
+    _check_parity(rep, facts)
+    return rep
 
-    # mod-2 preimage parity agreement across target vertices
+
+def _check_parity(rep: ValidationReport, facts: RibbonFacts):
+    """Mod-2 preimage parity agreement across target vertices."""
     parities = {c % 2 for c in facts.preimage_counts.values()}
     if len(parities) > 1:
         rep.add("preimage counts of target vertices have mixed parity")
-    return rep
 
 
 def require_valid(tm: TransverseMap, context: str = ""):
@@ -1294,78 +1492,242 @@ def graph_euler(tm: TransverseMap) -> int:
     return tm.ribbon_facts().graph_euler
 
 
+def _ties(checks: RegionChecks, charts: dict, vertex_of: dict) -> dict:
+    """The distinct ties of a region's node, as keys (other node, rel):
+    a graph component's number or ("c", circle id), and the xor of the
+    two values.  An anchor tie is resolved by its vertex's chart flip
+    (bit 0 on a component whose band signs admit no flips: the tie then
+    only joins)."""
+    anchors, circles = checks.ties
+    out = {}
+    for dart, bit in anchors:
+        component, flip = charts[vertex_of[dart]]
+        out[(component, 0 if flip is None else flip ^ bit)] = None
+    for cid, bit in circles:
+        out[(("c", cid), bit)] = None
+    return out
+
+
 class DomainSolve:
     """The domain's connectivity and orientation constraints, solved, with
-    the sums over the regions that chi_domain and domain_orientable add."""
+    the sums over the regions that chi_domain and domain_orientable add.
 
-    def __init__(self, uf: ParityUF, n_components: int, bands_ok: bool,
-                 regions_euler: int, kinds_orientable: bool):
-        self.components = uf.sets        # connected components of the domain
+    It also keeps what the solve of a later map state is derived from
+    (derived): the node of each circle, named ("c", circle id), and of
+    each region that has one, named by RegionChecks.name (`nodes`, None
+    when two regions of a node share a name or one has none); per region
+    node, what its union did with each of its ties (`ties`; a JOINED tie
+    is one of the solve's spanning forest); the number of ties that
+    contradicted the others (`broken`); and the number of classes made
+    only of nodes whose region or circle is gone (`dead_classes`)."""
+
+    def __init__(self, facts, uf: ParityUF, nodes, ties: dict, broken: int,
+                 dead_classes: int, regions_euler: int, nonorientable: int):
+        _charts, self._n_components, bands_ok = facts.vertex_charts
+        self.components = uf.sets - dead_classes   # of the domain
         # the orientation constraints have a solution and every region
         # kind is orientable
-        self.orientable = bands_ok and uf.ok and kinds_orientable
+        self.orientable = bands_ok and not broken and not nonorientable
         self.regions_euler = regions_euler
         self._uf = uf
-        self._n_components = n_components
+        self.nodes = nodes
+        self.ties = ties
+        self.broken = broken
+        self.dead_classes = dead_classes
+        self.nonorientable = nonorientable
 
     @cached_property
     def chart_flips(self) -> tuple:
-        """Per graph component: its chart flip in the solution."""
-        return tuple(self._uf.find(c)[1] for c in range(self._n_components))
+        """Per graph component: its chart flip in the solution, relative
+        to the least component of its class."""
+        first = {}
+        out = []
+        for c in range(self._n_components):
+            root, flip = self._uf.find(c)
+            out.append(flip ^ first.setdefault(root, flip))
+        return tuple(out)
+
+    def derived(self, facts, gone: list, added: list, lost: list, born: list):
+        """The solve of the map state that has the regions (RegionChecks)
+        `added` instead of `gone`, and the circles `born` instead of
+        `lost`, under the same facts; None where it has to be solved from
+        scratch.
+
+        A node keeps its name: a region that is replaced by one of the
+        same name keeps its node, and its ties are compared by key.  A
+        node whose region or circle is gone stays in the union-find as a
+        dead member, with its ties deleted.  A deleted tie that
+        contradicted leaves the count of broken ties.  A deleted forest
+        tie would split a class: the deleted forest ties are grouped by
+        the nodes they share, and the classes stay as they are when each
+        group holds at most one live node (then every deleted forest tie
+        hangs dead nodes off that one, and no path between live nodes ran
+        through it); a group with no live node was a whole class, now
+        dead.  Otherwise the answer is None.  The new ties are then
+        united in."""
+        nodes = self.nodes
+        if nodes is None:
+            return None
+        old_nodes = nodes
+        nodes = dict(nodes)
+        ties = dict(self.ties)
+        before = {checks.name: checks for checks in gone}
+        after = {checks.name: checks for checks in added}
+        if None in before or None in after or len(after) != len(added):
+            return None
+        charts, _n, _ok = facts.vertex_charts
+        vertex_of = facts.vertex_of
+        size = len(self._uf.parent)
+        dead = [nodes.pop(("c", cid)) for cid in lost]
+        for cid in born:
+            nodes[("c", cid)] = size
+            size += 1
+        broken = self.broken
+        forest = []           # deleted forest ties, as node pairs
+        work = []             # (name, node, kept ties, new ties)
+        for name in sorted(before.keys() | after.keys()):
+            had = ties.get(name)
+            checks = after.get(name)
+            if had is None:
+                if checks is None or not checks.needs_node:
+                    continue
+                node = nodes[name] = size
+                size += 1
+                had = {}
+            else:
+                node = nodes[name]
+            want = {} if checks is None else _ties(checks, charts, vertex_of)
+            for tie, status in had.items():
+                if tie not in want:
+                    if status == JOINED:
+                        other = tie[0]
+                        forest.append((node, other if other.__class__ is int
+                                       else old_nodes[other]))
+                    elif status == BROKEN:
+                        broken -= 1
+            if checks is None:
+                del nodes[name], ties[name]
+                dead.append(node)
+            else:
+                work.append((name, node,
+                             {tie: had[tie] for tie in want if tie in had},
+                             [tie for tie in want if tie not in had]))
+
+        dead_classes = self.dead_classes
+        if dead:
+            group = {}
+
+            def find(x):
+                while group.get(x, x) != x:
+                    x = group[x]
+                return x
+
+            for u, v in forest:
+                group[find(u)] = find(v)
+            dead_set = set(dead)
+            live = {}
+            for x in group.keys() | {v for _u, v in forest}:
+                root = find(x)
+                live[root] = live.get(root, 0) + (x not in dead_set)
+            if any(n > 1 for n in live.values()):
+                return None
+            dead_classes += sum(1 for n in live.values() if n == 0)
+            dead_classes += sum(1 for x in dead if x not in live and x not in group)
+        elif forest:
+            return None
+
+        uf = self._uf.grown(size - len(self._uf.parent))
+        union = uf.union
+        for name, node, kept, new in work:
+            for tie in new:
+                other = tie[0]
+                status = kept[tie] = union(other if other.__class__ is int
+                                           else nodes[other], node, tie[1])
+                broken += status == BROKEN
+            ties[name] = kept
+        euler = (self.regions_euler + sum(c.euler for c in added)
+                 - sum(c.euler for c in gone))
+        nonorientable = (self.nonorientable + sum(not c.orientable for c in added)
+                         - sum(not c.orientable for c in gone))
+        return DomainSolve(facts, uf, nodes, ties, broken, dead_classes, euler,
+                           nonorientable)
+
+
+def _solve(facts: RibbonFacts, entries, isolated: dict) -> DomainSolve:
+    """The domain solve from scratch (domain_solve), over the RegionChecks
+    of the regions."""
+    charts, n_components, _bands_ok = facts.vertex_charts
+    vertex_of = facts.vertex_of
+    circle_node = {("c", cid): i for i, cid in enumerate(isolated, n_components)}
+    linked = []
+    euler = 0
+    nonorientable = 0
+    for checks in entries:
+        euler += checks.euler
+        nonorientable += not checks.orientable
+        if checks.needs_node:
+            linked.append(checks)
+    node = n_components + len(circle_node)
+    uf = ParityUF(node + len(linked))
+    union = uf.union
+    names = {}
+    ties = {}
+    broken = 0
+    for checks in linked:
+        statuses = _ties(checks, charts, vertex_of)
+        for tie in statuses:
+            other = tie[0]
+            status = statuses[tie] = union(other if other.__class__ is int
+                                           else circle_node[other], node, tie[1])
+            broken += status == BROKEN
+        name = checks.name
+        if names is not None:
+            if name is None or name in names:
+                names = None
+            else:
+                names[name] = node
+                ties[name] = statuses
+        node += 1
+    nodes = None if names is None else {**circle_node, **names}
+    return DomainSolve(facts, uf, nodes, ties, broken, 0, euler, nonorientable)
 
 
 def domain_solve(tm: TransverseMap) -> DomainSolve:
     """Connectivity and orientation of the domain in one parity union-find.
 
-    Nodes, in this order: the graph's vertex components (whose vertex
-    flips the band signs fix, ribbon facts), the isolated circles, the
-    regions.  A node's value is a chart flip, an isolated circle's own
-    direction flip or a region's reference flip.  The corners of a ribbon
-    circuit tie its region to the component of the circuit's anchor dart
-    by the facts' corner constraints, which are read relative to the
-    anchor's vertex and resolved here by its chart flip (bit 0 on a
-    component whose band signs admit no flips: the tie then only joins).
-    An isolated circle is tied to the region on each of its sides by that
-    side's direction: a region whose flip equals the circle's induces the
-    circle's own direction on side 0 and the opposite one on side 1.
-    Every tie is a constraint, so the classes are the components of the
-    domain, and the domain is orientable when the system is consistent
-    and every region kind is.  A region with exactly one distinct tie
-    gets no node: it can neither join two classes nor contradict one (a
-    region whose several ties reach one class gets a node that changes
-    neither).  The ties of a region are memoized in its RegionChecks.
+    Nodes: the graph's vertex components (whose vertex flips the band
+    signs fix, ribbon facts), the isolated circles, the regions.  A node's
+    value is a chart flip, an isolated circle's own direction flip or a
+    region's reference flip.  The corners of a ribbon circuit tie its
+    region to the component of the circuit's anchor dart by the facts'
+    corner constraints, which are read relative to the anchor's vertex
+    and resolved here by its chart flip (_ties).  An isolated circle is
+    tied to the region on each of its sides by that side's direction: a
+    region whose flip equals the circle's induces the circle's own
+    direction on side 0 and the opposite one on side 1.  Every tie is a
+    constraint, so the classes are the components of the domain, and the
+    domain is orientable when the system is consistent and every region
+    kind is.  A region with exactly one distinct tie gets no node from
+    scratch: it can neither join two classes nor contradict one (a region
+    whose several ties reach one class gets a node that changes neither).
+    The ties of a region are memoized in its RegionChecks.
 
-    The result is memoized on the map, keyed by its ribbon facts and a
-    snapshot of its regions and circles (region_state), so the checks of
-    one map state share one solve and a map changed in place is solved
-    again.  Meaningful for maps that pass validate_map.
+    A map whose tiling is current (Tiling, left by validate_map) has the
+    tiling's solve, which is derived from the solve of the map the tiling
+    was derived from (DomainSolve.derived) when it can be.  Any other map
+    is solved from scratch, and the solve is memoized on the map, keyed by
+    its ribbon facts and a snapshot of its regions and circles
+    (region_state), so a map changed in place is solved again.
+    Meaningful for maps that pass validate_map.
     """
+    tiling = tm.tiling()
+    if tiling is not None:
+        return tiling.domain_solve()
     facts = tm.ribbon_facts()
     memo = tm._solved
     if memo is not None and memo[0] is facts and tm.has_state(memo[1]):
         return memo[2]
-    charts, n_components, bands_ok = facts.vertex_charts
-    vertex_of = facts.vertex_of
-    circle_node = {cid: i for i, cid in enumerate(tm.isolated, n_components)}
-    linked = []
-    euler = 0
-    kinds_orientable = True
-    for checks in facts.region_checks(tm.regions):
-        euler += checks.euler
-        kinds_orientable = kinds_orientable and checks.orientable
-        if checks.needs_node:
-            linked.append(checks.ties)
-    node = n_components + len(circle_node)
-    uf = ParityUF(node + len(linked))
-    union = uf.union
-    for anchors, circles in linked:
-        for dart, bit in anchors:
-            component, flip = charts[vertex_of[dart]]
-            union(component, node, 0 if flip is None else flip ^ bit)
-        for cid, bit in circles:
-            union(circle_node[cid], node, bit)
-        node += 1
-    solve = DomainSolve(uf, n_components, bands_ok, euler, kinds_orientable)
+    solve = _solve(facts, facts.region_checks(tm.regions), tm.isolated)
     tm._solved = (facts, tm.region_state(), solve)
     return solve
 

@@ -17,6 +17,17 @@ class ParityUF:
         self.sets = n
         self.ok = True
 
+    def grown(self, extra: int) -> "ParityUF":
+        """An independent copy with `extra` more nodes, each a class of its
+        own."""
+        out = ParityUF.__new__(ParityUF)
+        n = len(self.parent)
+        out.parent = self.parent + list(range(n, n + extra))
+        out.parity = self.parity + [0] * extra
+        out.sets = self.sets + extra
+        out.ok = self.ok
+        return out
+
     def find(self, x: int) -> tuple:
         """(root of x, value of x xor value of the root), compressing the
         path from x."""
@@ -32,14 +43,22 @@ class ParityUF:
             parity[y] = acc
         return x, acc
 
-    def union(self, x: int, y: int, rel: int):
-        """Impose value(x) xor value(y) == rel."""
+    def union(self, x: int, y: int, rel: int) -> int:
+        """Impose value(x) xor value(y) == rel.  Returns JOINED when x and
+        y were in two classes, HELD when they were in one and the
+        constraint held, and BROKEN when it contradicted the class."""
         rx, px = self.find(x)
         ry, py = self.find(y)
         if rx == ry:
             if px ^ py != rel:
                 self.ok = False
-            return
+                return BROKEN
+            return HELD
         self.parent[rx] = ry
         self.parity[rx] = px ^ py ^ rel
         self.sets -= 1
+        return JOINED
+
+
+# what ParityUF.union did with a constraint
+HELD, JOINED, BROKEN = 0, 1, 2

@@ -176,8 +176,9 @@ def assembled_map_from_cover(cover):
     return tm
 
 
-def scrambled(tm, steps, seed):
-    """Apply `steps` random trivial-circle insertions, deterministically."""
+def scrambled(tm, steps, seed, check=None):
+    """Apply `steps` random trivial-circle insertions, deterministically,
+    calling `check` (when given) on each result."""
     from surfmap.moves import insert_trivial_circle
     rng = random.Random(seed)
     work = tm
@@ -185,4 +186,6 @@ def scrambled(tm, steps, seed):
         ri = rng.randrange(len(work.regions))
         edges = work.target.triangle_edges(work.regions[ri].label)
         work = insert_trivial_circle(work, ri, rng.choice(edges))
+        if check is not None:
+            check(work)
     return work

@@ -6,11 +6,12 @@ TransverseMap.from_json(tm.to_json()), which shares nothing with `tm`.
 """
 
 import random
+import statistics
 from collections import Counter
 
 import pytest
 
-from surfmap import moves, transverse
+from surfmap import moves, transverse, unionfind
 from surfmap.covers import random_cover
 from surfmap.errors import Disconnected, InternalInconsistency
 from surfmap.moves import (_post_move_check, collapse_edge, collapsible_edges,
@@ -18,11 +19,11 @@ from surfmap.moves import (_post_move_check, collapse_edge, collapsible_edges,
 from surfmap.surfaces import SurfaceKind, builtin_triangulation
 from surfmap.transverse import (IsoSide, Region, RibbonCircuit,
                                 TransverseMap, add_pinch, chi_domain,
-                                classify_circuit, domain_orientable,
+                                classify_circuit, domain_orientable, domain_solve,
                                 identity_map, map_from_cover, mod2_degree,
                                 signed_degree, validate_map)
 
-from helpers import scrambled, tube_double
+from helpers import scrambled, tube_double, two_triangle_sphere
 
 # (base, d, branch, pinch, cover seed); together their normalizations run
 # every move, the dart-rewiring ones included
@@ -48,6 +49,11 @@ def assert_matches_oracle(tm: TransverseMap):
             assert classify_circuit(tm, region, c) == \
                 classify_circuit(fresh, fresh_region, fc)
     if live_rep.ok:
+        live, again = domain_solve(tm), domain_solve(fresh)
+        assert (live.components, live.orientable, live.regions_euler) == \
+            (again.components, again.orientable, again.regions_euler)
+        if live.orientable:
+            assert live.chart_flips == again.chart_flips
         assert chi_domain(tm) == chi_domain(fresh)
         assert domain_orientable(tm) == domain_orientable(fresh)
         assert mod2_degree(tm) == mod2_degree(fresh)
@@ -116,19 +122,19 @@ def test_long_scramble_of_a_large_map_matches_the_oracle():
     assert len(tm.edge_keys()) + len(tm.isolated) >= 190
 
 
-def _klein_scramble() -> TransverseMap:
+def _klein_scramble(check=None) -> TransverseMap:
     base = builtin_triangulation("klein_8")
     tm = map_from_cover(random_cover(base, 6, [3, 3], seed=0))
     tm = add_pinch(tm, 0, SurfaceKind(False, crosscaps=2))
-    return scrambled(tm, 64, seed=0)
+    return scrambled(tm, 64, seed=0, check=check)
 
 
 def test_klein_target_at_d6_scramble_and_normalize_match_the_oracle():
     """The corpus stops at d = 4 and never targets klein_8; the CLI takes
-    d <= 8 and 64 scramble steps.  Every move of this normalization (all
-    four reductions run) keeps chi, orientability and the mod-2 degree
-    equal to the oracle's."""
-    tm = _klein_scramble()
+    d <= 8 and 64 scramble steps.  Every step of the scramble and every
+    move of this normalization (all four reductions run) match the
+    oracle, and keep chi, orientability and the mod-2 degree."""
+    tm = _klein_scramble(check=assert_matches_oracle)
     seen = Counter()
 
     def invariants(m):
@@ -136,7 +142,7 @@ def test_klein_target_at_d6_scramble_and_normalize_match_the_oracle():
 
     def observer(before, after, move):
         seen[move] += 1
-        assert invariants(after) == invariants(TransverseMap.from_json(after.to_json()))
+        assert_matches_oracle(after)
 
     start = invariants(TransverseMap.from_json(tm.to_json()))
     assert invariants(tm) == start
@@ -186,6 +192,53 @@ def test_join_and_insert_check_only_the_regions_they_change(monkeypatch):
     assert counts["insert_trivial_circle"] == 64 and counts["join_isolated_circle"] >= 64
     assert all(v == 1 for _name, _m, v in per_move)
     assert max(m for _name, m, _v in per_move) <= 3
+
+
+def test_join_and_insert_checks_do_not_grow_with_the_map(monkeypatch):
+    """A join's or an insert's check derives its tiling and its domain
+    solve from those of the move's input, so the unions and RegionChecks
+    it makes count what the move changes, after 16 scramble steps as after
+    64.  Every insert derives; a join whose circle's far region merges
+    into another may solve again from scratch, so the bound holds for the
+    median join."""
+    made = Counter()
+    union = unionfind.ParityUF.union
+
+    def counted_union(uf, *args):
+        made["unions"] += 1
+        return union(uf, *args)
+
+    class CountedChecks(transverse.RegionChecks):
+        def __init__(self, facts, region):
+            made["checks"] += 1
+            super().__init__(facts, region)
+
+    per_move = []
+
+    def counting(name, move):
+        def wrapper(*args, **kwargs):
+            start = made.copy()
+            out = move(*args, **kwargs)
+            per_move.append((name, made["unions"] - start["unions"],
+                             made["checks"] - start["checks"]))
+            return out
+        return wrapper
+
+    base = builtin_triangulation("klein_8")
+    tm = map_from_cover(random_cover(base, 6, [3, 3], seed=0))
+    tm = add_pinch(tm, 0, SurfaceKind(False, crosscaps=2))
+    monkeypatch.setattr(unionfind.ParityUF, "union", counted_union)
+    monkeypatch.setattr(transverse, "RegionChecks", CountedChecks)
+    for name in ("join_isolated_circle", "insert_trivial_circle"):
+        monkeypatch.setattr(moves, name, counting(name, getattr(moves, name)))
+    for steps in (16, 64):
+        per_move.clear()
+        normalize(scrambled(tm, steps, seed=0))
+        inserts = [u for name, u, _c in per_move if name == "insert_trivial_circle"]
+        joins = [u for name, u, _c in per_move if name == "join_isolated_circle"]
+        assert len(inserts) == steps and len(joins) >= steps
+        assert max(inserts) <= 2 and statistics.median(joins) <= 2
+        assert max(c for _name, _u, c in per_move) <= 3
 
 
 # --------------------------------------------------------------------------
@@ -509,10 +562,11 @@ def _handle_map() -> TransverseMap:
     return tm
 
 
-def _flip_iso_direction(tm):
-    """The annulus side of the second circle turns around: a Klein handle."""
-    side = tm.regions[-1].circuits[-1]
-    _replace_circuit(tm, -1, -1, IsoSide(side.circle, side.side, -side.direction))
+def _flip_iso_direction(tm, pos=-1):
+    """The annulus side of the second circle (or the side at `pos`) turns
+    around: a Klein handle, or an untwisted one again."""
+    side = tm.regions[-1].circuits[pos]
+    _replace_circuit(tm, -1, pos, IsoSide(side.circle, side.side, -side.direction))
 
 
 def _reverse_ribbon_circuit(tm):
@@ -553,3 +607,139 @@ def test_domain_solve_follows_an_in_place_edit(name):
     after = _domain_answers(tm)
     assert after == _domain_answers(TransverseMap.from_json(tm.to_json()))
     assert after != before
+
+
+# --------------------------------------------------------------------------
+# In-place tampering with a copy that inherited a checked map's tiling: its
+# check derives from that tiling, and must find what the oracle finds
+
+
+def _swap_iso_side(tm):
+    """A region's side of a circle becomes the circle's other side."""
+    ri, pos, side = next((ri, pos, c) for ri, reg in enumerate(tm.regions)
+                         for pos, c in enumerate(reg.circuits)
+                         if isinstance(c, IsoSide) and c.side == 1)
+    _replace_circuit(tm, ri, pos, IsoSide(side.circle, 0, side.direction))
+
+
+def _reuse_circle_id(tm):
+    """The circle of highest id is removed and one over another edge added:
+    add_circle gives it the removed circle's id, which regions still name."""
+    cid = max(tm.isolated)
+    edge = tm.isolated.pop(cid).edge
+    assert tm.add_circle((edge + 1) % len(tm.target.edges)) == cid
+
+
+def _relabel_region(tm):
+    """A region bounded by ribbon circuits alone gets the label of the
+    other triangle on the same three edges: its corners still fit, and
+    only the side coherence of its edges can tell."""
+    ri, region = next((ri, r) for ri, r in enumerate(tm.regions)
+                      if not any(isinstance(c, IsoSide) for c in r.circuits))
+    tm.regions[ri] = Region(1 - region.label, region.kind, region.circuits)
+
+
+def _scrambled_slice():
+    return _slice_map(*SLICE[0])
+
+
+INHERITED_EDITS = {
+    "iso_side_swapped": (_scrambled_slice, _swap_iso_side),
+    "circuit_dropped": (_scrambled_slice, _drop_circuit),
+    "isolated_added": (_scrambled_slice, _add_isolated_circle),
+    "circle_id_reused": (_scrambled_slice, _reuse_circle_id),
+    "region_relabeled": (lambda: scrambled(identity_map(two_triangle_sphere()), 4,
+                                           seed=1),
+                         _relabel_region),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INHERITED_EDITS))
+def test_tampered_copy_of_a_checked_map_matches_the_oracle(name):
+    build, edit = INHERITED_EDITS[name]
+    tm = build()
+    assert validate_map(tm).ok
+    before = _domain_answers(tm)
+    work = tm.copy()
+    assert work.tiling() is tm.tiling() is not None
+    edit(work)
+    fresh = TransverseMap.from_json(work.to_json())
+    problems = validate_map(work).problems
+    assert problems and problems == validate_map(fresh).problems
+    assert _domain_answers(work) == _domain_answers(fresh)
+    assert validate_map(tm).ok and _domain_answers(tm) == before
+
+
+@pytest.mark.parametrize("name", sorted(IN_PLACE_EDITS))
+def test_domain_solve_of_a_tampered_copy_follows_the_edit(name):
+    """The same edits on a copy that inherited the checked map's tiling:
+    where the copy still validates, its solve is derived from the
+    original's."""
+    build, edit = IN_PLACE_EDITS[name]
+    tm = build()
+    assert validate_map(tm).ok
+    before = _domain_answers(tm)
+    work = tm.copy()
+    edit(work)
+    fresh = TransverseMap.from_json(work.to_json())
+    assert validate_map(work).problems == validate_map(fresh).problems
+    after = _domain_answers(work)
+    assert after == _domain_answers(fresh)
+    assert after != before
+
+
+def _nested_circles() -> TransverseMap:
+    """The sphere's identity map with a circle C in region 0 and a circle
+    in the disk C bounds: the disk is an annulus between the two."""
+    tm = identity_map(builtin_triangulation("sphere_tetra"))
+    edge = tm.target.triangle_edges(tm.regions[0].label)[0]
+    tm = insert_trivial_circle(tm, 0, edge)
+    disk = len(tm.regions) - 1
+    return insert_trivial_circle(tm, disk, tm.target.triangle_edges(
+        tm.regions[disk].label)[0])
+
+
+def _without_circle(tm, cid):
+    """The circle is removed and each region on it loses that side: a
+    tiling still, with other invariants."""
+    del tm.isolated[cid]
+    for ri, region in enumerate(tm.regions):
+        circuits = tuple(c for c in region.circuits
+                         if not (isinstance(c, IsoSide) and c.circle == cid))
+        if circuits != region.circuits:
+            kind = region.kind
+            tm.regions[ri] = Region(region.label, SurfaceKind(
+                kind.orientable, kind.handles, kind.crosscaps, len(circuits)),
+                circuits)
+
+
+def test_derived_solves_follow_valid_edits_that_split_join_and_untwist():
+    """Copies edited in place that still validate, each checked after the
+    one it copies: their solves are derived, and must be the oracle's
+    where a deleted tie splits the domain, where a whole component goes
+    and where a contradicting tie goes."""
+    def step(tm, edit):
+        work = tm.copy()
+        edit(work)
+        assert validate_map(work).ok
+        answers = _domain_answers(work)
+        assert answers == _domain_answers(TransverseMap.from_json(work.to_json()))
+        return work, answers
+
+    tm = _nested_circles()
+    outer, inner = tm.isolated
+    whole = _domain_answers(tm)
+    split, answers = step(tm, lambda m: _without_circle(m, outer))
+    assert answers[0] == "domain has 2 components"
+    _joined, answers = step(split, lambda m: (
+        _without_circle(m, inner), m.regions.pop(), m.regions.pop()))
+    assert answers[0] == whole[0] == 2
+
+    # one of the annulus's two circle ties contradicts the other in the
+    # twisted solve, and turning either side back untwists the handle
+    tm = _handle_map()
+    twisted, answers = step(tm, _flip_iso_direction)
+    assert answers[1] is False
+    for pos in (0, 1):
+        _untwisted, answers = step(twisted, lambda m: _flip_iso_direction(m, pos))
+        assert answers == _domain_answers(tm)

@@ -75,6 +75,25 @@ def test_branch_on_a_triangle_the_base_lacks_reported():
     assert any("triangle 99" in p for p in c.validate())
 
 
+def test_validate_verdict_follows_in_place_edits():
+    """validate() memoizes its verdict under a value snapshot of the
+    cover, so each edit in place after a passing check is reported."""
+    c = random_cover(builtin_triangulation("sphere_tetra"), 2, [2, 2], seed=0)
+    assert c.validate() == []
+    e, p = next(iter(c.edge_perm.items()))
+    c.edge_perm[e] = (1, 1)
+    assert f"edge {e} has no valid sheet permutation" in c.validate()
+    c.edge_perm[e] = p
+    assert c.validate() == []
+    cycles = next(cycles for cycles in c.branch.values() if cycles)
+    cycles.append(cycles[0])
+    assert any("overlapping branch cycles" in q for q in c.validate())
+    cycles.pop()
+    assert c.validate() == []
+    c.d = 3
+    assert any("d = 3" in q for q in c.validate())
+
+
 @pytest.mark.parametrize("spec", [{999: [2], 0: [2]}, {-1: [2], 0: [2]}])
 def test_branch_spec_outside_the_base_refused_before_sampling(monkeypatch, spec):
     built = []
