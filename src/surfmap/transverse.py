@@ -162,9 +162,6 @@ class TransverseMap:
                                  compare=False)
     # Tiling of the last passed validate_map (inherited through copy())
     _tiling: object = field(default=None, init=False, repr=False, compare=False)
-    # (facts, region state, DomainSolve) of the last domain_solve made
-    # without a current tiling
-    _solved: tuple = field(default=None, init=False, repr=False, compare=False)
 
     # -- elementary structure -------------------------------------------------
 
@@ -247,9 +244,8 @@ class TransverseMap:
 
     def region_state(self) -> tuple:
         """A snapshot of the region list and the isolated circles (shallow:
-        regions and circles are frozen): what a Tiling and a memoized
-        domain solve are keyed on besides the facts.  Compare it with
-        has_state."""
+        regions and circles are frozen): what a Tiling is keyed on besides
+        the facts.  Compare it with has_state."""
         return list(self.regions), dict(self.isolated)
 
     def has_state(self, state: tuple) -> bool:
@@ -1243,8 +1239,8 @@ class ValidationReport:
 
 class Tiling:
     """The cross-region half of a passed validate_map, for one map state
-    (`state`, a region_state() snapshot, under `facts`): the RegionChecks
-    of each region (`checks`), the owner (RegionChecks) of each traced
+    (`state`, a region_state() snapshot, and `regions`, a set of the same
+    regions, under `facts`): the owner (RegionChecks) of each traced
     circuit key (`stored`) and of each circle side (`owner`), and the
     domain solve, made on first use (domain_solve).
 
@@ -1252,13 +1248,13 @@ class Tiling:
     check of a copy derives the copy's tiling from it (derived), so the
     tiling is put together from scratch only for a map that has none."""
 
-    __slots__ = ("facts", "state", "checks", "stored", "owner", "_solve",
+    __slots__ = ("facts", "state", "regions", "stored", "owner", "_solve",
                  "_basis")
 
-    def __init__(self, facts, state, checks, stored, owner, basis=None):
+    def __init__(self, facts, state, regions, stored, owner, basis=None):
         self.facts = facts
         self.state = state
-        self.checks = checks
+        self.regions = regions
         self.stored = stored
         self.owner = owner
         self._solve = None
@@ -1275,7 +1271,7 @@ class Tiling:
             solve = basis and basis[0].derived(self.facts, *basis[1:])
             regions, isolated = self.state
             self._solve = solve or _solve(
-                self.facts, [self.checks[region] for region in regions], isolated)
+                self.facts, self.facts.region_checks(regions), isolated)
         return self._solve
 
     def derived(self, tm: TransverseMap, facts: "RibbonFacts"):
@@ -1303,9 +1299,9 @@ class Tiling:
         now = set(regions)
         if len(now) != len(regions):
             return None
-        old, stored, owner = self.checks, self.stored, self.owner
-        gone = {region: old[region] for region in old.keys() - now}
-        new = now - old.keys()
+        stored, owner = self.stored, self.owner
+        gone = {region: self.facts.checks_of(region) for region in self.regions - now}
+        new = now - self.regions
         for key in retraced:
             checks = stored.get(key)
             if checks is not None and checks.region in now:
@@ -1313,13 +1309,12 @@ class Tiling:
                 new.add(checks.region)
         was = self.state[1]
         changed = {cid for cid, _circle in isolated.items() ^ was.items()}
-        stored, owner, checks_of = dict(stored), dict(owner), dict(old)
-        for region, checks in gone.items():
+        stored, owner = dict(stored), dict(owner)
+        for checks in gone.values():
             for key in checks.walk_keys:
                 del stored[key]
             for side in checks.iso_sides:
                 del owner[side]
-            del checks_of[region]
         added = [facts.checks_of(region) for region in new]
         for checks in added:
             if checks.problems or checks.corner_problems:
@@ -1332,7 +1327,6 @@ class Tiling:
                 if side in owner or side[0] not in isolated:
                     return None
                 owner[side] = checks
-            checks_of[checks.region] = checks
         if len(stored) != len(facts.circuit_by_key):
             return None
         edges = facts.target_edges
@@ -1365,7 +1359,7 @@ class Tiling:
             basis = (self._solve, list(gone.values()), added,
                      [cid for cid in changed if cid not in isolated],
                      [cid for cid in changed if cid not in was])
-        return Tiling(facts, tm.region_state(), checks_of, stored, owner, basis)
+        return Tiling(facts, tm.region_state(), now, stored, owner, basis)
 
 
 def validate_map(tm: TransverseMap) -> ValidationReport:
@@ -1455,9 +1449,9 @@ def validate_map(tm: TransverseMap) -> ValidationReport:
         if got != want:
             rep.add(f"isolated circle {i} flanked by regions labeled {sorted(got)}, "
                     f"expected {sorted(want)}")
-    checks = dict(zip(regions, entries))
-    if not rep.problems and len(checks) == len(regions):
-        tm._tiling = Tiling(facts, tm.region_state(), checks,
+    distinct = set(regions)
+    if not rep.problems and len(distinct) == len(regions):
+        tm._tiling = Tiling(facts, tm.region_state(), distinct,
                             {key: entries[ri] for key, ri in stored.items()},
                             {side: entries[ri] for side, ri in owner.items()})
     _check_parity(rep, facts)
@@ -1712,24 +1706,17 @@ def domain_solve(tm: TransverseMap) -> DomainSolve:
     whose several ties reach one class gets a node that changes neither).
     The ties of a region are memoized in its RegionChecks.
 
-    A map whose tiling is current (Tiling, left by validate_map) has the
-    tiling's solve, which is derived from the solve of the map the tiling
-    was derived from (DomainSolve.derived) when it can be.  Any other map
-    is solved from scratch, and the solve is memoized on the map, keyed by
-    its ribbon facts and a snapshot of its regions and circles
-    (region_state), so a map changed in place is solved again.
+    A map whose tiling is current (TransverseMap.tiling) has the tiling's
+    solve, made once per map state and derived from the solve of the
+    state the tiling was derived from where it can be.  Any other map (one
+    never checked, or changed in place since) is solved from scratch.
     Meaningful for maps that pass validate_map.
     """
     tiling = tm.tiling()
     if tiling is not None:
         return tiling.domain_solve()
     facts = tm.ribbon_facts()
-    memo = tm._solved
-    if memo is not None and memo[0] is facts and tm.has_state(memo[1]):
-        return memo[2]
-    solve = _solve(facts, facts.region_checks(tm.regions), tm.isolated)
-    tm._solved = (facts, tm.region_state(), solve)
-    return solve
+    return _solve(facts, facts.region_checks(tm.regions), tm.isolated)
 
 
 def chi_domain(tm: TransverseMap) -> int:
