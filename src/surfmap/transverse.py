@@ -420,9 +420,7 @@ class RibbonFacts:
       traced circuit, the corner condition, the orientation constraints of
       its corners and classify_circuit;
     * per region object, its RegionChecks (region_checks);
-    * per edge, its flanking circuits, and for the last assignment of
-      region labels to the traced circuits, the side coherence of the
-      edges (flank_problems).
+    * per edge, its flanking circuits (flanks).
     """
 
     def __init__(self, tm: TransverseMap):
@@ -439,10 +437,6 @@ class RibbonFacts:
         self._constraints = {}   # token tuple -> corner_constraints result
         self._regions = {}     # region -> RegionChecks
         self._last_checks = None   # (region list snapshot, its RegionChecks)
-        # (label per circuit key, problem per edge key, problems) of the
-        # last flank_problems call, and the keys of circuits traced since
-        self._flanks_last = None
-        self._flanks_dirty = set()
         # a number no other facts object has, and for facts derived from
         # a parent (derive): (the parent's serial, the keys of its traced
         # circuits that were traced again)
@@ -639,8 +633,6 @@ class RibbonFacts:
                       for d, _x in by_key[key].seq[::2]}:
                 flanks[k] = self._flank(k)
             self.flanks = flanks
-            self._flanks_last = parent._flanks_last
-            self._flanks_dirty = parent._flanks_dirty | set(born)
 
         # the memo buckets of unchanged circuits
         self._walks = _kept(parent._walks, dead)
@@ -1073,37 +1065,19 @@ class RibbonFacts:
         return out
 
     def flank_problems(self, labels: dict) -> list:
-        """The side-coherence problems of the edges when each traced
-        circuit is stored in a region labeled labels[its key]: the regions
-        flanking an edge are labeled by its two triangles.  Only the edges
-        on circuits whose label changed, or that were traced since, are
-        checked again (a shared list; do not modify)."""
-        last, dirty = self._flanks_last, self._flanks_dirty
-        if last is not None and not dirty and last[0] == labels:
-            return last[2]
+        """The side-coherence problems of the edges, in edge key order,
+        when each traced circuit is stored in a region labeled labels[its
+        key]: the regions flanking an edge are labeled by its two
+        triangles.  (A check that derives its tiling looks only at the
+        edges of the regions it replaced, Tiling.derived.)"""
         flanks = self.flanks
-        if last is None:
-            recheck = flanks.keys()
-            bad = {}
-        else:
-            changed = {key for key, _label in labels.items() ^ last[0].items()}
-            recheck = set()
-            by_key, pairing = self.circuit_by_key, self.pairing
-            for key in changed | dirty:
-                c = by_key.get(key)
-                if c is not None:
-                    recheck.update(min(d, pairing[d]) for d, _x in c.seq[::2])
-            bad = {k: problem for k, problem in last[1].items()
-                   if k not in recheck and k in flanks}
-        for k in recheck:
+        problems = []
+        for k in self.edge_keys:
             c0, c1, want = flanks[k]
             sides = {labels[c0], labels[c1]}
             if sides != want:
-                bad[k] = (f"edge {k} flanked by regions labeled {sorted(sides)}, "
-                          f"expected {sorted(want)}")
-        problems = [bad[k] for k in sorted(bad)]
-        self._flanks_last = (labels, bad, problems)
-        self._flanks_dirty = set()
+                problems.append(f"edge {k} flanked by regions labeled "
+                                f"{sorted(sides)}, expected {sorted(want)}")
         return problems
 
 

@@ -369,11 +369,10 @@ def test_collapse_checks_only_the_regions_it_replaces(monkeypatch):
 
 
 def test_derived_side_coherence_matches_fresh_facts_for_any_labels():
-    """Derived facts check the side coherence of an edge again only where
-    the label of a circuit through it changed or the circuit was traced
-    anew.  With arbitrary labels, also where a new circuit has the key
-    and the label of a circuit it replaced, they answer as fresh facts
-    do."""
+    """Derived facts carry the flanks of the edges away from the rewired
+    darts.  With arbitrary labels, also where a new circuit has the key
+    and the label of a circuit it replaced, their side coherence answers
+    as fresh facts do."""
     rng = random.Random(3)
     compared = Counter()
 
