@@ -225,10 +225,9 @@ def cmd_generate(args) -> int:
     if args.kind == "scramble":
         if not args.input:
             raise InputError("generate scramble needs --in")
-        doc = _load(args.input)
-        tm = _valid_map(doc)
         if not (0 <= args.steps <= MAX_SCRAMBLE):
             raise InputError(f"--steps must be in 0..{MAX_SCRAMBLE}")
+        tm = _valid_map(_load(args.input))
         import random
         rng = random.Random(args.seed)
         for _ in range(args.steps):

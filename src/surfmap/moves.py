@@ -923,20 +923,49 @@ def _find_collapse(tm: TransverseMap):
 
 def _find_join(tm: TransverseMap):
     """An isolated circle, a region it bounds and an essential circuit of
-    that region, on a map with both vertices and isolated circles."""
+    that region, on a map with both vertices and isolated circles: the
+    first region in order that is bounded by a circle and has an
+    essential circuit, its first essential circuit and its circle of
+    least position.  The regions bounded by circles are read off the
+    map's tiling where it is current (the owners of the circle sides,
+    with their memoized classes), and scanned for otherwise."""
     if not (tm.isolated and tm.pairing):
         return None
+    tiling = tm.tiling()
+    if tiling is None:
+        found = _scan_join(tm)
+    else:
+        facts = tiling.facts
+        holders = {checks.region: checks for checks in tiling.owner.values()}
+        found = None
+        for ri, checks in enumerate(map(holders.get, tm.regions)):
+            if checks is not None:
+                pos = next((pos for pos, cls in enumerate(checks.classes(facts))
+                            if cls.variant == "essential"), None)
+                if pos is not None:
+                    found = ri, checks.region, pos
+                    break
+    if found is None:
+        raise Stuck({"reason": "isolated circles but no join target",
+                     "state": is_normal(tm)})
+    ri, region, pos = found
+    position = tm.circle_positions()
+    return min(position[c.circle] for c in region.circuits
+               if isinstance(c, IsoSide)), ri, pos
+
+
+def _scan_join(tm: TransverseMap):
+    """(index, region, position of its first essential circuit) of the
+    first region bounded by a circle that has an essential circuit, or
+    None, by classifying the circuits of every region bounded by one."""
     for ri, region in enumerate(tm.regions):
-        circles = [c.circle for c in region.circuits if isinstance(c, IsoSide)]
-        if not circles:
+        if not any(isinstance(c, IsoSide) for c in region.circuits):
             continue
         for pos, c in enumerate(region.circuits):
             if isinstance(c, RibbonCircuit) and \
                     classify_circuit(tm, region, c).variant == "essential":
-                position = tm.circle_positions()
-                return min(position[cid] for cid in circles), ri, pos
-    raise Stuck({"reason": "isolated circles but no join target",
-                 "state": is_normal(tm)})
+                return ri, region, pos
+    return None
 
 
 def _find_surgery(tm: TransverseMap):

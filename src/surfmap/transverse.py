@@ -54,8 +54,12 @@ checked again and their owners updated.  The solve is derived the same
 way (DomainSolve.derived): its nodes have names a region keeps while a
 move replaces it, the ties of the replaced regions are compared, and it
 keeps the spanning forest of its unions as the certificate that tells
-when a deleted tie may split a class; only then is the domain solved
-again.  A derivation only ever answers that nothing is wrong: where it
+when a deleted tie may split a class.  A class that a deletion splits
+has its pieces walked from the cut, and the pieces made of circles and
+of regions bounded by circles alone (nested circles cut off by a join,
+say) get nodes of their own and are united again; only where a piece
+that is not the class's one remainder reaches the graph is the domain
+solved again.  A derivation only ever answers that nothing is wrong: where it
 would find a problem, and for a map without a tiling, validate_map
 checks from scratch, with the same problem texts in the same order.
 """
@@ -75,7 +79,7 @@ from .surfaces import (SurfaceKind, Triangulation, builtin_triangulation,
                        classify_surface, connected_sum_kind, doc_field, doc_id,
                        doc_int, doc_pair)
 from . import covers as covers_mod
-from .unionfind import BROKEN, JOINED, ParityUF
+from .unionfind import BROKEN, HELD, JOINED, ParityUF
 
 
 # --------------------------------------------------------------------------
@@ -325,23 +329,78 @@ class TransverseMap:
             raise InputError(f"{what}: invalid target: {problems[:4]}")
         vmap = {str(v): v for v in target.vertices}
 
-        def table(key, value):
-            return {doc_int(d, f"{what} {key} dart"): value(v, f"{what} {key}")
-                    for d, v in doc_field(obj, key, dict, what).items()}
+        def table(key, value, typed):
+            # the typed pass, else element by element for the error texts
+            raw = doc_field(obj, key, dict, what)
+            darts = _typed_keys(raw)
+            values = typed(list(raw.values())) if darts is not None else None
+            if values is None:
+                return {doc_int(d, f"{what} {key} dart"): value(v, f"{what} {key}")
+                        for d, v in raw.items()}
+            return dict(zip(darts, values))
+
+        def vertex_ids(values):
+            if not set(map(type, values)) <= {int, str}:
+                return None
+            ids = {v: vmap.get(str(v), v) for v in set(values)}
+            return list(map(ids.__getitem__, values))
 
         def circ(c):
             # a document's circle index is the circle's id
             kind = doc_field(c, "kind", str, f"{what} circuit")
             if kind == "ribbon":
                 seq = doc_field(c, "seq", list, f"{what} circuit")
-                return RibbonCircuit(tuple(doc_pair(t, f"{what} circuit token")
-                                           for t in seq))
+                tokens = _typed_pairs(seq)
+                if tokens is None:
+                    tokens = [doc_pair(t, f"{what} circuit token") for t in seq]
+                return RibbonCircuit(tuple(tokens))
             if kind == "iso":
                 return IsoSide(*(doc_field(c, k, int, f"{what} circuit")
                                  for k in ("index", "side", "direction")))
             raise InputError(f"{what}: unknown circuit kind {kind!r}")
 
+        kinds = {}      # (orientable, handles, crosscaps, boundary) -> SurfaceKind
+
+        def typed_region(r):
+            # region() for a region whose fields all have their exact JSON
+            # types, else None
+            if r.__class__ is not dict:
+                return None
+            label, kind, circuits = r.get("label"), r.get("kind"), r.get("circuits")
+            if (label.__class__ is not int or kind.__class__ is not dict
+                    or circuits.__class__ is not list):
+                return None
+            key = (kind.get("orientable"), kind.get("handles", 0),
+                   kind.get("crosscaps", 0), kind.get("boundary", 0))
+            if key[0].__class__ is not bool or not set(map(type, key[1:])) <= {int}:
+                return None
+            surface = kinds.get(key)
+            if surface is None:
+                surface = kinds[key] = SurfaceKind.from_json(kind)
+            out = []
+            for c in circuits:
+                if c.__class__ is not dict:
+                    return None
+                if c.get("kind") == "ribbon":
+                    seq = c.get("seq")
+                    tokens = _typed_pairs(seq) if seq.__class__ is list else None
+                    if tokens is None:
+                        return None
+                    out.append(RibbonCircuit(tuple(tokens)))
+                elif c.get("kind") == "iso":
+                    side = c.get("index"), c.get("side"), c.get("direction")
+                    if not set(map(type, side)) <= {int}:
+                        return None
+                    out.append(IsoSide(*side))
+                else:
+                    return None
+            return Region(label, surface, tuple(out))
+
         def region(r):
+            # the typed pass, else field by field for the error texts
+            typed = typed_region(r)
+            if typed is not None:
+                return typed
             where = f"{what} region"
             return Region(doc_field(r, "label", int, where),
                           SurfaceKind.from_json(doc_field(r, "kind", dict, where)),
@@ -349,12 +408,13 @@ class TransverseMap:
 
         return TransverseMap(
             target=target,
-            pairing=table("pairing", doc_int),
-            rotation=table("rotation", doc_int),
-            edge_sign=table("edge_sign", doc_int),
+            pairing=table("pairing", doc_int, _typed_ints),
+            rotation=table("rotation", doc_int, _typed_ints),
+            edge_sign=table("edge_sign", doc_int, _typed_ints),
             vertex_label=table("vertex_label",
-                               lambda v, w: vmap.get(str(doc_id(v, w)), v)),
-            dart_label=table("dart_label", doc_pair),
+                               lambda v, w: vmap.get(str(doc_id(v, w)), v),
+                               vertex_ids),
+            dart_label=table("dart_label", doc_pair, _typed_pairs),
             isolated={i: IsolatedCircle(doc_field(c, "edge", int,
                                                   f"{what} isolated circle"))
                       for i, c in enumerate(doc_field(obj, "isolated", list, what))},
@@ -363,6 +423,36 @@ class TransverseMap:
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
+
+
+def _typed_keys(table: dict):
+    """The integers of a document table's keys in one typed pass, as
+    doc_int reads them (ints, or decimal strings), or None where one is
+    neither or a string is no integer: the caller then reads them one by
+    one, for the error text."""
+    if set(map(type, table)) <= {int, str}:
+        try:
+            return list(map(int, table))
+        except ValueError:
+            pass
+    return None
+
+
+def _typed_ints(xs: list):
+    """xs when every element is an int, else None (the typed pass of a
+    table's values, as _typed_keys)."""
+    return xs if set(map(type, xs)) <= {int} else None
+
+
+def _typed_pairs(xs: list):
+    """The pairs of a list of two-element lists of ints in one typed pass,
+    as tuples, or None where one is not such a list (the typed pass of
+    doc_pair, as _typed_keys)."""
+    if set(map(type, xs)) <= {list} and set(map(len, xs)) <= {2}:
+        pairs = list(map(tuple, xs))
+        if set(map(type, itertools.chain.from_iterable(pairs))) <= {int}:
+            return pairs
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -938,6 +1028,10 @@ class RibbonFacts:
             return bucket[seq]
         except KeyError:
             pass
+        if first is not None and self.circuit_by_key[first].seq == seq:
+            # the traced circuit itself, which walks by construction
+            bucket[seq] = first
+            return first
         key = None
         if self._walk_ok(seq):
             tokens = frozenset(seq)
@@ -1242,7 +1336,7 @@ class Tiling:
         that had solved, otherwise solved from scratch."""
         if self._solve is None:
             basis, self._basis = self._basis, None
-            solve = basis and basis[0].derived(self.facts, *basis[1:])
+            solve = basis and basis[0].derived(self.facts, self.owner, *basis[1:])
             regions, isolated = self.state
             self._solve = solve or _solve(
                 self.facts, self.facts.region_checks(regions), isolated)
@@ -1487,7 +1581,8 @@ class DomainSolve:
     node, what its union did with each of its ties (`ties`; a JOINED tie
     is one of the solve's spanning forest); the number of ties that
     contradicted the others (`broken`); and the number of classes made
-    only of nodes whose region or circle is gone (`dead_classes`)."""
+    only of nodes whose region or circle is gone, or that were given new
+    nodes when a deletion cut them off (`dead_classes`)."""
 
     def __init__(self, facts, uf: ParityUF, nodes, ties: dict, broken: int,
                  dead_classes: int, regions_euler: int, nonorientable: int):
@@ -1515,10 +1610,12 @@ class DomainSolve:
             out.append(flip ^ first.setdefault(root, flip))
         return tuple(out)
 
-    def derived(self, facts, gone: list, added: list, lost: list, born: list):
+    def derived(self, facts, owner: dict, gone: list, added: list, lost: list,
+                born: list):
         """The solve of the map state that has the regions (RegionChecks)
         `added` instead of `gone`, and the circles `born` instead of
-        `lost`, under the same facts; None where it has to be solved from
+        `lost`, under the same facts (`owner`: the state's owner of each
+        circle side, Tiling.owner); None where it has to be solved from
         scratch.
 
         A node keeps its name: a region that is replaced by one of the
@@ -1526,13 +1623,15 @@ class DomainSolve:
         node whose region or circle is gone stays in the union-find as a
         dead member, with its ties deleted.  A deleted tie that
         contradicted leaves the count of broken ties.  A deleted forest
-        tie would split a class: the deleted forest ties are grouped by
-        the nodes they share, and the classes stay as they are when each
-        group holds at most one live node (then every deleted forest tie
-        hangs dead nodes off that one, and no path between live nodes ran
-        through it); a group with no live node was a whole class, now
-        dead.  Otherwise the answer is None.  The new ties are then
-        united in."""
+        tie may split a class: the deleted forest ties are grouped by the
+        nodes they share.  A group with at most one live node splits
+        nothing (every deleted forest tie hangs dead nodes off that one,
+        and no path between live nodes ran through it); a group with none
+        was a whole class, now dead.  A group with more live nodes cuts
+        its class into pieces, and the pieces that hold no graph
+        component get nodes of their own (_cut_off); where that is not
+        known to leave the class one piece, the answer is None.  The new
+        ties are then united in."""
         nodes = self.nodes
         if nodes is None:
             return None
@@ -1552,37 +1651,38 @@ class DomainSolve:
             size += 1
         broken = self.broken
         forest = []           # deleted forest ties, as node pairs
-        work = []             # (name, node, kept ties, new ties)
+        named = {}            # node -> name, for the nodes of `forest`
+        work = []             # (name, new ties)
         for name in sorted(before.keys() | after.keys()):
             had = ties.get(name)
             checks = after.get(name)
             if had is None:
                 if checks is None or not checks.needs_node:
                     continue
-                node = nodes[name] = size
+                nodes[name] = size
                 size += 1
                 had = {}
-            else:
-                node = nodes[name]
+            node = nodes[name]
             want = {} if checks is None else _ties(checks, charts, vertex_of)
             for tie, status in had.items():
                 if tie not in want:
                     if status == JOINED:
                         other = tie[0]
-                        forest.append((node, other if other.__class__ is int
-                                       else old_nodes[other]))
+                        v = other if other.__class__ is int else old_nodes[other]
+                        forest.append((node, v))
+                        named[node], named[v] = name, other
                     elif status == BROKEN:
                         broken -= 1
             if checks is None:
                 del nodes[name], ties[name]
                 dead.append(node)
             else:
-                work.append((name, node,
-                             {tie: had[tie] for tie in want if tie in had},
-                             [tie for tie in want if tie not in had]))
+                ties[name] = {tie: had[tie] for tie in want if tie in had}
+                work.append((name, [tie for tie in want if tie not in had]))
 
         dead_classes = self.dead_classes
-        if dead:
+        pieces = ()
+        if forest:
             group = {}
 
             def find(x):
@@ -1594,25 +1694,42 @@ class DomainSolve:
                 group[find(u)] = find(v)
             dead_set = set(dead)
             live = {}
-            for x in group.keys() | {v for _u, v in forest}:
+            for x in named:
                 root = find(x)
                 live[root] = live.get(root, 0) + (x not in dead_set)
-            if any(n > 1 for n in live.values()):
-                return None
             dead_classes += sum(1 for n in live.values() if n == 0)
-            dead_classes += sum(1 for x in dead if x not in live and x not in group)
-        elif forest:
-            return None
+            cut = sorted(x for x in named
+                         if x not in dead_set and live[find(x)] > 1)
+            if cut:
+                found = self._cut_off([(x, named[x]) for x in cut], ties, owner)
+                if found is None:
+                    return None
+                pieces, emptied = found
+                dead_classes += emptied
+        dead_classes += sum(1 for x in dead if x not in named)
 
+        for piece in pieces:
+            for name in piece:
+                nodes[name] = size
+                size += 1
         uf = self._uf.grown(size - len(self._uf.parent))
         union = uf.union
-        for name, node, kept, new in work:
+        for piece in pieces:
+            for name in piece:
+                if name[0] != "c":
+                    node = nodes[name]
+                    kept = {}
+                    for tie, status in ties[name].items():
+                        kept[tie] = again = union(nodes[tie[0]], node, tie[1])
+                        broken += (again == BROKEN) - (status == BROKEN)
+                    ties[name] = kept
+        for name, new in work:
+            node, kept = nodes[name], ties[name]
             for tie in new:
                 other = tie[0]
                 status = kept[tie] = union(other if other.__class__ is int
                                            else nodes[other], node, tie[1])
                 broken += status == BROKEN
-            ties[name] = kept
         euler = (self.regions_euler + sum(c.euler for c in added)
                  - sum(c.euler for c in gone))
         nonorientable = (self.nonorientable + sum(not c.orientable for c in added)
@@ -1620,34 +1737,110 @@ class DomainSolve:
         return DomainSolve(facts, uf, nodes, ties, broken, dead_classes, euler,
                            nonorientable)
 
+    def _cut_off(self, cut: list, ties: dict, owner: dict):
+        """The pieces a deletion cut off, or None.  `cut` lists the live
+        (node, name) pairs of the groups of deleted forest ties that hold
+        several, and `ties` the ties each region node keeps.
+
+        From each, the piece of its class that the kept ties still reach
+        is walked, through circle nodes and the regions that own their
+        sides (`owner`) and keep a tie to them (_piece).  A walk that
+        meets a graph component stops there: its piece is the one that
+        keeps the class's old nodes, and a class may keep only one such
+        walk, since where two meet is not known (the kept forest ties
+        must span what keeps the old nodes).  Otherwise the answer is
+        None.  The other walks end with whole pieces, each of circles and
+        of regions bounded by circles alone: they are the pieces to give
+        new nodes and unite again.  Every live node of a class that a
+        deletion cut lies in a piece walked from its cut, so a class whose
+        walks all ended is left with dead nodes only.  Returns (pieces, as
+        lists of names; the number of such emptied classes)."""
+        kept_by = set()        # old class roots with a walk that stopped
+        emptied = set()
+        seen = set()
+        pieces = []
+        for x, name in cut:
+            if name in seen:
+                continue
+            piece = _piece(name, ties, owner)
+            root = self._uf.find(x)[0]
+            if piece is None:
+                if root in kept_by:
+                    return None
+                kept_by.add(root)
+            else:
+                pieces.append(piece)
+                seen.update(piece)
+                emptied.add(root)
+        return pieces, len(emptied - kept_by)
+
+
+def _piece(name, ties: dict, owner: dict):
+    """The names of the nodes that the kept ties (`ties`) reach from node
+    `name`, in the order met, or None when they reach a graph component
+    (an int).  A circle ("c", id) reaches the region nodes that own its
+    sides and keep a tie to it; a region its ties' other nodes."""
+    piece = [name]
+    seen = {name}
+    for node in piece:
+        if node.__class__ is int:
+            return None
+        if node[0] == "c":
+            near = []
+            for side in ((node[1], 0), (node[1], 1)):
+                other = owner[side].name
+                kept = ties.get(other)
+                if kept is not None and any(tie[0] == node for tie in kept):
+                    near.append(other)
+        else:
+            near = [tie[0] for tie in ties[node]]
+        for other in near:
+            if other not in seen:
+                seen.add(other)
+                piece.append(other)
+    return piece
+
 
 def _solve(facts: RibbonFacts, entries, isolated: dict) -> DomainSolve:
     """The domain solve from scratch (domain_solve), over the RegionChecks
-    of the regions."""
+    of the regions.
+
+    Each region node is new when its ties are united, so the union is
+    spelled out here for that case: the node hangs under the class of
+    its first tie and the other classes hang under that one, so each tie
+    takes one find, and each records what ParityUF.union would return."""
     charts, n_components, _bands_ok = facts.vertex_charts
     vertex_of = facts.vertex_of
     circle_node = {("c", cid): i for i, cid in enumerate(isolated, n_components)}
-    linked = []
-    euler = 0
-    nonorientable = 0
-    for checks in entries:
-        euler += checks.euler
-        nonorientable += not checks.orientable
-        if checks.needs_node:
-            linked.append(checks)
+    linked = [checks for checks in entries if checks.needs_node]
     node = n_components + len(circle_node)
     uf = ParityUF(node + len(linked))
-    union = uf.union
+    parent, parity, find = uf.parent, uf.parity, uf.find
+    sets = uf.sets
     names = {}
     ties = {}
     broken = 0
     for checks in linked:
         statuses = _ties(checks, charts, vertex_of)
+        root, value = node, 0      # the node's root, its value xor the root's
         for tie in statuses:
-            other = tie[0]
-            status = statuses[tie] = union(other if other.__class__ is int
-                                           else circle_node[other], node, tie[1])
-            broken += status == BROKEN
+            other, rel = tie
+            r, p = find(other if other.__class__ is int else circle_node[other])
+            if r == root:
+                if p ^ value == rel:
+                    statuses[tie] = HELD
+                else:
+                    statuses[tie] = BROKEN
+                    broken += 1
+                continue
+            if root == node:
+                root = parent[node] = r
+                value = parity[node] = p ^ rel
+            else:
+                parent[r] = root
+                parity[r] = p ^ value ^ rel
+            sets -= 1
+            statuses[tie] = JOINED
         name = checks.name
         if names is not None:
             if name is None or name in names:
@@ -1656,8 +1849,12 @@ def _solve(facts: RibbonFacts, entries, isolated: dict) -> DomainSolve:
                 names[name] = node
                 ties[name] = statuses
         node += 1
+    uf.sets = sets
+    uf.ok = not broken
     nodes = None if names is None else {**circle_node, **names}
-    return DomainSolve(facts, uf, nodes, ties, broken, 0, euler, nonorientable)
+    return DomainSolve(facts, uf, nodes, ties, broken, 0,
+                       sum(checks.euler for checks in entries),
+                       sum(not checks.orientable for checks in entries))
 
 
 def domain_solve(tm: TransverseMap) -> DomainSolve:

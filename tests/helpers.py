@@ -3,10 +3,12 @@
 import random
 
 from surfmap.covers import assemble_total_space, random_cover
+from surfmap.errors import Stuck
 from surfmap.surfaces import (SurfaceKind, Triangulation, builtin_triangulation,
                               classify_with_boundary, derive_rotations)
-from surfmap.transverse import (Region, TransverseMap, classify_circuit, corners,
-                                domain_orientable, map_from_cover, validate_map)
+from surfmap.transverse import (IsoSide, Region, RibbonCircuit, TransverseMap,
+                                classify_circuit, corners, domain_orientable,
+                                map_from_cover, validate_map)
 
 
 def two_triangle_sphere():
@@ -189,3 +191,23 @@ def scrambled(tm, steps, seed, check=None):
         if check is not None:
             check(work)
     return work
+
+
+def find_join_by_scan(tm):
+    """moves._find_join by a scan of every region, classifying the
+    circuits of each region bounded by a circle until one is essential:
+    the reference the tiling-read finder is compared against."""
+    from surfmap.moves import is_normal
+    if not (tm.isolated and tm.pairing):
+        return None
+    for ri, region in enumerate(tm.regions):
+        circles = [c.circle for c in region.circuits if isinstance(c, IsoSide)]
+        if not circles:
+            continue
+        for pos, c in enumerate(region.circuits):
+            if isinstance(c, RibbonCircuit) and \
+                    classify_circuit(tm, region, c).variant == "essential":
+                position = tm.circle_positions()
+                return min(position[cid] for cid in circles), ri, pos
+    raise Stuck({"reason": "isolated circles but no join target",
+                 "state": is_normal(tm)})

@@ -13,17 +13,17 @@ import pytest
 
 from surfmap import moves, transverse, unionfind
 from surfmap.covers import random_cover
-from surfmap.errors import Disconnected, InternalInconsistency
+from surfmap.errors import Disconnected, InternalInconsistency, Stuck
 from surfmap.moves import (_post_move_check, collapse_edge, collapsible_edges,
                            flip_vertex, insert_trivial_circle, normalize)
 from surfmap.surfaces import SurfaceKind, builtin_triangulation
 from surfmap.transverse import (IsoSide, Region, RibbonCircuit,
-                                TransverseMap, add_pinch, chi_domain,
-                                classify_circuit, domain_orientable, domain_solve,
-                                identity_map, map_from_cover, mod2_degree,
-                                signed_degree, validate_map)
+                                TransverseMap, add_pinch, builtin_example,
+                                chi_domain, classify_circuit, domain_orientable,
+                                domain_solve, identity_map, map_from_cover,
+                                mod2_degree, signed_degree, validate_map)
 
-from helpers import scrambled, tube_double, two_triangle_sphere
+from helpers import find_join_by_scan, scrambled, tube_double, two_triangle_sphere
 
 # (base, d, branch, pinch, cover seed); together their normalizations run
 # every move, the dart-rewiring ones included
@@ -199,8 +199,8 @@ def test_join_and_insert_checks_do_not_grow_with_the_map(monkeypatch):
     solve from those of the move's input, so the unions and RegionChecks
     it makes count what the move changes, after 16 scramble steps as after
     64.  Every insert derives; a join whose circle's far region merges
-    into another may solve again from scratch, so the bound holds for the
-    median join."""
+    into another unites again the piece of circles it cuts off, so the
+    bound holds for the median join."""
     made = Counter()
     union = unionfind.ParityUF.union
 
@@ -525,6 +525,23 @@ def test_tampered_ribbon_circuit_is_reported(checked):
     assert validate_map(tm).ok
 
 
+@pytest.mark.parametrize("shift", (1, 2, -1))
+def test_stored_circuit_that_starts_elsewhere_is_read_as_the_oracle_reads_it(
+        checked, shift):
+    """A stored circuit started one token later (with a corner step) is
+    no boundary walk; started two tokens later it walks its circuit."""
+    tm, work = checked
+    ri, pos = next((ri, pos) for ri, reg in enumerate(work.regions)
+                   for pos, c in enumerate(reg.circuits)
+                   if isinstance(c, RibbonCircuit))
+    seq = work.regions[ri].circuits[pos].seq
+    _replace_circuit(work, ri, pos, RibbonCircuit(seq[shift:] + seq[:shift]))
+    problems = validate_map(work).problems
+    assert problems == validate_map(TransverseMap.from_json(work.to_json())).problems
+    assert bool(problems) == (shift % 2 == 1)
+    assert validate_map(tm).ok
+
+
 # --------------------------------------------------------------------------
 # The domain solve (connectivity, orientation) is memoized per map state:
 # a map changed in place after its solve must get the oracle's answers
@@ -742,3 +759,177 @@ def test_derived_solves_follow_valid_edits_that_split_join_and_untwist():
     for pos in (0, 1):
         _untwisted, answers = step(twisted, lambda m: _flip_iso_direction(m, pos))
         assert answers == _domain_answers(tm)
+
+
+# --------------------------------------------------------------------------
+# A join whose far disk holds circles of its own deletes the only ties
+# between those circles and the rest: its solve gives the piece cut off
+# nodes of its own and unites it again, and solves the whole domain only
+# where a piece reaches the graph
+
+
+def _genus2_scramble() -> TransverseMap:
+    base = builtin_triangulation("genus2")
+    tm = map_from_cover(random_cover(base, 6, [2, 2], seed=2))
+    tm = add_pinch(tm, 0, SurfaceKind(True, handles=1))
+    return scrambled(tm, 64, seed=2)
+
+
+def test_every_join_of_a_large_map_solves_only_the_piece_it_cuts_off(monkeypatch):
+    """All moves of this normalization are joins, and their solves are
+    derived: the whole domain is solved in none, the piece re-solve runs
+    in several, and each matches the oracle, chart flips included (the
+    domain is orientable)."""
+    counts = Counter()
+    joining = []
+    solve, cut_off, join = (transverse._solve, transverse.DomainSolve._cut_off,
+                            moves.join_isolated_circle)
+
+    def counted_solve(*args):
+        counts["whole in a join" if joining else "whole"] += 1
+        return solve(*args)
+
+    def counted_cut_off(self, *args):
+        out = cut_off(self, *args)
+        counts["pieces"] += out is not None and bool(out[0])
+        return out
+
+    def counted_join(*args):
+        joining.append(True)
+        try:
+            return join(*args)
+        finally:
+            joining.pop()
+
+    tm = _genus2_scramble()
+    monkeypatch.setattr(transverse, "_solve", counted_solve)
+    monkeypatch.setattr(transverse.DomainSolve, "_cut_off", counted_cut_off)
+    monkeypatch.setattr(moves, "join_isolated_circle", counted_join)
+
+    def observer(before, after, move):
+        counts[move] += 1
+        assert domain_solve(after).orientable
+        assert_matches_oracle(after)
+
+    normalize(tm, observer=observer)
+    assert counts["join_isolated_circle"] == 64 and counts["pieces"] >= 10
+    assert counts["whole in a join"] == 0
+
+
+def test_a_cut_piece_that_reaches_the_graph_is_solved_with_the_whole_domain(monkeypatch):
+    """The tube between the two sheets of a degree-2 map over sphere_tetra
+    is cut into a disk on each sheet: the deleted tie joined the two
+    sheets' graph components, each walk from the cut meets one of them,
+    so the domain is solved again, and it is two spheres."""
+    calls = Counter()
+    solve, cut_off = transverse._solve, transverse.DomainSolve._cut_off
+
+    def counted_solve(*args):
+        calls["whole"] += 1
+        return solve(*args)
+
+    def counted_cut_off(self, *args):
+        out = cut_off(self, *args)
+        calls["reached the graph"] += out is None
+        return out
+
+    tm = tube_double(builtin_triangulation("sphere_tetra"))
+    whole = _domain_answers(tm)
+    work = tm.copy()
+    ri = next(ri for ri, r in enumerate(work.regions) if len(r.circuits) == 2)
+    tube = work.regions[ri]
+    work.regions[ri:ri + 1] = [Region(tube.label, SurfaceKind(True, 0, 0, 1), (c,))
+                               for c in tube.circuits]
+    monkeypatch.setattr(transverse, "_solve", counted_solve)
+    monkeypatch.setattr(transverse.DomainSolve, "_cut_off", counted_cut_off)
+    assert validate_map(work).ok and work.tiling() is not None
+    answers = _domain_answers(work)
+    assert calls == {"whole": 1, "reached the graph": 1}
+    monkeypatch.undo()
+    assert answers == _domain_answers(TransverseMap.from_json(work.to_json()))
+    assert answers[0] == "domain has 2 components" != whole[0]
+
+
+def _circle_sphere() -> TransverseMap:
+    """The sphere's identity map and, apart from it, a sphere of two
+    circles X and Y: a disk on X, an annulus between X and Y, a disk on
+    Y.  Valid, with a domain of two components."""
+    tm = identity_map(builtin_triangulation("sphere_tetra"))
+    t1 = tm.regions[0].label
+    edge = tm.target.triangle_edges(t1)[0]
+    t2 = next(t for t, _ in tm.target.edge_sides(edge) if t != t1)
+    x, y = tm.add_circle(edge), tm.add_circle(edge)
+    disk, annulus = SurfaceKind(True, 0, 0, 1), SurfaceKind(True, 0, 0, 2)
+    tm.regions += [Region(t1, disk, (IsoSide(x, 0, 1),)),
+                   Region(t2, annulus, (IsoSide(x, 1, -1), IsoSide(y, 0, 1))),
+                   Region(t1, disk, (IsoSide(y, 1, -1),))]
+    assert validate_map(tm).ok
+    return tm
+
+
+def test_a_class_cut_into_pieces_of_circles_alone_is_left_dead():
+    """The annulus of the circle sphere is cut into two disks: the class
+    of the circles falls into two pieces, neither meeting the graph, so
+    both get new nodes and the old class is left dead; the domain then
+    has three components."""
+    tm = _circle_sphere()
+    assert _domain_answers(tm)[0] == "domain has 2 components"
+    work = tm.copy()
+    annulus = work.regions[-2]
+    work.regions[-2:-1] = [Region(annulus.label, SurfaceKind(True, 0, 0, 1), (c,))
+                           for c in annulus.circuits]
+    assert validate_map(work).ok and work.tiling() is not None
+    answers = _domain_answers(work)
+    assert answers == _domain_answers(TransverseMap.from_json(work.to_json()))
+    assert answers[0] == "domain has 3 components"
+    assert domain_solve(work).dead_classes == 1
+
+
+# --------------------------------------------------------------------------
+# The join finder reads the regions bounded by circles off the tiling
+
+
+def _found_join(tm: TransverseMap):
+    """What _find_join and the reference scan give: the triple, None, or
+    the Stuck report."""
+    out = []
+    for find in (moves._find_join, find_join_by_scan):
+        try:
+            out.append(find(tm))
+        except Stuck as ex:
+            out.append(("stuck", ex.report))
+    assert out[0] == out[1]
+    return out[0]
+
+
+def test_join_finder_reads_the_tiling_and_agrees_with_the_scan():
+    found = Counter()
+
+    def observer(before, after, move):
+        for tm in (before, after):
+            assert tm.tiling() is not None
+            out = _found_join(tm)
+            found["none" if out is None else out[0] if out[0] == "stuck" else "join"] += 1
+
+    for spec in SLICE:
+        normalize(_slice_map(*spec), observer=observer)
+    assert found["join"] >= 100 and found["none"] >= 30 and found["stuck"] >= 10
+    # without a current tiling, the finder scans
+    work = _slice_map(*SLICE[0]).copy()
+    work.regions.reverse()
+    assert work.tiling() is None and _found_join(work) is not None
+
+
+def test_join_finder_stuck_exit_is_unchanged():
+    """A circle in a region of the fold, whose circuits are all irregular:
+    no join target, with or without a current tiling."""
+    fold = builtin_example("fold_degree_zero")
+    tm = insert_trivial_circle(fold, 0, fold.target.triangle_edges(
+        fold.regions[0].label)[0])
+    work = tm.copy()
+    work.regions.reverse()
+    assert tm.tiling() is not None and work.tiling() is None
+    for m in (tm, work):
+        stuck, report = _found_join(m)
+        assert stuck == "stuck"
+        assert report["reason"] == "isolated circles but no join target"

@@ -16,10 +16,10 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from surfmap import cli, covers, moves
-from surfmap.errors import Stuck
+from surfmap import cli, covers, moves, transverse
+from surfmap.errors import InputError, Stuck
 from surfmap.surfaces import builtin_triangulation
-from surfmap.transverse import ValidationReport
+from surfmap.transverse import TransverseMap, ValidationReport
 
 from helpers import tube_cover_map
 
@@ -92,6 +92,93 @@ def test_malformed_document_is_an_input_error(tmp_path, docs, case, what):
         MALFORMED[case](doc)
     rc, out = run_cli(["analyze", what, _write(tmp_path / "bad.json", doc)])
     assert rc == 1 and out["error"] == "input"
+
+
+# --------------------------------------------------------------------------
+# A map document is read in one typed pass, element by element only where
+# that pass misses: what is accepted and every error text stay the same
+
+
+def _as_strings(doc):
+    """The map document with each integer that the format also takes as a
+    decimal string written as one: dart table values, dart labels, ribbon
+    tokens and the counts of region kinds."""
+    doc = copy.deepcopy(doc)
+    for key in ("pairing", "rotation", "edge_sign", "vertex_label"):
+        doc[key] = {d: str(v) for d, v in doc[key].items()}
+    doc["dart_label"] = {d: [str(x) for x in l] for d, l in doc["dart_label"].items()}
+    for region in doc["regions"]:
+        region["kind"] = {k: v if isinstance(v, bool) else str(v)
+                          for k, v in region["kind"].items()}
+        for c in region["circuits"]:
+            if c["kind"] == "ribbon":
+                c["seq"] = [[str(x) for x in t] for t in c["seq"]]
+    return doc
+
+
+def _counting_readers(monkeypatch):
+    """Counts of the element-by-element readers from_json falls back to."""
+    calls = {"doc_int": 0, "doc_pair": 0}
+    for name in calls:
+        def counted(*args, _name=name, _read=getattr(transverse, name)):
+            calls[_name] += 1
+            return _read(*args)
+        monkeypatch.setattr(transverse, name, counted)
+    return calls
+
+
+def test_integers_written_as_strings_are_read_by_the_fallback(docs, monkeypatch):
+    calls = _counting_readers(monkeypatch)
+    tm = TransverseMap.from_json(docs["map"])
+    assert calls == {"doc_int": 0, "doc_pair": 0}
+    again = TransverseMap.from_json(_as_strings(docs["map"]))
+    assert calls["doc_int"] > 0 and calls["doc_pair"] > 0
+    assert again.to_json() == tm.to_json() == docs["map"]
+    for key in ("pairing", "rotation", "edge_sign", "vertex_label", "dart_label"):
+        assert getattr(again, key) == getattr(tm, key)
+
+
+def _set_first(table, value):
+    table[next(iter(table))] = value
+
+
+LOAD_ERRORS = {
+    "dart key": (lambda doc: doc["pairing"].update({"x": 1}),
+                 "transverse_map pairing dart: expected an integer, got 'x'"),
+    "float value": (lambda doc: _set_first(doc["rotation"], 1.0),
+                    "transverse_map rotation: expected an integer, got 1.0"),
+    "bool value": (lambda doc: _set_first(doc["edge_sign"], True),
+                   "transverse_map edge_sign: expected an integer, got True"),
+    "vertex id": (lambda doc: _set_first(doc["vertex_label"], [0]),
+                  "transverse_map vertex_label: expected an integer or string id, "
+                  "got [0]"),
+    "short dart label": (lambda doc: _set_first(doc["dart_label"], [0]),
+                         "transverse_map dart_label: expected a pair, got [0]"),
+    "token": (lambda doc: next(c for r in doc["regions"] for c in r["circuits"]
+                               if c["kind"] == "ribbon")["seq"].append([1, "a"]),
+              "transverse_map circuit token: expected an integer, got 'a'"),
+    "region label": (lambda doc: doc["regions"][-1].update(label="0"),
+                     "transverse_map region: 'label' must be a JSON int"),
+    "kind count": (lambda doc: doc["regions"][-1]["kind"].update(handles=True),
+                   "surface kind handles: expected an integer, got True"),
+    "kind flag": (lambda doc: doc["regions"][-1]["kind"].update(orientable=1),
+                  "surface kind: 'orientable' must be a JSON bool"),
+    "iso side": (lambda doc: next(c for r in doc["regions"] for c in r["circuits"]
+                                  if c["kind"] == "iso").update(side=False),
+                 "transverse_map circuit: 'side' must be a JSON int"),
+    "circuit kind": (lambda doc: doc["regions"][-1]["circuits"][0].update(kind="arc"),
+                     "transverse_map: unknown circuit kind 'arc'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOAD_ERRORS))
+def test_malformed_tables_keep_their_error_texts(docs, case):
+    edit, text = LOAD_ERRORS[case]
+    doc = copy.deepcopy(docs["map"])
+    edit(doc)
+    with pytest.raises(InputError) as ex:
+        TransverseMap.from_json(doc)
+    assert str(ex.value) == text
 
 
 def _identity_rotation(doc):
@@ -201,6 +288,23 @@ def test_internal_inconsistency_reports_its_move_and_problems(tmp_path, docs,
 def test_scramble_without_input_is_an_input_error(tmp_path):
     rc, out = run_cli(["generate", "scramble", "--out", str(tmp_path / "x.json")])
     assert rc == 1 and out["error"] == "input"
+
+
+def test_scramble_checks_its_steps_before_it_loads_its_input(tmp_path, docs):
+    """--steps out of range is refused before --in is read, also when the
+    file is missing or invalid (the flag's error then wins); with steps in
+    range, the file's own error is the one reported."""
+    good = _write(tmp_path / "m.json", docs["map"])
+    bad = _write(tmp_path / "bad.json", _identity_rotation(copy.deepcopy(docs["map"])))
+    for path in (good, bad, str(tmp_path / "missing.json")):
+        rc, out = run_cli(["generate", "scramble", "--in", path, "--steps", "65",
+                           "--out", str(tmp_path / "x.json")])
+        assert rc == 1 and out == {"error": "input",
+                                   "detail": "--steps must be in 0..64"}
+    rc, out = run_cli(["generate", "scramble", "--in", bad, "--steps", "4",
+                       "--out", str(tmp_path / "x.json")])
+    assert rc == 1 and out["problems"]
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_non_integer_branch_is_an_input_error(tmp_path):

@@ -1,0 +1,35 @@
+"""tools/count_resolves.py over the first operations of the corpus catalog."""
+
+import importlib.util
+from pathlib import Path
+
+from surfmap import moves, transverse
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _count_resolves():
+    spec = importlib.util.spec_from_file_location("count_resolves",
+                                                  ROOT / "tools" / "count_resolves.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_counts_of_the_first_corpus_maps():
+    tool = _count_resolves()
+    originals = (moves.join_isolated_circle, transverse._solve,
+                 transverse.DomainSolve.derived)
+    rows = tool.count("corpus", limit=4)
+    assert (moves.join_isolated_circle, transverse._solve,
+            transverse.DomainSolve.derived) == originals
+    assert set(rows) == set(tool.MOVES) | {"(none)"}
+    joins = rows["join_isolated_circle"]
+    assert joins["moves"] == joins["derived"] > 0 and joins["pieces"] > 0
+    for name in ("collapse_edge", "boundary_surgery"):
+        assert rows[name]["collapse or surgery"] == rows[name]["moves"] > 0
+    # map_from_cover solves each map once, from scratch
+    assert rows["(none)"]["no prior solve"] == 4
+    lines = tool.table(rows).splitlines()
+    assert lines[0].split()[:4] == ["move", "moves", "derived", "pieces"]
+    assert len(lines) == 1 + len(rows)

@@ -1,0 +1,170 @@
+"""Count the domain solves of one pass of a perfbench catalog, per move.
+
+    python3 tools/count_resolves.py CATALOG        # corpus or bounds
+
+Runs every operation of the catalog once, in catalog order (for `bounds`,
+after writing its maps to a temporary directory, which is not counted),
+with counting wrappers installed at run time on surfmap's moves and on
+its domain-solve functions, as perfbench/tracer.py installs its spans;
+nothing under src/ has hooks.  Prints one row per move kind, the solves
+made outside any move under "(none)":
+
+* moves: the calls of the move;
+* derived: solves derived from the input's (DomainSolve.derived), and
+  pieces: those among them that gave a cut-off piece nodes of its own;
+* the whole-domain solves (transverse._solve) by reason:
+  - no prior solve: the tiling's predecessor had made no solve, or the
+    tiling was built from scratch;
+  - piece reached a component: a cut-off piece met a graph component;
+  - collapse or surgery: the move rewired darts, so the facts differ;
+  - other: a derivation that gave up for another reason (a region node
+    without a name, say);
+  - no tiling: the map had no current tiling.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+import tempfile
+from collections import Counter, defaultdict
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+from surfmap import moves, transverse  # noqa: E402
+
+import workloads  # noqa: E402
+
+MOVES = ("collapse_edge", "join_isolated_circle", "boundary_surgery",
+         "relocate_crosscap", "insert_trivial_circle")
+REASONS = ("no prior solve", "piece reached a component", "collapse or surgery",
+           "other", "no tiling")
+COLUMNS = ("moves", "derived", "pieces") + REASONS
+
+
+class Counts:
+    """Wrappers that count, per innermost move, what the solves did."""
+
+    def __init__(self):
+        self.rows = defaultdict(Counter)
+        self.move = ["(none)"]
+        self.why = []          # per open Tiling.domain_solve: its reason
+        self._saved = []
+
+    def _set(self, owner, attr, value):
+        self._saved.append((owner, attr, getattr(owner, attr)))
+        setattr(owner, attr, value)
+
+    def install(self):
+        counts = self
+
+        def moved(name, fn):
+            def wrapper(*args, **kwargs):
+                counts.rows[name]["moves"] += 1
+                counts.move.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    counts.move.pop()
+            return wrapper
+
+        for name in MOVES:
+            self._set(moves, name, moved(name, getattr(moves, name)))
+
+        tiling_solve = transverse.Tiling.domain_solve
+
+        def domain_solve(tiling):
+            if tiling._solve is not None:
+                return tiling_solve(tiling)
+            if tiling._basis is not None:
+                why = "other"
+            elif tiling.facts.origin is not None:
+                why = "collapse or surgery"
+            else:
+                why = "no prior solve"
+            counts.why.append(why)
+            try:
+                return tiling_solve(tiling)
+            finally:
+                counts.why.pop()
+
+        derived = transverse.DomainSolve.derived
+
+        def derived_solve(solve, *args):
+            out = derived(solve, *args)
+            if out is not None:
+                counts.rows[counts.move[-1]]["derived"] += 1
+            return out
+
+        cut_off = transverse.DomainSolve._cut_off
+
+        def cut(solve, *args):
+            out = cut_off(solve, *args)
+            if out is None:
+                counts.why[-1] = "piece reached a component"
+            elif out[0]:
+                counts.rows[counts.move[-1]]["pieces"] += 1
+            return out
+
+        whole = transverse._solve
+
+        def solve(*args):
+            why = counts.why[-1] if counts.why else "no tiling"
+            counts.rows[counts.move[-1]][why] += 1
+            return whole(*args)
+
+        self._set(transverse.Tiling, "domain_solve", domain_solve)
+        self._set(transverse.DomainSolve, "derived", derived_solve)
+        self._set(transverse.DomainSolve, "_cut_off", cut)
+        self._set(transverse, "_solve", solve)
+        return self
+
+    def uninstall(self):
+        while self._saved:
+            owner, attr, value = self._saved.pop()
+            setattr(owner, attr, value)
+
+
+def count(catalog: str, limit: int = None) -> dict:
+    """Move kind -> Counter of COLUMNS over one pass of the catalog (its
+    first `limit` operations when given)."""
+    if catalog not in ("corpus", "bounds"):
+        raise SystemExit(f"CATALOG must be corpus or bounds, not {catalog!r}")
+    specs = workloads.catalog(catalog)[:limit]
+    with tempfile.TemporaryDirectory() as workdir:
+        if catalog == "bounds":
+            workloads.bounds_setup(workdir)
+            op = lambda spec: workloads.bounds_op(spec, workdir)  # noqa: E731
+        else:
+            op = workloads.corpus_op
+        counts = Counts().install()
+        try:
+            for spec in specs:
+                op(spec)
+        finally:
+            counts.uninstall()
+    return dict(counts.rows)
+
+
+def table(rows: dict) -> str:
+    names = [m for m in MOVES + ("(none)",) if m in rows]
+    width = max(map(len, names + ["move"]))
+    lines = ["  ".join(["move".ljust(width)] + list(COLUMNS))]
+    for name in names:
+        row = rows[name]
+        lines.append("  ".join([name.ljust(width)] + [str(row[c]).rjust(len(c))
+                                                       for c in COLUMNS]))
+    return "\n".join(lines)
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        raise SystemExit(__doc__)
+    print(table(count(argv[0])))
+
+
+if __name__ == "__main__":
+    main()
