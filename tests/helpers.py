@@ -4,6 +4,7 @@ import random
 
 from surfmap.covers import assemble_total_space, random_cover
 from surfmap.errors import Stuck
+from surfmap.moves import is_normal
 from surfmap.surfaces import (SurfaceKind, Triangulation, builtin_triangulation,
                               classify_with_boundary, derive_rotations)
 from surfmap.transverse import (IsoSide, Region, RibbonCircuit, TransverseMap,
@@ -197,7 +198,6 @@ def find_join_by_scan(tm):
     """moves._find_join by a scan of every region, classifying the
     circuits of each region bounded by a circle until one is essential:
     the reference the tiling-read finder is compared against."""
-    from surfmap.moves import is_normal
     if not (tm.isolated and tm.pairing):
         return None
     for ri, region in enumerate(tm.regions):
