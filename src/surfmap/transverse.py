@@ -359,48 +359,7 @@ class TransverseMap:
                                  for k in ("index", "side", "direction")))
             raise InputError(f"{what}: unknown circuit kind {kind!r}")
 
-        kinds = {}      # (orientable, handles, crosscaps, boundary) -> SurfaceKind
-
-        def typed_region(r):
-            # region() for a region whose fields all have their exact JSON
-            # types, else None
-            if r.__class__ is not dict:
-                return None
-            label, kind, circuits = r.get("label"), r.get("kind"), r.get("circuits")
-            if (label.__class__ is not int or kind.__class__ is not dict
-                    or circuits.__class__ is not list):
-                return None
-            key = (kind.get("orientable"), kind.get("handles", 0),
-                   kind.get("crosscaps", 0), kind.get("boundary", 0))
-            if key[0].__class__ is not bool or not set(map(type, key[1:])) <= {int}:
-                return None
-            surface = kinds.get(key)
-            if surface is None:
-                surface = kinds[key] = SurfaceKind.from_json(kind)
-            out = []
-            for c in circuits:
-                if c.__class__ is not dict:
-                    return None
-                if c.get("kind") == "ribbon":
-                    seq = c.get("seq")
-                    tokens = _typed_pairs(seq) if seq.__class__ is list else None
-                    if tokens is None:
-                        return None
-                    out.append(RibbonCircuit(tuple(tokens)))
-                elif c.get("kind") == "iso":
-                    side = c.get("index"), c.get("side"), c.get("direction")
-                    if not set(map(type, side)) <= {int}:
-                        return None
-                    out.append(IsoSide(*side))
-                else:
-                    return None
-            return Region(label, surface, tuple(out))
-
         def region(r):
-            # the typed pass, else field by field for the error texts
-            typed = typed_region(r)
-            if typed is not None:
-                return typed
             where = f"{what} region"
             return Region(doc_field(r, "label", int, where),
                           SurfaceKind.from_json(doc_field(r, "kind", dict, where)),
@@ -1803,44 +1762,31 @@ def _piece(name, ties: dict, owner: dict):
 
 def _solve(facts: RibbonFacts, entries, isolated: dict) -> DomainSolve:
     """The domain solve from scratch (domain_solve), over the RegionChecks
-    of the regions.
-
-    Each region node is new when its ties are united, so the union is
-    spelled out here for that case: the node hangs under the class of
-    its first tie and the other classes hang under that one, so each tie
-    takes one find, and each records what ParityUF.union would return."""
+    of the regions."""
     charts, n_components, _bands_ok = facts.vertex_charts
     vertex_of = facts.vertex_of
     circle_node = {("c", cid): i for i, cid in enumerate(isolated, n_components)}
-    linked = [checks for checks in entries if checks.needs_node]
+    linked = []
+    euler = 0
+    nonorientable = 0
+    for checks in entries:
+        euler += checks.euler
+        nonorientable += not checks.orientable
+        if checks.needs_node:
+            linked.append(checks)
     node = n_components + len(circle_node)
     uf = ParityUF(node + len(linked))
-    parent, parity, find = uf.parent, uf.parity, uf.find
-    sets = uf.sets
+    union = uf.union
     names = {}
     ties = {}
     broken = 0
     for checks in linked:
         statuses = _ties(checks, charts, vertex_of)
-        root, value = node, 0      # the node's root, its value xor the root's
         for tie in statuses:
-            other, rel = tie
-            r, p = find(other if other.__class__ is int else circle_node[other])
-            if r == root:
-                if p ^ value == rel:
-                    statuses[tie] = HELD
-                else:
-                    statuses[tie] = BROKEN
-                    broken += 1
-                continue
-            if root == node:
-                root = parent[node] = r
-                value = parity[node] = p ^ rel
-            else:
-                parent[r] = root
-                parity[r] = p ^ value ^ rel
-            sets -= 1
-            statuses[tie] = JOINED
+            other = tie[0]
+            status = statuses[tie] = union(other if other.__class__ is int
+                                           else circle_node[other], node, tie[1])
+            broken += status == BROKEN
         name = checks.name
         if names is not None:
             if name is None or name in names:
@@ -1849,12 +1795,8 @@ def _solve(facts: RibbonFacts, entries, isolated: dict) -> DomainSolve:
                 names[name] = node
                 ties[name] = statuses
         node += 1
-    uf.sets = sets
-    uf.ok = not broken
     nodes = None if names is None else {**circle_node, **names}
-    return DomainSolve(facts, uf, nodes, ties, broken, 0,
-                       sum(checks.euler for checks in entries),
-                       sum(not checks.orientable for checks in entries))
+    return DomainSolve(facts, uf, nodes, ties, broken, 0, euler, nonorientable)
 
 
 def domain_solve(tm: TransverseMap) -> DomainSolve:
