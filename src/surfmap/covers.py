@@ -321,102 +321,90 @@ def assemble_total_space(cover: MonodromyCover, *, with_labels: bool = False):
     """Build the total space explicitly: d copies of every triangle glued
     by the edge permutations, each branch cycle realized by coning the
     merged disk.  Comparing V-E+F of the result against cover_chi is the
-    caller's oracle; the two are computed by unrelated routes.
+    caller's oracle; the two are computed by unrelated routes.  The
+    rotations are derived from the result's own corner fans
+    (derive_rotations), so its validate() reuses those.
 
     Raises NotClosed when the data does not give d vertices over every
     base vertex.
     """
     cover.require_valid()
-    base = cover.base
+    base, d = cover.base, cover.d
 
+    # edge copy (e, s) is number e*d + s - 1, s the sheet on e's first side
+    first_side = [base.edge_sides(e)[0][0] for e in range(len(base.edges))]
     inverse = {e: perm_inv(p) for e, p in cover.edge_perm.items()}
-
-    def copy_id(e, t_from, s):
-        t1, _t2 = cover.side_triangles(e)
-        return (e, s if t_from == t1 else perm_apply(inverse[e], s))
-
     pieces = disk_pieces(cover)
-    # polygon walks: per piece, a list of (edge_copy, sign, base_tail_vertex)
+    # polygon walks: per piece, a list of (edge copy, sign, base tail vertex)
     polygons = []
     for (t, loop) in pieces:
-        walk = base.triangles[t]
-        gon = []
-        for s in loop:
-            for (e, sg) in walk:
-                tail = base.directed_ends((e, sg))[0]
-                gon.append((copy_id(e, t, s), sg, tail))
-        polygons.append(gon)
+        sides = [(e, sg, base.directed_ends((e, sg))[0],
+                  None if t == first_side[e] else inverse[e])
+                 for (e, sg) in base.triangles[t]]
+        polygons.append([(e * d + (s if inv is None else inv[s - 1]) - 1, sg, tail)
+                         for s in loop for (e, sg, tail, inv) in sides])
 
-    # glue polygon corners into vertex lifts
-    corner_ids = {}
-    for pi, gon in enumerate(polygons):
-        for ci in range(len(gon)):
-            corner_ids[(pi, ci)] = len(corner_ids)
-    uf = ParityUF(len(corner_ids))
-
+    # corner ci of polygon pi is number offset[pi] + ci; glue them into
+    # vertex lifts.  Each edge copy lists its (tail corner, head corner,
+    # sign) per occurrence, copies in order of first occurrence.
+    offset, n_corners = [], 0
     occurrences = {}
-    for pi, gon in enumerate(polygons):
+    for gon in polygons:
+        offset.append(n_corners)
+        n = len(gon)
         for ci, (copy, sg, _tail) in enumerate(gon):
-            occurrences.setdefault(copy, []).append((pi, ci, sg))
+            occurrences.setdefault(copy, []).append(
+                (n_corners + ci, n_corners + (ci + 1) % n, sg))
+        n_corners += n
+    uf = ParityUF(n_corners)
+    union = uf.union
     for copy, occ in occurrences.items():
         if len(occ) != 2:
-            raise NotClosed(f"edge copy {copy} glued {len(occ)} times")
-        (p1, c1, s1), (p2, c2, s2) = occ
-        n1, n2 = len(polygons[p1]), len(polygons[p2])
-        tail1, head1 = corner_ids[(p1, c1)], corner_ids[(p1, (c1 + 1) % n1)]
-        tail2, head2 = corner_ids[(p2, c2)], corner_ids[(p2, (c2 + 1) % n2)]
+            raise NotClosed(f"edge copy {(copy // d, copy % d + 1)} "
+                            f"glued {len(occ)} times")
+        (tail1, head1, s1), (tail2, head2, s2) = occ
         if s1 == s2:
-            uf.union(tail1, tail2, 0)
-            uf.union(head1, head2, 0)
+            union(tail1, tail2, 0)
+            union(head1, head2, 0)
         else:
-            uf.union(tail1, head2, 0)
-            uf.union(head1, tail2, 0)
+            union(tail1, head2, 0)
+            union(head1, tail2, 0)
 
-    lift_of_corner = {}
+    # lifts numbered in order of their first corner
+    find = uf.find
     reps = {}
-    for (pi, ci), cid in corner_ids.items():
-        r = uf.find(cid)[0]
-        if r not in reps:
-            reps[r] = len(reps)
-        lift_of_corner[(pi, ci)] = reps[r]
-    n_lifts = len(reps)
+    lift = [reps.setdefault(find(c)[0], len(reps)) for c in range(n_corners)]
 
     # d lifts over every base vertex, each projecting to one base vertex
-    base_vertex_of_lift = {}
-    for pi, gon in enumerate(polygons):
-        for ci, (_copy, _sg, tail) in enumerate(gon):
-            lv = lift_of_corner[(pi, ci)]
-            prev = base_vertex_of_lift.setdefault(lv, tail)
-            if prev != tail:
-                raise NotClosed("a vertex lift projects to two base vertices")
+    base_vertex_of_lift = [None] * len(reps)
+    for lv, (_copy, _sg, tail) in zip(lift, (c for gon in polygons for c in gon)):
+        prev = base_vertex_of_lift[lv]
+        if prev is None:
+            base_vertex_of_lift[lv] = tail
+        elif prev != tail:
+            raise NotClosed("a vertex lift projects to two base vertices")
     per_base = {}
-    for lv, bv in base_vertex_of_lift.items():
+    for bv in base_vertex_of_lift:
         per_base[bv] = per_base.get(bv, 0) + 1
     for v in base.vertices:
-        if per_base.get(v, 0) != cover.d:
+        if per_base.get(v, 0) != d:
             raise NotClosed(
-                f"{per_base.get(v, 0)} lifts over vertex {v}, expected {cover.d}")
+                f"{per_base.get(v, 0)} lifts over vertex {v}, expected {d}")
 
-    # build the triangulated total space
-    vertex_names = list(range(n_lifts))
+    # build the triangulated total space: the edge copies first, each
+    # keeping the base edge's own end order
+    vertex_names = list(range(len(reps)))
     edges = []
-    edge_index = {}
-    for pi, gon in enumerate(polygons):
-        for ci, (copy, sg, _tail) in enumerate(gon):
-            if copy not in edge_index:
-                a = lift_of_corner[(pi, ci)]
-                b = lift_of_corner[(pi, (ci + 1) % len(gon))]
-                edge_index[copy] = len(edges)
-                # keep the base edge's own end order
-                edges.append((a, b) if sg > 0 else (b, a))
+    for tail, head, sg in (occ[0] for occ in occurrences.values()):
+        edges.append((lift[tail], lift[head]) if sg > 0 else (lift[head], lift[tail]))
+    edge_index = {copy: i for i, copy in enumerate(occurrences)}
+    edge_labels = {i: copy // d for i, copy in enumerate(occurrences)}
+    vert_labels = dict(enumerate(base_vertex_of_lift))
 
     triangles = []
     tri_labels = []
-    edge_labels = {idx: copy[0] for copy, idx in edge_index.items()}
-    vert_labels = dict(base_vertex_of_lift)
-
     for pi, gon in enumerate(polygons):
-        t, loop = pieces[pi]
+        t, _loop = pieces[pi]
         if len(gon) == 3:
             triangles.append([(edge_index[copy], sg) for (copy, sg, _tail) in gon])
             tri_labels.append(t)
@@ -425,22 +413,19 @@ def assemble_total_space(cover: MonodromyCover, *, with_labels: bool = False):
             vertex_names.append(center)
             vert_labels[center] = None
             n = len(gon)
-            spokes = []
-            for ci in range(n):
-                spokes.append(len(edges))
-                edges.append((center, lift_of_corner[(pi, ci)]))
-                edge_labels[len(edges) - 1] = None
-            for ci in range(n):
-                copy, sg, _tail = gon[ci]
+            corner_lifts = lift[offset[pi]:offset[pi] + n]
+            spokes = list(range(len(edges), len(edges) + n))
+            for lv in corner_lifts:
+                edge_labels[len(edges)] = None
+                edges.append((center, lv))
+            for ci, (copy, _sg, _tail) in enumerate(gon):
                 e_side = edge_index[copy]
-                lifted_tail = lift_of_corner[(pi, ci)]
-                s_here = 1 if edges[e_side][0] == lifted_tail else -1
+                s_here = 1 if edges[e_side][0] == corner_lifts[ci] else -1
                 nxt = (ci + 1) % n
                 triangles.append([(e_side, s_here), (spokes[nxt], -1), (spokes[ci], 1)])
                 tri_labels.append(t)
 
-    rotations = derive_rotations(vertex_names, edges, triangles)
-    total = Triangulation(vertex_names, edges, triangles, rotations)
+    total = derive_rotations(Triangulation(vertex_names, edges, triangles))
     if with_labels:
         labels = {
             "vertices": vert_labels,
@@ -465,20 +450,24 @@ def induced_triangulation(cover: MonodromyCover):
 
 def _shuffle_steps(n: int) -> tuple:
     """The swaps random.Random.shuffle makes on n items, in order: (position
-    i, bound i + 1, the bound's bit length) for i from n - 1 down to 1."""
-    return tuple((i, i + 1, (i + 1).bit_length()) for i in range(n - 1, 0, -1))
+    i, the bit length of its bound i + 1) for i from n - 1 down to 1."""
+    return tuple((i, (i + 1).bit_length()) for i in range(n - 1, 0, -1))
 
 
-def _shuffle(getrandbits, steps: tuple, x: list) -> None:
-    """random.Random.shuffle(x) with its _randbelow inlined over the bound
-    `getrandbits` of the same generator: the same calls, so the same
-    permutation and the same stream afterwards.  `steps` is
-    _shuffle_steps(len(x))."""
-    for i, n, k in steps:
-        j = getrandbits(k)
-        while j >= n:
+def _shuffle_into(getrandbits, steps: tuple, items, out, keys) -> None:
+    """out[key] = a copy of `items` put through random.Random.shuffle, for
+    each key of `keys` in turn, with shuffle's _randbelow inlined over the
+    bound `getrandbits` of the same generator: the same calls in the same
+    order, so the same permutations and the same stream afterwards.
+    `steps` is _shuffle_steps(len(items))."""
+    for key in keys:
+        x = [*items]
+        for i, k in steps:
             j = getrandbits(k)
-        x[i], x[j] = x[j], x[i]
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+        out[key] = x
 
 
 def _random_branch(getrandbits, steps: tuple, triangles: list, sheets: tuple, spec):
@@ -489,7 +478,9 @@ def _random_branch(getrandbits, steps: tuple, triangles: list, sheets: tuple, sp
     in 2..d.  `triangles` lists the base's triangles 0..F-1 and `sheets`
     is the tuple 1..d (both shared across tries; not modified).  The draws
     are random.Random's choice and shuffle over its bound `getrandbits`,
-    with their _randbelow inlined; `steps` is _shuffle_steps(d)."""
+    with their _randbelow inlined: a choice per length, then one batch of
+    shuffles, a triangle's sheets per shuffle; `steps` is
+    _shuffle_steps(d)."""
     if spec is None:
         return {}
     d = len(sheets)
@@ -498,10 +489,11 @@ def _random_branch(getrandbits, steps: tuple, triangles: list, sheets: tuple, sp
     else:
         lengths_by_t = {}
         used = {}     # triangle given cycles in this try -> sheets they use
+        fullest = 0   # the most sheets one triangle uses
         for ln in spec:
             # the triangles with ln free sheets, in order
             fits = triangles
-            if used and max(used.values()) + ln > d:
+            if fullest + ln > d:
                 fits = [t for t in triangles if used.get(t, 0) + ln <= d]
             if not fits:
                 raise Unsatisfiable(f"cycle lengths {spec} do not fit on {d} sheets")
@@ -511,12 +503,14 @@ def _random_branch(getrandbits, steps: tuple, triangles: list, sheets: tuple, sp
             while i >= n:
                 i = getrandbits(k)
             t = fits[i]
-            used[t] = used.get(t, 0) + ln
+            u = used[t] = used.get(t, 0) + ln
+            if u > fullest:
+                fullest = u
             lengths_by_t.setdefault(t, []).append(ln)
-    branch = {}
+    branch = {}     # triangle -> its shuffled sheets, then its cycles
+    _shuffle_into(getrandbits, steps, sheets, branch, lengths_by_t)
     for t, lengths in lengths_by_t.items():
-        avail = list(sheets)
-        _shuffle(getrandbits, steps, avail)
+        avail = branch[t]
         cycles = []
         pos = 0
         for ln in lengths:
@@ -699,10 +693,13 @@ def random_cover(tri: Triangulation, d: int, branch_spec=None, seed: int = 0,
     a fan exactly once and the solve is exact).  The root's fan is the one
     genuine constraint; fresh randomness retries it.
 
-    A try draws its permutations and then walks sheets through the root
-    word (_sampler_plan), the root's fan with every solve substituted:
-    its product is the root's fan product, so the try fails at the first
-    sheet the word moves, before any solve or inverse is computed.  Only
+    A try draws its branch cycles' sheets in one batch of shuffles and
+    its edge permutations in another (_shuffle_into), then walks sheets
+    through the root word (_sampler_plan), the root's fan with every
+    solve substituted: its product is the root's fan product, so the try
+    fails at the first sheet the word moves, before any solve or inverse
+    is computed.  Sheet 0 is walked first, and nearly every rejected try
+    fails there; the other sheets are walked only when it returns.  Only
     a try that fixes every sheet builds its sheet table from the
     compiled fan walks (_fan_programs) and fills edge_perm.  Such a cover
     must pass validate(), the uncompiled oracle (a failure is an
@@ -753,11 +750,9 @@ def random_cover(tri: Triangulation, d: int, branch_spec=None, seed: int = 0,
         branch = _random_branch(getrandbits, steps, triangles, sheets, spec)
         cover = MonodromyCover(tri, d, {}, branch)   # tries are counted by covers built
         perms = _sheet_slots(tri, d, branch)
-        for e in draws:
-            p = list(ident)
-            _shuffle(getrandbits, steps, p)   # the 1-based draw, minus 1
-            perms[e] = p
-        if any(_walk(root_word, perms, s) != s for s in ident):
+        _shuffle_into(getrandbits, steps, ident, perms, draws)   # 1-based draws, minus 1
+        if _walk(root_word, perms, 0) or any(
+                _walk(root_word, perms, s) != s for s in ident[1:]):
             continue
         table = _sheet_table(perms, solves, d)
         for e in assigned:

@@ -126,24 +126,27 @@ def _post_move_check(before: TransverseMap, after: TransverseMap, *,
                      edge_delta=None, context: str = "") -> TransverseMap:
     """Validate the result in full and check that the domain surface and
     the mod-2 degree did not drift: each measure of `after` against the
-    same measure of `before`.  validate_map derives the result's tiling
-    from the one `after` inherited from `before` (for a previous move's
-    result, the one of its own check), and chi_domain and
-    domain_orientable read the solve derived with it; the measures of
-    `before` read its own while its facts, regions and circles are the
-    ones checked.  A failure raises InternalInconsistency with the move's
-    name as `context` and the first problems as `problems`."""
+    same measure of `before`.  `before` is measured first, so its tiling
+    holds a solve (made now for a map that was loaded and checked but
+    never solved; a previous move's result keeps the one of its own
+    check).  validate_map then derives the result's tiling from the one
+    `after` inherited from `before`, and chi_domain and domain_orientable
+    read the solve derived with it.  A failure raises
+    InternalInconsistency with the move's name as `context` and the
+    first problems as `problems`."""
     def fail(detail, problems):
         raise InternalInconsistency(f"{context}: {detail}", context=context,
                                     problems=problems)
 
+    measures = (("Euler characteristic", chi_domain),
+                ("orientability", domain_orientable),
+                ("mod-2 degree", mod2_degree))
+    was = [measure(before) for _what, measure in measures]
     rep = validate_map(after)
     if not rep.ok:
         fail(f"invalid result: {rep.problems[:4]}", rep.problems[:4])
-    for what, measure in (("Euler characteristic", chi_domain),
-                          ("orientability", domain_orientable),
-                          ("mod-2 degree", mod2_degree)):
-        if measure(after) != measure(before):
+    for (what, measure), value in zip(measures, was):
+        if measure(after) != value:
             fail(f"{what} drifted", [f"{what} drifted"])
     if edge_delta is not None:
         got = edge_count(after) - edge_count(before)

@@ -317,12 +317,11 @@ class Triangulation:
             if sorted(rot) != incident:
                 problems.append(f"rotation at {v} is not a cyclic order of its edge ends")
                 continue
-            corners = sorted(tuple(sorted((e_in, e_out)))
-                             for (_t, e_in, e_out) in self.corners_at(v))
-            m = len(rot)
-            adjacent = sorted(tuple(sorted((rot[i], rot[(i + 1) % m])))
-                              for i in range(m))
-            if corners != adjacent:
+            fan = sorted((a, b) if a < b else (b, a)
+                         for (_t, a, b) in self.corners_at(v))
+            ring = sorted((a, b) if a < b else (b, a)
+                          for a, b in zip(rot, [*rot[1:], *rot[:1]]))
+            if fan != ring:
                 problems.append(f"rotation at {v} disagrees with the triangle fan")
 
         if not self.is_connected():
@@ -506,46 +505,48 @@ class Triangulation:
 # Construction helpers and built-in complexes
 
 
-def derive_rotations(vertices, edges, triangles) -> dict:
-    """Recover a rotation at each vertex from the triangle corner fans.
+def derive_rotations(tri: Triangulation) -> Triangulation:
+    """Set tri.rotations from its triangle corner fans and return tri.
 
     The corners at v form a 2-regular multigraph on the edge ends at v;
     a valid closed surface makes it a single cycle, which becomes the
-    rotation (direction chosen arbitrarily).
+    rotation (direction chosen arbitrarily).  The corners and half-edges
+    are tri's own caches, so a later tri.validate() reuses them.
     """
-    tri = Triangulation(vertices, edges, triangles, rotations={})
     rotations = {}
-    for v in vertices:
-        corners = [(e_in, e_out) for (_t, e_in, e_out) in tri.corners_at(v)]
-        incident = {e for e, _end in tri.half_edges_at(v)}
+    for v in tri.vertices:
+        corners = tri.corners_at(v)
         if not corners:
             raise InvalidSurface(f"vertex {v} has no incident triangle corners")
-        slots = {e: [] for e in incident}
-        for i, (x, y) in enumerate(corners):
+        slots = {e: [] for e, _end in tri.half_edges_at(v)}   # edge -> its corners
+        for i, (_t, x, y) in enumerate(corners):
             slots[x].append(i)
             slots[y].append(i)
         if any(len(s) != 2 for s in slots.values()):
             raise InvalidSurface(f"vertex link at {v} is not a cycle")
-        cycle = [corners[0][0], corners[0][1]]
-        used = {0}
-        while len(cycle) < len(incident):
-            cur = cycle[-1]
-            step = [i for i in slots[cur] if i not in used]
-            if not step:
+        _t, first, cur = corners[0]
+        cycle = [first, cur]
+        used = [False] * len(corners)
+        used[0] = True
+        i = 0
+        while len(cycle) < len(slots):
+            a, b = slots[cur]
+            i = b if a == i else a      # the corner at cur not just left
+            if used[i]:
                 raise InvalidSurface(f"vertex link at {v} is not a single cycle")
-            i = step[0]
-            used.add(i)
-            x, y = corners[i]
-            cycle.append(y if x == cur else x)
+            used[i] = True
+            _t, x, y = corners[i]
+            cur = y if x == cur else x
+            cycle.append(cur)
         # closing corner must exist and be the one unused
-        rest = set(range(len(corners))) - used
-        if len(rest) != 1:
+        if used.count(False) != 1:
             raise InvalidSurface(f"vertex link at {v} is not a single cycle")
-        i = rest.pop()
-        if set(corners[i]) != {cycle[-1], cycle[0]} and len(incident) > 1:
+        _t, x, y = corners[used.index(False)]
+        if {x, y} != {cur, first} and len(slots) > 1:
             raise InvalidSurface(f"vertex link at {v} does not close")
         rotations[v] = cycle
-    return rotations
+    tri.rotations = rotations
+    return tri
 
 
 def complex_from_faces(face_lists) -> Triangulation:
@@ -571,8 +572,7 @@ def complex_from_faces(face_lists) -> Triangulation:
             e = edge_idx[tuple(sorted((a, b)))]
             walk.append((e, 1 if edges[e] == (a, b) else -1))
         triangles.append(walk)
-    rotations = derive_rotations(vertices, edges, triangles)
-    return Triangulation(vertices, edges, triangles, rotations)
+    return derive_rotations(Triangulation(vertices, edges, triangles))
 
 
 def _sphere_tetra() -> Triangulation:

@@ -16,7 +16,7 @@ def two_triangle_sphere():
     """A sphere of two triangles sharing all three edges."""
     V, E = [0, 1, 2], [(0, 1), (1, 2), (0, 2)]
     T = [[(0, 1), (1, 1), (2, -1)], [(2, 1), (1, -1), (0, -1)]]
-    return Triangulation(V, E, T, derive_rotations(V, E, T))
+    return derive_rotations(Triangulation(V, E, T))
 
 
 def with_rotations_reversed(tri, vertices):

@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from surfmap import moves, transverse, unionfind
+from surfmap import cli, moves, transverse, unionfind
 from surfmap.covers import random_cover
 from surfmap.errors import Disconnected, InternalInconsistency, Stuck
 from surfmap.moves import (_post_move_check, collapse_edge, collapsible_edges,
@@ -814,6 +814,41 @@ def test_every_join_of_a_large_map_solves_only_the_piece_it_cuts_off(monkeypatch
     normalize(tm, observer=observer)
     assert counts["join_isolated_circle"] == 64 and counts["pieces"] >= 10
     assert counts["whole in a join"] == 0
+
+
+def test_first_join_after_a_load_solves_only_its_input(monkeypatch):
+    """A map loaded and checked as the CLI does (_valid_map) has a tiling
+    but no solve.  Its first join measures its input before it checks the
+    result, so the whole domain is solved once, for the input, and the
+    result's solve derives from it."""
+    tm = cli._valid_map(TransverseMap.from_json(_genus2_scramble().to_json()))
+    calls = Counter()
+    solve = transverse._solve
+
+    def counted_solve(*args):
+        calls["whole"] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(transverse, "_solve", counted_solve)
+    out = moves.join_isolated_circle(tm, *moves._find_join(tm))
+    assert calls["whole"] == 1
+    monkeypatch.undo()
+    assert_matches_oracle(out)
+
+
+def test_invalid_result_is_reported_before_any_drift(checked):
+    """The input is measured first, but an invalid result still fails with
+    the validator's problems, not with a drift."""
+    tm, work = checked
+    k = work.edge_keys()[0]
+    work.edge_sign[k] = -work.edge_sign[k]
+    _add_summand(work, 0)
+    work.invalidate_caches()
+    problems = validate_map(work).problems[:4]
+    with pytest.raises(InternalInconsistency) as ex:
+        _post_move_check(tm, work, context="tamper")
+    assert str(ex.value).startswith(f"tamper: invalid result: {problems}")
+    assert ex.value.problems == problems
 
 
 def test_a_cut_piece_that_reaches_the_graph_is_solved_with_the_whole_domain(monkeypatch):

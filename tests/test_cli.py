@@ -167,7 +167,7 @@ def test_composite_over_two_triangles_on_the_same_three_edges(tmp_path):
     V, E = [0, 1, 2], [(0, 1), (1, 2), (0, 2)]
     T = [[(0, 1), (1, 1), (2, -1)], [(2, 1), (1, -1), (0, -1)]]
     base = tmp_path / "base.json"
-    base.write_text(Triangulation(V, E, T, derive_rotations(V, E, T)).dumps())
+    base.write_text(derive_rotations(Triangulation(V, E, T)).dumps())
     for d, branch in ((1, []), (2, ["--branch", "2,2"]), (3, ["--branch", "3,3"])):
         out = tmp_path / f"d{d}.json"
         rc, stdout, _ = run("generate", "composite", "--base-file", str(base),

@@ -191,15 +191,23 @@ def test_root_fan_contradicting_the_root_word_is_an_internal_inconsistency(
 
 @pytest.mark.parametrize("d", range(1, 9))
 def test_inlined_shuffle_keeps_the_random_stream(d):
-    """The sampler's shuffle draws what random.Random.shuffle draws and
-    leaves the generator in the same state."""
+    """The sampler's batch shuffle draws what random.Random.shuffle draws,
+    one shuffle per key in order, and leaves the generator in the same
+    state."""
     steps = covers._shuffle_steps(d)
-    for seed in range(1000):
-        want, got = random.Random(seed), random.Random(seed)
-        x, y = list(range(d)), list(range(d))
-        want.shuffle(x)
-        covers._shuffle(got.getrandbits, steps, y)
-        assert y == x and got.getstate() == want.getstate(), seed
+    for count in (1, 3):
+        keys = [2 * k + 1 for k in range(count)]
+        for seed in range(1000):
+            want, got = random.Random(seed), random.Random(seed)
+            xs = []
+            for _ in keys:
+                x = list(range(d))
+                want.shuffle(x)
+                xs.append(x)
+            out = {}
+            covers._shuffle_into(got.getrandbits, steps, range(d), out, keys)
+            assert list(out) == keys and list(out.values()) == xs, (count, seed)
+            assert got.getstate() == want.getstate(), (count, seed)
 
 
 def test_open_fan_reported():

@@ -4,7 +4,8 @@ from hypothesis import given, strategies as st
 from surfmap.errors import InvalidChi, InvalidSurface, UnknownName
 from surfmap.surfaces import (BUILTIN_NAMES, SurfaceKind, Triangulation,
                               builtin_triangulation, classify_surface,
-                              classify_with_boundary, connected_sum_kind)
+                              classify_with_boundary, complex_from_faces,
+                              connected_sum_kind, derive_rotations)
 
 
 def test_euler_char_examples():
@@ -150,3 +151,47 @@ def test_json_round_trip():
         again = Triangulation.from_json(tri.to_json())
         assert again.to_json() == tri.to_json()
         assert again.validate() == []
+
+
+# two triangles on the same three edges: a sphere
+SPHERE_V, SPHERE_E = [0, 1, 2], [(0, 1), (1, 2), (0, 2)]
+SPHERE_T = [[(0, 1), (1, 1), (2, -1)], [(2, 1), (1, -1), (0, -1)]]
+
+
+def test_derive_rotations_fills_the_triangulation_it_is_given():
+    tri = Triangulation(SPHERE_V, SPHERE_E, SPHERE_T)
+    assert derive_rotations(tri) is tri
+    assert tri.rotations == {0: [2, 0], 1: [0, 1], 2: [1, 2]}
+    assert tri.validate() == []
+
+
+def test_derive_rotations_refuses_a_vertex_without_corners():
+    tri = Triangulation(SPHERE_V + [3], SPHERE_E, SPHERE_T)
+    with pytest.raises(InvalidSurface, match="^vertex 3 has no incident triangle corners$"):
+        derive_rotations(tri)
+
+
+def test_derive_rotations_refuses_an_edge_end_on_no_corner():
+    tri = Triangulation(SPHERE_V, SPHERE_E + [(0, 1)], SPHERE_T)
+    with pytest.raises(InvalidSurface, match="^vertex link at 0 is not a cycle$"):
+        derive_rotations(tri)
+
+
+def test_derive_rotations_refuses_a_link_of_two_cycles():
+    """Two tetrahedra sharing vertex 0: its link is two triangles."""
+    faces = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2),
+             (0, 4, 5), (0, 5, 6), (0, 6, 4), (4, 6, 5)]
+    with pytest.raises(InvalidSurface, match="^vertex link at 0 is not a single cycle$"):
+        complex_from_faces(faces)
+
+
+def test_derive_rotations_refuses_a_link_that_does_not_close():
+    """At vertex 0 two corners make a cycle through edges 0 and 1, and a
+    third turns from edge 2 back onto edge 2: the walk from the first
+    corner comes round after two corners, and the one left over does
+    not join its ends."""
+    E = [(0, 1), (0, 2), (0, 3), (1, 2)]
+    T = [[(0, 1), (3, 1), (1, -1)], [(1, 1), (3, -1), (0, -1)],
+         [(2, -1), (2, 1), (2, -1)]]
+    with pytest.raises(InvalidSurface, match="^vertex link at 0 does not close$"):
+        derive_rotations(Triangulation([0, 1, 2, 3], E, T))

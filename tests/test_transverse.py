@@ -166,7 +166,7 @@ def _digon_tetra():
     T = [[(6, 1), (1, 1), (2, -1)], [(0, 1), (4, 1), (3, -1)],
          [(1, 1), (5, 1), (4, -1)], [(2, 1), (5, 1), (3, -1)],
          [(7, 1), (0, 1), (8, -1)], [(8, 1), (6, -1), (7, -1)]]
-    return Triangulation(V, E, T, derive_rotations(V, E, T))
+    return derive_rotations(Triangulation(V, E, T))
 
 
 @pytest.mark.parametrize("turned", [(), (4,), (0, 4)])

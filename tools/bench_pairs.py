@@ -1,0 +1,76 @@
+"""Run the benchmark in two checkouts in alternating pairs.
+
+    python3 tools/bench_pairs.py PARENT CHANGE OUT --workload W \
+        --seeds 11-20 [--seconds 25] [--limit K]
+
+PARENT and CHANGE are checkouts of the two commits, each with its own
+perfbench/.  For every seed in turn, perfbench/run.py runs untraced
+(`--trace 0`) in PARENT and then in CHANGE, each in its own checkout and
+interpreter, so both sides of a pair see the same machine.  Each run's
+`*.result.json` is copied into OUT/parent or OUT/change, the two
+directories that tools/bench_record.py and perfbench/compare.py read:
+
+    python3 tools/bench_record.py OUT/parent OUT/change BENCH.json
+
+`--limit` caps the operations per pass, as run.py's does; the smoke
+test uses it.  A run that fails stops the whole sequence.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+
+SIDES = ("parent", "change")
+
+
+def seed_range(text: str) -> list:
+    """'11-20' -> [11, ..., 20]; '7' -> [7]."""
+    lo, _, hi = text.partition("-")
+    seeds = list(range(int(lo), int(hi or lo) + 1))
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+    return seeds
+
+
+def run_one(checkout: str, workload: str, seed: int, seconds: float, limit) -> str:
+    """Run the checkout's benchmark once; the path of its result file."""
+    argv = [sys.executable, os.path.join(checkout, "perfbench", "run.py"),
+            "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+            "--trace", "0"]
+    if limit is not None:
+        argv += ["--limit", str(limit)]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{checkout}: run.py exited {proc.returncode}\n"
+                         f"{proc.stdout}{proc.stderr}")
+    return os.path.join(checkout, "perfbench", "out",
+                        f"{workload}-seed{seed}-trace0.result.json")
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent")
+    p.add_argument("change")
+    p.add_argument("out")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seeds", type=seed_range, required=True)
+    p.add_argument("--seconds", type=float, default=25)
+    p.add_argument("--limit", type=int, default=None)
+    args = p.parse_args(argv)
+    for side in SIDES:
+        os.makedirs(os.path.join(args.out, side), exist_ok=True)
+    for seed in args.seeds:
+        for side, checkout in zip(SIDES, (args.parent, args.change)):
+            result = run_one(os.path.abspath(checkout), args.workload, seed,
+                             args.seconds, args.limit)
+            shutil.copy(result, os.path.join(args.out, side))
+            print(f"{args.workload} seed {seed} {side}: {result}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
