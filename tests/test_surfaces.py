@@ -7,6 +7,8 @@ from surfmap.surfaces import (BUILTIN_NAMES, SurfaceKind, Triangulation,
                               classify_with_boundary, complex_from_faces,
                               connected_sum_kind, derive_rotations)
 
+from helpers import two_triangle_sphere
+
 
 def test_euler_char_examples():
     assert SurfaceKind(True, 0).euler == 2
@@ -153,26 +155,24 @@ def test_json_round_trip():
         assert again.validate() == []
 
 
-# two triangles on the same three edges: a sphere
-SPHERE_V, SPHERE_E = [0, 1, 2], [(0, 1), (1, 2), (0, 2)]
-SPHERE_T = [[(0, 1), (1, 1), (2, -1)], [(2, 1), (1, -1), (0, -1)]]
-
-
 def test_derive_rotations_fills_the_triangulation_it_is_given():
-    tri = Triangulation(SPHERE_V, SPHERE_E, SPHERE_T)
+    sphere = two_triangle_sphere()
+    tri = Triangulation(sphere.vertices, sphere.edges, sphere.triangles)
     assert derive_rotations(tri) is tri
     assert tri.rotations == {0: [2, 0], 1: [0, 1], 2: [1, 2]}
     assert tri.validate() == []
 
 
 def test_derive_rotations_refuses_a_vertex_without_corners():
-    tri = Triangulation(SPHERE_V + [3], SPHERE_E, SPHERE_T)
+    sphere = two_triangle_sphere()
+    tri = Triangulation(sphere.vertices + [3], sphere.edges, sphere.triangles)
     with pytest.raises(InvalidSurface, match="^vertex 3 has no incident triangle corners$"):
         derive_rotations(tri)
 
 
 def test_derive_rotations_refuses_an_edge_end_on_no_corner():
-    tri = Triangulation(SPHERE_V, SPHERE_E + [(0, 1)], SPHERE_T)
+    sphere = two_triangle_sphere()
+    tri = Triangulation(sphere.vertices, sphere.edges + [(0, 1)], sphere.triangles)
     with pytest.raises(InvalidSurface, match="^vertex link at 0 is not a cycle$"):
         derive_rotations(tri)
 
