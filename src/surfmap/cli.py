@@ -110,11 +110,12 @@ def _base_triangulation(args) -> Triangulation:
 
 
 def _dot_output(tm, path: str) -> None:
+    facts = tm.ribbon_facts()
     lines = ["graph preimage {"]
-    for rep in tm.vertex_reps():
+    for rep in facts.vertex_reps:
         lines.append(f'  v{rep} [label="v{rep}:{tm.vertex_label[rep]}"];')
     for k in tm.edge_keys():
-        a, b = tm.vertex_of(k), tm.vertex_of(tm.pairing[k])
+        a, b = facts.vertex_of[k], facts.vertex_of[tm.pairing[k]]
         sign = "+" if tm.edge_sign[k] > 0 else "-"
         lines.append(f'  v{a} -- v{b} [label="e{tm.label_edge(k)}{sign}"];')
     for i, circle in enumerate(tm.isolated.values()):

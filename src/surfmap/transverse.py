@@ -23,25 +23,24 @@ Everything that depends only on the target and the five dart tables
 (pairing, rotation, edge_sign, vertex_label, dart_label) lives in one
 RibbonFacts object per map: vertex ids, traced circuits (keyed by their
 first token), local signs, edge keys, V - E, preimage counts, graph
-components and band-forced chart flips, the verdict of validate_map's
-dart-level sections per vertex and per edge, and per-circuit results
-keyed by the circuit's token tuple (and region label where it matters):
-the boundary-walk test, the corner condition, the corners' orientation
-constraints and classify_circuit.  A copy inherits the facts of its
-original.  A map uses inherited facts as they are when its own tables
-compare equal (plain dict ==) to the snapshot they were computed from,
-and otherwise derives its facts from them (RibbonFacts.derive): the
-darts where the tables differ are read off the tables, the circuits,
-vertices and edges through them are traced and checked again, and the
-rest is carried over.  The comparison runs once per map and again after
-invalidate_caches(), so a map edited in place is derived again.  What a
-region's checks find on their own (RegionChecks: walk keys, isolated
-sides, its problems, corner problems, classes, domain-solve ties) is
-memoized in the facts per region object, so a check computes it only
-for regions it has not seen, and derived facts carry it over for the
-regions whose circuits are all unchanged: its ties name darts of its own
-circuits, never a graph component, so they hold after a move that
-splits a component or twists one.
+components and band-forced chart flips, and the verdict of
+validate_map's dart-level sections per vertex and per edge.  A copy
+inherits the facts of its original.  A map uses inherited facts as they
+are when its own tables compare equal (plain dict ==) to the snapshot
+they were computed from, and otherwise derives its facts from them
+(RibbonFacts.derive): the darts where the tables differ are read off
+the tables, the circuits, vertices and edges through them are traced
+and checked again, and the rest is carried over.  The comparison runs
+once per map and again after invalidate_caches(), so a map edited in
+place is derived again.  Per-circuit answers (walk keys, corner
+problems, corner constraints, classes) live in one memo, the
+RegionChecks of each region object, kept in the facts with what else a
+region's checks find on their own (isolated sides, its problems,
+domain-solve ties).  A check computes them only for regions it has not
+seen, and derived facts carry them over for the regions whose circuits
+are all unchanged: a region's ties name darts of its own circuits,
+never a graph component, so they hold after a move that splits a
+component or twists one.
 
 What spans regions is the Tiling of a passed check: the owner of each
 traced circuit and circle side, and the domain solve (domain_solve), the
@@ -187,19 +186,6 @@ class TransverseMap:
         """Sorted edge keys (a shared list; do not modify)."""
         return self.ribbon_facts().edge_keys
 
-    def vertex_of(self, d: int) -> int:
-        """Canonical vertex id: minimal dart of the rotation orbit."""
-        return self.ribbon_facts().vertex_of[d]
-
-    def vertex_darts(self, d: int) -> list:
-        """Darts at d's vertex in rotation order, starting at the rep."""
-        facts = self.ribbon_facts()
-        return facts.vertex_darts(facts.vertex_of[d])
-
-    def vertex_reps(self) -> list:
-        """Sorted vertex ids (a shared list; do not modify)."""
-        return self.ribbon_facts().vertex_reps
-
     def invalidate_caches(self):
         """Call after changing a dart table in place: the next use of the
         ribbon facts compares the tables with the snapshot again."""
@@ -227,11 +213,6 @@ class TransverseMap:
 
     def label_edge(self, d: int) -> int:
         return self.dart_label[d][0]
-
-    def local_signs(self):
-        """Per vertex rep: +1 if the dart labels in rotation order read the
-        target rotation forward, -1 if backward, None if neither."""
-        return self.ribbon_facts().local_signs
 
     # -- region-side structure ------------------------------------------------------
 
@@ -329,31 +310,17 @@ class TransverseMap:
             raise InputError(f"{what}: invalid target: {problems[:4]}")
         vmap = {str(v): v for v in target.vertices}
 
-        def table(key, value, typed):
-            # the typed pass, else element by element for the error texts
-            raw = doc_field(obj, key, dict, what)
-            darts = _typed_keys(raw)
-            values = typed(list(raw.values())) if darts is not None else None
-            if values is None:
-                return {doc_int(d, f"{what} {key} dart"): value(v, f"{what} {key}")
-                        for d, v in raw.items()}
-            return dict(zip(darts, values))
-
-        def vertex_ids(values):
-            if not set(map(type, values)) <= {int, str}:
-                return None
-            ids = {v: vmap.get(str(v), v) for v in set(values)}
-            return list(map(ids.__getitem__, values))
+        def table(key, value):
+            return {doc_int(d, f"{what} {key} dart"): value(v, f"{what} {key}")
+                    for d, v in doc_field(obj, key, dict, what).items()}
 
         def circ(c):
             # a document's circle index is the circle's id
             kind = doc_field(c, "kind", str, f"{what} circuit")
             if kind == "ribbon":
                 seq = doc_field(c, "seq", list, f"{what} circuit")
-                tokens = _typed_pairs(seq)
-                if tokens is None:
-                    tokens = [doc_pair(t, f"{what} circuit token") for t in seq]
-                return RibbonCircuit(tuple(tokens))
+                return RibbonCircuit(tuple(doc_pair(t, f"{what} circuit token")
+                                           for t in seq))
             if kind == "iso":
                 return IsoSide(*(doc_field(c, k, int, f"{what} circuit")
                                  for k in ("index", "side", "direction")))
@@ -367,13 +334,12 @@ class TransverseMap:
 
         return TransverseMap(
             target=target,
-            pairing=table("pairing", doc_int, _typed_ints),
-            rotation=table("rotation", doc_int, _typed_ints),
-            edge_sign=table("edge_sign", doc_int, _typed_ints),
+            pairing=table("pairing", doc_int),
+            rotation=table("rotation", doc_int),
+            edge_sign=table("edge_sign", doc_int),
             vertex_label=table("vertex_label",
-                               lambda v, w: vmap.get(str(doc_id(v, w)), v),
-                               vertex_ids),
-            dart_label=table("dart_label", doc_pair, _typed_pairs),
+                               lambda v, w: vmap.get(str(doc_id(v, w)), v)),
+            dart_label=table("dart_label", doc_pair),
             isolated={i: IsolatedCircle(doc_field(c, "edge", int,
                                                   f"{what} isolated circle"))
                       for i, c in enumerate(doc_field(obj, "isolated", list, what))},
@@ -382,36 +348,6 @@ class TransverseMap:
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
-
-
-def _typed_keys(table: dict):
-    """The integers of a document table's keys in one typed pass, as
-    doc_int reads them (ints, or decimal strings), or None where one is
-    neither or a string is no integer: the caller then reads them one by
-    one, for the error text."""
-    if set(map(type, table)) <= {int, str}:
-        try:
-            return list(map(int, table))
-        except ValueError:
-            pass
-    return None
-
-
-def _typed_ints(xs: list):
-    """xs when every element is an int, else None (the typed pass of a
-    table's values, as _typed_keys)."""
-    return xs if set(map(type, xs)) <= {int} else None
-
-
-def _typed_pairs(xs: list):
-    """The pairs of a list of two-element lists of ints in one typed pass,
-    as tuples, or None where one is not such a list (the typed pass of
-    doc_pair, as _typed_keys)."""
-    if set(map(type, xs)) <= {list} and set(map(len, xs)) <= {2}:
-        pairs = list(map(tuple, xs))
-        if set(map(type, itertools.chain.from_iterable(pairs))) <= {int}:
-            return pairs
-    return None
 
 
 # --------------------------------------------------------------------------
@@ -429,9 +365,10 @@ _ISOLATED_SIDE = CircuitClass("isolated_side")
 
 
 def classify_circuit(tm: TransverseMap, region: Region, circuit) -> CircuitClass:
-    if isinstance(circuit, IsoSide):
-        return _ISOLATED_SIDE
-    return tm.ribbon_facts().circuit_class(region.label, circuit.seq)
+    """The class of one of the region's circuits, read from the classes
+    its RegionChecks memoize (RegionChecks.classes)."""
+    facts = tm.ribbon_facts()
+    return facts.checks_of(region).classes(facts)[region.circuits.index(circuit)]
 
 
 # --------------------------------------------------------------------------
@@ -439,7 +376,6 @@ def classify_circuit(tm: TransverseMap, region: Region, circuit) -> CircuitClass
 
 
 _TABLES = ("pairing", "rotation", "edge_sign", "vertex_label", "dart_label")
-_MISSING = object()
 _SERIALS = itertools.count()
 
 
@@ -463,12 +399,9 @@ class RibbonFacts:
       and per edge;
     * the vertex components of the graph and the vertex chart flips that
       its band signs force;
-    * per stored circuit, keyed by its token tuple (and by the region
-      label where the answer depends on it), in buckets per traced
-      circuit: the boundary-walk test, and for the tuples that walk a
-      traced circuit, the corner condition, the orientation constraints of
-      its corners and classify_circuit;
-    * per region object, its RegionChecks (region_checks);
+    * per region object, its RegionChecks (region_checks), the one memo
+      of per-circuit answers: walk_key, corner_problem,
+      corner_constraints and circuit_class compute theirs afresh;
     * per edge, its flanking circuits (flanks).
     """
 
@@ -479,11 +412,6 @@ class RibbonFacts:
         self.edge_sign = dict(tm.edge_sign)
         self.vertex_label = dict(tm.vertex_label)
         self.dart_label = dict(tm.dart_label)
-        # per-token-tuple memos, in buckets per traced circuit (walk_key)
-        self._walks = {}       # token tuple -> walk_key result
-        self._corners = {}     # (label, token tuple) -> corner problem or None
-        self._classes = {}     # (label, token tuple) -> CircuitClass
-        self._constraints = {}   # token tuple -> corner_constraints result
         self._regions = {}     # region -> RegionChecks
         self._last_checks = None   # (region list snapshot, its RegionChecks)
         # a number no other facts object has, and for facts derived from
@@ -510,9 +438,9 @@ class RibbonFacts:
         steps, so a circuit through none of them is the same circuit; a
         vertex is a rotation orbit, so a vertex without one keeps its
         darts, rep, local sign and problems, and an edge between two such
-        vertices keeps its problems.  The memos of a token tuple depend on
-        its own tokens only, so one that walks an unchanged circuit keeps
-        them, and a region whose circuits all do keeps its RegionChecks.
+        vertices keeps its problems.  A region's per-circuit answers
+        depend on its circuits' own tokens only, so a region whose
+        circuits all walk unchanged circuits keeps its RegionChecks.
         Nothing carried over names a graph component (a corner constraint
         names a dart of its own walk), so a move that splits a component or
         twists one carries as much as any other.  A new target, or tables
@@ -683,11 +611,7 @@ class RibbonFacts:
                 flanks[k] = self._flank(k)
             self.flanks = flanks
 
-        # the memo buckets of unchanged circuits
-        self._walks = _kept(parent._walks, dead)
-        self._corners = _kept(parent._corners, dead)
-        self._classes = _kept(parent._classes, dead)
-        self._constraints = _kept(parent._constraints, dead)
+        # the RegionChecks of regions on unchanged circuits
         last = parent._last_checks
         sources = last[1] if last is not None else parent._regions.values()
         regions = self._regions
@@ -874,6 +798,8 @@ class RibbonFacts:
 
     @cached_property
     def local_signs(self) -> dict:
+        """Per vertex id: +1 if the dart labels in rotation order read the
+        target rotation forward, -1 if backward, None if neither."""
         return {rep: self._local_sign(rep) for rep in self.vertex_reps}
 
     # -- dart-level validation ------------------------------------------------------
@@ -969,36 +895,19 @@ class RibbonFacts:
     def walk_key(self, seq: tuple):
         """None when the token tuple is not an alternating boundary walk;
         otherwise the key of the traced circuit with the same token set,
-        or that token set itself when no traced circuit has it.
-
-        The memo's bucket for a tuple is the one of the traced circuit
-        through its first token.  Whether a tuple walks a traced circuit,
-        and which, depends on its own tokens only: if it walks one, that is
-        its bucket's circuit, and if it does not, it does not while that
-        circuit stays unchanged.  So the buckets of unchanged circuits
-        carry over to derived facts.  The answers that depend on more than
-        the walk are kept only for tuples that walk their bucket's circuit
-        (_remember)."""
+        or that token set itself when no traced circuit has it.  Like the
+        other per-circuit answers below, it is kept only in the RegionChecks
+        of the region that stores the walk (RegionChecks.walk_keys)."""
         first = self.circuit_of_token.get(seq[0]) if seq else None
-        bucket = self._walks.get(first)
-        if bucket is None:
-            bucket = self._walks[first] = {}
-        try:
-            return bucket[seq]
-        except KeyError:
-            pass
         if first is not None and self.circuit_by_key[first].seq == seq:
             # the traced circuit itself, which walks by construction
-            bucket[seq] = first
             return first
-        key = None
-        if self._walk_ok(seq):
-            tokens = frozenset(seq)
-            key = self.circuit_of_token.get(seq[0])
-            if key is None or frozenset(self.circuit_by_key[key].seq) != tokens:
-                key = tokens
-        bucket[seq] = key
-        return key
+        if not self._walk_ok(seq):
+            return None
+        tokens = frozenset(seq)
+        if first is None or frozenset(self.circuit_by_key[first].seq) != tokens:
+            return tokens
+        return first
 
     def _walk_ok(self, seq: tuple) -> bool:
         """Whether seq alternates band steps (from even positions) and
@@ -1019,40 +928,21 @@ class RibbonFacts:
                 return False
         return True
 
-    def _recall(self, memo: dict, seq: tuple, entry):
-        """memo's answer for entry (seq, or a label and seq), or _MISSING."""
-        bucket = memo.get(self.circuit_of_token.get(seq[0]) if seq else None)
-        return _MISSING if bucket is None else bucket.get(entry, _MISSING)
-
-    def _remember(self, memo: dict, seq: tuple, entry, answer):
-        """Keep an answer in memo when seq walks a traced circuit (walk_key),
-        and return it."""
-        key = self.walk_key(seq)
-        if key.__class__ is tuple:
-            memo.setdefault(key, {})[entry] = answer
-        return answer
-
     def corner_problem(self, label: int, seq: tuple):
         """None, or how a boundary walk of a region labeled `label` breaks
         the corner condition."""
-        out = self._recall(self._corners, seq, (label, seq))
-        if out is not _MISSING:
-            return out
         T = self.target
         tri_edges = set(T.triangle_edges(label))
-        out = None
         for a, b in corners(seq):
             # corner step between a and b at a's vertex
             ea = self.dart_label[a[0]][0]
             eb = self.dart_label[b[0]][0]
             P = self.vertex_label[a[0]]
             if ea not in tri_edges or eb not in tri_edges:
-                out = "corner labels not on its triangle"
-                break
+                return "corner labels not on its triangle"
             if P not in T.edges[ea] or P not in T.edges[eb]:
-                out = "corner not at its vertex label"
-                break
-        return self._remember(self._corners, seq, (label, seq), out)
+                return "corner not at its vertex label"
+        return None
 
     def corner_constraints(self, seq: tuple) -> tuple:
         """The orientation constraints of a boundary walk's corners, as
@@ -1061,10 +951,8 @@ class RibbonFacts:
         bit.  A corner's bit reads its vertex's flip relative to the
         anchor's along the walk's own band steps (a band of sign -1 toggles
         it, as in vertex_charts), so the answer depends on the tuple and
-        the signs of its edges only and carries over like the walk."""
-        out = self._recall(self._constraints, seq, seq)
-        if out is not _MISSING:
-            return out
+        the signs of its edges only, and a region's RegionChecks carries
+        it over with the walk."""
         sign = self.edge_sign
         bits = set()
         rel = 0
@@ -1074,16 +962,11 @@ class RibbonFacts:
             if i + 2 < len(seq):
                 d, p = seq[i + 1][0], seq[i + 2][0]
                 rel ^= sign[d if d < p else p] < 0
-        return self._remember(self._constraints, seq, seq,
-                              (seq[1][0], frozenset(bits)))
+        return seq[1][0], frozenset(bits)
 
     def circuit_class(self, label: int, seq: tuple) -> CircuitClass:
-        out = self._recall(self._classes, seq, (label, seq))
-        if out is not _MISSING:
-            return out
         word = [self.dart_label[seq[i][0]][0] for i in range(0, len(seq), 2)]
         tri_word = self.target.triangle_edges(label)
-        out = CircuitClass("irregular")
         n = len(word)
         if n % 3 == 0 and n > 0:
             k = n // 3
@@ -1091,9 +974,8 @@ class RibbonFacts:
                 pattern = base * k
                 if any(all(word[i] == pattern[(i + shift) % n] for i in range(n))
                        for shift in range(3)):
-                    out = CircuitClass("essential", k, direction)
-                    break
-        return self._remember(self._classes, seq, (label, seq), out)
+                    return CircuitClass("essential", k, direction)
+        return CircuitClass("irregular")
 
     # -- per-region results --------------------------------------------------------
 
@@ -1134,20 +1016,12 @@ class RibbonFacts:
         return problems
 
 
-def _kept(memo: dict, dead: set) -> dict:
-    """The buckets of a per-token-tuple memo (RibbonFacts.walk_key) whose
-    traced circuit is not in `dead`, shared: what is added to such a bucket
-    holds for every map that traces the circuit."""
-    out = dict(memo)
-    out.pop(None, None)
-    for key in dead:
-        out.pop(key, None)
-    return out
-
-
 class RegionChecks:
     """What one region's checks find on their own, for one RibbonFacts
-    (which memoizes it by the region object, region_checks):
+    (which memoizes it by the region object, region_checks).  It is the
+    one memo of per-circuit answers: the facts compute them afresh, and
+    derived facts carry the RegionChecks of a region whose circuits are
+    all unchanged (RibbonFacts.derive).
 
     * walk_keys: the key of the traced circuit each stored ribbon circuit
       matches;
@@ -1165,7 +1039,8 @@ class RegionChecks:
       region keeps while a move replaces it: its least walk key, or when
       it has none its least isolated side, or None;
     * euler and orientable, of the region's kind;
-    * classes(facts): classify_circuit's answers, on first use.
+    * classes(facts): each circuit's class, on first use; classify_circuit
+      reads it here, so the checks, the finders and factorize share it.
 
     A region labeled by an unknown triangle has its circuits left out.
     """
@@ -1868,10 +1743,11 @@ def signed_degree(tm: TransverseMap, orient_m: int = 1, orient_n: int = 1) -> in
     signs = tm.target.triangle_signs()
     rot_bits = tm.target.rotation_ccw_bits(signs)
     chart_flips = domain_solve(tm).chart_flips
-    charts = tm.ribbon_facts().vertex_charts[0]
-    local = tm.local_signs()
+    facts = tm.ribbon_facts()
+    charts = facts.vertex_charts[0]
+    local = facts.local_signs
 
-    vreps = tm.vertex_reps()
+    vreps = facts.vertex_reps
     if not vreps:
         return 0
     base = {}

@@ -17,10 +17,10 @@ def test_pairs_alternate_and_land_where_bench_record_reads_them(tmp_path):
          "--limit", "2"],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    # parent first in each pair
+    # the parent first on the first seed, the change first on the second
     order = [line.split(": ")[0] for line in proc.stdout.splitlines()]
     assert order == ["covers seed 3 parent", "covers seed 3 change",
-                     "covers seed 4 parent", "covers seed 4 change"]
+                     "covers seed 4 change", "covers seed 4 parent"]
     for side in ("parent", "change"):
         files = sorted(p.name for p in (out / side).iterdir())
         assert files == ["covers-seed3-trace0.result.json",

