@@ -273,7 +273,7 @@ def test_classify_circuit_reads_the_class_its_region_checks_carry():
     its region, which derived facts carry over for unchanged regions; at
     every state of the slice and of the klein_8 scramble, and of their
     normalizations, it is the class RibbonFacts built fresh computes."""
-    carried = Counter()
+    seen = Counter()
 
     def check(tm):
         facts, fresh = tm.ribbon_facts(), transverse.RibbonFacts(tm)
@@ -281,12 +281,12 @@ def test_classify_circuit_reads_the_class_its_region_checks_carry():
             kept = facts._regions.get(region)
             if facts.origin is not None and kept is not None \
                     and kept._classes is not None:
-                carried["classes"] += 1
+                seen["carried"] += 1
             for c in region.circuits:
                 if isinstance(c, RibbonCircuit):
                     assert classify_circuit(tm, region, c) == \
                         fresh.circuit_class(region.label, c.seq)
-                    carried["circuits"] += 1
+                    seen["circuits"] += 1
 
     def observer(before, after, move):
         check(after)
@@ -295,7 +295,7 @@ def test_classify_circuit_reads_the_class_its_region_checks_carry():
     maps.append(_klein_scramble(check=check))
     for tm in maps:
         normalize(tm, observer=observer)
-    assert carried["classes"] >= 100 and carried["circuits"] >= 1000
+    assert seen["carried"] >= 100 and seen["circuits"] >= 1000
 
 
 def _tube_maps():

@@ -95,8 +95,8 @@ def test_malformed_document_is_an_input_error(tmp_path, docs, case, what):
 
 
 # --------------------------------------------------------------------------
-# A map document is read in one typed pass, element by element only where
-# that pass misses: what is accepted and every error text stay the same
+# A map document is read element by element: integers written as decimal
+# strings are accepted, and every error text stays the same
 
 
 def _as_strings(doc):
@@ -117,7 +117,7 @@ def _as_strings(doc):
 
 
 def _counting_readers(monkeypatch):
-    """Counts of the element-by-element readers from_json falls back to."""
+    """Counts of the element-by-element readers from_json uses."""
     calls = {"doc_int": 0, "doc_pair": 0}
     for name in calls:
         def counted(*args, _name=name, _read=getattr(transverse, name)):
