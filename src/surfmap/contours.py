@@ -9,8 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import GraphLike
+from .errors import GraphLike, InputError
 from .factorize import Decomposition
+
+# The most folds a contour is built with.  A map's pinches may have any
+# number of handles or crosscaps, one to four folds each, while the
+# CLI's generators make contours of a few dozen folds at most.
+MAX_FOLDS = 100_000
 
 # The figure enumerating the crosscap collapse lists two one-cusp fold
 # curves while the running text mentions a single cusped curve around the
@@ -42,6 +47,12 @@ class ApparentContour:
 def synthesize_contour(decomp: Decomposition) -> ApparentContour:
     if decomp.variant != "pinched_cover":
         raise GraphLike("no contour convention for degree-zero maps")
+    count = len(decomp.branch_indices) + sum(
+        piece.kind.handles if piece.kind.orientable else 2 * piece.kind.crosscaps
+        for piece in decomp.pinches)
+    if count > MAX_FOLDS:
+        raise InputError(f"the contour would have {count} folds, "
+                         f"more than the {MAX_FOLDS} allowed")
     folds = []
     for i in decomp.branch_indices:
         folds.append(Fold(i + 2, "branch"))

@@ -61,6 +61,11 @@ that is not the class's one remainder reaches the graph is the domain
 solved again.  A derivation only ever answers that nothing is wrong: where it
 would find a problem, and for a map without a tiling, validate_map
 checks from scratch, with the same problem texts in the same order.
+
+A cover's lift (map_from_cover) is checked by its base: its ribbon facts
+are pulled back from the one-sheeted lift, which is checked from scratch
+once per triangulation, once its tables are seen to project onto that
+lift's (OneSheetedLift).
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -309,28 +315,31 @@ class TransverseMap:
         if problems:
             raise InputError(f"{what}: invalid target: {problems[:4]}")
         vmap = {str(v): v for v in target.vertices}
+        # the context strings of the error texts, made once per document
+        circuit_what, token_what = f"{what} circuit", f"{what} circuit token"
+        region_what, circle_what = f"{what} region", f"{what} isolated circle"
 
         def table(key, value):
-            return {doc_int(d, f"{what} {key} dart"): value(v, f"{what} {key}")
+            dart_what, value_what = f"{what} {key} dart", f"{what} {key}"
+            return {doc_int(d, dart_what): value(v, value_what)
                     for d, v in doc_field(obj, key, dict, what).items()}
 
         def circ(c):
             # a document's circle index is the circle's id
-            kind = doc_field(c, "kind", str, f"{what} circuit")
+            kind = doc_field(c, "kind", str, circuit_what)
             if kind == "ribbon":
-                seq = doc_field(c, "seq", list, f"{what} circuit")
-                return RibbonCircuit(tuple(doc_pair(t, f"{what} circuit token")
-                                           for t in seq))
+                seq = doc_field(c, "seq", list, circuit_what)
+                return RibbonCircuit(tuple(doc_pair(t, token_what) for t in seq))
             if kind == "iso":
-                return IsoSide(*(doc_field(c, k, int, f"{what} circuit")
+                return IsoSide(*(doc_field(c, k, int, circuit_what)
                                  for k in ("index", "side", "direction")))
             raise InputError(f"{what}: unknown circuit kind {kind!r}")
 
         def region(r):
-            where = f"{what} region"
-            return Region(doc_field(r, "label", int, where),
-                          SurfaceKind.from_json(doc_field(r, "kind", dict, where)),
-                          tuple(circ(c) for c in doc_field(r, "circuits", list, where)))
+            return Region(doc_field(r, "label", int, region_what),
+                          SurfaceKind.from_json(doc_field(r, "kind", dict, region_what)),
+                          tuple(circ(c) for c in doc_field(r, "circuits", list,
+                                                           region_what)))
 
         return TransverseMap(
             target=target,
@@ -340,8 +349,7 @@ class TransverseMap:
             vertex_label=table("vertex_label",
                                lambda v, w: vmap.get(str(doc_id(v, w)), v)),
             dart_label=table("dart_label", doc_pair),
-            isolated={i: IsolatedCircle(doc_field(c, "edge", int,
-                                                  f"{what} isolated circle"))
+            isolated={i: IsolatedCircle(doc_field(c, "edge", int, circle_what))
                       for i, c in enumerate(doc_field(obj, "isolated", list, what))},
             regions=[region(r) for r in doc_field(obj, "regions", list, what)],
         )
@@ -403,6 +411,13 @@ class RibbonFacts:
       of per-circuit answers: walk_key, corner_problem,
       corner_constraints and circuit_class compute theirs afresh;
     * per edge, its flanking circuits (flanks).
+
+    The facts of a cover's lift are pulled back from the one-sheeted lift
+    instead where the lift's tables project onto it (lift_facts,
+    OneSheetedLift.pull_back): the local signs and the vertex and edge
+    problems are set from the images, and checks_of pulls the RegionChecks
+    of a disk back (OneSheetedLift.disk_checks).  The rest is computed on
+    the lift's own tables, table_problem first.
     """
 
     def __init__(self, tm: TransverseMap):
@@ -414,6 +429,9 @@ class RibbonFacts:
         self.dart_label = dict(tm.dart_label)
         self._regions = {}     # region -> RegionChecks
         self._last_checks = None   # (region list snapshot, its RegionChecks)
+        # the one-sheeted lift these facts were pulled back from
+        # (OneSheetedLift.pull_back), or None
+        self._lift = None
         # a number no other facts object has, and for facts derived from
         # a parent (derive): (the parent's serial, the keys of its traced
         # circuits that were traced again)
@@ -631,7 +649,7 @@ class RibbonFacts:
 
     @cached_property
     def edge_keys(self) -> list:
-        return sorted({min(d, p) for d, p in self.pairing.items()})
+        return sorted({d if d < p else p for d, p in self.pairing.items()})
 
     @cached_property
     def collapsible_edges(self) -> list:
@@ -647,9 +665,10 @@ class RibbonFacts:
     @cached_property
     def vertex_of(self) -> dict:
         out = {}
+        rotation = self.rotation
         for d0 in self.pairing:
             if d0 not in out:
-                orbit = self.vertex_darts(d0)
+                orbit = rotation_orbit(rotation, d0)
                 out.update(dict.fromkeys(orbit, min(orbit)))
         return out
 
@@ -723,21 +742,30 @@ class RibbonFacts:
 
     # -- token walking ------------------------------------------------------------
 
-    def _trace_from(self, t0) -> RibbonCircuit:
-        """The traced circuit through token t0: it starts at its least
-        token, with a band step."""
+    def _walk_from(self, t0) -> list:
+        """The tokens of the boundary walk that leaves token t0 by a band
+        step, up to its return to t0."""
         pairing, sign = self.pairing, self.edge_sign
         rotation, rot_inv = self.rotation, self.rot_inv
         seq = []
-        d, x = t0
+        append = seq.append
+        d0, x0 = d, x = t0
         while True:
             p = pairing[d]
             y = 1 - x if sign[d if d < p else p] > 0 else x
-            seq.append((d, x))
-            seq.append((p, y))
-            d, x = (rotation[p], 0) if y == 1 else (rot_inv[p], 1)
-            if (d, x) == t0:
-                break
+            append((d, x))
+            append((p, y))
+            if y == 1:
+                d, x = rotation[p], 0
+            else:
+                d, x = rot_inv[p], 1
+            if d == d0 and x == x0:
+                return seq
+
+    def _trace_from(self, t0) -> RibbonCircuit:
+        """The traced circuit through token t0: it starts at its least
+        token, with a band step."""
+        seq = self._walk_from(t0)
         start = seq.index(min(seq))
         if start % 2:
             # the least token is entered by a band step: the walk that
@@ -756,7 +784,9 @@ class RibbonFacts:
         for d in sorted(self.pairing):
             for tok in ((d, 0), (d, 1)):
                 if tok not in key_of:
-                    c = self._trace_from(tok)
+                    # tokens come in order, so tok is the least of its
+                    # walk, and the walk is its traced circuit (_trace_from)
+                    c = RibbonCircuit(tuple(self._walk_from(tok)))
                     by_key[tok] = c
                     key_of.update(dict.fromkeys(c.seq, tok))
         self.circuit_of_token = key_of
@@ -981,10 +1011,17 @@ class RibbonFacts:
 
     def checks_of(self, region: Region) -> "RegionChecks":
         """The region's RegionChecks, computed on first use for each region
-        object."""
+        object: pulled back from the one-sheeted lift for a disk of facts
+        pulled back from it (OneSheetedLift.disk_checks), otherwise
+        from scratch."""
         checks = self._regions.get(region)
         if checks is None:
-            checks = self._regions[region] = RegionChecks(self, region)
+            lift = self._lift
+            if lift is not None:
+                checks = lift.disk_checks(self, region)
+            if checks is None:
+                checks = RegionChecks(self, region)
+            self._regions[region] = checks
         return checks
 
     def region_checks(self, regions) -> list:
@@ -1098,6 +1135,31 @@ class RegionChecks:
         self.needs_node = len(anchors) + len(circles) != 1
         self.name = (("r", min(keys)) if keys else
                      ("s", min(sides)) if sides else None)
+
+    @classmethod
+    def of_disk(cls, region: Region, key: tuple, anchor: int,
+                corner_problems: tuple, bits: frozenset,
+                circuit_class: CircuitClass) -> "RegionChecks":
+        """What __init__ finds for a region with a valid label, one
+        boundary and one stored circuit, that circuit being the traced
+        circuit `key` whose anchor dart is `anchor`, given its corner
+        problems (as format strings), corner bits and class; the
+        one-sheeted lift reads those off the walk the circuit projects to
+        (OneSheetedLift.disk_checks)."""
+        self = cls.__new__(cls)
+        self.region = region
+        self.euler = region.kind.euler
+        self.orientable = region.kind.orientable
+        self._classes = (circuit_class,)
+        self.walk_keys = (key,)
+        self.iso_sides = ()
+        self.problems = ()
+        self.corner_problems = corner_problems
+        anchors = {(anchor, bit) for bit in bits}    # in __init__'s order
+        self.ties = (tuple(anchors), ())
+        self.needs_node = len(anchors) != 1
+        self.name = ("r", key)
+        return self
 
     def classes(self, facts: RibbonFacts) -> tuple:
         """classify_circuit's answer for each circuit, in order."""
@@ -1771,14 +1833,197 @@ def signed_degree(tm: TransverseMap, orient_m: int = 1, orient_n: int = 1) -> in
 # Constructors
 
 
+class OneSheetedLift:
+    """The one-sheeted lift of a triangulation (the identity map), checked
+    from scratch once and kept on the triangulation (_one_sheeted), with
+    what the check of a lift of a cover over it reads off it (lift_facts).
+
+    A branched cover is a local homeomorphism away from its branch
+    points, which lie inside triangles.  So once a lift's tables are seen
+    to project onto this lift's (pull_back), each local fact of the lift
+    is this lift's fact at the image: a vertex's local sign and problems,
+    an edge's problems, and what a disk region's checks find
+    (disk_checks)."""
+
+    __slots__ = ("map", "facts", "dart_of", "sign", "degree", "_disks")
+
+    def __init__(self, tm: TransverseMap):
+        facts = tm.ribbon_facts()
+        self.map = tm
+        self.facts = facts
+        # (target edge, end) -> the dart over it
+        self.dart_of = {label: d for d, label in facts.dart_label.items()}
+        # dart -> the sign of its edge
+        self.sign = {d: facts.edge_sign[min(d, p)] for d, p in facts.pairing.items()}
+        sizes = Counter(facts.vertex_of.values())
+        # dart -> the number of darts at its vertex
+        self.degree = {d: sizes[rep] for d, rep in facts.vertex_of.items()}
+        # (label, dart and side of the projected walk's first token, walk
+        # length) -> (corner problems, corner bits, class) of a disk
+        # (disk_checks)
+        self._disks = {}
+
+    def pull_back(self, facts: RibbonFacts) -> bool:
+        """Whether the tables of `facts` project onto this lift's; if so,
+        the facts get the vertex and edge facts of their images.
+
+        The projection sends each dart to this lift's dart with the same
+        label.  After table_problem, read off the facts' own tables, it
+        must commute with pairing and rotation, keep edge_sign and
+        vertex_label, and send each vertex orbit onto an orbit of the same
+        length.  A vertex then reads its image's labels in the same cyclic
+        order, so it has its image's local sign and, as this lift passed
+        its check, no problem; an edge joins two vertices over the ends of
+        its image, with its image's sign, so it has no problem either."""
+        one = self.facts
+        if facts.target is not one.target or facts.table_problem is not None:
+            return False
+        labels = facts.dart_label
+        try:
+            proj = dict(zip(labels, map(self.dart_of.__getitem__, labels.values())))
+        except (KeyError, TypeError):
+            return False
+        image = proj.__getitem__
+        pairing, rotation = facts.pairing, facts.rotation
+        keys = facts.edge_keys
+        sizes = Counter(facts.vertex_of.values())
+        # each table read through the projection, against this lift's
+        if (list(map(image, pairing.values()))
+                != list(map(one.pairing.__getitem__, map(image, pairing)))
+                or list(map(image, rotation.values()))
+                != list(map(one.rotation.__getitem__, map(image, rotation)))
+                or list(facts.vertex_label.values())
+                != list(map(one.vertex_label.__getitem__, map(image, facts.vertex_label)))
+                or list(map(facts.edge_sign.__getitem__, keys))
+                != list(map(self.sign.__getitem__, map(image, keys)))
+                or list(sizes.values())
+                != list(map(self.degree.__getitem__, map(image, sizes)))):
+            return False
+        local, vertex_of = one.local_signs, one.vertex_of
+        facts.local_signs = {rep: local[vertex_of[proj[rep]]]
+                             for rep in facts.vertex_reps}
+        facts.vertex_problems = {}
+        facts.edge_problems = {}
+        facts.target_edges = one.target_edges
+        facts._lift = self
+        return True
+
+    def disk_checks(self, facts: RibbonFacts, region: Region):
+        """The RegionChecks of a region under facts pulled back from this
+        lift (pull_back), when it has a valid label, one boundary and one
+        stored circuit that is a traced circuit; otherwise None.
+
+        The circuit projects token by token onto the walk of this lift
+        from the image of its first token, as long as the circuit: around
+        an unbranched triangle once, around a branch cycle of length i
+        i times.  Its corner problems, corner bits and class read only the
+        labels, sides and band signs the projection keeps, so they are
+        the walk's, kept as a template per (label, image of the first
+        token, length); its walk key and anchor are read off the circuit
+        itself."""
+        circuits = region.circuits
+        if len(circuits) != 1 or region.kind.boundary != 1:
+            return None
+        circuit = circuits[0]
+        if circuit.__class__ is not RibbonCircuit:
+            return None
+        seq = circuit.seq
+        traced = facts.circuit_by_key.get(seq[0]) if seq else None
+        if traced is None or (traced is not circuit and traced.seq != seq):
+            return None
+        label = region.label
+        if not 0 <= label < len(facts.target.triangles):
+            return None
+        key = seq[0]
+        template_key = (label, self.dart_of[facts.dart_label[key[0]]], key[1], len(seq))
+        template = self._disks.get(template_key)
+        if template is None:
+            one = self.facts
+            walk = one._walk_from(template_key[1:3])
+            walk = tuple(walk * (len(seq) // len(walk)))
+            problem = one.corner_problem(label, walk)
+            template = self._disks[template_key] = (
+                () if problem is None else (f"region {{}} circuit 0 {problem}",),
+                one.corner_constraints(walk)[1], one.circuit_class(label, walk))
+        return RegionChecks.of_disk(region, key, seq[1][0], *template)
+
+
+def _one_sheeted(tri: Triangulation) -> OneSheetedLift:
+    """The one-sheeted lift of tri, built and checked from scratch on
+    first use and kept on the triangulation; InvalidSurface when tri is
+    invalid (the one-sheeted cover does not check its base)."""
+    lift = tri.__dict__.get("_one_sheeted")
+    if lift is None:
+        problems = tri.validate()
+        if problems:
+            raise InvalidSurface(f"invalid target: {problems}")
+        lift = OneSheetedLift(map_from_cover(covers_mod.MonodromyCover(
+            tri, 1, {e: (1,) for e in range(len(tri.edges))}, {})))
+        tri.__dict__["_one_sheeted"] = lift
+    return lift
+
+
+def lift_facts(tm: TransverseMap) -> RibbonFacts:
+    """Ribbon facts of tm's tables, for a lift of a cover over tm.target:
+    pulled back from the one-sheeted lift where the tables project onto
+    it (OneSheetedLift.pull_back), fresh otherwise, as over an invalid
+    target."""
+    facts = RibbonFacts(tm)
+    try:
+        lift = _one_sheeted(tm.target)
+    except InvalidSurface:
+        return facts
+    lift.pull_back(facts)
+    return facts
+
+
 def identity_map(tri: Triangulation) -> TransverseMap:
     """The lift of the one-sheeted cover: preimage graph equal to the
-    skeleton, one disk region per triangle."""
-    problems = tri.validate()
-    if problems:
-        raise InvalidSurface(f"invalid target: {problems}")
-    return map_from_cover(covers_mod.MonodromyCover(
-        tri, 1, {e: (1,) for e in range(len(tri.edges))}, {}))
+    skeleton, one disk region per triangle.  A copy of the lift kept on
+    the triangulation (_one_sheeted) that shares no facts with it, so
+    what its users check is not memoized there."""
+    out = _one_sheeted(tri).map.copy()
+    out._facts = out._tiling = None
+    return out
+
+
+def _lift_plan(base: Triangulation) -> tuple:
+    """What map_from_cover reads off the base alone, kept on the
+    triangulation: per triangle, its edges in walk order, each with
+    whether the triangle is the edge's first side; per base vertex w,
+    (w's sector triangles, the turn of w's corner in its least triangle
+    against the fan, the fan's steps (edge, whether it is crossed from
+    its first side, the end at w, the triangle whose seam the step
+    crosses or None, whether that triangle's corner runs with the
+    fan)); each edge's band sign."""
+    plan = base.__dict__.get("_lift_plan")
+    if plan is not None:
+        return plan
+    first_side = [base.edge_sides(e)[0][0] for e in range(len(base.edges))]
+    # per triangle, its edges and whether it is each one's first side
+    sides = [[(e, first_side[e] == t) for e, _sg in walk]
+             for t, walk in enumerate(base.triangles)]
+    fans = []
+    local = {}        # base vertex -> its lifts' local sign
+    for w in base.vertices:
+        sectors = base.sector_triangles(w)
+        least = min(sectors)
+        fan = []
+        for i, e in enumerate(base.rotations[w]):
+            t = sectors[i]
+            walk = base.triangles[t]
+            k = base.walk_vertices(t).index(w)   # t's corner: in walk[k-1], out walk[k]
+            forward = walk[k - 1][0] == e
+            if t == least:
+                turn = 1 if forward else -1
+            fan.append((e, first_side[e] == sectors[i - 1], int(base.edges[e][1] == w),
+                        t if k == 0 else None, forward))
+        local[w] = turn if len(fan) > 2 else 1
+        fans.append((sectors, turn, fan))
+    band = [(1 if base.edge_compatible(e) else -1) * local[a] * local[b]
+            for e, (a, b) in enumerate(base.edges)]
+    plan = base.__dict__["_lift_plan"] = (sides, fans, band)
+    return plan
 
 
 def map_from_cover(cover) -> TransverseMap:
@@ -1800,50 +2045,50 @@ def map_from_cover(cover) -> TransverseMap:
     the turns (+1/-1) of its two end vertices, a two-edge vertex counting
     +1 (its rotation reads the target's both ways, see validate_map's
     local signs).  A disk region's label is the triangle of the sector at
-    its circuit's first corner.  The full validate_map runs on the
-    result, χ is checked against cover_chi and the domain's orientability
-    against the cover's (covers.cover_solve).
+    its circuit's first corner.  What depends on the base alone is read
+    once per triangulation (_lift_plan).
+
+    A lift of d > 1 sheets is checked by its base: its ribbon facts are
+    pulled back from the one-sheeted lift (lift_facts), which is checked
+    from scratch once per triangulation (d = 1 takes the from-scratch
+    path).  Where the lift's tables project onto that lift's, its
+    vertices' local signs and problems, its edges' problems and its
+    disks' RegionChecks are those of their images (OneSheetedLift);
+    otherwise its facts are fresh.  validate_map then runs its
+    cross-region section (owners, flanks, parity) on those facts and
+    leaves the map its tiling, and χ is checked against cover_chi and the
+    domain's orientability against the cover's (covers.cover_solve), both
+    from a domain solve made from scratch.
     """
     cover.require_valid()
     solve = covers_mod.cover_solve(cover)
     if solve.sets != 1:
         raise DisconnectedCover("total space is not connected")
     base, d = cover.base, cover.d
-    n_edges = len(base.edges)
+    sides, fans, band = _lift_plan(base)
     inverse = {e: covers_mod.perm_inv(p) for e, p in cover.edge_perm.items()}
-    first_side = [base.edge_sides(e)[0][0] for e in range(n_edges)]
 
-    copy_of = [None] * (n_edges * d)    # e*d + s - 1 -> number of copy (e, s)
+    copy_of = [None] * (len(base.edges) * d)    # e*d + s - 1 -> number of copy (e, s)
     copy_edge = []
     for t, loop in covers_mod.disk_pieces(cover):
         for s in loop:
-            for e, _sg in base.triangles[t]:
-                k = e * d + (s if first_side[e] == t else inverse[e][s - 1]) - 1
+            for e, first in sides[t]:
+                k = e * d + (s if first else inverse[e][s - 1]) - 1
                 if copy_of[k] is None:
                     copy_of[k] = len(copy_edge)
                     copy_edge.append(e)
 
+    seams = {}        # branched triangle -> its seam permutation, inverse
+    for t, cycles in cover.branch.items():
+        if cycles:
+            beta = cover.seam_perm(t)
+            seams[t] = (beta, covers_mod.perm_inv(beta))
     rotation = {}
     sector_of = {}    # dart -> triangle of the sector after it in rotation
-    local = {}        # base vertex -> its lifts' local sign
-    for w in base.vertices:
-        sectors = base.sector_triangles(w)
-        least = min(sectors)
-        steps = []
-        for i, e in enumerate(base.rotations[w]):
-            t = sectors[i]
-            walk = base.triangles[t]
-            k = base.walk_vertices(t).index(w)   # t's corner: in walk[k-1], out walk[k]
-            forward = walk[k - 1][0] == e
-            if t == least:
-                turn = 1 if forward else -1
-            beta = cover.seam_perm(t) if k == 0 and cover.branch.get(t) else None
-            if beta and not forward:
-                beta = covers_mod.perm_inv(beta)
-            steps.append((e, first_side[e] == sectors[i - 1], int(base.edges[e][1] == w),
-                          cover.edge_perm[e], inverse[e], beta))
-        m = len(steps)
-        local[w] = turn if m > 2 else 1
+    for sectors, turn, fan in fans:
+        steps = [(e, from_first, end, cover.edge_perm[e], inverse[e],
+                  seams[t][not forward] if t in seams else None)
+                 for e, from_first, end, t, forward in fan]
         for s in range(1, d + 1):
             darts = []
             for e, from_first, end, sigma, sigma_inv, beta in steps:
@@ -1854,33 +2099,30 @@ def map_from_cover(cover) -> TransverseMap:
                 darts.append(2 * copy_of[e * d + c - 1] + end)
                 if beta:
                     s = beta[s - 1]
-            for i, t in enumerate(sectors):
-                a, b = darts[i], darts[(i + 1) % m]
-                if turn < 0:
-                    a, b = b, a
-                rotation[a] = b
-                sector_of[a] = t
+            ahead = darts[1:] + darts[:1]
+            if turn < 0:
+                darts, ahead = ahead, darts
+            rotation.update(zip(darts, ahead))
+            sector_of.update(zip(darts, sectors))
 
-    band = [(1 if base.edge_compatible(e) else -1) * local[a] * local[b]
-            for e, (a, b) in enumerate(base.edges)]
-    pairing = {}
-    edge_sign = {}
-    vertex_label = {}
-    dart_label = {}
-    for i, e in enumerate(copy_edge):
-        d0, d1 = 2 * i, 2 * i + 1
-        pairing[d0], pairing[d1] = d1, d0
-        dart_label[d0], dart_label[d1] = (e, 0), (e, 1)
-        vertex_label[d0], vertex_label[d1] = base.edges[e]
-        edge_sign[d0] = band[e]
+    # copy i has darts 2i (over its edge's end 0) and 2i + 1 (end 1)
+    darts = range(2 * len(copy_edge))
+    pairing = {d: d ^ 1 for d in darts}
+    dart_label = {d: (copy_edge[d >> 1], d & 1) for d in darts}
+    vertex_label = {d: base.edges[e][end] for d, (e, end) in dart_label.items()}
+    edge_sign = {2 * i: band[e] for i, e in enumerate(copy_edge)}
 
     tm = TransverseMap(base, pairing, rotation, edge_sign,
                        vertex_label, dart_label, {}, [])
+    if d > 1:
+        tm._facts = lift_facts(tm)
+        tm._facts_checked = True
     disk = SurfaceKind(True, 0, 0, 1)
     regions = []
     for c in tm.trace_circuits():
-        a, b = next(corners(c.seq))
-        regions.append(Region(sector_of[a[0] if a[1] == 1 else b[0]], disk, (c,)))
+        seq = c.seq      # its first corner runs from seq[1] to seq[2]
+        a = seq[1] if seq[1][1] == 1 else seq[2 % len(seq)]
+        regions.append(Region(sector_of[a[0]], disk, (c,)))
     tm.regions = regions
     require_valid(tm, "map_from_cover")
 

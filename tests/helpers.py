@@ -7,9 +7,11 @@ from surfmap.errors import Stuck
 from surfmap.moves import is_normal
 from surfmap.surfaces import (SurfaceKind, Triangulation, builtin_triangulation,
                               classify_with_boundary, derive_rotations)
-from surfmap.transverse import (IsoSide, Region, RibbonCircuit, TransverseMap,
+from surfmap.transverse import (IsoSide, Region, RegionChecks, RibbonCircuit,
+                                RibbonFacts, TransverseMap, chi_domain,
                                 classify_circuit, corners, domain_orientable,
-                                map_from_cover, validate_map)
+                                domain_solve, map_from_cover, mod2_degree,
+                                signed_degree, validate_map)
 
 
 def two_triangle_sphere():
@@ -211,3 +213,55 @@ def find_join_by_scan(tm):
                 return min(position[cid] for cid in circles), ri, pos
     raise Stuck({"reason": "isolated circles but no join target",
                  "state": is_normal(tm)})
+
+
+# --------------------------------------------------------------------------
+# The oracle and the fresh facts a map's memoized answers are compared with
+
+
+def assert_matches_oracle(tm: TransverseMap):
+    """tm's problems, circuit classes and domain answers equal those of
+    TransverseMap.from_json(tm.to_json()), which shares nothing with tm."""
+    fresh = TransverseMap.from_json(tm.to_json())
+    live_rep, fresh_rep = validate_map(tm), validate_map(fresh)
+    assert live_rep.problems == fresh_rep.problems
+    assert live_rep.circuit_classes == fresh_rep.circuit_classes
+    assert tm.trace_circuits() == fresh.trace_circuits()
+    for region, fresh_region in zip(tm.regions, fresh.regions):
+        for c, fc in zip(region.circuits, fresh_region.circuits):
+            assert classify_circuit(tm, region, c) == \
+                classify_circuit(fresh, fresh_region, fc)
+    if live_rep.ok:
+        live, again = domain_solve(tm), domain_solve(fresh)
+        assert (live.components, live.orientable, live.regions_euler) == \
+            (again.components, again.orientable, again.regions_euler)
+        if live.orientable:
+            assert live.chart_flips == again.chart_flips
+        assert chi_domain(tm) == chi_domain(fresh)
+        assert domain_orientable(tm) == domain_orientable(fresh)
+        assert mod2_degree(tm) == mod2_degree(fresh)
+        if tm.target.orientability() and domain_orientable(tm):
+            assert signed_degree(tm) == signed_degree(fresh)
+
+
+FACT_FIELDS = ("trace_circuits", "circuit_by_key", "circuit_of_token",
+               "vertex_of", "vertex_reps", "local_signs", "vertex_charts",
+               "table_problem", "vertex_edge_problems", "flanks", "edge_keys",
+               "rot_inv", "preimage_counts", "target_edges")
+CHECKS_FIELDS = ("walk_keys", "iso_sides", "problems", "corner_problems",
+                 "needs_node", "euler", "orientable")
+
+
+def assert_facts_match_fresh(tm: TransverseMap):
+    """Every fact, memoized answer and RegionChecks in tm's ribbon facts
+    equals what RibbonFacts(tm), built from scratch, gives (a region's
+    ties as sets: their order is a set's)."""
+    live, fresh = tm.ribbon_facts(), RibbonFacts(tm)
+    for name in FACT_FIELDS:
+        assert getattr(live, name) == getattr(fresh, name), name
+    for checks in live._regions.values():
+        again = RegionChecks(fresh, checks.region)
+        for name in CHECKS_FIELDS:
+            assert getattr(checks, name) == getattr(again, name), name
+        assert [set(t) for t in checks.ties] == [set(t) for t in again.ties]
+        assert checks.classes(live) == again.classes(fresh)

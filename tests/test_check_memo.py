@@ -23,7 +23,8 @@ from surfmap.transverse import (IsoSide, Region, RibbonCircuit,
                                 domain_solve, identity_map, map_from_cover,
                                 mod2_degree, signed_degree, validate_map)
 
-from helpers import find_join_by_scan, scrambled, tube_double, two_triangle_sphere
+from helpers import (assert_facts_match_fresh, assert_matches_oracle,
+                     find_join_by_scan, scrambled, tube_double, two_triangle_sphere)
 
 # (base, d, branch, pinch, cover seed); together their normalizations run
 # every move, the dart-rewiring ones included
@@ -36,29 +37,6 @@ SLICE = (
     ("genus2", 2, [2, 2], SurfaceKind(False, crosscaps=2), 0),
     ("sphere_tetra", 3, [3, 3], None, 1),
 )
-
-
-def assert_matches_oracle(tm: TransverseMap):
-    fresh = TransverseMap.from_json(tm.to_json())
-    live_rep, fresh_rep = validate_map(tm), validate_map(fresh)
-    assert live_rep.problems == fresh_rep.problems
-    assert live_rep.circuit_classes == fresh_rep.circuit_classes
-    assert tm.trace_circuits() == fresh.trace_circuits()
-    for region, fresh_region in zip(tm.regions, fresh.regions):
-        for c, fc in zip(region.circuits, fresh_region.circuits):
-            assert classify_circuit(tm, region, c) == \
-                classify_circuit(fresh, fresh_region, fc)
-    if live_rep.ok:
-        live, again = domain_solve(tm), domain_solve(fresh)
-        assert (live.components, live.orientable, live.regions_euler) == \
-            (again.components, again.orientable, again.regions_euler)
-        if live.orientable:
-            assert live.chart_flips == again.chart_flips
-        assert chi_domain(tm) == chi_domain(fresh)
-        assert domain_orientable(tm) == domain_orientable(fresh)
-        assert mod2_degree(tm) == mod2_degree(fresh)
-        if tm.target.orientability() and domain_orientable(tm):
-            assert signed_degree(tm) == signed_degree(fresh)
 
 
 def _slice_map(base_name, d, branch, pinch, seed, check=None):
@@ -244,29 +222,6 @@ def test_join_and_insert_checks_do_not_grow_with_the_map(monkeypatch):
 # --------------------------------------------------------------------------
 # Derived ribbon facts: a move that rewires darts gets its result's facts
 # derived from its input's, and they must be the facts built fresh
-
-FACT_FIELDS = ("trace_circuits", "circuit_by_key", "circuit_of_token",
-               "vertex_of", "vertex_reps", "local_signs", "vertex_charts",
-               "table_problem", "vertex_edge_problems", "flanks", "edge_keys",
-               "rot_inv", "preimage_counts")
-CHECKS_FIELDS = ("walk_keys", "iso_sides", "problems", "corner_problems",
-                 "needs_node", "euler", "orientable")
-
-
-def assert_facts_match_fresh(tm: TransverseMap):
-    """Every fact, memoized answer and RegionChecks in tm's ribbon facts
-    equals what RibbonFacts(tm), built from scratch, gives (a region's
-    ties as sets: their order is a set's)."""
-    live, fresh = tm.ribbon_facts(), transverse.RibbonFacts(tm)
-    for name in FACT_FIELDS:
-        assert getattr(live, name) == getattr(fresh, name), name
-    for checks in live._regions.values():
-        again = transverse.RegionChecks(fresh, checks.region)
-        for name in CHECKS_FIELDS:
-            assert getattr(checks, name) == getattr(again, name), name
-        assert [set(t) for t in checks.ties] == [set(t) for t in again.ties]
-        assert checks.classes(live) == again.classes(fresh)
-
 
 def test_classify_circuit_reads_the_class_its_region_checks_carry():
     """classify_circuit reads a circuit's class from the RegionChecks of

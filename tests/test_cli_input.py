@@ -12,14 +12,16 @@ import json
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from surfmap import cli, covers, moves, transverse
 from surfmap.errors import InputError, Stuck
-from surfmap.surfaces import builtin_triangulation
-from surfmap.transverse import TransverseMap, ValidationReport
+from surfmap.surfaces import SurfaceKind, builtin_triangulation
+from surfmap.transverse import (TransverseMap, ValidationReport, add_pinch,
+                                identity_map)
 
 from helpers import tube_cover_map
 
@@ -251,6 +253,22 @@ def test_tubes_without_room_in_the_cover_are_an_input_error(tmp_path):
     rc, out = run_cli(["analyze", "degree", str(path)])
     assert rc == 1 and out["error"] == "input", out
     assert "tubes need" in out["detail"]
+
+
+def test_contour_with_a_billion_handles_is_refused_before_any_fold(tmp_path):
+    """A valid map whose pinch has 10**9 handles has a degree at once, but
+    its contour would list one fold per handle: the fold count is read
+    off the decomposition first, and a count above the bound is bad
+    input."""
+    tm = add_pinch(identity_map(builtin_triangulation("sphere_tetra")), 0,
+                   SurfaceKind(True, handles=10 ** 9))
+    path = tmp_path / "handles.json"
+    path.write_text(tm.dumps())
+    start = time.process_time()
+    rc, out = run_cli(["analyze", "contours", str(path)])
+    assert time.process_time() - start < 1.0
+    assert rc == 1 and out["error"] == "input", out
+    assert "1000000000 folds" in out["detail"]
 
 
 def test_stuck_report_is_json(tmp_path, docs, monkeypatch):

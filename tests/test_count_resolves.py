@@ -4,6 +4,7 @@ import importlib.util
 from pathlib import Path
 
 from surfmap import moves, transverse
+from surfmap.surfaces import BUILTIN_NAMES, builtin_triangulation
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -18,11 +19,16 @@ def _count_resolves():
 
 def test_counts_of_the_first_corpus_maps():
     tool = _count_resolves()
+    # the one-sheeted lifts the lifts are checked by, built and solved
+    # once per base, outside the count
+    for name in BUILTIN_NAMES:
+        transverse.identity_map(builtin_triangulation(name))
     originals = (moves.join_isolated_circle, transverse._solve,
-                 transverse.DomainSolve.derived)
+                 transverse.DomainSolve.derived, transverse.RegionChecks.__init__)
     rows = tool.count("corpus", limit=4)
     assert (moves.join_isolated_circle, transverse._solve,
-            transverse.DomainSolve.derived) == originals
+            transverse.DomainSolve.derived,
+            transverse.RegionChecks.__init__) == originals
     assert set(rows) == set(tool.MOVES) | {"(none)"}
     joins = rows["join_isolated_circle"]
     assert joins["moves"] == joins["derived"] > 0 and joins["pieces"] > 0
@@ -30,6 +36,9 @@ def test_counts_of_the_first_corpus_maps():
         assert rows[name]["collapse or surgery"] == rows[name]["moves"] > 0
     # map_from_cover solves each map once, from scratch
     assert rows["(none)"]["no prior solve"] == 4
+    # a move builds RegionChecks only for the regions it makes
+    inserts = rows["insert_trivial_circle"]
+    assert 0 < inserts["checks"] <= 3 * inserts["moves"]
     lines = tool.table(rows).splitlines()
-    assert lines[0].split()[:4] == ["move", "moves", "derived", "pieces"]
+    assert lines[0].split()[:5] == ["move", "moves", "checks", "derived", "pieces"]
     assert len(lines) == 1 + len(rows)

@@ -11,12 +11,14 @@ from surfmap.transverse import (IsoSide, Region, TransverseMap,
                                 add_pinch, builtin_example, chi_domain,
                                 classify_circuit, domain_kind,
                                 domain_orientable, edge_count, identity_map,
-                                map_from_cover, mod2_degree, signed_degree,
-                                validate_map)
+                                lift_facts, map_from_cover, mod2_degree,
+                                signed_degree, validate_map)
 from surfmap.moves import flip_vertex, insert_trivial_circle
 
-from helpers import (assembled_map_from_cover, tube_double, two_triangle_sphere,
+from helpers import (assembled_map_from_cover, assert_facts_match_fresh,
+                     assert_matches_oracle, tube_double, two_triangle_sphere,
                      with_rotations_reversed)
+from record_sampler_digests import CASES
 
 BUILTINS = ("sphere_tetra", "rp2_6", "torus_7", "klein_8", "genus2")
 
@@ -127,13 +129,25 @@ def _base(name):
     return builtin_triangulation(name)
 
 
+def assert_lift_checked_by_its_base(tm: TransverseMap, d: int):
+    """A lift of d > 1 sheets has ribbon facts pulled back from the
+    one-sheeted lift, the one-sheeted lift has its own, and either way
+    they and the map's answers are the ones computed from scratch."""
+    assert (tm.ribbon_facts()._lift is not None) == (d > 1)
+    assert_facts_match_fresh(tm)
+    assert_matches_oracle(tm)
+
+
 @pytest.mark.parametrize("name", BUILTINS + ("two_triangles", "torus_7 turned",
                                              "klein_8 turned"))
 def test_direct_lift_equals_the_assembled_route(name):
     """map_from_cover reads the lift off the cover; reading it out of the
     assembled total space gives the same document byte for byte: d <= 6
     with every branch choice, two seeds each (six on the small sphere).
-    On a turned base, half the lifts turn against their fans."""
+    On a built-in base these are the stored sampler cases with d <= 6.
+    On a turned base, half the lifts turn against their fans.  Every
+    lift's facts, pulled back from the one-sheeted lift, are the fresh
+    ones."""
     tri = _base(name)
     n = 0
     for d in range(1, 7):
@@ -145,9 +159,23 @@ def test_direct_lift_equals_the_assembled_route(name):
                     continue
                 want = assembled_map_from_cover(cover)
                 assert validate_map(want).ok
-                assert map_from_cover(cover).dumps() == want.dumps(), (d, branch, seed)
+                tm = map_from_cover(cover)
+                assert tm.dumps() == want.dumps(), (d, branch, seed)
+                assert_lift_checked_by_its_base(tm, d)
                 n += 1
     assert n >= 16, n
+
+
+def test_the_direct_lifts_hold_every_stored_sampler_case():
+    """The built-in grid of the direct-lift tests is the stored sampler
+    cases (tests/record_sampler_digests.py) but two: the d = 8 case,
+    which the d = 8 test lifts, and a budget that runs out."""
+    grid = {(name, d, tuple(branch or ()), seed, None) for name in BUILTINS
+            for d in range(1, 7) for branch in BRANCH_CHOICES for seed in (0, 1)}
+    cases = {(base, d, tuple(branch or ()), seed, budget)
+             for base, d, branch, seed, budget in CASES}
+    assert cases - grid == {("genus2", 8, (2, 2), 1, None), ("rp2_6", 4, (3,), 0, 400)}
+    assert grid <= cases
 
 
 @pytest.mark.parametrize("name, d, branch", [("torus_7", 7, None),
@@ -156,7 +184,21 @@ def test_direct_lift_equals_the_assembled_route_at_d7(name, d, branch):
     tri = builtin_triangulation(name)
     for seed in range(4):
         cover = random_cover(tri, d, branch, seed=seed)
-        assert map_from_cover(cover).dumps() == assembled_map_from_cover(cover).dumps()
+        tm = map_from_cover(cover)
+        assert tm.dumps() == assembled_map_from_cover(cover).dumps()
+        assert_lift_checked_by_its_base(tm, d)
+
+
+@pytest.mark.parametrize("name, branch, seed", [("genus2", [2, 2], 1),
+                                                ("torus_7", [4, 4], 1),
+                                                ("torus_7", [4, 4], 2)])
+def test_direct_lift_equals_the_assembled_route_at_d8(name, branch, seed):
+    """The CLI's bound: the stored d = 8 sampler case and two index-4
+    covers of the torus, each sampled in well under a second."""
+    cover = random_cover(builtin_triangulation(name), 8, branch, seed=seed)
+    tm = map_from_cover(cover)
+    assert tm.dumps() == assembled_map_from_cover(cover).dumps()
+    assert_lift_checked_by_its_base(tm, 8)
 
 
 def _digon_tetra():
@@ -182,8 +224,60 @@ def test_branch_point_next_to_a_two_edge_vertex(turned):
     assert not validate_map(assembled_map_from_cover(cover)).ok
     tm = map_from_cover(cover)
     assert chi_domain(tm) == cover_chi(cover) == 2 and mod2_degree(tm) == 0
+    assert_lift_checked_by_its_base(tm, 2)
     plain = random_cover(tri, 1, None, seed=0)
-    assert map_from_cover(plain).dumps() == assembled_map_from_cover(plain).dumps()
+    one = map_from_cover(plain)
+    assert one.dumps() == assembled_map_from_cover(plain).dumps()
+    assert_lift_checked_by_its_base(one, 1)
+
+
+def _swap_rotation_entries(tm):
+    """Two rotation entries at one vertex swapped: it splits in two."""
+    a = tm.ribbon_facts().vertex_reps[0]
+    b = tm.rotation[a]
+    tm.rotation[a], tm.rotation[b] = tm.rotation[b], tm.rotation[a]
+
+
+def _flip_band_sign(tm):
+    k = tm.ribbon_facts().edge_keys[0]
+    tm.edge_sign[k] = -tm.edge_sign[k]
+
+
+def _move_dart_label(tm):
+    """Dart 0 labelled as a dart of another copy, over another edge."""
+    label = tm.dart_label
+    label[0] = next(label[d] for d in label if label[d][0] != label[0][0])
+
+
+def _wrap_vertex_twice(tm):
+    """Two lifts of one base vertex joined into one vertex that winds
+    twice around it: the projection still commutes with every table."""
+    vertex_of = tm.ribbon_facts().vertex_of
+    label = tm.dart_label
+    a = 0
+    b = next(d for d in label if label[d] == label[a] and vertex_of[d] != vertex_of[a])
+    tm.rotation[a], tm.rotation[b] = tm.rotation[b], tm.rotation[a]
+
+
+@pytest.mark.parametrize("tamper", [_swap_rotation_entries, _flip_band_sign,
+                                    _move_dart_label, _wrap_vertex_twice])
+def test_a_tampered_lift_gets_fresh_facts(tamper):
+    """A lift's facts are pulled back from the one-sheeted lift only when
+    its tables project onto that lift's, vertex orbits of the same length
+    included; a lift broken in one entry gets fresh facts, and its check
+    reports what the from-scratch check of its document reports."""
+    lift = map_from_cover(random_cover(builtin_triangulation("torus_7"), 3, [3, 3],
+                                       seed=0))
+    assert lift_facts(lift.copy())._lift is not None
+    bad = lift.copy()
+    tamper(bad)
+    facts = lift_facts(bad)
+    assert facts._lift is None
+    bad._facts, bad._facts_checked = facts, True
+    assert_facts_match_fresh(bad)
+    problems = validate_map(bad).problems
+    assert problems
+    assert problems == validate_map(TransverseMap.from_json(bad.to_json())).problems
 
 
 def test_orientability_disagreeing_with_the_cover_is_an_internal_inconsistency(

@@ -1,15 +1,20 @@
-"""Count the domain solves of one pass of a perfbench catalog, per move.
+"""Count the domain solves and the region checks of one pass of a
+perfbench catalog, per move.
 
     python3 tools/count_resolves.py CATALOG        # corpus or bounds
 
 Runs every operation of the catalog once, in catalog order (for `bounds`,
 after writing its maps to a temporary directory, which is not counted),
-with counting wrappers installed at run time on surfmap's moves and on
-its domain-solve functions, as perfbench/tracer.py installs its spans;
-nothing under src/ has hooks.  Prints one row per move kind, the solves
-made outside any move under "(none)":
+with counting wrappers installed at run time on surfmap's moves, on
+RegionChecks.__init__ and on its domain-solve functions, as
+perfbench/tracer.py installs its spans; nothing under src/ has hooks.
+Prints one row per move kind, what is done outside any move under
+"(none)":
 
 * moves: the calls of the move;
+* checks: the RegionChecks built from scratch (RegionChecks.__init__);
+  those of the lift (map_from_cover, add_pinch) and of a load's first
+  check count under "(none)";
 * derived: solves derived from the input's (DomainSolve.derived), and
   pieces: those among them that gave a cut-off piece nodes of its own;
 * the whole-domain solves (transverse._solve) by reason:
@@ -41,7 +46,7 @@ MOVES = ("collapse_edge", "join_isolated_circle", "boundary_surgery",
          "relocate_crosscap", "insert_trivial_circle")
 REASONS = ("no prior solve", "piece reached a component", "collapse or surgery",
            "other", "no tiling")
-COLUMNS = ("moves", "derived", "pieces") + REASONS
+COLUMNS = ("moves", "checks", "derived", "pieces") + REASONS
 
 
 class Counts:
@@ -72,6 +77,14 @@ class Counts:
 
         for name in MOVES:
             self._set(moves, name, moved(name, getattr(moves, name)))
+
+        checks_init = transverse.RegionChecks.__init__
+
+        def built(checks, *args):
+            counts.rows[counts.move[-1]]["checks"] += 1
+            checks_init(checks, *args)
+
+        self._set(transverse.RegionChecks, "__init__", built)
 
         tiling_solve = transverse.Tiling.domain_solve
 
