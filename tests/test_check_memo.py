@@ -293,6 +293,28 @@ def test_derived_facts_of_every_collapse_and_surgery_match_fresh_facts(monkeypat
     assert carried["derived"] >= sum(seen.values())
 
 
+def test_moves_that_keep_a_lift_s_tables_keep_its_pulled_back_facts():
+    """Inserts, joins and crosscap relocations leave the dart tables
+    alone, so their results keep the lift's facts, pulled back from the
+    one-sheeted lift, and the disks they make take RegionChecks from its
+    templates; at every such state of the slice's scrambles and
+    normalizations, the facts and every RegionChecks are the fresh ones."""
+    seen = Counter()
+
+    def check(tm):
+        facts = tm.ribbon_facts()
+        if facts._lift is not None:
+            seen["states"] += 1
+            assert_facts_match_fresh(tm)
+
+    def observer(before, after, move):
+        check(after)
+
+    for spec in SLICE:
+        normalize(_slice_map(*spec, check=check), observer=observer)
+    assert seen["states"] >= 100, seen
+
+
 # the move that rewires darts -> its finder, whose arguments redo it
 REWIRING = {"collapse_edge": moves._find_collapse,
             "boundary_surgery": moves._find_surgery}
