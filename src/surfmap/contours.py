@@ -13,7 +13,7 @@ from .errors import GraphLike, InputError
 from .factorize import Decomposition
 
 # The most folds a contour is built with.  A map's pinches may have any
-# number of handles or crosscaps, one to four folds each, while the
+# number of handles or crosscaps, one or two folds each, while the
 # CLI's generators make contours of a few dozen folds at most.
 MAX_FOLDS = 100_000
 
