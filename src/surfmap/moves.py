@@ -24,22 +24,25 @@ Regions are frozen: a move replaces the regions it changes and shares
 the rest, so its check looks again only at those (a join or an insert
 changes at most three, a collapse the regions around the collapsed
 edge).  Isolated circles keep their ids, so a join deletes one circle
-and renumbers nothing.  A join finds the regions it touches through its
-input's tiling; the moves that rewire darts (collapse_edge,
-boundary_surgery) through the memoized walk keys of their input.
+and renumbers nothing.  A move finds the regions it touches as the
+owners in its input's tiling (transverse.checked_tiling, which first
+checks an input that has none, with the move's name as the context of
+a failure); so does the join finder, and normalize checks its input.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from .errors import (BadEdge, BadTarget, InternalInconsistency, InvalidChi,
                      NoCrosscap, NotAdjacent, NotCollapsible, NotCompatible,
                      NotEssential, Stuck, SurfmapError)
 from .surfaces import SurfaceKind, classify_with_boundary
-from .transverse import (IsoSide, Region, RibbonCircuit,
-                         TransverseMap, chi_domain, classify_circuit, corners,
+from .transverse import (IsoSide, Region, RibbonCircuit, TransverseMap,
+                         checked_tiling, chi_domain, classify_circuit, corners,
                          domain_orientable, edge_count, mod2_degree,
                          rotation_orbit, successor_map, validate_map)
-from .unionfind import ParityUF
+from .unionfind import BROKEN, ParityUF
 
 
 class OneSidedCircle(SurfmapError):
@@ -70,7 +73,8 @@ def flip_vertex(tm: TransverseMap, dart_at_vertex: int) -> TransverseMap:
         d, x = tok
         return (d, 1 - x) if d in oset else tok
 
-    for ri in _regions_through(tm, {(d, x) for d in orbit for x in (0, 1)}):
+    for ri in _regions_through(tm, {(d, x) for d in orbit for x in (0, 1)},
+                               "flip_vertex"):
         reg = out.regions[ri]
         out.regions[ri] = Region(reg.label, reg.kind,
                                  tuple(RibbonCircuit(tuple(fix(t) for t in c.seq))
@@ -79,23 +83,13 @@ def flip_vertex(tm: TransverseMap, dart_at_vertex: int) -> TransverseMap:
     return out
 
 
-def _regions_through(tm: TransverseMap, tokens: set) -> list:
-    """The indices of the regions with a stored ribbon circuit through a
-    token in `tokens`.  A region whose checks found no problem stores only
-    walks of traced circuits, so its memoized walk keys say it; the others
-    are scanned."""
-    facts = tm.ribbon_facts()
-    key_of = facts.circuit_of_token
-    keys = {key_of.get(t) for t in tokens}
-    out = []
-    for ri, checks in enumerate(facts.region_checks(tm.regions)):
-        if checks.problems:
-            if any(isinstance(c, RibbonCircuit) and not tokens.isdisjoint(c.seq)
-                   for c in checks.region.circuits):
-                out.append(ri)
-        elif not keys.isdisjoint(checks.walk_keys):
-            out.append(ri)
-    return out
+def _regions_through(tm: TransverseMap, tokens: set, context: str) -> list:
+    """The indices, ascending, of the regions storing a traced circuit
+    through a token in `tokens`: their owners in tm's checked tiling."""
+    tiling = checked_tiling(tm, context)
+    key_of, stored = tiling.facts.circuit_of_token, tiling.stored
+    owners = {stored[key_of[t]].region for t in tokens}
+    return [ri for ri, region in enumerate(tm.regions) if region in owners]
 
 
 def _stored_through(regions: list, indices) -> tuple:
@@ -159,34 +153,21 @@ def _post_move_check(before: TransverseMap, after: TransverseMap, *,
 
 class _GroupTracker:
     """Union-find over the regions a rewrite touches (by region index,
-    ascending) with a relative-flip parity and strip-gluing accounting;
-    yields merged-region kind data.  Groups are named by their root
-    region: the root of the second region of a gluing's set becomes the
-    root of the union."""
+    ascending) with a relative-flip parity.  Each gluing glues a strip
+    into a group and is kept as (a region it glued, whether it twisted
+    the group: its flip bit contradicted the group's parities).  Groups
+    are named by their root region: the root of the second region of a
+    gluing's set becomes the root of the union."""
 
     def __init__(self, regions):
         self.regions = sorted(regions)
         self.node = {ri: i for i, ri in enumerate(self.regions)}
         self.uf = ParityUF(len(self.regions))
-        self.strips = {}
-        self.twisted = set()   # roots made nonorientable by a twisted self-strip
+        self.gluings = []
 
     def glue(self, r1: int, r2: int, flip_bit: int):
-        n1, n2 = self.node[r1], self.node[r2]
-        (root1, p1), (root2, p2) = self.uf.find(n1), self.uf.find(n2)
-        root1, root2 = self.regions[root1], self.regions[root2]
-        if root1 == root2 and p1 ^ p2 != flip_bit:
-            self.twisted.add(root1)
-        self.uf.union(n1, n2, flip_bit)
-        root = self.root(r1)
-        # re-key strip counts and twist marks onto the new root
-        for old in (root1, root2):
-            if old != root:
-                self.strips[root] = self.strips.get(root, 0) + self.strips.pop(old, 0)
-                if old in self.twisted:
-                    self.twisted.discard(old)
-                    self.twisted.add(root)
-        self.strips[root] = self.strips.get(root, 0) + 1
+        status = self.uf.union(self.node[r1], self.node[r2], flip_bit)
+        self.gluings.append((r1, status == BROKEN))
 
     def root(self, ri: int) -> int:
         return self.regions[self.uf.find(self.node[ri])[0]]
@@ -266,6 +247,7 @@ def collapse_edge(tm: TransverseMap, edge_key: int) -> TransverseMap:
         raise NotCollapsible(f"edge {edge_key} maps onto its target edge; "
                              "endpoint images differ")
     before = tm
+    checked_tiling(tm, "collapse_edge")     # before the gauge flip reads it
 
     work = flip_vertex(tm, dp) if tm.edge_sign[edge_key] < 0 else tm.copy()
     if not work.edge_sign[edge_key] > 0:
@@ -291,7 +273,8 @@ def collapse_edge(tm: TransverseMap, edge_key: int) -> TransverseMap:
     # the regions through the darts of the two endpoints (the gauge flip
     # kept every region's index), and their stored circuits
     dead = set(xs) | set(ys)
-    touched = _regions_through(before, {(x, s) for x in dead for s in (0, 1)})
+    touched = _regions_through(before, {(x, s) for x in dead for s in (0, 1)},
+                               "collapse_edge")
     tok2reg, succ = _stored_through(work.regions, touched)
 
     def corner_pass_bit(da, db):
@@ -369,7 +352,13 @@ def _rebuild_regions(work: TransverseMap, out: TransverseMap,
     regions = work.regions
     dead_tokens = {(d, x) for d in dead_darts for x in (0, 1)}
     group_members = groups.groups()
-    orientable = {root: root not in groups.twisted and
+    strips, twisted = Counter(), set()
+    for ri, twist in groups.gluings:
+        root = groups.root(ri)
+        strips[root] += 1
+        if twist:
+            twisted.add(root)
+    orientable = {root: root not in twisted and
                   all(regions[ri].kind.orientable for ri in members)
                   for root, members in group_members.items()}
 
@@ -423,8 +412,7 @@ def _rebuild_regions(work: TransverseMap, out: TransverseMap,
         if len(labels) != 1:
             raise InternalInconsistency(f"{context}: merged regions with "
                                         f"different labels {labels}")
-        chi = sum(regions[ri].kind.euler for ri in members) \
-            - groups.strips.get(root, 0)
+        chi = sum(regions[ri].kind.euler for ri in members) - strips[root]
         circuits = tuple([c for _key, c in sorted(new_circuits[root],
                                                   key=lambda kc: kc[0])]
                          + old_iso_entries.get(root, [])
@@ -480,34 +468,30 @@ def join_isolated_circle(tm: TransverseMap, iso_index: int,
     if e0 not in tm.target.triangle_edges(A.label):
         raise NotAdjacent("circle label is not an edge of the region's triangle")
 
-    before = tm
-    work = tm.copy()
 
     # canonical strand of alpha1 over e0
     strand_pos = None
     for i in range(0, len(alpha1.seq), 2):
-        if work.label_edge(alpha1.seq[i][0]) == e0:
+        if tm.label_edge(alpha1.seq[i][0]) == e0:
             strand_pos = i
             break
     if strand_pos is None:
         raise NotEssential("essential circuit misses the circle's edge")
     dep, arr = alpha1.seq[strand_pos], alpha1.seq[strand_pos + 1]
-    d_S = work.dart_label[dep[0]][1]          # 0 iff departing the end-0 dart
+    d_S = tm.dart_label[dep[0]][1]            # 0 iff departing the end-0 dart
 
     # far side of the strand: the region storing the traced circuit
     # through its two (band-adjacent) far tokens; and the region on the
     # circle's other side
     far_tokens = {(dep[0], 1 - dep[1]), (arr[0], 1 - arr[1])}
     far_side = (cid, 1 - side_entry.side)
-    r2, rb = _owners(work, (dep[0], 1 - dep[1]), far_side)
-    succ = successor_map(work.regions[r2].circuits) if r2 is not None else {}
+    r2, rb = _owners(tm, (dep[0], 1 - dep[1]), far_side, "join_isolated_circle")
+    succ = successor_map(tm.regions[r2].circuits)
     if not far_tokens <= succ.keys():
         raise InternalInconsistency("strand sides are inconsistent")
     far_dep = next(t for t in far_tokens if succ[t] in far_tokens)
-    d_R = work.dart_label[far_dep[0]][1]
-    if rb is None:
-        raise InternalInconsistency("circle side belongs to no region")
-    delta_b = next(c.direction for c in work.regions[rb].circuits
+    d_R = tm.dart_label[far_dep[0]][1]
+    delta_b = next(c.direction for c in tm.regions[rb].circuits
                    if isinstance(c, IsoSide) and (c.circle, c.side) == far_side)
     delta_a = side_entry.direction
     if rb == region_index:
@@ -515,6 +499,8 @@ def join_isolated_circle(tm: TransverseMap, iso_index: int,
 
     mu = 1 if d_R == d_S else 0
     flip_needed = mu ^ (1 if delta_a == delta_b else 0)
+    before = tm
+    work = tm.copy()
 
     def without_circle(circuits):
         return tuple(c for c in circuits
@@ -554,20 +540,14 @@ def join_isolated_circle(tm: TransverseMap, iso_index: int,
                             context="join_isolated_circle")
 
 
-def _owners(tm: TransverseMap, token: tuple, side: tuple) -> tuple:
+def _owners(tm: TransverseMap, token: tuple, side: tuple, context: str) -> tuple:
     """The indices of the region storing the traced circuit through a
-    token and of the region bounded by a circle side (None where there is
-    none): read off the map's tiling where it is current, otherwise found
-    by the regions' memoized checks."""
-    facts = tm.ribbon_facts()
-    key = facts.circuit_of_token[token]
-    tiling = tm.tiling()
-    if tiling is not None:
-        return tuple(None if checks is None else tm.regions.index(checks.region)
-                     for checks in (tiling.stored.get(key), tiling.owner.get(side)))
-    checks = facts.region_checks(tm.regions)
-    return (next((ri for ri, ch in enumerate(checks) if key in ch.walk_keys), None),
-            next((ri for ri, ch in enumerate(checks) if side in ch.iso_sides), None))
+    token and of the region bounded by a circle side of tm: their owners
+    in tm's checked tiling."""
+    tiling = checked_tiling(tm, context)
+    key = tiling.facts.circuit_of_token[token]
+    return (tm.regions.index(tiling.stored[key].region),
+            tm.regions.index(tiling.owner[side].region))
 
 
 # --------------------------------------------------------------------------
@@ -656,12 +636,13 @@ def boundary_surgery(tm: TransverseMap, region_index: int,
     opposite stored directions, or a crosscap to route through."""
     if not (0 <= region_index < len(tm.regions)):
         raise NotCompatible(f"no region {region_index}")
+    strands = {(d, x) for dart in (dart1, dart2) if dart in tm.pairing
+               for d in (dart, tm.pairing[dart]) for x in (0, 1)}
+    tok2reg, succ = _stored_through(tm.regions, _regions_through(
+        tm, strands, "boundary_surgery"))
     before = tm
     work = tm.copy()
     A = work.regions[region_index]
-    strands = {(d, x) for dart in (dart1, dart2) if dart in work.pairing
-               for d in (dart, work.pairing[dart]) for x in (0, 1)}
-    tok2reg, succ = _stored_through(work.regions, _regions_through(tm, strands))
 
     s1 = _strand_info(work, region_index, dart1, tok2reg, succ)
     s2 = _strand_info(work, region_index, dart2, tok2reg, succ)
@@ -930,45 +911,23 @@ def _find_join(tm: TransverseMap):
     first region in order that is bounded by a circle and has an
     essential circuit, its first essential circuit and its circle of
     least position.  The regions bounded by circles are read off the
-    map's tiling where it is current (the owners of the circle sides,
-    with their memoized classes), and scanned for otherwise."""
+    map's checked tiling: the owners of the circle sides, with their
+    memoized classes."""
     if not (tm.isolated and tm.pairing):
         return None
-    tiling = tm.tiling()
-    if tiling is None:
-        found = _scan_join(tm)
-    else:
-        facts = tiling.facts
-        holders = {checks.region: checks for checks in tiling.owner.values()}
-        found = None
-        for ri, checks in enumerate(map(holders.get, tm.regions)):
-            if checks is not None:
-                pos = next((pos for pos, cls in enumerate(checks.classes(facts))
-                            if cls.variant == "essential"), None)
-                if pos is not None:
-                    found = ri, checks.region, pos
-                    break
-    if found is None:
-        raise Stuck({"reason": "isolated circles but no join target",
-                     "state": is_normal(tm)})
-    ri, region, pos = found
-    position = tm.circle_positions()
-    return min(position[c.circle] for c in region.circuits
-               if isinstance(c, IsoSide)), ri, pos
-
-
-def _scan_join(tm: TransverseMap):
-    """(index, region, position of its first essential circuit) of the
-    first region bounded by a circle that has an essential circuit, or
-    None, by classifying the circuits of every region bounded by one."""
-    for ri, region in enumerate(tm.regions):
-        if not any(isinstance(c, IsoSide) for c in region.circuits):
-            continue
-        for pos, c in enumerate(region.circuits):
-            if isinstance(c, RibbonCircuit) and \
-                    classify_circuit(tm, region, c).variant == "essential":
-                return ri, region, pos
-    return None
+    tiling = checked_tiling(tm, "normalize")
+    facts = tiling.facts
+    holders = {checks.region: checks for checks in tiling.owner.values()}
+    for ri, checks in enumerate(map(holders.get, tm.regions)):
+        if checks is not None:
+            pos = next((pos for pos, cls in enumerate(checks.classes(facts))
+                        if cls.variant == "essential"), None)
+            if pos is not None:
+                position = tm.circle_positions()
+                return min(position[c.circle] for c in checks.region.circuits
+                           if isinstance(c, IsoSide)), ri, pos
+    raise Stuck({"reason": "isolated circles but no join target",
+                 "state": is_normal(tm)})
 
 
 def _find_surgery(tm: TransverseMap):
@@ -1053,7 +1012,9 @@ def normalize(tm: TransverseMap, max_steps: int = None, observer=None):
     compound steps forces termination.
 
     observer, when given, is called as observer(before, after, move_name)
-    after every single move."""
+    after every single move.  An input without a tiling is checked first
+    (checked_tiling)."""
+    checked_tiling(tm, "normalize")
     work = tm
     trace = []
     budget = max_steps if max_steps is not None else 12 * edge_count(tm) + 64

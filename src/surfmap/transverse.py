@@ -37,10 +37,11 @@ problems, corner constraints, classes) live in one memo, the
 RegionChecks of each region object, kept in the facts with what else a
 region's checks find on their own (isolated sides, its problems,
 domain-solve ties).  A check computes them only for regions it has not
-seen, and derived facts carry them over for the regions whose circuits
-are all unchanged: a region's ties name darts of its own circuits,
-never a graph component, so they hold after a move that splits a
-component or twists one.
+seen, and derived facts carry them over for the regions of the tiling
+the map inherited, when that tiling was made with the parent facts,
+whose circuits are all unchanged: a region's ties name darts of its own
+circuits, never a graph component, so they hold after a move that
+splits a component or twists one.
 
 What spans regions is the Tiling of a passed check: the owner of each
 traced circuit and circle side, and the domain solve (domain_solve), the
@@ -61,6 +62,9 @@ that is not the class's one remainder reaches the graph is the domain
 solved again.  A derivation only ever answers that nothing is wrong: where it
 would find a problem, and for a map without a tiling, validate_map
 checks from scratch, with the same problem texts in the same order.
+Every passed check leaves a tiling, and a move reads the regions it
+touches off its input's (checked_tiling, which checks an input that
+has none first).
 
 A cover's lift (map_from_cover) is checked by its base: its ribbon facts
 are pulled back from the one-sheeted lift, which is checked from scratch
@@ -407,9 +411,10 @@ class RibbonFacts:
       and per edge;
     * the vertex components of the graph and the vertex chart flips that
       its band signs force;
-    * per region object, its RegionChecks (region_checks), the one memo
-      of per-circuit answers: walk_key, corner_problem,
-      corner_constraints and circuit_class compute theirs afresh;
+    * per region object, its RegionChecks (checks_of), the one memo of
+      per-circuit answers: walk_key, corner_problem, corner_constraints
+      and circuit_class compute theirs afresh; derived facts carry those
+      of the inherited tiling's regions (_carry);
     * per edge, its flanking circuits (flanks).
 
     The facts of a cover's lift are pulled back from the one-sheeted lift
@@ -428,7 +433,6 @@ class RibbonFacts:
         self.vertex_label = dict(tm.vertex_label)
         self.dart_label = dict(tm.dart_label)
         self._regions = {}     # region -> RegionChecks
-        self._last_checks = None   # (region list snapshot, its RegionChecks)
         # the one-sheeted lift these facts were pulled back from
         # (OneSheetedLift.pull_back), or None
         self._lift = None
@@ -457,7 +461,8 @@ class RibbonFacts:
         vertex is a rotation orbit, so a vertex without one keeps its
         darts, rep, local sign and problems, and an edge between two such
         vertices keeps its problems.  A region's per-circuit answers
-        depend on its circuits' own tokens only, so a region whose
+        depend on its circuits' own tokens only, so a region of the
+        tiling tm inherited (when it was made with parent's facts) whose
         circuits all walk unchanged circuits keeps its RegionChecks.
         Nothing carried over names a graph component (a corner constraint
         names a dart of its own walk), so a move that splits a component or
@@ -497,7 +502,7 @@ class RibbonFacts:
         moved.discard(None)
         out = cls(tm)
         if parent.table_problem is None and out._tables_hold(touched):
-            out._carry(parent, touched, moved)
+            out._carry(parent, touched, moved, tm._tiling)
         return out
 
     def _tables_hold(self, touched: set) -> bool:
@@ -519,9 +524,11 @@ class RibbonFacts:
         self.table_problem = None
         return True
 
-    def _carry(self, parent: "RibbonFacts", touched: set, moved: set):
+    def _carry(self, parent: "RibbonFacts", touched: set, moved: set, tiling):
         """Fill in what parent's facts give away from the touched darts;
-        vertices are recomputed only where a dart moved (derive)."""
+        vertices are recomputed only where a dart moved (derive).  The
+        RegionChecks carried are those of the regions of `tiling`, the
+        tiling the map inherited, when it was made with parent's facts."""
         pairing, rotation = self.pairing, self.rotation
         old_pairing = parent.pairing
         live = [d for d in touched if d in pairing]
@@ -629,13 +636,12 @@ class RibbonFacts:
                 flanks[k] = self._flank(k)
             self.flanks = flanks
 
-        # the RegionChecks of regions on unchanged circuits
-        last = parent._last_checks
-        sources = last[1] if last is not None else parent._regions.values()
-        regions = self._regions
-        for checks in sources:
-            if not checks.problems and dead.isdisjoint(checks.walk_keys):
-                regions[checks.region] = checks
+        # the RegionChecks of the tiling's regions on unchanged circuits
+        if tiling is not None and tiling.facts is parent:
+            for region in tiling.regions:
+                checks = parent.checks_of(region)
+                if dead.isdisjoint(checks.walk_keys):
+                    self._regions[region] = checks
 
     # -- structure --------------------------------------------------------------
 
@@ -1025,16 +1031,9 @@ class RibbonFacts:
         return checks
 
     def region_checks(self, regions) -> list:
-        """The RegionChecks of each region (checks_of).  The list for the
-        last region list asked for is kept (a shared list; do not modify),
-        so the checks of one map state build it once."""
-        last = self._last_checks
-        if last is not None and last[0] == regions:
-            return last[1]
+        """The RegionChecks of each region (checks_of)."""
         memo = self._regions
-        out = [memo.get(region) or self.checks_of(region) for region in regions]
-        self._last_checks = (list(regions), out)
-        return out
+        return [memo.get(region) or self.checks_of(region) for region in regions]
 
     def flank_problems(self, labels: dict) -> list:
         """The side-coherence problems of the edges, in edge key order,
@@ -1055,10 +1054,10 @@ class RibbonFacts:
 
 class RegionChecks:
     """What one region's checks find on their own, for one RibbonFacts
-    (which memoizes it by the region object, region_checks).  It is the
-    one memo of per-circuit answers: the facts compute them afresh, and
-    derived facts carry the RegionChecks of a region whose circuits are
-    all unchanged (RibbonFacts.derive).
+    (which memoizes it by the region object, checks_of).  It is the one
+    memo of per-circuit answers: the facts compute them afresh, and
+    derived facts carry the RegionChecks of a region of the inherited
+    tiling whose circuits are all unchanged (RibbonFacts.derive).
 
     * walk_keys: the key of the traced circuit each stored ribbon circuit
       matches;
@@ -1413,9 +1412,8 @@ def validate_map(tm: TransverseMap) -> ValidationReport:
         if got != want:
             rep.add(f"isolated circle {i} flanked by regions labeled {sorted(got)}, "
                     f"expected {sorted(want)}")
-    distinct = set(regions)
-    if not rep.problems and len(distinct) == len(regions):
-        tm._tiling = Tiling(facts, tm.region_state(), distinct,
+    if not rep.problems:
+        tm._tiling = Tiling(facts, tm.region_state(), set(regions),
                             {key: entries[ri] for key, ri in stored.items()},
                             {side: entries[ri] for side, ri in owner.items()})
     _check_parity(rep, facts)
@@ -1435,6 +1433,17 @@ def require_valid(tm: TransverseMap, context: str = ""):
         raise InternalInconsistency(f"{context}: {rep.problems[:4]}",
                                     context=context, problems=rep.problems[:4])
     return rep
+
+
+def checked_tiling(tm: TransverseMap, context: str = "") -> Tiling:
+    """The tiling of tm's passed check (TransverseMap.tiling), checking tm
+    first (require_valid, with `context`) when it has none: the one way a
+    move reads the regions it touches."""
+    tiling = tm.tiling()
+    if tiling is None:
+        require_valid(tm, context)
+        tiling = tm._tiling
+    return tiling
 
 
 # --------------------------------------------------------------------------

@@ -947,7 +947,7 @@ def test_join_finder_reads_the_tiling_and_agrees_with_the_scan():
     for spec in SLICE:
         normalize(_slice_map(*spec), observer=observer)
     assert found["join"] >= 100 and found["none"] >= 30 and found["stuck"] >= 10
-    # without a current tiling, the finder scans
+    # without a current tiling, the finder checks the map first
     work = _slice_map(*SLICE[0]).copy()
     work.regions.reverse()
     assert work.tiling() is None and _found_join(work) is not None
@@ -966,3 +966,75 @@ def test_join_finder_stuck_exit_is_unchanged():
         stuck, report = _found_join(m)
         assert stuck == "stuck"
         assert report["reason"] == "isolated circles but no join target"
+
+
+# --------------------------------------------------------------------------
+# A move reads the regions it touches off its input's checked tiling
+
+
+def _entry_cases():
+    """(move name, run, map with a tiling): run(tm) is the move's result
+    in comparable form.  The collapse is of a twisted edge, so its gauge
+    flip reads the tiling too."""
+    opp = tube_double(builtin_triangulation("sphere_tetra"), 0, same_direction=False)
+    surgery = moves._find_surgery(opp)
+    cut = moves.boundary_surgery(opp, *surgery)
+    edge = next(k for k in collapsible_edges(cut) if cut.edge_sign[k] < 0)
+    vertex = opp.ribbon_facts().vertex_reps[0]
+
+    def normalized(tm):
+        norm, trace = normalize(tm)
+        return norm.dumps(), trace
+
+    return (("collapse_edge", lambda tm: collapse_edge(tm, edge).dumps(), cut),
+            ("boundary_surgery",
+             lambda tm: moves.boundary_surgery(tm, *surgery).dumps(), opp),
+            ("flip_vertex", lambda tm: flip_vertex(tm, vertex).dumps(), opp),
+            ("normalize", normalized, opp))
+
+
+def _tampered(tm: TransverseMap) -> TransverseMap:
+    """tm read back from its document, its last region's kind claiming
+    one boundary circuit more than the region has."""
+    bad = TransverseMap.from_json(tm.to_json())
+    region = bad.regions[-1]
+    kind = region.kind
+    bad.regions[-1] = Region(region.label,
+                             SurfaceKind(kind.orientable, kind.handles,
+                                         kind.crosscaps, kind.boundary + 1),
+                             region.circuits)
+    return bad
+
+
+def test_a_move_checks_an_input_without_a_tiling_first():
+    """A map read back from its document has no tiling: the move checks it
+    and gives what it gives on the checked map, and on an invalid one it
+    raises with its own name as the context."""
+    for name, run, tm in _entry_cases():
+        fresh = TransverseMap.from_json(tm.to_json())
+        assert tm.tiling() is not None and fresh.tiling() is None
+        assert run(fresh) == run(tm), name
+        assert fresh.tiling() is not None, name
+        with pytest.raises(InternalInconsistency) as ex:
+            run(_tampered(tm))
+        assert ex.value.context == name
+        assert ex.value.problems == [
+            f"region {len(tm.regions) - 1} kind boundary count disagrees "
+            "with its circuits"]
+
+
+def test_a_region_without_circuits_listed_twice_keeps_a_tiling():
+    """A check passes a map that lists a region without circuits twice
+    (the domain then has a component per listing) and leaves it a tiling
+    whose answers are the oracle's, also for a copy that lists it once."""
+    tm = identity_map(builtin_triangulation("sphere_tetra")).copy()
+    closed = Region(tm.regions[0].label, SurfaceKind(True))
+    tm.regions += [closed, closed]
+    assert validate_map(tm).ok and tm.tiling() is not None
+    assert_matches_oracle(tm)
+    assert domain_solve(tm).components == 3
+    once = tm.copy()
+    once.regions.pop()
+    assert validate_map(once).ok and once.tiling() is not None
+    assert_matches_oracle(once)
+    assert domain_solve(once).components == 2

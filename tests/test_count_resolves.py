@@ -5,6 +5,7 @@ from pathlib import Path
 
 from surfmap import moves, transverse
 from surfmap.surfaces import BUILTIN_NAMES, builtin_triangulation
+from surfmap.transverse import TransverseMap, builtin_example
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -23,10 +24,10 @@ def test_counts_of_the_first_corpus_maps():
     # once per base, outside the count
     for name in BUILTIN_NAMES:
         transverse.identity_map(builtin_triangulation(name))
-    originals = (moves.join_isolated_circle, transverse._solve,
+    originals = (moves.join_isolated_circle, moves.checked_tiling, transverse._solve,
                  transverse.DomainSolve.derived, transverse.RegionChecks.__init__)
     rows = tool.count("corpus", limit=4)
-    assert (moves.join_isolated_circle, transverse._solve,
+    assert (moves.join_isolated_circle, moves.checked_tiling, transverse._solve,
             transverse.DomainSolve.derived,
             transverse.RegionChecks.__init__) == originals
     assert set(rows) == set(tool.MOVES) | {"(none)"}
@@ -36,9 +37,27 @@ def test_counts_of_the_first_corpus_maps():
         assert rows[name]["collapse or surgery"] == rows[name]["moves"] > 0
     # map_from_cover solves each map once, from scratch
     assert rows["(none)"]["no prior solve"] == 4
+    # every map a move, the join finder or normalize is given carries
+    # the tiling of its last check
+    assert all(row["entry checks"] == 0 for row in rows.values())
     # a move builds RegionChecks only for the regions it makes
     inserts = rows["insert_trivial_circle"]
     assert 0 < inserts["checks"] <= 3 * inserts["moves"]
     lines = tool.table(rows).splitlines()
     assert lines[0].split()[:5] == ["move", "moves", "checks", "derived", "pieces"]
     assert len(lines) == 1 + len(rows)
+
+
+def test_entry_checks_count_the_maps_checked_for_their_tiling():
+    """A map read back from its document has no tiling: normalize checks
+    it on entry, under "(none)", and its moves then read the tiling."""
+    tool = _count_resolves()
+    fold = builtin_example("fold_degree_zero")
+    counts = tool.Counts().install()
+    try:
+        moves.normalize(TransverseMap.from_json(fold.to_json()))
+    finally:
+        counts.uninstall()
+    assert counts.rows["(none)"]["entry checks"] == 1
+    assert counts.rows["collapse_edge"]["moves"] > 0
+    assert sum(row["entry checks"] for row in counts.rows.values()) == 1

@@ -6,8 +6,9 @@ perfbench catalog, per move.
 Runs every operation of the catalog once, in catalog order (for `bounds`,
 after writing its maps to a temporary directory, which is not counted),
 with counting wrappers installed at run time on surfmap's moves, on
-RegionChecks.__init__ and on its domain-solve functions, as
-perfbench/tracer.py installs its spans; nothing under src/ has hooks.
+RegionChecks.__init__, on moves.checked_tiling and on the domain-solve
+functions, as perfbench/tracer.py installs its spans; nothing under src/
+has hooks.
 Prints one row per move kind, what is done outside any move under
 "(none)":
 
@@ -24,7 +25,11 @@ Prints one row per move kind, what is done outside any move under
   - collapse or surgery: the move rewired darts, so the facts differ;
   - other: a derivation that gave up for another reason (a region node
     without a name, say);
-  - no tiling: the map had no current tiling.
+  - no tiling: the map had no current tiling;
+* entry checks: the checks moves.checked_tiling ran because the map it
+  was given, a move's input or the join finder's or normalize's (these
+  two count under "(none)"), had no current tiling.  Every map a pass
+  hands them carries the tiling of its last check, so it reads 0.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ MOVES = ("collapse_edge", "join_isolated_circle", "boundary_surgery",
          "relocate_crosscap", "insert_trivial_circle")
 REASONS = ("no prior solve", "piece reached a component", "collapse or surgery",
            "other", "no tiling")
-COLUMNS = ("moves", "checks", "derived", "pieces") + REASONS
+COLUMNS = ("moves", "checks", "derived", "pieces") + REASONS + ("entry checks",)
 
 
 class Counts:
@@ -85,6 +90,15 @@ class Counts:
             checks_init(checks, *args)
 
         self._set(transverse.RegionChecks, "__init__", built)
+
+        checked_tiling = moves.checked_tiling
+
+        def entry(tm, context=""):
+            if tm.tiling() is None:
+                counts.rows[counts.move[-1]]["entry checks"] += 1
+            return checked_tiling(tm, context)
+
+        self._set(moves, "checked_tiling", entry)
 
         tiling_solve = transverse.Tiling.domain_solve
 
