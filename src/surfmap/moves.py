@@ -468,7 +468,6 @@ def join_isolated_circle(tm: TransverseMap, iso_index: int,
     if e0 not in tm.target.triangle_edges(A.label):
         raise NotAdjacent("circle label is not an edge of the region's triangle")
 
-
     # canonical strand of alpha1 over e0
     strand_pos = None
     for i in range(0, len(alpha1.seq), 2):

@@ -37,9 +37,9 @@ problems, corner constraints, classes) live in one memo, the
 RegionChecks of each region object, kept in the facts with what else a
 region's checks find on their own (isolated sides, its problems,
 domain-solve ties).  A check computes them only for regions it has not
-seen, and derived facts carry them over for the regions of the tiling
-the map inherited, when that tiling was made with the parent facts,
-whose circuits are all unchanged: a region's ties name darts of its own
+seen, and derived facts carry them over for the regions of the map's
+inherited tiling (when it was made with the parent facts) whose
+circuits are all unchanged: a region's ties name darts of its own
 circuits, never a graph component, so they hold after a move that
 splits a component or twists one.
 
@@ -1435,7 +1435,7 @@ def require_valid(tm: TransverseMap, context: str = ""):
     return rep
 
 
-def checked_tiling(tm: TransverseMap, context: str = "") -> Tiling:
+def checked_tiling(tm: TransverseMap, context: str) -> Tiling:
     """The tiling of tm's passed check (TransverseMap.tiling), checking tm
     first (require_valid, with `context`) when it has none: the one way a
     move reads the regions it touches."""

@@ -93,7 +93,7 @@ class Counts:
 
         checked_tiling = moves.checked_tiling
 
-        def entry(tm, context=""):
+        def entry(tm, context):
             if tm.tiling() is None:
                 counts.rows[counts.move[-1]]["entry checks"] += 1
             return checked_tiling(tm, context)
