@@ -56,8 +56,10 @@ class MonodromyCover:
     d: int
     edge_perm: dict = field(default_factory=dict)   # edge -> sheet perm, side0 -> side1
     branch: dict = field(default_factory=dict)      # triangle -> list of cycles (tuples)
-    # (snapshot, problems) of the last validate()
+    # (snapshot, problems) of the last validate(), and (snapshot, solve)
+    # of the last cover_solve()
     _verdict: tuple = field(default=None, init=False, repr=False, compare=False)
+    _solved: tuple = field(default=None, init=False, repr=False, compare=False)
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -260,7 +262,24 @@ def cover_solve(cover: MonodromyCover) -> ParityUF:
     Note one component is stronger than transitivity of the group
     generated by all edge permutations; crossing permutations compose
     along paths, so only closed-path products act on a single fiber.
+
+    The solve is memoized beside validate's verdict, under the same
+    snapshot, so a cover solved again unchanged (random_cover solves what
+    it keeps, map_from_cover and factorize what they are given) is not
+    solved twice, and one changed in place is solved again; each call
+    gets a copy of its own, which the caller may change.
     """
+    try:
+        key = cover._snapshot()
+    except TypeError:      # data of the wrong shape: no memo
+        return _solve_cover(cover)
+    if cover._solved is None or cover._solved[0] != key:
+        cover._solved = (key, _solve_cover(cover))
+    return cover._solved[1].grown(0)
+
+
+def _solve_cover(cover: MonodromyCover) -> ParityUF:
+    """cover_solve's union-find, solved from scratch."""
     base, d = cover.base, cover.d
     uf = ParityUF(len(base.triangles) * d)
     union = uf.union

@@ -23,7 +23,10 @@ regions and circles that differ (Tiling.derived, DomainSolve.derived).
 Regions are frozen: a move replaces the regions it changes and shares
 the rest, so its check looks again only at those (a join or an insert
 changes at most three, a collapse the regions around the collapsed
-edge).  Isolated circles keep their ids, so a join deletes one circle
+edge).  A collapse makes one private copy of its input (the gauge
+flip's, or a plain copy) and rewires its tables in place, and reads
+region groups and directions off the stored circuits through the darts
+it removes.  Isolated circles keep their ids, so a join deletes one circle
 and renumbers nothing.  A move finds the regions it touches as the
 owners in its input's tiling (transverse.checked_tiling, which first
 checks an input that has none, with the move's name as the context of
@@ -92,13 +95,14 @@ def _regions_through(tm: TransverseMap, tokens: set, context: str) -> list:
     return [ri for ri, region in enumerate(tm.regions) if region in owners]
 
 
-def _stored_through(regions: list, indices) -> tuple:
+def _stored_through(regions: list, indices, tokens: set) -> tuple:
     """(token -> region index, token -> next token) along the stored
-    ribbon circuits of the regions with the given indices."""
+    ribbon circuits through `tokens` of the regions with the given
+    indices."""
     tok2reg, succ = {}, {}
     for ri in indices:
         for c in regions[ri].circuits:
-            if isinstance(c, RibbonCircuit):
+            if isinstance(c, RibbonCircuit) and not tokens.isdisjoint(c.seq):
                 tok2reg.update(dict.fromkeys(c.seq, ri))
                 succ.update(zip(c.seq, c.seq[1:] + c.seq[:1]))
     return tok2reg, succ
@@ -249,33 +253,36 @@ def collapse_edge(tm: TransverseMap, edge_key: int) -> TransverseMap:
     before = tm
     checked_tiling(tm, "collapse_edge")     # before the gauge flip reads it
 
-    work = flip_vertex(tm, dp) if tm.edge_sign[edge_key] < 0 else tm.copy()
-    if not work.edge_sign[edge_key] > 0:
+    # the one private copy of the tables, rewired in place below into the
+    # result's; its ribbon facts are derived from tm's
+    out = flip_vertex(tm, dp) if tm.edge_sign[edge_key] < 0 else tm.copy()
+    pairing, rotation, sign = out.pairing, out.rotation, out.edge_sign
+    if not sign[edge_key] > 0:
         detail = f"the gauge flip left edge {edge_key} twisted"
         raise InternalInconsistency(f"collapse_edge: {detail}",
                                     context="collapse_edge", problems=[detail])
 
-    # the endpoints' darts, read off work's tables: work's ribbon facts
-    # are never needed, the result's are derived from tm's
-    xs = rotation_orbit(work.rotation, d)             # starts with d
+    xs = rotation_orbit(rotation, d)                  # starts with d
     if dp in xs:
         raise InternalInconsistency("collapse found a loop edge")
-    ys = rotation_orbit(work.rotation, dp)            # starts with dp
+    ys = rotation_orbit(rotation, dp)                 # starts with dp
     m = len(xs)
     if len(ys) != m:
         raise InternalInconsistency("collapse endpoints have different degrees")
 
     # nested matching x_i <-> y_{m-i} (labels must agree)
+    dart_label = out.dart_label
     for i in range(1, m):
-        if work.dart_label[xs[i]] != work.dart_label[ys[m - i]]:
+        if dart_label[xs[i]] != dart_label[ys[m - i]]:
             raise InternalInconsistency("collapse strands do not match by label")
 
     # the regions through the darts of the two endpoints (the gauge flip
     # kept every region's index), and their stored circuits
     dead = set(xs) | set(ys)
-    touched = _regions_through(before, {(x, s) for x in dead for s in (0, 1)},
-                               "collapse_edge")
-    tok2reg, succ = _stored_through(work.regions, touched)
+    dead_tokens = {(x, s) for x in dead for s in (0, 1)}
+    touched = _regions_through(before, dead_tokens, "collapse_edge")
+    regions = out.regions
+    tok2reg, succ = _stored_through(regions, touched, dead_tokens)
 
     def corner_pass_bit(da, db):
         """0 if some stored circuit passes the corner (da -> db) forward."""
@@ -291,66 +298,54 @@ def collapse_edge(tm: TransverseMap, edge_key: int) -> TransverseMap:
         pw, rw = corner_pass_bit(ys[m - i - 1], ys[m - i])
         groups.glue(rv, rw, pv ^ pw)
 
-    # rewire the ribbon structure
-    def without_dead(table):
-        out = dict(table)
-        for a in dead:
-            out.pop(a, None)
-        return out
-
-    new_pairing = without_dead(work.pairing)
-    new_sign = {a: work.edge_sign[a] for a, b in work.pairing.items()
-                if a < b and a not in dead and b not in dead}
-
-    # the result holds the tables rewired below and takes the new circles;
-    # its ribbon facts are derived from tm's
-    out = TransverseMap(work.target, new_pairing, without_dead(work.rotation),
-                        new_sign, without_dead(work.vertex_label),
-                        without_dead(work.dart_label), dict(work.isolated), [])
-    out._facts = before.ribbon_facts()
-    out._tiling = before._tiling
-    new_circle_info = []      # (circle id, strand dart x_i)
-    for i in range(1, m):
-        a_i = work.pairing[xs[i]]
-        b_i = work.pairing[ys[m - i]]
-        if a_i == ys[m - i]:
+    # rewire: each strand x_i, y_{m-i} joins its two far darts a_i, b_i
+    # into one band, or closes into an isolated circle
+    strands = [(x, y, pairing[x], pairing[y], sign[min(x, pairing[x])],
+                sign[min(y, pairing[y])], dart_label[x][0])
+               for x, y in zip(xs[1:], ys[:0:-1])]
+    for a in dead:
+        sign.pop(min(a, pairing[a]), None)
+    for a in dead:
+        del pairing[a], rotation[a], out.vertex_label[a], dart_label[a]
+    new_circle_info = []      # (circle id, strand dart x_i, its partner y_{m-i})
+    for x, y, a_i, b_i, s_x, s_y, edge in strands:
+        if a_i == y:
             # parallel strand closes into an isolated circle
-            s_total = work.edge_sign[work.edge_key(xs[i])]
-            if s_total < 0:
+            if s_x < 0:
                 raise OneSidedCircle(
                     "collapse would close a strand into a one-sided circle")
-            new_circle_info.append((out.add_circle(work.label_edge(xs[i])), xs[i]))
+            new_circle_info.append((out.add_circle(edge), x, y))
             continue
-        new_pairing[a_i] = b_i
-        new_pairing[b_i] = a_i
-        s_new = (work.edge_sign[work.edge_key(xs[i])]
-                 * work.edge_sign[work.edge_key(ys[m - i])])
-        new_sign[min(a_i, b_i)] = s_new
+        pairing[a_i] = b_i
+        pairing[b_i] = a_i
+        sign[min(a_i, b_i)] = s_x * s_y
 
-    _rebuild_regions(work, out, groups, dead,
+    _rebuild_regions(regions, out, groups, dead_tokens,
                      circle_info=new_circle_info, context="collapse_edge")
     return _post_move_check(before, out, edge_delta=(-m, -1),
                             context="collapse_edge")
 
 
-def _rebuild_regions(work: TransverseMap, out: TransverseMap,
-                     groups: _GroupTracker, dead_darts: set,
+def _rebuild_regions(regions: list, out: TransverseMap,
+                     groups: _GroupTracker, dead_tokens: set,
                      *, circle_info=(), context: str = ""):
     """Shared region reconstruction after a ribbon rewrite.
 
-    work: pre-move map (post gauge normalization); groups: the regions of
-    work with a stored circuit through a dead dart, glued by the rewrite;
-    out: post-move map with empty regions, possibly with freshly appended
-    isolated circles described by circle_info.  Only those regions are
+    regions: the pre-move regions (post gauge normalization); groups: the
+    regions with a stored circuit through a dead dart, glued by the
+    rewrite; out: the post-move map, its tables rewired, possibly with
+    freshly appended isolated circles described by circle_info (circle
+    id, strand dart, the strand's other dart).  Only those regions are
     rebuilt: a circuit through no dead dart runs through no rewired dart
     either (every rewired dart was band-adjacent to a dead one), so it is
     a traced circuit of out as it stands, and every traced circuit of out
-    through a token of a rebuilt region is made of such circuits' pieces.
-    A rebuilt region lists its ribbon circuits in key order (the order of
-    trace_circuits), then its isolated sides; every other region is kept,
-    as the same object unless its circuits must be put in that order."""
-    regions = work.regions
-    dead_tokens = {(d, x) for d in dead_darts for x in (0, 1)}
+    through a token of a rebuilt region is made of the surviving tokens
+    of the circuits through dead darts, so only those circuits are read
+    for group roots and directions.  A rebuilt region lists its ribbon
+    circuits in key order (the order of trace_circuits), then its
+    isolated sides; every other region is kept, as the same object unless
+    its circuits must be put in that order.  dead_tokens: the tokens of
+    the dead darts."""
     group_members = groups.groups()
     strips, twisted = Counter(), set()
     for ri, twist in groups.gluings:
@@ -362,28 +357,27 @@ def _rebuild_regions(work: TransverseMap, out: TransverseMap,
                   all(regions[ri].kind.orientable for ri in members)
                   for root, members in group_members.items()}
 
-    # old direction data of the glued regions in group-aligned form
-    aligned = [(groups.root(ri), _flip_circuit_entry(c, bool(groups.parity(ri))))
-               for ri in groups.regions for c in regions[ri].circuits]
-    old_succ = successor_map(c for _root, c in aligned)
+    # the glued regions' circuits in group-aligned form
     facts = out.ribbon_facts()
     key_of = facts.circuit_of_token
-    tok2root = {}             # token -> group root, over the glued regions
+    tok2root = {}             # token -> group root, over the cut circuits
+    cut = []                  # the aligned circuits through dead darts
     old_iso_entries = {}      # group root -> list[IsoSide] (aligned)
     new_circuits = {root: [] for root in group_members}   # (key, circuit)
-    rewired = set()           # surviving tokens of circuits through dead darts
-    for root, c2 in aligned:
-        if isinstance(c2, IsoSide):
-            old_iso_entries.setdefault(root, []).append(c2)
-            continue
-        tok2root.update(dict.fromkeys(c2.seq, root))
-        if dead_tokens.isdisjoint(c2.seq):
-            new_circuits[root].append((key_of[c2.seq[0]], c2))
-        else:
-            rewired.update(c2.seq)
-    rewired -= dead_tokens
+    for ri in groups.regions:
+        root, flip = groups.root(ri), bool(groups.parity(ri))
+        for c in regions[ri].circuits:
+            c2 = _flip_circuit_entry(c, flip)
+            if isinstance(c2, IsoSide):
+                old_iso_entries.setdefault(root, []).append(c2)
+            elif dead_tokens.isdisjoint(c2.seq):
+                new_circuits[root].append((key_of[c2.seq[0]], c2))
+            else:
+                tok2root.update(dict.fromkeys(c2.seq, root))
+                cut.append(c2)
+    old_succ = successor_map(cut)
 
-    for c in _circuits_through(out, rewired):
+    for c in _circuits_through(out, tok2root.keys() - dead_tokens):
         roots = {tok2root.get(tok) for tok in c.seq}
         if len(roots) != 1 or None in roots:
             raise InternalInconsistency(f"{context}: rewritten circuit spans "
@@ -394,14 +388,13 @@ def _rebuild_regions(work: TransverseMap, out: TransverseMap,
 
     # new isolated circles created by the rewrite
     new_iso_entries = {}
-    for cid, strand in circle_info:
+    for cid, strand, partner in circle_info:
         for side in (0, 1):
             tok = (strand, side)
             root = tok2root[tok]
-            # direction +1: the aligned stored walk leaves the vertex
-            away = work.band_step(tok)
-            nxt = old_succ.get(tok)
-            direction = 1 if nxt == away else -1
+            # direction +1: the aligned stored walk leaves the vertex; the
+            # strand's band is plain (a twisted one closes no circle)
+            direction = 1 if old_succ.get(tok) == (partner, 1 - side) else -1
             new_iso_entries.setdefault(root, []).append(
                 IsoSide(cid, side, direction))
 
@@ -419,9 +412,12 @@ def _rebuild_regions(work: TransverseMap, out: TransverseMap,
                          + new_iso_entries.get(root, []))
         kind = _kind_from(chi, len(circuits), orientable[root], context)
         rebuilt[root] = Region(base.label, kind, circuits)
-    out.regions = [rebuilt[ri] if ri in rebuilt else _in_key_order(region, key_of)
+    glued = groups.node
+    out.regions = [rebuilt[ri] if ri in rebuilt
+                   else region if len(region.circuits) < 2
+                   else _in_key_order(region, key_of)
                    for ri, region in enumerate(regions)
-                   if ri in rebuilt or ri not in groups.node]
+                   if ri in rebuilt or ri not in glued]
 
 
 def _in_key_order(region: Region, key_of: dict) -> Region:
@@ -638,7 +634,7 @@ def boundary_surgery(tm: TransverseMap, region_index: int,
     strands = {(d, x) for dart in (dart1, dart2) if dart in tm.pairing
                for d in (dart, tm.pairing[dart]) for x in (0, 1)}
     tok2reg, succ = _stored_through(tm.regions, _regions_through(
-        tm, strands, "boundary_surgery"))
+        tm, strands, "boundary_surgery"), strands)
     before = tm
     work = tm.copy()
     A = work.regions[region_index]

@@ -9,6 +9,7 @@ targets need no embedding computation.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -128,8 +129,11 @@ def classify_surface(chi: int, orientable: bool) -> SurfaceKind:
     return SurfaceKind(False, crosscaps=2 - chi)
 
 
+@functools.lru_cache(maxsize=1024)
 def classify_with_boundary(chi: int, boundary: int, orientable: bool) -> SurfaceKind:
-    """Compact-surface classification; raises InvalidChi on impossible data."""
+    """Compact-surface classification; raises InvalidChi on impossible data.
+    Kinds are frozen, so one object serves every caller that asks for it
+    (the moves ask for a region's kind on every rebuild)."""
     if boundary < 0:
         raise InvalidChi("negative boundary count")
     if orientable:

@@ -57,9 +57,10 @@ keeps the spanning forest of its unions as the certificate that tells
 when a deleted tie may split a class.  A class that a deletion splits
 has its pieces walked from the cut, and the pieces made of circles and
 of regions bounded by circles alone (nested circles cut off by a join,
-say) get nodes of their own and are united again; only where a piece
-that is not the class's one remainder reaches the graph is the domain
-solved again.  A derivation only ever answers that nothing is wrong: where it
+say) get nodes of their own and are united again; walks that meet the
+same graph component are one piece, joined again by the ties of their
+paths, and only where walks meet two components, or one only through a
+tie that contradicted the others, is the domain solved again.  A derivation only ever answers that nothing is wrong: where it
 would find a problem, and for a map without a tiling, validate_map
 checks from scratch, with the same problem texts in the same order.
 Every passed check leaves a tiling, and a move reads the regions it
@@ -468,7 +469,8 @@ class RibbonFacts:
         names a dart of its own walk), so a move that splits a component or
         twists one carries as much as any other.  A new target, or tables
         that break an axiom of table_problem (now or in the parent), give
-        fresh facts."""
+        fresh facts; the axioms are read at the changed darts only
+        (_tables_hold)."""
         if tm.target is not parent.target:
             return cls(tm)
         old_pairing, new_pairing = parent.pairing, tm.pairing
@@ -486,13 +488,9 @@ class RibbonFacts:
                 for k, _sign in changed:
                     touched.update((k, old_pairing.get(k), new_pairing.get(k)))
             elif name == "pairing":
-                for d, other in changed:
-                    touched.add(d)
-                    touched.add(other)
+                touched.update(itertools.chain.from_iterable(changed))
             elif name == "rotation":
-                for d, other in changed:
-                    moved.add(d)
-                    moved.add(other)
+                moved.update(itertools.chain.from_iterable(changed))
             else:
                 moved.update(d for d, _label in changed)
         touched |= moved
@@ -501,26 +499,42 @@ class RibbonFacts:
         touched.discard(None)
         moved.discard(None)
         out = cls(tm)
-        if parent.table_problem is None and out._tables_hold(touched):
+        if parent.table_problem is None and out._tables_hold(touched, parent):
             out._carry(parent, touched, moved, tm._tiling)
         return out
 
-    def _tables_hold(self, touched: set) -> bool:
+    def _tables_hold(self, touched: set, parent: "RibbonFacts") -> bool:
         """Whether the tables pass table_problem's axioms, given that they
-        pass them at every dart outside `touched`; if so that is the
-        verdict."""
+        differ from parent's, which pass them, only at the darts in
+        `touched` (keys and values alike); if so that is the verdict.
+
+        So only those darts are read: the four dart sets agree at each; a
+        rotation value there is a dart, and the value of no other dart
+        (the dart that had it in parent, parent.rot_inv, must be touched);
+        the darts gone are the value of no dart (those that had them are
+        touched); and the pairing and signs hold at each."""
         pairing, rotation, sign = self.pairing, self.rotation, self.edge_sign
-        if not (pairing.keys() == rotation.keys() == self.dart_label.keys()
-                == self.vertex_label.keys()):
-            return False
-        if rotation.keys() != set(rotation.values()):
-            return False
+        labels, vertices = self.dart_label, self.vertex_label
+        had = parent.rot_inv
+        values = []
         for d in touched:
             if d not in pairing:
+                if d in rotation or d in labels or d in vertices:
+                    return False
+                if had.get(d, d) not in touched:
+                    return False
                 continue
+            if d not in rotation or d not in labels or d not in vertices:
+                return False
+            v = rotation[d]
+            if v not in pairing or had.get(v, d) not in touched:
+                return False
+            values.append(v)
             p = pairing[d]
             if p == d or pairing.get(p) != d or sign.get(min(d, p)) not in (1, -1):
                 return False
+        if len(set(values)) != len(values):
+            return False
         self.table_problem = None
         return True
 
@@ -528,17 +542,24 @@ class RibbonFacts:
         """Fill in what parent's facts give away from the touched darts;
         vertices are recomputed only where a dart moved (derive).  The
         RegionChecks carried are those of the regions of `tiling`, the
-        tiling the map inherited, when it was made with parent's facts."""
+        tiling the map inherited, when it was made with parent's facts,
+        less the owners of the circuits traced again.  No step walks the
+        whole map: the parent's dicts are copied and edited at the touched
+        darts, and its sorted lists edited by bisection."""
         pairing, rotation = self.pairing, self.rotation
         old_pairing = parent.pairing
         live = [d for d in touched if d in pairing]
         self.target_edges = parent.target_edges
 
-        keys = set(parent.edge_keys)
-        keys.difference_update(min(d, old_pairing[d]) for d in touched
-                               if d in old_pairing)
-        keys.update(min(d, pairing[d]) for d in live)
-        self.edge_keys = sorted(keys)
+        gone = {d if d < p else p for d in touched if d in old_pairing
+                for p in (old_pairing[d],)}
+        made = {d if d < p else p for d in live for p in (pairing[d],)}
+        keys = list(parent.edge_keys)
+        for k in gone - made:
+            del keys[bisect.bisect_left(keys, k)]
+        for k in made - gone:
+            bisect.insort(keys, k)
+        self.edge_keys = keys
 
         rot_inv = dict(parent.rot_inv)
         old_rotation = parent.rotation
@@ -559,18 +580,21 @@ class RibbonFacts:
         vertex_problems = dict(parent.vertex_problems)
         edge_problems = dict(parent.edge_problems)
         counts = dict(parent.preimage_counts)
-        for d in touched:
-            if d in old_pairing:
-                edge_problems.pop(min(d, old_pairing[d]), None)
+        reps = list(parent.vertex_reps)
         for rep in old_vertices:
             del local[rep]
+            del reps[bisect.bisect_left(reps, rep)]
             vertex_problems.pop(rep, None)
             P = parent.vertex_label[rep]
             if P in counts:
                 counts[P] -= 1
             for d in parent.vertex_darts(rep):
                 del vertex_of[d]
-                edge_problems.pop(min(d, old_pairing[d]), None)
+                if edge_problems:
+                    edge_problems.pop(min(d, old_pairing[d]), None)
+        if edge_problems:
+            for k in gone:
+                edge_problems.pop(k, None)
         new_vertices = []
         for d in moved:
             if d in pairing and d not in vertex_of:
@@ -578,15 +602,13 @@ class RibbonFacts:
                 rep = min(orbit)
                 vertex_of.update(dict.fromkeys(orbit, rep))
                 new_vertices.append(rep)
+                bisect.insort(reps, rep)
         self.vertex_of = vertex_of
-        reps = [r for r in parent.vertex_reps if r not in old_vertices]
-        for rep in new_vertices:
-            bisect.insort(reps, rep)
         self.vertex_reps = reps
         self.local_signs = local
         for rep in new_vertices:
             local[rep] = self._local_sign(rep)
-        recheck = {min(d, pairing[d]) for d in live}
+        recheck = set(made)
         for rep in new_vertices:
             problem = self._vertex_problem(rep)
             if problem is not None:
@@ -603,45 +625,50 @@ class RibbonFacts:
         self.edge_problems = edge_problems
         self.preimage_counts = counts
 
-        # circuits: the ones through touched tokens are traced again
+        # circuits: the ones through touched tokens are traced again from
+        # the live touched darts.  Every other token of theirs lies on a
+        # circuit traced again (one through no touched token would be the
+        # old circuit), or is gone with its dart, so only those tokens are
+        # taken out of the copied token map.
         old_key_of = parent.circuit_of_token
-        old_circuits = parent.circuit_by_key
         dead = {old_key_of[t] for d in touched for t in ((d, 0), (d, 1))
                 if t in old_key_of}
         key_of = dict(old_key_of)
-        by_key = dict(old_circuits)
+        by_key = dict(parent.circuit_by_key)
         for key in dead:
-            for tok in by_key.pop(key).seq:
-                del key_of[tok]
+            del by_key[key]
+        for d in touched:
+            if d not in pairing:
+                key_of.pop((d, 0), None)
+                key_of.pop((d, 1), None)
         born = []
+        traced = set()
         for d in live:
             for tok in ((d, 0), (d, 1)):
-                if tok not in key_of:
+                if tok not in traced:
                     c = self._trace_from(tok)
                     key = c.seq[0]
                     by_key[key] = c
                     key_of.update(dict.fromkeys(c.seq, key))
+                    traced.update(c.seq)
                     born.append(key)
         self.circuit_by_key = by_key
         self.circuit_of_token = key_of
         self.origin = (parent.serial, dead)
 
-        if "flanks" in parent.__dict__ and not (vertex_problems or edge_problems):
-            flanks = dict(parent.flanks)
-            for key in dead:
-                for d, _x in old_circuits[key].seq[::2]:
-                    flanks.pop(min(d, old_pairing[d]), None)
-            for k in {min(d, pairing[d]) for key in born
-                      for d, _x in by_key[key].seq[::2]}:
-                flanks[k] = self._flank(k)
-            self.flanks = flanks
-
-        # the RegionChecks of the tiling's regions on unchanged circuits
+        # the RegionChecks of the tiling's regions, less the owners of the
+        # circuits traced again
         if tiling is not None and tiling.facts is parent:
-            for region in tiling.regions:
-                checks = parent.checks_of(region)
-                if dead.isdisjoint(checks.walk_keys):
-                    self._regions[region] = checks
+            memo = parent._regions
+            if memo.keys() == tiling.regions:
+                regions = dict(memo)
+            else:
+                regions = {region: parent.checks_of(region)
+                           for region in tiling.regions}
+            stored = tiling.stored
+            for key in dead:
+                regions.pop(stored[key].region, None)
+            self._regions = regions
 
     # -- structure --------------------------------------------------------------
 
@@ -810,6 +837,7 @@ class RibbonFacts:
         return [by_key[key] for key in sorted(by_key)]
 
     def _flank(self, k: int) -> tuple:
+        """flanks' entry for edge key k."""
         key_of = self.circuit_of_token
         return (key_of[(k, 0)], key_of[(k, 1)],
                 self.target_edges[self.dart_label[k][0]][0])
@@ -1250,8 +1278,14 @@ class Tiling:
         Only the replaced regions and the circles they or the difference
         name are checked: each stored circuit key and circle side has one
         owner, every traced circuit and circle side has one, and the side
-        coherence of their edges and circles holds.  The regions kept
-        passed these checks with the same owners and circuits."""
+        coherence of their edges and circles holds where it may have
+        changed: for the circuits traced again, and for the circuits and
+        circle sides that are new or whose owner's label changed (the
+        coherence reads only the owners' labels).  The regions kept passed
+        these checks with the same owners and circuits.  The facts forget
+        the RegionChecks of the regions gone, so facts that a
+        normalization's joins and inserts share hold those of the current
+        regions only."""
         if facts is self.facts:
             retraced = ()
         elif facts.origin is not None and facts.origin[0] == self.facts.serial:
@@ -1264,6 +1298,9 @@ class Tiling:
             return None
         stored, owner = self.stored, self.owner
         gone = {region: self.facts.checks_of(region) for region in self.regions - now}
+        memo = facts._regions
+        for region in gone:
+            memo.pop(region, None)
         new = now - self.regions
         for key in retraced:
             checks = stored.get(key)
@@ -1292,8 +1329,23 @@ class Tiling:
                 owner[side] = checks
         if len(stored) != len(facts.circuit_by_key):
             return None
+        # the side coherence of an edge or a circle reads the labels of the
+        # owners of its two sides, so it is checked where one of them is
+        # new, retraced or owned under another label than before
+        was_stored, was_owner = self.stored, self.owner
+        relabelled = []       # the stored circuits to check
+        flanked = set()       # the circles to check
+        for checks in added:
+            label = checks.region.label
+            for key in checks.walk_keys:
+                prior = was_stored.get(key)
+                if prior is None or prior.region.label != label or key in retraced:
+                    relabelled.append(key)
+            for side in checks.iso_sides:
+                prior = was_owner.get(side)
+                if prior is None or prior.region.label != label:
+                    flanked.add(side[0])
         edges = facts.target_edges
-        flanked = {side[0] for checks in added for side in checks.iso_sides}
         for cid in changed:
             if cid not in isolated:
                 if (cid, 0) in owner or (cid, 1) in owner:
@@ -1305,13 +1357,12 @@ class Tiling:
         if len(owner) != 2 * len(isolated):
             return None
 
-        flanks, pairing, by_key = facts.flanks, facts.pairing, facts.circuit_by_key
-        for checks in added:
-            for key in checks.walk_keys:
-                for d, _x in by_key[key].seq[::2]:
-                    c0, c1, want = flanks[d if d < pairing[d] else pairing[d]]
-                    if {stored[c0].region.label, stored[c1].region.label} != want:
-                        return None
+        flank, pairing, by_key = facts._flank, facts.pairing, facts.circuit_by_key
+        for key in relabelled:
+            for d, _x in by_key[key].seq[::2]:
+                c0, c1, want = flank(d if d < pairing[d] else pairing[d])
+                if {stored[c0].region.label, stored[c1].region.label} != want:
+                    return None
         for cid in flanked:
             if ({owner[(cid, 0)].region.label, owner[(cid, 1)].region.label}
                     != edges[isolated[cid].edge][0]):
@@ -1484,7 +1535,8 @@ class DomainSolve:
     each region that has one, named by RegionChecks.name (`nodes`, None
     when two regions of a node share a name or one has none); per region
     node, what its union did with each of its ties (`ties`; a JOINED tie
-    is one of the solve's spanning forest); the number of ties that
+    is one of the solve's spanning forest, or a tie that joined a cut
+    piece again, _cut_off); the number of ties that
     contradicted the others (`broken`); and the number of classes made
     only of nodes whose region or circle is gone, or that were given new
     nodes when a deletion cut them off (`dead_classes`)."""
@@ -1534,9 +1586,13 @@ class DomainSolve:
         and no path between live nodes ran through it); a group with none
         was a whole class, now dead.  A group with more live nodes cuts
         its class into pieces, and the pieces that hold no graph
-        component get nodes of their own (_cut_off); where that is not
+        component get nodes of their own, while the walks that meet one
+        component are joined to it again (_cut_off); where that is not
         known to leave the class one piece, the answer is None.  The new
-        ties are then united in."""
+        ties are then united in.  A collapse or a surgery changes the
+        dart tables, so its solve is made from scratch (Tiling.derived
+        hands on no basis): at the size of the corpus maps a solve derived
+        across a collapse cost about twice a whole-domain one."""
         nodes = self.nodes
         if nodes is None:
             return None
@@ -1650,60 +1706,82 @@ class DomainSolve:
         From each, the piece of its class that the kept ties still reach
         is walked, through circle nodes and the regions that own their
         sides (`owner`) and keep a tie to them (_piece).  A walk that
-        meets a graph component stops there: its piece is the one that
-        keeps the class's old nodes, and a class may keep only one such
-        walk, since where two meet is not known (the kept forest ties
-        must span what keeps the old nodes).  Otherwise the answer is
-        None.  The other walks end with whole pieces, each of circles and
-        of regions bounded by circles alone: they are the pieces to give
-        new nodes and unite again.  Every live node of a class that a
-        deletion cut lies in a piece walked from its cut, so a class whose
-        walks all ended is left with dead nodes only.  Returns (pieces, as
-        lists of names; the number of such emptied classes)."""
-        kept_by = set()        # old class roots with a walk that stopped
+        meets a graph component stops there: its piece keeps the class's
+        old nodes, joined to that component by the kept ties of its path,
+        which become ties of the spanning forest (replacement edges, as in
+        decremental connectivity: Holm, de Lichtenberg & Thorup 2001), so
+        the forest spans what keeps the old nodes again.  The walks of a
+        class that stop must all meet the same component, and the ties of
+        their paths must have held: where two meet different components
+        (which may or may not be joined), or a path runs through a tie
+        that contradicted the others (whose relation a deletion may have
+        changed), the answer is None.  The other walks end with whole
+        pieces, each of circles and of regions bounded by circles alone:
+        they are the pieces to give new nodes and unite again.  Every live
+        node of a class that a deletion cut lies in a piece walked from
+        its cut, so a class whose walks all ended is left with dead nodes
+        only.  Returns (pieces, as lists of names; the number of such
+        emptied classes)."""
+        reached = {}           # old class root -> the component its walks met
         emptied = set()
         seen = set()
         pieces = []
         for x, name in cut:
             if name in seen:
                 continue
-            piece = _piece(name, ties, owner)
+            piece, stop = _piece(name, ties, owner)
             root = self._uf.find(x)[0]
-            if piece is None:
-                if root in kept_by:
-                    return None
-                kept_by.add(root)
-            else:
+            if stop is None:
                 pieces.append(piece)
                 seen.update(piece)
                 emptied.add(root)
-        return pieces, len(emptied - kept_by)
+                continue
+            component, path = stop
+            if reached.setdefault(root, component) != component:
+                return None
+            for region, tie in path:
+                kept = ties[region]
+                if kept[tie] == BROKEN:
+                    return None
+                kept[tie] = JOINED
+        return pieces, len(emptied - reached.keys())
 
 
-def _piece(name, ties: dict, owner: dict):
-    """The names of the nodes that the kept ties (`ties`) reach from node
-    `name`, in the order met, or None when they reach a graph component
-    (an int).  A circle ("c", id) reaches the region nodes that own its
-    sides and keep a tie to it; a region its ties' other nodes."""
+def _piece(name, ties: dict, owner: dict) -> tuple:
+    """(the names of the nodes that the kept ties (`ties`) reach from node
+    `name`, in the order met, None) when they reach no graph component
+    (an int); otherwise (None, (the first component met, the ties of the
+    path to it, as (region name, tie key))).  A circle ("c", id) reaches
+    the region nodes that own its sides and keep a tie to it; a region
+    its ties' other nodes."""
+    if name.__class__ is int:
+        return None, (name, [])
     piece = [name]
-    seen = {name}
+    via = {name: None}        # node -> (node it was met from, tie)
     for node in piece:
-        if node.__class__ is int:
-            return None
         if node[0] == "c":
             near = []
             for side in ((node[1], 0), (node[1], 1)):
                 other = owner[side].name
-                kept = ties.get(other)
-                if kept is not None and any(tie[0] == node for tie in kept):
-                    near.append(other)
+                tie = next((tie for tie in ties.get(other, ()) if tie[0] == node),
+                           None)
+                if tie is not None:
+                    near.append((other, (other, tie)))
         else:
-            near = [tie[0] for tie in ties[node]]
-        for other in near:
-            if other not in seen:
-                seen.add(other)
-                piece.append(other)
-    return piece
+            near = [(tie[0], (node, tie)) for tie in ties[node]]
+        for other, step in near:
+            if other in via:
+                continue
+            via[other] = (node, step)
+            if other.__class__ is int:
+                path = []
+                at = other
+                while via[at] is not None:
+                    at, step = via[at]
+                    path.append(step)
+                return None, (other, path)
+            piece.append(other)
+    return piece, None
 
 
 def _solve(facts: RibbonFacts, entries, isolated: dict) -> DomainSolve:

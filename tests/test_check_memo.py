@@ -653,6 +653,14 @@ def _relabel_region(tm):
     tm.regions[ri] = Region(1 - region.label, region.kind, region.circuits)
 
 
+def _relabel_circle_disk(tm):
+    """A disk bounded by one circle side alone gets the label of the other
+    triangle: only the side coherence of its circle can tell."""
+    ri, region = next((ri, r) for ri, r in enumerate(tm.regions)
+                      if len(r.circuits) == 1 and isinstance(r.circuits[0], IsoSide))
+    tm.regions[ri] = Region(1 - region.label, region.kind, region.circuits)
+
+
 def _scrambled_slice():
     return _slice_map(*SLICE[0])
 
@@ -665,6 +673,9 @@ INHERITED_EDITS = {
     "region_relabeled": (lambda: scrambled(identity_map(two_triangle_sphere()), 4,
                                            seed=1),
                          _relabel_region),
+    "circle_disk_relabeled": (lambda: scrambled(identity_map(two_triangle_sphere()),
+                                                4, seed=1),
+                              _relabel_circle_disk),
 }
 
 
@@ -1038,3 +1049,218 @@ def test_a_region_without_circuits_listed_twice_keeps_a_tiling():
     assert validate_map(once).ok and once.tiling() is not None
     assert_matches_oracle(once)
     assert domain_solve(once).components == 2
+
+
+def test_joins_whose_cut_pieces_meet_one_component_derive_their_solve(monkeypatch):
+    """A join that deletes the forest ties between a circle and the graph
+    leaves walks from both sides of the cut that meet the same graph
+    component: they are one piece, joined again by the kept ties of their
+    paths, so no join of the klein_8 d = 6 normalization solves the whole
+    domain (three did, counted as pieces that reached a component), and
+    each matches the oracle."""
+    counts = Counter()
+    joining = []
+    solve, join = transverse._solve, moves.join_isolated_circle
+
+    def counted_solve(*args):
+        counts["whole in a join" if joining else "whole"] += 1
+        return solve(*args)
+
+    def counted_join(*args):
+        joining.append(True)
+        try:
+            return join(*args)
+        finally:
+            joining.pop()
+
+    tm = _klein_scramble()
+    monkeypatch.setattr(transverse, "_solve", counted_solve)
+    monkeypatch.setattr(moves, "join_isolated_circle", counted_join)
+
+    def observer(before, after, move):
+        counts[move] += 1
+        if move == "join_isolated_circle":
+            assert_matches_oracle(after)
+
+    normalize(tm, observer=observer)
+    assert counts["join_isolated_circle"] >= 40
+    assert counts["whole in a join"] == 0
+
+
+def test_a_normalization_that_keeps_the_tables_keeps_the_checks_of_its_regions_only():
+    """Inserts and joins keep the dart tables, so a scramble and its
+    normalization share one facts object; it forgets the RegionChecks of
+    the regions each move replaces, and holds those of the current
+    regions only (it held 153 for the 90 regions of this scramble, and
+    281 for the 26 of its normal form)."""
+    tm = scrambled(identity_map(builtin_triangulation("genus2")), 64, seed=0)
+    facts = tm.ribbon_facts()
+    assert len(tm.regions) == 90
+    assert set(facts._regions) == set(tm.regions)
+    normal, _trace = normalize(tm)
+    assert normal.ribbon_facts() is facts and len(normal.regions) == 26
+    assert set(facts._regions) == set(normal.regions)
+    assert_matches_oracle(normal)
+
+
+def _table_edits(tm, rng):
+    """In-place edits of a map's dart tables, some keeping the table
+    axioms and some breaking them, each as (name, edit)."""
+    darts = sorted(tm.pairing)
+    a, b = rng.sample(darts, 2)
+    fresh = max(darts) + 1
+
+    def swap_rotation(m):
+        m.rotation[a], m.rotation[b] = m.rotation[b], m.rotation[a]
+
+    def repeat_rotation(m):
+        m.rotation[a] = m.rotation[b]
+
+    def drop_rotation(m):
+        del m.rotation[a]
+
+    def drop_dart(m):
+        for table in (m.pairing, m.rotation, m.vertex_label, m.dart_label):
+            del table[a]
+
+    def drop_label(m):
+        del m.dart_label[a]
+
+    def drop_edge_keep_rotation(m):
+        p = m.pairing[a]
+        del m.edge_sign[min(a, p)]
+        for d in (a, p):
+            for table in (m.pairing, m.rotation, m.vertex_label, m.dart_label):
+                del table[d]
+
+    def repeat_rotation_at_touched_darts(m):
+        k = min(a, m.pairing[a])
+        m.edge_sign[k] = -m.edge_sign[k]
+        m.rotation[b] = m.rotation[a]
+
+    def drop_edge(m):
+        p = m.pairing[a]
+        del m.edge_sign[min(a, p)]
+        for d in (a, p):
+            succ = m.rotation[d]
+            pred = next(x for x in m.rotation if m.rotation[x] == d)
+            m.rotation[pred] = succ if pred != d else pred
+            for table in (m.pairing, m.rotation, m.vertex_label, m.dart_label):
+                del table[d]
+
+    def rotate_to_nowhere(m):
+        m.rotation[a] = fresh
+
+    def add_dart(m):
+        m.pairing[fresh] = fresh
+        m.rotation[fresh] = fresh
+        m.vertex_label[fresh] = m.vertex_label[a]
+        m.dart_label[fresh] = m.dart_label[a]
+
+    def swap_partners(m):
+        p, q = m.pairing[a], m.pairing[b]
+        if len({a, b, p, q}) < 4:
+            return
+        for k in (min(a, p), min(b, q)):
+            del m.edge_sign[k]
+        m.pairing[a], m.pairing[p], m.pairing[b], m.pairing[q] = b, q, a, p
+        m.edge_sign[min(a, b)] = m.edge_sign[min(p, q)] = 1
+
+    def unpair(m):
+        m.pairing[a] = a
+
+    def drop_sign(m):
+        del m.edge_sign[min(a, m.pairing[a])]
+
+    return [("swap_rotation", swap_rotation), ("repeat_rotation", repeat_rotation),
+            ("drop_rotation", drop_rotation), ("drop_dart", drop_dart),
+            ("drop_label", drop_label),
+            ("drop_edge_keep_rotation", drop_edge_keep_rotation),
+            ("repeat_rotation_at_touched_darts", repeat_rotation_at_touched_darts),
+            ("drop_edge", drop_edge), ("rotate_to_nowhere", rotate_to_nowhere),
+            ("add_dart", add_dart), ("swap_partners", swap_partners),
+            ("unpair", unpair), ("drop_sign", drop_sign)]
+
+
+def test_derived_table_axioms_read_at_the_changed_darts_agree_with_the_oracle(
+        monkeypatch):
+    """Derived facts check the table axioms only at the darts where the
+    tables differ from their parent's (RibbonFacts._tables_hold); after
+    in-place edits that keep or break them, table_problem is None exactly
+    when it is for fresh facts, and a map whose tables hold matches the
+    oracle.  The verdict is read with the carry left out, so tables it
+    passed wrongly cannot send the carry round an orbit that never
+    closes."""
+    rng = random.Random(5)
+    seen = Counter()
+    carry = transverse.RibbonFacts._carry
+    for spec in SLICE[:4]:
+        tm = _slice_map(*spec)
+        assert validate_map(tm).ok
+        parent = tm.ribbon_facts()
+        for _round in range(6):
+            for name, edit in _table_edits(tm, rng):
+                work = tm.copy()
+                edit(work)
+                monkeypatch.setattr(transverse.RibbonFacts, "_carry",
+                                    lambda *args: None)
+                derived = transverse.RibbonFacts.derive(parent, work)
+                monkeypatch.setattr(transverse.RibbonFacts, "_carry", carry)
+                holds = transverse.RibbonFacts(work).table_problem is None
+                assert (derived.table_problem is None) == holds, name
+                seen[name, holds] += 1
+                if holds:
+                    assert validate_map(work).problems == validate_map(
+                        TransverseMap.from_json(work.to_json())).problems, name
+    broken = {name for (name, holds) in seen if not holds}
+    assert {"repeat_rotation", "drop_rotation", "drop_dart", "rotate_to_nowhere",
+            "add_dart", "unpair", "drop_sign", "drop_label", "drop_edge_keep_rotation",
+            "repeat_rotation_at_touched_darts"} <= broken
+    assert seen["swap_rotation", True] and seen["swap_partners", True] \
+        and seen["drop_edge", True]
+
+
+class _Named:
+    """A stand-in for the RegionChecks an owner map holds: its node name."""
+
+    def __init__(self, name):
+        self.name = name
+
+
+def _one_class(n: int) -> transverse.DomainSolve:
+    """A solve whose union-find holds nodes 0..n-1 in one class, for
+    DomainSolve._cut_off on hand-made ties."""
+    solve = transverse.DomainSolve.__new__(transverse.DomainSolve)
+    solve._uf = unionfind.ParityUF(n)
+    for x in range(1, n):
+        solve._uf.union(0, x, 0)
+    return solve
+
+
+def test_cut_walks_that_meet_one_component_join_again_through_ties_that_held():
+    """Graph component 0, region nodes A (node 1) and B (node 3) and
+    circle c5 (node 2) between them: A keeps only its tie to c5, B its
+    ties to c5 and to component 0.  The walks from A and from component 0
+    meet component 0, so nothing is cut off, and A's tie, a kept tie of
+    the path, becomes a forest tie.  Where that tie contradicted the
+    others, or where the walks meet two components, the answer is None."""
+    A, B, circle = ("r", (1, 0)), ("r", (3, 0)), ("c", 5)
+    owner = {(5, 0): _Named(A), (5, 1): _Named(B)}
+
+    def ties(status_a):
+        return {A: {(circle, 0): status_a},
+                B: {(circle, 1): unionfind.JOINED, (0, 0): unionfind.JOINED}}
+
+    kept = ties(unionfind.HELD)
+    assert _one_class(4)._cut_off([(1, A), (0, 0)], kept, owner) == ([], 0)
+    assert kept[A][(circle, 0)] == unionfind.JOINED
+    assert kept[B] == ties(unionfind.HELD)[B]
+    assert _one_class(4)._cut_off([(1, A), (0, 0)], ties(unionfind.BROKEN),
+                                  owner) is None
+    other = ties(unionfind.HELD)
+    other[A] = {(4, 1): unionfind.JOINED}
+    assert _one_class(5)._cut_off([(1, A), (3, B)], other, owner) is None
+    # a walk that meets no component is a piece of its own
+    alone = {A: {(circle, 0): unionfind.JOINED}, B: {(circle, 1): unionfind.HELD}}
+    assert _one_class(4)._cut_off([(1, A), (0, 0)], alone, owner) == (
+        [[A, circle, B]], 0)

@@ -26,6 +26,7 @@ def test_counts_of_the_first_corpus_maps():
         transverse.identity_map(builtin_triangulation(name))
     originals = (moves.join_isolated_circle, moves.checked_tiling, transverse._solve,
                  transverse.DomainSolve.derived, transverse.RegionChecks.__init__)
+    charts = transverse.RibbonFacts.__dict__["vertex_charts"]
     rows = tool.count("corpus", limit=4)
     assert (moves.join_isolated_circle, moves.checked_tiling, transverse._solve,
             transverse.DomainSolve.derived,
@@ -35,8 +36,12 @@ def test_counts_of_the_first_corpus_maps():
     assert joins["moves"] == joins["derived"] > 0 and joins["pieces"] > 0
     for name in ("collapse_edge", "boundary_surgery"):
         assert rows[name]["collapse or surgery"] == rows[name]["moves"] > 0
+        # a whole-domain solve under new dart tables searches the graph
+        assert rows[name]["charts"] == rows[name]["moves"]
+    # moves that keep the dart tables keep the facts and their charts
+    assert joins["charts"] == rows["insert_trivial_circle"]["charts"] == 0
     # map_from_cover solves each map once, from scratch
-    assert rows["(none)"]["no prior solve"] == 4
+    assert rows["(none)"]["no prior solve"] == rows["(none)"]["charts"] == 4
     # every map a move, the join finder or normalize is given carries
     # the tiling of its last check
     assert all(row["entry checks"] == 0 for row in rows.values())
@@ -45,7 +50,9 @@ def test_counts_of_the_first_corpus_maps():
     assert 0 < inserts["checks"] <= 3 * inserts["moves"]
     lines = tool.table(rows).splitlines()
     assert lines[0].split()[:5] == ["move", "moves", "checks", "derived", "pieces"]
+    assert lines[0].split()[-1] == "charts"
     assert len(lines) == 1 + len(rows)
+    assert transverse.RibbonFacts.__dict__["vertex_charts"] is charts
 
 
 def test_entry_checks_count_the_maps_checked_for_their_tiling():

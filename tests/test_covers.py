@@ -361,3 +361,19 @@ def test_cover_solve_matches_the_search_and_the_assembly():
                     n += 1
                     disconnected += max(comp.values()) > 0
     assert n >= 200 and disconnected >= 50, (n, disconnected)
+
+
+def test_cover_solve_is_memoized_per_cover_state_and_each_call_gets_its_own():
+    """cover_solve keeps its answer under the cover's snapshot: a cover
+    changed in place is solved again, and each call gets a copy that the
+    caller may change without changing the next call's answer."""
+    tri = builtin_triangulation("sphere_tetra")
+    cover = MonodromyCover(tri, 2, {e: (1, 2) for e in range(6)}, {})
+    first = covers.cover_solve(cover)
+    assert first.sets == 2 and not cover_connected(cover)
+    first.sets = 1
+    assert covers.cover_solve(cover).sets == 2
+    assert covers.cover_solve(cover) is not covers.cover_solve(cover)
+    cover.edge_perm[0] = (2, 1)
+    assert cover_connected(cover)
+    assert cover_components(cover) == {(t, s): 0 for t in range(4) for s in (1, 2)}

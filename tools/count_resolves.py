@@ -6,9 +6,9 @@ perfbench catalog, per move.
 Runs every operation of the catalog once, in catalog order (for `bounds`,
 after writing its maps to a temporary directory, which is not counted),
 with counting wrappers installed at run time on surfmap's moves, on
-RegionChecks.__init__, on moves.checked_tiling and on the domain-solve
-functions, as perfbench/tracer.py installs its spans; nothing under src/
-has hooks.
+RegionChecks.__init__, on moves.checked_tiling, on the domain-solve
+functions and on RibbonFacts.vertex_charts, as perfbench/tracer.py
+installs its spans; nothing under src/ has hooks.
 Prints one row per move kind, what is done outside any move under
 "(none)":
 
@@ -21,7 +21,9 @@ Prints one row per move kind, what is done outside any move under
 * the whole-domain solves (transverse._solve) by reason:
   - no prior solve: the tiling's predecessor had made no solve, or the
     tiling was built from scratch;
-  - piece reached a component: a cut-off piece met a graph component;
+  - piece reached a component: walks from a cut met two graph
+    components, or one only through a tie that contradicted the others
+    (DomainSolve._cut_off);
   - collapse or surgery: the move rewired darts, so the facts differ;
   - other: a derivation that gave up for another reason (a region node
     without a name, say);
@@ -29,11 +31,15 @@ Prints one row per move kind, what is done outside any move under
 * entry checks: the checks moves.checked_tiling ran because the map it
   was given, a move's input or the join finder's or normalize's (these
   two count under "(none)"), had no current tiling.  Every map a pass
-  hands them carries the tiling of its last check, so it reads 0.
+  hands them carries the tiling of its last check, so it reads 0;
+* charts: the searches of the whole graph for its components and chart
+  flips (RibbonFacts.vertex_charts), which every whole-domain solve
+  under new dart tables makes.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 import tempfile
@@ -51,7 +57,8 @@ MOVES = ("collapse_edge", "join_isolated_circle", "boundary_surgery",
          "relocate_crosscap", "insert_trivial_circle")
 REASONS = ("no prior solve", "piece reached a component", "collapse or surgery",
            "other", "no tiling")
-COLUMNS = ("moves", "checks", "derived", "pieces") + REASONS + ("entry checks",)
+COLUMNS = (("moves", "checks", "derived", "pieces") + REASONS
+           + ("entry checks", "charts"))
 
 
 class Counts:
@@ -142,6 +149,15 @@ class Counts:
             counts.rows[counts.move[-1]][why] += 1
             return whole(*args)
 
+        charts = transverse.RibbonFacts.__dict__["vertex_charts"].func
+
+        def searched(facts):
+            counts.rows[counts.move[-1]]["charts"] += 1
+            return charts(facts)
+
+        searched = functools.cached_property(searched)
+        searched.__set_name__(transverse.RibbonFacts, "vertex_charts")
+        self._set(transverse.RibbonFacts, "vertex_charts", searched)
         self._set(transverse.Tiling, "domain_solve", domain_solve)
         self._set(transverse.DomainSolve, "derived", derived_solve)
         self._set(transverse.DomainSolve, "_cut_off", cut)
