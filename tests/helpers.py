@@ -2,11 +2,12 @@
 
 import random
 
-from surfmap.covers import assemble_total_space, random_cover
-from surfmap.errors import Disconnected, Stuck
+from surfmap.covers import assemble_total_space, perm_id, random_cover
+from surfmap.errors import Disconnected, InvalidChi, InvalidSurface, Stuck
 from surfmap.moves import is_normal
 from surfmap.surfaces import (SurfaceKind, Triangulation, builtin_triangulation,
-                              classify_with_boundary, derive_rotations)
+                              classify_surface, classify_with_boundary,
+                              derive_rotations)
 from surfmap.transverse import (IsoSide, Region, RegionChecks, RibbonCircuit,
                                 RibbonFacts, TransverseMap, chi_domain,
                                 classify_circuit, corners, domain_orientable,
@@ -273,3 +274,165 @@ def assert_facts_match_fresh(tm: TransverseMap):
             assert getattr(checks, name) == getattr(again, name), name
         assert [set(t) for t in checks.ties] == [set(t) for t in again.ties]
         assert checks.classes(live) == again.classes(fresh)
+
+
+# --------------------------------------------------------------------------
+# References for the cover oracle's checks: Triangulation.validate,
+# derive_rotations and MonodromyCover._problems as they read before
+# they were rewritten as flat passes, kept verbatim (a method's `self`
+# is the triangulation or cover passed in).  tests/test_oracle_reference.py
+# requires the package's versions to give the same problems, rotations and
+# exceptions.  They call only package methods those rewrites left as they
+# were (directed_ends, half_edges_at, corners_at, is_connected,
+# orientability, fan_product).
+
+
+def reference_validate(self) -> list:
+    """Every violated invariant, as strings; empty means valid."""
+    problems = []
+    vset = set(self.vertices)
+    if len(vset) != len(self.vertices):
+        problems.append("duplicate vertex ids")
+    for e, (a, b) in enumerate(self.edges):
+        if a == b:
+            problems.append(f"loop edge {e} at vertex {a}")
+        if a not in vset or b not in vset:
+            problems.append(f"edge {e} references unknown vertex")
+    if problems:
+        return problems
+
+    for t, walk in enumerate(self.triangles):
+        if len(walk) != 3:
+            problems.append(f"triangle {t} does not have 3 sides")
+            continue
+        for i in range(3):
+            head = self.directed_ends(walk[i])[1]
+            tail = self.directed_ends(walk[(i + 1) % 3])[0]
+            if head != tail:
+                problems.append(f"triangle {t} boundary walk does not close")
+                break
+        if len({d[0] for d in walk}) != 3:
+            problems.append(f"triangle {t} repeats an edge")
+
+    side_count = [0] * len(self.edges)
+    for walk in self.triangles:
+        for (e, _s) in walk:
+            if 0 <= e < len(self.edges):
+                side_count[e] += 1
+    for e, n in enumerate(side_count):
+        if n != 2:
+            problems.append(f"edge {e} lies on {n} triangle sides, expected 2")
+    if problems:
+        return problems
+
+    # rotations realize the corner structure at every vertex
+    for v in self.vertices:
+        rot = self.rotations.get(v)
+        incident = sorted({e for e, _end in self.half_edges_at(v)})
+        if rot is None:
+            problems.append(f"missing rotation at vertex {v}")
+            continue
+        if sorted(rot) != incident:
+            problems.append(f"rotation at {v} is not a cyclic order of its edge ends")
+            continue
+        fan = sorted((a, b) if a < b else (b, a)
+                     for (_t, a, b) in self.corners_at(v))
+        ring = sorted((a, b) if a < b else (b, a)
+                      for a, b in zip(rot, [*rot[1:], *rot[:1]]))
+        if fan != ring:
+            problems.append(f"rotation at {v} disagrees with the triangle fan")
+
+    if not self.is_connected():
+        problems.append("complex is not connected")
+    if problems:
+        return problems
+
+    try:
+        kind = classify_surface(self.euler, self.orientability())
+    except InvalidChi:
+        problems.append("V-E+F matches no closed surface")
+        return problems
+    if kind.euler != self.euler:
+        problems.append("euler characteristic mismatch")
+    return problems
+
+
+def reference_derive_rotations(tri: Triangulation) -> Triangulation:
+    """Set tri.rotations from its triangle corner fans and return tri.
+
+    The corners at v form a 2-regular multigraph on the edge ends at v;
+    a valid closed surface makes it a single cycle, which becomes the
+    rotation (direction chosen arbitrarily).  The corners and half-edges
+    are tri's own caches, so a later tri.validate() reuses them.
+    """
+    rotations = {}
+    for v in tri.vertices:
+        corners = tri.corners_at(v)
+        if not corners:
+            raise InvalidSurface(f"vertex {v} has no incident triangle corners")
+        slots = {e: [] for e, _end in tri.half_edges_at(v)}   # edge -> its corners
+        for i, (_t, x, y) in enumerate(corners):
+            slots[x].append(i)
+            slots[y].append(i)
+        if any(len(s) != 2 for s in slots.values()):
+            raise InvalidSurface(f"vertex link at {v} is not a cycle")
+        _t, first, cur = corners[0]
+        cycle = [first, cur]
+        used = [False] * len(corners)
+        used[0] = True
+        i = 0
+        while len(cycle) < len(slots):
+            a, b = slots[cur]
+            i = b if a == i else a      # the corner at cur not just left
+            if used[i]:
+                raise InvalidSurface(f"vertex link at {v} is not a single cycle")
+            used[i] = True
+            _t, x, y = corners[i]
+            cur = y if x == cur else x
+            cycle.append(cur)
+        # closing corner must exist and be the one unused
+        if used.count(False) != 1:
+            raise InvalidSurface(f"vertex link at {v} is not a single cycle")
+        _t, x, y = corners[used.index(False)]
+        if {x, y} != {cur, first} and len(slots) > 1:
+            raise InvalidSurface(f"vertex link at {v} does not close")
+        rotations[v] = cycle
+    tri.rotations = rotations
+    return tri
+
+
+def reference_cover_problems(self) -> list:
+    problems = []
+    if self.d < 1:
+        return ["sheet count must be positive"]
+    for e in self.edge_perm:
+        if e not in range(len(self.base.edges)):
+            problems.append(f"edge_perm names edge {e}, which the base lacks")
+    for e in range(len(self.base.edges)):
+        p = self.edge_perm.get(e)
+        # the length test comes first: nothing of size d is built before
+        # a permutation shows that d is no larger than the document
+        if p is not None and len(p) != self.d:
+            problems.append(f"edge {e} has no valid sheet permutation "
+                            f"({len(p)} entries, d = {self.d})")
+        elif p is None or sorted(p) != list(range(1, self.d + 1)):
+            problems.append(f"edge {e} has no valid sheet permutation")
+    for t, cycles in self.branch.items():
+        if t not in range(len(self.base.triangles)):
+            problems.append(f"branch cycles on triangle {t}, which the base lacks")
+        seen = set()
+        for cyc in cycles:
+            if len(cyc) < 2:
+                problems.append(f"branch cycle of length < 2 in triangle {t}")
+            if any(s < 1 or s > self.d for s in cyc) or len(set(cyc)) != len(cyc):
+                problems.append(f"bad branch cycle {cyc} in triangle {t}")
+            if seen & set(cyc):
+                problems.append(f"overlapping branch cycles in triangle {t}")
+            seen |= set(cyc)
+    if problems:
+        return problems
+    ident = perm_id(self.d)
+    for v in self.base.vertices:
+        if self.fan_product(v) != ident:
+            problems.append(f"vertex fan at {v} does not close")
+    return problems

@@ -377,3 +377,28 @@ def test_cover_solve_is_memoized_per_cover_state_and_each_call_gets_its_own():
     cover.edge_perm[0] = (2, 1)
     assert cover_connected(cover)
     assert cover_components(cover) == {(t, s): 0 for t in range(4) for s in (1, 2)}
+
+
+def _tetra_cover_edited(edit):
+    """sphere_tetra's d = 2 cover with branch points on triangles 1 and 3,
+    its data edited by `edit`."""
+    c = random_cover(builtin_triangulation("sphere_tetra"), 2, [2, 2], seed=0)
+    assert c.branch == {3: [(2, 1)], 1: [(1, 2)]}
+    edit(c)
+    return c
+
+
+@pytest.mark.parametrize("edit, problems", [
+    (lambda c: c.edge_perm.__setitem__(99, (1, 2)),
+     ["edge_perm names edge 99, which the base lacks"]),
+    (lambda c: c.edge_perm.__setitem__(-1, (1, 2)),
+     ["edge_perm names edge -1, which the base lacks"]),
+    (lambda c: c.branch.__setitem__(0, [(1, 3)]), ["bad branch cycle (1, 3) in triangle 0"]),
+    (lambda c: c.branch.__setitem__(0, [(1, 1)]), ["bad branch cycle (1, 1) in triangle 0"]),
+    (lambda c: c.branch.__setitem__(0, [(0, 1)]), ["bad branch cycle (0, 1) in triangle 0"]),
+    (lambda c: c.branch.clear(),
+     ["vertex fan at 0 does not close", "vertex fan at 1 does not close"]),
+    (lambda c: c.branch.pop(3), ["vertex fan at 1 does not close"]),
+])
+def test_cover_validate_reports_exactly(edit, problems):
+    assert _tetra_cover_edited(edit).validate() == problems

@@ -195,3 +195,84 @@ def test_derive_rotations_refuses_a_link_that_does_not_close():
          [(2, -1), (2, 1), (2, -1)]]
     with pytest.raises(InvalidSurface, match="^vertex link at 0 does not close$"):
         derive_rotations(Triangulation([0, 1, 2, 3], E, T))
+
+
+def _copy(tri):
+    """A copy of tri whose lists may be edited without touching tri."""
+    return Triangulation(list(tri.vertices), list(tri.edges),
+                         [list(w) for w in tri.triangles],
+                         {v: list(r) for v, r in tri.rotations.items()})
+
+
+def _disjoint_union(tri, other):
+    n, m = len(tri.vertices), len(tri.edges)
+    return Triangulation(
+        tri.vertices + [v + n for v in other.vertices],
+        tri.edges + [(a + n, b + n) for a, b in other.edges],
+        tri.triangles + [[(e + m, s) for e, s in w] for w in other.triangles],
+        {**tri.rotations,
+         **{v + n: [e + m for e in rot] for v, rot in other.rotations.items()}})
+
+
+def _tetra_edited(edit):
+    tri = _copy(builtin_triangulation("sphere_tetra"))
+    edit(tri)
+    return tri
+
+
+def _repeat_first_side(tri):
+    (e, s), _, third = tri.triangles[0]
+    tri.triangles[0] = [(e, s), (e, -s), third]
+
+
+@pytest.mark.parametrize("edit, problems", [
+    (lambda tri: tri.vertices.append(0), ["duplicate vertex ids"]),
+    (lambda tri: tri.edges.__setitem__(2, (0, 9)),
+     ["edge 2 references unknown vertex"]),
+    (lambda tri: tri.edges.__setitem__(0, (0, 0)), ["loop edge 0 at vertex 0"]),
+    (lambda tri: tri.triangles.__setitem__(1, tri.triangles[1][:2]),
+     ["triangle 1 does not have 3 sides", "edge 4 lies on 1 triangle sides, expected 2"]),
+    (lambda tri: tri.triangles[2].append((1, 1)),
+     ["triangle 2 does not have 3 sides", "edge 1 lies on 3 triangle sides, expected 2"]),
+    (_repeat_first_side,
+     ["triangle 0 boundary walk does not close", "triangle 0 repeats an edge",
+      "edge 0 lies on 3 triangle sides, expected 2",
+      "edge 1 lies on 1 triangle sides, expected 2"]),
+    (lambda tri: tri.triangles.append(list(tri.triangles[0])),
+     ["edge 0 lies on 3 triangle sides, expected 2",
+      "edge 1 lies on 3 triangle sides, expected 2",
+      "edge 2 lies on 3 triangle sides, expected 2"]),
+    (lambda tri: tri.triangles.pop(),
+     ["edge 1 lies on 1 triangle sides, expected 2",
+      "edge 3 lies on 1 triangle sides, expected 2",
+      "edge 5 lies on 1 triangle sides, expected 2"]),
+    (lambda tri: tri.triangles.__setitem__(3, [(e, -s) for e, s in tri.triangles[3]]),
+     ["triangle 3 boundary walk does not close"]),
+    (lambda tri: tri.rotations.__setitem__(0, tri.rotations[0][1:]),
+     ["rotation at 0 is not a cyclic order of its edge ends"]),
+    (lambda tri: tri.rotations[1].append(tri.rotations[1][0]),
+     ["rotation at 1 is not a cyclic order of its edge ends"]),
+    (lambda tri: tri.rotations.pop(2), ["missing rotation at vertex 2"]),
+])
+def test_validate_reports_exactly(edit, problems):
+    assert _tetra_edited(edit).validate() == problems
+
+
+def test_validate_reports_a_fan_the_rotation_disagrees_with_exactly():
+    tri = _copy(builtin_triangulation("torus_7"))
+    r = tri.rotations[0]
+    tri.rotations[0] = [r[1], r[0]] + r[2:]
+    assert tri.validate() == ["rotation at 0 disagrees with the triangle fan"]
+
+
+def test_validate_reports_a_disconnected_complex_exactly():
+    tet = builtin_triangulation("sphere_tetra")
+    assert _disjoint_union(tet, tet).validate() == ["complex is not connected"]
+    assert Triangulation([], [], [], {}).validate() == ["complex is not connected"]
+
+
+def test_validate_reports_a_characteristic_of_no_closed_surface_exactly():
+    """A lone vertex passes every local check; V-E+F = 1 is odd with no
+    triangle to make it nonorientable."""
+    assert Triangulation([0], [], [], {0: []}).validate() == [
+        "V-E+F matches no closed surface"]
