@@ -12,6 +12,7 @@ so branch points never sit on the skeleton.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import (Branched, InputError, InternalInconsistency, InvalidSurface,
@@ -157,38 +158,82 @@ class MonodromyCover:
         return list(self._verdict[1])
 
     def _problems(self) -> list:
+        """The cover's problems, found afresh: the data's shape, then every
+        vertex fan (fan_steps) walked with each edge permutation, seam
+        permutation and their inverses read once per call."""
         problems = []
-        if self.d < 1:
+        d = self.d
+        if d < 1:
             return ["sheet count must be positive"]
+        base = self.base
+        n_edges = len(base.edges)
         for e in self.edge_perm:
-            if e not in range(len(self.base.edges)):
+            if e not in range(n_edges):
                 problems.append(f"edge_perm names edge {e}, which the base lacks")
-        for e in range(len(self.base.edges)):
+        sheets = None       # 1..d
+        for e in range(n_edges):
             p = self.edge_perm.get(e)
             # the length test comes first: nothing of size d is built before
             # a permutation shows that d is no larger than the document
-            if p is not None and len(p) != self.d:
+            if p is not None and len(p) != d:
                 problems.append(f"edge {e} has no valid sheet permutation "
-                                f"({len(p)} entries, d = {self.d})")
-            elif p is None or sorted(p) != list(range(1, self.d + 1)):
+                                f"({len(p)} entries, d = {d})")
+                continue
+            if p is not None and sheets is None:
+                sheets = list(range(1, d + 1))
+            if p is None or sorted(p) != sheets:
                 problems.append(f"edge {e} has no valid sheet permutation")
         for t, cycles in self.branch.items():
-            if t not in range(len(self.base.triangles)):
+            if t not in range(len(base.triangles)):
                 problems.append(f"branch cycles on triangle {t}, which the base lacks")
             seen = set()
             for cyc in cycles:
                 if len(cyc) < 2:
                     problems.append(f"branch cycle of length < 2 in triangle {t}")
-                if any(s < 1 or s > self.d for s in cyc) or len(set(cyc)) != len(cyc):
+                if any(s < 1 or s > d for s in cyc) or len(set(cyc)) != len(cyc):
                     problems.append(f"bad branch cycle {cyc} in triangle {t}")
                 if seen & set(cyc):
                     problems.append(f"overlapping branch cycles in triangle {t}")
                 seen |= set(cyc)
         if problems:
             return problems
-        ident = perm_id(self.d)
-        for v in self.base.vertices:
-            if self.fan_product(v) != ident:
+
+        # sheet actions as tuples with a 0 in front, so that entry s is the
+        # image of sheet s: across each edge from its first side and back
+        forward, backward, first_side = {}, {}, {}
+        for e, p in self.edge_perm.items():
+            forward[e] = (0, *p)
+            backward[e] = (0, *perm_inv(p))
+            first_side[e] = self.side_triangles(e)[0]
+        seams = {}      # branched triangle -> seam vertex, sector, beta, inverse
+        for t, cycles in self.branch.items():
+            if cycles:
+                walk = base.triangles[t]
+                beta = perm_from_cycles(cycles, d)
+                seams[t] = (self.seam_vertex(t), (walk[2][0], walk[0][0]),
+                            (0, *beta), (0, *perm_inv(beta)))
+        ident = perm_id(d)
+        for v in base.vertices:
+            acc = ident
+            for step in self.fan_steps(v):
+                if step[0] == "edge":
+                    _kind, e, from_t = step
+                    p = forward[e] if from_t == first_side[e] else backward[e]
+                else:
+                    _kind, t, enter, leave = step
+                    seam = seams.get(t)
+                    if seam is None or seam[0] != v:
+                        continue            # the identity
+                    _v, sector, beta, beta_inv = seam
+                    if (enter, leave) == sector:
+                        p = beta
+                    elif (leave, enter) == sector:
+                        p = beta_inv
+                    else:
+                        raise InvalidSurface(
+                            f"seam sector of triangle {t} at {v} mismatches fan")
+                acc = tuple(map(p.__getitem__, acc))
+            if acc != ident:
                 problems.append(f"vertex fan at {v} does not close")
         return problems
 
@@ -342,103 +387,118 @@ def assemble_total_space(cover: MonodromyCover, *, with_labels: bool = False):
     merged disk.  Comparing V-E+F of the result against cover_chi is the
     caller's oracle; the two are computed by unrelated routes.  The
     rotations are derived from the result's own corner fans
-    (derive_rotations), so its validate() reuses those.
+    (derive_rotations).
+
+    The polygons' corners are numbered in one run, piece by piece
+    (disk_pieces), and kept in flat lists: per corner the copy of the
+    side leaving it, that side's sign and the base vertex under the
+    corner.  Edge copy (e, s) is number e*d + s - 1, s the sheet on e's
+    first side.
 
     Raises NotClosed when the data does not give d vertices over every
     base vertex.
     """
     cover.require_valid()
     base, d = cover.base, cover.d
+    base_edges = base.edges
 
-    # edge copy (e, s) is number e*d + s - 1, s the sheet on e's first side
-    first_side = [base.edge_sides(e)[0][0] for e in range(len(base.edges))]
-    inverse = {e: perm_inv(p) for e, p in cover.edge_perm.items()}
+    # per base triangle: the copies of its three sides on each sheet, and
+    # the sides' signs and tails
+    rows, side_signs, side_tails = [], [], []
+    for t, walk in enumerate(base.triangles):
+        columns = []
+        for e, sg in walk:
+            if base.edge_sides(e)[0][0] == t:
+                columns.append(range(e * d, e * d + d))
+            else:
+                columns.append([e * d + s - 1 for s in perm_inv(cover.edge_perm[e])])
+        rows.append(list(zip(*columns)))
+        side_signs.append([sg for _e, sg in walk])
+        side_tails.append([base_edges[e][0] if sg > 0 else base_edges[e][1]
+                           for e, sg in walk])
+
+    # polygon pi's corners run from offset[pi] to offset[pi + 1]
     pieces = disk_pieces(cover)
-    # polygon walks: per piece, a list of (edge copy, sign, base tail vertex)
-    polygons = []
-    for (t, loop) in pieces:
-        sides = [(e, sg, base.directed_ends((e, sg))[0],
-                  None if t == first_side[e] else inverse[e])
-                 for (e, sg) in base.triangles[t]]
-        polygons.append([(e * d + (s if inv is None else inv[s - 1]) - 1, sg, tail)
-                         for s in loop for (e, sg, tail, inv) in sides])
+    copies, signs, tails, offset = [], [], [], [0]
+    for t, loop in pieces:
+        row = rows[t]
+        for s in loop:
+            copies += row[s - 1]
+        signs += side_signs[t] * len(loop)
+        tails += side_tails[t] * len(loop)
+        offset.append(len(copies))
+    n_corners = len(copies)
+    head = list(range(1, n_corners + 1))     # corner -> the next one round its polygon
+    for start, end in zip(offset, offset[1:]):
+        head[end - 1] = start
 
-    # corner ci of polygon pi is number offset[pi] + ci; glue them into
-    # vertex lifts.  Each edge copy lists its (tail corner, head corner,
-    # sign) per occurrence, copies in order of first occurrence.
-    offset, n_corners = [], 0
-    occurrences = {}
-    for gon in polygons:
-        offset.append(n_corners)
-        n = len(gon)
-        for ci, (copy, sg, _tail) in enumerate(gon):
-            occurrences.setdefault(copy, []).append(
-                (n_corners + ci, n_corners + (ci + 1) % n, sg))
-        n_corners += n
+    # each edge copy's first and last corner, copies in order of the first
+    glued = Counter(copies)
+    counts = list(glued.values())
+    if counts.count(2) != len(counts):
+        copy = next(k for k, n in glued.items() if n != 2)
+        raise NotClosed(f"edge copy {(copy // d, copy % d + 1)} "
+                        f"glued {glued[copy]} times")
+    first = dict(zip(reversed(copies), range(n_corners - 1, -1, -1)))
+    last = dict(zip(copies, range(n_corners)))
+
+    # glue the corners into vertex lifts
     uf = ParityUF(n_corners)
     union = uf.union
-    for copy, occ in occurrences.items():
-        if len(occ) != 2:
-            raise NotClosed(f"edge copy {(copy // d, copy % d + 1)} "
-                            f"glued {len(occ)} times")
-        (tail1, head1, s1), (tail2, head2, s2) = occ
-        if s1 == s2:
-            union(tail1, tail2, 0)
-            union(head1, head2, 0)
+    for copy in glued:
+        c1, c2 = first[copy], last[copy]
+        if signs[c1] == signs[c2]:
+            union(c1, c2, 0)
+            union(head[c1], head[c2], 0)
         else:
-            union(tail1, head2, 0)
-            union(head1, tail2, 0)
+            union(c1, head[c2], 0)
+            union(head[c1], c2, 0)
 
     # lifts numbered in order of their first corner
     find = uf.find
     reps = {}
     lift = [reps.setdefault(find(c)[0], len(reps)) for c in range(n_corners)]
 
-    # d lifts over every base vertex, each projecting to one base vertex
-    base_vertex_of_lift = [None] * len(reps)
-    for lv, (_copy, _sg, tail) in zip(lift, (c for gon in polygons for c in gon)):
-        prev = base_vertex_of_lift[lv]
-        if prev is None:
-            base_vertex_of_lift[lv] = tail
-        elif prev != tail:
-            raise NotClosed("a vertex lift projects to two base vertices")
-    per_base = {}
-    for bv in base_vertex_of_lift:
-        per_base[bv] = per_base.get(bv, 0) + 1
+    # d lifts over every base vertex, each projecting to one base vertex:
+    # the one under its first corner
+    under_first = dict(zip(reversed(lift), reversed(tails)))
+    base_vertex_of_lift = [under_first[lv] for lv in range(len(reps))]
+    if list(map(base_vertex_of_lift.__getitem__, lift)) != tails:
+        raise NotClosed("a vertex lift projects to two base vertices")
+    per_base = Counter(base_vertex_of_lift)
     for v in base.vertices:
-        if per_base.get(v, 0) != d:
-            raise NotClosed(
-                f"{per_base.get(v, 0)} lifts over vertex {v}, expected {d}")
+        if per_base[v] != d:
+            raise NotClosed(f"{per_base[v]} lifts over vertex {v}, expected {d}")
 
     # build the triangulated total space: the edge copies first, each
     # keeping the base edge's own end order
     vertex_names = list(range(len(reps)))
     edges = []
-    for tail, head, sg in (occ[0] for occ in occurrences.values()):
-        edges.append((lift[tail], lift[head]) if sg > 0 else (lift[head], lift[tail]))
-    edge_index = {copy: i for i, copy in enumerate(occurrences)}
-    edge_labels = {i: copy // d for i, copy in enumerate(occurrences)}
+    for copy in glued:
+        c = first[copy]
+        edges.append((lift[c], lift[head[c]]) if signs[c] > 0 else (lift[head[c]], lift[c]))
+    edge_index = {copy: i for i, copy in enumerate(glued)}
+    edge_labels = {i: copy // d for i, copy in enumerate(glued)}
     vert_labels = dict(enumerate(base_vertex_of_lift))
 
     triangles = []
     tri_labels = []
-    for pi, gon in enumerate(polygons):
-        t, _loop = pieces[pi]
-        if len(gon) == 3:
-            triangles.append([(edge_index[copy], sg) for (copy, sg, _tail) in gon])
+    for (t, _loop), start, end in zip(pieces, offset, offset[1:]):
+        if end - start == 3:
+            triangles.append([(edge_index[copies[c]], signs[c]) for c in range(start, end)])
             tri_labels.append(t)
         else:
             center = len(vertex_names)
             vertex_names.append(center)
             vert_labels[center] = None
-            n = len(gon)
-            corner_lifts = lift[offset[pi]:offset[pi] + n]
+            n = end - start
+            corner_lifts = lift[start:end]
             spokes = list(range(len(edges), len(edges) + n))
             for lv in corner_lifts:
                 edge_labels[len(edges)] = None
                 edges.append((center, lv))
-            for ci, (copy, _sg, _tail) in enumerate(gon):
-                e_side = edge_index[copy]
+            for ci in range(n):
+                e_side = edge_index[copies[start + ci]]
                 s_here = 1 if edges[e_side][0] == corner_lifts[ci] else -1
                 nxt = (ci + 1) % n
                 triangles.append([(e_side, s_here), (spokes[nxt], -1), (spokes[ci], 1)])

@@ -274,57 +274,80 @@ class Triangulation:
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> list:
-        """Every violated invariant, as strings; empty means valid."""
+        """Every violated invariant, as strings; empty means valid.
+
+        One pass over the edges lists each vertex's edges, and one over
+        the triangles checks each walk (a side naming no edge, closure, a
+        repeated edge), counts the sides on every edge and collects each
+        vertex's corners as unordered edge pairs.  Each rotation is then
+        compared with its vertex's edges and corner pairs; connectivity
+        and orientability come last."""
         problems = []
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
+        vertices, edges = self.vertices, self.edges
+        incident = {v: [] for v in vertices}     # v -> its edges, ascending
+        if len(incident) != len(vertices):
             problems.append("duplicate vertex ids")
-        for e, (a, b) in enumerate(self.edges):
+        for e, (a, b) in enumerate(edges):
             if a == b:
                 problems.append(f"loop edge {e} at vertex {a}")
-            if a not in vset or b not in vset:
+            if a in incident and b in incident:
+                incident[a].append(e)
+                incident[b].append(e)
+            else:
                 problems.append(f"edge {e} references unknown vertex")
         if problems:
             return problems
 
+        n = len(edges)
+        side_count = [0] * n
+        fans = {v: [] for v in vertices}   # v -> its corners' pairs, lo * n + hi
         for t, walk in enumerate(self.triangles):
             if len(walk) != 3:
                 problems.append(f"triangle {t} does not have 3 sides")
-                continue
-            for i in range(3):
-                head = self.directed_ends(walk[i])[1]
-                tail = self.directed_ends(walk[(i + 1) % 3])[0]
-                if head != tail:
-                    problems.append(f"triangle {t} boundary walk does not close")
-                    break
-            if len({d[0] for d in walk}) != 3:
-                problems.append(f"triangle {t} repeats an edge")
-
-        side_count = [0] * len(self.edges)
-        for walk in self.triangles:
-            for (e, _s) in walk:
-                if 0 <= e < len(self.edges):
+            else:
+                (e0, s0), (e1, s1), (e2, s2) = walk
+                if 0 <= e0 < n and 0 <= e1 < n and 0 <= e2 < n:
+                    side_count[e0] += 1
+                    side_count[e1] += 1
+                    side_count[e2] += 1
+                    t0, h0 = edges[e0] if s0 > 0 else edges[e0][::-1]
+                    t1, h1 = edges[e1] if s1 > 0 else edges[e1][::-1]
+                    t2, h2 = edges[e2] if s2 > 0 else edges[e2][::-1]
+                    if h0 != t1 or h1 != t2 or h2 != t0:
+                        problems.append(f"triangle {t} boundary walk does not close")
+                    if e0 == e1 or e1 == e2 or e2 == e0:
+                        problems.append(f"triangle {t} repeats an edge")
+                    # the corner between two sides is at the second's tail
+                    fans[t1].append(e0 * n + e1 if e0 < e1 else e1 * n + e0)
+                    fans[t2].append(e1 * n + e2 if e1 < e2 else e2 * n + e1)
+                    fans[t0].append(e2 * n + e0 if e2 < e0 else e0 * n + e2)
+                    continue
+            for e, _s in walk:
+                if 0 <= e < n:
                     side_count[e] += 1
-        for e, n in enumerate(side_count):
-            if n != 2:
-                problems.append(f"edge {e} lies on {n} triangle sides, expected 2")
+                elif len(walk) == 3:
+                    problems.append(
+                        f"triangle {t} names edge {e}, which the triangulation lacks")
+        for e, k in enumerate(side_count):
+            if k != 2:
+                problems.append(f"edge {e} lies on {k} triangle sides, expected 2")
         if problems:
             return problems
 
         # rotations realize the corner structure at every vertex
-        for v in self.vertices:
-            rot = self.rotations.get(v)
-            incident = sorted({e for e, _end in self.half_edges_at(v)})
+        rotations = self.rotations
+        for v in vertices:
+            rot = rotations.get(v)
             if rot is None:
                 problems.append(f"missing rotation at vertex {v}")
                 continue
-            if sorted(rot) != incident:
+            if sorted(rot) != incident[v]:
                 problems.append(f"rotation at {v} is not a cyclic order of its edge ends")
                 continue
-            fan = sorted((a, b) if a < b else (b, a)
-                         for (_t, a, b) in self.corners_at(v))
-            ring = sorted((a, b) if a < b else (b, a)
+            ring = sorted(a * n + b if a < b else b * n + a
                           for a, b in zip(rot, [*rot[1:], *rot[:1]]))
+            fan = fans[v]
+            fan.sort()
             if fan != ring:
                 problems.append(f"rotation at {v} disagrees with the triangle fan")
 
@@ -367,30 +390,26 @@ class Triangulation:
         Sign +1 keeps the stored walk, -1 reverses it.  Two triangles are
         compatible across a shared edge iff they traverse it oppositely.
         """
+        triangles, edge_sides = self.triangles, self.edge_sides
         signs = {}
-        for seed in range(len(self.triangles)):
+        for seed in range(len(triangles)):
             if seed in signs:
                 continue
             signs[seed] = 1
             stack = [seed]
             while stack:
                 t = stack.pop()
-                for e in self.triangle_edges(t):
-                    sides = self.edge_sides(e)
-                    (t1, k1), (t2, k2) = sides
-                    d1 = self.triangles[t1][k1][1]
-                    d2 = self.triangles[t2][k2][1]
+                sign = signs[t]
+                for e, _s in triangles[t]:
+                    (t1, k1), (t2, k2) = edge_sides(e)
                     # opposite traversal <-> same sign
-                    rel = 1 if d1 != d2 else -1
-                    for (ta, tb) in ((t1, t2), (t2, t1)):
-                        if ta in signs:
-                            want = signs[ta] * rel
-                            if tb in signs:
-                                if signs[tb] != want:
-                                    return None
-                            else:
-                                signs[tb] = want
-                                stack.append(tb)
+                    want = sign if triangles[t1][k1][1] != triangles[t2][k2][1] else -sign
+                    other = t2 if t1 == t else t1
+                    if other not in signs:
+                        signs[other] = want
+                        stack.append(other)
+                    elif signs[other] != want:
+                        return None
         return signs
 
     def orientability(self) -> bool:
@@ -512,40 +531,52 @@ class Triangulation:
 def derive_rotations(tri: Triangulation) -> Triangulation:
     """Set tri.rotations from its triangle corner fans and return tri.
 
-    The corners at v form a 2-regular multigraph on the edge ends at v;
-    a valid closed surface makes it a single cycle, which becomes the
-    rotation (direction chosen arbitrarily).  The corners and half-edges
-    are tri's own caches, so a later tri.validate() reuses them.
+    One pass over the triangles lists each vertex's corners as (incoming
+    edge, outgoing edge), in triangle order.  The corners at v form a
+    2-regular multigraph on the edge ends at v; a valid closed surface
+    makes it a single cycle, which becomes the rotation (in the direction
+    of v's first corner).
     """
+    edges = tri.edges
+    corners = {v: [] for v in tri.vertices}
+    for walk in tri.triangles:
+        for i, d in enumerate(walk):
+            e, s = walk[(i + 1) % 3]      # the corner is at this side's tail
+            a, b = edges[e]
+            corners[a if s > 0 else b].append((d[0], e))
+    incident = {}        # vertex -> the edges with an end there
+    for e, (a, b) in enumerate(edges):
+        incident.setdefault(a, []).append(e)
+        incident.setdefault(b, []).append(e)
     rotations = {}
     for v in tri.vertices:
-        corners = tri.corners_at(v)
-        if not corners:
+        fan = corners[v]
+        if not fan:
             raise InvalidSurface(f"vertex {v} has no incident triangle corners")
-        slots = {e: [] for e, _end in tri.half_edges_at(v)}   # edge -> its corners
-        for i, (_t, x, y) in enumerate(corners):
+        slots = {e: [] for e in incident.get(v, ())}   # edge -> its corners
+        for i, (x, y) in enumerate(fan):
             slots[x].append(i)
             slots[y].append(i)
         if any(len(s) != 2 for s in slots.values()):
             raise InvalidSurface(f"vertex link at {v} is not a cycle")
-        _t, first, cur = corners[0]
+        first, cur = fan[0]
         cycle = [first, cur]
-        used = [False] * len(corners)
+        used = [False] * len(fan)
         used[0] = True
         i = 0
-        while len(cycle) < len(slots):
+        for _ in range(len(slots) - 2):     # until the cycle holds every edge
             a, b = slots[cur]
             i = b if a == i else a      # the corner at cur not just left
             if used[i]:
                 raise InvalidSurface(f"vertex link at {v} is not a single cycle")
             used[i] = True
-            _t, x, y = corners[i]
+            x, y = fan[i]
             cur = y if x == cur else x
             cycle.append(cur)
         # closing corner must exist and be the one unused
         if used.count(False) != 1:
             raise InvalidSurface(f"vertex link at {v} is not a single cycle")
-        _t, x, y = corners[used.index(False)]
+        x, y = fan[used.index(False)]
         if {x, y} != {cur, first} and len(slots) > 1:
             raise InvalidSurface(f"vertex link at {v} does not close")
         rotations[v] = cycle

@@ -32,6 +32,11 @@ class ParityUF:
         """(root of x, value of x xor value of the root), compressing the
         path from x."""
         parent, parity = self.parent, self.parity
+        up = parent[x]
+        if up == x:
+            return x, 0
+        if parent[up] == up:      # one step from the root: nothing to compress
+            return up, parity[x]
         path = []
         while parent[x] != x:
             path.append(x)

@@ -263,3 +263,14 @@ def test_mutated_covers_agree_with_the_references(mutation):
         assert_cover_agrees(copy)
     assert edited > 100
 
+
+
+def test_a_side_naming_no_edge_is_a_problem_where_the_reference_raised():
+    """The one intended difference: the reference indexes the edge table
+    with a side's edge and raises."""
+    tri = fresh(builtin_triangulation("sphere_tetra"))
+    tri.triangles[0][0] = (99, 1)
+    assert outcome(reference_validate, fresh(tri)) == \
+        ("IndexError", "list index out of range")
+    assert tri.validate() == ["triangle 0 names edge 99, which the triangulation lacks",
+                              "edge 0 lies on 1 triangle sides, expected 2"]
