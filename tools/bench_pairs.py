@@ -1,17 +1,20 @@
 """Run the benchmark in two checkouts in alternating pairs.
 
-    python3 tools/bench_pairs.py PARENT CHANGE OUT --workload W \
+    python3 tools/bench_pairs.py PARENT CHANGE OUT --workload W[,W...] \
         --seeds 11-20 [--seconds 25] [--limit K]
 
 PARENT and CHANGE are checkouts of the two commits, each with its own
-perfbench/.  For every seed in turn, perfbench/run.py runs untraced
+perfbench/.  `--workload` takes one workload or a comma-separated list
+(`corpus,covers,bounds`), run one after the other in the order given.
+For every workload and seed in turn, perfbench/run.py runs untraced
 (`--trace 0`) in both, each in its own checkout and interpreter, so both
 sides of a pair see the same machine.  The side that runs first
-alternates: PARENT on the even-indexed seeds of the range (the first,
-the third, ...), CHANGE on the odd-indexed ones, so a warm-up effect on
-the first run of a pair does not favour one side in every pair.  Each run's
-`*.result.json` is copied into OUT/parent or OUT/change, the two
-directories that tools/bench_record.py and perfbench/compare.py read:
+alternates: within each workload, PARENT on the even-indexed seeds of
+the range (the first, the third, ...), CHANGE on the odd-indexed ones,
+so a warm-up effect on the first run of a pair does not favour one side
+in every pair.  Each run's `*.result.json` is copied into OUT/parent or
+OUT/change, the two directories that tools/bench_record.py and
+perfbench/compare.py read:
 
     python3 tools/bench_record.py OUT/parent OUT/change BENCH.json
 
@@ -39,6 +42,14 @@ def seed_range(text: str) -> list:
     return seeds
 
 
+def workload_list(text: str) -> list:
+    """'corpus,covers' -> ['corpus', 'covers']; names are checked by run.py."""
+    names = [name.strip() for name in text.split(",")]
+    if not all(names) or len(set(names)) != len(names):
+        raise argparse.ArgumentTypeError(f"bad workload list {text!r}")
+    return names
+
+
 def run_one(checkout: str, workload: str, seed: int, seconds: float, limit) -> str:
     """Run the checkout's benchmark once; the path of its result file."""
     argv = [sys.executable, os.path.join(checkout, "perfbench", "run.py"),
@@ -59,7 +70,7 @@ def main(argv=None) -> int:
     p.add_argument("parent")
     p.add_argument("change")
     p.add_argument("out")
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", type=workload_list, required=True)
     p.add_argument("--seeds", type=seed_range, required=True)
     p.add_argument("--seconds", type=float, default=25)
     p.add_argument("--limit", type=int, default=None)
@@ -67,12 +78,13 @@ def main(argv=None) -> int:
     for side in SIDES:
         os.makedirs(os.path.join(args.out, side), exist_ok=True)
     sides = list(zip(SIDES, (args.parent, args.change)))
-    for i, seed in enumerate(args.seeds):
-        for side, checkout in sides if i % 2 == 0 else sides[::-1]:
-            result = run_one(os.path.abspath(checkout), args.workload, seed,
-                             args.seconds, args.limit)
-            shutil.copy(result, os.path.join(args.out, side))
-            print(f"{args.workload} seed {seed} {side}: {result}", flush=True)
+    for workload in args.workload:
+        for i, seed in enumerate(args.seeds):
+            for side, checkout in sides if i % 2 == 0 else sides[::-1]:
+                result = run_one(os.path.abspath(checkout), workload, seed,
+                                 args.seconds, args.limit)
+                shutil.copy(result, os.path.join(args.out, side))
+                print(f"{workload} seed {seed} {side}: {result}", flush=True)
     return 0
 
 
