@@ -27,10 +27,6 @@ def perm_id(d: int) -> tuple:
     return tuple(range(1, d + 1))
 
 
-def perm_apply(p: tuple, s: int) -> int:
-    return p[s - 1]
-
-
 def perm_mul(p: tuple, q: tuple) -> tuple:
     """Composition acting right to left: (p*q)(s) = p(q(s))."""
     return tuple(p[q[s - 1] - 1] for s in range(1, len(p) + 1))
@@ -84,19 +80,6 @@ class MonodromyCover:
 
     # -- fan walks -------------------------------------------------------------
 
-    def _seam_step(self, v, t: int, e_enter: int, e_leave: int) -> tuple:
-        """Sheet action of passing t's sector at v from e_enter to e_leave."""
-        if v != self.seam_vertex(t) or not self.branch.get(t):
-            return perm_id(self.d)
-        walk = self.base.triangles[t]
-        e_from, e_to = walk[2][0], walk[0][0]
-        beta = self.seam_perm(t)
-        if (e_enter, e_leave) == (e_from, e_to):
-            return beta
-        if (e_enter, e_leave) == (e_to, e_from):
-            return perm_inv(beta)
-        raise InvalidSurface(f"seam sector of triangle {t} at {v} mismatches fan")
-
     def fan_steps(self, v):
         """The fan walk at v as (kind, payload) steps: ('edge', e, from_t)
         then ('seam', t, enter, leave), repeated around the rotation."""
@@ -114,20 +97,45 @@ class MonodromyCover:
             cache[v] = steps
         return cache[v]
 
-    def fan_product(self, v, start: int = 0) -> tuple:
+    def _actions(self) -> tuple:
+        """Every sheet action a fan walk reads, each read once, as tuples
+        with a 0 in front (entry s is the image of sheet s): across[e] is
+        (e's first side, e crossed from it, e crossed back), and seams[t]
+        is branched triangle t's (seam vertex, {(enter, leave): action})."""
+        across, seams = {}, {}
+        for e, p in self.edge_perm.items():
+            across[e] = (self.side_triangles(e)[0], (0, *p), (0, *perm_inv(p)))
+        for t, cycles in self.branch.items():
+            if cycles:
+                walk, beta = self.base.triangles[t], perm_from_cycles(cycles, self.d)
+                e_from, e_to = walk[2][0], walk[0][0]
+                # beta crossed from e_from to e_to; it wins if the two are one edge
+                seams[t] = (self.seam_vertex(t), {(e_to, e_from): (0, *perm_inv(beta)),
+                                                  (e_from, e_to): (0, *beta)})
+        return across, seams
+
+    def fan_product(self, v, start: int = 0, actions=None) -> tuple:
         """Sheet monodromy of a small loop around vertex v, read from step
-        `start` of fan_steps(v) round."""
+        `start` of fan_steps(v) round, with the sheet actions `actions`
+        (_actions(), read afresh when not given)."""
+        across, seams = actions or self._actions()
         steps = self.fan_steps(v)
         acc = perm_id(self.d)
         for step in steps[start:] + steps[:start]:
             if step[0] == "edge":
                 _kind, e, from_t = step
-                sigma = self.edge_perm[e]
-                p = sigma if from_t == self.side_triangles(e)[0] else perm_inv(sigma)
+                first, forward, backward = across[e]
+                p = forward if from_t == first else backward
             else:
                 _kind, t, enter, leave = step
-                p = self._seam_step(v, t, enter, leave)
-            acc = perm_mul(p, acc)
+                seam = seams.get(t)
+                if seam is None or seam[0] != v:
+                    continue            # the identity
+                p = seam[1].get((enter, leave))
+                if p is None:
+                    raise InvalidSurface(
+                        f"seam sector of triangle {t} at {v} mismatches fan")
+            acc = tuple(map(p.__getitem__, acc))
         return acc
 
     # -- validation -------------------------------------------------------------
@@ -159,81 +167,40 @@ class MonodromyCover:
 
     def _problems(self) -> list:
         """The cover's problems, found afresh: the data's shape, then every
-        vertex fan (fan_steps) walked with each edge permutation, seam
-        permutation and their inverses read once per call."""
+        vertex fan walked (fan_product over fan_steps) with each edge and
+        seam permutation and its inverse read once per call."""
         problems = []
-        d = self.d
-        if d < 1:
+        if self.d < 1:
             return ["sheet count must be positive"]
-        base = self.base
-        n_edges = len(base.edges)
         for e in self.edge_perm:
-            if e not in range(n_edges):
+            if e not in range(len(self.base.edges)):
                 problems.append(f"edge_perm names edge {e}, which the base lacks")
-        sheets = None       # 1..d
-        for e in range(n_edges):
+        for e in range(len(self.base.edges)):
             p = self.edge_perm.get(e)
             # the length test comes first: nothing of size d is built before
             # a permutation shows that d is no larger than the document
-            if p is not None and len(p) != d:
+            if p is not None and len(p) != self.d:
                 problems.append(f"edge {e} has no valid sheet permutation "
-                                f"({len(p)} entries, d = {d})")
-                continue
-            if p is not None and sheets is None:
-                sheets = list(range(1, d + 1))
-            if p is None or sorted(p) != sheets:
+                                f"({len(p)} entries, d = {self.d})")
+            elif p is None or sorted(p) != list(range(1, self.d + 1)):
                 problems.append(f"edge {e} has no valid sheet permutation")
         for t, cycles in self.branch.items():
-            if t not in range(len(base.triangles)):
+            if t not in range(len(self.base.triangles)):
                 problems.append(f"branch cycles on triangle {t}, which the base lacks")
             seen = set()
             for cyc in cycles:
                 if len(cyc) < 2:
                     problems.append(f"branch cycle of length < 2 in triangle {t}")
-                if any(s < 1 or s > d for s in cyc) or len(set(cyc)) != len(cyc):
+                if any(s < 1 or s > self.d for s in cyc) or len(set(cyc)) != len(cyc):
                     problems.append(f"bad branch cycle {cyc} in triangle {t}")
                 if seen & set(cyc):
                     problems.append(f"overlapping branch cycles in triangle {t}")
                 seen |= set(cyc)
         if problems:
             return problems
-
-        # sheet actions as tuples with a 0 in front, so that entry s is the
-        # image of sheet s: across each edge from its first side and back
-        forward, backward, first_side = {}, {}, {}
-        for e, p in self.edge_perm.items():
-            forward[e] = (0, *p)
-            backward[e] = (0, *perm_inv(p))
-            first_side[e] = self.side_triangles(e)[0]
-        seams = {}      # branched triangle -> seam vertex, sector, beta, inverse
-        for t, cycles in self.branch.items():
-            if cycles:
-                walk = base.triangles[t]
-                beta = perm_from_cycles(cycles, d)
-                seams[t] = (self.seam_vertex(t), (walk[2][0], walk[0][0]),
-                            (0, *beta), (0, *perm_inv(beta)))
-        ident = perm_id(d)
-        for v in base.vertices:
-            acc = ident
-            for step in self.fan_steps(v):
-                if step[0] == "edge":
-                    _kind, e, from_t = step
-                    p = forward[e] if from_t == first_side[e] else backward[e]
-                else:
-                    _kind, t, enter, leave = step
-                    seam = seams.get(t)
-                    if seam is None or seam[0] != v:
-                        continue            # the identity
-                    _v, sector, beta, beta_inv = seam
-                    if (enter, leave) == sector:
-                        p = beta
-                    elif (leave, enter) == sector:
-                        p = beta_inv
-                    else:
-                        raise InvalidSurface(
-                            f"seam sector of triangle {t} at {v} mismatches fan")
-                acc = tuple(map(p.__getitem__, acc))
-            if acc != ident:
+        ident, actions = perm_id(self.d), self._actions()
+        for v in self.base.vertices:
+            if self.fan_product(v, 0, actions) != ident:
                 problems.append(f"vertex fan at {v} does not close")
         return problems
 
@@ -375,8 +342,8 @@ def disk_pieces(cover: MonodromyCover):
         for c in cycles:
             s0 = min(c)
             loop = [s0]
-            while perm_apply(beta, loop[-1]) != s0:
-                loop.append(perm_apply(beta, loop[-1]))
+            while beta[loop[-1] - 1] != s0:
+                loop.append(beta[loop[-1] - 1])
             out.append((t, loop))
     return out
 
@@ -434,11 +401,9 @@ def assemble_total_space(cover: MonodromyCover, *, with_labels: bool = False):
 
     # each edge copy's first and last corner, copies in order of the first
     glued = Counter(copies)
-    counts = list(glued.values())
-    if counts.count(2) != len(counts):
-        copy = next(k for k, n in glued.items() if n != 2)
-        raise NotClosed(f"edge copy {(copy // d, copy % d + 1)} "
-                        f"glued {glued[copy]} times")
+    for copy, n in glued.items():
+        if n != 2:
+            raise NotClosed(f"edge copy {(copy // d, copy % d + 1)} glued {n} times")
     first = dict(zip(reversed(copies), range(n_corners - 1, -1, -1)))
     last = dict(zip(copies, range(n_corners)))
 
@@ -473,19 +438,17 @@ def assemble_total_space(cover: MonodromyCover, *, with_labels: bool = False):
     # build the triangulated total space: the edge copies first, each
     # keeping the base edge's own end order
     vertex_names = list(range(len(reps)))
-    edges = []
-    for copy in glued:
-        c = first[copy]
-        edges.append((lift[c], lift[head[c]]) if signs[c] > 0 else (lift[head[c]], lift[c]))
-    edge_index = {copy: i for i, copy in enumerate(glued)}
+    edges = [(lift[c], lift[head[c]]) if signs[c] > 0 else (lift[head[c]], lift[c])
+             for c in map(first.__getitem__, glued)]
+    edge_index = dict(zip(glued, range(len(glued))))
     edge_labels = {i: copy // d for i, copy in enumerate(glued)}
     vert_labels = dict(enumerate(base_vertex_of_lift))
 
-    triangles = []
-    tri_labels = []
+    side_edge = list(map(edge_index.__getitem__, copies))    # corner -> its side's edge
+    triangles, tri_labels = [], []
     for (t, _loop), start, end in zip(pieces, offset, offset[1:]):
         if end - start == 3:
-            triangles.append([(edge_index[copies[c]], signs[c]) for c in range(start, end)])
+            triangles.append(list(zip(side_edge[start:end], signs[start:end])))
             tri_labels.append(t)
         else:
             center = len(vertex_names)
@@ -498,7 +461,7 @@ def assemble_total_space(cover: MonodromyCover, *, with_labels: bool = False):
                 edge_labels[len(edges)] = None
                 edges.append((center, lv))
             for ci in range(n):
-                e_side = edge_index[copies[start + ci]]
+                e_side = side_edge[start + ci]
                 s_here = 1 if edges[e_side][0] == corner_lifts[ci] else -1
                 nxt = (ci + 1) % n
                 triangles.append([(e_side, s_here), (spokes[nxt], -1), (spokes[ci], 1)])
@@ -506,12 +469,8 @@ def assemble_total_space(cover: MonodromyCover, *, with_labels: bool = False):
 
     total = derive_rotations(Triangulation(vertex_names, edges, triangles))
     if with_labels:
-        labels = {
-            "vertices": vert_labels,
-            "edges": edge_labels,
-            "triangles": {i: tl for i, tl in enumerate(tri_labels)},
-        }
-        return total, labels
+        return total, {"vertices": vert_labels, "edges": edge_labels,
+                       "triangles": dict(enumerate(tri_labels))}
     return total
 
 
@@ -519,8 +478,7 @@ def induced_triangulation(cover: MonodromyCover):
     """Total space of an unbranched connected cover plus projection labels."""
     if any(cover.branch.get(t) for t in cover.branch):
         raise Branched("cover has branch points")
-    total, labels = assemble_total_space(cover, with_labels=True)
-    return total, labels
+    return assemble_total_space(cover, with_labels=True)
 
 
 # --------------------------------------------------------------------------

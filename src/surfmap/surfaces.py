@@ -189,23 +189,18 @@ class Triangulation:
     def triangle_edges(self, t: int) -> list:
         return [d[0] for d in self.triangles[t]]
 
-    def triangle_corners(self, t: int):
-        """Corners of triangle t as (vertex, incoming edge, outgoing edge)."""
-        walk = self.triangles[t]
-        out = []
-        for i, d in enumerate(walk):
-            nxt = walk[(i + 1) % 3]
-            out.append((self.directed_ends(nxt)[0], d[0], nxt[0]))
-        return out
-
     def corners_at(self, v):
-        """All triangle corners at v as (triangle, incoming, outgoing)."""
+        """All triangle corners at v as (triangle, incoming, outgoing), in
+        triangle order, listed for every vertex in one pass and cached."""
         cache = self.__dict__.get("_corners_at")
         if cache is None:
             cache = {w: [] for w in self.vertices}
-            for t in range(len(self.triangles)):
-                for (w, e_in, e_out) in self.triangle_corners(t):
-                    cache[w].append((t, e_in, e_out))
+            edges = self.edges
+            for t, walk in enumerate(self.triangles):
+                for i, d in enumerate(walk):
+                    e, s = walk[(i + 1) % 3]      # the corner is at this side's tail
+                    a, b = edges[e]
+                    cache[a if s > 0 else b].append((t, d[0], e))
             self.__dict__["_corners_at"] = cache
         return cache[v]
 
@@ -302,32 +297,31 @@ class Triangulation:
         side_count = [0] * n
         fans = {v: [] for v in vertices}   # v -> its corners' pairs, lo * n + hi
         for t, walk in enumerate(self.triangles):
-            if len(walk) != 3:
-                problems.append(f"triangle {t} does not have 3 sides")
-            else:
+            if len(walk) == 3:
                 (e0, s0), (e1, s1), (e2, s2) = walk
                 if 0 <= e0 < n and 0 <= e1 < n and 0 <= e2 < n:
                     side_count[e0] += 1
                     side_count[e1] += 1
                     side_count[e2] += 1
-                    t0, h0 = edges[e0] if s0 > 0 else edges[e0][::-1]
-                    t1, h1 = edges[e1] if s1 > 0 else edges[e1][::-1]
-                    t2, h2 = edges[e2] if s2 > 0 else edges[e2][::-1]
-                    if h0 != t1 or h1 != t2 or h2 != t0:
+                    tail0, head0 = edges[e0] if s0 > 0 else edges[e0][::-1]
+                    tail1, head1 = edges[e1] if s1 > 0 else edges[e1][::-1]
+                    tail2, head2 = edges[e2] if s2 > 0 else edges[e2][::-1]
+                    if head0 != tail1 or head1 != tail2 or head2 != tail0:
                         problems.append(f"triangle {t} boundary walk does not close")
                     if e0 == e1 or e1 == e2 or e2 == e0:
                         problems.append(f"triangle {t} repeats an edge")
                     # the corner between two sides is at the second's tail
-                    fans[t1].append(e0 * n + e1 if e0 < e1 else e1 * n + e0)
-                    fans[t2].append(e1 * n + e2 if e1 < e2 else e2 * n + e1)
-                    fans[t0].append(e2 * n + e0 if e2 < e0 else e0 * n + e2)
+                    fans[tail1].append(e0 * n + e1 if e0 < e1 else e1 * n + e0)
+                    fans[tail2].append(e1 * n + e2 if e1 < e2 else e2 * n + e1)
+                    fans[tail0].append(e2 * n + e0 if e2 < e0 else e0 * n + e2)
                     continue
-            for e, _s in walk:
+                problems.extend(f"triangle {t} names edge {e}, which the triangulation lacks"
+                                for e in (e0, e1, e2) if not 0 <= e < n)
+            else:
+                problems.append(f"triangle {t} does not have 3 sides")
+            for e, _s in walk:       # the sides that name an edge still count
                 if 0 <= e < n:
                     side_count[e] += 1
-                elif len(walk) == 3:
-                    problems.append(
-                        f"triangle {t} names edge {e}, which the triangulation lacks")
         for e, k in enumerate(side_count):
             if k != 2:
                 problems.append(f"edge {e} lies on {k} triangle sides, expected 2")
@@ -335,20 +329,16 @@ class Triangulation:
             return problems
 
         # rotations realize the corner structure at every vertex
-        rotations = self.rotations
         for v in vertices:
-            rot = rotations.get(v)
+            rot = self.rotations.get(v)
             if rot is None:
                 problems.append(f"missing rotation at vertex {v}")
                 continue
             if sorted(rot) != incident[v]:
                 problems.append(f"rotation at {v} is not a cyclic order of its edge ends")
                 continue
-            ring = sorted(a * n + b if a < b else b * n + a
-                          for a, b in zip(rot, [*rot[1:], *rot[:1]]))
-            fan = fans[v]
-            fan.sort()
-            if fan != ring:
+            ring = [a * n + b if a < b else b * n + a for a, b in zip(rot, [*rot[1:], *rot[:1]])]
+            if sorted(fans[v]) != sorted(ring):
                 problems.append(f"rotation at {v} disagrees with the triangle fan")
 
         if not self.is_connected():
@@ -531,35 +521,27 @@ class Triangulation:
 def derive_rotations(tri: Triangulation) -> Triangulation:
     """Set tri.rotations from its triangle corner fans and return tri.
 
-    One pass over the triangles lists each vertex's corners as (incoming
-    edge, outgoing edge), in triangle order.  The corners at v form a
-    2-regular multigraph on the edge ends at v; a valid closed surface
-    makes it a single cycle, which becomes the rotation (in the direction
-    of v's first corner).
+    The corners at v (corners_at, listed for every vertex in one pass over
+    the triangles) form a 2-regular multigraph on the edge ends at v; a
+    valid closed surface makes it a single cycle, which becomes the
+    rotation (in the direction of v's first corner).
     """
-    edges = tri.edges
-    corners = {v: [] for v in tri.vertices}
-    for walk in tri.triangles:
-        for i, d in enumerate(walk):
-            e, s = walk[(i + 1) % 3]      # the corner is at this side's tail
-            a, b = edges[e]
-            corners[a if s > 0 else b].append((d[0], e))
     incident = {}        # vertex -> the edges with an end there
-    for e, (a, b) in enumerate(edges):
+    for e, (a, b) in enumerate(tri.edges):
         incident.setdefault(a, []).append(e)
         incident.setdefault(b, []).append(e)
     rotations = {}
     for v in tri.vertices:
-        fan = corners[v]
+        fan = tri.corners_at(v)
         if not fan:
             raise InvalidSurface(f"vertex {v} has no incident triangle corners")
         slots = {e: [] for e in incident.get(v, ())}   # edge -> its corners
-        for i, (x, y) in enumerate(fan):
+        for i, (_t, x, y) in enumerate(fan):
             slots[x].append(i)
             slots[y].append(i)
         if any(len(s) != 2 for s in slots.values()):
             raise InvalidSurface(f"vertex link at {v} is not a cycle")
-        first, cur = fan[0]
+        _t, first, cur = fan[0]
         cycle = [first, cur]
         used = [False] * len(fan)
         used[0] = True
@@ -570,13 +552,13 @@ def derive_rotations(tri: Triangulation) -> Triangulation:
             if used[i]:
                 raise InvalidSurface(f"vertex link at {v} is not a single cycle")
             used[i] = True
-            x, y = fan[i]
+            _t, x, y = fan[i]
             cur = y if x == cur else x
             cycle.append(cur)
         # closing corner must exist and be the one unused
         if used.count(False) != 1:
             raise InvalidSurface(f"vertex link at {v} is not a single cycle")
-        x, y = fan[used.index(False)]
+        _t, x, y = fan[used.index(False)]
         if {x, y} != {cur, first} and len(slots) > 1:
             raise InvalidSurface(f"vertex link at {v} does not close")
         rotations[v] = cycle

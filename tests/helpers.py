@@ -2,7 +2,8 @@
 
 import random
 
-from surfmap.covers import assemble_total_space, perm_id, random_cover
+from surfmap.covers import (assemble_total_space, perm_id, perm_inv, perm_mul,
+                            random_cover)
 from surfmap.errors import Disconnected, InvalidChi, InvalidSurface, Stuck
 from surfmap.moves import is_normal
 from surfmap.surfaces import (SurfaceKind, Triangulation, builtin_triangulation,
@@ -278,13 +279,18 @@ def assert_facts_match_fresh(tm: TransverseMap):
 
 # --------------------------------------------------------------------------
 # References for the cover oracle's checks: Triangulation.validate,
-# derive_rotations and MonodromyCover._problems as they read before
-# they were rewritten as flat passes, kept verbatim (a method's `self`
-# is the triangulation or cover passed in).  tests/test_oracle_reference.py
-# requires the package's versions to give the same problems, rotations and
-# exceptions.  They call only package methods those rewrites left as they
-# were (directed_ends, half_edges_at, corners_at, is_connected,
-# orientability, fan_product).
+# derive_rotations and MonodromyCover._problems, with the fan walk
+# _problems used (fan_product, _seam_step), the corner lists both read
+# (corners_at, triangle_corners) and validate's orientation signs
+# (triangle_signs), as they read before they were rewritten as flat
+# passes, kept verbatim but for their names, the corner cache's key and
+# validate's orientability() spelt out (a method's `self` is the
+# triangulation or cover passed in).  tests/test_oracle_reference.py
+# requires the package's versions to give the same problems, rotations,
+# signs and exceptions.  Of the package they call only methods those
+# rewrites left as they were (directed_ends, half_edges_at, edge_sides,
+# triangle_edges, is_connected, fan_steps, seam_vertex, seam_perm,
+# side_triangles) and the permutation helpers.
 
 
 def reference_validate(self) -> list:
@@ -336,7 +342,7 @@ def reference_validate(self) -> list:
             problems.append(f"rotation at {v} is not a cyclic order of its edge ends")
             continue
         fan = sorted((a, b) if a < b else (b, a)
-                     for (_t, a, b) in self.corners_at(v))
+                     for (_t, a, b) in reference_corners_at(self, v))
         ring = sorted((a, b) if a < b else (b, a)
                       for a, b in zip(rot, [*rot[1:], *rot[:1]]))
         if fan != ring:
@@ -348,7 +354,7 @@ def reference_validate(self) -> list:
         return problems
 
     try:
-        kind = classify_surface(self.euler, self.orientability())
+        kind = classify_surface(self.euler, reference_triangle_signs(self) is not None)
     except InvalidChi:
         problems.append("V-E+F matches no closed surface")
         return problems
@@ -367,7 +373,7 @@ def reference_derive_rotations(tri: Triangulation) -> Triangulation:
     """
     rotations = {}
     for v in tri.vertices:
-        corners = tri.corners_at(v)
+        corners = reference_corners_at(tri, v)
         if not corners:
             raise InvalidSurface(f"vertex {v} has no incident triangle corners")
         slots = {e: [] for e, _end in tri.half_edges_at(v)}   # edge -> its corners
@@ -433,6 +439,92 @@ def reference_cover_problems(self) -> list:
         return problems
     ident = perm_id(self.d)
     for v in self.base.vertices:
-        if self.fan_product(v) != ident:
+        if reference_fan_product(self, v) != ident:
             problems.append(f"vertex fan at {v} does not close")
     return problems
+
+
+def reference_seam_step(self, v, t: int, e_enter: int, e_leave: int) -> tuple:
+    """Sheet action of passing t's sector at v from e_enter to e_leave."""
+    if v != self.seam_vertex(t) or not self.branch.get(t):
+        return perm_id(self.d)
+    walk = self.base.triangles[t]
+    e_from, e_to = walk[2][0], walk[0][0]
+    beta = self.seam_perm(t)
+    if (e_enter, e_leave) == (e_from, e_to):
+        return beta
+    if (e_enter, e_leave) == (e_to, e_from):
+        return perm_inv(beta)
+    raise InvalidSurface(f"seam sector of triangle {t} at {v} mismatches fan")
+
+
+def reference_fan_product(self, v, start: int = 0) -> tuple:
+    """Sheet monodromy of a small loop around vertex v, read from step
+    `start` of fan_steps(v) round."""
+    steps = self.fan_steps(v)
+    acc = perm_id(self.d)
+    for step in steps[start:] + steps[:start]:
+        if step[0] == "edge":
+            _kind, e, from_t = step
+            sigma = self.edge_perm[e]
+            p = sigma if from_t == self.side_triangles(e)[0] else perm_inv(sigma)
+        else:
+            _kind, t, enter, leave = step
+            p = reference_seam_step(self, v, t, enter, leave)
+        acc = perm_mul(p, acc)
+    return acc
+
+
+def reference_triangle_corners(self, t: int):
+    """Corners of triangle t as (vertex, incoming edge, outgoing edge)."""
+    walk = self.triangles[t]
+    out = []
+    for i, d in enumerate(walk):
+        nxt = walk[(i + 1) % 3]
+        out.append((self.directed_ends(nxt)[0], d[0], nxt[0]))
+    return out
+
+
+def reference_corners_at(self, v):
+    """All triangle corners at v as (triangle, incoming, outgoing)."""
+    cache = self.__dict__.get("_reference_corners_at")
+    if cache is None:
+        cache = {w: [] for w in self.vertices}
+        for t in range(len(self.triangles)):
+            for (w, e_in, e_out) in reference_triangle_corners(self, t):
+                cache[w].append((t, e_in, e_out))
+        self.__dict__["_reference_corners_at"] = cache
+    return cache[v]
+
+
+def reference_triangle_signs(self):
+    """Consistent orientation signs per triangle, or None if impossible.
+
+    Sign +1 keeps the stored walk, -1 reverses it.  Two triangles are
+    compatible across a shared edge iff they traverse it oppositely.
+    """
+    signs = {}
+    for seed in range(len(self.triangles)):
+        if seed in signs:
+            continue
+        signs[seed] = 1
+        stack = [seed]
+        while stack:
+            t = stack.pop()
+            for e in self.triangle_edges(t):
+                sides = self.edge_sides(e)
+                (t1, k1), (t2, k2) = sides
+                d1 = self.triangles[t1][k1][1]
+                d2 = self.triangles[t2][k2][1]
+                # opposite traversal <-> same sign
+                rel = 1 if d1 != d2 else -1
+                for (ta, tb) in ((t1, t2), (t2, t1)):
+                    if ta in signs:
+                        want = signs[ta] * rel
+                        if tb in signs:
+                            if signs[tb] != want:
+                                return None
+                        else:
+                            signs[tb] = want
+                            stack.append(tb)
+    return signs

@@ -1,9 +1,10 @@
 """The cover oracle's checks against their references: Triangulation.validate,
-derive_rotations and MonodromyCover._problems must give the problems,
-rotations and exceptions (type and text) that the verbatim references
-in helpers give, on the built-in bases, the bases with some rotations
-reversed, every cover of the sampler's fixed calls with its assembled
-total space, and seeded mutations of all of them."""
+triangle_signs, derive_rotations, MonodromyCover._problems and
+fan_product must give the problems, signs, rotations, sheet actions and
+exceptions (type and text) that the verbatim references in helpers
+give, on the built-in bases, the bases with some rotations reversed,
+every cover of the sampler's fixed calls with its assembled total space,
+and seeded mutations of all of them."""
 
 import functools
 import random
@@ -18,6 +19,7 @@ from surfmap.surfaces import (BUILTIN_NAMES, Triangulation, builtin_triangulatio
                               derive_rotations)
 
 from helpers import (reference_cover_problems, reference_derive_rotations,
+                     reference_fan_product, reference_triangle_signs,
                      reference_validate, with_rotations_reversed)
 
 
@@ -42,9 +44,16 @@ def derived(derive):
     return lambda tri: list(derive(tri).rotations.items())
 
 
+def signs(triangle_signs):
+    """The signs `triangle_signs` gives, in the order it gives them."""
+    return lambda tri: None if (got := triangle_signs(tri)) is None else list(got.items())
+
+
 def assert_triangulation_agrees(tri):
     assert outcome(Triangulation.validate, fresh(tri)) == \
         outcome(reference_validate, fresh(tri))
+    assert outcome(signs(Triangulation.triangle_signs), fresh(tri)) == \
+        outcome(signs(reference_triangle_signs), fresh(tri))
     assert outcome(derived(derive_rotations), fresh(tri, rotations=False)) == \
         outcome(derived(reference_derive_rotations), fresh(tri, rotations=False))
 
@@ -263,6 +272,18 @@ def test_mutated_covers_agree_with_the_references(mutation):
         assert_cover_agrees(copy)
     assert edited > 100
 
+
+
+def test_fan_products_agree_with_the_reference():
+    """fan_product, read from every third step, on the sampled covers and
+    on copies with two entries of a permutation swapped."""
+    for i, cover in enumerate(sampled_covers()[::5]):
+        swapped = cover_copy(cover)
+        swap_entries(swapped, random.Random(i))
+        for c in (cover, swapped):
+            for v in c.base.vertices:
+                for k in range(0, len(c.fan_steps(v)), 3):
+                    assert c.fan_product(v, k) == reference_fan_product(c, v, k)
 
 
 def test_a_side_naming_no_edge_is_a_problem_where_the_reference_raised():
