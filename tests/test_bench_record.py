@@ -38,3 +38,30 @@ def test_each_side_records_its_sha_and_source_size(tmp_path):
     assert corpus["seeds"] == [(1, 1), (2, 2), (3, 3)]
     assert set(corpus["metrics"]) == set(METRICS)
     assert corpus["metrics"]["norm_cpu_s"]["before"]["median"] == 12.0
+
+
+def test_traced_runs_on_both_sides_give_per_layer_medians(tmp_path):
+    """Traced runs add a `traced` row per per-layer metric either side
+    reads nonzero; they change no end-to-end figure."""
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    layers = [m["name"] for m in bench["per_layer"]]
+    sides = []
+    for side, base in (("before", 1.0), ("after", 0.5)):
+        path = Path(_results(tmp_path / side, side, 5000))
+        for seed in (7, 8):
+            values = {name: 0.0 for name in layers}
+            values["covers.assemble_total_space.time_s"] = base * seed
+            run = {"workload": "corpus", "trace": 1, "seed": seed,
+                   "meta": {"git_sha": side, "src_lines": 5000},
+                   "attempted": 10, "failed": 0,
+                   "metrics": {name: {"value": v} for name, v in values.items()}}
+            (path / f"corpus-seed{seed}-trace1.result.json").write_text(json.dumps(run))
+        sides.append(str(path))
+    out = _bench_record().record(*sides)
+    corpus = out["workloads"]["corpus"]
+    assert corpus["traced"] == {"covers.assemble_total_space.time_s": {
+        "unit": "s", "before": 7.5, "after": 3.75, "runs": [2, 2]}}
+    assert corpus["metrics"]["norm_cpu_s"]["before"]["median"] == 12.0
+    untraced = _bench_record().record(_results(tmp_path / "b", "aaa", 1),
+                                      _results(tmp_path / "a", "bbb", 1))
+    assert "traced" not in untraced["workloads"]["corpus"]

@@ -8,8 +8,11 @@ workload and each end-to-end metric of BENCHMARK.json, OUT gets both
 sides' medians and quartiles, the pairs AFTER won (runs paired by seed,
 or by rank of seed when no seed is on both sides) and compare.py's
 verdict, with the git SHA and the `src/` line count each side's runs
-recorded.  Only untraced runs count.  The statistics are compare.py's
-own functions.
+recorded.  Only untraced runs count for these.  Where both sides also
+have traced runs (--trace 1) of a workload, its `traced` rows give each
+per-layer metric either side reads nonzero as the two medians, the
+lines compare.py prints for them.  The statistics are compare.py's own
+functions.
 """
 
 from __future__ import annotations
@@ -36,6 +39,19 @@ def _side(values) -> dict:
     q1, q3 = quartiles(values)
     return {"median": statistics.median(values), "q1": q1, "q3": q3,
             "runs": len(values)}
+
+
+def _traced(bench: dict, b_runs: dict, a_runs: dict) -> dict:
+    """The per-layer medians of two sides' traced runs, nonzero rows only."""
+    rows = {}
+    for layer in bench["per_layer"]:
+        name = layer["name"]
+        mb = statistics.median(r["metrics"][name]["value"] for r in b_runs.values())
+        ma = statistics.median(r["metrics"][name]["value"] for r in a_runs.values())
+        if mb or ma:
+            rows[name] = {"unit": layer["unit"], "before": mb, "after": ma,
+                          "runs": [len(b_runs), len(a_runs)]}
+    return rows
 
 
 def record(before_path: str, after_path: str) -> dict:
@@ -69,6 +85,8 @@ def record(before_path: str, after_path: str) -> dict:
                           "after": sum(r["attempted"] for r in a_runs.values())},
             "metrics": metrics,
         }
+        if (w, 1) in before and (w, 1) in after:
+            out["workloads"][w]["traced"] = _traced(bench, before[(w, 1)], after[(w, 1)])
     return out
 
 
