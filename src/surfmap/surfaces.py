@@ -532,33 +532,33 @@ def derive_rotations(tri: Triangulation) -> Triangulation:
         incident.setdefault(b, []).append(e)
     rotations = {}
     for v in tri.vertices:
-        fan = tri.corners_at(v)
-        if not fan:
+        corners = tri.corners_at(v)
+        if not corners:
             raise InvalidSurface(f"vertex {v} has no incident triangle corners")
         slots = {e: [] for e in incident.get(v, ())}   # edge -> its corners
-        for i, (_t, x, y) in enumerate(fan):
+        for i, (_t, x, y) in enumerate(corners):
             slots[x].append(i)
             slots[y].append(i)
         if any(len(s) != 2 for s in slots.values()):
             raise InvalidSurface(f"vertex link at {v} is not a cycle")
-        _t, first, cur = fan[0]
+        _t, first, cur = corners[0]
         cycle = [first, cur]
-        used = [False] * len(fan)
+        used = [False] * len(corners)
         used[0] = True
         i = 0
-        for _ in range(len(slots) - 2):     # until the cycle holds every edge
+        while len(cycle) < len(slots):
             a, b = slots[cur]
             i = b if a == i else a      # the corner at cur not just left
             if used[i]:
                 raise InvalidSurface(f"vertex link at {v} is not a single cycle")
             used[i] = True
-            _t, x, y = fan[i]
+            _t, x, y = corners[i]
             cur = y if x == cur else x
             cycle.append(cur)
         # closing corner must exist and be the one unused
         if used.count(False) != 1:
             raise InvalidSurface(f"vertex link at {v} is not a single cycle")
-        _t, x, y = fan[used.index(False)]
+        _t, x, y = corners[used.index(False)]
         if {x, y} != {cur, first} and len(slots) > 1:
             raise InvalidSurface(f"vertex link at {v} does not close")
         rotations[v] = cycle
