@@ -445,10 +445,11 @@ def assemble_total_space(cover: MonodromyCover, *, with_labels: bool = False):
     vert_labels = dict(enumerate(base_vertex_of_lift))
 
     side_edge = list(map(edge_index.__getitem__, copies))    # corner -> its side's edge
+    sides = list(zip(side_edge, signs))
     triangles, tri_labels = [], []
     for (t, _loop), start, end in zip(pieces, offset, offset[1:]):
         if end - start == 3:
-            triangles.append(list(zip(side_edge[start:end], signs[start:end])))
+            triangles.append(sides[start:end])
             tri_labels.append(t)
         else:
             center = len(vertex_names)
