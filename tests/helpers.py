@@ -31,6 +31,27 @@ def with_rotations_reversed(tri, vertices):
                           for v, rot in tri.rotations.items()})
 
 
+def fresh_copy(tri, rotations=True):
+    """A copy of tri sharing no list and no cache with it, without its
+    rotations when `rotations` is false."""
+    return Triangulation(list(tri.vertices), list(tri.edges),
+                         [list(w) for w in tri.triangles],
+                         {v: list(r) for v, r in tri.rotations.items()}
+                         if rotations else {})
+
+
+def disjoint_union(tri, other):
+    """tri beside a copy of other, its vertices and edges renumbered past
+    tri's."""
+    n, m = max(tri.vertices) + 1, len(tri.edges)
+    return Triangulation(
+        tri.vertices + [v + n for v in other.vertices],
+        tri.edges + [(a + n, b + n) for a, b in other.edges],
+        tri.triangles + [[(e + m, s) for e, s in w] for w in other.triangles],
+        {**tri.rotations,
+         **{v + n: [e + m for e in rot] for v, rot in other.rotations.items()}})
+
+
 def corner_matched_disks(tm):
     """One disk region per traced circuit of tm, labelled by the target
     triangle whose corner fan matches every corner of the circuit.  Where

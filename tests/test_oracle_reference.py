@@ -18,9 +18,10 @@ from surfmap.errors import SurfmapError
 from surfmap.surfaces import (BUILTIN_NAMES, Triangulation, builtin_triangulation,
                               derive_rotations)
 
-from helpers import (reference_cover_problems, reference_derive_rotations,
-                     reference_fan_product, reference_triangle_signs,
-                     reference_validate, with_rotations_reversed)
+from helpers import (disjoint_union, fresh_copy, reference_cover_problems,
+                     reference_derive_rotations, reference_fan_product,
+                     reference_triangle_signs, reference_validate,
+                     with_rotations_reversed)
 
 
 def outcome(fn, arg):
@@ -29,14 +30,6 @@ def outcome(fn, arg):
         return fn(arg)
     except Exception as ex:
         return type(ex).__name__, str(ex)
-
-
-def fresh(tri, rotations=True):
-    """A copy of tri sharing no list and no cache with it."""
-    return Triangulation(list(tri.vertices), list(tri.edges),
-                         [list(w) for w in tri.triangles],
-                         {v: list(r) for v, r in tri.rotations.items()}
-                         if rotations else {})
 
 
 def derived(derive):
@@ -50,12 +43,12 @@ def signs(triangle_signs):
 
 
 def assert_triangulation_agrees(tri):
-    assert outcome(Triangulation.validate, fresh(tri)) == \
-        outcome(reference_validate, fresh(tri))
-    assert outcome(signs(Triangulation.triangle_signs), fresh(tri)) == \
-        outcome(signs(reference_triangle_signs), fresh(tri))
-    assert outcome(derived(derive_rotations), fresh(tri, rotations=False)) == \
-        outcome(derived(reference_derive_rotations), fresh(tri, rotations=False))
+    assert outcome(Triangulation.validate, fresh_copy(tri)) == \
+        outcome(reference_validate, fresh_copy(tri))
+    assert outcome(signs(Triangulation.triangle_signs), fresh_copy(tri)) == \
+        outcome(signs(reference_triangle_signs), fresh_copy(tri))
+    assert outcome(derived(derive_rotations), fresh_copy(tri, rotations=False)) == \
+        outcome(derived(reference_derive_rotations), fresh_copy(tri, rotations=False))
 
 
 def assert_cover_agrees(cover):
@@ -89,16 +82,6 @@ def sampled_covers() -> tuple:
             except SurfmapError:
                 pass
     return tuple(out)
-
-
-def disjoint_union(tri, other):
-    n, m = max(tri.vertices) + 1, len(tri.edges)
-    return Triangulation(
-        tri.vertices + [v + n for v in other.vertices],
-        tri.edges + [(a + n, b + n) for a, b in other.edges],
-        tri.triangles + [[(e + m, s) for e, s in w] for w in other.triangles],
-        {**tri.rotations,
-         **{v + n: [e + m for e in rot] for v, rot in other.rotations.items()}})
 
 
 # Mutations of a fresh triangulation: each edits it (or returns a new one)
@@ -162,7 +145,7 @@ TRIANGULATION_MUTATIONS = (drop_side, add_side, flip_sign, reverse_walk, turn_wa
 
 
 def mutated(tri, mutation, seed):
-    out = fresh(tri)
+    out = fresh_copy(tri)
     return mutation(out, random.Random(seed)) or out
 
 
@@ -273,7 +256,6 @@ def test_mutated_covers_agree_with_the_references(mutation):
     assert edited > 100
 
 
-
 def test_fan_products_agree_with_the_reference():
     """fan_product, read from every third step, on the sampled covers and
     on copies with two entries of a permutation swapped."""
@@ -289,9 +271,9 @@ def test_fan_products_agree_with_the_reference():
 def test_a_side_naming_no_edge_is_a_problem_where_the_reference_raised():
     """The one intended difference: the reference indexes the edge table
     with a side's edge and raises."""
-    tri = fresh(builtin_triangulation("sphere_tetra"))
+    tri = fresh_copy(builtin_triangulation("sphere_tetra"))
     tri.triangles[0][0] = (99, 1)
-    assert outcome(reference_validate, fresh(tri)) == \
+    assert outcome(reference_validate, fresh_copy(tri)) == \
         ("IndexError", "list index out of range")
     assert tri.validate() == ["triangle 0 names edge 99, which the triangulation lacks",
                               "edge 0 lies on 1 triangle sides, expected 2"]

@@ -7,7 +7,7 @@ from surfmap.surfaces import (BUILTIN_NAMES, SurfaceKind, Triangulation,
                               classify_with_boundary, complex_from_faces,
                               connected_sum_kind, derive_rotations)
 
-from helpers import two_triangle_sphere
+from helpers import disjoint_union, fresh_copy, two_triangle_sphere
 
 
 def test_euler_char_examples():
@@ -197,25 +197,8 @@ def test_derive_rotations_refuses_a_link_that_does_not_close():
         derive_rotations(Triangulation([0, 1, 2, 3], E, T))
 
 
-def _copy(tri):
-    """A copy of tri whose lists may be edited without touching tri."""
-    return Triangulation(list(tri.vertices), list(tri.edges),
-                         [list(w) for w in tri.triangles],
-                         {v: list(r) for v, r in tri.rotations.items()})
-
-
-def _disjoint_union(tri, other):
-    n, m = len(tri.vertices), len(tri.edges)
-    return Triangulation(
-        tri.vertices + [v + n for v in other.vertices],
-        tri.edges + [(a + n, b + n) for a, b in other.edges],
-        tri.triangles + [[(e + m, s) for e, s in w] for w in other.triangles],
-        {**tri.rotations,
-         **{v + n: [e + m for e in rot] for v, rot in other.rotations.items()}})
-
-
 def _tetra_edited(edit):
-    tri = _copy(builtin_triangulation("sphere_tetra"))
+    tri = fresh_copy(builtin_triangulation("sphere_tetra"))
     edit(tri)
     return tri
 
@@ -259,7 +242,7 @@ def test_validate_reports_exactly(edit, problems):
 
 
 def test_validate_reports_a_fan_the_rotation_disagrees_with_exactly():
-    tri = _copy(builtin_triangulation("torus_7"))
+    tri = fresh_copy(builtin_triangulation("torus_7"))
     r = tri.rotations[0]
     tri.rotations[0] = [r[1], r[0]] + r[2:]
     assert tri.validate() == ["rotation at 0 disagrees with the triangle fan"]
@@ -267,7 +250,7 @@ def test_validate_reports_a_fan_the_rotation_disagrees_with_exactly():
 
 def test_validate_reports_a_disconnected_complex_exactly():
     tet = builtin_triangulation("sphere_tetra")
-    assert _disjoint_union(tet, tet).validate() == ["complex is not connected"]
+    assert disjoint_union(tet, tet).validate() == ["complex is not connected"]
     assert Triangulation([], [], [], {}).validate() == ["complex is not connected"]
 
 
