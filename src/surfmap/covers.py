@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 from .errors import (Branched, InputError, InternalInconsistency, InvalidSurface,
                      NotClosed, Unsatisfiable)
-from .surfaces import Triangulation, derive_rotations, doc_field, doc_int
+from .surfaces import (Triangulation, derive_rotations, doc_field, doc_int,
+                       per_triangulation)
 from .unionfind import ParityUF
 
 
@@ -53,8 +54,8 @@ class MonodromyCover:
     d: int
     edge_perm: dict = field(default_factory=dict)   # edge -> sheet perm, side0 -> side1
     branch: dict = field(default_factory=dict)      # triangle -> list of cycles (tuples)
-    # (snapshot, problems) of the last validate(), and (snapshot, solve)
-    # of the last cover_solve()
+    # (state, problems) of the last validate(), and (state, solve) of the
+    # last cover_solve()
     _verdict: tuple = field(default=None, init=False, repr=False, compare=False)
     _solved: tuple = field(default=None, init=False, repr=False, compare=False)
 
@@ -83,19 +84,7 @@ class MonodromyCover:
     def fan_steps(self, v):
         """The fan walk at v as (kind, payload) steps: ('edge', e, from_t)
         then ('seam', t, enter, leave), repeated around the rotation."""
-        cache = self.base.__dict__.setdefault("_fan_steps", {})
-        if v not in cache:
-            rot = self.base.rotations[v]
-            sectors = self.base.sector_triangles(v)
-            m = len(rot)
-            steps = []
-            for i in range(m):
-                e = rot[i]
-                from_t = sectors[i - 1]   # sector between rot[i-1] and rot[i]
-                steps.append(("edge", e, from_t))
-                steps.append(("seam", sectors[i], rot[i], rot[(i + 1) % m]))
-            cache[v] = steps
-        return cache[v]
+        return _fan_steps(self.base)[v]
 
     def _actions(self) -> tuple:
         """Every sheet action a fan walk reads, each read once, as tuples
@@ -141,22 +130,20 @@ class MonodromyCover:
     # -- validation -------------------------------------------------------------
 
     def _snapshot(self) -> tuple:
-        """The cover's data by value: base, d, edge_perm and branch, every
-        list as a tuple.  Equal snapshots mean equal covers."""
-        b = self.base
-        return (self.d, tuple(b.vertices), tuple(map(tuple, b.edges)),
-                tuple(tuple(map(tuple, walk)) for walk in b.triangles),
-                tuple((v, tuple(rot)) for v, rot in b.rotations.items()),
-                tuple((e, tuple(p)) for e, p in self.edge_perm.items()),
+        """The cover's state: its base itself, which is frozen, and d,
+        edge_perm and branch by value, every list as a tuple.  Equal
+        states mean equal covers; the same base compares by identity."""
+        return (self.base, self.d, tuple((e, tuple(p)) for e, p in self.edge_perm.items()),
                 tuple((t, tuple(map(tuple, cycles)))
                       for t, cycles in self.branch.items()))
 
     def validate(self) -> list:
         """The cover's problems.  The verdict is memoized under the cover's
-        snapshot, so a cover checked again unchanged (random_cover checks
-        what it returns, map_from_cover and assemble_total_space check
-        what they are given) is not checked twice, and one changed in
-        place is checked in full."""
+        state (_snapshot), so a cover checked again unchanged
+        (random_cover checks what it returns, map_from_cover and
+        assemble_total_space check what they are given) is not checked
+        twice, and one whose base is rebound, or whose other data is
+        changed in place, is checked in full."""
         try:
             key = self._snapshot()
         except TypeError:      # data of the wrong shape: no memo
@@ -276,10 +263,11 @@ def cover_solve(cover: MonodromyCover) -> ParityUF:
     along paths, so only closed-path products act on a single fiber.
 
     The solve is memoized beside validate's verdict, under the same
-    snapshot, so a cover solved again unchanged (random_cover solves what
-    it keeps, map_from_cover and factorize what they are given) is not
-    solved twice, and one changed in place is solved again; each call
-    gets a copy of its own, which the caller may change.
+    state (MonodromyCover._snapshot), so a cover solved again unchanged
+    (random_cover solves what it keeps, map_from_cover and factorize what
+    they are given) is not solved twice, and one whose base is rebound or
+    whose data is changed in place is solved again; each call gets a copy
+    of its own, which the caller may change.
     """
     try:
         key = cover._snapshot()
@@ -445,7 +433,7 @@ def assemble_total_space(cover: MonodromyCover, *, with_labels: bool = False):
     vert_labels = dict(enumerate(base_vertex_of_lift))
 
     side_edge = list(map(edge_index.__getitem__, copies))    # corner -> its side's edge
-    sides = list(zip(side_edge, signs))
+    sides = tuple(zip(side_edge, signs))     # sliced into the triangles' walks
     triangles, tri_labels = [], []
     for (t, _loop), start, end in zip(pieces, offset, offset[1:]):
         if end - start == 3:
@@ -465,7 +453,7 @@ def assemble_total_space(cover: MonodromyCover, *, with_labels: bool = False):
                 e_side = side_edge[start + ci]
                 s_here = 1 if edges[e_side][0] == corner_lifts[ci] else -1
                 nxt = (ci + 1) % n
-                triangles.append([(e_side, s_here), (spokes[nxt], -1), (spokes[ci], 1)])
+                triangles.append(((e_side, s_here), (spokes[nxt], -1), (spokes[ci], 1)))
                 tri_labels.append(t)
 
     total = derive_rotations(Triangulation(vertex_names, edges, triangles))
@@ -558,53 +546,64 @@ def _random_branch(getrandbits, steps: tuple, triangles: list, sheets: tuple, sp
     return branch
 
 
+@per_triangulation
+def _fan_steps(tri: Triangulation) -> dict:
+    """v -> MonodromyCover.fan_steps(v) over the base tri."""
+    table = {}
+    for v in tri.vertices:
+        rot, sectors = tri.rotations[v], tri.sector_triangles(v)
+        steps = table[v] = []
+        for i, e in enumerate(rot):
+            # e crossed from the sector before it, then the sector after it
+            steps += (("edge", e, sectors[i - 1]),
+                      ("seam", sectors[i], e, rot[(i + 1) % len(rot)]))
+    return table
+
+
+@per_triangulation
 def _fan_programs(tri: Triangulation) -> dict:
     """v -> the fan walk at v compiled to indices into a sheet table.
 
     The table holds 0-based permutations by slot: slot e is edge e's
     (side0 -> side1) and slot E + t triangle t's seam permutation, None
     while t has no branch cycle.  Table entry 2*k is slot k's permutation
-    and 2*k + 1 its inverse (_sheet_table).  The steps are those of
-    MonodromyCover.fan_steps; seam sectors away from a triangle's seam
-    vertex act as the identity and are left out.  Compiled once per
-    triangulation and cached on it.
+    and 2*k + 1 its inverse (_sheet_table).  Compiled from the steps of
+    MonodromyCover.fan_steps (_fan_steps) once per triangulation; seam
+    sectors away from a triangle's seam vertex act as the identity and
+    are left out.
     """
-    cache = tri.__dict__.get("_fan_programs")
-    if cache is None:
-        n_edges = len(tri.edges)
-        cache = {}
-        for v in tri.vertices:
-            rot = tri.rotations[v]
-            sectors = tri.sector_triangles(v)
-            m = len(rot)
-            program = []
-            for i in range(m):
-                e = rot[i]
-                crosses_back = sectors[i - 1] != tri.edge_sides(e)[0][0]
-                program.append(2 * e + crosses_back)
-                t = sectors[i]
-                walk = tri.triangles[t]
-                if tri.directed_ends(walk[0])[0] != v:
-                    continue
-                sector = (e, rot[(i + 1) % m])
-                if sector == (walk[2][0], walk[0][0]):
-                    program.append(2 * (n_edges + t))
-                elif sector == (walk[0][0], walk[2][0]):
-                    program.append(2 * (n_edges + t) + 1)
-                else:
-                    raise InvalidSurface(
-                        f"seam sector of triangle {t} at {v} mismatches fan")
-            cache[v] = tuple(program)
-        tri.__dict__["_fan_programs"] = cache
-    return cache
+    n_edges = len(tri.edges)
+    table = {}
+    for v, steps in _fan_steps(tri).items():
+        program = []
+        for step in steps:
+            if step[0] == "edge":
+                _kind, e, from_t = step
+                program.append(2 * e + (from_t != tri.edge_sides(e)[0][0]))
+                continue
+            _kind, t, enter, leave = step
+            walk = tri.triangles[t]
+            if tri.directed_ends(walk[0])[0] != v:
+                continue
+            if (enter, leave) == (walk[2][0], walk[0][0]):
+                program.append(2 * (n_edges + t))
+            elif (enter, leave) == (walk[0][0], walk[2][0]):
+                program.append(2 * (n_edges + t) + 1)
+            else:
+                raise InvalidSurface(
+                    f"seam sector of triangle {t} at {v} mismatches fan")
+        table[v] = tuple(program)
+    return table
 
 
+@per_triangulation
 def _sampler_plan(tri: Triangulation) -> tuple:
     """random_cover's per-try schedule, which the triangulation alone fixes:
     (edges drawn, in draw order; (table index of the parent-edge crossing,
     the fan program rotated to start just after it) per non-root vertex,
     leaves of a breadth-first spanning tree first; the root word; the
-    order edges enter edge_perm).  Cached on the triangulation.
+    order edges enter edge_perm).  Made once per triangulation
+    (per_triangulation).
 
     The root word is the root's program with every solved entry replaced
     by its defining product, leaves first: entry `cross ^ 1` by the
@@ -614,46 +613,42 @@ def _sampler_plan(tri: Triangulation) -> tuple:
     itself, not a conjugate.  Steps are (slot, inverse?) pairs, as _walk
     reads them.
     """
-    plan = tri.__dict__.get("_sampler_plan")
-    if plan is None:
-        root = tri.vertices[0]
-        parent_edge = {root: None}
-        order = [root]
-        adj = {v: [] for v in tri.vertices}
-        for e, (a, b) in enumerate(tri.edges):
-            adj[a].append((e, b))
-            adj[b].append((e, a))
-        for v in order:
-            for (e, w) in adj[v]:
-                if w not in parent_edge:
-                    parent_edge[w] = e
-                    order.append(w)
-        programs = _fan_programs(tri)
-        draws, solves, assigned = [], [], []
-        for v in reversed(order):
-            e_solve = parent_edge[v]
-            for e in tri.rotations[v]:
-                if e not in assigned and e != e_solve:
-                    draws.append(e)
-                    assigned.append(e)
-            if e_solve is not None:
-                program = programs[v]
-                k = next(i for i, step in enumerate(program) if step >> 1 == e_solve)
-                solves.append((program[k], program[k + 1:] + program[:k]))
-                assigned.append(e_solve)
-        expansion = {}    # solved table entry -> its word
+    root = tri.vertices[0]
+    parent_edge = {root: None}
+    order = [root]
+    adj = {v: [] for v in tri.vertices}
+    for e, (a, b) in enumerate(tri.edges):
+        adj[a].append((e, b))
+        adj[b].append((e, a))
+    for v in order:
+        for (e, w) in adj[v]:
+            if w not in parent_edge:
+                parent_edge[w] = e
+                order.append(w)
+    programs = _fan_programs(tri)
+    draws, solves, assigned = [], [], []
+    for v in reversed(order):
+        e_solve = parent_edge[v]
+        for e in tri.rotations[v]:
+            if e not in assigned and e != e_solve:
+                draws.append(e)
+                assigned.append(e)
+        if e_solve is not None:
+            program = programs[v]
+            k = next(i for i, step in enumerate(program) if step >> 1 == e_solve)
+            solves.append((program[k], program[k + 1:] + program[:k]))
+            assigned.append(e_solve)
+    expansion = {}    # solved table entry -> its word
 
-        def expand(program):
-            return tuple(j for i in program for j in expansion.get(i, (i,)))
+    def expand(program):
+        return tuple(j for i in program for j in expansion.get(i, (i,)))
 
-        for cross, program in solves:
-            word = expand(program)
-            expansion[cross ^ 1] = word
-            expansion[cross] = tuple(i ^ 1 for i in reversed(word))
-        root_word = tuple(divmod(i, 2) for i in expand(programs[root]))
-        plan = (tuple(draws), tuple(solves), root_word, tuple(assigned))
-        tri.__dict__["_sampler_plan"] = plan
-    return plan
+    for cross, program in solves:
+        word = expand(program)
+        expansion[cross ^ 1] = word
+        expansion[cross] = tuple(i ^ 1 for i in reversed(word))
+    root_word = tuple(divmod(i, 2) for i in expand(programs[root]))
+    return tuple(draws), tuple(solves), root_word, tuple(assigned)
 
 
 def _inverse(p: tuple) -> tuple:

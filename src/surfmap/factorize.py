@@ -399,7 +399,7 @@ def compose_with_covering(tm: TransverseMap, cover: MonodromyCover) -> Transvers
     if any(cover.branch.get(t) for t in cover.branch):
         raise Branched("composition target cover must be unbranched")
     total, labels = covers_mod.induced_triangulation(cover)
-    if tm.target.to_json() != total.to_json():
+    if tm.target != total:
         raise InputError("map does not live over the induced triangulation")
     vlab = labels["vertices"]
     elab = labels["edges"]

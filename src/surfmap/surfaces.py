@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import functools
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import InputError, InvalidChi, InvalidSurface, UnknownName
 
@@ -160,20 +162,47 @@ def connected_sum_kind(kind: SurfaceKind, other: SurfaceKind) -> SurfaceKind:
 # Triangulations
 
 
-@dataclass
+def per_triangulation(build):
+    """Decorator: build(tri), built on a triangulation's first call and
+    kept on it, as a cached_property keeps its table.  A triangulation is
+    frozen, so nothing kept on it can go stale.  The one place outside a
+    triangulation's own methods that stores on it."""
+    name = f"{build.__module__}.{build.__qualname__}"   # never an attribute name
+
+    @functools.wraps(build)
+    def kept(tri):
+        memo = tri.__dict__
+        if name not in memo:
+            memo[name] = build(tri)
+        return memo[name]
+    return kept
+
+
+@dataclass(frozen=True)
 class Triangulation:
-    """Closed triangulated surface.
+    """Closed triangulated surface, a frozen value.
 
     edges[i] = (a, b) with a != b.  triangles[t] = three directed edges
     (edge index, sign) forming a closed walk; sign +1 traverses a -> b.
-    rotations[v] = cyclic list of the edge indices incident to v, in the
-    order the edge ends occur around v.
+    rotations[v] = cyclic order of the edge indices incident to v, in the
+    order the edge ends occur around v.  The fields are tuples, edges and
+    sides given as tuple pairs, and rotations a read-only mapping of
+    tuples, so the tables derived from them and cached on the
+    triangulation (cached_property, per_triangulation) cannot go stale.
     """
 
-    vertices: list
-    edges: list
-    triangles: list
-    rotations: dict = field(default_factory=dict)
+    vertices: tuple
+    edges: tuple
+    triangles: tuple
+    rotations: Mapping = field(default_factory=dict)
+
+    def __post_init__(self):
+        """Freeze the sequences the fields were given as."""
+        object.__setattr__(self, "vertices", tuple(self.vertices))
+        object.__setattr__(self, "edges", tuple(self.edges))
+        object.__setattr__(self, "triangles", tuple(map(tuple, self.triangles)))
+        object.__setattr__(self, "rotations", MappingProxyType(
+            {v: tuple(rot) for v, rot in self.rotations.items()}))
 
     # -- basic incidence ----------------------------------------------------
 
@@ -189,70 +218,69 @@ class Triangulation:
     def triangle_edges(self, t: int) -> list:
         return [d[0] for d in self.triangles[t]]
 
+    @functools.cached_property
+    def _corners_at(self) -> dict:
+        """v -> all triangle corners at v as (triangle, incoming, outgoing),
+        in triangle order, listed for every vertex in one pass."""
+        table = {w: [] for w in self.vertices}
+        edges = self.edges
+        for t, walk in enumerate(self.triangles):
+            for i, d in enumerate(walk):
+                e, s = walk[(i + 1) % 3]      # the corner is at this side's tail
+                a, b = edges[e]
+                table[a if s > 0 else b].append((t, d[0], e))
+        return table
+
     def corners_at(self, v):
-        """All triangle corners at v as (triangle, incoming, outgoing), in
-        triangle order, listed for every vertex in one pass and cached."""
-        cache = self.__dict__.get("_corners_at")
-        if cache is None:
-            cache = {w: [] for w in self.vertices}
-            edges = self.edges
-            for t, walk in enumerate(self.triangles):
-                for i, d in enumerate(walk):
-                    e, s = walk[(i + 1) % 3]      # the corner is at this side's tail
-                    a, b = edges[e]
-                    cache[a if s > 0 else b].append((t, d[0], e))
-            self.__dict__["_corners_at"] = cache
-        return cache[v]
+        return self._corners_at[v]
+
+    @functools.cached_property
+    def _edge_sides(self) -> list:
+        """e -> the (triangle, position) pairs whose walk uses edge e."""
+        table = [[] for _ in self.edges]
+        for t, walk in enumerate(self.triangles):
+            for k, (ei, _s) in enumerate(walk):
+                table[ei].append((t, k))
+        return table
 
     def edge_sides(self, e: int) -> list:
-        """The (triangle, position) pairs whose walk uses edge e."""
-        cache = self.__dict__.get("_edge_sides")
-        if cache is None:
-            cache = [[] for _ in self.edges]
-            for t, walk in enumerate(self.triangles):
-                for k, (ei, _s) in enumerate(walk):
-                    cache[ei].append((t, k))
-            self.__dict__["_edge_sides"] = cache
-        return cache[e]
+        return self._edge_sides[e]
+
+    @functools.cached_property
+    def _half_edges(self) -> dict:
+        """v -> the sorted half-edges (edge, end) at v."""
+        table = {}
+        for e, ends in enumerate(self.edges):
+            for end in (0, 1):
+                table.setdefault(ends[end], []).append((e, end))
+        for half in table.values():
+            half.sort()
+        return table
 
     def half_edges_at(self, v) -> list:
-        """The sorted half-edges (edge, end) at v."""
-        cache = self.__dict__.get("_half_edges")
-        if cache is None:
-            cache = {}
-            for e, ends in enumerate(self.edges):
-                for end in (0, 1):
-                    cache.setdefault(ends[end], []).append((e, end))
-            for half in cache.values():
-                half.sort()
-            self.__dict__["_half_edges"] = cache
-        return cache.get(v, [])
+        return self._half_edges.get(v, [])
 
-    def sector_triangles(self, v) -> list:
-        """Triangle occupying each rotation sector (rot[i] -> rot[i+1]) at v."""
-        cache = self.__dict__.get("_sectors")
-        if cache is None:
-            cache = {}
-            self.__dict__["_sectors"] = cache
-        if v not in cache:
-            rot = self.rotations[v]
-            m = len(rot)
+    @functools.cached_property
+    def _sectors(self) -> dict:
+        """v -> the triangle occupying each rotation sector (rot[i] ->
+        rot[i+1]) at v."""
+        table = {}
+        for v, rot in self.rotations.items():
             corners = self.corners_at(v)
             sectors = []
             used = [False] * len(corners)
-            for i in range(m):
-                pair = {rot[i], rot[(i + 1) % m]}
-                pick = None
-                for j, (t, e_in, e_out) in enumerate(corners):
-                    if not used[j] and {e_in, e_out} == pair:
-                        pick = j
-                        break
+            for pair in map(set, zip(rot, rot[1:] + rot[:1])):
+                pick = next((j for j, (_t, e_in, e_out) in enumerate(corners)
+                             if not used[j] and {e_in, e_out} == pair), None)
                 if pick is None:
                     raise InvalidSurface(f"rotation sector at {v} matches no corner")
                 used[pick] = True
                 sectors.append(corners[pick][0])
-            cache[v] = sectors
-        return cache[v]
+            table[v] = sectors
+        return table
+
+    def sector_triangles(self, v) -> list:
+        return self._sectors[v]
 
     def rotation_succ(self, v, e: int) -> int:
         rot = self.rotations[v]
@@ -519,7 +547,7 @@ class Triangulation:
 
 
 def derive_rotations(tri: Triangulation) -> Triangulation:
-    """Set tri.rotations from its triangle corner fans and return tri.
+    """tri with its rotations derived from its triangle corner fans.
 
     The corners at v (corners_at, listed for every vertex in one pass over
     the triangles) form a 2-regular multigraph on the edge ends at v; a
@@ -562,8 +590,7 @@ def derive_rotations(tri: Triangulation) -> Triangulation:
         if {x, y} != {cur, first} and len(slots) > 1:
             raise InvalidSurface(f"vertex link at {v} does not close")
         rotations[v] = cycle
-    tri.rotations = rotations
-    return tri
+    return Triangulation(tri.vertices, tri.edges, tri.triangles, rotations)
 
 
 def complex_from_faces(face_lists) -> Triangulation:
@@ -620,37 +647,19 @@ def _klein_8() -> Triangulation:
 
 
 def _genus2() -> Triangulation:
-    """Connected sum of two 7-vertex tori along a removed triangle."""
-    t = _torus_7()
-    shift = 7
-
-    def build(identify):
-        faces = []
-        removed = (0, (0 + 1) % 7, (0 + 3) % 7)  # face (0,1,3)
-        for fi in range(len(t.triangles)):
-            vs = tuple(t.walk_vertices(fi))
-            if set(vs) == set(removed):
-                continue
-            faces.append(vs)
-        faces_b = []
-        for vs in faces:
-            faces_b.append(tuple(identify.get(v + shift, v + shift) for v in vs))
-        all_faces = [tuple(vs) for vs in faces] + faces_b
-        return complex_from_faces(all_faces)
-
-    # try both boundary identifications; keep the orientable one
-    for perm in ((0, 1, 3), (0, 3, 1), (1, 0, 3), (1, 3, 0), (3, 0, 1), (3, 1, 0)):
-        identify = {0 + shift: perm[0], 1 + shift: perm[1], 3 + shift: perm[2]}
-        tri = build(identify)
-        if not tri.validate() and tri.orientability() and tri.euler == -2:
-            return tri
-    raise InvalidSurface("no orientable genus-2 gluing found")
+    """Connected sum of two 7-vertex tori: each loses face (0, 1, 3), and
+    the second (vertices shifted by 7) is glued on along that boundary."""
+    torus = _torus_7()
+    faces = [tuple(vs) for vs in map(torus.walk_vertices, range(len(torus.triangles)))
+             if set(vs) != {0, 1, 3}]
+    glue = {7: 0, 8: 1, 10: 3}
+    return complex_from_faces(faces + [tuple(glue.get(v + 7, v + 7) for v in vs)
+                                       for vs in faces])
 
 
-_BUILTIN_CACHE = {}
-
-
+@functools.cache
 def builtin_triangulation(name: str) -> Triangulation:
+    """Built-in triangulation `name`: one frozen object, shared by all callers."""
     builders = {
         "sphere_tetra": _sphere_tetra,
         "rp2_6": _rp2_6,
@@ -661,13 +670,11 @@ def builtin_triangulation(name: str) -> Triangulation:
     if name not in builders:
         raise UnknownName(f"unknown triangulation {name!r}; "
                           f"choose from {sorted(builders)}")
-    if name not in _BUILTIN_CACHE:
-        tri = builders[name]()
-        problems = tri.validate()
-        if problems:
-            raise InvalidSurface(f"builtin {name} failed validation: {problems}")
-        _BUILTIN_CACHE[name] = tri
-    return _BUILTIN_CACHE[name]
+    tri = builders[name]()
+    problems = tri.validate()
+    if problems:
+        raise InvalidSurface(f"builtin {name} failed validation: {problems}")
+    return tri
 
 
 BUILTIN_NAMES = ("sphere_tetra", "rp2_6", "torus_7", "klein_8", "genus2")

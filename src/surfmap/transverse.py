@@ -87,7 +87,7 @@ from .errors import (BadKind, Disconnected, DisconnectedCover,
                      InvalidSurface, NotOrientable, UnknownName)
 from .surfaces import (SurfaceKind, Triangulation, builtin_triangulation,
                        classify_surface, connected_sum_kind, doc_field, doc_id,
-                       doc_int, doc_pair)
+                       doc_int, doc_pair, per_triangulation)
 from . import covers as covers_mod
 from .unionfind import BROKEN, HELD, JOINED, ParityUF
 
@@ -1885,11 +1885,11 @@ def signed_degree(tm: TransverseMap, orient_m: int = 1, orient_n: int = 1) -> in
     given as +1/-1 flips of the canonical ones.  The canonical domain
     orientation is normalized so the identity-like vertex of least id
     counts +1."""
-    if not tm.target.orientability():
+    signs = tm.target.triangle_signs()
+    if signs is None:
         raise NotOrientable("target is not orientable")
     if not domain_orientable(tm):
         raise NotOrientable("domain is not orientable")
-    signs = tm.target.triangle_signs()
     rot_bits = tm.target.rotation_ccw_bits(signs)
     chart_flips = domain_solve(tm).chart_flips
     facts = tm.ribbon_facts()
@@ -1922,8 +1922,9 @@ def signed_degree(tm: TransverseMap, orient_m: int = 1, orient_n: int = 1) -> in
 
 class OneSheetedLift:
     """The one-sheeted lift of a triangulation (the identity map), checked
-    from scratch once and kept on the triangulation (_one_sheeted), with
-    what the check of a lift of a cover over it reads off it (lift_facts).
+    from scratch once per triangulation (_one_sheeted), with what the
+    check of a lift of a cover over it reads off it (lift_facts).  The
+    triangulation is frozen, so that check stays true of it.
 
     A branched cover is a local homeomorphism away from its branch
     points, which lie inside triangles.  So once a lift's tables are seen
@@ -2035,19 +2036,17 @@ class OneSheetedLift:
         return RegionChecks.of_disk(region, key, seq[1][0], *template)
 
 
+@per_triangulation
 def _one_sheeted(tri: Triangulation) -> OneSheetedLift:
-    """The one-sheeted lift of tri, built and checked from scratch on
-    first use and kept on the triangulation; InvalidSurface when tri is
-    invalid (the one-sheeted cover does not check its base)."""
-    lift = tri.__dict__.get("_one_sheeted")
-    if lift is None:
-        problems = tri.validate()
-        if problems:
-            raise InvalidSurface(f"invalid target: {problems}")
-        lift = OneSheetedLift(map_from_cover(covers_mod.MonodromyCover(
-            tri, 1, {e: (1,) for e in range(len(tri.edges))}, {})))
-        tri.__dict__["_one_sheeted"] = lift
-    return lift
+    """The one-sheeted lift of tri, built and checked from scratch once
+    per triangulation, which is frozen, so the check holds for as long
+    as tri lives; InvalidSurface when tri is invalid (the one-sheeted
+    cover does not check its base)."""
+    problems = tri.validate()
+    if problems:
+        raise InvalidSurface(f"invalid target: {problems}")
+    return OneSheetedLift(map_from_cover(covers_mod.MonodromyCover(
+        tri, 1, {e: (1,) for e in range(len(tri.edges))}, {})))
 
 
 def lift_facts(tm: TransverseMap) -> RibbonFacts:
@@ -2066,16 +2065,17 @@ def lift_facts(tm: TransverseMap) -> RibbonFacts:
 
 def identity_map(tri: Triangulation) -> TransverseMap:
     """The lift of the one-sheeted cover: preimage graph equal to the
-    skeleton, one disk region per triangle.  A copy of the lift kept on
-    the triangulation (_one_sheeted) that shares no facts with it, so
-    what its users check is not memoized there."""
+    skeleton, one disk region per triangle.  A copy of tri's one-sheeted
+    lift (_one_sheeted) that shares no facts with it, so what its users
+    check is not memoized there."""
     out = _one_sheeted(tri).map.copy()
     out._facts = out._tiling = None
     return out
 
 
+@per_triangulation
 def _lift_plan(base: Triangulation) -> tuple:
-    """What map_from_cover reads off the base alone, kept on the
+    """What map_from_cover reads off the base alone, made once per
     triangulation: per triangle, its edges in walk order, each with
     whether the triangle is the edge's first side; per base vertex w,
     (w's sector triangles, the turn of w's corner in its least triangle
@@ -2083,9 +2083,6 @@ def _lift_plan(base: Triangulation) -> tuple:
     its first side, the end at w, the triangle whose seam the step
     crosses or None, whether that triangle's corner runs with the
     fan)); each edge's band sign."""
-    plan = base.__dict__.get("_lift_plan")
-    if plan is not None:
-        return plan
     first_side = [base.edge_sides(e)[0][0] for e in range(len(base.edges))]
     # per triangle, its edges and whether it is each one's first side
     sides = [[(e, first_side[e] == t) for e, _sg in walk]
@@ -2109,8 +2106,7 @@ def _lift_plan(base: Triangulation) -> tuple:
         fans.append((sectors, turn, fan))
     band = [(1 if base.edge_compatible(e) else -1) * local[a] * local[b]
             for e, (a, b) in enumerate(base.edges)]
-    plan = base.__dict__["_lift_plan"] = (sides, fans, band)
-    return plan
+    return sides, fans, band
 
 
 def map_from_cover(cover) -> TransverseMap:

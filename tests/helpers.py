@@ -31,23 +31,14 @@ def with_rotations_reversed(tri, vertices):
                           for v, rot in tri.rotations.items()})
 
 
-def fresh_copy(tri, rotations=True):
-    """A copy of tri sharing no list and no cache with it, without its
-    rotations when `rotations` is false."""
-    return Triangulation(list(tri.vertices), list(tri.edges),
-                         [list(w) for w in tri.triangles],
-                         {v: list(r) for v, r in tri.rotations.items()}
-                         if rotations else {})
-
-
 def disjoint_union(tri, other):
     """tri beside a copy of other, its vertices and edges renumbered past
     tri's."""
     n, m = max(tri.vertices) + 1, len(tri.edges)
     return Triangulation(
-        tri.vertices + [v + n for v in other.vertices],
-        tri.edges + [(a + n, b + n) for a, b in other.edges],
-        tri.triangles + [[(e + m, s) for e, s in w] for w in other.triangles],
+        [*tri.vertices, *(v + n for v in other.vertices)],
+        [*tri.edges, *((a + n, b + n) for a, b in other.edges)],
+        [*tri.triangles, *([(e + m, s) for e, s in w] for w in other.triangles)],
         {**tri.rotations,
          **{v + n: [e + m for e in rot] for v, rot in other.rotations.items()}})
 
@@ -304,9 +295,10 @@ def assert_facts_match_fresh(tm: TransverseMap):
 # _problems used (fan_product, _seam_step), the corner lists both read
 # (corners_at, triangle_corners) and validate's orientation signs
 # (triangle_signs), as they read before they were rewritten as flat
-# passes, kept verbatim but for their names, the corner cache's key and
-# validate's orientability() spelt out (a method's `self` is the
-# triangulation or cover passed in).  tests/test_oracle_reference.py
+# passes, kept verbatim but for their names, the corner cache's key,
+# validate's orientability() spelt out and derive_rotations returning a
+# new triangulation, as frozen triangulations require (a method's `self`
+# is the triangulation or cover passed in).  tests/test_oracle_reference.py
 # requires the package's versions to give the same problems, rotations,
 # signs and exceptions.  Of the package they call only methods those
 # rewrites left as they were (directed_ends, half_edges_at, edge_sides,
@@ -385,12 +377,11 @@ def reference_validate(self) -> list:
 
 
 def reference_derive_rotations(tri: Triangulation) -> Triangulation:
-    """Set tri.rotations from its triangle corner fans and return tri.
+    """tri with its rotations derived from its triangle corner fans.
 
     The corners at v form a 2-regular multigraph on the edge ends at v;
     a valid closed surface makes it a single cycle, which becomes the
-    rotation (direction chosen arbitrarily).  The corners and half-edges
-    are tri's own caches, so a later tri.validate() reuses them.
+    rotation (direction chosen arbitrarily).
     """
     rotations = {}
     for v in tri.vertices:
@@ -424,8 +415,7 @@ def reference_derive_rotations(tri: Triangulation) -> Triangulation:
         if {x, y} != {cur, first} and len(slots) > 1:
             raise InvalidSurface(f"vertex link at {v} does not close")
         rotations[v] = cycle
-    tri.rotations = rotations
-    return tri
+    return Triangulation(tri.vertices, tri.edges, tri.triangles, rotations)
 
 
 def reference_cover_problems(self) -> list:

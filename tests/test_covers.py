@@ -12,9 +12,9 @@ from surfmap.covers import (MonodromyCover, assemble_total_space, cover_chi,
                             random_cover)
 from surfmap.errors import (Branched, InternalInconsistency, NotClosed,
                             Unsatisfiable)
-from surfmap.surfaces import BUILTIN_NAMES, builtin_triangulation
+from surfmap.surfaces import BUILTIN_NAMES, Triangulation, builtin_triangulation
 
-from helpers import two_triangle_sphere
+from helpers import two_triangle_sphere, with_rotations_reversed
 
 
 @st.composite
@@ -377,6 +377,34 @@ def test_cover_solve_is_memoized_per_cover_state_and_each_call_gets_its_own():
     cover.edge_perm[0] = (2, 1)
     assert cover_connected(cover)
     assert cover_components(cover) == {(t, s): 0 for t in range(4) for s in (1, 2)}
+
+
+def test_memo_follows_a_rebound_base(monkeypatch):
+    """validate() and cover_solve() key their memo by the base itself: a
+    cover whose base is rebound to another triangulation is checked and
+    solved again, and one rebound to an equal triangulation is not."""
+    tri = builtin_triangulation("torus_7")
+    sampled = random_cover(tri, 3, [3, 3], seed=0)
+    cover = MonodromyCover(tri, 3, sampled.edge_perm, sampled.branch)
+    calls = []
+    problems, solve = MonodromyCover._problems, covers._solve_cover
+    monkeypatch.setattr(MonodromyCover, "_problems",
+                        lambda c: calls.append("check") or problems(c))
+    monkeypatch.setattr(covers, "_solve_cover",
+                        lambda c: calls.append("solve") or solve(c))
+
+    def check_and_solve():
+        return cover.validate(), covers.cover_solve(cover).sets
+
+    assert check_and_solve() == ([], 1) and calls == ["check", "solve"]
+    assert check_and_solve() == ([], 1) and calls == ["check", "solve"]
+    cover.base = with_rotations_reversed(tri, tri.vertices[::2])
+    assert check_and_solve() == ([], 1) and calls == ["check", "solve"] * 2
+    cover.base = Triangulation.from_json(cover.base.to_json())
+    assert check_and_solve() == ([], 1) and calls == ["check", "solve"] * 2
+    cover.base = builtin_triangulation("klein_8")
+    assert "edge 21 has no valid sheet permutation" in cover.validate()
+    assert calls == ["check", "solve"] * 2 + ["check"]
 
 
 def _tetra_cover_edited(edit):

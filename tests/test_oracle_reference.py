@@ -8,6 +8,7 @@ and seeded mutations of all of them."""
 
 import functools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -18,7 +19,7 @@ from surfmap.errors import SurfmapError
 from surfmap.surfaces import (BUILTIN_NAMES, Triangulation, builtin_triangulation,
                               derive_rotations)
 
-from helpers import (disjoint_union, fresh_copy, reference_cover_problems,
+from helpers import (disjoint_union, reference_cover_problems,
                      reference_derive_rotations, reference_fan_product,
                      reference_triangle_signs, reference_validate,
                      with_rotations_reversed)
@@ -43,12 +44,12 @@ def signs(triangle_signs):
 
 
 def assert_triangulation_agrees(tri):
-    assert outcome(Triangulation.validate, fresh_copy(tri)) == \
-        outcome(reference_validate, fresh_copy(tri))
-    assert outcome(signs(Triangulation.triangle_signs), fresh_copy(tri)) == \
-        outcome(signs(reference_triangle_signs), fresh_copy(tri))
-    assert outcome(derived(derive_rotations), fresh_copy(tri, rotations=False)) == \
-        outcome(derived(reference_derive_rotations), fresh_copy(tri, rotations=False))
+    assert outcome(Triangulation.validate, tri) == outcome(reference_validate, tri)
+    assert outcome(signs(Triangulation.triangle_signs), tri) == \
+        outcome(signs(reference_triangle_signs), tri)
+    bare = replace(tri, rotations={})
+    assert outcome(derived(derive_rotations), bare) == \
+        outcome(derived(reference_derive_rotations), bare)
 
 
 def assert_cover_agrees(cover):
@@ -84,54 +85,76 @@ def sampled_covers() -> tuple:
     return tuple(out)
 
 
-# Mutations of a fresh triangulation: each edits it (or returns a new one)
-# with the draws of `rng`.
+# Mutations of a triangulation: each returns an edited copy, made with the
+# draws of `rng`.
+
+def with_walk(tri, t, walk):
+    """tri with triangle t walked by `walk`."""
+    return replace(tri, triangles=(*tri.triangles[:t], walk, *tri.triangles[t + 1:]))
+
+
+def with_rotation(tri, v, rot):
+    """tri with rotation `rot` at v."""
+    return replace(tri, rotations={**tri.rotations, v: rot})
+
 
 def drop_side(tri, rng):
-    walk = rng.choice(tri.triangles)
+    t = rng.randrange(len(tri.triangles))
+    walk = list(tri.triangles[t])
     del walk[rng.randrange(len(walk))]
+    return with_walk(tri, t, walk)
 
 
 def add_side(tri, rng):
-    rng.choice(tri.triangles).append((rng.randrange(len(tri.edges)), rng.choice((1, -1))))
+    t = rng.randrange(len(tri.triangles))
+    side = (rng.randrange(len(tri.edges)), rng.choice((1, -1)))
+    return with_walk(tri, t, (*tri.triangles[t], side))
 
 
 def flip_sign(tri, rng):
-    walk = rng.choice(tri.triangles)
+    t = rng.randrange(len(tri.triangles))
     k = rng.randrange(3)
+    walk = list(tri.triangles[t])
     e, s = walk[k]
     walk[k] = (e, -s)
+    return with_walk(tri, t, walk)
 
 
 def reverse_walk(tri, rng):
     t = rng.randrange(len(tri.triangles))
-    tri.triangles[t] = tri.triangles[t][::-1]
+    return with_walk(tri, t, tri.triangles[t][::-1])
 
 
 def turn_walk(tri, rng):
     """The same triangle walked the other way round: still valid."""
     t = rng.randrange(len(tri.triangles))
-    tri.triangles[t] = [(e, -s) for e, s in reversed(tri.triangles[t])]
+    return with_walk(tri, t, [(e, -s) for e, s in reversed(tri.triangles[t])])
 
 
 def duplicate_triangle(tri, rng):
-    tri.triangles.append(list(rng.choice(tri.triangles)))
+    return replace(tri, triangles=(*tri.triangles, rng.choice(tri.triangles)))
 
 
 def drop_rotation_entry(tri, rng):
-    rot = tri.rotations[rng.choice(tri.vertices)]
+    v = rng.choice(tri.vertices)
+    rot = list(tri.rotations[v])
     del rot[rng.randrange(len(rot))]
+    return with_rotation(tri, v, rot)
 
 
 def repeat_rotation_entry(tri, rng):
-    rot = tri.rotations[rng.choice(tri.vertices)]
+    v = rng.choice(tri.vertices)
+    rot = list(tri.rotations[v])
     rot.insert(rng.randrange(len(rot) + 1), rng.choice(rot))
+    return with_rotation(tri, v, rot)
 
 
 def swap_rotation_entries(tri, rng):
-    rot = tri.rotations[rng.choice(tri.vertices)]
+    v = rng.choice(tri.vertices)
+    rot = list(tri.rotations[v])
     i, j = rng.sample(range(len(rot)), 2)
     rot[i], rot[j] = rot[j], rot[i]
+    return with_rotation(tri, v, rot)
 
 
 def union_with_itself(tri, rng):
@@ -145,8 +168,7 @@ TRIANGULATION_MUTATIONS = (drop_side, add_side, flip_sign, reverse_walk, turn_wa
 
 
 def mutated(tri, mutation, seed):
-    out = fresh_copy(tri)
-    return mutation(out, random.Random(seed)) or out
+    return mutation(tri, random.Random(seed))
 
 
 # Mutations of a copy of a cover: each edits it, or returns False when the
@@ -271,9 +293,8 @@ def test_fan_products_agree_with_the_reference():
 def test_a_side_naming_no_edge_is_a_problem_where_the_reference_raised():
     """The one intended difference: the reference indexes the edge table
     with a side's edge and raises."""
-    tri = fresh_copy(builtin_triangulation("sphere_tetra"))
-    tri.triangles[0][0] = (99, 1)
-    assert outcome(reference_validate, fresh_copy(tri)) == \
-        ("IndexError", "list index out of range")
+    tet = builtin_triangulation("sphere_tetra")
+    tri = with_walk(tet, 0, ((99, 1), *tet.triangles[0][1:]))
+    assert outcome(reference_validate, tri) == ("IndexError", "tuple index out of range")
     assert tri.validate() == ["triangle 0 names edge 99, which the triangulation lacks",
                               "edge 0 lies on 1 triangle sides, expected 2"]

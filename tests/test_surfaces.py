@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,7 +9,7 @@ from surfmap.surfaces import (BUILTIN_NAMES, SurfaceKind, Triangulation,
                               classify_with_boundary, complex_from_faces,
                               connected_sum_kind, derive_rotations)
 
-from helpers import disjoint_union, fresh_copy, two_triangle_sphere
+from helpers import disjoint_union, two_triangle_sphere
 
 
 def test_euler_char_examples():
@@ -155,24 +157,91 @@ def test_json_round_trip():
         assert again.validate() == []
 
 
-def test_derive_rotations_fills_the_triangulation_it_is_given():
+def _turned(walk):
+    """The triangle of `walk` walked the other way round."""
+    return tuple((e, -s) for e, s in reversed(walk))
+
+
+def _assert_frozen(tri):
+    """Every field of tri refuses to be rebound or edited in place."""
+    with pytest.raises(TypeError):
+        tri.triangles[0] = _turned(tri.triangles[0])
+    with pytest.raises(TypeError):
+        tri.triangles[0][0] = (0, 1)
+    with pytest.raises(TypeError):
+        tri.edges[0] = (0, 1)
+    with pytest.raises(AttributeError):
+        tri.vertices.append(99)
+    with pytest.raises(TypeError):
+        tri.rotations[0] = tri.rotations[0][::-1]
+    with pytest.raises(AttributeError):
+        tri.rotations[0].reverse()
+    for field in ("vertices", "edges", "triangles", "rotations"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(tri, field, getattr(tri, field))
+
+
+def test_a_triangulation_refuses_edits_in_place():
+    """Turning triangle 0 of a torus_7 copy in place once left its cached
+    signs behind: orientability() read False and validate() passed.  The
+    assignment now raises, and the caches stay those of the surface; the
+    turned triangulation is a new one, orientable and valid."""
+    tri = Triangulation.from_json(builtin_triangulation("torus_7").to_json())
+    assert tri.orientability() and tri.validate() == []
+    _assert_frozen(tri)
+    assert tri.orientability() and tri.validate() == []
+    turned = replace(tri, triangles=(_turned(tri.triangles[0]), *tri.triangles[1:]))
+    assert turned.orientability() and turned.validate() == []
+
+
+def test_the_shared_builtin_refuses_edits_in_place():
+    """builtin_triangulation hands every caller one object, so an edit by
+    one caller would reach every later one."""
+    tri = builtin_triangulation("torus_7")
+    _assert_frozen(tri)
+    assert builtin_triangulation("torus_7") is tri
+    assert tri.validate() == [] and tri.orientability()
+
+
+def test_the_constructor_freezes_what_it_is_given():
+    """The lists given to the constructor are copied into tuples, so
+    editing them later leaves the triangulation as it was; to_json still
+    writes lists."""
+    sphere = two_triangle_sphere()
+    V, E = list(sphere.vertices), list(sphere.edges)
+    T = [list(walk) for walk in sphere.triangles]
+    R = {v: list(rot) for v, rot in sphere.rotations.items()}
+    tri = Triangulation(V, E, T, R)
+    V.append(3)
+    E.append((0, 3))
+    T[0].reverse()
+    R[0].reverse()
+    assert tri == sphere and tri.validate() == []
+    assert all(type(walk) is tuple for walk in tri.triangles)
+    assert all(type(rot) is tuple for rot in tri.rotations.values())
+    assert tri.to_json() == sphere.to_json()
+    assert type(tri.to_json()["triangles"][0]) is list
+
+
+def test_derive_rotations_returns_a_new_triangulation():
     sphere = two_triangle_sphere()
     tri = Triangulation(sphere.vertices, sphere.edges, sphere.triangles)
-    assert derive_rotations(tri) is tri
-    assert tri.rotations == {0: [2, 0], 1: [0, 1], 2: [1, 2]}
-    assert tri.validate() == []
+    derived = derive_rotations(tri)
+    assert derived is not tri and tri.rotations == {}
+    assert derived.rotations == {0: (2, 0), 1: (0, 1), 2: (1, 2)}
+    assert derived.validate() == []
 
 
 def test_derive_rotations_refuses_a_vertex_without_corners():
     sphere = two_triangle_sphere()
-    tri = Triangulation(sphere.vertices + [3], sphere.edges, sphere.triangles)
+    tri = Triangulation([*sphere.vertices, 3], sphere.edges, sphere.triangles)
     with pytest.raises(InvalidSurface, match="^vertex 3 has no incident triangle corners$"):
         derive_rotations(tri)
 
 
 def test_derive_rotations_refuses_an_edge_end_on_no_corner():
     sphere = two_triangle_sphere()
-    tri = Triangulation(sphere.vertices, sphere.edges + [(0, 1)], sphere.triangles)
+    tri = Triangulation(sphere.vertices, [*sphere.edges, (0, 1)], sphere.triangles)
     with pytest.raises(InvalidSurface, match="^vertex link at 0 is not a cycle$"):
         derive_rotations(tri)
 
@@ -197,55 +266,59 @@ def test_derive_rotations_refuses_a_link_that_does_not_close():
         derive_rotations(Triangulation([0, 1, 2, 3], E, T))
 
 
-def _tetra_edited(edit):
-    tri = fresh_copy(builtin_triangulation("sphere_tetra"))
-    edit(tri)
-    return tri
+def _with(tri, field, i, value):
+    """tri with entry i of `field` replaced by `value`."""
+    entries = getattr(tri, field)
+    return replace(tri, **{field: (*entries[:i], value, *entries[i + 1:])})
 
 
 def _repeat_first_side(tri):
     (e, s), _, third = tri.triangles[0]
-    tri.triangles[0] = [(e, s), (e, -s), third]
+    return _with(tri, "triangles", 0, ((e, s), (e, -s), third))
+
+
+def _with_rotation(tri, v, rot):
+    return replace(tri, rotations={**tri.rotations, v: rot})
 
 
 @pytest.mark.parametrize("edit, problems", [
-    (lambda tri: tri.vertices.append(0), ["duplicate vertex ids"]),
-    (lambda tri: tri.edges.__setitem__(2, (0, 9)),
-     ["edge 2 references unknown vertex"]),
-    (lambda tri: tri.edges.__setitem__(0, (0, 0)), ["loop edge 0 at vertex 0"]),
-    (lambda tri: tri.triangles.__setitem__(1, tri.triangles[1][:2]),
+    (lambda tri: replace(tri, vertices=(*tri.vertices, 0)), ["duplicate vertex ids"]),
+    (lambda tri: _with(tri, "edges", 2, (0, 9)), ["edge 2 references unknown vertex"]),
+    (lambda tri: _with(tri, "edges", 0, (0, 0)), ["loop edge 0 at vertex 0"]),
+    (lambda tri: _with(tri, "triangles", 1, tri.triangles[1][:2]),
      ["triangle 1 does not have 3 sides", "edge 4 lies on 1 triangle sides, expected 2"]),
-    (lambda tri: tri.triangles[2].append((1, 1)),
+    (lambda tri: _with(tri, "triangles", 2, (*tri.triangles[2], (1, 1))),
      ["triangle 2 does not have 3 sides", "edge 1 lies on 3 triangle sides, expected 2"]),
     (_repeat_first_side,
      ["triangle 0 boundary walk does not close", "triangle 0 repeats an edge",
       "edge 0 lies on 3 triangle sides, expected 2",
       "edge 1 lies on 1 triangle sides, expected 2"]),
-    (lambda tri: tri.triangles.append(list(tri.triangles[0])),
+    (lambda tri: replace(tri, triangles=(*tri.triangles, tri.triangles[0])),
      ["edge 0 lies on 3 triangle sides, expected 2",
       "edge 1 lies on 3 triangle sides, expected 2",
       "edge 2 lies on 3 triangle sides, expected 2"]),
-    (lambda tri: tri.triangles.pop(),
+    (lambda tri: replace(tri, triangles=tri.triangles[:-1]),
      ["edge 1 lies on 1 triangle sides, expected 2",
       "edge 3 lies on 1 triangle sides, expected 2",
       "edge 5 lies on 1 triangle sides, expected 2"]),
-    (lambda tri: tri.triangles.__setitem__(3, [(e, -s) for e, s in tri.triangles[3]]),
+    (lambda tri: _with(tri, "triangles", 3, [(e, -s) for e, s in tri.triangles[3]]),
      ["triangle 3 boundary walk does not close"]),
-    (lambda tri: tri.rotations.__setitem__(0, tri.rotations[0][1:]),
+    (lambda tri: _with_rotation(tri, 0, tri.rotations[0][1:]),
      ["rotation at 0 is not a cyclic order of its edge ends"]),
-    (lambda tri: tri.rotations[1].append(tri.rotations[1][0]),
+    (lambda tri: _with_rotation(tri, 1, (*tri.rotations[1], tri.rotations[1][0])),
      ["rotation at 1 is not a cyclic order of its edge ends"]),
-    (lambda tri: tri.rotations.pop(2), ["missing rotation at vertex 2"]),
+    (lambda tri: replace(tri, rotations={v: r for v, r in tri.rotations.items() if v != 2}),
+     ["missing rotation at vertex 2"]),
 ])
 def test_validate_reports_exactly(edit, problems):
-    assert _tetra_edited(edit).validate() == problems
+    assert edit(builtin_triangulation("sphere_tetra")).validate() == problems
 
 
 def test_validate_reports_a_fan_the_rotation_disagrees_with_exactly():
-    tri = fresh_copy(builtin_triangulation("torus_7"))
+    tri = builtin_triangulation("torus_7")
     r = tri.rotations[0]
-    tri.rotations[0] = [r[1], r[0]] + r[2:]
-    assert tri.validate() == ["rotation at 0 disagrees with the triangle fan"]
+    assert _with_rotation(tri, 0, (r[1], r[0], *r[2:])).validate() == [
+        "rotation at 0 disagrees with the triangle fan"]
 
 
 def test_validate_reports_a_disconnected_complex_exactly():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from surfmap import covers
@@ -41,8 +43,7 @@ def test_identity_map_refuses_an_invalid_target():
     """The one-sheeted cover does not check its base, so identity_map
     does."""
     tri = builtin_triangulation("sphere_tetra")
-    loop = Triangulation(tri.vertices, [(0, 0)] + tri.edges[1:], tri.triangles,
-                         tri.rotations)
+    loop = replace(tri, edges=((0, 0), *tri.edges[1:]))
     with pytest.raises(InvalidSurface, match="loop edge"):
         identity_map(loop)
 
