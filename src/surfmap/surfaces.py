@@ -163,10 +163,9 @@ def connected_sum_kind(kind: SurfaceKind, other: SurfaceKind) -> SurfaceKind:
 
 
 def per_triangulation(build):
-    """Decorator: build(tri), built on a triangulation's first call and
-    kept on it, as a cached_property keeps its table.  A triangulation is
-    frozen, so nothing kept on it can go stale.  The one place outside a
-    triangulation's own methods that stores on it."""
+    """Decorator: build(tri), built on first use and kept on tri as a
+    cached_property keeps its table, so it cannot go stale; the one place
+    outside a triangulation's own methods that stores on it."""
     name = f"{build.__module__}.{build.__qualname__}"   # never an attribute name
 
     @functools.wraps(build)
@@ -185,10 +184,9 @@ class Triangulation:
     edges[i] = (a, b) with a != b.  triangles[t] = three directed edges
     (edge index, sign) forming a closed walk; sign +1 traverses a -> b.
     rotations[v] = cyclic order of the edge indices incident to v, in the
-    order the edge ends occur around v.  The fields are tuples, edges and
-    sides given as tuple pairs, and rotations a read-only mapping of
-    tuples, so the tables derived from them and cached on the
-    triangulation (cached_property, per_triangulation) cannot go stale.
+    order the edge ends occur around v.  The fields are tuples (edges and
+    sides given as tuple pairs) and rotations a read-only mapping of
+    tuples, so the tables cached on the triangulation cannot go stale.
     """
 
     vertices: tuple
@@ -203,6 +201,10 @@ class Triangulation:
         object.__setattr__(self, "triangles", tuple(map(tuple, self.triangles)))
         object.__setattr__(self, "rotations", MappingProxyType(
             {v: tuple(rot) for v, rot in self.rotations.items()}))
+
+    def __reduce__(self):
+        """Pickled and deep-copied by its fields: a read-only mapping has no pickle."""
+        return Triangulation, (self.vertices, self.edges, self.triangles, dict(self.rotations))
 
     # -- basic incidence ----------------------------------------------------
 

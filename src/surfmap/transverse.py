@@ -1922,9 +1922,8 @@ def signed_degree(tm: TransverseMap, orient_m: int = 1, orient_n: int = 1) -> in
 
 class OneSheetedLift:
     """The one-sheeted lift of a triangulation (the identity map), checked
-    from scratch once per triangulation (_one_sheeted), with what the
-    check of a lift of a cover over it reads off it (lift_facts).  The
-    triangulation is frozen, so that check stays true of it.
+    from scratch once per (frozen) triangulation (_one_sheeted), with what
+    the check of a lift of a cover over it reads off it (lift_facts).
 
     A branched cover is a local homeomorphism away from its branch
     points, which lie inside triangles.  So once a lift's tables are seen
@@ -2038,10 +2037,9 @@ class OneSheetedLift:
 
 @per_triangulation
 def _one_sheeted(tri: Triangulation) -> OneSheetedLift:
-    """The one-sheeted lift of tri, built and checked from scratch once
-    per triangulation, which is frozen, so the check holds for as long
-    as tri lives; InvalidSurface when tri is invalid (the one-sheeted
-    cover does not check its base)."""
+    """The one-sheeted lift of tri, built and checked from scratch once per
+    (frozen) triangulation; InvalidSurface when tri is invalid (the
+    one-sheeted cover does not check its base)."""
     problems = tri.validate()
     if problems:
         raise InvalidSurface(f"invalid target: {problems}")

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -221,6 +223,13 @@ def test_the_constructor_freezes_what_it_is_given():
     assert all(type(rot) is tuple for rot in tri.rotations.values())
     assert tri.to_json() == sphere.to_json()
     assert type(tri.to_json()["triangles"][0]) is list
+
+
+def test_a_triangulation_pickles_and_deep_copies_by_value():
+    tri = builtin_triangulation("genus2")
+    for again in (pickle.loads(pickle.dumps(tri)), copy.deepcopy(tri)):
+        assert again == tri and again is not tri
+        _assert_frozen(again)
 
 
 def test_derive_rotations_returns_a_new_triangulation():
