@@ -1,6 +1,7 @@
 """Shared constructions for the test suite."""
 
 import random
+from dataclasses import replace
 
 from surfmap.covers import (assemble_total_space, perm_id, perm_inv, perm_mul,
                             random_cover)
@@ -29,6 +30,18 @@ def with_rotations_reversed(tri, vertices):
     return Triangulation(tri.vertices, tri.edges, tri.triangles,
                          {v: rot[::-1] if v in vertices else rot
                           for v, rot in tri.rotations.items()})
+
+
+def with_entry(tri, field, i, value):
+    """tri with entry i of its `field` (vertices, edges or triangles)
+    replaced by `value`."""
+    entries = getattr(tri, field)
+    return replace(tri, **{field: (*entries[:i], value, *entries[i + 1:])})
+
+
+def with_rotation(tri, v, rot):
+    """tri with rotation `rot` at v."""
+    return replace(tri, rotations={**tri.rotations, v: rot})
 
 
 def disjoint_union(tri, other):

@@ -21,8 +21,8 @@ from surfmap.surfaces import (BUILTIN_NAMES, Triangulation, builtin_triangulatio
 
 from helpers import (disjoint_union, reference_cover_problems,
                      reference_derive_rotations, reference_fan_product,
-                     reference_triangle_signs, reference_validate,
-                     with_rotations_reversed)
+                     reference_triangle_signs, reference_validate, with_entry,
+                     with_rotation, with_rotations_reversed)
 
 
 def outcome(fn, arg):
@@ -88,27 +88,17 @@ def sampled_covers() -> tuple:
 # Mutations of a triangulation: each returns an edited copy, made with the
 # draws of `rng`.
 
-def with_walk(tri, t, walk):
-    """tri with triangle t walked by `walk`."""
-    return replace(tri, triangles=(*tri.triangles[:t], walk, *tri.triangles[t + 1:]))
-
-
-def with_rotation(tri, v, rot):
-    """tri with rotation `rot` at v."""
-    return replace(tri, rotations={**tri.rotations, v: rot})
-
-
 def drop_side(tri, rng):
     t = rng.randrange(len(tri.triangles))
     walk = list(tri.triangles[t])
     del walk[rng.randrange(len(walk))]
-    return with_walk(tri, t, walk)
+    return with_entry(tri, "triangles", t, walk)
 
 
 def add_side(tri, rng):
     t = rng.randrange(len(tri.triangles))
     side = (rng.randrange(len(tri.edges)), rng.choice((1, -1)))
-    return with_walk(tri, t, (*tri.triangles[t], side))
+    return with_entry(tri, "triangles", t, (*tri.triangles[t], side))
 
 
 def flip_sign(tri, rng):
@@ -117,18 +107,18 @@ def flip_sign(tri, rng):
     walk = list(tri.triangles[t])
     e, s = walk[k]
     walk[k] = (e, -s)
-    return with_walk(tri, t, walk)
+    return with_entry(tri, "triangles", t, walk)
 
 
 def reverse_walk(tri, rng):
     t = rng.randrange(len(tri.triangles))
-    return with_walk(tri, t, tri.triangles[t][::-1])
+    return with_entry(tri, "triangles", t, tri.triangles[t][::-1])
 
 
 def turn_walk(tri, rng):
     """The same triangle walked the other way round: still valid."""
     t = rng.randrange(len(tri.triangles))
-    return with_walk(tri, t, [(e, -s) for e, s in reversed(tri.triangles[t])])
+    return with_entry(tri, "triangles", t, [(e, -s) for e, s in reversed(tri.triangles[t])])
 
 
 def duplicate_triangle(tri, rng):
@@ -294,7 +284,7 @@ def test_a_side_naming_no_edge_is_a_problem_where_the_reference_raised():
     """The one intended difference: the reference indexes the edge table
     with a side's edge and raises."""
     tet = builtin_triangulation("sphere_tetra")
-    tri = with_walk(tet, 0, ((99, 1), *tet.triangles[0][1:]))
+    tri = with_entry(tet, "triangles", 0, ((99, 1), *tet.triangles[0][1:]))
     assert outcome(reference_validate, tri) == ("IndexError", "tuple index out of range")
     assert tri.validate() == ["triangle 0 names edge 99, which the triangulation lacks",
                               "edge 0 lies on 1 triangle sides, expected 2"]

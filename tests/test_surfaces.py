@@ -11,7 +11,7 @@ from surfmap.surfaces import (BUILTIN_NAMES, SurfaceKind, Triangulation,
                               classify_with_boundary, complex_from_faces,
                               connected_sum_kind, derive_rotations)
 
-from helpers import disjoint_union, two_triangle_sphere
+from helpers import disjoint_union, two_triangle_sphere, with_entry, with_rotation
 
 
 def test_euler_char_examples():
@@ -275,28 +275,18 @@ def test_derive_rotations_refuses_a_link_that_does_not_close():
         derive_rotations(Triangulation([0, 1, 2, 3], E, T))
 
 
-def _with(tri, field, i, value):
-    """tri with entry i of `field` replaced by `value`."""
-    entries = getattr(tri, field)
-    return replace(tri, **{field: (*entries[:i], value, *entries[i + 1:])})
-
-
 def _repeat_first_side(tri):
     (e, s), _, third = tri.triangles[0]
-    return _with(tri, "triangles", 0, ((e, s), (e, -s), third))
-
-
-def _with_rotation(tri, v, rot):
-    return replace(tri, rotations={**tri.rotations, v: rot})
+    return with_entry(tri, "triangles", 0, ((e, s), (e, -s), third))
 
 
 @pytest.mark.parametrize("edit, problems", [
     (lambda tri: replace(tri, vertices=(*tri.vertices, 0)), ["duplicate vertex ids"]),
-    (lambda tri: _with(tri, "edges", 2, (0, 9)), ["edge 2 references unknown vertex"]),
-    (lambda tri: _with(tri, "edges", 0, (0, 0)), ["loop edge 0 at vertex 0"]),
-    (lambda tri: _with(tri, "triangles", 1, tri.triangles[1][:2]),
+    (lambda tri: with_entry(tri, "edges", 2, (0, 9)), ["edge 2 references unknown vertex"]),
+    (lambda tri: with_entry(tri, "edges", 0, (0, 0)), ["loop edge 0 at vertex 0"]),
+    (lambda tri: with_entry(tri, "triangles", 1, tri.triangles[1][:2]),
      ["triangle 1 does not have 3 sides", "edge 4 lies on 1 triangle sides, expected 2"]),
-    (lambda tri: _with(tri, "triangles", 2, (*tri.triangles[2], (1, 1))),
+    (lambda tri: with_entry(tri, "triangles", 2, (*tri.triangles[2], (1, 1))),
      ["triangle 2 does not have 3 sides", "edge 1 lies on 3 triangle sides, expected 2"]),
     (_repeat_first_side,
      ["triangle 0 boundary walk does not close", "triangle 0 repeats an edge",
@@ -310,11 +300,11 @@ def _with_rotation(tri, v, rot):
      ["edge 1 lies on 1 triangle sides, expected 2",
       "edge 3 lies on 1 triangle sides, expected 2",
       "edge 5 lies on 1 triangle sides, expected 2"]),
-    (lambda tri: _with(tri, "triangles", 3, [(e, -s) for e, s in tri.triangles[3]]),
+    (lambda tri: with_entry(tri, "triangles", 3, [(e, -s) for e, s in tri.triangles[3]]),
      ["triangle 3 boundary walk does not close"]),
-    (lambda tri: _with_rotation(tri, 0, tri.rotations[0][1:]),
+    (lambda tri: with_rotation(tri, 0, tri.rotations[0][1:]),
      ["rotation at 0 is not a cyclic order of its edge ends"]),
-    (lambda tri: _with_rotation(tri, 1, (*tri.rotations[1], tri.rotations[1][0])),
+    (lambda tri: with_rotation(tri, 1, (*tri.rotations[1], tri.rotations[1][0])),
      ["rotation at 1 is not a cyclic order of its edge ends"]),
     (lambda tri: replace(tri, rotations={v: r for v, r in tri.rotations.items() if v != 2}),
      ["missing rotation at vertex 2"]),
@@ -326,7 +316,7 @@ def test_validate_reports_exactly(edit, problems):
 def test_validate_reports_a_fan_the_rotation_disagrees_with_exactly():
     tri = builtin_triangulation("torus_7")
     r = tri.rotations[0]
-    assert _with_rotation(tri, 0, (r[1], r[0], *r[2:])).validate() == [
+    assert with_rotation(tri, 0, (r[1], r[0], *r[2:])).validate() == [
         "rotation at 0 disagrees with the triangle fan"]
 
 
