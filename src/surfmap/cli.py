@@ -16,6 +16,7 @@ object, never as a traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -290,7 +291,12 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: main is called over
+    and over in one process (by a test suite, or a benchmark of single
+    calls), and parse_args leaves the parser as it was, so every call
+    shares it."""
     p = _Parser(
         prog="surfmap",
         description="Combinatorial surface maps: normalization, "

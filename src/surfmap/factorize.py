@@ -405,13 +405,11 @@ def compose_with_covering(tm: TransverseMap, cover: MonodromyCover) -> Transvers
     elab = labels["edges"]
     tlab = labels["triangles"]
 
-    out = tm.copy()
-    out.target = cover.base
-    out.vertex_label = {d: vlab[v] for d, v in tm.vertex_label.items()}
-    out.dart_label = {d: (elab[e], end) for d, (e, end) in tm.dart_label.items()}
-    out.isolated = {cid: IsolatedCircle(elab[c.edge]) for cid, c in tm.isolated.items()}
-    out.regions = [Region(tlab[reg.label], reg.kind, reg.circuits)
-                   for reg in out.regions]
-    out.invalidate_caches()
+    out = TransverseMap(
+        cover.base, tm.pairing, tm.rotation, tm.edge_sign,
+        {d: vlab[v] for d, v in tm.vertex_label.items()},
+        {d: (elab[e], end) for d, (e, end) in tm.dart_label.items()},
+        {cid: IsolatedCircle(elab[c.edge]) for cid, c in tm.isolated.items()},
+        [Region(tlab[reg.label], reg.kind, reg.circuits) for reg in tm.regions])
     require_valid(out, "compose_with_covering")
     return out

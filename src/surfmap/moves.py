@@ -11,20 +11,22 @@ any drift, so convention bugs cannot pass silently.
 The post-move check is the full one: validate_map, chi_domain,
 domain_orientable, mod2_degree and edge_count on the result.  What it
 reuses is memoized or derived, never trusted from the move, which passes
-the check nothing: the result's ribbon facts (transverse.RibbonFacts)
-when its dart tables equal those of the map it was copied from, and
-otherwise facts derived from those (RibbonFacts.derive, which finds the
-changed darts in the tables itself); the per-region results in those
-facts for every region object the result shares with maps checked
-before; and the input's tiling (transverse.Tiling: the owners of the
-circuits and circle sides, and the domain solve that chi_domain and
-domain_orientable share), from which the result's is derived by the
-regions and circles that differ (Tiling.derived, DomainSolve.derived).
-Regions are frozen: a move replaces the regions it changes and shares
-the rest, so its check looks again only at those (a join or an insert
-changes at most three, a collapse the regions around the collapsed
-edge).  A collapse makes one private copy of its input (the gauge
-flip's, or a plain copy) and rewires its tables in place, and reads
+the check nothing: the result's ribbon facts (transverse.RibbonFacts),
+its input's own when it shares the input's read-only dart tables (a
+join, an insert and a relocation write none), and otherwise facts
+derived from those (RibbonFacts.derive, which finds the changed darts in
+the tables itself); the per-region results in those facts for every
+region object the result shares with maps checked before; and the
+input's tiling (transverse.Tiling: the owners of the circuits and circle
+sides, and the domain solve that chi_domain and domain_orientable
+share), from which the result's is derived by the regions and circles
+the result's record says it changed (TransverseMap.replace,
+Tiling.derived, DomainSolve.derived).  Regions are frozen: a move
+replaces the regions it changes and shares the rest, so its check looks
+again only at those (a join or an insert changes at most three, a
+collapse the regions around the collapsed edge).  A collapse takes its
+own copy of the tables of its input (after the gauge flip, or of a
+plain copy; TransverseMap.own) and rewires them in place, and reads
 region groups and directions off the stored circuits through the darts
 it removes.  Isolated circles keep their ids, so a join deletes one circle
 and renumbers nothing.  A move finds the regions it touches as the
@@ -63,26 +65,28 @@ def flip_vertex(tm: TransverseMap, dart_at_vertex: int) -> TransverseMap:
     re-coordinatization; every observable is unchanged.  The regions with
     no stored token at the vertex are shared with tm."""
     out = tm.copy()
+    rotation, sign = out.own("rotation", "edge_sign")
     orbit = rotation_orbit(tm.rotation, dart_at_vertex)
     oset = set(orbit)
     n = len(orbit)
     for i, d in enumerate(orbit):
-        out.rotation[d] = orbit[(i - 1) % n]
+        rotation[d] = orbit[(i - 1) % n]
     for d in orbit:
         k = out.edge_key(d)
-        out.edge_sign[k] = -out.edge_sign[k]
+        sign[k] = -sign[k]
 
     def fix(tok):
         d, x = tok
         return (d, 1 - x) if d in oset else tok
 
-    for ri in _regions_through(tm, {(d, x) for d in orbit for x in (0, 1)},
-                               "flip_vertex"):
-        reg = out.regions[ri]
-        out.regions[ri] = Region(reg.label, reg.kind,
-                                 tuple(RibbonCircuit(tuple(fix(t) for t in c.seq))
-                                       if isinstance(c, RibbonCircuit) else c
-                                       for c in reg.circuits))
+    out.replace(regions={
+        ri: Region(reg.label, reg.kind,
+                   tuple(RibbonCircuit(tuple(fix(t) for t in c.seq))
+                         if isinstance(c, RibbonCircuit) else c
+                         for c in reg.circuits))
+        for ri in _regions_through(tm, {(d, x) for d in orbit for x in (0, 1)},
+                                   "flip_vertex")
+        for reg in (tm.regions[ri],)})
     return out
 
 
@@ -253,10 +257,11 @@ def collapse_edge(tm: TransverseMap, edge_key: int) -> TransverseMap:
     before = tm
     checked_tiling(tm, "collapse_edge")     # before the gauge flip reads it
 
-    # the one private copy of the tables, rewired in place below into the
-    # result's; its ribbon facts are derived from tm's
+    # the result takes its own copy of the five tables, rewired in place
+    # below into the result's; its ribbon facts are derived from tm's
     out = flip_vertex(tm, dp) if tm.edge_sign[edge_key] < 0 else tm.copy()
-    pairing, rotation, sign = out.pairing, out.rotation, out.edge_sign
+    pairing, rotation, sign, vertex_label, dart_label = out.own(
+        "pairing", "rotation", "edge_sign", "vertex_label", "dart_label")
     if not sign[edge_key] > 0:
         detail = f"the gauge flip left edge {edge_key} twisted"
         raise InternalInconsistency(f"collapse_edge: {detail}",
@@ -271,7 +276,6 @@ def collapse_edge(tm: TransverseMap, edge_key: int) -> TransverseMap:
         raise InternalInconsistency("collapse endpoints have different degrees")
 
     # nested matching x_i <-> y_{m-i} (labels must agree)
-    dart_label = out.dart_label
     for i in range(1, m):
         if dart_label[xs[i]] != dart_label[ys[m - i]]:
             raise InternalInconsistency("collapse strands do not match by label")
@@ -306,7 +310,7 @@ def collapse_edge(tm: TransverseMap, edge_key: int) -> TransverseMap:
     for a in dead:
         sign.pop(min(a, pairing[a]), None)
     for a in dead:
-        del pairing[a], rotation[a], out.vertex_label[a], dart_label[a]
+        del pairing[a], rotation[a], vertex_label[a], dart_label[a]
     new_circle_info = []      # (circle id, strand dart x_i, its partner y_{m-i})
     for x, y, a_i, b_i, s_x, s_y, edge in strands:
         if a_i == y:
@@ -413,11 +417,11 @@ def _rebuild_regions(regions: list, out: TransverseMap,
         kind = _kind_from(chi, len(circuits), orientable[root], context)
         rebuilt[root] = Region(base.label, kind, circuits)
     glued = groups.node
-    out.regions = [rebuilt[ri] if ri in rebuilt
-                   else region if len(region.circuits) < 2
-                   else _in_key_order(region, key_of)
-                   for ri, region in enumerate(regions)
-                   if ri in rebuilt or ri not in glued]
+    changes = {ri: rebuilt.get(ri) for ri in glued}
+    for ri, region in enumerate(regions):
+        if ri not in glued and len(region.circuits) >= 2:
+            changes[ri] = _in_key_order(region, key_of)
+    out.replace(regions=changes)
 
 
 def _in_key_order(region: Region, key_of: dict) -> Region:
@@ -494,23 +498,21 @@ def join_isolated_circle(tm: TransverseMap, iso_index: int,
 
     mu = 1 if d_R == d_S else 0
     flip_needed = mu ^ (1 if delta_a == delta_b else 0)
-    before = tm
-    work = tm.copy()
 
     def without_circle(circuits):
         return tuple(c for c in circuits
                      if not (isinstance(c, IsoSide) and c.circle == cid))
 
     # region A: drop the circle slot, boundary count down by one
-    work.regions[region_index] = Region(
+    changes = {region_index: Region(
         A.label,
         _kind_from(A.kind.euler + 1, A.kind.boundary - 1, A.kind.orientable,
                    "join_isolated_circle"),
-        without_circle(A.circuits))
+        without_circle(A.circuits))}
 
-    R2 = work.regions[r2]
+    R2 = changes.get(r2, tm.regions[r2])
     if rb != r2:
-        RB = work.regions[rb]
+        RB = tm.regions[rb]
         if RB.label != R2.label:
             raise InternalInconsistency("far-side merge across labels")
         circuits = R2.circuits + tuple(_flip_circuit_entry(c, bool(flip_needed))
@@ -519,19 +521,20 @@ def join_isolated_circle(tm: TransverseMap, iso_index: int,
                           len(circuits),
                           RB.kind.orientable and R2.kind.orientable,
                           "join_isolated_circle")
-        work.regions[r2] = Region(R2.label, kind, circuits)
-        del work.regions[rb]
+        changes[r2] = Region(R2.label, kind, circuits)
+        changes[rb] = None
     else:
         circuits = without_circle(R2.circuits)
         orientable = R2.kind.orientable and flip_needed == 0
-        work.regions[r2] = Region(
+        changes[r2] = Region(
             R2.label,
             _kind_from(R2.kind.euler - 1, len(circuits), orientable,
                        "join_isolated_circle"),
             circuits)
 
-    del work.isolated[cid]
-    return _post_move_check(before, work, edge_delta=(-1, -1),
+    work = tm.copy()
+    work.replace(regions=changes, circles={cid: None})
+    return _post_move_check(tm, work, edge_delta=(-1, -1),
                             context="join_isolated_circle")
 
 
@@ -555,22 +558,21 @@ def insert_trivial_circle(tm: TransverseMap, region_index: int,
     region on its far side labeled by the opposite triangle."""
     if not (0 <= region_index < len(tm.regions)):
         raise BadEdge(f"no region {region_index}")
-    before = tm
-    work = tm.copy()
-    A = work.regions[region_index]
-    if t_edge not in work.target.triangle_edges(A.label):
+    A = tm.regions[region_index]
+    if t_edge not in tm.target.triangle_edges(A.label):
         raise BadEdge("edge is not on the region's triangle")
-    t1, t2 = (s[0] for s in work.target.edge_sides(t_edge))
+    t1, t2 = (s[0] for s in tm.target.edge_sides(t_edge))
     other = t2 if A.label == t1 else t1
+    work = tm.copy()
     cid = work.add_circle(t_edge)
-    work.regions[region_index] = Region(
-        A.label,
-        _kind_from(A.kind.euler - 1, A.kind.boundary + 1, A.kind.orientable,
-                   "insert_trivial_circle"),
-        A.circuits + (IsoSide(cid, 0, 1),))
-    work.regions.append(Region(other, SurfaceKind(True, 0, 0, 1),
-                               (IsoSide(cid, 1, -1),)))
-    return _post_move_check(before, work, edge_delta=(1, 1),
+    work.replace(
+        regions={region_index: Region(
+            A.label,
+            _kind_from(A.kind.euler - 1, A.kind.boundary + 1, A.kind.orientable,
+                       "insert_trivial_circle"),
+            A.circuits + (IsoSide(cid, 0, 1),))},
+        append=(Region(other, SurfaceKind(True, 0, 0, 1), (IsoSide(cid, 1, -1),)),))
+    return _post_move_check(tm, work, edge_delta=(1, 1),
                             context="insert_trivial_circle")
 
 
@@ -688,13 +690,13 @@ def boundary_surgery(tm: TransverseMap, region_index: int,
     sbF1 = sb1 ^ sb2 ^ sbF0
 
     # rewire: delete the old edge keys before installing the new ones
+    pairing, sign = work.own("pairing", "edge_sign")
     for k in (min(u1, w1), min(u2, w2)):
-        del work.edge_sign[k]
-    work.pairing[u1], work.pairing[u2] = u2, u1
-    work.pairing[w1], work.pairing[w2] = w2, w1
-    work.edge_sign[min(u1, u2)] = 1 if sbF0 == 0 else -1
-    work.edge_sign[min(w1, w2)] = 1 if sbF1 == 0 else -1
-    work.invalidate_caches()
+        del sign[k]
+    pairing[u1], pairing[u2] = u2, u1
+    pairing[w1], pairing[w2] = w2, w1
+    sign[min(u1, u2)] = 1 if sbF0 == 0 else -1
+    sign[min(w1, w2)] = 1 if sbF1 == 0 else -1
 
     # --- region A restructuring ------------------------------------------------
     new_A_side = _circuits_through(work, s1["tokens"] | s2["tokens"])
@@ -734,7 +736,7 @@ def boundary_surgery(tm: TransverseMap, region_index: int,
                                    "boundary_surgery")]
         kind = _kind_from(A.kind.euler + 1, len(circuits), orientable,
                           "boundary_surgery")
-    work.regions[region_index] = Region(A.label, kind, tuple(circuits))
+    changes = {region_index: Region(A.label, kind, tuple(circuits))}
 
     # --- far-side corridor gluing ------------------------------------------------
     # reference alignment of each far region in its strand frame is
@@ -766,8 +768,8 @@ def boundary_surgery(tm: TransverseMap, region_index: int,
                                 "boundary_surgery far"))
         kind = _kind_from(R1.kind.euler + R2.kind.euler - 1, len(circuits),
                           orientable, "boundary_surgery far")
-        work.regions[rfar1] = Region(R1.label, kind, tuple(circuits))
-        del work.regions[rfar2]
+        changes[rfar1] = Region(R1.label, kind, tuple(circuits))
+        changes[rfar2] = None
     else:
         old_far_circuits = [c for c in R1.circuits
                             if isinstance(c, RibbonCircuit)
@@ -783,14 +785,14 @@ def boundary_surgery(tm: TransverseMap, region_index: int,
                     if not (isinstance(c, RibbonCircuit) and set(c.seq) & ftoks)]
         circuits += [_orient(c, old_succ_far, orientable, "boundary_surgery far")
                      for c in new_far]
-        work.regions[rfar1] = Region(
+        changes[rfar1] = Region(
             R1.label,
             _kind_from(R1.kind.euler - 1, len(circuits), orientable,
                        "boundary_surgery far"),
             tuple(circuits))
 
-    if extra_region is not None:
-        work.regions.append(extra_region)
+    work.replace(regions=changes,
+                 append=() if extra_region is None else (extra_region,))
     return _post_move_check(before, work, edge_delta=(0, 0),
                             context="boundary_surgery")
 
@@ -832,15 +834,17 @@ def relocate_crosscap(tm: TransverseMap, source_index: int,
                                 context="relocate_crosscap")
     src = work.regions[source_index]
     tgt = work.regions[target_index]
-    work.regions[source_index] = Region(
-        src.label,
-        _kind_from(src.kind.euler + 1, src.kind.boundary, src.kind.crosscaps == 1,
-                   "relocate_crosscap"),
-        src.circuits)
-    work.regions[target_index] = Region(
-        tgt.label,
-        _kind_from(tgt.kind.euler - 1, tgt.kind.boundary, False, "relocate_crosscap"),
-        tgt.circuits)
+    work.replace(regions={
+        source_index: Region(
+            src.label,
+            _kind_from(src.kind.euler + 1, src.kind.boundary,
+                       src.kind.crosscaps == 1, "relocate_crosscap"),
+            src.circuits),
+        target_index: Region(
+            tgt.label,
+            _kind_from(tgt.kind.euler - 1, tgt.kind.boundary, False,
+                       "relocate_crosscap"),
+            tgt.circuits)})
     return _post_move_check(before, work, edge_delta=(0, 0),
                             context="relocate_crosscap")
 
@@ -906,21 +910,20 @@ def _find_join(tm: TransverseMap):
     first region in order that is bounded by a circle and has an
     essential circuit, its first essential circuit and its circle of
     least position.  The regions bounded by circles are read off the
-    map's checked tiling: the owners of the circle sides, with their
-    memoized classes."""
+    map's checked tiling (Tiling.circled), with their memoized classes;
+    the other regions are passed over without a look."""
     if not (tm.isolated and tm.pairing):
         return None
     tiling = checked_tiling(tm, "normalize")
-    facts = tiling.facts
-    holders = {checks.region: checks for checks in tiling.owner.values()}
-    for ri, checks in enumerate(map(holders.get, tm.regions)):
-        if checks is not None:
-            pos = next((pos for pos, cls in enumerate(checks.classes(facts))
-                        if cls.variant == "essential"), None)
-            if pos is not None:
-                position = tm.circle_positions()
-                return min(position[c.circle] for c in checks.region.circuits
-                           if isinstance(c, IsoSide)), ri, pos
+    facts, circled, regions = tiling.facts, tiling.circled, tiling.regions
+    for region in filter(circled.__contains__, regions):
+        checks = circled[region]
+        pos = next((pos for pos, cls in enumerate(checks.classes(facts))
+                    if cls.variant == "essential"), None)
+        if pos is not None:
+            ids = list(tm.isolated)
+            return (min(ids.index(cid) for cid, _side in checks.iso_sides),
+                    regions.index(region), pos)
     raise Stuck({"reason": "isolated circles but no join target",
                  "state": is_normal(tm)})
 

@@ -6,11 +6,13 @@ edge saying whether the edge's band preserves the local sheet orientation.
 Every dart is labeled by a half-edge of the target; the complement of the
 graph is a list of regions, each an abstract compact surface attached
 along boundary circuits of the ribbon structure (or along sides of
-isolated circles, which carry no vertices).  Regions are frozen: a map
-and its copies share them, and an edit replaces a region.  Isolated
-circles are kept in a dict under ids that never change, so removing one
-renumbers nothing; documents, normalize traces and messages give a
-circle's position in that dict instead, and to_json/from_json convert.
+isolated circles, which carry no vertices).  Regions are frozen, a map
+holds them in a tuple, and its copies share it.  Isolated circles are
+kept in a read-only mapping under ids that never change, so removing
+one renumbers nothing; documents, normalize traces and messages give a
+circle's position in that mapping instead, and to_json/from_json
+convert.  Regions and circles change only through TransverseMap.replace,
+which puts new ones in place and records what went and what came.
 
 Boundary circuits are traced on side-end tokens (dart, side).  A region
 stores each of its circuits as a token sequence whose direction is the
@@ -24,33 +26,34 @@ Everything that depends only on the target and the five dart tables
 RibbonFacts object per map: vertex ids, traced circuits (keyed by their
 first token), local signs, edge keys, V - E, preimage counts, graph
 components and band-forced chart flips, and the verdict of
-validate_map's dart-level sections per vertex and per edge.  A copy
-inherits the facts of its original.  A map uses inherited facts as they
-are when its own tables compare equal (plain dict ==) to the snapshot
-they were computed from, and otherwise derives its facts from them
-(RibbonFacts.derive): the darts where the tables differ are read off
-the tables, the circuits, vertices and edges through them are traced
-and checked again, and the rest is carried over.  The comparison runs
-once per map and again after invalidate_caches(), so a map edited in
-place is derived again.  Per-circuit answers (walk keys, corner
-problems, corner constraints, classes) live in one memo, the
-RegionChecks of each region object, kept in the facts with what else a
-region's checks find on their own (isolated sides, its problems,
-domain-solve ties).  A check computes them only for regions it has not
-seen, and derived facts carry them over for the regions of the map's
-inherited tiling (when it was made with the parent facts) whose
-circuits are all unchanged: a region's ties name darts of its own
-circuits, never a graph component, so they hold after a move that
-splits a component or twists one.
+validate_map's dart-level sections per vertex and per edge.  The
+tables are read-only mappings that the facts, the map and its copies
+share, so a copy inherits the facts of its original and uses them as
+they are while it holds their tables.  A map that writes a table first
+takes its own copy of it (TransverseMap.own), and then derives its
+facts from the inherited ones (RibbonFacts.derive): the darts where the
+tables differ are read off the tables, the circuits, vertices and edges
+through them are traced and checked again, and the rest is carried
+over.  Per-circuit answers (walk keys, corner problems, corner
+constraints, classes) live in one memo, the RegionChecks of each region
+object, kept in the facts with what else a region's checks find on
+their own (isolated sides, its problems, domain-solve ties).  A check
+computes them only for regions it has not seen, taking the answers of
+the circuits a new region shares with the regions it replaces, and
+derived facts carry them over for the regions of the map's inherited
+tiling (when it was made with the parent facts) whose circuits are all
+unchanged: a region's ties name darts of its own circuits, never a
+graph component, so they hold after a move that splits a component or
+twists one.
 
 What spans regions is the Tiling of a passed check: the owner of each
 traced circuit and circle side, and the domain solve (domain_solve), the
 connectivity and orientation of the domain in one parity union-find.  A
 copy inherits the tiling of its original as it inherits the facts, and
 its check derives its own from it (Tiling.derived): the regions and
-circles that differ from the tiling's snapshot are read off the map
-(regions as objects, circles by id and as objects), and only they are
-checked again and their owners updated.  The solve is derived the same
+circles that changed are read off the record of the map's edits since
+the tiling's state, which the check holds against the tiling, and only
+they are checked again and their owners updated.  The solve is derived the same
 way (DomainSolve.derived): its nodes have names a region keeps while a
 move replaces it, the ties of the replaced regions are compared, and it
 keeps the spanning forest of its unions as the certificate that tells
@@ -60,7 +63,8 @@ of regions bounded by circles alone (nested circles cut off by a join,
 say) get nodes of their own and are united again; walks that meet the
 same graph component are one piece, joined again by the ties of their
 paths, and only where walks meet two components, or one only through a
-tie that contradicted the others, is the domain solved again.  A derivation only ever answers that nothing is wrong: where it
+tie that contradicted the others, is the domain solved again.  A
+derivation only ever answers that nothing is wrong: where it
 would find a problem, and for a map without a tiling, validate_map
 checks from scratch, with the same problem texts in the same order.
 Every passed check leaves a tiling, and a move reads the regions it
@@ -81,6 +85,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import (BadKind, Disconnected, DisconnectedCover,
                      InconsistentParity, InputError, InternalInconsistency,
@@ -156,8 +162,27 @@ class Region:
     circuits: tuple = ()
 
 
+class _Edits(NamedTuple):
+    """What TransverseMap.replace changed since a state (`base`,
+    `base_isolated`): the regions that went and those that came (dicts
+    keyed by region, in order), the ids of the circles set or deleted, and
+    the state it ends at (`regions`, `isolated`)."""
+    base: tuple
+    base_isolated: object
+    gone: dict = ()
+    came: dict = ()
+    circles: frozenset = frozenset()
+    regions: tuple = None
+    isolated: object = None
+
+
 @dataclass
 class TransverseMap:
+    """The five dart tables are read-only mappings (MappingProxyType) that
+    a map shares with its copies and its ribbon facts, except a table the
+    map took its own copy of to write (own).  The regions are a tuple and
+    the circles a read-only mapping, and both change only through
+    replace, which records what went and what came."""
     target: Triangulation
     pairing: dict              # dart -> dart (fixed-point-free involution)
     rotation: dict             # dart -> next dart at the same vertex
@@ -167,28 +192,58 @@ class TransverseMap:
     # circle id -> IsolatedCircle; a circle's position in this order is
     # its index in documents, traces and messages, and ids never change
     isolated: dict = field(default_factory=dict)
-    regions: list = field(default_factory=list)    # list[Region]
-    # RibbonFacts candidate (inherited through copy()) and whether this
-    # map's tables were compared equal to its snapshot since the last
-    # invalidate_caches()
+    regions: tuple = ()        # of Region
+    # RibbonFacts of the map's tables, or of those of a map it was copied
+    # from (then derived from on first use), and whether the map holds
+    # their tables
     _facts: object = field(default=None, init=False, repr=False, compare=False)
-    _facts_checked: bool = field(default=False, init=False, repr=False,
-                                 compare=False)
+    _facts_held: bool = field(default=False, init=False, repr=False, compare=False)
     # Tiling of the last passed validate_map (inherited through copy())
     _tiling: object = field(default=None, init=False, repr=False, compare=False)
+    # what replace changed since the state of that tiling (_Edits), or None
+    _edits: object = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.regions = tuple(self.regions)
+        if self.isolated.__class__ is not MappingProxyType:
+            self.isolated = MappingProxyType(dict(self.isolated))
 
     # -- elementary structure -------------------------------------------------
 
     def ribbon_facts(self) -> "RibbonFacts":
-        """The facts of this map's dart tables: the inherited ones when the
-        tables still equal their snapshot, otherwise derived from them
-        (RibbonFacts.derive), or fresh when there are none."""
-        if not self._facts_checked:
+        """The facts of this map's dart tables: the inherited ones while
+        the map holds their read-only tables, otherwise derived from them
+        (RibbonFacts.derive), or fresh when there are none.  The map then
+        holds the facts' tables, until it takes its own copy of one to
+        write it (own)."""
+        if not self._facts_held:
             facts = self._facts
-            self._facts = (RibbonFacts(self) if facts is None
-                           else RibbonFacts.derive(facts, self))
-            self._facts_checked = True
+            self.hold(RibbonFacts(self) if facts is None
+                      else RibbonFacts.derive(facts, self))
         return self._facts
+
+    def hold(self, facts: "RibbonFacts"):
+        """Use `facts`, made for tables equal to this map's, as the map's
+        ribbon facts, holding their tables instead of its own."""
+        self._facts = facts
+        (self.pairing, self.rotation, self.edge_sign, self.vertex_label,
+         self.dart_label) = facts.tables
+        self._facts_held = True
+
+    def own(self, *names) -> list:
+        """The named dart tables as this map's own writable dicts, copying
+        each one that is shared first: the one way a move writes a table.
+        The next use of the ribbon facts derives them from the old ones
+        (RibbonFacts.derive), and the tables are shared again."""
+        out = []
+        for name in names:
+            table = getattr(self, name)
+            if table.__class__ is MappingProxyType:
+                table = table.copy()
+                setattr(self, name, table)
+                self._facts_held = False
+            out.append(table)
+        return out
 
     def edge_key(self, d: int) -> int:
         return min(d, self.pairing[d])
@@ -196,11 +251,6 @@ class TransverseMap:
     def edge_keys(self):
         """Sorted edge keys (a shared list; do not modify)."""
         return self.ribbon_facts().edge_keys
-
-    def invalidate_caches(self):
-        """Call after changing a dart table in place: the next use of the
-        ribbon facts compares the tables with the snapshot again."""
-        self._facts_checked = False
 
     # -- token walking ----------------------------------------------------------
 
@@ -227,56 +277,89 @@ class TransverseMap:
 
     # -- region-side structure ------------------------------------------------------
 
+    def replace(self, regions=None, append=(), circles=None):
+        """Replace regions by index (`regions`: index -> the new region, or
+        None to delete it), append the regions `append`, and set circles by
+        id (`circles`: id -> circle, or None to delete it): the one way a
+        map's regions and circles change.  Both are replaced by new
+        objects, and what went and what came since the state of the map's
+        tiling is recorded (_Edits): the check reads the record instead of
+        comparing the two states (Tiling.derived)."""
+        edits = self._edits or _Edits(self.regions, self.isolated)
+        gone, came, changed = dict(edits.gone), dict(edits.came), edits.circles
+        if regions or append:
+            new = list(self.regions)
+            removed, added = [], list(append)
+            # from the last index down, so a deletion moves no index to come
+            for ri, region in sorted((regions or {}).items(), reverse=True):
+                removed.append(new[ri])
+                if region is None:
+                    del new[ri]
+                else:
+                    new[ri] = region
+                    added.append(region)
+            # a region that goes after it came, or comes after it went, cancels
+            for region in removed:
+                if region in came:
+                    del came[region]
+                else:
+                    gone[region] = None
+            for region in added:
+                if region in gone:
+                    del gone[region]
+                else:
+                    came[region] = None
+            self.regions = tuple(new + list(append))
+        if circles:
+            isolated = dict(self.isolated)
+            for cid, circle in circles.items():
+                if circle is None:
+                    del isolated[cid]
+                else:
+                    isolated[cid] = circle
+            self.isolated = MappingProxyType(isolated)
+            changed = changed.union(circles)
+        self._edits = _Edits(edits.base, edits.base_isolated, gone, came, changed,
+                             self.regions, self.isolated)
+
     def add_circle(self, edge: int) -> int:
         """Add an isolated circle over `edge`, last in order, under an id
-        above every id in use; return that id."""
+        above every id in use (replace); return that id."""
         cid = max(self.isolated, default=-1) + 1
-        self.isolated[cid] = IsolatedCircle(edge)
+        self.replace(circles={cid: IsolatedCircle(edge)})
         return cid
 
     def circle_positions(self) -> dict:
         """circle id -> position in `isolated`."""
         return {cid: i for i, cid in enumerate(self.isolated)}
 
-    def region_state(self) -> tuple:
-        """A snapshot of the region list and the isolated circles (shallow:
-        regions and circles are frozen): what a Tiling is keyed on besides
-        the facts.  Compare it with has_state."""
-        return list(self.regions), dict(self.isolated)
-
-    def has_state(self, state: tuple) -> bool:
-        """Whether the regions and circles equal a region_state() snapshot
-        (both compare by identity)."""
-        return state[0] == self.regions and state[1] == self.isolated
-
     def tiling(self):
         """The Tiling of the last passed check of this map, or of the map
         it was copied from, while the map's facts, regions and circles are
-        the ones checked; otherwise None."""
+        the ones checked (by identity); otherwise None."""
         tiling = self._tiling
-        if (tiling is not None and tiling.facts is self.ribbon_facts()
-                and self.has_state(tiling.state)):
+        if (tiling is not None and tiling.regions is self.regions
+                and tiling.isolated is self.isolated
+                and tiling.facts is self.ribbon_facts()):
             return tiling
         return None
 
     def copy(self) -> "TransverseMap":
-        """Independent tables, region list and circle dict, sharing the
-        frozen regions and circles; the ribbon facts are passed on and
-        adopted once the copy's tables are seen to equal their snapshot,
-        and the tiling of the last passed check is passed on for the
-        copy's check to derive its own from (Tiling.derived)."""
-        out = TransverseMap(
-            target=self.target,
-            pairing=dict(self.pairing),
-            rotation=dict(self.rotation),
-            edge_sign=dict(self.edge_sign),
-            vertex_label=dict(self.vertex_label),
-            dart_label=dict(self.dart_label),
-            isolated=dict(self.isolated),
-            regions=list(self.regions),
-        )
-        out._facts = self._facts
-        out._tiling = self._tiling
+        """A map that shares everything with this one: the read-only dart
+        tables, the region tuple and the circles (a table this map owns is
+        made read-only first, as a copy, so neither map writes the other's),
+        the ribbon facts, the tiling of the last passed check, for the
+        copy's check to derive its own from (Tiling.derived), and the
+        record of the edits since that check."""
+        for name in _TABLES:
+            table = getattr(self, name)
+            if table.__class__ is not MappingProxyType:
+                setattr(self, name, MappingProxyType(table.copy()))
+        out = TransverseMap(self.target, self.pairing, self.rotation, self.edge_sign,
+                            self.vertex_label, self.dart_label, self.isolated,
+                            self.regions)
+        out._facts, out._facts_held = self._facts, self._facts_held
+        out._tiling, out._edits = self._tiling, self._edits
         return out
 
     # -- serialization ----------------------------------------------------------------
@@ -396,12 +479,16 @@ class RibbonFacts:
     """The facts that depend only on the target and the five dart tables
     (pairing, rotation, edge_sign, vertex_label, dart_label).
 
-    The object holds its own snapshot of the tables it describes, and a
-    map uses it only while its tables equal that snapshot (plain dict ==,
-    in TransverseMap.ribbon_facts).  A map whose tables differ from the
-    snapshot of the facts it inherited gets facts derived from those
-    (derive), which carry over every fact away from the changed darts.
-    Each fact is computed on first use, or carried over:
+    The object holds its own dicts of the tables it describes, which
+    nothing writes, and read-only views of them (`tables`), which a map
+    using these facts holds as its tables: a map uses the facts only while
+    it holds those very views (TransverseMap.ribbon_facts), so a move that
+    keeps the tables (a join, an insert, a relocation) keeps the facts at
+    no cost.  A map that took its own copy of a table to write it
+    (TransverseMap.own), or that holds other tables, gets facts derived
+    from those it inherited (derive), which share the tables it did not
+    take and carry over every fact away from the changed darts.  Each
+    fact is computed on first use, or carried over:
 
     * vertex_of, rot_inv, edge_keys, vertex_reps, local_signs, V - E and
       the preimage count per target vertex;
@@ -426,13 +513,23 @@ class RibbonFacts:
     the lift's own tables, table_problem first.
     """
 
-    def __init__(self, tm: TransverseMap):
+    def __init__(self, tm: TransverseMap, parent: "RibbonFacts" = None):
         self.target = tm.target
-        self.pairing = dict(tm.pairing)
-        self.rotation = dict(tm.rotation)
-        self.edge_sign = dict(tm.edge_sign)
-        self.vertex_label = dict(tm.vertex_label)
-        self.dart_label = dict(tm.dart_label)
+        # per table: a dict of its own, or the parent's where tm holds the
+        # parent's table; `tables` holds a read-only view of each, the
+        # tables that a map holding these facts holds (ribbon_facts)
+        held = (None,) * len(_TABLES) if parent is None else parent.tables
+        tables = []
+        for name, shared in zip(_TABLES, held):
+            table = getattr(tm, name)
+            if table is shared:
+                setattr(self, name, getattr(parent, name))
+            else:
+                plain = table.copy()
+                setattr(self, name, plain)
+                table = MappingProxyType(plain)
+            tables.append(table)
+        self.tables = tuple(tables)
         self._regions = {}     # region -> RegionChecks
         # the one-sheeted lift these facts were pulled back from
         # (OneSheetedLift.pull_back), or None
@@ -448,12 +545,13 @@ class RibbonFacts:
     @classmethod
     def derive(cls, parent: "RibbonFacts", tm: TransverseMap) -> "RibbonFacts":
         """The facts of tm's tables, from the facts of a parent map: the
-        parent itself when the tables equal its snapshot, otherwise new
-        facts that carry over what lies away from the darts where they
-        differ.
+        parent itself when each table is the parent's (by identity) or
+        equals it, otherwise new facts that share the parent's tables that
+        tm holds and carry over what lies away from the darts where the
+        others differ.
 
         Those darts are read off the tables, as the symmetric difference
-        of each table's items with the snapshot, with the darts whose
+        of each such table's items with the parent's, with the darts whose
         steps read a changed entry: the old and new partners and rotation
         targets (the corner steps read rot_inv too) and both darts of an
         edge whose sign changed.  Locality: band and corner steps change
@@ -476,9 +574,9 @@ class RibbonFacts:
         old_pairing, new_pairing = parent.pairing, tm.pairing
         touched = set()        # darts whose band or corner steps may differ
         moved = set()          # darts whose rotation orbit or labels may differ
-        for name in _TABLES:
+        for name, shared in zip(_TABLES, parent.tables):
             new, old = getattr(tm, name), getattr(parent, name)
-            if new == old:
+            if new is shared or new == old:
                 continue
             try:
                 changed = new.items() ^ old.items()
@@ -498,7 +596,7 @@ class RibbonFacts:
             return parent
         touched.discard(None)
         moved.discard(None)
-        out = cls(tm)
+        out = cls(tm, parent)
         if parent.table_problem is None and out._tables_hold(touched, parent):
             out._carry(parent, touched, moved, tm._tiling)
         return out
@@ -660,11 +758,12 @@ class RibbonFacts:
         # circuits traced again
         if tiling is not None and tiling.facts is parent:
             memo = parent._regions
-            if memo.keys() == tiling.regions:
+            listed = tiling.regions
+            if (tiling.unique and len(memo) == len(listed)
+                    and all(map(memo.__contains__, listed))):
                 regions = dict(memo)
             else:
-                regions = {region: parent.checks_of(region)
-                           for region in tiling.regions}
+                regions = {region: parent.checks_of(region) for region in listed}
             stored = tiling.stored
             for key in dead:
                 regions.pop(stored[key].region, None)
@@ -1043,18 +1142,19 @@ class RibbonFacts:
 
     # -- per-region results --------------------------------------------------------
 
-    def checks_of(self, region: Region) -> "RegionChecks":
+    def checks_of(self, region: Region, like=()) -> "RegionChecks":
         """The region's RegionChecks, computed on first use for each region
         object: pulled back from the one-sheeted lift for a disk of facts
         pulled back from it (OneSheetedLift.disk_checks), otherwise
-        from scratch."""
+        from scratch, taking what it can from the checks `like` of the
+        regions it replaces under these facts."""
         checks = self._regions.get(region)
         if checks is None:
             lift = self._lift
             if lift is not None:
                 checks = lift.disk_checks(self, region)
             if checks is None:
-                checks = RegionChecks(self, region)
+                checks = RegionChecks(self, region, like)
             self._regions[region] = checks
         return checks
 
@@ -1103,21 +1203,27 @@ class RegionChecks:
       region keeps while a move replaces it: its least walk key, or when
       it has none its least isolated side, or None;
     * euler and orientable, of the region's kind;
+    * answers: per circuit, None for an isolated side, and for a ribbon
+      circuit (walk key, or None when it is no boundary walk; then its
+      corner problem, anchor and corner bits);
     * classes(facts): each circuit's class, on first use; classify_circuit
       reads it here, so the checks, the finders and factorize share it.
 
-    A region labeled by an unknown triangle has its circuits left out.
+    The checks of a region that replaces others under the same facts
+    (`like`: theirs) take the answers and classes of the circuits it
+    shares with those of the same label, by object: they read only the
+    facts, the label and the circuit.  A region labeled by an unknown
+    triangle has its circuits left out.
     """
 
     __slots__ = ("region", "walk_keys", "iso_sides", "problems",
                  "corner_problems", "ties", "needs_node", "name", "euler",
-                 "orientable", "_classes")
+                 "orientable", "answers", "_classes")
 
-    def __init__(self, facts: RibbonFacts, region: Region):
+    def __init__(self, facts: RibbonFacts, region: Region, like=()):
         self.region = region
         self.euler = region.kind.euler
         self.orientable = region.kind.orientable
-        self._classes = None
         problems = []
         corner_problems = []
         keys = []
@@ -1131,6 +1237,15 @@ class RegionChecks:
         if not (0 <= label < len(facts.target.triangles)):
             problems.append("region {} labeled by unknown triangle")
             circuits = ()
+        known = {}       # id of a circuit of `like` -> (it, its answer, class)
+        for other in like:
+            if other.region.label == label:
+                classes = other._classes or itertools.repeat(None)
+                for c, answer, cls in zip(other.region.circuits, other.answers,
+                                          classes):
+                    known[id(c)] = (c, answer, cls)
+        answers = []
+        classes = []
         for pos, c in enumerate(circuits):
             if isinstance(c, IsoSide):
                 if c.side in (0, 1):
@@ -1138,8 +1253,21 @@ class RegionChecks:
                 else:
                     problems.append("region {} references a bad isolated side")
                 circles.add((c.circle, c.side ^ (c.direction < 0)))
+                answers.append(None)
+                classes.append(_ISOLATED_SIDE)
                 continue
-            key = facts.walk_key(c.seq)
+            hit = known.get(id(c))
+            if hit is not None and hit[0] is c:
+                _c, answer, cls = hit
+            else:
+                key = facts.walk_key(c.seq)
+                answer = (key,) if key is None else (
+                    key, facts.corner_problem(label, c.seq),
+                    *facts.corner_constraints(c.seq))
+                cls = None
+            answers.append(answer)
+            classes.append(cls)
+            key = answer[0]
             if key is None:
                 problems.append(f"region {{}} circuit {pos} is not an "
                                 "alternating boundary walk")
@@ -1149,11 +1277,12 @@ class RegionChecks:
             else:
                 problems.append(f"region {{}} circuit {pos} does not match "
                                 "any traced circuit")
-            problem = facts.corner_problem(label, c.seq)
+            _key, problem, anchor, bits = answer
             if problem is not None:
                 corner_problems.append(f"region {{}} circuit {pos} {problem}")
-            anchor, bits = facts.corner_constraints(c.seq)
             anchors.update((anchor, bit) for bit in bits)
+        self.answers = tuple(answers)
+        self._classes = None if None in classes else tuple(classes)
         self.walk_keys = tuple(keys)
         self.iso_sides = tuple(sides)
         self.problems = tuple(problems)
@@ -1164,24 +1293,25 @@ class RegionChecks:
                      ("s", min(sides)) if sides else None)
 
     @classmethod
-    def of_disk(cls, region: Region, key: tuple, anchor: int,
-                corner_problems: tuple, bits: frozenset,
-                circuit_class: CircuitClass) -> "RegionChecks":
+    def of_disk(cls, region: Region, key: tuple, anchor: int, problem,
+                bits: frozenset, circuit_class: CircuitClass) -> "RegionChecks":
         """What __init__ finds for a region with a valid label, one
         boundary and one stored circuit, that circuit being the traced
         circuit `key` whose anchor dart is `anchor`, given its corner
-        problems (as format strings), corner bits and class; the
-        one-sheeted lift reads those off the walk the circuit projects to
+        problem (or None), corner bits and class; the one-sheeted lift
+        reads those off the walk the circuit projects to
         (OneSheetedLift.disk_checks)."""
         self = cls.__new__(cls)
         self.region = region
         self.euler = region.kind.euler
         self.orientable = region.kind.orientable
+        self.answers = ((key, problem, anchor, bits),)
         self._classes = (circuit_class,)
         self.walk_keys = (key,)
         self.iso_sides = ()
         self.problems = ()
-        self.corner_problems = corner_problems
+        self.corner_problems = (() if problem is None else
+                                (f"region {{}} circuit 0 {problem}",))
         anchors = {(anchor, bit) for bit in bits}    # in __init__'s order
         self.ties = (tuple(anchors), ())
         self.needs_node = len(anchors) != 1
@@ -1230,24 +1360,30 @@ class ValidationReport:
 
 class Tiling:
     """The cross-region half of a passed validate_map, for one map state
-    (`state`, a region_state() snapshot, and `regions`, a set of the same
-    regions, under `facts`): the owner (RegionChecks) of each traced
-    circuit key (`stored`) and of each circle side (`owner`), and the
-    domain solve, made on first use (domain_solve).
+    under `facts`: the map's region tuple (`regions`) and circles
+    (`isolated`), held by identity; the owner (RegionChecks) of each
+    traced circuit key (`stored`) and of each circle side (`owner`); the
+    regions that bound a circle (`circled`: region -> RegionChecks);
+    whether no region is listed twice (`unique`: a passed check lets a map
+    list a region twice that has neither a circuit nor a circle side);
+    and the domain solve, made on first use (domain_solve).
 
     A map passes the tiling it was checked with on to its copies, and a
     check of a copy derives the copy's tiling from it (derived), so the
     tiling is put together from scratch only for a map that has none."""
 
-    __slots__ = ("facts", "state", "regions", "stored", "owner", "_solve",
-                 "_basis")
+    __slots__ = ("facts", "regions", "isolated", "stored", "owner", "circled",
+                 "unique", "_solve", "_basis")
 
-    def __init__(self, facts, state, regions, stored, owner, basis=None):
+    def __init__(self, facts, regions, isolated, stored, owner, circled, unique,
+                 basis=None):
         self.facts = facts
-        self.state = state
         self.regions = regions
+        self.isolated = isolated
         self.stored = stored
         self.owner = owner
+        self.circled = circled
+        self.unique = unique
         self._solve = None
         # (parent solve, regions gone, regions added, circles gone,
         # circles added) for a derived solve, until the solve is made
@@ -1260,32 +1396,48 @@ class Tiling:
         if self._solve is None:
             basis, self._basis = self._basis, None
             solve = basis and basis[0].derived(self.facts, self.owner, *basis[1:])
-            regions, isolated = self.state
             self._solve = solve or _solve(
-                self.facts, self.facts.region_checks(regions), isolated)
+                self.facts, self.facts.region_checks(self.regions), self.isolated)
         return self._solve
+
+    def _holds(self, checks: "RegionChecks") -> bool:
+        """Whether the region of `checks` is one of this tiling's: the
+        owner of its first stored circuit or circle side, or for a region
+        with neither, one of the tiling's regions."""
+        region = checks.region
+        if checks.walk_keys:
+            holder = self.stored.get(checks.walk_keys[0])
+        elif checks.iso_sides:
+            holder = self.owner.get(checks.iso_sides[0])
+        else:
+            return region in self.regions
+        return holder is not None and holder.region is region
 
     def derived(self, tm: TransverseMap, facts: "RibbonFacts"):
         """tm's tiling, from this one; None unless tm passes every
         cross-region check (validate_map then looks again from scratch,
         for the problem texts).
 
-        The difference is read off tm: its regions are compared with the
-        snapshot as objects, and its circles by id and as objects, since
-        add_circle may give a new circle the id of a removed one.  Where
-        tm's facts were derived from this tiling's (RibbonFacts.derive),
-        the regions storing a circuit traced again count as replaced too.
-        Only the replaced regions and the circles they or the difference
-        name are checked: each stored circuit key and circle side has one
-        owner, every traced circuit and circle side has one, and the side
-        coherence of their edges and circles holds where it may have
-        changed: for the circuits traced again, and for the circuits and
-        circle sides that are new or whose owner's label changed (the
-        coherence reads only the owners' labels).  The regions kept passed
-        these checks with the same owners and circuits.  The facts forget
-        the RegionChecks of the regions gone, so facts that a
-        normalization's joins and inserts share hold those of the current
-        regions only."""
+        The difference is read off the record of tm's edits since this
+        tiling's state (TransverseMap.replace): the regions that went and
+        came and the circles set or deleted.  The record is checked
+        against the tiling: it must run from this state to tm's, each
+        region gone must be one of the tiling's (_holds), each region come
+        must not be, and the count of regions must add up; a map whose
+        regions or circles changed without a record is checked from
+        scratch.  Where tm's facts were derived from this tiling's
+        (RibbonFacts.derive), the regions storing a circuit traced again
+        count as replaced too.  Only the replaced regions and the circles
+        they or the record name are checked: each stored circuit key and
+        circle side has one owner, every traced circuit and circle side
+        has one, and the side coherence of their edges and circles holds
+        where it may have changed: for the circuits traced again, and for
+        the circuits and circle sides that are new or whose owner's label
+        changed (the coherence reads only the owners' labels).  The
+        regions kept passed these checks with the same owners and
+        circuits.  The facts forget the RegionChecks of the regions gone,
+        so facts that a normalization's joins and inserts share hold those
+        of the current regions only."""
         if facts is self.facts:
             retraced = ()
         elif facts.origin is not None and facts.origin[0] == self.facts.serial:
@@ -1293,58 +1445,89 @@ class Tiling:
         else:
             return None
         regions, isolated = tm.regions, tm.isolated
-        now = set(regions)
-        if len(now) != len(regions):
+        edits = tm._edits
+        if edits is None:
+            if regions is not self.regions or isolated is not self.isolated:
+                return None
+            went, came, changed = (), (), ()
+        elif (edits.base is self.regions and edits.base_isolated is self.isolated
+              and edits.regions is regions and edits.isolated is isolated
+              and len(regions) == len(self.regions) - len(edits.gone) + len(edits.came)):
+            went, came, changed = edits.gone, edits.came, edits.circles
+        else:
             return None
-        stored, owner = self.stored, self.owner
-        gone = {region: self.facts.checks_of(region) for region in self.regions - now}
+        if not self.unique:
+            return None
+        old_facts = self.facts
+        gone = {}
+        for region in went:
+            checks = old_facts.checks_of(region)
+            if not self._holds(checks):
+                return None
+            gone[region] = checks
         memo = facts._regions
         for region in gone:
             memo.pop(region, None)
-        new = now - self.regions
+        new = dict.fromkeys(came)
+        stored, owner = self.stored, self.owner
         for key in retraced:
             checks = stored.get(key)
-            if checks is not None and checks.region in now:
+            if checks is not None and checks.region not in gone:
                 gone[checks.region] = checks
-                new.add(checks.region)
-        was = self.state[1]
-        changed = {cid for cid, _circle in isolated.items() ^ was.items()}
+                new[checks.region] = None
+        # the owners of the circuits and circle sides, and the regions
+        # that bound a circle, less the regions gone
         stored, owner = dict(stored), dict(owner)
+        circled = self.circled
+        unbound = []
         for checks in gone.values():
             for key in checks.walk_keys:
                 del stored[key]
-            for side in checks.iso_sides:
-                del owner[side]
-        added = [facts.checks_of(region) for region in new]
-        for checks in added:
+            if checks.iso_sides:
+                for side in checks.iso_sides:
+                    del owner[side]
+                unbound.append(checks.region)
+        if unbound:
+            circled = dict(circled)
+            for region in unbound:
+                del circled[region]
+        # and with the regions added.  The side coherence of an edge or a
+        # circle reads the labels of the owners of its two sides, so it is
+        # checked where one of them is new, retraced or owned under
+        # another label than before
+        was_stored, was_owner = self.stored, self.owner
+        relabelled = []       # the stored circuits to check
+        flanked = set()       # the circles to check
+        added = []
+        like = tuple(gone.values()) if facts is old_facts else ()
+        for region in new:
+            checks = facts.checks_of(region, like)
             if checks.problems or checks.corner_problems:
                 return None
+            added.append(checks)
+            label = region.label
             for key in checks.walk_keys:
                 if key in stored:
                     return None
                 stored[key] = checks
-            for side in checks.iso_sides:
-                if side in owner or side[0] not in isolated:
-                    return None
-                owner[side] = checks
-        if len(stored) != len(facts.circuit_by_key):
-            return None
-        # the side coherence of an edge or a circle reads the labels of the
-        # owners of its two sides, so it is checked where one of them is
-        # new, retraced or owned under another label than before
-        was_stored, was_owner = self.stored, self.owner
-        relabelled = []       # the stored circuits to check
-        flanked = set()       # the circles to check
-        for checks in added:
-            label = checks.region.label
-            for key in checks.walk_keys:
                 prior = was_stored.get(key)
                 if prior is None or prior.region.label != label or key in retraced:
                     relabelled.append(key)
-            for side in checks.iso_sides:
-                prior = was_owner.get(side)
-                if prior is None or prior.region.label != label:
-                    flanked.add(side[0])
+            if checks.iso_sides:
+                for side in checks.iso_sides:
+                    if side in owner or side[0] not in isolated:
+                        return None
+                    owner[side] = checks
+                    prior = was_owner.get(side)
+                    if prior is None or prior.region.label != label:
+                        flanked.add(side[0])
+                if circled is self.circled:
+                    circled = dict(circled)
+                circled[region] = checks
+            elif not checks.walk_keys and self._holds(checks):
+                return None
+        if len(stored) != len(facts.circuit_by_key):
+            return None
         edges = facts.target_edges
         for cid in changed:
             if cid not in isolated:
@@ -1370,10 +1553,11 @@ class Tiling:
 
         basis = None
         if facts is self.facts and self._solve is not None:
+            was = self.isolated
             basis = (self._solve, list(gone.values()), added,
                      [cid for cid in changed if cid not in isolated],
                      [cid for cid in changed if cid not in was])
-        return Tiling(facts, tm.region_state(), now, stored, owner, basis)
+        return Tiling(facts, regions, isolated, stored, owner, circled, True, basis)
 
 
 def validate_map(tm: TransverseMap) -> ValidationReport:
@@ -1402,7 +1586,8 @@ def validate_map(tm: TransverseMap) -> ValidationReport:
             tiling = tiling.derived(tm, facts)
         if tiling is not None:
             tm._tiling = tiling
-            rep._classified = (facts, tiling.state[0])
+            tm._edits = None
+            rep._classified = (facts, tiling.regions)
             _check_parity(rep, facts)
             return rep
 
@@ -1416,8 +1601,12 @@ def validate_map(tm: TransverseMap) -> ValidationReport:
         return rep
 
     # tiling: each traced circuit and each side of a circle belongs to
-    # exactly one region
-    regions = tm.regions
+    # exactly one region.  The tiling holds the regions and circles by
+    # identity, so a map given others than a tuple and a read-only
+    # mapping is given those
+    regions = tm.regions = tuple(tm.regions)
+    if isolated.__class__ is not MappingProxyType:
+        isolated = tm.isolated = MappingProxyType(dict(isolated))
     entries = facts.region_checks(regions)
     position = tm.circle_positions()
     stored = {}            # traced circuit key -> region index
@@ -1451,7 +1640,7 @@ def validate_map(tm: TransverseMap) -> ValidationReport:
         if checks.corner_problems:
             rep.problems.extend(problem.format(ri)
                                 for problem in checks.corner_problems)
-    rep._classified = (facts, list(regions))
+    rep._classified = (facts, regions)
 
     # side coherence: regions flanking an edge or a circle are labeled by
     # its two triangles
@@ -1464,9 +1653,12 @@ def validate_map(tm: TransverseMap) -> ValidationReport:
             rep.add(f"isolated circle {i} flanked by regions labeled {sorted(got)}, "
                     f"expected {sorted(want)}")
     if not rep.problems:
-        tm._tiling = Tiling(facts, tm.region_state(), set(regions),
-                            {key: entries[ri] for key, ri in stored.items()},
-                            {side: entries[ri] for side, ri in owner.items()})
+        owner = {side: entries[ri] for side, ri in owner.items()}
+        tm._tiling = Tiling(facts, regions, isolated,
+                            {key: entries[ri] for key, ri in stored.items()}, owner,
+                            {checks.region: checks for checks in owner.values()},
+                            len(set(regions)) == len(regions))
+        tm._edits = None
     _check_parity(rep, facts)
     return rep
 
@@ -2028,10 +2220,9 @@ class OneSheetedLift:
             one = self.facts
             walk = one._walk_from(template_key[1:3])
             walk = tuple(walk * (len(seq) // len(walk)))
-            problem = one.corner_problem(label, walk)
             template = self._disks[template_key] = (
-                () if problem is None else (f"region {{}} circuit 0 {problem}",),
-                one.corner_constraints(walk)[1], one.circuit_class(label, walk))
+                one.corner_problem(label, walk), one.corner_constraints(walk)[1],
+                one.circuit_class(label, walk))
         return RegionChecks.of_disk(region, key, seq[1][0], *template)
 
 
@@ -2063,12 +2254,12 @@ def lift_facts(tm: TransverseMap) -> RibbonFacts:
 
 def identity_map(tri: Triangulation) -> TransverseMap:
     """The lift of the one-sheeted cover: preimage graph equal to the
-    skeleton, one disk region per triangle.  A copy of tri's one-sheeted
-    lift (_one_sheeted) that shares no facts with it, so what its users
-    check is not memoized there."""
-    out = _one_sheeted(tri).map.copy()
-    out._facts = out._tiling = None
-    return out
+    skeleton, one disk region per triangle.  A map over the tables and
+    regions of tri's one-sheeted lift (_one_sheeted) that shares no facts
+    with it, so what its users check is not memoized there."""
+    one = _one_sheeted(tri).map
+    return TransverseMap(tri, one.pairing, one.rotation, one.edge_sign,
+                         one.vertex_label, one.dart_label, one.isolated, one.regions)
 
 
 @per_triangulation
@@ -2193,18 +2384,16 @@ def map_from_cover(cover) -> TransverseMap:
     vertex_label = {d: base.edges[e][end] for d, (e, end) in dart_label.items()}
     edge_sign = {2 * i: band[e] for i, e in enumerate(copy_edge)}
 
-    tm = TransverseMap(base, pairing, rotation, edge_sign,
-                       vertex_label, dart_label, {}, [])
+    tm = TransverseMap(base, pairing, rotation, edge_sign, vertex_label, dart_label)
     if d > 1:
-        tm._facts = lift_facts(tm)
-        tm._facts_checked = True
+        tm.hold(lift_facts(tm))
     disk = SurfaceKind(True, 0, 0, 1)
     regions = []
     for c in tm.trace_circuits():
         seq = c.seq      # its first corner runs from seq[1] to seq[2]
         a = seq[1] if seq[1][1] == 1 else seq[2 % len(seq)]
         regions.append(Region(sector_of[a[0]], disk, (c,)))
-    tm.regions = regions
+    tm.replace(append=regions)
     require_valid(tm, "map_from_cover")
 
     chi = chi_domain(tm)
@@ -2224,9 +2413,8 @@ def add_pinch(tm: TransverseMap, region_index: int, closed_kind: SurfaceKind) ->
         raise BadKind(f"no region {region_index}")
     out = tm.copy()
     reg = out.regions[region_index]
-    out.regions[region_index] = Region(reg.label,
-                                       connected_sum_kind(reg.kind, closed_kind),
-                                       reg.circuits)
+    out.replace(regions={region_index: Region(
+        reg.label, connected_sum_kind(reg.kind, closed_kind), reg.circuits)})
     require_valid(out, "add_pinch")
     return out
 
@@ -2293,8 +2481,7 @@ def _fold_degree_zero() -> TransverseMap:
             for i, d in enumerate(ds):
                 rotation[d] = ds[(i + 1) % len(ds)]
 
-    tm = TransverseMap(tri, pairing, rotation, edge_sign,
-                       vertex_label, dart_label, {}, [])
+    tm = TransverseMap(tri, pairing, rotation, edge_sign, vertex_label, dart_label)
     regions = []
     for c in tm.trace_circuits():
         a, b = next(corners(c.seq))
@@ -2303,7 +2490,7 @@ def _fold_degree_zero() -> TransverseMap:
         if len(fits) != 1:
             raise InternalInconsistency(f"fold circuit's first corner fits triangles {fits}")
         regions.append(Region(fits[0], SurfaceKind(True, 0, 0, 1), (c,)))
-    tm.regions = regions
+    tm.replace(append=regions)
     require_valid(tm, "fold_degree_zero")
     if chi_domain(tm) != 2 or mod2_degree(tm) != 0:
         raise InternalInconsistency("fold model is not a degree-zero sphere map")

@@ -108,14 +108,12 @@ def join_regions(tm, i, j, same_direction=True):
     kind = classify_with_boundary(ri.kind.euler + rj.kind.euler - 2,
                                   ri.kind.boundary + rj.kind.boundary,
                                   ri.kind.orientable and rj.kind.orientable)
-    rest = [r for k, r in enumerate(tm.regions) if k not in (i, j)]
     for flip in (False, True):
         cs = ri.circuits + (tuple(c.reversed() for c in rj.circuits) if flip
                             else rj.circuits)
         joined = Region(ri.label, kind, cs)
         out = tm.copy()
-        out.regions = rest + [joined]
-        out.invalidate_caches()
+        out.replace(regions={i: None, j: None}, append=(joined,))
         if not validate_map(out).ok:
             continue
         dirs = {classify_circuit(out, joined, c).direction for c in cs}
@@ -284,7 +282,7 @@ FACT_FIELDS = ("trace_circuits", "circuit_by_key", "circuit_of_token",
                "table_problem", "vertex_edge_problems", "flanks", "edge_keys",
                "rot_inv", "preimage_counts", "target_edges")
 CHECKS_FIELDS = ("walk_keys", "iso_sides", "problems", "corner_problems",
-                 "needs_node", "euler", "orientable")
+                 "needs_node", "euler", "orientable", "answers")
 
 
 def assert_facts_match_fresh(tm: TransverseMap):

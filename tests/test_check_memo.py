@@ -139,9 +139,9 @@ def test_join_and_insert_check_only_the_regions_they_change(monkeypatch):
     validations = Counter()
 
     class CountedChecks(transverse.RegionChecks):
-        def __init__(self, facts, region):
+        def __init__(self, facts, region, like=()):
             misses["total"] += 1
-            super().__init__(facts, region)
+            super().__init__(facts, region, like)
 
     def counted_validate(tm):
         validations["total"] += 1
@@ -187,9 +187,9 @@ def test_join_and_insert_checks_do_not_grow_with_the_map(monkeypatch):
         return union(uf, *args)
 
     class CountedChecks(transverse.RegionChecks):
-        def __init__(self, facts, region):
+        def __init__(self, facts, region, like=()):
             made["checks"] += 1
-            super().__init__(facts, region)
+            super().__init__(facts, region, like)
 
     per_move = []
 
@@ -329,9 +329,9 @@ def test_collapse_checks_only_the_regions_it_replaces(monkeypatch):
     built = Counter()
 
     class CountedChecks(transverse.RegionChecks):
-        def __init__(self, facts, region):
+        def __init__(self, facts, region, like=()):
             built["checks"] += 1
-            super().__init__(facts, region)
+            super().__init__(facts, region, like)
 
     trace = transverse.RibbonFacts._trace_from
 
@@ -420,8 +420,8 @@ def test_in_place_edit_after_a_collapse_is_read_off_the_tables():
     far = next(k for k in out.edge_keys()
                if vertex_of[k] not in near
                and vertex_of[out.pairing[k]] not in near)
-    out.edge_sign[far] = -out.edge_sign[far]
-    out.invalidate_caches()
+    sign, = out.own("edge_sign")
+    sign[far] = -sign[far]
     problems = validate_map(out).problems
     assert any(f"edge {far} has sign" in p for p in problems)
     assert problems == validate_map(TransverseMap.from_json(out.to_json())).problems
@@ -445,8 +445,8 @@ def checked():
 def test_tampered_edge_sign_is_reported(checked):
     tm, work = checked
     k = work.edge_keys()[0]
-    work.edge_sign[k] = -work.edge_sign[k]
-    work.invalidate_caches()
+    sign, = work.own("edge_sign")
+    sign[k] = -sign[k]
     assert any("band geometry" in p for p in validate_map(work).problems)
     assert validate_map(tm).ok
 
@@ -455,9 +455,9 @@ def test_tampered_rotation_entry_is_reported(checked):
     tm, work = checked
     facts = work.ribbon_facts()
     a = next(d for d in work.pairing if len(facts.vertex_darts(d)) >= 3)
-    b = work.rotation[a]
-    work.rotation[a], work.rotation[b] = work.rotation[b], work.rotation[a]
-    work.invalidate_caches()
+    rotation, = work.own("rotation")
+    b = rotation[a]
+    rotation[a], rotation[b] = rotation[b], rotation[a]
     assert not validate_map(work).ok
     assert validate_map(tm).ok
 
@@ -470,20 +470,19 @@ def _add_summand(tm, ri):
     kind = (SurfaceKind(True, kind.handles + 1, 0, kind.boundary)
             if kind.orientable else
             SurfaceKind(False, 0, kind.crosscaps + 1, kind.boundary))
-    tm.regions[ri] = Region(region.label, kind, region.circuits)
+    tm.replace(regions={ri: Region(region.label, kind, region.circuits)})
 
 
 def _replace_circuit(tm, ri, pos, circuit):
     region = tm.regions[ri]
     pos %= len(region.circuits)
     circuits = region.circuits[:pos] + (circuit,) + region.circuits[pos + 1:]
-    tm.regions[ri] = Region(region.label, region.kind, circuits)
+    tm.replace(regions={ri: Region(region.label, region.kind, circuits)})
 
 
 def test_tampered_region_kind_is_reported(checked):
     tm, work = checked
     _add_summand(work, 0)
-    work.invalidate_caches()
     assert validate_map(work).ok        # kinds are free data for the validator
     with pytest.raises(InternalInconsistency, match="Euler characteristic drifted") as ex:
         _post_move_check(tm, work, context="tamper")
@@ -492,7 +491,6 @@ def test_tampered_region_kind_is_reported(checked):
     # tampered after its own check, a map's invariants from that check are
     # stale; reusing them would report a drift in the next move
     _add_summand(tm, 0)
-    tm.invalidate_caches()
     chi = chi_domain(TransverseMap.from_json(tm.to_json()))
     edge = tm.target.triangle_edges(tm.regions[0].label)[0]
     assert chi_domain(insert_trivial_circle(tm, 0, edge)) == chi
@@ -504,7 +502,6 @@ def test_tampered_iso_side_is_reported(checked):
                          for pos, c in enumerate(reg.circuits)
                          if isinstance(c, IsoSide) and c.side == 1)
     _replace_circuit(work, ri, pos, IsoSide(side.circle, 0, side.direction))
-    work.invalidate_caches()
     problems = validate_map(work).problems
     assert any("used twice" in p for p in problems)
     assert any("belongs to no region" in p for p in problems)
@@ -568,10 +565,10 @@ def _handle_map() -> TransverseMap:
     holed, annulus = tm.regions[0], tm.regions[-1]
     cid = tm.add_circle(edge)
     circuits = holed.circuits + (IsoSide(cid, 0, 1),)
-    tm.regions[0] = Region(holed.label, SurfaceKind(True, 0, 0, len(circuits)),
-                           circuits)
-    tm.regions[-1] = Region(annulus.label, SurfaceKind(True, 0, 0, 2),
-                            annulus.circuits + (IsoSide(cid, 1, -1),))
+    tm.replace(regions={
+        0: Region(holed.label, SurfaceKind(True, 0, 0, len(circuits)), circuits),
+        len(tm.regions) - 1: Region(annulus.label, SurfaceKind(True, 0, 0, 2),
+                                    annulus.circuits + (IsoSide(cid, 1, -1),))})
     assert validate_map(tm).ok
     return tm
 
@@ -594,7 +591,8 @@ def _drop_circuit(tm):
     """The last scramble step's disk loses its only circuit: it is cut
     off from the rest of the domain."""
     region = tm.regions[-1]
-    tm.regions[-1] = Region(region.label, region.kind, region.circuits[:-1])
+    tm.replace(regions={len(tm.regions) - 1: Region(region.label, region.kind,
+                                                    region.circuits[:-1])})
 
 
 def _add_isolated_circle(tm):
@@ -640,7 +638,8 @@ def _reuse_circle_id(tm):
     """The circle of highest id is removed and one over another edge added:
     add_circle gives it the removed circle's id, which regions still name."""
     cid = max(tm.isolated)
-    edge = tm.isolated.pop(cid).edge
+    edge = tm.isolated[cid].edge
+    tm.replace(circles={cid: None})
     assert tm.add_circle((edge + 1) % len(tm.target.edges)) == cid
 
 
@@ -650,7 +649,7 @@ def _relabel_region(tm):
     only the side coherence of its edges can tell."""
     ri, region = next((ri, r) for ri, r in enumerate(tm.regions)
                       if not any(isinstance(c, IsoSide) for c in r.circuits))
-    tm.regions[ri] = Region(1 - region.label, region.kind, region.circuits)
+    tm.replace(regions={ri: Region(1 - region.label, region.kind, region.circuits)})
 
 
 def _relabel_circle_disk(tm):
@@ -658,7 +657,7 @@ def _relabel_circle_disk(tm):
     triangle: only the side coherence of its circle can tell."""
     ri, region = next((ri, r) for ri, r in enumerate(tm.regions)
                       if len(r.circuits) == 1 and isinstance(r.circuits[0], IsoSide))
-    tm.regions[ri] = Region(1 - region.label, region.kind, region.circuits)
+    tm.replace(regions={ri: Region(1 - region.label, region.kind, region.circuits)})
 
 
 def _scrambled_slice():
@@ -727,15 +726,16 @@ def _nested_circles() -> TransverseMap:
 def _without_circle(tm, cid):
     """The circle is removed and each region on it loses that side: a
     tiling still, with other invariants."""
-    del tm.isolated[cid]
+    changes = {}
     for ri, region in enumerate(tm.regions):
         circuits = tuple(c for c in region.circuits
                          if not (isinstance(c, IsoSide) and c.circle == cid))
         if circuits != region.circuits:
             kind = region.kind
-            tm.regions[ri] = Region(region.label, SurfaceKind(
+            changes[ri] = Region(region.label, SurfaceKind(
                 kind.orientable, kind.handles, kind.crosscaps, len(circuits)),
                 circuits)
+    tm.replace(regions=changes, circles={cid: None})
 
 
 def test_derived_solves_follow_valid_edits_that_split_join_and_untwist():
@@ -757,7 +757,8 @@ def test_derived_solves_follow_valid_edits_that_split_join_and_untwist():
     split, answers = step(tm, lambda m: _without_circle(m, outer))
     assert answers[0] == "domain has 2 components"
     _joined, answers = step(split, lambda m: (
-        _without_circle(m, inner), m.regions.pop(), m.regions.pop()))
+        _without_circle(m, inner),
+        m.replace(regions={len(m.regions) - 1: None, len(m.regions) - 2: None})))
     assert answers[0] == whole[0] == 2
 
     # one of the annulus's two circle ties contradicts the other in the
@@ -850,14 +851,21 @@ def test_invalid_result_is_reported_before_any_drift(checked):
     the validator's problems, not with a drift."""
     tm, work = checked
     k = work.edge_keys()[0]
-    work.edge_sign[k] = -work.edge_sign[k]
+    sign, = work.own("edge_sign")
+    sign[k] = -sign[k]
     _add_summand(work, 0)
-    work.invalidate_caches()
     problems = validate_map(work).problems[:4]
     with pytest.raises(InternalInconsistency) as ex:
         _post_move_check(tm, work, context="tamper")
     assert str(ex.value).startswith(f"tamper: invalid result: {problems}")
     assert ex.value.problems == problems
+
+
+def _split_region(tm, ri, first, second):
+    """Region ri replaced by two, in its place: the regions after it move
+    up one place."""
+    moved = (first, second) + tm.regions[ri + 1:]
+    tm.replace(regions=dict(enumerate(moved[:-1], ri)), append=moved[-1:])
 
 
 def test_a_cut_piece_that_reaches_the_graph_is_solved_with_the_whole_domain(monkeypatch):
@@ -882,8 +890,8 @@ def test_a_cut_piece_that_reaches_the_graph_is_solved_with_the_whole_domain(monk
     work = tm.copy()
     ri = next(ri for ri, r in enumerate(work.regions) if len(r.circuits) == 2)
     tube = work.regions[ri]
-    work.regions[ri:ri + 1] = [Region(tube.label, SurfaceKind(True, 0, 0, 1), (c,))
-                               for c in tube.circuits]
+    _split_region(work, ri, *(Region(tube.label, SurfaceKind(True, 0, 0, 1), (c,))
+                              for c in tube.circuits))
     monkeypatch.setattr(transverse, "_solve", counted_solve)
     monkeypatch.setattr(transverse.DomainSolve, "_cut_off", counted_cut_off)
     assert validate_map(work).ok and work.tiling() is not None
@@ -904,9 +912,9 @@ def _circle_sphere() -> TransverseMap:
     t2 = next(t for t, _ in tm.target.edge_sides(edge) if t != t1)
     x, y = tm.add_circle(edge), tm.add_circle(edge)
     disk, annulus = SurfaceKind(True, 0, 0, 1), SurfaceKind(True, 0, 0, 2)
-    tm.regions += [Region(t1, disk, (IsoSide(x, 0, 1),)),
-                   Region(t2, annulus, (IsoSide(x, 1, -1), IsoSide(y, 0, 1))),
-                   Region(t1, disk, (IsoSide(y, 1, -1),))]
+    tm.replace(append=(Region(t1, disk, (IsoSide(x, 0, 1),)),
+                       Region(t2, annulus, (IsoSide(x, 1, -1), IsoSide(y, 0, 1))),
+                       Region(t1, disk, (IsoSide(y, 1, -1),))))
     assert validate_map(tm).ok
     return tm
 
@@ -920,8 +928,9 @@ def test_a_class_cut_into_pieces_of_circles_alone_is_left_dead():
     assert _domain_answers(tm)[0] == "domain has 2 components"
     work = tm.copy()
     annulus = work.regions[-2]
-    work.regions[-2:-1] = [Region(annulus.label, SurfaceKind(True, 0, 0, 1), (c,))
-                           for c in annulus.circuits]
+    _split_region(work, len(work.regions) - 2,
+                  *(Region(annulus.label, SurfaceKind(True, 0, 0, 1), (c,))
+                    for c in annulus.circuits))
     assert validate_map(work).ok and work.tiling() is not None
     answers = _domain_answers(work)
     assert answers == _domain_answers(TransverseMap.from_json(work.to_json()))
@@ -960,7 +969,7 @@ def test_join_finder_reads_the_tiling_and_agrees_with_the_scan():
     assert found["join"] >= 100 and found["none"] >= 30 and found["stuck"] >= 10
     # without a current tiling, the finder checks the map first
     work = _slice_map(*SLICE[0]).copy()
-    work.regions.reverse()
+    work.replace(regions=dict(enumerate(work.regions[::-1])))
     assert work.tiling() is None and _found_join(work) is not None
 
 
@@ -971,7 +980,7 @@ def test_join_finder_stuck_exit_is_unchanged():
     tm = insert_trivial_circle(fold, 0, fold.target.triangle_edges(
         fold.regions[0].label)[0])
     work = tm.copy()
-    work.regions.reverse()
+    work.replace(regions=dict(enumerate(work.regions[::-1])))
     assert tm.tiling() is not None and work.tiling() is None
     for m in (tm, work):
         stuck, report = _found_join(m)
@@ -1010,10 +1019,10 @@ def _tampered(tm: TransverseMap) -> TransverseMap:
     bad = TransverseMap.from_json(tm.to_json())
     region = bad.regions[-1]
     kind = region.kind
-    bad.regions[-1] = Region(region.label,
-                             SurfaceKind(kind.orientable, kind.handles,
-                                         kind.crosscaps, kind.boundary + 1),
-                             region.circuits)
+    bad.replace(regions={len(bad.regions) - 1: Region(
+        region.label, SurfaceKind(kind.orientable, kind.handles, kind.crosscaps,
+                                  kind.boundary + 1),
+        region.circuits)})
     return bad
 
 
@@ -1040,12 +1049,12 @@ def test_a_region_without_circuits_listed_twice_keeps_a_tiling():
     whose answers are the oracle's, also for a copy that lists it once."""
     tm = identity_map(builtin_triangulation("sphere_tetra")).copy()
     closed = Region(tm.regions[0].label, SurfaceKind(True))
-    tm.regions += [closed, closed]
+    tm.replace(append=(closed, closed))
     assert validate_map(tm).ok and tm.tiling() is not None
     assert_matches_oracle(tm)
     assert domain_solve(tm).components == 3
     once = tm.copy()
-    once.regions.pop()
+    once.replace(regions={len(once.regions) - 1: None})
     assert validate_map(once).ok and once.tiling() is not None
     assert_matches_oracle(once)
     assert domain_solve(once).components == 2
@@ -1201,6 +1210,8 @@ def test_derived_table_axioms_read_at_the_changed_darts_agree_with_the_oracle(
         for _round in range(6):
             for name, edit in _table_edits(tm, rng):
                 work = tm.copy()
+                work.own("pairing", "rotation", "edge_sign", "vertex_label",
+                         "dart_label")
                 edit(work)
                 monkeypatch.setattr(transverse.RibbonFacts, "_carry",
                                     lambda *args: None)
@@ -1264,3 +1275,154 @@ def test_cut_walks_that_meet_one_component_join_again_through_ties_that_held():
     alone = {A: {(circle, 0): unionfind.JOINED}, B: {(circle, 1): unionfind.HELD}}
     assert _one_class(4)._cut_off([(1, A), (0, 0)], alone, owner) == (
         [[A, circle, B]], 0)
+
+
+# --------------------------------------------------------------------------
+# Moves that keep the dart tables share them, and record the regions and
+# circles they change
+
+
+TABLES = ("pairing", "rotation", "edge_sign", "vertex_label", "dart_label")
+KEEPERS = ("join_isolated_circle", "insert_trivial_circle", "relocate_crosscap")
+
+
+def _kept_table_moves(monkeypatch, run) -> list:
+    """(move name, input, result, the result's record of edits) for every
+    join, insert and relocation that run() makes, the record read as the
+    move hands its result to its self-check."""
+    seen = []
+    check = moves._post_move_check
+
+    def recorded(before, after, **kwargs):
+        if kwargs["context"] in KEEPERS:
+            seen.append((kwargs["context"], before, after, after._edits))
+        return check(before, after, **kwargs)
+
+    monkeypatch.setattr(moves, "_post_move_check", recorded)
+    run()
+    monkeypatch.undo()
+    return seen
+
+
+def test_moves_that_keep_the_tables_record_exactly_what_they_change(monkeypatch):
+    """Every join, insert and relocation of the memo slices' scrambles and
+    normalizations, and of a map at the CLI's bounds (genus2, d = 6,
+    [2, 2], torus pinch, 64 steps), shares its input's dart tables and
+    ribbon facts (RibbonFacts.derive hands back the input's own), and its
+    record of edits is the difference with its input: the regions gone
+    and come, by identity, and the circles set or deleted."""
+    def run():
+        for spec in SLICE:
+            normalize(_slice_map(*spec))
+        normalize(_genus2_scramble())
+
+    seen = _kept_table_moves(monkeypatch, run)
+    kinds = Counter(name for name, *_rest in seen)
+    assert kinds["join_isolated_circle"] >= 100 and kinds["relocate_crosscap"] > 0
+    assert kinds["insert_trivial_circle"] >= 100
+    for name, before, after, edits in seen:
+        facts = before.ribbon_facts()
+        assert all(getattr(after, t) is getattr(before, t) for t in TABLES), name
+        assert after.ribbon_facts() is facts, name
+        assert transverse.RibbonFacts.derive(facts, after) is facts, name
+        assert edits.base is before.regions and edits.base_isolated is before.isolated
+        assert edits.regions is after.regions and edits.isolated is after.isolated
+        was, now = set(before.regions), set(after.regions)
+        assert set(edits.gone) == was - now and set(edits.came) == now - was, name
+        assert edits.circles == {cid for cid, _circle in
+                                 before.isolated.items() ^ after.isolated.items()}, name
+
+
+def test_a_shared_table_cannot_be_written():
+    """A checked map and its copy share the dart tables, the region tuple
+    and the circles, and none of them can be written.  A map writes a
+    table through its own copy (own), which leaves the original, its
+    facts and its check as they were, and the copy's facts are derived."""
+    tm = _slice_map(*SLICE[0])
+    assert validate_map(tm).ok
+    facts = tm.ribbon_facts()
+    work = tm.copy()
+    for name in TABLES:
+        table = getattr(work, name)
+        assert table is getattr(tm, name) is facts.tables[TABLES.index(name)]
+        key = next(iter(table))
+        with pytest.raises(TypeError):
+            table[key] = table[key]
+        with pytest.raises(TypeError):
+            del table[key]
+        assert not hasattr(table, "update") and not hasattr(table, "pop")
+    with pytest.raises(TypeError):
+        work.isolated[max(work.isolated) + 1] = work.isolated[max(work.isolated)]
+    with pytest.raises(TypeError):
+        work.regions[0] = work.regions[1]
+    rotation, = work.own("rotation")
+    assert work.own("rotation") == [rotation]      # owned once
+    a = next(d for d in rotation if len(facts.vertex_darts(d)) >= 3)
+    b = rotation[a]
+    rotation[a], rotation[b] = rotation[b], rotation[a]
+    assert tm.rotation is facts.tables[1] and tm.rotation[a] == b
+    assert tm.ribbon_facts() is facts and facts.rotation[a] == b
+    assert work.ribbon_facts() is not facts
+    assert work.rotation is not rotation and work.rotation[a] == rotation[a]
+    assert work.pairing is tm.pairing       # the tables it did not take
+    assert not validate_map(work).ok
+    assert validate_map(tm).ok
+    assert_matches_oracle(work)
+    assert_matches_oracle(tm)
+
+
+def test_a_region_change_without_a_record_is_checked_from_scratch(monkeypatch):
+    """A check derives its tiling from the record of the map's edits
+    (TransverseMap.replace).  A map whose regions were set without one, or
+    whose record does not start at its tiling's state, is checked from
+    scratch and gets the oracle's answers; edits that cancel leave a
+    record to derive from."""
+    derived = Counter()
+    derive = transverse.Tiling.derived
+
+    def counted(tiling, tm, facts):
+        out = derive(tiling, tm, facts)
+        derived["derived" if out is not None else "from scratch"] += 1
+        return out
+
+    monkeypatch.setattr(transverse.Tiling, "derived", counted)
+    tm = _slice_map(*SLICE[0])
+    validate_map(tm)
+    region = tm.regions[0]
+    with_summand = tm.copy()
+    _add_summand(with_summand, 0)
+    summand = with_summand.regions[0]
+    unrecorded = tm.copy()
+    unrecorded.regions = (summand,) + tm.regions[1:]
+    recorded = tm.copy()
+    recorded.replace(regions={0: summand})
+    late = tm.copy()
+    late.replace(regions={0: summand})
+    late.regions = (region,) + tm.regions[1:]     # set after the record
+    cancelled = tm.copy()
+    cancelled.replace(regions={0: summand})
+    cancelled.replace(regions={0: region})
+    assert (cancelled._edits.gone, cancelled._edits.came) == ({}, {})
+    for m, how in ((unrecorded, "from scratch"), (recorded, "derived"),
+                   (late, "from scratch"), (cancelled, "derived")):
+        derived.clear()
+        assert validate_map(m).ok and derived == {how: 1}
+        assert _domain_answers(m) == _domain_answers(
+            TransverseMap.from_json(m.to_json()))
+    assert chi_domain(recorded) < chi_domain(tm)
+    assert chi_domain(cancelled) == chi_domain(late) == chi_domain(tm)
+    # a region without circuits comes by record; listed again after that
+    # check, the record says a region of the tiling came
+    closed = Region(region.label, SurfaceKind(True))
+    once = tm.copy()
+    once.replace(append=(closed,))
+    derived.clear()
+    assert validate_map(once).ok and derived == {"derived": 1}
+    twice = once.copy()
+    twice.replace(append=(closed,))
+    derived.clear()
+    assert validate_map(twice).ok and derived == {"from scratch": 1}
+    for m, components in ((once, 2), (twice, 3)):
+        assert _domain_answers(m) == _domain_answers(
+            TransverseMap.from_json(m.to_json()))
+        assert domain_solve(m).components == components

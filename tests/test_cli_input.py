@@ -366,6 +366,23 @@ def test_help_exits_zero():
     assert ex.value.code == 0
 
 
+def test_calls_in_one_process_share_one_parser(tmp_path):
+    """main builds its parser once per process.  After a successful call,
+    a usage error still exits 1 with a JSON input error and --help still
+    exits 0, and the same call then gives the same answer."""
+    argv = ["generate", "cover", "--base", "torus_7", "--d", "2", "--seed", "1",
+            "--out", str(tmp_path / "cover.json")]
+    first = run_cli(argv)
+    assert first[0] == 0
+    assert cli.build_parser() is cli.build_parser()
+    rc, out = run_cli(["generate", "cover", "--d", "abc", "--out", "x"])
+    assert rc == 1 and out["error"] == "input"
+    with pytest.raises(SystemExit) as ex, contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["--help"])
+    assert ex.value.code == 0
+    assert run_cli(argv) == first
+
+
 # --------------------------------------------------------------------------
 # Single-field corruption
 

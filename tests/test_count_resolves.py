@@ -25,12 +25,13 @@ def test_counts_of_the_first_corpus_maps():
     for name in BUILTIN_NAMES:
         transverse.identity_map(builtin_triangulation(name))
     originals = (moves.join_isolated_circle, moves.checked_tiling, transverse._solve,
-                 transverse.DomainSolve.derived, transverse.RegionChecks.__init__)
+                 transverse.DomainSolve.derived, transverse.RegionChecks.__init__,
+                 transverse.TransverseMap.own)
     charts = transverse.RibbonFacts.__dict__["vertex_charts"]
     rows = tool.count("corpus", limit=4)
     assert (moves.join_isolated_circle, moves.checked_tiling, transverse._solve,
-            transverse.DomainSolve.derived,
-            transverse.RegionChecks.__init__) == originals
+            transverse.DomainSolve.derived, transverse.RegionChecks.__init__,
+            transverse.TransverseMap.own) == originals
     assert set(rows) == set(tool.MOVES) | {"(none)"}
     joins = rows["join_isolated_circle"]
     assert joins["moves"] == joins["derived"] > 0 and joins["pieces"] > 0
@@ -38,8 +39,14 @@ def test_counts_of_the_first_corpus_maps():
         assert rows[name]["collapse or surgery"] == rows[name]["moves"] > 0
         # a whole-domain solve under new dart tables searches the graph
         assert rows[name]["charts"] == rows[name]["moves"]
-    # moves that keep the dart tables keep the facts and their charts
+    # moves that keep the dart tables keep the facts and their charts, and
+    # share the tables: none copies one to write it
     assert joins["charts"] == rows["insert_trivial_circle"]["charts"] == 0
+    for name in ("join_isolated_circle", "insert_trivial_circle", "relocate_crosscap"):
+        assert rows[name]["moves"] > 0 and rows[name]["tables owned"] == 0
+    # a collapse writes all five tables, a surgery the pairing and the signs
+    assert rows["collapse_edge"]["tables owned"] == 5 * rows["collapse_edge"]["moves"]
+    assert rows["boundary_surgery"]["tables owned"] == 2 * rows["boundary_surgery"]["moves"]
     # map_from_cover solves each map once, from scratch
     assert rows["(none)"]["no prior solve"] == rows["(none)"]["charts"] == 4
     # every map a move, the join finder or normalize is given carries

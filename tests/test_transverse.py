@@ -69,7 +69,7 @@ def test_side_coherence_violation_detected():
     e_on = set(bad.target.triangle_edges(r0.label))
     for t in range(len(bad.target.triangles)):
         if len(e_on & set(bad.target.triangle_edges(t))) < 3 and t != r0.label:
-            bad.regions[0] = Region(t, r0.kind, r0.circuits)
+            bad.replace(regions={0: Region(t, r0.kind, r0.circuits)})
             break
     rep = validate_map(bad)
     assert not rep.ok
@@ -83,9 +83,9 @@ def test_mod2_parity_guard():
     facts = bad.ribbon_facts()
     rep0 = facts.vertex_reps[0]
     other = [P for P in bad.target.vertices if P != bad.vertex_label[rep0]][0]
+    vertex_label, = bad.own("vertex_label")
     for d in facts.vertex_darts(rep0):
-        bad.vertex_label[d] = other
-    bad.invalidate_caches()
+        vertex_label[d] = other
     with pytest.raises(InconsistentParity):
         mod2_degree(bad)
 
@@ -235,18 +235,20 @@ def test_branch_point_next_to_a_two_edge_vertex(turned):
 def _swap_rotation_entries(tm):
     """Two rotation entries at one vertex swapped: it splits in two."""
     a = tm.ribbon_facts().vertex_reps[0]
-    b = tm.rotation[a]
-    tm.rotation[a], tm.rotation[b] = tm.rotation[b], tm.rotation[a]
+    rotation, = tm.own("rotation")
+    b = rotation[a]
+    rotation[a], rotation[b] = rotation[b], rotation[a]
 
 
 def _flip_band_sign(tm):
     k = tm.ribbon_facts().edge_keys[0]
-    tm.edge_sign[k] = -tm.edge_sign[k]
+    sign, = tm.own("edge_sign")
+    sign[k] = -sign[k]
 
 
 def _move_dart_label(tm):
     """Dart 0 labelled as a dart of another copy, over another edge."""
-    label = tm.dart_label
+    label, = tm.own("dart_label")
     label[0] = next(label[d] for d in label if label[d][0] != label[0][0])
 
 
@@ -257,7 +259,8 @@ def _wrap_vertex_twice(tm):
     label = tm.dart_label
     a = 0
     b = next(d for d in label if label[d] == label[a] and vertex_of[d] != vertex_of[a])
-    tm.rotation[a], tm.rotation[b] = tm.rotation[b], tm.rotation[a]
+    rotation, = tm.own("rotation")
+    rotation[a], rotation[b] = rotation[b], rotation[a]
 
 
 @pytest.mark.parametrize("tamper", [_swap_rotation_entries, _flip_band_sign,
@@ -274,7 +277,7 @@ def test_a_tampered_lift_gets_fresh_facts(tamper):
     tamper(bad)
     facts = lift_facts(bad)
     assert facts._lift is None
-    bad._facts, bad._facts_checked = facts, True
+    bad.hold(facts)
     assert_facts_match_fresh(bad)
     problems = validate_map(bad).problems
     assert problems
@@ -391,18 +394,20 @@ def test_disconnected_domain_detected():
     tm = identity_map(builtin_triangulation("sphere_tetra"))
     double = tm.copy()
     off = max(tm.pairing) + 1
-    double.pairing.update({d + off: p + off for d, p in tm.pairing.items()})
-    double.rotation.update({d + off: r + off for d, r in tm.rotation.items()})
-    double.edge_sign.update({k + off: s for k, s in tm.edge_sign.items()})
-    double.vertex_label.update({d + off: v for d, v in tm.vertex_label.items()})
-    double.dart_label.update({d + off: l for d, l in tm.dart_label.items()})
+    pairing, rotation, edge_sign, vertex_label, dart_label = double.own(
+        "pairing", "rotation", "edge_sign", "vertex_label", "dart_label")
+    pairing.update({d + off: p + off for d, p in tm.pairing.items()})
+    rotation.update({d + off: r + off for d, r in tm.rotation.items()})
+    edge_sign.update({k + off: s for k, s in tm.edge_sign.items()})
+    vertex_label.update({d + off: v for d, v in tm.vertex_label.items()})
+    dart_label.update({d + off: l for d, l in tm.dart_label.items()})
     from surfmap.transverse import RibbonCircuit
     from surfmap.surfaces import SurfaceKind
-    for reg in tm.regions:
-        shifted = tuple(RibbonCircuit(tuple((d + off, x) for (d, x) in c.seq))
-                        for c in reg.circuits)
-        double.regions.append(Region(reg.label, SurfaceKind(True, 0, 0, 1), shifted))
-    double.invalidate_caches()
+    double.replace(append=[
+        Region(reg.label, SurfaceKind(True, 0, 0, 1),
+               tuple(RibbonCircuit(tuple((d + off, x) for (d, x) in c.seq))
+                     for c in reg.circuits))
+        for reg in tm.regions])
     assert validate_map(double).ok          # locally fine, two components
     with pytest.raises(Disconnected, match="^domain has 2 components$"):
         chi_domain(double)
@@ -429,8 +434,8 @@ def test_isolated_circle_between_adjacent_regions(directions, kind):
     for side, ri in enumerate((0, b)):
         region = tm.regions[ri]
         side_entry = IsoSide(cid, side, directions[side])
-        tm.regions[ri] = Region(region.label, SurfaceKind(True, 0, 0, 2),
-                                region.circuits + (side_entry,))
+        tm.replace(regions={ri: Region(region.label, SurfaceKind(True, 0, 0, 2),
+                                       region.circuits + (side_entry,))})
     assert validate_map(tm).ok
     assert domain_kind(tm) == kind
 
@@ -443,7 +448,7 @@ def test_dangling_circle_id_survives_the_round_trip():
     edge = tm.target.triangle_edges(tm.regions[0].label)[0]
     for _ in range(3):
         tm = insert_trivial_circle(tm, 0, edge)
-    del tm.isolated[next(iter(tm.isolated))]
+    tm.replace(circles={next(iter(tm.isolated)): None})
     problems = validate_map(tm).problems
     assert problems == ["region 0 references a bad isolated side",
                         "region 4 references a bad isolated side"]

@@ -7,8 +7,8 @@ Runs every operation of the catalog once, in catalog order (for `bounds`,
 after writing its maps to a temporary directory, which is not counted),
 with counting wrappers installed at run time on surfmap's moves, on
 RegionChecks.__init__, on moves.checked_tiling, on the domain-solve
-functions and on RibbonFacts.vertex_charts, as perfbench/tracer.py
-installs its spans; nothing under src/ has hooks.
+functions, on TransverseMap.own and on RibbonFacts.vertex_charts, as
+perfbench/tracer.py installs its spans; nothing under src/ has hooks.
 Prints one row per move kind, what is done outside any move under
 "(none)":
 
@@ -28,6 +28,9 @@ Prints one row per move kind, what is done outside any move under
   - other: a derivation that gave up for another reason (a region node
     without a name, say);
   - no tiling: the map had no current tiling;
+* tables owned: the dart tables copied to be written (TransverseMap.own
+  on a shared table).  A move that keeps the tables (a join, an insert,
+  a relocation) shares its input's, so it reads 0;
 * entry checks: the checks moves.checked_tiling ran because the map it
   was given, a move's input or the join finder's or normalize's (these
   two count under "(none)"), had no current tiling.  Every map a pass
@@ -44,6 +47,7 @@ import os
 import sys
 import tempfile
 from collections import Counter, defaultdict
+from types import MappingProxyType
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -58,7 +62,7 @@ MOVES = ("collapse_edge", "join_isolated_circle", "boundary_surgery",
 REASONS = ("no prior solve", "piece reached a component", "collapse or surgery",
            "other", "no tiling")
 COLUMNS = (("moves", "checks", "derived", "pieces") + REASONS
-           + ("entry checks", "charts"))
+           + ("tables owned", "entry checks", "charts"))
 
 
 class Counts:
@@ -106,6 +110,15 @@ class Counts:
             return checked_tiling(tm, context)
 
         self._set(moves, "checked_tiling", entry)
+
+        own = transverse.TransverseMap.own
+
+        def owned(tm, *names):
+            counts.rows[counts.move[-1]]["tables owned"] += sum(
+                getattr(tm, name).__class__ is MappingProxyType for name in names)
+            return own(tm, *names)
+
+        self._set(transverse.TransverseMap, "own", owned)
 
         tiling_solve = transverse.Tiling.domain_solve
 
