@@ -660,6 +660,19 @@ def _relabel_circle_disk(tm):
     tm.replace(regions={ri: Region(1 - region.label, region.kind, region.circuits)})
 
 
+def _relabel_region_off_its_corners(tm):
+    """A region with a ribbon circuit and a circle side gets the label of
+    a triangle on other edges: its circuits' corner problems and classes
+    must be read under the new label, not taken from the region it
+    replaces."""
+    ri, region = next((ri, r) for ri, r in enumerate(tm.regions)
+                      if {type(c) for c in r.circuits} == {RibbonCircuit, IsoSide})
+    edges = tm.target.triangle_edges
+    label = next(t for t in range(len(tm.target.triangles))
+                 if set(edges(t)) != set(edges(region.label)))
+    tm.replace(regions={ri: Region(label, region.kind, region.circuits)})
+
+
 def _scrambled_slice():
     return _slice_map(*SLICE[0])
 
@@ -669,6 +682,7 @@ INHERITED_EDITS = {
     "circuit_dropped": (_scrambled_slice, _drop_circuit),
     "isolated_added": (_scrambled_slice, _add_isolated_circle),
     "circle_id_reused": (_scrambled_slice, _reuse_circle_id),
+    "region_off_its_corners": (_scrambled_slice, _relabel_region_off_its_corners),
     "region_relabeled": (lambda: scrambled(identity_map(two_triangle_sphere()), 4,
                                            seed=1),
                          _relabel_region),
