@@ -99,7 +99,7 @@ def _regions_through(tm: TransverseMap, tokens: set, context: str) -> list:
     return [ri for ri, region in enumerate(tm.regions) if region in owners]
 
 
-def _stored_through(regions: list, indices, tokens: set) -> tuple:
+def _stored_through(regions: tuple, indices, tokens: set) -> tuple:
     """(token -> region index, token -> next token) along the stored
     ribbon circuits through `tokens` of the regions with the given
     indices."""
@@ -330,7 +330,7 @@ def collapse_edge(tm: TransverseMap, edge_key: int) -> TransverseMap:
                             context="collapse_edge")
 
 
-def _rebuild_regions(regions: list, out: TransverseMap,
+def _rebuild_regions(regions: tuple, out: TransverseMap,
                      groups: _GroupTracker, dead_tokens: set,
                      *, circle_info=(), context: str = ""):
     """Shared region reconstruction after a ribbon rewrite.
