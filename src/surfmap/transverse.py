@@ -445,6 +445,14 @@ class TransverseMap:
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
 
+    def __reduce__(self):
+        """Pickled and deep-copied by its fields, the tables and circles as
+        dicts (a read-only mapping has no pickle), as a map with no facts,
+        tiling or record yet."""
+        return (TransverseMap, (self.target, *(dict(getattr(self, name))
+                                               for name in _TABLES),
+                                dict(self.isolated), self.regions))
+
 
 # --------------------------------------------------------------------------
 # Circuit classification

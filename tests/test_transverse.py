@@ -1,3 +1,5 @@
+import copy
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -455,3 +457,16 @@ def test_dangling_circle_id_survives_the_round_trip():
     fresh = TransverseMap.from_json(tm.to_json())
     assert validate_map(fresh).problems == problems
     assert TransverseMap.from_json(fresh.to_json()).to_json() == fresh.to_json()
+
+
+def test_a_map_pickles_and_deep_copies_by_its_fields():
+    """A map holds its tables and circles as read-only mappings, which have
+    no pickle: it pickles and deep-copies by its fields, as a map whose
+    check runs from scratch, with tables of its own."""
+    tm = insert_trivial_circle(builtin_example("rp2_pinch"), 0, 0)
+    assert validate_map(tm).ok
+    for again in (pickle.loads(pickle.dumps(tm)), copy.deepcopy(tm)):
+        assert again.dumps() == tm.dumps()
+        assert again.tiling() is None and again.pairing is not tm.pairing
+        assert validate_map(again).ok
+        assert_matches_oracle(again)
