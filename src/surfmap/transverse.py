@@ -1484,8 +1484,9 @@ class Tiling:
                 gone[checks.region] = checks
                 new[checks.region] = None
         # the owners of the circuits and circle sides, and the regions
-        # that bound a circle, less the regions gone
-        stored, owner = dict(stored), dict(owner)
+        # that bound a circle, less the regions gone (dict.copy clones the
+        # table where dict() would hash every key again)
+        stored, owner = stored.copy(), owner.copy()
         circled = self.circled
         unbound = []
         for checks in gone.values():
@@ -1496,7 +1497,7 @@ class Tiling:
                     del owner[side]
                 unbound.append(checks.region)
         if unbound:
-            circled = dict(circled)
+            circled = circled.copy()
             for region in unbound:
                 del circled[region]
         # and with the regions added.  The side coherence of an edge or a
@@ -1530,7 +1531,7 @@ class Tiling:
                     if prior is None or prior.region.label != label:
                         flanked.add(side[0])
                 if circled is self.circled:
-                    circled = dict(circled)
+                    circled = circled.copy()
                 circled[region] = checks
             elif not checks.walk_keys and self._holds(checks):
                 return None
