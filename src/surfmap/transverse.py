@@ -311,7 +311,7 @@ class TransverseMap:
                     came[region] = None
             self.regions = tuple(new + list(append))
         if circles:
-            isolated = dict(self.isolated)
+            isolated = self.isolated.copy()
             for cid, circle in circles.items():
                 if circle is None:
                     del isolated[cid]
