@@ -275,7 +275,7 @@ def cover_solve(cover: MonodromyCover) -> ParityUF:
         return _solve_cover(cover)
     if cover._solved is None or cover._solved[0] != key:
         cover._solved = (key, _solve_cover(cover))
-    return cover._solved[1].grown(0)
+    return cover._solved[1].copy()
 
 
 def _solve_cover(cover: MonodromyCover) -> ParityUF:

@@ -18,21 +18,24 @@ derived from those (RibbonFacts.derive, which finds the changed darts in
 the tables itself); the per-region results in those facts for every
 region object the result shares with maps checked before; and the
 input's tiling (transverse.Tiling: the owners of the circuits and circle
-sides, and the domain solve that chi_domain and domain_orientable
-share), from which the result's is derived by the regions and circles
-the result's record says it changed (TransverseMap.replace,
-Tiling.derived, DomainSolve.derived).  Regions are frozen: a move
-replaces the regions it changes and shares the rest, so its check looks
-again only at those (a join or an insert changes at most three, a
-collapse the regions around the collapsed edge).  A collapse takes its
-own copy of the tables of its input (after the gauge flip, or of a
-plain copy; TransverseMap.own) and rewires them in place, and reads
-region groups and directions off the stored circuits through the darts
-it removes.  Isolated circles keep their ids, so a join deletes one circle
-and renumbers nothing.  A move finds the regions it touches as the
-owners in its input's tiling (transverse.checked_tiling, which first
-checks an input that has none, with the move's name as the context of
-a failure); so does the join finder, and normalize checks its input.
+sides, and the sums the domain solve reads), from which the result's is
+derived by the regions and circles the result's record says it changed
+(TransverseMap.replace, Tiling.derived).  The result's domain solve,
+which chi_domain and domain_orientable share, is made once over the
+regions that get a node, from ties resolved once per ribbon facts, so a
+join or an insert resolves those of the regions it adds only.  Regions
+are frozen: a move replaces the regions it changes and shares the rest,
+so its check looks again only at those (a join or an insert changes at
+most three, a collapse the regions around the collapsed edge).  A
+collapse takes its own copy of the tables of its input (after the gauge
+flip, or of a plain copy; TransverseMap.own) and rewires them in place,
+and reads region groups and directions off the stored circuits through
+the darts it removes.  Isolated circles keep their ids, so a join
+deletes one circle and renumbers nothing.  A move finds the regions it
+touches as the owners in its input's tiling (transverse.checked_tiling,
+which first checks an input that has none, with the move's name as the
+context of a failure); so does the join finder, and normalize checks
+its input.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .transverse import (IsoSide, Region, RibbonCircuit, TransverseMap,
                          checked_tiling, chi_domain, classify_circuit, corners,
                          domain_orientable, edge_count, mod2_degree,
                          rotation_orbit, successor_map, validate_map)
-from .unionfind import BROKEN, ParityUF
+from .unionfind import ParityUF
 
 
 class OneSidedCircle(SurfmapError):
@@ -132,8 +135,8 @@ def _post_move_check(before: TransverseMap, after: TransverseMap, *,
     holds a solve (made now for a map that was loaded and checked but
     never solved; a previous move's result keeps the one of its own
     check).  validate_map then derives the result's tiling from the one
-    `after` inherited from `before`, and chi_domain and domain_orientable
-    read the solve derived with it.  A failure raises
+    `after` inherited from `before`, sums included, and chi_domain and
+    domain_orientable read the one solve made from it.  A failure raises
     InternalInconsistency with the move's name as `context` and the
     first problems as `problems`."""
     def fail(detail, problems):
@@ -174,8 +177,8 @@ class _GroupTracker:
         self.gluings = []
 
     def glue(self, r1: int, r2: int, flip_bit: int):
-        status = self.uf.union(self.node[r1], self.node[r2], flip_bit)
-        self.gluings.append((r1, status == BROKEN))
+        self.gluings.append((r1, self.uf.union(self.node[r1], self.node[r2],
+                                               flip_bit)))
 
     def root(self, ri: int) -> int:
         return self.regions[self.uf.find(self.node[ri])[0]]

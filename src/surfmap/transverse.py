@@ -47,29 +47,24 @@ graph component, so they hold after a move that splits a component or
 twists one.
 
 What spans regions is the Tiling of a passed check: the owner of each
-traced circuit and circle side, and the domain solve (domain_solve), the
-connectivity and orientation of the domain in one parity union-find.  A
-copy inherits the tiling of its original as it inherits the facts, and
-its check derives its own from it (Tiling.derived): the regions and
-circles that changed are read off the record of the map's edits since
-the tiling's state, which the check holds against the tiling, and only
-they are checked again and their owners updated.  The solve is derived the same
-way (DomainSolve.derived): its nodes have names a region keeps while a
-move replaces it, the ties of the replaced regions are compared, and it
-keeps the spanning forest of its unions as the certificate that tells
-when a deleted tie may split a class.  A class that a deletion splits
-has its pieces walked from the cut, and the pieces made of circles and
-of regions bounded by circles alone (nested circles cut off by a join,
-say) get nodes of their own and are united again; walks that meet the
-same graph component are one piece, joined again by the ties of their
-paths, and only where walks meet two components, or one only through a
-tie that contradicted the others, is the domain solved again.  A
-derivation only ever answers that nothing is wrong: where it
-would find a problem, and for a map without a tiling, validate_map
-checks from scratch, with the same problem texts in the same order.
-Every passed check leaves a tiling, and a move reads the regions it
-touches off its input's (checked_tiling, which checks an input that
-has none first).
+traced circuit and circle side, the regions' Euler sum, their count of
+nonorientable kinds and the regions that get a node in the domain solve
+(domain_solve), the connectivity and orientation of the domain in one
+parity union-find.  A copy inherits the tiling of its original as it
+inherits the facts, and its check derives its own from it
+(Tiling.derived): the regions and circles that changed are read off the
+record of the map's edits since the tiling's state, which the check
+holds against the tiling, and only they are checked again and their
+owners and sums updated.  The solve is made once per tiling, over the
+regions that get a node only; the ties of each such region, resolved by
+the vertex chart flips, are memoized in the facts beside its
+RegionChecks, so a move that keeps the dart tables resolves only the
+ties of the regions it adds.  A derivation only ever answers that
+nothing is wrong: where it would find a problem, and for a map without
+a tiling, validate_map checks from scratch, with the same problem texts
+in the same order.  Every passed check leaves a tiling, and a move
+reads the regions it touches off its input's (checked_tiling, which
+checks an input that has none first).
 
 A cover's lift (map_from_cover) is checked by its base: its ribbon facts
 are pulled back from the one-sheeted lift, which is checked from scratch
@@ -95,7 +90,7 @@ from .surfaces import (SurfaceKind, Triangulation, builtin_triangulation,
                        classify_surface, connected_sum_kind, doc_field, doc_id,
                        doc_int, doc_pair, per_triangulation)
 from . import covers as covers_mod
-from .unionfind import BROKEN, HELD, JOINED, ParityUF
+from .unionfind import ParityUF
 
 
 # --------------------------------------------------------------------------
@@ -511,6 +506,9 @@ class RibbonFacts:
       per-circuit answers: walk_key, corner_problem, corner_constraints
       and circuit_class compute theirs afresh; derived facts carry those
       of the inherited tiling's regions (_carry);
+    * per region object that gets a node in the domain solve, its ties
+      resolved by the vertex chart flips (_solve); derived facts start
+      without them, as their charts may differ;
     * per edge, its flanking circuits (flanks).
 
     The facts of a cover's lift are pulled back from the one-sheeted lift
@@ -539,6 +537,7 @@ class RibbonFacts:
             tables.append(table)
         self.tables = tuple(tables)
         self._regions = {}     # region -> RegionChecks
+        self._ties = {}        # region -> its resolved ties (_solve)
         # the one-sheeted lift these facts were pulled back from
         # (OneSheetedLift.pull_back), or None
         self._lift = None
@@ -1207,9 +1206,6 @@ class RegionChecks:
       boundary walks' corners (corner_constraints) and (circle id, bit) of
       its isolated sides, and needs_node: whether there are other than
       exactly one;
-    * name: the name of the region's node in domain_solve, something the
-      region keeps while a move replaces it: its least walk key, or when
-      it has none its least isolated side, or None;
     * euler and orientable, of the region's kind;
     * answers: per circuit, None for an isolated side, and for a ribbon
       circuit (walk key, or None when it is no boundary walk; then its
@@ -1225,8 +1221,8 @@ class RegionChecks:
     """
 
     __slots__ = ("region", "walk_keys", "iso_sides", "problems",
-                 "corner_problems", "ties", "needs_node", "name", "euler",
-                 "orientable", "answers", "_classes")
+                 "corner_problems", "ties", "needs_node", "euler", "orientable",
+                 "answers", "_classes")
 
     def __init__(self, facts: RibbonFacts, region: Region, like=()):
         self.region = region
@@ -1297,8 +1293,6 @@ class RegionChecks:
         self.corner_problems = tuple(corner_problems)
         self.ties = (tuple(anchors), tuple(circles))
         self.needs_node = len(anchors) + len(circles) != 1
-        self.name = (("r", min(keys)) if keys else
-                     ("s", min(sides)) if sides else None)
 
     @classmethod
     def of_disk(cls, region: Region, key: tuple, anchor: int, problem,
@@ -1323,7 +1317,6 @@ class RegionChecks:
         anchors = {(anchor, bit) for bit in bits}    # in __init__'s order
         self.ties = (tuple(anchors), ())
         self.needs_node = len(anchors) != 1
-        self.name = ("r", key)
         return self
 
     def classes(self, facts: RibbonFacts) -> tuple:
@@ -1373,18 +1366,21 @@ class Tiling:
     traced circuit key (`stored`) and of each circle side (`owner`); the
     regions that bound a circle (`circled`: region -> RegionChecks);
     whether no region is listed twice (`unique`: a passed check lets a map
-    list a region twice that has neither a circuit nor a circle side);
-    and the domain solve, made on first use (domain_solve).
+    list a region twice that has neither a circuit nor a circle side); the
+    sums the domain solve reads (_sums): the regions' Euler sum (`euler`),
+    their count of nonorientable kinds (`nonorientable`) and the
+    RegionChecks of the regions that get a node (`linked`, one per
+    listing); and the domain solve, made on first use (domain_solve).
 
     A map passes the tiling it was checked with on to its copies, and a
     check of a copy derives the copy's tiling from it (derived), so the
     tiling is put together from scratch only for a map that has none."""
 
     __slots__ = ("facts", "regions", "isolated", "stored", "owner", "circled",
-                 "unique", "_solve", "_basis")
+                 "unique", "euler", "nonorientable", "linked", "_solve")
 
     def __init__(self, facts, regions, isolated, stored, owner, circled, unique,
-                 basis=None):
+                 sums: tuple):
         self.facts = facts
         self.regions = regions
         self.isolated = isolated
@@ -1392,20 +1388,14 @@ class Tiling:
         self.owner = owner
         self.circled = circled
         self.unique = unique
+        self.euler, self.nonorientable, self.linked = sums
         self._solve = None
-        # (parent solve, regions gone, regions added, circles gone,
-        # circles added) for a derived solve, until the solve is made
-        self._basis = basis
 
     def domain_solve(self) -> "DomainSolve":
-        """The domain solve of the state: derived from the parent's
-        (DomainSolve.derived) where the tiling was derived from a tiling
-        that had solved, otherwise solved from scratch."""
+        """The domain solve of the state, made once (_solve)."""
         if self._solve is None:
-            basis, self._basis = self._basis, None
-            solve = basis and basis[0].derived(self.facts, self.owner, *basis[1:])
-            self._solve = solve or _solve(
-                self.facts, self.facts.region_checks(self.regions), self.isolated)
+            self._solve = _solve(self.facts, self.isolated, self.euler,
+                                 self.nonorientable, self.linked)
         return self._solve
 
     def _holds(self, checks: "RegionChecks") -> bool:
@@ -1443,7 +1433,8 @@ class Tiling:
         the circuits and circle sides that are new or whose owner's label
         changed (the coherence reads only the owners' labels).  The
         regions kept passed these checks with the same owners and
-        circuits.  The facts forget the RegionChecks of the regions gone,
+        circuits.  The sums are updated by the regions replaced.  The facts
+        forget the RegionChecks and the resolved ties of the regions gone,
         so facts that a normalization's joins and inserts share hold those
         of the current regions only."""
         if facts is self.facts:
@@ -1473,9 +1464,10 @@ class Tiling:
             if not self._holds(checks):
                 return None
             gone[region] = checks
-        memo = facts._regions
+        memo, ties = facts._regions, facts._ties
         for region in gone:
             memo.pop(region, None)
+            ties.pop(region, None)
         new = dict.fromkeys(came)
         stored, owner = self.stored, self.owner
         for key in retraced:
@@ -1483,13 +1475,18 @@ class Tiling:
             if checks is not None and checks.region not in gone:
                 gone[checks.region] = checks
                 new[checks.region] = None
-        # the owners of the circuits and circle sides, and the regions
-        # that bound a circle, less the regions gone (dict.copy clones the
-        # table where dict() would hash every key again)
+        # the owners of the circuits and circle sides, the regions that
+        # bound a circle, and the sums, less the regions gone (dict.copy
+        # clones the table where dict() would hash every key again)
         stored, owner = stored.copy(), owner.copy()
         circled = self.circled
+        euler, nonorientable, linked = self.euler, self.nonorientable, self.linked
         unbound = []
         for checks in gone.values():
+            euler -= checks.euler
+            nonorientable -= not checks.orientable
+            if checks.needs_node and linked is self.linked:
+                linked = [kept for kept in linked if kept.region not in gone]
             for key in checks.walk_keys:
                 del stored[key]
             if checks.iso_sides:
@@ -1507,13 +1504,15 @@ class Tiling:
         was_stored, was_owner = self.stored, self.owner
         relabelled = []       # the stored circuits to check
         flanked = set()       # the circles to check
-        added = []
         like = tuple(gone.values()) if facts is old_facts else ()
         for region in new:
             checks = facts.checks_of(region, like)
             if checks.problems or checks.corner_problems:
                 return None
-            added.append(checks)
+            euler += checks.euler
+            nonorientable += not checks.orientable
+            if checks.needs_node:
+                linked = linked + [checks]
             label = region.label
             for key in checks.walk_keys:
                 if key in stored:
@@ -1560,13 +1559,8 @@ class Tiling:
                     != edges[isolated[cid].edge][0]):
                 return None
 
-        basis = None
-        if facts is self.facts and self._solve is not None:
-            was = self.isolated
-            basis = (self._solve, list(gone.values()), added,
-                     [cid for cid in changed if cid not in isolated],
-                     [cid for cid in changed if cid not in was])
-        return Tiling(facts, regions, isolated, stored, owner, circled, True, basis)
+        return Tiling(facts, regions, isolated, stored, owner, circled, True,
+                      (euler, nonorientable, linked))
 
 
 def validate_map(tm: TransverseMap) -> ValidationReport:
@@ -1666,7 +1660,7 @@ def validate_map(tm: TransverseMap) -> ValidationReport:
         tm._tiling = Tiling(facts, regions, isolated,
                             {key: entries[ri] for key, ri in stored.items()}, owner,
                             {checks.region: checks for checks in owner.values()},
-                            len(set(regions)) == len(regions))
+                            len(set(regions)) == len(regions), _sums(entries))
         tm._edits = None
     _check_parity(rep, facts)
     return rep
@@ -1711,51 +1705,44 @@ def graph_euler(tm: TransverseMap) -> int:
     return tm.ribbon_facts().graph_euler
 
 
-def _ties(checks: RegionChecks, charts: dict, vertex_of: dict) -> dict:
-    """The distinct ties of a region's node, as keys (other node, rel):
-    a graph component's number or ("c", circle id), and the xor of the
-    two values.  An anchor tie is resolved by its vertex's chart flip
-    (bit 0 on a component whose band signs admit no flips: the tie then
-    only joins)."""
-    anchors, circles = checks.ties
-    out = {}
-    for dart, bit in anchors:
+def _sums(entries) -> tuple:
+    """What the domain solve reads of the RegionChecks of a state's
+    regions: (their Euler sum, their count of nonorientable kinds, those
+    that get a node, in order)."""
+    euler = nonorientable = 0
+    linked = []
+    for checks in entries:
+        euler += checks.euler
+        nonorientable += not checks.orientable
+        if checks.needs_node:
+            linked.append(checks)
+    return euler, nonorientable, linked
+
+
+def _ties(checks: RegionChecks, charts: dict, vertex_of: dict) -> tuple:
+    """The distinct anchor ties of a region's node, resolved by the chart
+    flip of each anchor's vertex: (graph component's number, xor of the
+    two values), with bit 0 on a component whose band signs admit no
+    flips (the tie then only joins)."""
+    resolved = set()
+    for dart, bit in checks.ties[0]:
         component, flip = charts[vertex_of[dart]]
-        out[(component, 0 if flip is None else flip ^ bit)] = None
-    for cid, bit in circles:
-        out[(("c", cid), bit)] = None
-    return out
+        resolved.add((component, 0 if flip is None else flip ^ bit))
+    return tuple(resolved)
 
 
 class DomainSolve:
-    """The domain's connectivity and orientation constraints, solved, with
-    the sums over the regions that chi_domain and domain_orientable add.
+    """The domain's connectivity and orientation constraints, solved
+    (_solve), with the regions' Euler sum that chi_domain adds."""
 
-    It also keeps what the solve of a later map state is derived from
-    (derived): the node of each circle, named ("c", circle id), and of
-    each region that has one, named by RegionChecks.name (`nodes`, None
-    when two regions of a node share a name or one has none); per region
-    node, what its union did with each of its ties (`ties`; a JOINED tie
-    is one of the solve's spanning forest, or a tie that joined a cut
-    piece again, _cut_off); the number of ties that
-    contradicted the others (`broken`); and the number of classes made
-    only of nodes whose region or circle is gone, or that were given new
-    nodes when a deletion cut them off (`dead_classes`)."""
-
-    def __init__(self, facts, uf: ParityUF, nodes, ties: dict, broken: int,
-                 dead_classes: int, regions_euler: int, nonorientable: int):
+    def __init__(self, facts, uf: ParityUF, regions_euler: int, nonorientable: int):
         _charts, self._n_components, bands_ok = facts.vertex_charts
-        self.components = uf.sets - dead_classes   # of the domain
+        self.components = uf.sets     # of the domain
         # the orientation constraints have a solution and every region
         # kind is orientable
-        self.orientable = bands_ok and not broken and not nonorientable
+        self.orientable = bands_ok and uf.ok and not nonorientable
         self.regions_euler = regions_euler
         self._uf = uf
-        self.nodes = nodes
-        self.ties = ties
-        self.broken = broken
-        self.dead_classes = dead_classes
-        self.nonorientable = nonorientable
 
     @cached_property
     def chart_flips(self) -> tuple:
@@ -1768,260 +1755,34 @@ class DomainSolve:
             out.append(flip ^ first.setdefault(root, flip))
         return tuple(out)
 
-    def derived(self, facts, owner: dict, gone: list, added: list, lost: list,
-                born: list):
-        """The solve of the map state that has the regions (RegionChecks)
-        `added` instead of `gone`, and the circles `born` instead of
-        `lost`, under the same facts (`owner`: the state's owner of each
-        circle side, Tiling.owner); None where it has to be solved from
-        scratch.
 
-        A node keeps its name: a region that is replaced by one of the
-        same name keeps its node, and its ties are compared by key.  A
-        node whose region or circle is gone stays in the union-find as a
-        dead member, with its ties deleted.  A deleted tie that
-        contradicted leaves the count of broken ties.  A deleted forest
-        tie may split a class: the deleted forest ties are grouped by the
-        nodes they share.  A group with at most one live node splits
-        nothing (every deleted forest tie hangs dead nodes off that one,
-        and no path between live nodes ran through it); a group with none
-        was a whole class, now dead.  A group with more live nodes cuts
-        its class into pieces, and the pieces that hold no graph
-        component get nodes of their own, while the walks that meet one
-        component are joined to it again (_cut_off); where that is not
-        known to leave the class one piece, the answer is None.  The new
-        ties are then united in.  A collapse or a surgery changes the
-        dart tables, so its solve is made from scratch (Tiling.derived
-        hands on no basis): at the size of the corpus maps a solve derived
-        across a collapse cost about twice a whole-domain one."""
-        nodes = self.nodes
-        if nodes is None:
-            return None
-        old_nodes = nodes
-        nodes = dict(nodes)
-        ties = dict(self.ties)
-        before = {checks.name: checks for checks in gone}
-        after = {checks.name: checks for checks in added}
-        if None in before or None in after or len(after) != len(added):
-            return None
-        charts, _n, _ok = facts.vertex_charts
-        vertex_of = facts.vertex_of
-        size = len(self._uf.parent)
-        dead = [nodes.pop(("c", cid)) for cid in lost]
-        for cid in born:
-            nodes[("c", cid)] = size
-            size += 1
-        broken = self.broken
-        forest = []           # deleted forest ties, as node pairs
-        named = {}            # node -> name, for the nodes of `forest`
-        work = []             # (name, new ties)
-        for name in sorted(before.keys() | after.keys()):
-            had = ties.get(name)
-            checks = after.get(name)
-            if had is None:
-                if checks is None or not checks.needs_node:
-                    continue
-                nodes[name] = size
-                size += 1
-                had = {}
-            node = nodes[name]
-            want = {} if checks is None else _ties(checks, charts, vertex_of)
-            for tie, status in had.items():
-                if tie not in want:
-                    if status == JOINED:
-                        other = tie[0]
-                        v = other if other.__class__ is int else old_nodes[other]
-                        forest.append((node, v))
-                        named[node], named[v] = name, other
-                    elif status == BROKEN:
-                        broken -= 1
-            if checks is None:
-                del nodes[name], ties[name]
-                dead.append(node)
-            else:
-                ties[name] = {tie: had[tie] for tie in want if tie in had}
-                work.append((name, [tie for tie in want if tie not in had]))
-
-        dead_classes = self.dead_classes
-        pieces = ()
-        if forest:
-            group = {}
-
-            def find(x):
-                while group.get(x, x) != x:
-                    x = group[x]
-                return x
-
-            for u, v in forest:
-                group[find(u)] = find(v)
-            dead_set = set(dead)
-            live = {}
-            for x in named:
-                root = find(x)
-                live[root] = live.get(root, 0) + (x not in dead_set)
-            dead_classes += sum(1 for n in live.values() if n == 0)
-            cut = sorted(x for x in named
-                         if x not in dead_set and live[find(x)] > 1)
-            if cut:
-                found = self._cut_off([(x, named[x]) for x in cut], ties, owner)
-                if found is None:
-                    return None
-                pieces, emptied = found
-                dead_classes += emptied
-        dead_classes += sum(1 for x in dead if x not in named)
-
-        for piece in pieces:
-            for name in piece:
-                nodes[name] = size
-                size += 1
-        uf = self._uf.grown(size - len(self._uf.parent))
-        union = uf.union
-        for piece in pieces:
-            for name in piece:
-                if name[0] != "c":
-                    node = nodes[name]
-                    kept = {}
-                    for tie, status in ties[name].items():
-                        kept[tie] = again = union(nodes[tie[0]], node, tie[1])
-                        broken += (again == BROKEN) - (status == BROKEN)
-                    ties[name] = kept
-        for name, new in work:
-            node, kept = nodes[name], ties[name]
-            for tie in new:
-                other = tie[0]
-                status = kept[tie] = union(other if other.__class__ is int
-                                           else nodes[other], node, tie[1])
-                broken += status == BROKEN
-        euler = (self.regions_euler + sum(c.euler for c in added)
-                 - sum(c.euler for c in gone))
-        nonorientable = (self.nonorientable + sum(not c.orientable for c in added)
-                         - sum(not c.orientable for c in gone))
-        return DomainSolve(facts, uf, nodes, ties, broken, dead_classes, euler,
-                           nonorientable)
-
-    def _cut_off(self, cut: list, ties: dict, owner: dict):
-        """The pieces a deletion cut off, or None.  `cut` lists the live
-        (node, name) pairs of the groups of deleted forest ties that hold
-        several, and `ties` the ties each region node keeps.
-
-        From each, the piece of its class that the kept ties still reach
-        is walked, through circle nodes and the regions that own their
-        sides (`owner`) and keep a tie to them (_piece).  A walk that
-        meets a graph component stops there: its piece keeps the class's
-        old nodes, joined to that component by the kept ties of its path,
-        which become ties of the spanning forest (replacement edges, as in
-        decremental connectivity: Holm, de Lichtenberg & Thorup 2001), so
-        the forest spans what keeps the old nodes again.  The walks of a
-        class that stop must all meet the same component, and the ties of
-        their paths must have held: where two meet different components
-        (which may or may not be joined), or a path runs through a tie
-        that contradicted the others (whose relation a deletion may have
-        changed), the answer is None.  The other walks end with whole
-        pieces, each of circles and of regions bounded by circles alone:
-        they are the pieces to give new nodes and unite again.  Every live
-        node of a class that a deletion cut lies in a piece walked from
-        its cut, so a class whose walks all ended is left with dead nodes
-        only.  Returns (pieces, as lists of names; the number of such
-        emptied classes)."""
-        reached = {}           # old class root -> the component its walks met
-        emptied = set()
-        seen = set()
-        pieces = []
-        for x, name in cut:
-            if name in seen:
-                continue
-            piece, stop = _piece(name, ties, owner)
-            root = self._uf.find(x)[0]
-            if stop is None:
-                pieces.append(piece)
-                seen.update(piece)
-                emptied.add(root)
-                continue
-            component, path = stop
-            if reached.setdefault(root, component) != component:
-                return None
-            for region, tie in path:
-                kept = ties[region]
-                if kept[tie] == BROKEN:
-                    return None
-                kept[tie] = JOINED
-        return pieces, len(emptied - reached.keys())
-
-
-def _piece(name, ties: dict, owner: dict) -> tuple:
-    """(the names of the nodes that the kept ties (`ties`) reach from node
-    `name`, in the order met, None) when they reach no graph component
-    (an int); otherwise (None, (the first component met, the ties of the
-    path to it, as (region name, tie key))).  A circle ("c", id) reaches
-    the region nodes that own its sides and keep a tie to it; a region
-    its ties' other nodes."""
-    if name.__class__ is int:
-        return None, (name, [])
-    piece = [name]
-    via = {name: None}        # node -> (node it was met from, tie)
-    for node in piece:
-        if node[0] == "c":
-            near = []
-            for side in ((node[1], 0), (node[1], 1)):
-                other = owner[side].name
-                tie = next((tie for tie in ties.get(other, ()) if tie[0] == node),
-                           None)
-                if tie is not None:
-                    near.append((other, (other, tie)))
-        else:
-            near = [(tie[0], (node, tie)) for tie in ties[node]]
-        for other, step in near:
-            if other in via:
-                continue
-            via[other] = (node, step)
-            if other.__class__ is int:
-                path = []
-                at = other
-                while via[at] is not None:
-                    at, step = via[at]
-                    path.append(step)
-                return None, (other, path)
-            piece.append(other)
-    return piece, None
-
-
-def _solve(facts: RibbonFacts, entries, isolated: dict) -> DomainSolve:
-    """The domain solve from scratch (domain_solve), over the RegionChecks
-    of the regions."""
+def _solve(facts: RibbonFacts, isolated: dict, euler: int, nonorientable: int,
+           linked: list) -> DomainSolve:
+    """The domain solve of a state with the circles `isolated`, whose
+    regions have the sums `euler`, `nonorientable` and `linked` (_sums):
+    the ties of the regions in `linked` are united, each region's anchor
+    ties resolved once per facts (_ties, memoized by region in the facts)."""
     charts, n_components, _bands_ok = facts.vertex_charts
     vertex_of = facts.vertex_of
-    circle_node = {("c", cid): i for i, cid in enumerate(isolated, n_components)}
-    linked = []
-    euler = 0
-    nonorientable = 0
-    for checks in entries:
-        euler += checks.euler
-        nonorientable += not checks.orientable
-        if checks.needs_node:
-            linked.append(checks)
+    memo = facts._ties
+    circle_node = dict(zip(isolated, itertools.count(n_components)))
     node = n_components + len(circle_node)
     uf = ParityUF(node + len(linked))
     union = uf.union
-    names = {}
-    ties = {}
-    broken = 0
     for checks in linked:
-        statuses = _ties(checks, charts, vertex_of)
-        for tie in statuses:
-            other = tie[0]
-            status = statuses[tie] = union(other if other.__class__ is int
-                                           else circle_node[other], node, tie[1])
-            broken += status == BROKEN
-        name = checks.name
-        if names is not None:
-            if name is None or name in names:
-                names = None
-            else:
-                names[name] = node
-                ties[name] = statuses
+        region = checks.region
+        anchored = memo.get(region)
+        if anchored is None:
+            anchored = memo[region] = _ties(checks, charts, vertex_of)
+        # each union hangs the class of its first node under the root of
+        # its second's: a region's circles first, then the graph, so the
+        # components stay near the roots
+        for cid, rel in checks.ties[1]:
+            union(node, circle_node[cid], rel)
+        for component, rel in anchored:
+            union(node, component, rel)
         node += 1
-    nodes = None if names is None else {**circle_node, **names}
-    return DomainSolve(facts, uf, nodes, ties, broken, 0, euler, nonorientable)
+    return DomainSolve(facts, uf, euler, nonorientable)
 
 
 def domain_solve(tm: TransverseMap) -> DomainSolve:
@@ -2039,22 +1800,24 @@ def domain_solve(tm: TransverseMap) -> DomainSolve:
     direction on side 0 and the opposite one on side 1.  Every tie is a
     constraint, so the classes are the components of the domain, and the
     domain is orientable when the system is consistent and every region
-    kind is.  A region with exactly one distinct tie gets no node from
-    scratch: it can neither join two classes nor contradict one (a region
-    whose several ties reach one class gets a node that changes neither).
-    The ties of a region are memoized in its RegionChecks.
+    kind is.  A region with exactly one distinct tie gets no node: it can
+    neither join two classes nor contradict one (a region whose several
+    ties reach one class gets a node that changes neither).  The ties of
+    a region are memoized in its RegionChecks, and resolved once per
+    ribbon facts.  The answers do not depend on the order of the unions:
+    chart flips are read only where the system is consistent.
 
     A map whose tiling is current (TransverseMap.tiling) has the tiling's
-    solve, made once per map state and derived from the solve of the
-    state the tiling was derived from where it can be.  Any other map (one
-    never checked, or changed in place since) is solved from scratch.
-    Meaningful for maps that pass validate_map.
+    solve, made once per map state from the sums the tiling carries.  Any
+    other map (one never checked, or changed in place since) is solved
+    from its regions' RegionChecks.  Meaningful for maps that pass
+    validate_map.
     """
     tiling = tm.tiling()
     if tiling is not None:
         return tiling.domain_solve()
     facts = tm.ribbon_facts()
-    return _solve(facts, facts.region_checks(tm.regions), tm.isolated)
+    return _solve(facts, tm.isolated, *_sums(facts.region_checks(tm.regions)))
 
 
 def chi_domain(tm: TransverseMap) -> int:

@@ -17,14 +17,12 @@ class ParityUF:
         self.sets = n
         self.ok = True
 
-    def grown(self, extra: int) -> "ParityUF":
-        """An independent copy with `extra` more nodes, each a class of its
-        own."""
+    def copy(self) -> "ParityUF":
+        """An independent copy."""
         out = ParityUF.__new__(ParityUF)
-        n = len(self.parent)
-        out.parent = self.parent + list(range(n, n + extra))
-        out.parity = self.parity + [0] * extra
-        out.sets = self.sets + extra
+        out.parent = self.parent.copy()
+        out.parity = self.parity.copy()
+        out.sets = self.sets
         out.ok = self.ok
         return out
 
@@ -48,22 +46,17 @@ class ParityUF:
             parity[y] = acc
         return x, acc
 
-    def union(self, x: int, y: int, rel: int) -> int:
-        """Impose value(x) xor value(y) == rel.  Returns JOINED when x and
-        y were in two classes, HELD when they were in one and the
-        constraint held, and BROKEN when it contradicted the class."""
+    def union(self, x: int, y: int, rel: int) -> bool:
+        """Impose value(x) xor value(y) == rel; whether it contradicted
+        the class x and y were already in."""
         rx, px = self.find(x)
         ry, py = self.find(y)
         if rx == ry:
             if px ^ py != rel:
                 self.ok = False
-                return BROKEN
-            return HELD
+                return True
+            return False
         self.parent[rx] = ry
         self.parity[rx] = px ^ py ^ rel
         self.sets -= 1
-        return JOINED
-
-
-# what ParityUF.union did with a constraint
-HELD, JOINED, BROKEN = 0, 1, 2
+        return False

@@ -6,12 +6,11 @@ TransverseMap.from_json(tm.to_json()), which shares nothing with `tm`.
 """
 
 import random
-import statistics
 from collections import Counter
 
 import pytest
 
-from surfmap import cli, moves, transverse, unionfind
+from surfmap import cli, moves, transverse
 from surfmap.covers import random_cover
 from surfmap.errors import Disconnected, InternalInconsistency, Stuck
 from surfmap.moves import (_post_move_check, collapse_edge, collapsible_edges,
@@ -173,18 +172,16 @@ def test_join_and_insert_check_only_the_regions_they_change(monkeypatch):
 
 
 def test_join_and_insert_checks_do_not_grow_with_the_map(monkeypatch):
-    """A join's or an insert's check derives its tiling and its domain
-    solve from those of the move's input, so the unions and RegionChecks
-    it makes count what the move changes, after 16 scramble steps as after
-    64.  Every insert derives; a join whose circle's far region merges
-    into another unites again the piece of circles it cuts off, so the
-    bound holds for the median join."""
+    """A join's or an insert's check derives its tiling from that of the
+    move's input, and keeps its ribbon facts, whose resolved ties it
+    shares: the ties it resolves and the RegionChecks it makes count what
+    the move changes, after 16 scramble steps as after 64."""
     made = Counter()
-    union = unionfind.ParityUF.union
+    ties = transverse._ties
 
-    def counted_union(uf, *args):
-        made["unions"] += 1
-        return union(uf, *args)
+    def counted_ties(*args):
+        made["ties"] += 1
+        return ties(*args)
 
     class CountedChecks(transverse.RegionChecks):
         def __init__(self, facts, region, like=()):
@@ -197,7 +194,7 @@ def test_join_and_insert_checks_do_not_grow_with_the_map(monkeypatch):
         def wrapper(*args, **kwargs):
             start = made.copy()
             out = move(*args, **kwargs)
-            per_move.append((name, made["unions"] - start["unions"],
+            per_move.append((name, made["ties"] - start["ties"],
                              made["checks"] - start["checks"]))
             return out
         return wrapper
@@ -205,18 +202,18 @@ def test_join_and_insert_checks_do_not_grow_with_the_map(monkeypatch):
     base = builtin_triangulation("klein_8")
     tm = map_from_cover(random_cover(base, 6, [3, 3], seed=0))
     tm = add_pinch(tm, 0, SurfaceKind(False, crosscaps=2))
-    monkeypatch.setattr(unionfind.ParityUF, "union", counted_union)
+    monkeypatch.setattr(transverse, "_ties", counted_ties)
     monkeypatch.setattr(transverse, "RegionChecks", CountedChecks)
     for name in ("join_isolated_circle", "insert_trivial_circle"):
         monkeypatch.setattr(moves, name, counting(name, getattr(moves, name)))
     for steps in (16, 64):
         per_move.clear()
         normalize(scrambled(tm, steps, seed=0))
-        inserts = [u for name, u, _c in per_move if name == "insert_trivial_circle"]
-        joins = [u for name, u, _c in per_move if name == "join_isolated_circle"]
+        inserts = [t for name, t, _c in per_move if name == "insert_trivial_circle"]
+        joins = [t for name, t, _c in per_move if name == "join_isolated_circle"]
         assert len(inserts) == steps and len(joins) >= steps
-        assert max(inserts) <= 2 and statistics.median(joins) <= 2
-        assert max(c for _name, _u, c in per_move) <= 3
+        assert max(t for _name, t, _c in per_move) <= 3
+        assert max(c for _name, _t, c in per_move) <= 3
 
 
 # --------------------------------------------------------------------------
@@ -786,65 +783,36 @@ def test_derived_solves_follow_valid_edits_that_split_join_and_untwist():
 
 
 # --------------------------------------------------------------------------
-# A join whose far disk holds circles of its own deletes the only ties
-# between those circles and the rest: its solve gives the piece cut off
-# nodes of its own and unites it again, and solves the whole domain only
-# where a piece reaches the graph
+# Joins of a large map, and the first join after a load
 
 
-def _genus2_scramble() -> TransverseMap:
+def _genus2_scramble(check=None) -> TransverseMap:
     base = builtin_triangulation("genus2")
     tm = map_from_cover(random_cover(base, 6, [2, 2], seed=2))
     tm = add_pinch(tm, 0, SurfaceKind(True, handles=1))
-    return scrambled(tm, 64, seed=2)
+    return scrambled(tm, 64, seed=2, check=check)
 
 
-def test_every_join_of_a_large_map_solves_only_the_piece_it_cuts_off(monkeypatch):
-    """All moves of this normalization are joins, and their solves are
-    derived: the whole domain is solved in none, the piece re-solve runs
-    in several, and each matches the oracle, chart flips included (the
-    domain is orientable)."""
+def test_every_join_of_a_large_map_matches_the_oracle():
+    """All moves of this normalization are joins, many of whose far disks
+    hold circles of their own, and each result matches the oracle, chart
+    flips included (the domain is orientable)."""
     counts = Counter()
-    joining = []
-    solve, cut_off, join = (transverse._solve, transverse.DomainSolve._cut_off,
-                            moves.join_isolated_circle)
-
-    def counted_solve(*args):
-        counts["whole in a join" if joining else "whole"] += 1
-        return solve(*args)
-
-    def counted_cut_off(self, *args):
-        out = cut_off(self, *args)
-        counts["pieces"] += out is not None and bool(out[0])
-        return out
-
-    def counted_join(*args):
-        joining.append(True)
-        try:
-            return join(*args)
-        finally:
-            joining.pop()
-
-    tm = _genus2_scramble()
-    monkeypatch.setattr(transverse, "_solve", counted_solve)
-    monkeypatch.setattr(transverse.DomainSolve, "_cut_off", counted_cut_off)
-    monkeypatch.setattr(moves, "join_isolated_circle", counted_join)
 
     def observer(before, after, move):
         counts[move] += 1
         assert domain_solve(after).orientable
         assert_matches_oracle(after)
 
-    normalize(tm, observer=observer)
-    assert counts["join_isolated_circle"] == 64 and counts["pieces"] >= 10
-    assert counts["whole in a join"] == 0
+    normalize(_genus2_scramble(), observer=observer)
+    assert counts == {"join_isolated_circle": 64}
 
 
-def test_first_join_after_a_load_solves_only_its_input(monkeypatch):
+def test_first_join_after_a_load_solves_its_input_and_its_result(monkeypatch):
     """A map loaded and checked as the CLI does (_valid_map) has a tiling
     but no solve.  Its first join measures its input before it checks the
-    result, so the whole domain is solved once, for the input, and the
-    result's solve derives from it."""
+    result, so the domain is solved twice: once for the input, once for
+    the result."""
     tm = cli._valid_map(TransverseMap.from_json(_genus2_scramble().to_json()))
     calls = Counter()
     solve = transverse._solve
@@ -855,7 +823,7 @@ def test_first_join_after_a_load_solves_only_its_input(monkeypatch):
 
     monkeypatch.setattr(transverse, "_solve", counted_solve)
     out = moves.join_isolated_circle(tm, *moves._find_join(tm))
-    assert calls["whole"] == 1
+    assert calls["whole"] == 2
     monkeypatch.undo()
     assert_matches_oracle(out)
 
@@ -882,23 +850,10 @@ def _split_region(tm, ri, first, second):
     tm.replace(regions=dict(enumerate(moved[:-1], ri)), append=moved[-1:])
 
 
-def test_a_cut_piece_that_reaches_the_graph_is_solved_with_the_whole_domain(monkeypatch):
+def test_a_cut_piece_that_reaches_the_graph_is_solved_with_the_whole_domain():
     """The tube between the two sheets of a degree-2 map over sphere_tetra
-    is cut into a disk on each sheet: the deleted tie joined the two
-    sheets' graph components, each walk from the cut meets one of them,
-    so the domain is solved again, and it is two spheres."""
-    calls = Counter()
-    solve, cut_off = transverse._solve, transverse.DomainSolve._cut_off
-
-    def counted_solve(*args):
-        calls["whole"] += 1
-        return solve(*args)
-
-    def counted_cut_off(self, *args):
-        out = cut_off(self, *args)
-        calls["reached the graph"] += out is None
-        return out
-
+    is cut into a disk on each sheet: the copy's tiling is derived, its
+    domain is solved from the carried sums, and it is two spheres."""
     tm = tube_double(builtin_triangulation("sphere_tetra"))
     whole = _domain_answers(tm)
     work = tm.copy()
@@ -906,12 +861,8 @@ def test_a_cut_piece_that_reaches_the_graph_is_solved_with_the_whole_domain(monk
     tube = work.regions[ri]
     _split_region(work, ri, *(Region(tube.label, SurfaceKind(True, 0, 0, 1), (c,))
                               for c in tube.circuits))
-    monkeypatch.setattr(transverse, "_solve", counted_solve)
-    monkeypatch.setattr(transverse.DomainSolve, "_cut_off", counted_cut_off)
     assert validate_map(work).ok and work.tiling() is not None
     answers = _domain_answers(work)
-    assert calls == {"whole": 1, "reached the graph": 1}
-    monkeypatch.undo()
     assert answers == _domain_answers(TransverseMap.from_json(work.to_json()))
     assert answers[0] == "domain has 2 components" != whole[0]
 
@@ -935,9 +886,9 @@ def _circle_sphere() -> TransverseMap:
 
 def test_a_class_cut_into_pieces_of_circles_alone_is_left_dead():
     """The annulus of the circle sphere is cut into two disks: the class
-    of the circles falls into two pieces, neither meeting the graph, so
-    both get new nodes and the old class is left dead; the domain then
-    has three components."""
+    of the circles falls into two pieces, neither meeting the graph, and
+    nothing of the class it was is left; the domain then has three
+    components."""
     tm = _circle_sphere()
     assert _domain_answers(tm)[0] == "domain has 2 components"
     work = tm.copy()
@@ -949,7 +900,6 @@ def test_a_class_cut_into_pieces_of_circles_alone_is_left_dead():
     answers = _domain_answers(work)
     assert answers == _domain_answers(TransverseMap.from_json(work.to_json()))
     assert answers[0] == "domain has 3 components"
-    assert domain_solve(work).dead_classes == 1
 
 
 # --------------------------------------------------------------------------
@@ -1074,40 +1024,19 @@ def test_a_region_without_circuits_listed_twice_keeps_a_tiling():
     assert domain_solve(once).components == 2
 
 
-def test_joins_whose_cut_pieces_meet_one_component_derive_their_solve(monkeypatch):
-    """A join that deletes the forest ties between a circle and the graph
-    leaves walks from both sides of the cut that meet the same graph
-    component: they are one piece, joined again by the kept ties of their
-    paths, so no join of the klein_8 d = 6 normalization solves the whole
-    domain (three did, counted as pieces that reached a component), and
-    each matches the oracle."""
+def test_every_join_of_the_klein_normalization_matches_the_oracle():
+    """Many joins of the klein_8 d = 6 normalization delete the only ties
+    between a circle and the graph that the other side of the cut had;
+    each result matches the oracle."""
     counts = Counter()
-    joining = []
-    solve, join = transverse._solve, moves.join_isolated_circle
-
-    def counted_solve(*args):
-        counts["whole in a join" if joining else "whole"] += 1
-        return solve(*args)
-
-    def counted_join(*args):
-        joining.append(True)
-        try:
-            return join(*args)
-        finally:
-            joining.pop()
-
-    tm = _klein_scramble()
-    monkeypatch.setattr(transverse, "_solve", counted_solve)
-    monkeypatch.setattr(moves, "join_isolated_circle", counted_join)
 
     def observer(before, after, move):
         counts[move] += 1
         if move == "join_isolated_circle":
             assert_matches_oracle(after)
 
-    normalize(tm, observer=observer)
+    normalize(_klein_scramble(), observer=observer)
     assert counts["join_isolated_circle"] >= 40
-    assert counts["whole in a join"] == 0
 
 
 def test_a_normalization_that_keeps_the_tables_keeps_the_checks_of_its_regions_only():
@@ -1124,6 +1053,68 @@ def test_a_normalization_that_keeps_the_tables_keeps_the_checks_of_its_regions_o
     assert normal.ribbon_facts() is facts and len(normal.regions) == 26
     assert set(facts._regions) == set(normal.regions)
     assert_matches_oracle(normal)
+
+
+def test_a_normalization_that_keeps_the_tables_keeps_the_ties_of_its_regions_only():
+    """The facts that a scramble and its normalization share also forget
+    the resolved ties of the regions each move replaces: after every
+    solve they hold those of the current regions that get a node, and no
+    others."""
+    def linked(tm):
+        return {checks.region for checks in facts.region_checks(tm.regions)
+                if checks.needs_node}
+
+    tm = scrambled(identity_map(builtin_triangulation("genus2")), 64, seed=0)
+    facts = tm.ribbon_facts()
+    assert domain_solve(tm).components == 1
+    assert set(facts._ties) == linked(tm) and facts._ties
+
+    def observer(before, after, move):
+        assert after.ribbon_facts() is facts
+        assert set(facts._ties) == linked(after)
+
+    normal, _trace = normalize(tm, observer=observer)
+    assert set(facts._ties) == linked(normal)
+
+
+def _assert_sums_are_carried(tm: TransverseMap):
+    """tm's tiling carries the sums its regions' RegionChecks give: the
+    Euler sum, the nonorientable kinds and the checks that get a node
+    (as a multiset, by identity)."""
+    tiling = tm.tiling()
+    assert tiling is not None
+    euler, nonorientable, linked = transverse._sums(
+        tm.ribbon_facts().region_checks(tm.regions))
+    assert (tiling.euler, tiling.nonorientable) == (euler, nonorientable)
+    assert Counter(map(id, tiling.linked)) == Counter(map(id, linked))
+
+
+def test_derived_tilings_carry_the_sums_of_their_regions(monkeypatch):
+    """After every move of the memo slices and of the genus2 d = 6 torus
+    pinch scramble, and of their normalizations, the tiling derived from
+    the input's carries the sums read afresh off the result's regions."""
+    derived = Counter()
+    derive = transverse.Tiling.derived
+
+    def counted(tiling, tm, facts):
+        out = derive(tiling, tm, facts)
+        derived["derived" if out is not None else "from scratch"] += 1
+        return out
+
+    monkeypatch.setattr(transverse.Tiling, "derived", counted)
+    seen = Counter()
+
+    def observer(before, after, move):
+        seen[move] += 1
+        _assert_sums_are_carried(after)
+
+    maps = [_slice_map(*spec, check=_assert_sums_are_carried) for spec in SLICE]
+    maps.append(_genus2_scramble(check=_assert_sums_are_carried))
+    for tm in maps:
+        normalize(tm, observer=observer)
+    assert set(seen) == {"collapse_edge", "join_isolated_circle", "boundary_surgery",
+                         "relocate_crosscap"}
+    assert derived["derived"] >= 250 and derived["from scratch"] == 0
 
 
 def _table_edits(tm, rng):
@@ -1243,52 +1234,6 @@ def test_derived_table_axioms_read_at_the_changed_darts_agree_with_the_oracle(
             "repeat_rotation_at_touched_darts"} <= broken
     assert seen["swap_rotation", True] and seen["swap_partners", True] \
         and seen["drop_edge", True]
-
-
-class _Named:
-    """A stand-in for the RegionChecks an owner map holds: its node name."""
-
-    def __init__(self, name):
-        self.name = name
-
-
-def _one_class(n: int) -> transverse.DomainSolve:
-    """A solve whose union-find holds nodes 0..n-1 in one class, for
-    DomainSolve._cut_off on hand-made ties."""
-    solve = transverse.DomainSolve.__new__(transverse.DomainSolve)
-    solve._uf = unionfind.ParityUF(n)
-    for x in range(1, n):
-        solve._uf.union(0, x, 0)
-    return solve
-
-
-def test_cut_walks_that_meet_one_component_join_again_through_ties_that_held():
-    """Graph component 0, region nodes A (node 1) and B (node 3) and
-    circle c5 (node 2) between them: A keeps only its tie to c5, B its
-    ties to c5 and to component 0.  The walks from A and from component 0
-    meet component 0, so nothing is cut off, and A's tie, a kept tie of
-    the path, becomes a forest tie.  Where that tie contradicted the
-    others, or where the walks meet two components, the answer is None."""
-    A, B, circle = ("r", (1, 0)), ("r", (3, 0)), ("c", 5)
-    owner = {(5, 0): _Named(A), (5, 1): _Named(B)}
-
-    def ties(status_a):
-        return {A: {(circle, 0): status_a},
-                B: {(circle, 1): unionfind.JOINED, (0, 0): unionfind.JOINED}}
-
-    kept = ties(unionfind.HELD)
-    assert _one_class(4)._cut_off([(1, A), (0, 0)], kept, owner) == ([], 0)
-    assert kept[A][(circle, 0)] == unionfind.JOINED
-    assert kept[B] == ties(unionfind.HELD)[B]
-    assert _one_class(4)._cut_off([(1, A), (0, 0)], ties(unionfind.BROKEN),
-                                  owner) is None
-    other = ties(unionfind.HELD)
-    other[A] = {(4, 1): unionfind.JOINED}
-    assert _one_class(5)._cut_off([(1, A), (3, B)], other, owner) is None
-    # a walk that meets no component is a piece of its own
-    alone = {A: {(circle, 0): unionfind.JOINED}, B: {(circle, 1): unionfind.HELD}}
-    assert _one_class(4)._cut_off([(1, A), (0, 0)], alone, owner) == (
-        [[A, circle, B]], 0)
 
 
 # --------------------------------------------------------------------------

@@ -25,20 +25,29 @@ def test_counts_of_the_first_corpus_maps():
     for name in BUILTIN_NAMES:
         transverse.identity_map(builtin_triangulation(name))
     originals = (moves.join_isolated_circle, moves.checked_tiling, transverse._solve,
-                 transverse.DomainSolve.derived, transverse.RegionChecks.__init__,
+                 transverse._ties, transverse.RegionChecks.__init__,
                  transverse.TransverseMap.own)
     charts = transverse.RibbonFacts.__dict__["vertex_charts"]
     rows = tool.count("corpus", limit=4)
     assert (moves.join_isolated_circle, moves.checked_tiling, transverse._solve,
-            transverse.DomainSolve.derived, transverse.RegionChecks.__init__,
+            transverse._ties, transverse.RegionChecks.__init__,
             transverse.TransverseMap.own) == originals
     assert set(rows) == set(tool.MOVES) | {"(none)"}
     joins = rows["join_isolated_circle"]
-    assert joins["moves"] == joins["derived"] > 0 and joins["pieces"] > 0
+    # each move's check solves its result once, from the tiling
+    assert all(rows[name]["solves"] == rows[name]["moves"] > 0
+               for name in ("collapse_edge", "join_isolated_circle", "boundary_surgery"))
+    assert all(row["no tiling"] == 0 for row in rows.values())
     for name in ("collapse_edge", "boundary_surgery"):
-        assert rows[name]["collapse or surgery"] == rows[name]["moves"] > 0
-        # a whole-domain solve under new dart tables searches the graph
+        # a solve under new dart tables searches the graph, and resolves
+        # the ties of every region that gets a node (these surgeries'
+        # results have none)
         assert rows[name]["charts"] == rows[name]["moves"]
+    assert rows["collapse_edge"]["ties resolved"] > 0
+    # moves that keep the dart tables resolve the ties of the regions they
+    # add only
+    for name in ("join_isolated_circle", "insert_trivial_circle"):
+        assert 0 < rows[name]["ties resolved"] <= 3 * rows[name]["moves"]
     # moves that keep the dart tables keep the facts and their charts, and
     # share the tables: none copies one to write it
     assert joins["charts"] == rows["insert_trivial_circle"]["charts"] == 0
@@ -47,8 +56,8 @@ def test_counts_of_the_first_corpus_maps():
     # a collapse writes all five tables, a surgery the pairing and the signs
     assert rows["collapse_edge"]["tables owned"] == 5 * rows["collapse_edge"]["moves"]
     assert rows["boundary_surgery"]["tables owned"] == 2 * rows["boundary_surgery"]["moves"]
-    # map_from_cover solves each map once, from scratch
-    assert rows["(none)"]["no prior solve"] == rows["(none)"]["charts"] == 4
+    # map_from_cover solves each map once
+    assert rows["(none)"]["solves"] == rows["(none)"]["charts"] == 4
     # every map a move, the join finder or normalize is given carries
     # the tiling of its last check
     assert all(row["entry checks"] == 0 for row in rows.values())
@@ -56,7 +65,8 @@ def test_counts_of_the_first_corpus_maps():
     inserts = rows["insert_trivial_circle"]
     assert 0 < inserts["checks"] <= 3 * inserts["moves"]
     lines = tool.table(rows).splitlines()
-    assert lines[0].split()[:5] == ["move", "moves", "checks", "derived", "pieces"]
+    assert lines[0].split()[:6] == ["move", "moves", "checks", "solves", "ties",
+                                    "resolved"]
     assert lines[0].split()[-1] == "charts"
     assert len(lines) == 1 + len(rows)
     assert transverse.RibbonFacts.__dict__["vertex_charts"] is charts

@@ -16,18 +16,14 @@ Prints one row per move kind, what is done outside any move under
 * checks: the RegionChecks built from scratch (RegionChecks.__init__);
   those of the lift (map_from_cover, add_pinch) and of a load's first
   check count under "(none)";
-* derived: solves derived from the input's (DomainSolve.derived), and
-  pieces: those among them that gave a cut-off piece nodes of its own;
-* the whole-domain solves (transverse._solve) by reason:
-  - no prior solve: the tiling's predecessor had made no solve, or the
-    tiling was built from scratch;
-  - piece reached a component: walks from a cut met two graph
-    components, or one only through a tie that contradicted the others
-    (DomainSolve._cut_off);
-  - collapse or surgery: the move rewired darts, so the facts differ;
-  - other: a derivation that gave up for another reason (a region node
-    without a name, say);
-  - no tiling: the map had no current tiling;
+* solves: the domain solves made for a tiling (Tiling.domain_solve),
+  one per checked map state that is measured;
+* ties resolved: the regions whose ties were resolved by the chart
+  flips (transverse._ties), the misses of the ties memoized per ribbon
+  facts.  A join or an insert keeps the facts, so it resolves those of
+  the at most three regions it adds; a collapse or a surgery derives new
+  facts, so it resolves those of every region that gets a node;
+* no tiling: the solves of a map that had no current tiling;
 * tables owned: the dart tables copied to be written (TransverseMap.own
   on a shared table).  A move that keeps the tables (a join, an insert,
   a relocation) shares its input's, so it reads 0;
@@ -36,8 +32,8 @@ Prints one row per move kind, what is done outside any move under
   two count under "(none)"), had no current tiling.  Every map a pass
   hands them carries the tiling of its last check, so it reads 0;
 * charts: the searches of the whole graph for its components and chart
-  flips (RibbonFacts.vertex_charts), which every whole-domain solve
-  under new dart tables makes.
+  flips (RibbonFacts.vertex_charts), which every solve under new dart
+  tables makes.
 """
 
 from __future__ import annotations
@@ -59,10 +55,8 @@ import workloads  # noqa: E402
 
 MOVES = ("collapse_edge", "join_isolated_circle", "boundary_surgery",
          "relocate_crosscap", "insert_trivial_circle")
-REASONS = ("no prior solve", "piece reached a component", "collapse or surgery",
-           "other", "no tiling")
-COLUMNS = (("moves", "checks", "derived", "pieces") + REASONS
-           + ("tables owned", "entry checks", "charts"))
+COLUMNS = ("moves", "checks", "solves", "ties resolved", "no tiling",
+           "tables owned", "entry checks", "charts")
 
 
 class Counts:
@@ -71,7 +65,6 @@ class Counts:
     def __init__(self):
         self.rows = defaultdict(Counter)
         self.move = ["(none)"]
-        self.why = []          # per open Tiling.domain_solve: its reason
         self._saved = []
 
     def _set(self, owner, attr, value):
@@ -121,46 +114,28 @@ class Counts:
         self._set(transverse.TransverseMap, "own", owned)
 
         tiling_solve = transverse.Tiling.domain_solve
+        solving = []           # per open Tiling.domain_solve
 
         def domain_solve(tiling):
             if tiling._solve is not None:
                 return tiling_solve(tiling)
-            if tiling._basis is not None:
-                why = "other"
-            elif tiling.facts.origin is not None:
-                why = "collapse or surgery"
-            else:
-                why = "no prior solve"
-            counts.why.append(why)
+            solving.append(True)
             try:
                 return tiling_solve(tiling)
             finally:
-                counts.why.pop()
-
-        derived = transverse.DomainSolve.derived
-
-        def derived_solve(solve, *args):
-            out = derived(solve, *args)
-            if out is not None:
-                counts.rows[counts.move[-1]]["derived"] += 1
-            return out
-
-        cut_off = transverse.DomainSolve._cut_off
-
-        def cut(solve, *args):
-            out = cut_off(solve, *args)
-            if out is None:
-                counts.why[-1] = "piece reached a component"
-            elif out[0]:
-                counts.rows[counts.move[-1]]["pieces"] += 1
-            return out
+                solving.pop()
 
         whole = transverse._solve
 
         def solve(*args):
-            why = counts.why[-1] if counts.why else "no tiling"
-            counts.rows[counts.move[-1]][why] += 1
+            counts.rows[counts.move[-1]]["solves" if solving else "no tiling"] += 1
             return whole(*args)
+
+        ties = transverse._ties
+
+        def resolved(*args):
+            counts.rows[counts.move[-1]]["ties resolved"] += 1
+            return ties(*args)
 
         charts = transverse.RibbonFacts.__dict__["vertex_charts"].func
 
@@ -172,9 +147,8 @@ class Counts:
         searched.__set_name__(transverse.RibbonFacts, "vertex_charts")
         self._set(transverse.RibbonFacts, "vertex_charts", searched)
         self._set(transverse.Tiling, "domain_solve", domain_solve)
-        self._set(transverse.DomainSolve, "derived", derived_solve)
-        self._set(transverse.DomainSolve, "_cut_off", cut)
         self._set(transverse, "_solve", solve)
+        self._set(transverse, "_ties", resolved)
         return self
 
     def uninstall(self):
