@@ -708,8 +708,8 @@ def test_tampered_copy_of_a_checked_map_matches_the_oracle(name):
 @pytest.mark.parametrize("name", sorted(IN_PLACE_EDITS))
 def test_domain_solve_of_a_tampered_copy_follows_the_edit(name):
     """The same edits on a copy that inherited the checked map's tiling:
-    where the copy still validates, its solve is derived from the
-    original's."""
+    where the copy still validates, its tiling is derived from the
+    original's, and its solve is made from the sums that tiling carries."""
     build, edit = IN_PLACE_EDITS[name]
     tm = build()
     assert validate_map(tm).ok
@@ -751,9 +751,9 @@ def _without_circle(tm, cid):
 
 def test_derived_solves_follow_valid_edits_that_split_join_and_untwist():
     """Copies edited in place that still validate, each checked after the
-    one it copies: their solves are derived, and must be the oracle's
-    where a deleted tie splits the domain, where a whole component goes
-    and where a contradicting tie goes."""
+    one it copies: their tilings are derived, and the solves made from
+    them must be the oracle's where a deleted tie splits the domain, where
+    a whole component goes and where a contradicting tie goes."""
     def step(tm, edit):
         work = tm.copy()
         edit(work)
@@ -1025,9 +1025,8 @@ def test_a_region_without_circuits_listed_twice_keeps_a_tiling():
 
 
 def test_every_join_of_the_klein_normalization_matches_the_oracle():
-    """Many joins of the klein_8 d = 6 normalization delete the only ties
-    between a circle and the graph that the other side of the cut had;
-    each result matches the oracle."""
+    """Each join of the klein_8 d = 6 normalization, some of which cut a
+    circle off the graph on one side, matches the oracle."""
     counts = Counter()
 
     def observer(before, after, move):
