@@ -15,7 +15,9 @@ the check nothing: the result's ribbon facts (transverse.RibbonFacts),
 its input's own when it shares the input's read-only dart tables (a
 join, an insert and a relocation write none), and otherwise facts
 derived from those (RibbonFacts.derive, which finds the changed darts in
-the tables itself); the per-region results in those facts for every
+the tables itself and carries the rest over after the only table edits
+a move makes: a collapse deletes two whole vertices and rewires the
+bands around them, a surgery rewires bands only); the per-region results in those facts for every
 region object the result shares with maps checked before; and the
 input's tiling (transverse.Tiling: the owners of the circuits and circle
 sides, and the sums the domain solve reads), from which the result's is
@@ -1006,11 +1008,12 @@ _REDUCTIONS = (
 )
 
 
-def normalize(tm: TransverseMap, max_steps: int = None, observer=None):
+def normalize(tm: TransverseMap, observer=None):
     """Apply moves until none fits: collapses first, then circle joins,
     then surgeries (which enable a collapse), then crosscap relocations
     (which enable a surgery).  Strictly decreasing edge count between
-    compound steps forces termination.
+    compound steps forces termination; a run longer than 12 E + 64 steps
+    (E the input's edge_count) raises Stuck.
 
     observer, when given, is called as observer(before, after, move_name)
     after every single move.  An input without a tiling is checked first
@@ -1018,7 +1021,7 @@ def normalize(tm: TransverseMap, max_steps: int = None, observer=None):
     checked_tiling(tm, "normalize")
     work = tm
     trace = []
-    budget = max_steps if max_steps is not None else 12 * edge_count(tm) + 64
+    budget = 12 * edge_count(tm) + 64
     steps = 0
     while True:
         steps += 1

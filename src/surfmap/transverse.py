@@ -31,10 +31,12 @@ tables are read-only mappings that the facts, the map and its copies
 share, so a copy inherits the facts of its original and uses them as
 they are while it holds their tables.  A map that writes a table first
 takes its own copy of it (TransverseMap.own), and then derives its
-facts from the inherited ones (RibbonFacts.derive): the darts where the
-tables differ are read off the tables, the circuits, vertices and edges
-through them are traced and checked again, and the rest is carried
-over.  Per-circuit answers (walk keys, corner problems, corner
+facts from the inherited ones (RibbonFacts.derive).  After the two edits
+the moves make, whole vertices deleted and bands rewired, the darts
+where the tables differ are read off the tables, the vertices gone are
+dropped, the circuits and edges through the rest are traced and checked
+again, and the rest is carried over; after any other edit every fact is
+computed from the tables.  Per-circuit answers (walk keys, corner problems, corner
 constraints, classes) live in one memo, the RegionChecks of each region
 object, kept in the facts with what else a region's checks find on
 their own (isolated sides, its problems, domain-solve ties).  A check
@@ -61,8 +63,8 @@ the vertex chart flips, are memoized in the facts beside its
 RegionChecks, so a move that keeps the dart tables resolves only the
 ties of the regions it adds.  A derivation only ever answers that
 nothing is wrong: where it would find a problem, and for a map without
-a tiling, validate_map checks from scratch, with the same problem texts
-in the same order.  Every passed check leaves a tiling, and a move
+a tiling, a record or carried facts, validate_map checks from scratch,
+with the same problem texts in the same order.  Every passed check leaves a tiling, and a move
 reads the regions it touches off its input's (checked_tiling, which
 checks an input that has none first).
 
@@ -490,8 +492,9 @@ class RibbonFacts:
     no cost.  A map that took its own copy of a table to write it
     (TransverseMap.own), or that holds other tables, gets facts derived
     from those it inherited (derive), which share the tables it did not
-    take and carry over every fact away from the changed darts.  Each
-    fact is computed on first use, or carried over:
+    take and, after the edits the moves make (whole vertices deleted,
+    bands rewired), carry over every fact away from the changed darts.
+    Each fact is computed on first use, or carried over:
 
     * vertex_of, rot_inv, edge_keys, vertex_reps, local_signs, V - E and
       the preimage count per target vertex;
@@ -554,18 +557,22 @@ class RibbonFacts:
         """The facts of tm's tables, from the facts of a parent map: the
         parent itself when each table is the parent's (by identity) or
         equals it, otherwise new facts that share the parent's tables that
-        tm holds and carry over what lies away from the darts where the
-        others differ.
+        tm holds.  They carry over what lies away from the darts where the
+        others differ only after the two edits the moves make: whole
+        vertices deleted (a collapse) and bands rewired (a collapse, a
+        surgery), that is, when every dart whose rotation entry or labels
+        changed is gone from the pairing.  After any other edit they
+        compute every fact from the tables on first use, `origin` stays
+        None, and the map's check starts from scratch (Tiling.derived).
 
         Those darts are read off the tables, as the symmetric difference
         of each such table's items with the parent's, with the darts whose
         steps read a changed entry: the old and new partners and rotation
-        targets (the corner steps read rot_inv too) and both darts of an
-        edge whose sign changed.  Locality: band and corner steps change
-        only at those darts, and a traced circuit is an orbit of the
-        steps, so a circuit through none of them is the same circuit; a
-        vertex is a rotation orbit, so a vertex without one keeps its
-        darts, rep, local sign and problems, and an edge between two such
+        targets and both darts of an edge whose sign changed.  Locality:
+        band and corner steps change only at those darts, and a traced
+        circuit is an orbit of the steps, so a circuit through none of
+        them is the same circuit; a vertex that keeps its darts keeps its
+        rep, local sign and problems, and an edge between two such
         vertices keeps its problems.  A region's per-circuit answers
         depend on its circuits' own tokens only, so a region of the
         tiling tm inherited (when it was made with parent's facts) whose
@@ -574,13 +581,13 @@ class RibbonFacts:
         names a dart of its own walk), so a move that splits a component or
         twists one carries as much as any other.  A new target, or tables
         that break an axiom of table_problem (now or in the parent), give
-        fresh facts; the axioms are read at the changed darts only
-        (_tables_hold)."""
+        facts without a carry; the axioms are read at the changed darts
+        only (_tables_hold)."""
         if tm.target is not parent.target:
             return cls(tm)
         old_pairing, new_pairing = parent.pairing, tm.pairing
         touched = set()        # darts whose band or corner steps may differ
-        moved = set()          # darts whose rotation orbit or labels may differ
+        moved = set()          # darts whose rotation entry or labels differ
         for name, shared in zip(_TABLES, parent.tables):
             new, old = getattr(tm, name), getattr(parent, name)
             if new is shared or new == old:
@@ -602,26 +609,27 @@ class RibbonFacts:
         if not touched:
             return parent
         touched.discard(None)
-        moved.discard(None)
         out = cls(tm, parent)
-        if parent.table_problem is None and out._tables_hold(touched, parent):
-            out._carry(parent, touched, moved, tm._tiling)
+        if (parent.table_problem is None
+                and not any(map(new_pairing.__contains__, moved))
+                and out._tables_hold(touched, parent)):
+            out._carry(parent, touched, tm._tiling)
         return out
 
     def _tables_hold(self, touched: set, parent: "RibbonFacts") -> bool:
         """Whether the tables pass table_problem's axioms, given that they
         differ from parent's, which pass them, only at the darts in
-        `touched` (keys and values alike); if so that is the verdict.
+        `touched` (keys and values alike), and that a dart whose rotation
+        entry or labels differ is gone (derive); if so that is the verdict.
 
         So only those darts are read: the four dart sets agree at each; a
-        rotation value there is a dart, and the value of no other dart
-        (the dart that had it in parent, parent.rot_inv, must be touched);
-        the darts gone are the value of no dart (those that had them are
-        touched); and the pairing and signs hold at each."""
+        live one keeps its parent's rotation entry, which must be a live
+        dart; the darts gone are the value of no dart (those that had them
+        in parent, parent.rot_inv, must be touched, so gone too); and the
+        pairing and signs hold at each."""
         pairing, rotation, sign = self.pairing, self.rotation, self.edge_sign
         labels, vertices = self.dart_label, self.vertex_label
         had = parent.rot_inv
-        values = []
         for d in touched:
             if d not in pairing:
                 if d in rotation or d in labels or d in vertices:
@@ -629,31 +637,28 @@ class RibbonFacts:
                 if had.get(d, d) not in touched:
                     return False
                 continue
-            if d not in rotation or d not in labels or d not in vertices:
+            if (d not in rotation or d not in labels or d not in vertices
+                    or rotation[d] not in pairing):
                 return False
-            v = rotation[d]
-            if v not in pairing or had.get(v, d) not in touched:
-                return False
-            values.append(v)
             p = pairing[d]
             if p == d or pairing.get(p) != d or sign.get(min(d, p)) not in (1, -1):
                 return False
-        if len(set(values)) != len(values):
-            return False
         self.table_problem = None
         return True
 
-    def _carry(self, parent: "RibbonFacts", touched: set, moved: set, tiling):
-        """Fill in what parent's facts give away from the touched darts;
-        vertices are recomputed only where a dart moved (derive).  The
-        RegionChecks carried are those of the regions of `tiling`, the
-        tiling the map inherited, when it was made with parent's facts,
-        less the owners of the circuits traced again.  No step walks the
-        whole map: the parent's dicts are copied and edited at the touched
-        darts, and its sorted lists edited by bisection."""
-        pairing, rotation = self.pairing, self.rotation
+    def _carry(self, parent: "RibbonFacts", touched: set, tiling):
+        """Fill in what parent's facts give away from the touched darts.
+        The darts gone are whole vertices (derive, _tables_hold), so
+        vertices are only removed and only the edges made are checked
+        again.  The RegionChecks carried are those of the regions of
+        `tiling`, the tiling the map inherited, when it was made with
+        parent's facts, less the owners of the circuits traced again.  No
+        step walks the whole map: the parent's dicts are copied and edited
+        at the touched darts, and its sorted lists edited by bisection."""
+        pairing = self.pairing
         old_pairing = parent.pairing
         live = [d for d in touched if d in pairing]
+        deleted = [d for d in touched if d not in pairing and d in old_pairing]
         self.target_edges = parent.target_edges
 
         gone = {d if d < p else p for d in touched if d in old_pairing
@@ -666,63 +671,34 @@ class RibbonFacts:
             bisect.insort(keys, k)
         self.edge_keys = keys
 
-        rot_inv = dict(parent.rot_inv)
-        old_rotation = parent.rotation
-        for d in moved:
-            if d in old_rotation:
-                rot_inv.pop(old_rotation[d], None)
-        for d in moved:
-            if d in rotation:
-                rot_inv[rotation[d]] = d
-        self.rot_inv = rot_inv
-
-        # vertices: the orbits through moved darts, old and new; edges: at
-        # those and at touched darts
+        # vertices: those of the darts gone, which go whole; edges: the
+        # ones gone and made
         old_of = parent.vertex_of
-        old_vertices = {old_of[d] for d in moved if d in old_of}
+        rot_inv = dict(parent.rot_inv)
         vertex_of = dict(old_of)
+        for d in deleted:
+            del rot_inv[d]
+            del vertex_of[d]
+        self.rot_inv = rot_inv
         local = dict(parent.local_signs)
         vertex_problems = dict(parent.vertex_problems)
         edge_problems = dict(parent.edge_problems)
         counts = dict(parent.preimage_counts)
         reps = list(parent.vertex_reps)
-        for rep in old_vertices:
+        for rep in {old_of[d] for d in deleted}:
             del local[rep]
             del reps[bisect.bisect_left(reps, rep)]
             vertex_problems.pop(rep, None)
             P = parent.vertex_label[rep]
             if P in counts:
                 counts[P] -= 1
-            for d in parent.vertex_darts(rep):
-                del vertex_of[d]
-                if edge_problems:
-                    edge_problems.pop(min(d, old_pairing[d]), None)
-        if edge_problems:
-            for k in gone:
-                edge_problems.pop(k, None)
-        new_vertices = []
-        for d in moved:
-            if d in pairing and d not in vertex_of:
-                orbit = self.vertex_darts(d)
-                rep = min(orbit)
-                vertex_of.update(dict.fromkeys(orbit, rep))
-                new_vertices.append(rep)
-                bisect.insort(reps, rep)
         self.vertex_of = vertex_of
         self.vertex_reps = reps
         self.local_signs = local
-        for rep in new_vertices:
-            local[rep] = self._local_sign(rep)
-        recheck = set(made)
-        for rep in new_vertices:
-            problem = self._vertex_problem(rep)
-            if problem is not None:
-                vertex_problems[rep] = problem
-            P = self.vertex_label[rep]
-            if P in counts:
-                counts[P] += 1
-            recheck.update(min(d, pairing[d]) for d in self.vertex_darts(rep))
-        for k in recheck:
+        if edge_problems:
+            for k in gone:
+                edge_problems.pop(k, None)
+        for k in made:
             problem = self._edge_problem(k)
             if problem is not None:
                 edge_problems[k] = problem
@@ -742,11 +718,8 @@ class RibbonFacts:
         by_key = dict(parent.circuit_by_key)
         for key in dead:
             del by_key[key]
-        for d in touched:
-            if d not in pairing:
-                key_of.pop((d, 0), None)
-                key_of.pop((d, 1), None)
-        born = []
+        for d in deleted:
+            del key_of[d, 0], key_of[d, 1]
         traced = set()
         for d in live:
             for tok in ((d, 0), (d, 1)):
@@ -756,7 +729,6 @@ class RibbonFacts:
                     by_key[key] = c
                     key_of.update(dict.fromkeys(c.seq, key))
                     traced.update(c.seq)
-                    born.append(key)
         self.circuit_by_key = by_key
         self.circuit_of_token = key_of
         self.origin = (parent.serial, dead)
@@ -1421,11 +1393,12 @@ class Tiling:
         came and the circles set or deleted.  The record is checked
         against the tiling: it must run from this state to tm's, each
         region gone must be one of the tiling's (_holds), each region come
-        must not be, and the count of regions must add up; a map whose
-        regions or circles changed without a record is checked from
-        scratch.  Where tm's facts were derived from this tiling's
-        (RibbonFacts.derive), the regions storing a circuit traced again
-        count as replaced too.  Only the replaced regions and the circles
+        must not be, and the count of regions must add up; a map without
+        a record is checked from scratch.  tm's facts must be this
+        tiling's, or carried from them (RibbonFacts.derive), and then each
+        circuit traced again must be stored by a region the record says
+        went, as a move replaces every region through the darts it
+        rewires.  Only the replaced regions and the circles
         they or the record name are checked: each stored circuit key and
         circle side has one owner, every traced circuit and circle side
         has one, and the side coherence of their edges and circles holds
@@ -1445,40 +1418,32 @@ class Tiling:
             return None
         regions, isolated = tm.regions, tm.isolated
         edits = tm._edits
-        if edits is None:
-            if regions is not self.regions or isolated is not self.isolated:
-                return None
-            went, came, changed = (), (), ()
-        elif (edits.base is self.regions and edits.base_isolated is self.isolated
-              and edits.regions is regions and edits.isolated is isolated
-              and len(regions) == len(self.regions) - len(edits.gone) + len(edits.came)):
-            went, came, changed = edits.gone, edits.came, edits.circles
-        else:
+        if (edits is None or not self.unique
+                or edits.base is not self.regions
+                or edits.base_isolated is not self.isolated
+                or edits.regions is not regions or edits.isolated is not isolated
+                or len(regions) != len(self.regions) - len(edits.gone) + len(edits.came)):
             return None
-        if not self.unique:
-            return None
+        came, changed = edits.came, edits.circles
         old_facts = self.facts
         gone = {}
-        for region in went:
+        for region in edits.gone:
             checks = old_facts.checks_of(region)
             if not self._holds(checks):
                 return None
             gone[region] = checks
+        for key in retraced:
+            checks = self.stored.get(key)
+            if checks is not None and checks.region not in gone:
+                return None
         memo, ties = facts._regions, facts._ties
         for region in gone:
             memo.pop(region, None)
             ties.pop(region, None)
-        new = dict.fromkeys(came)
-        stored, owner = self.stored, self.owner
-        for key in retraced:
-            checks = stored.get(key)
-            if checks is not None and checks.region not in gone:
-                gone[checks.region] = checks
-                new[checks.region] = None
         # the owners of the circuits and circle sides, the regions that
         # bound a circle, and the sums, less the regions gone (dict.copy
         # clones the table where dict() would hash every key again)
-        stored, owner = stored.copy(), owner.copy()
+        stored, owner = self.stored.copy(), self.owner.copy()
         circled = self.circled
         euler, nonorientable, linked = self.euler, self.nonorientable, self.linked
         unbound = []
@@ -1505,7 +1470,7 @@ class Tiling:
         relabelled = []       # the stored circuits to check
         flanked = set()       # the circles to check
         like = tuple(gone.values()) if facts is old_facts else ()
-        for region in new:
+        for region in came:
             checks = facts.checks_of(region, like)
             if checks.problems or checks.corner_problems:
                 return None

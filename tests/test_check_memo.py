@@ -20,7 +20,8 @@ from surfmap.transverse import (IsoSide, Region, RibbonCircuit,
                                 TransverseMap, add_pinch, builtin_example,
                                 chi_domain, classify_circuit, domain_orientable,
                                 domain_solve, identity_map, map_from_cover,
-                                mod2_degree, signed_degree, validate_map)
+                                mod2_degree, rotation_orbit, signed_degree,
+                                validate_map)
 
 from helpers import (assert_facts_match_fresh, assert_matches_oracle,
                      find_join_by_scan, scrambled, tube_double, two_triangle_sphere)
@@ -258,7 +259,16 @@ def _tube_maps():
             for name in ("sphere_tetra", "torus_7", "genus2")]
 
 
+# two scrambles at d = 6 on the bases the slice covers at d = 2 only
+LARGE = (("rp2_6", 6, [3, 3, 2, 2], SurfaceKind(False, crosscaps=2), 0),
+         ("genus2", 6, [2, 2], SurfaceKind(False, crosscaps=2), 0))
+
+
 def test_derived_facts_of_every_collapse_and_surgery_match_fresh_facts(monkeypatch):
+    """Each collapse and surgery makes only the table edits derived facts
+    carry the parent's over for (RibbonFacts.derive: whole vertices
+    deleted, bands rewired), so every result's facts carry (`origin` is
+    set), and they match fresh facts and the oracle."""
     carried = Counter()
     carry = transverse.RibbonFacts._carry
 
@@ -273,6 +283,7 @@ def test_derived_facts_of_every_collapse_and_surgery_match_fresh_facts(monkeypat
     def observer(before, after, move):
         if move in ("collapse_edge", "boundary_surgery"):
             seen[move] += 1
+            assert after.ribbon_facts().origin is not None, move
             assert_facts_match_fresh(after)
             assert_matches_oracle(after)
             # (components, consistent) of the graph: where either changes,
@@ -281,7 +292,8 @@ def test_derived_facts_of_every_collapse_and_surgery_match_fresh_facts(monkeypat
             changed["components"] += old[0] != new[0]
             changed["twistedness"] += old[1] != new[1]
 
-    maps = [_slice_map(*spec) for spec in SLICE] + [_klein_scramble()] + _tube_maps()
+    maps = ([_slice_map(*spec) for spec in SLICE + LARGE] + [_klein_scramble()]
+            + _tube_maps())
     for tm in maps:
         normalize(tm, observer=observer)
     assert seen["collapse_edge"] >= 60 and seen["boundary_surgery"] >= 8
@@ -399,6 +411,57 @@ def test_flip_vertex_shares_the_regions_it_does_not_touch():
         assert (again is not region) if hit else (again is region)
     assert validate_map(flipped).ok
     assert_facts_match_fresh(flipped)
+
+
+def _swap_rotation_entries(tm):
+    """A copy of tm with two rotation entries swapped at a vertex of
+    degree 3 or more."""
+    tm = tm.copy()
+    rotation, = tm.own("rotation")
+    a = next(d for d in sorted(rotation) if len(rotation_orbit(rotation, d)) >= 3)
+    b = rotation[a]
+    rotation[a], rotation[b] = rotation[b], rotation[a]
+    return tm
+
+
+def _move_label(tm):
+    """A copy of tm with the labels of two darts on two copies of one
+    target edge, carrying its two ends, swapped: each copy's label moves
+    to the other."""
+    tm = tm.copy()
+    copies = {}
+    for k in tm.edge_keys():
+        copies.setdefault(tm.label_edge(k), []).append(k)
+    label, = tm.own("dart_label")
+    k1, k2 = next(ks for ks in copies.values() if len(ks) >= 2)[:2]
+    b = next(d for d in (k2, tm.pairing[k2]) if label[d] != label[k1])
+    label[k1], label[b] = label[b], label[k1]
+    return tm
+
+
+@pytest.mark.parametrize("edit", [
+    lambda tm: flip_vertex(tm, tm.ribbon_facts().vertex_reps[0]),
+    _swap_rotation_entries, _move_label,
+], ids=["flip_vertex", "rotation_swapped", "label_moved"])
+def test_edits_no_move_makes_get_facts_from_the_tables(edit):
+    """Derived facts carry the parent's over only after the table edits
+    the moves make (whole vertices deleted, bands rewired).  Edits at
+    darts that survive, a gauge flip alone, two rotation entries swapped
+    and a label moved to another copy of its edge, give facts without a
+    carry (origin None), computed from the tables as fresh facts are, and
+    the inherited tiling derives no tiling from them: the check answers
+    as the oracle does."""
+    tm = _slice_map(*SLICE[0])
+    assert validate_map(tm).ok
+    work = edit(tm)
+    facts = work.ribbon_facts()
+    assert facts is not tm.ribbon_facts() and facts.origin is None
+    assert_facts_match_fresh(work)
+    assert tm._tiling.derived(work, facts) is None
+    assert validate_map(work).problems == validate_map(
+        TransverseMap.from_json(work.to_json())).problems
+    assert_matches_oracle(work)
+    assert_facts_match_fresh(work)
 
 
 def test_in_place_edit_after_a_collapse_is_read_off_the_tables():
@@ -1185,6 +1248,14 @@ def _table_edits(tm, rng):
     def drop_sign(m):
         del m.edge_sign[min(a, m.pairing[a])]
 
+    def drop_vertex(m, names=("pairing", "rotation", "vertex_label", "dart_label")):
+        for d in rotation_orbit(m.rotation, a):
+            for name in names:
+                del getattr(m, name)[d]
+
+    def drop_vertex_keep_labels(m):
+        drop_vertex(m, ("pairing", "rotation", "vertex_label"))
+
     return [("swap_rotation", swap_rotation), ("repeat_rotation", repeat_rotation),
             ("drop_rotation", drop_rotation), ("drop_dart", drop_dart),
             ("drop_label", drop_label),
@@ -1192,7 +1263,9 @@ def _table_edits(tm, rng):
             ("repeat_rotation_at_touched_darts", repeat_rotation_at_touched_darts),
             ("drop_edge", drop_edge), ("rotate_to_nowhere", rotate_to_nowhere),
             ("add_dart", add_dart), ("swap_partners", swap_partners),
-            ("unpair", unpair), ("drop_sign", drop_sign)]
+            ("unpair", unpair), ("drop_sign", drop_sign),
+            ("drop_vertex", drop_vertex),
+            ("drop_vertex_keep_labels", drop_vertex_keep_labels)]
 
 
 def test_derived_table_axioms_read_at_the_changed_darts_agree_with_the_oracle(
@@ -1201,9 +1274,13 @@ def test_derived_table_axioms_read_at_the_changed_darts_agree_with_the_oracle(
     tables differ from their parent's (RibbonFacts._tables_hold); after
     in-place edits that keep or break them, table_problem is None exactly
     when it is for fresh facts, and a map whose tables hold matches the
-    oracle.  The verdict is read with the carry left out, so tables it
-    passed wrongly cannot send the carry round an orbit that never
-    closes."""
+    oracle.  Only edits of the pairing and the signs and deletions of whole
+    vertices reach _tables_hold: after an edit of the rotation or the
+    labels at a dart that survives (swap_rotation, drop_edge, add_dart,
+    ...) derive makes facts without a carry, whose table_problem is
+    computed from the tables as fresh facts compute it.  The verdict is
+    read with the carry left out, so tables it passed wrongly cannot send
+    the carry round an orbit that never closes."""
     rng = random.Random(5)
     seen = Counter()
     carry = transverse.RibbonFacts._carry
@@ -1230,7 +1307,8 @@ def test_derived_table_axioms_read_at_the_changed_darts_agree_with_the_oracle(
     broken = {name for (name, holds) in seen if not holds}
     assert {"repeat_rotation", "drop_rotation", "drop_dart", "rotate_to_nowhere",
             "add_dart", "unpair", "drop_sign", "drop_label", "drop_edge_keep_rotation",
-            "repeat_rotation_at_touched_darts"} <= broken
+            "repeat_rotation_at_touched_darts", "drop_vertex",
+            "drop_vertex_keep_labels"} <= broken
     assert seen["swap_rotation", True] and seen["swap_partners", True] \
         and seen["drop_edge", True]
 

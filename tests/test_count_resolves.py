@@ -28,6 +28,7 @@ def test_counts_of_the_first_corpus_maps():
                  transverse._ties, transverse.RegionChecks.__init__,
                  transverse.TransverseMap.own)
     charts = transverse.RibbonFacts.__dict__["vertex_charts"]
+    derive = transverse.RibbonFacts.__dict__["derive"]
     rows = tool.count("corpus", limit=4)
     assert (moves.join_isolated_circle, moves.checked_tiling, transverse._solve,
             transverse._ties, transverse.RegionChecks.__init__,
@@ -44,6 +45,10 @@ def test_counts_of_the_first_corpus_maps():
         # results have none)
         assert rows[name]["charts"] == rows[name]["moves"]
     assert rows["collapse_edge"]["ties resolved"] > 0
+    # the edits a collapse and a surgery make are the ones derived facts
+    # carry the parent's over for
+    for name in ("collapse_edge", "boundary_surgery"):
+        assert rows[name]["moves"] > 0 and rows[name]["uncarried"] == 0
     # moves that keep the dart tables resolve the ties of the regions they
     # add only
     for name in ("join_isolated_circle", "insert_trivial_circle"):
@@ -70,6 +75,7 @@ def test_counts_of_the_first_corpus_maps():
     assert lines[0].split()[-1] == "charts"
     assert len(lines) == 1 + len(rows)
     assert transverse.RibbonFacts.__dict__["vertex_charts"] is charts
+    assert transverse.RibbonFacts.__dict__["derive"] is derive
 
 
 def test_entry_checks_count_the_maps_checked_for_their_tiling():

@@ -7,7 +7,8 @@ Runs every operation of the catalog once, in catalog order (for `bounds`,
 after writing its maps to a temporary directory, which is not counted),
 with counting wrappers installed at run time on surfmap's moves, on
 RegionChecks.__init__, on moves.checked_tiling, on the domain-solve
-functions, on TransverseMap.own and on RibbonFacts.vertex_charts, as
+functions, on TransverseMap.own, on RibbonFacts.derive and on
+RibbonFacts.vertex_charts, as
 perfbench/tracer.py installs its spans; nothing under src/ has hooks.
 Prints one row per move kind, what is done outside any move under
 "(none)":
@@ -31,6 +32,11 @@ Prints one row per move kind, what is done outside any move under
   was given, a move's input or the join finder's or normalize's (these
   two count under "(none)"), had no current tiling.  Every map a pass
   hands them carries the tiling of its last check, so it reads 0;
+* uncarried: the facts RibbonFacts.derive made new without carrying
+  its parent's over (origin None), which compute every fact from the
+  tables and whose map is checked from scratch.  A collapse deletes
+  whole vertices and rewires bands, a surgery rewires bands only, and
+  derive carries after both, so each reads 0;
 * charts: the searches of the whole graph for its components and chart
   flips (RibbonFacts.vertex_charts), which every solve under new dart
   tables makes.
@@ -56,7 +62,7 @@ import workloads  # noqa: E402
 MOVES = ("collapse_edge", "join_isolated_circle", "boundary_surgery",
          "relocate_crosscap", "insert_trivial_circle")
 COLUMNS = ("moves", "checks", "solves", "ties resolved", "no tiling",
-           "tables owned", "entry checks", "charts")
+           "tables owned", "entry checks", "uncarried", "charts")
 
 
 class Counts:
@@ -68,7 +74,7 @@ class Counts:
         self._saved = []
 
     def _set(self, owner, attr, value):
-        self._saved.append((owner, attr, getattr(owner, attr)))
+        self._saved.append((owner, attr, vars(owner)[attr]))
         setattr(owner, attr, value)
 
     def install(self):
@@ -112,6 +118,16 @@ class Counts:
             return own(tm, *names)
 
         self._set(transverse.TransverseMap, "own", owned)
+
+        derive = transverse.RibbonFacts.derive.__func__
+
+        def derived(cls, parent, tm):
+            out = derive(cls, parent, tm)
+            if out is not parent and out.origin is None:
+                counts.rows[counts.move[-1]]["uncarried"] += 1
+            return out
+
+        self._set(transverse.RibbonFacts, "derive", classmethod(derived))
 
         tiling_solve = transverse.Tiling.domain_solve
         solving = []           # per open Tiling.domain_solve
