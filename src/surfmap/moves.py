@@ -15,10 +15,10 @@ the check nothing: the result's ribbon facts (transverse.RibbonFacts),
 its input's own when it shares the input's read-only dart tables (a
 join, an insert and a relocation write none), and otherwise facts
 derived from those (RibbonFacts.derive, which finds the changed darts in
-the tables itself and carries the rest over after the only table edits
-a move makes: a collapse deletes two whole vertices and rewires the
-bands around them, a surgery rewires bands only); the per-region results in those facts for every
-region object the result shares with maps checked before; and the
+the tables itself and carries the rest over after the only table edits a
+move makes: a collapse deletes two whole vertices and rewires bands, a
+surgery only rewires bands); the per-region results in those facts for
+every region object the result shares with maps checked before; and the
 input's tiling (transverse.Tiling: the owners of the circuits and circle
 sides, and the sums the domain solve reads), from which the result's is
 derived by the regions and circles the result's record says it changed

@@ -61,12 +61,12 @@ owners and sums updated.  The solve is made once per tiling, over the
 regions that get a node only; the ties of each such region, resolved by
 the vertex chart flips, are memoized in the facts beside its
 RegionChecks, so a move that keeps the dart tables resolves only the
-ties of the regions it adds.  A derivation only ever answers that
-nothing is wrong: where it would find a problem, and for a map without
-a tiling, a record or carried facts, validate_map checks from scratch,
-with the same problem texts in the same order.  Every passed check leaves a tiling, and a move
-reads the regions it touches off its input's (checked_tiling, which
-checks an input that has none first).
+ties of the regions it adds.  A derivation only ever answers that nothing
+is wrong: where it would find a problem, and for a map without a tiling,
+a record or carried facts, validate_map checks from scratch, with the
+same problem texts in the same order.  Every passed check leaves a
+tiling, and a move reads the regions it touches off its input's
+(checked_tiling, which checks an input that has none first).
 
 A cover's lift (map_from_cover) is checked by its base: its ribbon facts
 are pulled back from the one-sheeted lift, which is checked from scratch
@@ -1422,7 +1422,7 @@ class Tiling:
                 or edits.base is not self.regions
                 or edits.base_isolated is not self.isolated
                 or edits.regions is not regions or edits.isolated is not isolated
-                or len(regions) != len(self.regions) - len(edits.gone) + len(edits.came)):
+                or len(regions) - len(self.regions) != len(edits.came) - len(edits.gone)):
             return None
         came, changed = edits.came, edits.circles
         old_facts = self.facts

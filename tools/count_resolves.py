@@ -8,8 +8,8 @@ after writing its maps to a temporary directory, which is not counted),
 with counting wrappers installed at run time on surfmap's moves, on
 RegionChecks.__init__, on moves.checked_tiling, on the domain-solve
 functions, on TransverseMap.own, on RibbonFacts.derive and on
-RibbonFacts.vertex_charts, as
-perfbench/tracer.py installs its spans; nothing under src/ has hooks.
+RibbonFacts.vertex_charts, as perfbench/tracer.py installs its spans;
+nothing under src/ has hooks.
 Prints one row per move kind, what is done outside any move under
 "(none)":
 
