@@ -32,11 +32,11 @@ share, so a copy inherits the facts of its original and uses them as
 they are while it holds their tables.  A map that writes a table first
 takes its own copy of it (TransverseMap.own), and then derives its
 facts from the inherited ones (RibbonFacts.derive).  After the two edits
-the moves make, whole vertices deleted and bands rewired, the darts
-where the tables differ are read off the tables, the vertices gone are
-dropped, the circuits and edges through the rest are traced and checked
-again, and the rest is carried over; after any other edit every fact is
-computed from the tables.  Per-circuit answers (walk keys, corner problems, corner
+the moves make, whole vertices deleted and bands rewired, the darts where
+the tables differ are read off the tables, the vertices gone are dropped,
+the circuits and edges through the others are traced and checked again,
+and the rest is carried over; after any other edit every fact is computed
+from the tables.  Per-circuit answers (walk keys, corner problems, corner
 constraints, classes) live in one memo, the RegionChecks of each region
 object, kept in the facts with what else a region's checks find on
 their own (isolated sides, its problems, domain-solve ties).  A check
@@ -1416,13 +1416,12 @@ class Tiling:
             retraced = facts.origin[1]
         else:
             return None
-        regions, isolated = tm.regions, tm.isolated
+        regions, isolated, old = tm.regions, tm.isolated, self.regions
         edits = tm._edits
         if (edits is None or not self.unique
-                or edits.base is not self.regions
-                or edits.base_isolated is not self.isolated
+                or edits.base is not old or edits.base_isolated is not self.isolated
                 or edits.regions is not regions or edits.isolated is not isolated
-                or len(regions) - len(self.regions) != len(edits.came) - len(edits.gone)):
+                or len(regions) - len(old) != len(edits.came) - len(edits.gone)):
             return None
         came, changed = edits.came, edits.circles
         old_facts = self.facts
