@@ -914,21 +914,22 @@ def _find_join(tm: TransverseMap):
     that region, on a map with both vertices and isolated circles: the
     first region in order that is bounded by a circle and has an
     essential circuit, its first essential circuit and its circle of
-    least position.  The regions bounded by circles are read off the
-    map's checked tiling (Tiling.circled), with their memoized classes;
-    the other regions are passed over without a look."""
+    least position.  The regions are read in order off the map's
+    checked tiling, with their memoized RegionChecks and classes; those
+    without a circle side are passed over without a look at their
+    circuits."""
     if not (tm.isolated and tm.pairing):
         return None
     tiling = checked_tiling(tm, "normalize")
-    facts, circled, regions = tiling.facts, tiling.circled, tiling.regions
-    for region in filter(circled.__contains__, regions):
-        checks = circled[region]
+    facts = tiling.facts
+    for ri, checks in enumerate(facts.region_checks(tiling.regions)):
+        if not checks.iso_sides:
+            continue
         pos = next((pos for pos, cls in enumerate(checks.classes(facts))
                     if cls.variant == "essential"), None)
         if pos is not None:
             ids = list(tm.isolated)
-            return (min(ids.index(cid) for cid, _side in checks.iso_sides),
-                    regions.index(region), pos)
+            return (min(ids.index(cid) for cid, _side in checks.iso_sides), ri, pos)
     raise Stuck({"reason": "isolated circles but no join target",
                  "state": is_normal(tm)})
 

@@ -39,21 +39,23 @@ and the rest is carried over; after any other edit every fact is computed
 from the tables.  Per-circuit answers (walk keys, corner problems, corner
 constraints, classes) live in one memo, the RegionChecks of each region
 object, kept in the facts with what else a region's checks find on
-their own (isolated sides, its problems, domain-solve ties).  A check
-computes them only for regions it has not seen, taking the answers of
-the circuits a new region shares with the regions it replaces, and
-derived facts carry them over for the regions of the map's inherited
-tiling (when it was made with the parent facts) whose circuits are all
-unchanged: a region's ties name darts of its own circuits, never a
-graph component, so they hold after a move that splits a component or
-twists one.
+their own (isolated sides, its problems, domain-solve ties), and built
+by one constructor.  A check computes them only for regions it has not
+seen, taking the answers it is given by circuit (those of the circuits
+a new region shares with the regions it replaces, or a lift disk's from
+the one-sheeted lift) and walking the rest, and derived facts carry them
+over for the regions of the map's inherited tiling (when it was made
+with the parent facts) whose circuits are all unchanged: a region's
+ties name darts of its own circuits, never a graph component, so they
+hold after a move that splits a component or twists one.
 
 What spans regions is the Tiling of a passed check: the owner of each
-traced circuit and circle side, the regions' Euler sum, their count of
-nonorientable kinds and the regions that get a node in the domain solve
-(domain_solve), the connectivity and orientation of the domain in one
-parity union-find.  A copy inherits the tiling of its original as it
-inherits the facts, and its check derives its own from it
+traced circuit and circle side (one map each; the regions that bound a
+circle are the owners of circle sides), the regions' Euler sum, their
+count of nonorientable kinds and the regions that get a node in the
+domain solve (domain_solve), the connectivity and orientation of the
+domain in one parity union-find.  A copy inherits the tiling of its
+original as it inherits the facts, and its check derives its own from it
 (Tiling.derived): the regions and circles that changed are read off the
 record of the map's edits since the tiling's state, which the check
 holds against the tiling, and only they are checked again and their
@@ -61,17 +63,17 @@ owners and sums updated.  The solve is made once per tiling, over the
 regions that get a node only; the ties of each such region, resolved by
 the vertex chart flips, are memoized in the facts beside its
 RegionChecks, so a move that keeps the dart tables resolves only the
-ties of the regions it adds.  A derivation only ever answers that nothing
-is wrong: where it would find a problem, and for a map without a tiling,
-a record or carried facts, validate_map checks from scratch, with the
-same problem texts in the same order.  Every passed check leaves a
-tiling, and a move reads the regions it touches off its input's
+ties of the regions it adds.  A derivation only ever answers that
+nothing is wrong: where it would find a problem, and for a map without a
+tiling, a record or carried facts, validate_map checks from scratch,
+with the same problem texts in the same order.  Every passed check
+leaves a tiling, and a move reads the regions it touches off its input's
 (checked_tiling, which checks an input that has none first).
 
-A cover's lift (map_from_cover) is checked by its base: its ribbon facts
-are pulled back from the one-sheeted lift, which is checked from scratch
-once per triangulation, once its tables are seen to project onto that
-lift's (OneSheetedLift).
+A cover's lift (map_from_cover) is checked by its base: its ribbon facts,
+and the answers of its disks' circuits, are pulled back from the
+one-sheeted lift, which is checked from scratch once per triangulation,
+once its tables are seen to project onto that lift's (OneSheetedLift).
 """
 
 from __future__ import annotations
@@ -477,6 +479,7 @@ def classify_circuit(tm: TransverseMap, region: Region, circuit) -> CircuitClass
 
 
 _TABLES = ("pairing", "rotation", "edge_sign", "vertex_label", "dart_label")
+_UNKNOWN = MappingProxyType({})    # no circuit's answer known (RegionChecks)
 _SERIALS = itertools.count()
 
 
@@ -517,9 +520,9 @@ class RibbonFacts:
     The facts of a cover's lift are pulled back from the one-sheeted lift
     instead where the lift's tables project onto it (lift_facts,
     OneSheetedLift.pull_back): the local signs and the vertex and edge
-    problems are set from the images, and checks_of pulls the RegionChecks
-    of a disk back (OneSheetedLift.disk_checks).  The rest is computed on
-    the lift's own tables, table_problem first.
+    problems are set from the images, and checks_of pulls the answer of a
+    disk's circuit back (OneSheetedLift.disk_known).  The rest is computed
+    on the lift's own tables, table_problem first.
     """
 
     def __init__(self, tm: TransverseMap, parent: "RibbonFacts" = None):
@@ -1121,20 +1124,19 @@ class RibbonFacts:
 
     # -- per-region results --------------------------------------------------------
 
-    def checks_of(self, region: Region, like=()) -> "RegionChecks":
+    def checks_of(self, region: Region, known=_UNKNOWN) -> "RegionChecks":
         """The region's RegionChecks, computed on first use for each region
-        object: pulled back from the one-sheeted lift for a disk of facts
-        pulled back from it (OneSheetedLift.disk_checks), otherwise
-        from scratch, taking what it can from the checks `like` of the
-        regions it replaces under these facts."""
+        object, taking the answers `known` by circuit (RegionChecks):
+        for a disk of facts pulled back from the one-sheeted lift, its
+        circuit's answer from the lift (OneSheetedLift.disk_known),
+        otherwise the caller's, those of the regions it replaces under
+        these facts (Tiling.derived)."""
         checks = self._regions.get(region)
         if checks is None:
             lift = self._lift
             if lift is not None:
-                checks = lift.disk_checks(self, region)
-            if checks is None:
-                checks = RegionChecks(self, region, like)
-            self._regions[region] = checks
+                known = lift.disk_known(self, region) or known
+            checks = self._regions[region] = RegionChecks(self, region, known)
         return checks
 
     def region_checks(self, regions) -> list:
@@ -1185,10 +1187,14 @@ class RegionChecks:
     * classes(facts): each circuit's class, on first use; classify_circuit
       reads it here, so the checks, the finders and factorize share it.
 
-    The checks of a region that replaces others under the same facts
-    (`like`: theirs) take the answers and classes of the circuits it
-    shares with those of the same label, by object: they read only the
-    facts, the label and the circuit.  A region labeled by an unknown
+    One constructor builds them all.  A circuit whose answer is known is
+    not walked: `known` maps id(circuit) to (circuit, region label,
+    answer, class or None), and a circuit takes its entry when it is that
+    object and the region has that label, as an answer reads only the
+    facts, the label and the circuit.  The entries are those of the
+    regions a region replaces under the same facts (Tiling.derived), or
+    for a disk under facts pulled back from the one-sheeted lift, its
+    circuit's (OneSheetedLift.disk_known).  A region labeled by an unknown
     triangle has its circuits left out.
     """
 
@@ -1196,7 +1202,7 @@ class RegionChecks:
                  "corner_problems", "ties", "needs_node", "euler", "orientable",
                  "answers", "_classes")
 
-    def __init__(self, facts: RibbonFacts, region: Region, like=()):
+    def __init__(self, facts: RibbonFacts, region: Region, known=_UNKNOWN):
         self.region = region
         self.euler = region.kind.euler
         self.orientable = region.kind.orientable
@@ -1213,13 +1219,6 @@ class RegionChecks:
         if not (0 <= label < len(facts.target.triangles)):
             problems.append("region {} labeled by unknown triangle")
             circuits = ()
-        known = {}       # id of a circuit of `like` -> (it, its answer, class)
-        for other in like:
-            if other.region.label == label:
-                classes = other._classes or itertools.repeat(None)
-                for c, answer, cls in zip(other.region.circuits, other.answers,
-                                          classes):
-                    known[id(c)] = (c, answer, cls)
         answers = []
         classes = []
         for pos, c in enumerate(circuits):
@@ -1233,8 +1232,8 @@ class RegionChecks:
                 classes.append(_ISOLATED_SIDE)
                 continue
             hit = known.get(id(c))
-            if hit is not None and hit[0] is c:
-                _c, answer, cls = hit
+            if hit is not None and hit[0] is c and hit[1] == label:
+                _c, _label, answer, cls = hit
             else:
                 key = facts.walk_key(c.seq)
                 answer = (key,) if key is None else (
@@ -1265,31 +1264,6 @@ class RegionChecks:
         self.corner_problems = tuple(corner_problems)
         self.ties = (tuple(anchors), tuple(circles))
         self.needs_node = len(anchors) + len(circles) != 1
-
-    @classmethod
-    def of_disk(cls, region: Region, key: tuple, anchor: int, problem,
-                bits: frozenset, circuit_class: CircuitClass) -> "RegionChecks":
-        """What __init__ finds for a region with a valid label, one
-        boundary and one stored circuit, that circuit being the traced
-        circuit `key` whose anchor dart is `anchor`, given its corner
-        problem (or None), corner bits and class; the one-sheeted lift
-        reads those off the walk the circuit projects to
-        (OneSheetedLift.disk_checks)."""
-        self = cls.__new__(cls)
-        self.region = region
-        self.euler = region.kind.euler
-        self.orientable = region.kind.orientable
-        self.answers = ((key, problem, anchor, bits),)
-        self._classes = (circuit_class,)
-        self.walk_keys = (key,)
-        self.iso_sides = ()
-        self.problems = ()
-        self.corner_problems = (() if problem is None else
-                                (f"region {{}} circuit 0 {problem}",))
-        anchors = {(anchor, bit) for bit in bits}    # in __init__'s order
-        self.ties = (tuple(anchors), ())
-        self.needs_node = len(anchors) != 1
-        return self
 
     def classes(self, facts: RibbonFacts) -> tuple:
         """classify_circuit's answer for each circuit, in order."""
@@ -1335,11 +1309,11 @@ class Tiling:
     """The cross-region half of a passed validate_map, for one map state
     under `facts`: the map's region tuple (`regions`) and circles
     (`isolated`), held by identity; the owner (RegionChecks) of each
-    traced circuit key (`stored`) and of each circle side (`owner`); the
-    regions that bound a circle (`circled`: region -> RegionChecks);
-    whether no region is listed twice (`unique`: a passed check lets a map
-    list a region twice that has neither a circuit nor a circle side); the
-    sums the domain solve reads (_sums): the regions' Euler sum (`euler`),
+    traced circuit key (`stored`) and of each circle side (`owner`, the
+    one map from circle sides to the regions they bound); whether no
+    region is listed twice (`unique`: a passed check lets a map list a
+    region twice that has neither a circuit nor a circle side); the sums
+    the domain solve reads (_sums): the regions' Euler sum (`euler`),
     their count of nonorientable kinds (`nonorientable`) and the
     RegionChecks of the regions that get a node (`linked`, one per
     listing); and the domain solve, made on first use (domain_solve).
@@ -1348,17 +1322,15 @@ class Tiling:
     check of a copy derives the copy's tiling from it (derived), so the
     tiling is put together from scratch only for a map that has none."""
 
-    __slots__ = ("facts", "regions", "isolated", "stored", "owner", "circled",
-                 "unique", "euler", "nonorientable", "linked", "_solve")
+    __slots__ = ("facts", "regions", "isolated", "stored", "owner", "unique",
+                 "euler", "nonorientable", "linked", "_solve")
 
-    def __init__(self, facts, regions, isolated, stored, owner, circled, unique,
-                 sums: tuple):
+    def __init__(self, facts, regions, isolated, stored, owner, unique, sums: tuple):
         self.facts = facts
         self.regions = regions
         self.isolated = isolated
         self.stored = stored
         self.owner = owner
-        self.circled = circled
         self.unique = unique
         self.euler, self.nonorientable, self.linked = sums
         self._solve = None
@@ -1398,8 +1370,10 @@ class Tiling:
         tiling's, or carried from them (RibbonFacts.derive), and then each
         circuit traced again must be stored by a region the record says
         went, as a move replaces every region through the darts it
-        rewires.  Only the replaced regions and the circles
-        they or the record name are checked: each stored circuit key and
+        rewires.  Under this tiling's facts, a region that comes takes the
+        answers of the circuits it shares with the regions gone
+        (RegionChecks).  Only the replaced regions and the circles they or
+        the record name are checked: each stored circuit key and
         circle side has one owner, every traced circuit and circle side
         has one, and the side coherence of their edges and circles holds
         where it may have changed: for the circuits traced again, and for
@@ -1439,13 +1413,11 @@ class Tiling:
         for region in gone:
             memo.pop(region, None)
             ties.pop(region, None)
-        # the owners of the circuits and circle sides, the regions that
-        # bound a circle, and the sums, less the regions gone (dict.copy
-        # clones the table where dict() would hash every key again)
+        # the owners of the circuits and circle sides and the sums, less
+        # the regions gone (dict.copy clones the table where dict() would
+        # hash every key again)
         stored, owner = self.stored.copy(), self.owner.copy()
-        circled = self.circled
         euler, nonorientable, linked = self.euler, self.nonorientable, self.linked
-        unbound = []
         for checks in gone.values():
             euler -= checks.euler
             nonorientable -= not checks.orientable
@@ -1453,14 +1425,8 @@ class Tiling:
                 linked = [kept for kept in linked if kept.region not in gone]
             for key in checks.walk_keys:
                 del stored[key]
-            if checks.iso_sides:
-                for side in checks.iso_sides:
-                    del owner[side]
-                unbound.append(checks.region)
-        if unbound:
-            circled = circled.copy()
-            for region in unbound:
-                del circled[region]
+            for side in checks.iso_sides:
+                del owner[side]
         # and with the regions added.  The side coherence of an edge or a
         # circle reads the labels of the owners of its two sides, so it is
         # checked where one of them is new, retraced or owned under
@@ -1468,9 +1434,16 @@ class Tiling:
         was_stored, was_owner = self.stored, self.owner
         relabelled = []       # the stored circuits to check
         flanked = set()       # the circles to check
-        like = tuple(gone.values()) if facts is old_facts else ()
+        known = {}            # id of a circuit gone -> (it, label, answer, class)
+        if facts is old_facts:
+            for checks in gone.values():
+                label = checks.region.label
+                classes = checks._classes or itertools.repeat(None)
+                for c, answer, cls in zip(checks.region.circuits, checks.answers,
+                                          classes):
+                    known[id(c)] = (c, label, answer, cls)
         for region in came:
-            checks = facts.checks_of(region, like)
+            checks = facts.checks_of(region, known)
             if checks.problems or checks.corner_problems:
                 return None
             euler += checks.euler
@@ -1493,9 +1466,6 @@ class Tiling:
                     prior = was_owner.get(side)
                     if prior is None or prior.region.label != label:
                         flanked.add(side[0])
-                if circled is self.circled:
-                    circled = circled.copy()
-                circled[region] = checks
             elif not checks.walk_keys and self._holds(checks):
                 return None
         if len(stored) != len(facts.circuit_by_key):
@@ -1523,7 +1493,7 @@ class Tiling:
                     != edges[isolated[cid].edge][0]):
                 return None
 
-        return Tiling(facts, regions, isolated, stored, owner, circled, True,
+        return Tiling(facts, regions, isolated, stored, owner, True,
                       (euler, nonorientable, linked))
 
 
@@ -1620,10 +1590,9 @@ def validate_map(tm: TransverseMap) -> ValidationReport:
             rep.add(f"isolated circle {i} flanked by regions labeled {sorted(got)}, "
                     f"expected {sorted(want)}")
     if not rep.problems:
-        owner = {side: entries[ri] for side, ri in owner.items()}
         tm._tiling = Tiling(facts, regions, isolated,
-                            {key: entries[ri] for key, ri in stored.items()}, owner,
-                            {checks.region: checks for checks in owner.values()},
+                            {key: entries[ri] for key, ri in stored.items()},
+                            {side: entries[ri] for side, ri in owner.items()},
                             len(set(regions)) == len(regions), _sums(entries))
         tm._edits = None
     _check_parity(rep, facts)
@@ -1808,11 +1777,10 @@ def mod2_degree(tm: TransverseMap) -> int:
     return parities.pop() if parities else 0
 
 
-def signed_degree(tm: TransverseMap, orient_m: int = 1, orient_n: int = 1) -> int:
-    """Signed preimage count over a target vertex, for chosen orientations
-    given as +1/-1 flips of the canonical ones.  The canonical domain
-    orientation is normalized so the identity-like vertex of least id
-    counts +1."""
+def signed_degree(tm: TransverseMap) -> int:
+    """Signed preimage count over a target vertex, for the canonical
+    orientations.  The canonical domain orientation is normalized so the
+    identity-like vertex of least id counts +1."""
     signs = tm.target.triangle_signs()
     if signs is None:
         raise NotOrientable("target is not orientable")
@@ -1841,7 +1809,7 @@ def signed_degree(tm: TransverseMap, orient_m: int = 1, orient_n: int = 1) -> in
     values = set(sums.values())
     if len(values) > 1:
         raise InternalInconsistency(f"signed counts differ across vertices: {sums}")
-    return values.pop() * orient_m * orient_n
+    return values.pop()
 
 
 # --------------------------------------------------------------------------
@@ -1857,8 +1825,8 @@ class OneSheetedLift:
     points, which lie inside triangles.  So once a lift's tables are seen
     to project onto this lift's (pull_back), each local fact of the lift
     is this lift's fact at the image: a vertex's local sign and problems,
-    an edge's problems, and what a disk region's checks find
-    (disk_checks)."""
+    an edge's problems, and the answer of a disk region's circuit, which
+    its RegionChecks take (disk_known)."""
 
     __slots__ = ("map", "facts", "dart_of", "sign", "degree", "_disks")
 
@@ -1874,8 +1842,8 @@ class OneSheetedLift:
         # dart -> the number of darts at its vertex
         self.degree = {d: sizes[rep] for d, rep in facts.vertex_of.items()}
         # (label, dart and side of the projected walk's first token, walk
-        # length) -> (corner problems, corner bits, class) of a disk
-        # (disk_checks)
+        # length) -> (corner problem, corner bits, class) of a disk's
+        # circuit (disk_known)
         self._disks = {}
 
     def pull_back(self, facts: RibbonFacts) -> bool:
@@ -1923,10 +1891,11 @@ class OneSheetedLift:
         facts._lift = self
         return True
 
-    def disk_checks(self, facts: RibbonFacts, region: Region):
-        """The RegionChecks of a region under facts pulled back from this
-        lift (pull_back), when it has a valid label, one boundary and one
-        stored circuit that is a traced circuit; otherwise None.
+    def disk_known(self, facts: RibbonFacts, region: Region):
+        """The answer and class of a region's circuit under facts pulled
+        back from this lift (pull_back), as the one entry of a map `known`
+        to its RegionChecks, when it has a valid label, one boundary and
+        one stored circuit that is a traced circuit; otherwise None.
 
         The circuit projects token by token onto the walk of this lift
         from the image of its first token, as long as the circuit: around
@@ -1959,7 +1928,8 @@ class OneSheetedLift:
             template = self._disks[template_key] = (
                 one.corner_problem(label, walk), one.corner_constraints(walk)[1],
                 one.circuit_class(label, walk))
-        return RegionChecks.of_disk(region, key, seq[1][0], *template)
+        problem, bits, cls = template
+        return {id(circuit): (circuit, label, (key, problem, seq[1][0], bits), cls)}
 
 
 @per_triangulation

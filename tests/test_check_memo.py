@@ -16,7 +16,7 @@ from surfmap.errors import Disconnected, InternalInconsistency, Stuck
 from surfmap.moves import (_post_move_check, collapse_edge, collapsible_edges,
                            flip_vertex, insert_trivial_circle, normalize)
 from surfmap.surfaces import SurfaceKind, builtin_triangulation
-from surfmap.transverse import (IsoSide, Region, RibbonCircuit,
+from surfmap.transverse import (IsolatedCircle, IsoSide, Region, RibbonCircuit,
                                 TransverseMap, add_pinch, builtin_example,
                                 chi_domain, classify_circuit, domain_orientable,
                                 domain_solve, identity_map, map_from_cover,
@@ -139,9 +139,9 @@ def test_join_and_insert_check_only_the_regions_they_change(monkeypatch):
     validations = Counter()
 
     class CountedChecks(transverse.RegionChecks):
-        def __init__(self, facts, region, like=()):
+        def __init__(self, facts, region, known):
             misses["total"] += 1
-            super().__init__(facts, region, like)
+            super().__init__(facts, region, known)
 
     def counted_validate(tm):
         validations["total"] += 1
@@ -185,9 +185,9 @@ def test_join_and_insert_checks_do_not_grow_with_the_map(monkeypatch):
         return ties(*args)
 
     class CountedChecks(transverse.RegionChecks):
-        def __init__(self, facts, region, like=()):
+        def __init__(self, facts, region, known):
             made["checks"] += 1
-            super().__init__(facts, region, like)
+            super().__init__(facts, region, known)
 
     per_move = []
 
@@ -338,9 +338,9 @@ def test_collapse_checks_only_the_regions_it_replaces(monkeypatch):
     built = Counter()
 
     class CountedChecks(transverse.RegionChecks):
-        def __init__(self, facts, region, like=()):
+        def __init__(self, facts, region, known):
             built["checks"] += 1
-            super().__init__(facts, region, like)
+            super().__init__(facts, region, known)
 
     trace = transverse.RibbonFacts._trace_from
 
@@ -733,6 +733,22 @@ def _relabel_region_off_its_corners(tm):
     tm.replace(regions={ri: Region(label, region.kind, region.circuits)})
 
 
+def _store_a_circuit_twice(tm):
+    """A region is replaced by a new region object with the label, kind
+    and circuits of another: both store those circuits, and the circuits
+    of the region replaced belong to none."""
+    ri, region = next((ri, r) for ri, r in enumerate(tm.regions)
+                      if any(isinstance(c, RibbonCircuit) for c in r.circuits))
+    other = (ri + 1) % len(tm.regions)
+    tm.replace(regions={other: Region(region.label, region.kind, region.circuits)})
+
+
+def _move_a_circle_off_the_edges(tm):
+    """A circle is set over an edge the target does not have."""
+    cid = next(iter(tm.isolated))
+    tm.replace(circles={cid: IsolatedCircle(len(tm.target.edges))})
+
+
 def _scrambled_slice():
     return _slice_map(*SLICE[0])
 
@@ -742,6 +758,8 @@ INHERITED_EDITS = {
     "circuit_dropped": (_scrambled_slice, _drop_circuit),
     "isolated_added": (_scrambled_slice, _add_isolated_circle),
     "circle_id_reused": (_scrambled_slice, _reuse_circle_id),
+    "circuit_stored_twice": (_scrambled_slice, _store_a_circuit_twice),
+    "circle_off_the_edges": (_scrambled_slice, _move_a_circle_off_the_edges),
     "region_off_its_corners": (_scrambled_slice, _relabel_region_off_its_corners),
     "region_relabeled": (lambda: scrambled(identity_map(two_triangle_sphere()), 4,
                                            seed=1),
@@ -749,6 +767,11 @@ INHERITED_EDITS = {
     "circle_disk_relabeled": (lambda: scrambled(identity_map(two_triangle_sphere()),
                                                 4, seed=1),
                               _relabel_circle_disk),
+}
+# the problem that leads the oracle's texts, where no other test reads it
+FIRST_PROBLEMS = {
+    "circuit_stored_twice": "circuit stored twice",
+    "circle_off_the_edges": "isolated circle labeled by unknown edge",
 }
 
 
@@ -764,6 +787,7 @@ def test_tampered_copy_of_a_checked_map_matches_the_oracle(name):
     fresh = TransverseMap.from_json(work.to_json())
     problems = validate_map(work).problems
     assert problems and problems == validate_map(fresh).problems
+    assert problems[0].startswith(FIRST_PROBLEMS.get(name, ""))
     assert _domain_answers(work) == _domain_answers(fresh)
     assert validate_map(tm).ok and _domain_answers(tm) == before
 

@@ -29,6 +29,7 @@ def test_counts_of_the_first_corpus_maps():
                  transverse.TransverseMap.own)
     charts = transverse.RibbonFacts.__dict__["vertex_charts"]
     derive = transverse.RibbonFacts.__dict__["derive"]
+    walk_key = transverse.RibbonFacts.__dict__["walk_key"]
     rows = tool.count("corpus", limit=4)
     assert (moves.join_isolated_circle, moves.checked_tiling, transverse._solve,
             transverse._ties, transverse.RegionChecks.__init__,
@@ -69,13 +70,20 @@ def test_counts_of_the_first_corpus_maps():
     # a move builds RegionChecks only for the regions it makes
     inserts = rows["insert_trivial_circle"]
     assert 0 < inserts["checks"] <= 3 * inserts["moves"]
+    # a move that keeps the dart tables walks none of its new regions'
+    # circuits: it takes their answers from the regions it replaces; a
+    # collapse walks those it retraces
+    for name in ("join_isolated_circle", "insert_trivial_circle", "relocate_crosscap"):
+        assert rows[name]["checks"] > 0 and rows[name]["walks"] == 0
+    assert rows["collapse_edge"]["walks"] > 0
     lines = tool.table(rows).splitlines()
-    assert lines[0].split()[:6] == ["move", "moves", "checks", "solves", "ties",
-                                    "resolved"]
+    assert lines[0].split()[:7] == ["move", "moves", "checks", "walks", "solves",
+                                    "ties", "resolved"]
     assert lines[0].split()[-1] == "charts"
     assert len(lines) == 1 + len(rows)
     assert transverse.RibbonFacts.__dict__["vertex_charts"] is charts
     assert transverse.RibbonFacts.__dict__["derive"] is derive
+    assert transverse.RibbonFacts.__dict__["walk_key"] is walk_key
 
 
 def test_entry_checks_count_the_maps_checked_for_their_tiling():

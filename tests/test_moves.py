@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from surfmap.covers import random_cover
@@ -15,7 +17,7 @@ from surfmap.moves import (boundary_surgery, collapse_edge, collapsible_edges,
                            split_circle)
 import surfmap.moves as moves_mod
 
-from helpers import scrambled, tube_double
+from helpers import assert_matches_oracle, scrambled, tube_double
 
 
 def check_invariants(before, after):
@@ -184,6 +186,27 @@ def test_surgery_enables_collapse():
     check_invariants(opp, out)
     assert edge_count(out) == edge_count(opp)
     assert collapsible_edges(out)
+
+
+def test_every_surgery_on_the_fold_matches_the_oracle():
+    """Surgeries on the fold reach the split branch, which no normalization
+    runs: both strands lie on one circuit of a disk, and the cut leaves a
+    disk of its own beside the region."""
+    fold = builtin_example("fold_degree_zero")
+    results = []
+    for ri, region in enumerate(fold.regions):
+        strands = sorted({fold.edge_key(d) for c in region.circuits
+                          for d, _side in c.seq[::2]})
+        for k1, k2 in itertools.combinations(strands, 2):
+            try:
+                results.append(boundary_surgery(fold, ri, k1, k2))
+            except NotCompatible:
+                continue
+    assert results
+    for out in results:
+        assert_matches_oracle(out)
+        check_invariants(fold, out)
+    assert any(len(out.regions) > len(fold.regions) for out in results)
 
 
 def test_collapse_reports_a_gauge_flip_that_leaves_the_edge_twisted(monkeypatch):

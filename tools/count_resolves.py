@@ -6,17 +6,23 @@ perfbench catalog, per move.
 Runs every operation of the catalog once, in catalog order (for `bounds`,
 after writing its maps to a temporary directory, which is not counted),
 with counting wrappers installed at run time on surfmap's moves, on
-RegionChecks.__init__, on moves.checked_tiling, on the domain-solve
-functions, on TransverseMap.own, on RibbonFacts.derive and on
-RibbonFacts.vertex_charts, as perfbench/tracer.py installs its spans;
-nothing under src/ has hooks.
+RegionChecks.__init__, on RibbonFacts.walk_key, on moves.checked_tiling,
+on the domain-solve functions, on TransverseMap.own, on
+RibbonFacts.derive and on RibbonFacts.vertex_charts, as
+perfbench/tracer.py installs its spans; nothing under src/ has hooks.
 Prints one row per move kind, what is done outside any move under
 "(none)":
 
 * moves: the calls of the move;
-* checks: the RegionChecks built from scratch (RegionChecks.__init__);
-  those of the lift (map_from_cover, add_pinch) and of a load's first
-  check count under "(none)";
+* checks: the RegionChecks built (RegionChecks.__init__, the one
+  constructor, so a lift's disks, whose circuits take their answers
+  from the one-sheeted lift, count too); those of the lift
+  (map_from_cover, add_pinch) and of a load's first check count under
+  "(none)";
+* walks: the circuits walked to find their answers
+  (RibbonFacts.walk_key).  A join, an insert or a relocation keeps the
+  facts and takes the answers of the circuits its new regions share
+  with those it replaces, so it reads 0;
 * solves: the domain solves made for a tiling (Tiling.domain_solve),
   one per checked map state that is measured;
 * ties resolved: the regions whose ties were resolved by the chart
@@ -61,7 +67,7 @@ import workloads  # noqa: E402
 
 MOVES = ("collapse_edge", "join_isolated_circle", "boundary_surgery",
          "relocate_crosscap", "insert_trivial_circle")
-COLUMNS = ("moves", "checks", "solves", "ties resolved", "no tiling",
+COLUMNS = ("moves", "checks", "walks", "solves", "ties resolved", "no tiling",
            "tables owned", "entry checks", "uncarried", "charts")
 
 
@@ -100,6 +106,14 @@ class Counts:
             checks_init(checks, *args)
 
         self._set(transverse.RegionChecks, "__init__", built)
+
+        walk_key = transverse.RibbonFacts.walk_key
+
+        def walked(facts, seq):
+            counts.rows[counts.move[-1]]["walks"] += 1
+            return walk_key(facts, seq)
+
+        self._set(transverse.RibbonFacts, "walk_key", walked)
 
         checked_tiling = moves.checked_tiling
 
