@@ -32,7 +32,11 @@ most three, a collapse the regions around the collapsed edge).  A
 collapse takes its own copy of the tables of its input (after the gauge
 flip, or of a plain copy; TransverseMap.own) and rewires them in place,
 and reads region groups and directions off the stored circuits through
-the darts it removes.  Isolated circles keep their ids, so a join
+the darts it removes.  Each region rule is stated once: the strip-gluing
+rule (_glued), which _rebuild_regions applies to a collapse's groups and
+to a surgery's far side (one strip joining two regions, or one to
+itself) and the join to its far side, and the stored direction across a
+band (_stored_end).  Isolated circles keep their ids, so a join
 deletes one circle and renumbers nothing.  A move finds the regions it
 touches as the owners in its input's tiling (transverse.checked_tiling,
 which first checks an input that has none, with the move's name as the
@@ -101,7 +105,7 @@ def _regions_through(tm: TransverseMap, tokens: set, context: str) -> list:
     tiling = checked_tiling(tm, context)
     key_of, stored = tiling.facts.circuit_of_token, tiling.stored
     owners = {stored[key_of[t]].region for t in tokens}
-    return [ri for ri, region in enumerate(tm.regions) if region in owners]
+    return sorted(map(tm.regions.index, owners))
 
 
 def _stored_through(regions: tuple, indices, tokens: set) -> tuple:
@@ -238,6 +242,30 @@ def _kind_from(chi: int, boundary: int, orientable: bool, context: str) -> Surfa
         raise InternalInconsistency(f"{context}: no surface fits ({ex})")
 
 
+def _glued(members, strips: int, twisted: bool, context: str) -> tuple:
+    """The strip-gluing rule: (label, Euler characteristic, orientability)
+    of the region that `strips` strips glue from the regions `members`,
+    `twisted` when a strip contradicts the members' relative flips.  All
+    members have one label; χ is their sum less the strips; the region is
+    orientable when every member is and no strip twists.  Its kind then
+    follows from its boundary circuits (_kind_from)."""
+    labels = {region.label for region in members}
+    if len(labels) != 1:
+        raise InternalInconsistency(f"{context}: merged regions with "
+                                    f"different labels {labels}")
+    return (labels.pop(), sum(region.kind.euler for region in members) - strips,
+            not twisted and all(region.kind.orientable for region in members))
+
+
+def _stored_end(tm: TransverseMap, tokens: set, succ: dict) -> int:
+    """The stored direction across a band: the dart-label end (0 or 1) of
+    the dart by which a stored circuit departs, of the two band-adjacent
+    `tokens` on one side of a strand (succ: the stored circuits'
+    successor map)."""
+    dep = next(t for t in tokens if succ.get(t) in tokens)
+    return tm.dart_label[dep[0]][1]
+
+
 # --------------------------------------------------------------------------
 # Edge collapse (the move behind the no-fold-edges property)
 
@@ -329,57 +357,63 @@ def collapse_edge(tm: TransverseMap, edge_key: int) -> TransverseMap:
         pairing[b_i] = a_i
         sign[min(a_i, b_i)] = s_x * s_y
 
-    _rebuild_regions(regions, out, groups, dead_tokens,
-                     circle_info=new_circle_info, context="collapse_edge")
+    out.replace(regions=_rebuild_regions(regions, out, groups, dead_tokens,
+                                         dead_tokens, circle_info=new_circle_info,
+                                         context="collapse_edge"))
     return _post_move_check(before, out, edge_delta=(-m, -1),
                             context="collapse_edge")
 
 
 def _rebuild_regions(regions: tuple, out: TransverseMap,
-                     groups: _GroupTracker, dead_tokens: set,
-                     *, circle_info=(), context: str = ""):
-    """Shared region reconstruction after a ribbon rewrite.
+                     groups: _GroupTracker, cut_tokens: set,
+                     dead_tokens=frozenset(), *, circle_info=(),
+                     context: str = "") -> dict:
+    """The region changes (index -> region, or None) of a ribbon rewrite
+    whose strips glue regions: the one gluing rule of the moves, for a
+    collapse and for the far side of a surgery.
 
     regions: the pre-move regions (post gauge normalization); groups: the
-    regions with a stored circuit through a dead dart, glued by the
-    rewrite; out: the post-move map, its tables rewired, possibly with
-    freshly appended isolated circles described by circle_info (circle
-    id, strand dart, the strand's other dart).  Only those regions are
-    rebuilt: a circuit through no dead dart runs through no rewired dart
-    either (every rewired dart was band-adjacent to a dead one), so it is
-    a traced circuit of out as it stands, and every traced circuit of out
-    through a token of a rebuilt region is made of the surviving tokens
-    of the circuits through dead darts, so only those circuits are read
-    for group roots and directions.  A rebuilt region lists its ribbon
-    circuits in key order (the order of trace_circuits), then its
-    isolated sides; every other region is kept, as the same object unless
-    its circuits must be put in that order.  dead_tokens: the tokens of
-    the dead darts."""
-    group_members = groups.groups()
+    regions with a stored circuit through a cut token, glued by the
+    rewrite's strips; cut_tokens: the tokens where the rewrite cuts the
+    glued regions' circuits (for a collapse, those of the dead darts; for
+    a surgery, its strands' far tokens); dead_tokens: those of the darts
+    the rewrite deleted; out: the post-move map, its tables rewired,
+    possibly with freshly appended isolated circles described by
+    circle_info (circle id, strand dart, the strand's other dart).  Only
+    those regions are rebuilt: a circuit of theirs through no cut token
+    runs through no rewired dart (every rewired dart is band-adjacent to a
+    cut token), so it is a traced circuit of out as it stands, and every
+    traced circuit of out through a token of a rebuilt region is made of
+    the surviving tokens of the cut circuits, so only those are read for
+    group roots and directions.  Each group becomes one region by the
+    strip-gluing rule (_glued), bounded by its ribbon circuits in key
+    order (the order of trace_circuits), then its isolated sides; every
+    other region is kept, as the same object unless its circuits must be
+    put in that order."""
     strips, twisted = Counter(), set()
     for ri, twist in groups.gluings:
         root = groups.root(ri)
         strips[root] += 1
         if twist:
             twisted.add(root)
-    orientable = {root: root not in twisted and
-                  all(regions[ri].kind.orientable for ri in members)
-                  for root, members in group_members.items()}
+    glued = {root: _glued([regions[ri] for ri in members], strips[root],
+                          root in twisted, context)
+             for root, members in groups.groups().items()}
 
     # the glued regions' circuits in group-aligned form
     facts = out.ribbon_facts()
     key_of = facts.circuit_of_token
     tok2root = {}             # token -> group root, over the cut circuits
-    cut = []                  # the aligned circuits through dead darts
+    cut = []                  # the aligned circuits through cut tokens
     old_iso_entries = {}      # group root -> list[IsoSide] (aligned)
-    new_circuits = {root: [] for root in group_members}   # (key, circuit)
+    new_circuits = {root: [] for root in glued}   # (key, circuit)
     for ri in groups.regions:
         root, flip = groups.root(ri), bool(groups.parity(ri))
         for c in regions[ri].circuits:
             c2 = _flip_circuit_entry(c, flip)
             if isinstance(c2, IsoSide):
                 old_iso_entries.setdefault(root, []).append(c2)
-            elif dead_tokens.isdisjoint(c2.seq):
+            elif cut_tokens.isdisjoint(c2.seq):
                 new_circuits[root].append((key_of[c2.seq[0]], c2))
             else:
                 tok2root.update(dict.fromkeys(c2.seq, root))
@@ -392,7 +426,7 @@ def _rebuild_regions(regions: tuple, out: TransverseMap,
             raise InternalInconsistency(f"{context}: rewritten circuit spans "
                                         f"{len(roots)} region groups")
         root = roots.pop()
-        new_circuits[root].append((c.seq[0], _orient(c, old_succ, orientable[root],
+        new_circuits[root].append((c.seq[0], _orient(c, old_succ, glued[root][2],
                                                      context)))
 
     # new isolated circles created by the rewrite
@@ -408,25 +442,18 @@ def _rebuild_regions(regions: tuple, out: TransverseMap,
                 IsoSide(cid, side, direction))
 
     rebuilt = {}
-    for root, members in group_members.items():
-        base = regions[members[0]]
-        labels = {regions[ri].label for ri in members}
-        if len(labels) != 1:
-            raise InternalInconsistency(f"{context}: merged regions with "
-                                        f"different labels {labels}")
-        chi = sum(regions[ri].kind.euler for ri in members) - strips[root]
+    for root, (label, chi, orientable) in glued.items():
         circuits = tuple([c for _key, c in sorted(new_circuits[root],
                                                   key=lambda kc: kc[0])]
                          + old_iso_entries.get(root, [])
                          + new_iso_entries.get(root, []))
-        kind = _kind_from(chi, len(circuits), orientable[root], context)
-        rebuilt[root] = Region(base.label, kind, circuits)
-    glued = groups.node
-    changes = {ri: rebuilt.get(ri) for ri in glued}
+        rebuilt[root] = Region(label, _kind_from(chi, len(circuits), orientable,
+                                                 context), circuits)
+    changes = {ri: rebuilt.get(ri) for ri in groups.node}
     for ri, region in enumerate(regions):
-        if ri not in glued and len(region.circuits) >= 2:
+        if ri not in groups.node and len(region.circuits) >= 2:
             changes[ri] = _in_key_order(region, key_of)
-    out.replace(regions=changes)
+    return changes
 
 
 def _in_key_order(region: Region, key_of: dict) -> Region:
@@ -452,7 +479,10 @@ def join_isolated_circle(tm: TransverseMap, iso_index: int,
                          region_index: int, circuit_pos: int) -> TransverseMap:
     """Merge an isolated circle (by position in tm.isolated) into an
     essential circuit of a region it bounds, through a tube inside that
-    region."""
+    region.  The region gives up the circle's side (χ + 1); on the far
+    side the tube's strip glues the circle's far region to the region
+    storing the strand's far circuit, or that region to itself, by the
+    strip-gluing rule (_glued), the circuits kept in their order."""
     if not (0 <= iso_index < len(tm.isolated)):
         raise NotAdjacent(f"no isolated circle {iso_index}")
     if not (0 <= region_index < len(tm.regions)):
@@ -493,8 +523,7 @@ def join_isolated_circle(tm: TransverseMap, iso_index: int,
     succ = successor_map(tm.regions[r2].circuits)
     if not far_tokens <= succ.keys():
         raise InternalInconsistency("strand sides are inconsistent")
-    far_dep = next(t for t in far_tokens if succ[t] in far_tokens)
-    d_R = tm.dart_label[far_dep[0]][1]
+    d_R = _stored_end(tm, far_tokens, succ)
     delta_b = next(c.direction for c in tm.regions[rb].circuits
                    if isinstance(c, IsoSide) and (c.circle, c.side) == far_side)
     delta_a = side_entry.direction
@@ -515,27 +544,21 @@ def join_isolated_circle(tm: TransverseMap, iso_index: int,
                    "join_isolated_circle"),
         without_circle(A.circuits))}
 
+    # far side: the tube's strip glues the circle's far region RB to R2,
+    # with RB's circuits flipped into R2's frame, or R2 to itself, twisted
+    # under a flip; the circuits keep their order, R2's before RB's
     R2 = changes.get(r2, tm.regions[r2])
+    members, circuits = [R2], without_circle(R2.circuits)
     if rb != r2:
-        RB = tm.regions[rb]
-        if RB.label != R2.label:
-            raise InternalInconsistency("far-side merge across labels")
-        circuits = R2.circuits + tuple(_flip_circuit_entry(c, bool(flip_needed))
-                                       for c in without_circle(RB.circuits))
-        kind = _kind_from(RB.kind.euler + R2.kind.euler - 1,
-                          len(circuits),
-                          RB.kind.orientable and R2.kind.orientable,
-                          "join_isolated_circle")
-        changes[r2] = Region(R2.label, kind, circuits)
+        members.append(tm.regions[rb])
+        circuits += tuple(_flip_circuit_entry(c, bool(flip_needed))
+                          for c in without_circle(tm.regions[rb].circuits))
+    label, chi, orientable = _glued(members, 1, rb == r2 and flip_needed == 1,
+                                    "join_isolated_circle")
+    changes[r2] = Region(label, _kind_from(chi, len(circuits), orientable,
+                                           "join_isolated_circle"), circuits)
+    if rb != r2:
         changes[rb] = None
-    else:
-        circuits = without_circle(R2.circuits)
-        orientable = R2.kind.orientable and flip_needed == 0
-        changes[r2] = Region(
-            R2.label,
-            _kind_from(R2.kind.euler - 1, len(circuits), orientable,
-                       "join_isolated_circle"),
-            circuits)
 
     work = tm.copy()
     work.replace(regions=changes, circles={cid: None})
@@ -617,8 +640,7 @@ def _strand_info(tm: TransverseMap, region_index: int, dart: int,
     if xi is None:
         raise NotCompatible("strand does not bound the given region")
     side_tokens = {(u, xi), tm.band_step((u, xi))}
-    dep = next(t for t in side_tokens if succ.get(t) in side_tokens)
-    sigma = tm.dart_label[dep[0]][1]    # 0: stored departs the end-0 dart
+    sigma = _stored_end(tm, side_tokens, succ)   # 0: departs the end-0 dart
     far = {(u, 1 - xi)} | {tm.band_step((u, 1 - xi))}
     return {
         "u": u, "w": w,
@@ -635,7 +657,12 @@ def boundary_surgery(tm: TransverseMap, region_index: int,
     """Cut two strands of a region mapping over the same target edge and
     reconnect them crosswise through the region, matching half-edge
     labels (so a collapsible edge appears).  Requires a coorientation:
-    opposite stored directions, or a crosscap to route through."""
+    opposite stored directions, or a crosscap to route through.  The
+    region either splits off a disk (both strands on one circuit, no
+    crosscap) or gets one retraced circuit and χ + 1 (two circuits
+    merged, or one rejoined through a crosscap).  The far side is a
+    corridor, one strip that joins the two far regions or one to itself,
+    rebuilt as a collapse rebuilds its groups (_rebuild_regions)."""
     if not (0 <= region_index < len(tm.regions)):
         raise NotCompatible(f"no region {region_index}")
     strands = {(d, x) for dart in (dart1, dart2) if dart in tm.pairing
@@ -669,8 +696,7 @@ def boundary_surgery(tm: TransverseMap, region_index: int,
         owners = {tok2reg[t] for t in toks}
         if len(owners) != 1:
             raise InternalInconsistency("far side owned by several regions")
-        dep = next(t for t in toks if succ.get(t) in toks)
-        return owners.pop(), work.dart_label[dep[0]][1]
+        return owners.pop(), _stored_end(work, toks, succ)
 
     rfar1, fsig1 = far_data(s1)
     rfar2, fsig2 = far_data(s2)
@@ -709,15 +735,7 @@ def boundary_surgery(tm: TransverseMap, region_index: int,
 
     keep = [c for pos, c in enumerate(A.circuits) if pos not in cpos.values()]
     extra_region = None
-    if not gamma_same:
-        if len(new_A_side) != 1:
-            raise InternalInconsistency("surgery: expected circuit merge")
-        kind = _kind_from(A.kind.euler + 1, A.kind.boundary - 1,
-                          A.kind.orientable, "boundary_surgery")
-        circuits = keep + [_orient(new_A_side[0], old_succ_A,
-                                   A.kind.orientable and not route_crosscap,
-                                   "boundary_surgery")]
-    elif not route_crosscap:
+    if gamma_same and not route_crosscap:
         if len(new_A_side) != 2:
             raise InternalInconsistency("surgery: expected circuit split")
         # canonical planar cut: all genus and other circuits stay on piece 1,
@@ -733,68 +751,34 @@ def boundary_surgery(tm: TransverseMap, region_index: int,
                               (_orient(c_disk, old_succ_A, True,
                                        "boundary_surgery"),))
     else:
+        # a merge of two circuits, or a twisted rejoin of one through a
+        # crosscap (which leaves A orientable when it was its only one)
         if len(new_A_side) != 1:
-            raise InternalInconsistency("surgery: twisted rejoin should keep "
-                                        "one circuit")
-        orientable = A.kind.crosscaps == 1
-        circuits = keep + [_orient(new_A_side[0], old_succ_A, False,
+            raise InternalInconsistency("surgery: expected one retraced circuit")
+        circuits = keep + [_orient(new_A_side[0], old_succ_A,
+                                   A.kind.orientable and not route_crosscap,
                                    "boundary_surgery")]
+        orientable = A.kind.orientable or (gamma_same and A.kind.crosscaps == 1)
         kind = _kind_from(A.kind.euler + 1, len(circuits), orientable,
                           "boundary_surgery")
-    changes = {region_index: Region(A.label, kind, tuple(circuits))}
 
     # --- far-side corridor gluing ------------------------------------------------
     # reference alignment of each far region in its strand frame is
     # fsig ^ sigma ^ 1; the frames differ by the route twist, which itself
     # is [sigma1 == sigma2], so the twist cancels and only the fsig bits
-    # decide whether the second far region must flip
-    new_far = _circuits_through(work, ftoks)
+    # decide whether the second far region must flip.  The corridor is one
+    # strip glued as a collapse glues its strips, with rfar1 as the root
     flip_far = 1 if fsig1 == fsig2 else 0
-    old_succ_far = successor_map(
-        _flip_circuit_entry(c, ri == rfar2 and rfar1 != rfar2 and bool(flip_far))
-        for ri in {rfar1, rfar2} for c in work.regions[ri].circuits)
-
-    R1 = work.regions[rfar1]
-    if rfar1 != rfar2:
-        R2 = work.regions[rfar2]
-        if R1.label != R2.label:
-            raise InternalInconsistency("surgery: far labels differ")
-        if len(new_far) != 1:
-            raise InternalInconsistency("surgery: far sides should merge")
-        orientable = R1.kind.orientable and R2.kind.orientable
-        circuits = []
-        for src, flip in ((R1, False), (R2, bool(flip_far))):
-            for c in src.circuits:
-                if isinstance(c, RibbonCircuit) and set(c.seq) & ftoks:
-                    continue
-                circuits.append(_flip_circuit_entry(c, flip))
-        circuits.append(_orient(new_far[0], old_succ_far,
-                                orientable and flip_far == 0,
-                                "boundary_surgery far"))
-        kind = _kind_from(R1.kind.euler + R2.kind.euler - 1, len(circuits),
-                          orientable, "boundary_surgery far")
-        changes[rfar1] = Region(R1.label, kind, tuple(circuits))
-        changes[rfar2] = None
-    else:
-        old_far_circuits = [c for c in R1.circuits
-                            if isinstance(c, RibbonCircuit)
-                            and set(c.seq) & ftoks]
-        beta_same = len(old_far_circuits) == 1
-        expect = 2 if (beta_same and flip_far == 0) else 1
-        if len(new_far) != expect:
-            raise InternalInconsistency(
-                f"surgery: far side traced {len(new_far)} circuits, "
-                f"expected {expect}")
-        orientable = R1.kind.orientable and flip_far == 0
-        circuits = [c for c in R1.circuits
-                    if not (isinstance(c, RibbonCircuit) and set(c.seq) & ftoks)]
-        circuits += [_orient(c, old_succ_far, orientable, "boundary_surgery far")
-                     for c in new_far]
-        changes[rfar1] = Region(
-            R1.label,
-            _kind_from(R1.kind.euler - 1, len(circuits), orientable,
-                       "boundary_surgery far"),
-            tuple(circuits))
+    expect = 2 if len(_circuits_through(before, ftoks)) == 1 and not flip_far else 1
+    traced = len(_circuits_through(work, ftoks))
+    if traced != expect:
+        raise InternalInconsistency(f"surgery: far side traced {traced} "
+                                    f"circuits, expected {expect}")
+    far = _GroupTracker({rfar1, rfar2})
+    far.glue(rfar2, rfar1, flip_far)
+    changes = _rebuild_regions(work.regions, work, far, ftoks,
+                               context="boundary_surgery far")
+    changes[region_index] = Region(A.label, kind, tuple(circuits))
 
     work.replace(regions=changes,
                  append=() if extra_region is None else (extra_region,))

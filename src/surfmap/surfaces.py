@@ -120,15 +120,7 @@ class SurfaceKind:
 
 def classify_surface(chi: int, orientable: bool) -> SurfaceKind:
     """The unique closed surface with the given Euler characteristic."""
-    if chi > 2:
-        raise InvalidChi(f"chi={chi} exceeds 2")
-    if orientable:
-        if chi % 2 != 0:
-            raise InvalidChi(f"orientable surfaces have even chi, got {chi}")
-        return SurfaceKind(True, handles=(2 - chi) // 2)
-    if chi == 2:
-        raise InvalidChi("chi=2 forces the sphere, which is orientable")
-    return SurfaceKind(False, crosscaps=2 - chi)
+    return classify_with_boundary(chi, 0, orientable)
 
 
 @functools.lru_cache(maxsize=1024)

@@ -7,10 +7,10 @@ from surfmap.errors import (BadEdge, BadTarget, InternalInconsistency,
                             NoCrosscap, NotAdjacent, NotCollapsible,
                             NotCompatible, NotEssential)
 from surfmap.surfaces import SurfaceKind, builtin_triangulation
-from surfmap.transverse import (add_pinch, builtin_example, chi_domain,
-                                classify_circuit, domain_kind, edge_count,
-                                identity_map, map_from_cover, mod2_degree,
-                                validate_map)
+from surfmap.transverse import (RibbonCircuit, add_pinch, builtin_example,
+                                chi_domain, classify_circuit, domain_kind,
+                                edge_count, identity_map, map_from_cover,
+                                mod2_degree, validate_map)
 from surfmap.moves import (boundary_surgery, collapse_edge, collapsible_edges,
                            insert_trivial_circle, is_normal,
                            join_isolated_circle, normalize, relocate_crosscap,
@@ -188,25 +188,70 @@ def test_surgery_enables_collapse():
     assert collapsible_edges(out)
 
 
-def test_every_surgery_on_the_fold_matches_the_oracle():
-    """Surgeries on the fold reach the split branch, which no normalization
-    runs: both strands lie on one circuit of a disk, and the cut leaves a
-    disk of its own beside the region."""
-    fold = builtin_example("fold_degree_zero")
+# (base, d, branch, pinch): covers with seed 1, pinched in region 0 and
+# scrambled 12 steps with seed 3, whose normalization states give
+# surgeries on every far side the corridor glues
+SURGERY_CELLS = (
+    ("rp2_6", 2, None, SurfaceKind(False, crosscaps=1)),
+    ("torus_7", 2, [2, 2], SurfaceKind(False, crosscaps=2)),
+    ("sphere_tetra", 3, [3, 3], SurfaceKind(False, crosscaps=1)),
+)
+
+
+def _accepted_surgeries(tm):
+    """Every surgery the move accepts on tm: on each region, for each pair
+    of the strands of its ribbon circuits."""
     results = []
-    for ri, region in enumerate(fold.regions):
-        strands = sorted({fold.edge_key(d) for c in region.circuits
-                          for d, _side in c.seq[::2]})
+    for ri, region in enumerate(tm.regions):
+        strands = sorted({tm.edge_key(d) for c in region.circuits
+                          if isinstance(c, RibbonCircuit) for d, _side in c.seq[::2]})
         for k1, k2 in itertools.combinations(strands, 2):
             try:
-                results.append(boundary_surgery(fold, ri, k1, k2))
+                results.append(boundary_surgery(tm, ri, k1, k2))
             except NotCompatible:
                 continue
+    return results
+
+
+def test_every_surgery_on_the_fold_matches_the_oracle(monkeypatch):
+    """Surgeries on the fold reach the split branch, which no normalization
+    runs: both strands lie on one circuit of a disk, and the cut leaves a
+    disk of its own beside the region.  Surgeries on every third
+    normalization state of the cells reach the three far sides: two
+    regions merged, one far circuit cut in two, and a region glued to
+    itself through a twisted strip."""
+    fold = builtin_example("fold_degree_zero")
+    results = _accepted_surgeries(fold)
     assert results
     for out in results:
         assert_matches_oracle(out)
         check_invariants(fold, out)
     assert any(len(out.regions) > len(fold.regions) for out in results)
+
+    far_sides = set()
+    rebuild = moves_mod._rebuild_regions
+
+    def spy(regions, out, groups, cut_tokens, *args, **kwargs):
+        if kwargs.get("context") == "boundary_surgery far":
+            cut = sum(not cut_tokens.isdisjoint(c.seq) for ri in groups.regions
+                      for c in regions[ri].circuits if isinstance(c, RibbonCircuit))
+            far_sides.add("merged" if len(groups.regions) == 2 else
+                          "twisted" if groups.gluings[0][1] else f"{cut} cut")
+        return rebuild(regions, out, groups, cut_tokens, *args, **kwargs)
+
+    states = []
+    for base, d, branch, pinch in SURGERY_CELLS:
+        cover = random_cover(builtin_triangulation(base), d, branch, seed=1)
+        tm = scrambled(add_pinch(map_from_cover(cover), 0, pinch), 12, seed=3)
+        seen = [tm]
+        normalize(tm, observer=lambda _before, after, _move: seen.append(after))
+        states += seen[::3]
+    monkeypatch.setattr(moves_mod, "_rebuild_regions", spy)
+    for state in states:
+        for out in _accepted_surgeries(state):
+            assert_matches_oracle(out)
+            check_invariants(state, out)
+    assert far_sides == {"merged", "1 cut", "twisted"}
 
 
 def test_collapse_reports_a_gauge_flip_that_leaves_the_edge_twisted(monkeypatch):
