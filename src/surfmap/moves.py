@@ -357,9 +357,15 @@ def collapse_edge(tm: TransverseMap, edge_key: int) -> TransverseMap:
         pairing[b_i] = a_i
         sign[min(a_i, b_i)] = s_x * s_y
 
-    out.replace(regions=_rebuild_regions(regions, out, groups, dead_tokens,
-                                         dead_tokens, circle_info=new_circle_info,
-                                         context="collapse_edge"))
+    changes = _rebuild_regions(regions, out, groups, dead_tokens, dead_tokens,
+                               circle_info=new_circle_info, context="collapse_edge")
+    # the regions not rebuilt are put in key order too (_in_key_order
+    # keeps a region that already is)
+    key_of = out.ribbon_facts().circuit_of_token
+    for ri, region in enumerate(regions):
+        if ri not in changes and len(region.circuits) >= 2:
+            changes[ri] = _in_key_order(region, key_of)
+    out.replace(regions=changes)
     return _post_move_check(before, out, edge_delta=(-m, -1),
                             context="collapse_edge")
 
@@ -387,9 +393,7 @@ def _rebuild_regions(regions: tuple, out: TransverseMap,
     the surviving tokens of the cut circuits, so only those are read for
     group roots and directions.  Each group becomes one region by the
     strip-gluing rule (_glued), bounded by its ribbon circuits in key
-    order (the order of trace_circuits), then its isolated sides; every
-    other region is kept, as the same object unless its circuits must be
-    put in that order."""
+    order (the order of trace_circuits), then its isolated sides."""
     strips, twisted = Counter(), set()
     for ri, twist in groups.gluings:
         root = groups.root(ri)
@@ -449,11 +453,7 @@ def _rebuild_regions(regions: tuple, out: TransverseMap,
                          + new_iso_entries.get(root, []))
         rebuilt[root] = Region(label, _kind_from(chi, len(circuits), orientable,
                                                  context), circuits)
-    changes = {ri: rebuilt.get(ri) for ri in groups.node}
-    for ri, region in enumerate(regions):
-        if ri not in groups.node and len(region.circuits) >= 2:
-            changes[ri] = _in_key_order(region, key_of)
-    return changes
+    return {ri: rebuilt.get(ri) for ri in groups.node}
 
 
 def _in_key_order(region: Region, key_of: dict) -> Region:
