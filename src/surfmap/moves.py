@@ -374,9 +374,9 @@ def _rebuild_regions(regions: tuple, out: TransverseMap,
                      groups: _GroupTracker, cut_tokens: set,
                      dead_tokens=frozenset(), *, circle_info=(),
                      context: str = "") -> dict:
-    """The region changes (index -> region, or None) of a ribbon rewrite
-    whose strips glue regions: the one gluing rule of the moves, for a
-    collapse and for the far side of a surgery.
+    """The changes (index -> region, or None) of the regions that a ribbon
+    rewrite glues with strips: the one region rebuild of a collapse and
+    of a surgery's far side.
 
     regions: the pre-move regions (post gauge normalization); groups: the
     regions with a stored circuit through a cut token, glued by the
