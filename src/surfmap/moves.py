@@ -24,7 +24,7 @@ sides, and the sums the domain solve reads), from which the result's is
 derived by the regions and circles the result's record says it changed
 (TransverseMap.replace, Tiling.derived).  The result's domain solve,
 which chi_domain and domain_orientable share, is made once over the
-regions that get a node, from ties resolved once per ribbon facts, so a
+linked regions, from ties resolved once per ribbon facts, so a
 join or an insert resolves those of the regions it adds only.  Regions
 are frozen: a move replaces the regions it changes and shares the rest,
 so its check looks again only at those (a join or an insert changes at
@@ -899,14 +899,15 @@ def _find_join(tm: TransverseMap):
     first region in order that is bounded by a circle and has an
     essential circuit, its first essential circuit and its circle of
     least position.  The regions are read in order off the map's
-    checked tiling, with their memoized RegionChecks and classes; those
-    without a circle side are passed over without a look at their
-    circuits."""
+    checked tiling, one at a time until the answer, with their memoized
+    RegionChecks and classes; those without a circle side are passed over
+    without a look at their circuits."""
     if not (tm.isolated and tm.pairing):
         return None
     tiling = checked_tiling(tm, "normalize")
     facts = tiling.facts
-    for ri, checks in enumerate(facts.region_checks(tiling.regions)):
+    for ri, region in enumerate(tiling.regions):
+        checks = facts.checks_of(region)
         if not checks.iso_sides:
             continue
         pos = next((pos for pos, cls in enumerate(checks.classes(facts))

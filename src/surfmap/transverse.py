@@ -52,15 +52,15 @@ hold after a move that splits a component or twists one.
 What spans regions is the Tiling of a passed check: the owner of each
 traced circuit and circle side (one map each; the regions that bound a
 circle are the owners of circle sides), the regions' Euler sum, their
-count of nonorientable kinds and the regions that get a node in the
-domain solve (domain_solve), the connectivity and orientation of the
-domain in one parity union-find.  A copy inherits the tiling of its
+count of nonorientable kinds and the linked regions, those whose ties
+the domain solve unites (domain_solve), the connectivity and orientation
+of the domain in one parity union-find.  A copy inherits the tiling of its
 original as it inherits the facts, and its check derives its own from it
 (Tiling.derived): the regions and circles that changed are read off the
 record of the map's edits since the tiling's state, which the check
 holds against the tiling, and only they are checked again and their
 owners and sums updated.  The solve is made once per tiling, over the
-regions that get a node only; the ties of each such region, resolved by
+linked regions only; the ties of each such region, resolved by
 the vertex chart flips, are memoized in the facts beside its
 RegionChecks, so a move that keeps the dart tables resolves only the
 ties of the regions it adds.  A derivation only ever answers that
@@ -393,7 +393,11 @@ class TransverseMap:
     def from_json(obj: dict) -> "TransverseMap":
         """Parse a map document.  Types, arities and the target are checked
         here (malformed input raises InputError); the map conditions are
-        validate_map's."""
+        validate_map's.  The dart tables and the regions are read in
+        whole-collection type passes where every entry is plainly typed
+        (_int_table, _pair_table, _flat_regions), and otherwise element by
+        element, which takes integers written as decimal strings and names
+        the first bad element."""
         if not isinstance(obj, dict) or obj.get("type") != "transverse_map":
             raise InputError("not a transverse_map document")
         what = "transverse_map"
@@ -402,14 +406,20 @@ class TransverseMap:
         if problems:
             raise InputError(f"{what}: invalid target: {problems[:4]}")
         vmap = {str(v): v for v in target.vertices}
+        # an int vertex label names that vertex or none, and is kept as it is
+        int_ids = _INT.issuperset(map(type, target.vertices))
         # the context strings of the error texts, made once per document
         circuit_what, token_what = f"{what} circuit", f"{what} circuit token"
         region_what, circle_what = f"{what} region", f"{what} isolated circle"
 
-        def table(key, value):
-            dart_what, value_what = f"{what} {key} dart", f"{what} {key}"
-            return {doc_int(d, dart_what): value(v, value_what)
-                    for d, v in doc_field(obj, key, dict, what).items()}
+        def table(key, value, flat):
+            doc = doc_field(obj, key, dict, what)
+            out = flat(doc) if flat else None
+            if out is None:
+                dart_what, value_what = f"{what} {key} dart", f"{what} {key}"
+                out = {doc_int(d, dart_what): value(v, value_what)
+                       for d, v in doc.items()}
+            return out
 
         def circ(c):
             # a document's circle index is the circle's id
@@ -428,17 +438,21 @@ class TransverseMap:
                           tuple(circ(c) for c in doc_field(r, "circuits", list,
                                                            region_what)))
 
+        def regions(docs):
+            return _flat_regions(docs) or [region(r) for r in docs]
+
         return TransverseMap(
             target=target,
-            pairing=table("pairing", doc_int),
-            rotation=table("rotation", doc_int),
-            edge_sign=table("edge_sign", doc_int),
+            pairing=table("pairing", doc_int, _int_table),
+            rotation=table("rotation", doc_int, _int_table),
+            edge_sign=table("edge_sign", doc_int, _int_table),
             vertex_label=table("vertex_label",
-                               lambda v, w: vmap.get(str(doc_id(v, w)), v)),
-            dart_label=table("dart_label", doc_pair),
+                               lambda v, w: vmap.get(str(doc_id(v, w)), v),
+                               _int_table if int_ids else None),
+            dart_label=table("dart_label", doc_pair, _pair_table),
             isolated={i: IsolatedCircle(doc_field(c, "edge", int, circle_what))
                       for i, c in enumerate(doc_field(obj, "isolated", list, what))},
-            regions=[region(r) for r in doc_field(obj, "regions", list, what)],
+            regions=regions(doc_field(obj, "regions", list, what)),
         )
 
     def dumps(self) -> str:
@@ -451,6 +465,85 @@ class TransverseMap:
         return (TransverseMap, (self.target, *(dict(getattr(self, name))
                                                for name in _TABLES),
                                 dict(self.isolated), self.regions))
+
+
+# The whole-collection reads of TransverseMap.from_json.  Each answers
+# None unless every entry has the exact JSON type the element-by-element
+# read takes as it is (an int that is no bool, a two-int list), and then
+# gives what that read gives; on None, from_json reads element by element.
+_INT = frozenset((int,))
+_KEY = frozenset((int, str))
+
+
+def _int_keys(doc: dict):
+    """The keys of a dart table as integers (doc_int's reading), when each
+    is an int or a str that int() reads; otherwise None."""
+    if not _KEY.issuperset(map(type, doc)):
+        return None
+    try:
+        return list(map(int, doc))
+    except ValueError:
+        return None
+
+
+def _int_table(doc: dict):
+    """A dart table of integers, or None."""
+    keys = _int_keys(doc)
+    if keys is None or not _INT.issuperset(map(type, doc.values())):
+        return None
+    return dict(zip(keys, doc.values()))
+
+
+def _pairs(items) -> bool:
+    """Whether each item is a list of two ints (doc_pair's reading)."""
+    return ({list}.issuperset(map(type, items)) and {2}.issuperset(map(len, items))
+            and _INT.issuperset(map(type, itertools.chain.from_iterable(items))))
+
+
+def _pair_table(doc: dict):
+    """A dart table of integer pairs, or None."""
+    keys = _int_keys(doc)
+    if keys is None or not _pairs(doc.values()):
+        return None
+    return dict(zip(keys, map(tuple, doc.values())))
+
+
+def _flat_regions(docs: list):
+    """The regions of a map document, or None.  A region kind is read once
+    per distinct list of (key, value, value type): 1 == True, and only
+    True is a flag."""
+    kinds = {}
+    out = []
+    for r in docs:
+        if type(r) is not dict:
+            return None
+        label, kind, circuits = r.get("label"), r.get("kind"), r.get("circuits")
+        if type(label) is not int or type(kind) is not dict or type(circuits) is not list:
+            return None
+        try:
+            key = (*kind.items(), *map(type, kind.values()))
+            read = kinds.get(key)
+        except TypeError:           # an unhashable value, which no kind has
+            return None
+        if read is None:
+            read = kinds[key] = SurfaceKind.from_json(kind)
+        built = []
+        for c in circuits:
+            tag = type(c) is dict and c.get("kind")
+            if tag == "ribbon":
+                seq = c.get("seq")
+                if type(seq) is not list or not _pairs(seq):
+                    return None
+                built.append(RibbonCircuit(tuple(map(tuple, seq))))
+            elif tag == "iso":
+                fields = c.get("index"), c.get("side"), c.get("direction")
+                if not _INT.issuperset(map(type, fields)):
+                    return None
+                built.append(IsoSide(*fields))
+            else:
+                return None
+        out.append(Region(label, read, tuple(built)))
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -512,9 +605,9 @@ class RibbonFacts:
       per-circuit answers: walk_key, corner_problem, corner_constraints
       and circuit_class compute theirs afresh; derived facts carry those
       of the inherited tiling's regions (_carry);
-    * per region object that gets a node in the domain solve, its ties
-      resolved by the vertex chart flips (_solve); derived facts start
-      without them, as their charts may differ;
+    * per linked region object (one whose ties the domain solve
+      unites), its ties resolved by the vertex chart flips (_solve);
+      derived facts start without them, as their charts may differ;
     * per edge, its flanking circuits (flanks).
 
     The facts of a cover's lift are pulled back from the one-sheeted lift
@@ -1175,11 +1268,11 @@ class RegionChecks:
       count, label, side bit, boundary walks), and corner_problems: how
       its boundary walks break the corner condition, both as format
       strings taking the region's index;
-    * ties: (anchor ties, circle ties) of the region's node in
-      domain_solve, the distinct (anchor dart, bit) constraints of its
-      boundary walks' corners (corner_constraints) and (circle id, bit) of
-      its isolated sides, and needs_node: whether there are other than
-      exactly one;
+    * ties: (anchor ties, circle ties) of the region in domain_solve,
+      the distinct (anchor dart, bit) constraints of its boundary walks'
+      corners (corner_constraints) and (circle id, bit) of its isolated
+      sides, and linked: whether there are other than exactly one (the
+      solve unites them then);
     * euler and orientable, of the region's kind;
     * answers: per circuit, None for an isolated side, and for a ribbon
       circuit (walk key, or None when it is no boundary walk; then its
@@ -1199,7 +1292,7 @@ class RegionChecks:
     """
 
     __slots__ = ("region", "walk_keys", "iso_sides", "problems",
-                 "corner_problems", "ties", "needs_node", "euler", "orientable",
+                 "corner_problems", "ties", "linked", "euler", "orientable",
                  "answers", "_classes")
 
     def __init__(self, facts: RibbonFacts, region: Region, known=_UNKNOWN):
@@ -1263,7 +1356,7 @@ class RegionChecks:
         self.problems = tuple(problems)
         self.corner_problems = tuple(corner_problems)
         self.ties = (tuple(anchors), tuple(circles))
-        self.needs_node = len(anchors) + len(circles) != 1
+        self.linked = len(anchors) + len(circles) != 1
 
     def classes(self, facts: RibbonFacts) -> tuple:
         """classify_circuit's answer for each circuit, in order."""
@@ -1315,8 +1408,8 @@ class Tiling:
     region twice that has neither a circuit nor a circle side); the sums
     the domain solve reads (_sums): the regions' Euler sum (`euler`),
     their count of nonorientable kinds (`nonorientable`) and the
-    RegionChecks of the regions that get a node (`linked`, one per
-    listing); and the domain solve, made on first use (domain_solve).
+    RegionChecks of the linked regions (`linked`, one per listing); and
+    the domain solve, made on first use (domain_solve).
 
     A map passes the tiling it was checked with on to its copies, and a
     check of a copy derives the copy's tiling from it (derived), so the
@@ -1421,7 +1514,7 @@ class Tiling:
         for checks in gone.values():
             euler -= checks.euler
             nonorientable -= not checks.orientable
-            if checks.needs_node and linked is self.linked:
+            if checks.linked and linked is self.linked:
                 linked = [kept for kept in linked if kept.region not in gone]
             for key in checks.walk_keys:
                 del stored[key]
@@ -1448,7 +1541,7 @@ class Tiling:
                 return None
             euler += checks.euler
             nonorientable += not checks.orientable
-            if checks.needs_node:
+            if checks.linked:
                 linked = linked + [checks]
             label = region.label
             for key in checks.walk_keys:
@@ -1640,14 +1733,14 @@ def graph_euler(tm: TransverseMap) -> int:
 
 def _sums(entries) -> tuple:
     """What the domain solve reads of the RegionChecks of a state's
-    regions: (their Euler sum, their count of nonorientable kinds, those
-    that get a node, in order)."""
+    regions: (their Euler sum, their count of nonorientable kinds, the
+    linked ones, in order)."""
     euler = nonorientable = 0
     linked = []
     for checks in entries:
         euler += checks.euler
         nonorientable += not checks.orientable
-        if checks.needs_node:
+        if checks.linked:
             linked.append(checks)
     return euler, nonorientable, linked
 
@@ -1668,9 +1761,12 @@ class DomainSolve:
     """The domain's connectivity and orientation constraints, solved
     (_solve), with the regions' Euler sum that chi_domain adds."""
 
-    def __init__(self, facts, uf: ParityUF, regions_euler: int, nonorientable: int):
+    def __init__(self, facts, uf: ParityUF, regions_euler: int, nonorientable: int,
+                 alone: int):
         _charts, self._n_components, bands_ok = facts.vertex_charts
-        self.components = uf.sets     # of the domain
+        # of the domain: the classes of the union-find, and the regions
+        # with no tie
+        self.components = uf.sets + alone
         # the orientation constraints have a solution and every region
         # kind is orientable
         self.orientable = bands_ok and uf.ok and not nonorientable
@@ -1693,52 +1789,65 @@ def _solve(facts: RibbonFacts, isolated: dict, euler: int, nonorientable: int,
            linked: list) -> DomainSolve:
     """The domain solve of a state with the circles `isolated`, whose
     regions have the sums `euler`, `nonorientable` and `linked` (_sums):
-    the ties of the regions in `linked` are united, each region's anchor
-    ties resolved once per facts (_ties, memoized by region in the facts)."""
+    the union-find holds the graph components and the circles, and the
+    ties of each region in `linked` are united with its first one, each
+    region's anchor ties resolved once per facts (_ties, memoized by region
+    in the facts).  Two ties (node, rel) and (node0, rel0) of one region
+    say that its flip is node's value xor rel and node0's xor rel0, so
+    node and node0 differ by rel xor rel0; a region with no tie is a class
+    of its own."""
     charts, n_components, _bands_ok = facts.vertex_charts
     vertex_of = facts.vertex_of
     memo = facts._ties
     circle_node = dict(zip(isolated, itertools.count(n_components)))
-    node = n_components + len(circle_node)
-    uf = ParityUF(node + len(linked))
+    uf = ParityUF(n_components + len(circle_node))
     union = uf.union
+    alone = 0
     for checks in linked:
         region = checks.region
         anchored = memo.get(region)
         if anchored is None:
             anchored = memo[region] = _ties(checks, charts, vertex_of)
-        # each union hangs the class of its first node under the root of
-        # its second's: a region's circles first, then the graph, so the
-        # components stay near the roots
-        for cid, rel in checks.ties[1]:
-            union(node, circle_node[cid], rel)
-        for component, rel in anchored:
-            union(node, component, rel)
-        node += 1
-    return DomainSolve(facts, uf, euler, nonorientable)
+        circles = checks.ties[1]
+        # each union hangs the class of a circle or a component under the
+        # root of the region's first tie, a component where it has one
+        if anchored:
+            first, rel0 = anchored[0]
+            for node, rel in anchored[1:]:
+                union(node, first, rel ^ rel0)
+        elif circles:
+            cid, rel0 = circles[0]
+            first, circles = circle_node[cid], circles[1:]
+        else:
+            alone += 1
+            continue
+        for cid, rel in circles:
+            union(circle_node[cid], first, rel ^ rel0)
+    return DomainSolve(facts, uf, euler, nonorientable, alone)
 
 
 def domain_solve(tm: TransverseMap) -> DomainSolve:
     """Connectivity and orientation of the domain in one parity union-find.
 
     Nodes: the graph's vertex components (whose vertex flips the band
-    signs fix, ribbon facts), the isolated circles, the regions.  A node's
-    value is a chart flip, an isolated circle's own direction flip or a
-    region's reference flip.  The corners of a ribbon circuit tie its
-    region to the component of the circuit's anchor dart by the facts'
-    corner constraints, which are read relative to the anchor's vertex
-    and resolved here by its chart flip (_ties).  An isolated circle is
-    tied to the region on each of its sides by that side's direction: a
-    region whose flip equals the circle's induces the circle's own
-    direction on side 0 and the opposite one on side 1.  Every tie is a
-    constraint, so the classes are the components of the domain, and the
-    domain is orientable when the system is consistent and every region
-    kind is.  A region with exactly one distinct tie gets no node: it can
-    neither join two classes nor contradict one (a region whose several
-    ties reach one class gets a node that changes neither).  The ties of
-    a region are memoized in its RegionChecks, and resolved once per
-    ribbon facts.  The answers do not depend on the order of the unions:
-    chart flips are read only where the system is consistent.
+    signs fix, ribbon facts) and the isolated circles.  A node's value is
+    a chart flip or an isolated circle's own direction flip, and a
+    region's reference flip is tied to the nodes it touches.  The corners
+    of a ribbon circuit tie its region to the component of the circuit's
+    anchor dart by the facts' corner constraints, which are read relative
+    to the anchor's vertex and resolved here by its chart flip (_ties).
+    An isolated circle is tied to the region on each of its sides by that
+    side's direction: a region whose flip equals the circle's induces the
+    circle's own direction on side 0 and the opposite one on side 1.  A
+    region gets no node: two of its ties fix the xor of their nodes, so
+    its ties are united with its first one, and a region with no tie is a
+    class of its own; one with exactly one distinct tie can neither join
+    two classes nor contradict one, and is left out (it is not linked).
+    The classes are the components of the domain, and the domain is
+    orientable when the system is consistent and every region kind is.
+    The ties of a region are memoized in its RegionChecks, and resolved
+    once per ribbon facts.  The answers do not depend on the order of the
+    unions: chart flips are read only where the system is consistent.
 
     A map whose tiling is current (TransverseMap.tiling) has the tiling's
     solve, made once per map state from the sums the tiling carries.  Any

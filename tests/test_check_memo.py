@@ -1144,11 +1144,10 @@ def test_a_normalization_that_keeps_the_tables_keeps_the_checks_of_its_regions_o
 def test_a_normalization_that_keeps_the_tables_keeps_the_ties_of_its_regions_only():
     """The facts that a scramble and its normalization share also forget
     the resolved ties of the regions each move replaces: after every
-    solve they hold those of the current regions that get a node, and no
-    others."""
+    solve they hold those of the current linked regions, and no others."""
     def linked(tm):
         return {checks.region for checks in facts.region_checks(tm.regions)
-                if checks.needs_node}
+                if checks.linked}
 
     tm = scrambled(identity_map(builtin_triangulation("genus2")), 64, seed=0)
     facts = tm.ribbon_facts()
@@ -1165,8 +1164,8 @@ def test_a_normalization_that_keeps_the_tables_keeps_the_ties_of_its_regions_onl
 
 def _assert_sums_are_carried(tm: TransverseMap):
     """tm's tiling carries the sums its regions' RegionChecks give: the
-    Euler sum, the nonorientable kinds and the checks that get a node
-    (as a multiset, by identity)."""
+    Euler sum, the nonorientable kinds and the linked checks (as a
+    multiset, by identity)."""
     tiling = tm.tiling()
     assert tiling is not None
     euler, nonorientable, linked = transverse._sums(

@@ -3,7 +3,7 @@
 import importlib.util
 from pathlib import Path
 
-from surfmap import moves, transverse
+from surfmap import moves, transverse, unionfind
 from surfmap.surfaces import BUILTIN_NAMES, builtin_triangulation
 from surfmap.transverse import TransverseMap, builtin_example
 
@@ -30,6 +30,7 @@ def test_counts_of_the_first_corpus_maps():
     charts = transverse.RibbonFacts.__dict__["vertex_charts"]
     derive = transverse.RibbonFacts.__dict__["derive"]
     walk_key = transverse.RibbonFacts.__dict__["walk_key"]
+    union = unionfind.ParityUF.union
     rows = tool.count("corpus", limit=4)
     assert (moves.join_isolated_circle, moves.checked_tiling, transverse._solve,
             transverse._ties, transverse.RegionChecks.__init__,
@@ -42,7 +43,7 @@ def test_counts_of_the_first_corpus_maps():
     assert all(row["no tiling"] == 0 for row in rows.values())
     for name in ("collapse_edge", "boundary_surgery"):
         # a solve under new dart tables searches the graph, and resolves
-        # the ties of every region that gets a node (these surgeries'
+        # the ties of every linked region (these surgeries'
         # results have none)
         assert rows[name]["charts"] == rows[name]["moves"]
     assert rows["collapse_edge"]["ties resolved"] > 0
@@ -76,6 +77,11 @@ def test_counts_of_the_first_corpus_maps():
     for name in ("join_isolated_circle", "insert_trivial_circle", "relocate_crosscap"):
         assert rows[name]["checks"] > 0 and rows[name]["walks"] == 0
     assert rows["collapse_edge"]["walks"] > 0
+    # a solve unites each region's ties with its first one and gives the
+    # regions no node: these maps' solves make 335 unions, where a node
+    # per region made 557
+    assert sum(row["unions"] for row in rows.values()) == 335
+    assert rows["join_isolated_circle"]["unions"] == 151
     lines = tool.table(rows).splitlines()
     assert lines[0].split()[:7] == ["move", "moves", "checks", "walks", "solves",
                                     "ties", "resolved"]
@@ -84,6 +90,7 @@ def test_counts_of_the_first_corpus_maps():
     assert transverse.RibbonFacts.__dict__["vertex_charts"] is charts
     assert transverse.RibbonFacts.__dict__["derive"] is derive
     assert transverse.RibbonFacts.__dict__["walk_key"] is walk_key
+    assert unionfind.ParityUF.union is union
 
 
 def test_entry_checks_count_the_maps_checked_for_their_tiling():

@@ -7,8 +7,8 @@ Runs every operation of the catalog once, in catalog order (for `bounds`,
 after writing its maps to a temporary directory, which is not counted),
 with counting wrappers installed at run time on surfmap's moves, on
 RegionChecks.__init__, on RibbonFacts.walk_key, on moves.checked_tiling,
-on the domain-solve functions, on TransverseMap.own, on
-RibbonFacts.derive and on RibbonFacts.vertex_charts, as
+on the domain-solve functions, on ParityUF.union, on TransverseMap.own,
+on RibbonFacts.derive and on RibbonFacts.vertex_charts, as
 perfbench/tracer.py installs its spans; nothing under src/ has hooks.
 Prints one row per move kind, what is done outside any move under
 "(none)":
@@ -29,7 +29,8 @@ Prints one row per move kind, what is done outside any move under
   flips (transverse._ties), the misses of the ties memoized per ribbon
   facts.  A join or an insert keeps the facts, so it resolves those of
   the at most three regions it adds; a collapse or a surgery derives new
-  facts, so it resolves those of every region that gets a node;
+  facts, so it resolves those of every linked region (one with other
+  than one distinct tie);
 * no tiling: the solves of a map that had no current tiling;
 * tables owned: the dart tables copied to be written (TransverseMap.own
   on a shared table).  A move that keeps the tables (a join, an insert,
@@ -43,6 +44,8 @@ Prints one row per move kind, what is done outside any move under
   tables and whose map is checked from scratch.  A collapse deletes
   whole vertices and rewires bands, a surgery rewires bands only, and
   derive carries after both, so each reads 0;
+* unions: the ParityUF.union calls made inside the domain solves (solves
+  and no tiling), one for each tie of a linked region but its first;
 * charts: the searches of the whole graph for its components and chart
   flips (RibbonFacts.vertex_charts), which every solve under new dart
   tables makes.
@@ -61,14 +64,14 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
-from surfmap import moves, transverse  # noqa: E402
+from surfmap import moves, transverse, unionfind  # noqa: E402
 
 import workloads  # noqa: E402
 
 MOVES = ("collapse_edge", "join_isolated_circle", "boundary_surgery",
          "relocate_crosscap", "insert_trivial_circle")
 COLUMNS = ("moves", "checks", "walks", "solves", "ties resolved", "no tiling",
-           "tables owned", "entry checks", "uncarried", "charts")
+           "tables owned", "entry checks", "uncarried", "unions", "charts")
 
 
 class Counts:
@@ -156,10 +159,22 @@ class Counts:
                 solving.pop()
 
         whole = transverse._solve
+        inside = []            # per open _solve
 
         def solve(*args):
             counts.rows[counts.move[-1]]["solves" if solving else "no tiling"] += 1
-            return whole(*args)
+            inside.append(True)
+            try:
+                return whole(*args)
+            finally:
+                inside.pop()
+
+        union = unionfind.ParityUF.union
+
+        def united(uf, *args):
+            if inside:
+                counts.rows[counts.move[-1]]["unions"] += 1
+            return union(uf, *args)
 
         ties = transverse._ties
 
@@ -179,6 +194,7 @@ class Counts:
         self._set(transverse.Tiling, "domain_solve", domain_solve)
         self._set(transverse, "_solve", solve)
         self._set(transverse, "_ties", resolved)
+        self._set(unionfind.ParityUF, "union", united)
         return self
 
     def uninstall(self):
