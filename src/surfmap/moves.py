@@ -899,15 +899,14 @@ def _find_join(tm: TransverseMap):
     first region in order that is bounded by a circle and has an
     essential circuit, its first essential circuit and its circle of
     least position.  The regions are read in order off the map's
-    checked tiling, one at a time until the answer, with their memoized
-    RegionChecks and classes; those without a circle side are passed over
-    without a look at their circuits."""
+    checked tiling, with their memoized RegionChecks and classes; those
+    without a circle side are passed over without a look at their
+    circuits."""
     if not (tm.isolated and tm.pairing):
         return None
     tiling = checked_tiling(tm, "normalize")
     facts = tiling.facts
-    for ri, region in enumerate(tiling.regions):
-        checks = facts.checks_of(region)
+    for ri, checks in enumerate(facts.region_checks(tiling.regions)):
         if not checks.iso_sides:
             continue
         pos = next((pos for pos, cls in enumerate(checks.classes(facts))

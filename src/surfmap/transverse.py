@@ -393,11 +393,11 @@ class TransverseMap:
     def from_json(obj: dict) -> "TransverseMap":
         """Parse a map document.  Types, arities and the target are checked
         here (malformed input raises InputError); the map conditions are
-        validate_map's.  The dart tables and the regions are read in
-        whole-collection type passes where every entry is plainly typed
-        (_int_table, _pair_table, _flat_regions), and otherwise element by
-        element, which takes integers written as decimal strings and names
-        the first bad element."""
+        validate_map's.  The dart tables are read in whole-collection type
+        passes where every entry is plainly typed (_int_table, _pair_table),
+        and otherwise element by element, which takes integers written as
+        decimal strings and names the first bad element; the regions are
+        read element by element."""
         if not isinstance(obj, dict) or obj.get("type") != "transverse_map":
             raise InputError("not a transverse_map document")
         what = "transverse_map"
@@ -438,9 +438,6 @@ class TransverseMap:
                           tuple(circ(c) for c in doc_field(r, "circuits", list,
                                                            region_what)))
 
-        def regions(docs):
-            return _flat_regions(docs) or [region(r) for r in docs]
-
         return TransverseMap(
             target=target,
             pairing=table("pairing", doc_int, _int_table),
@@ -452,7 +449,7 @@ class TransverseMap:
             dart_label=table("dart_label", doc_pair, _pair_table),
             isolated={i: IsolatedCircle(doc_field(c, "edge", int, circle_what))
                       for i, c in enumerate(doc_field(obj, "isolated", list, what))},
-            regions=regions(doc_field(obj, "regions", list, what)),
+            regions=[region(r) for r in doc_field(obj, "regions", list, what)],
         )
 
     def dumps(self) -> str:
@@ -467,7 +464,7 @@ class TransverseMap:
                                 dict(self.isolated), self.regions))
 
 
-# The whole-collection reads of TransverseMap.from_json.  Each answers
+# The whole-table reads of TransverseMap.from_json.  Each answers
 # None unless every entry has the exact JSON type the element-by-element
 # read takes as it is (an int that is no bool, a two-int list), and then
 # gives what that read gives; on None, from_json reads element by element.
@@ -494,56 +491,16 @@ def _int_table(doc: dict):
     return dict(zip(keys, doc.values()))
 
 
-def _pairs(items) -> bool:
-    """Whether each item is a list of two ints (doc_pair's reading)."""
-    return ({list}.issuperset(map(type, items)) and {2}.issuperset(map(len, items))
-            and _INT.issuperset(map(type, itertools.chain.from_iterable(items))))
-
-
 def _pair_table(doc: dict):
-    """A dart table of integer pairs, or None."""
+    """A dart table of integer pairs, each a list of two ints (doc_pair's
+    reading), or None."""
     keys = _int_keys(doc)
-    if keys is None or not _pairs(doc.values()):
+    values = doc.values()
+    if (keys is None or not {list}.issuperset(map(type, values))
+            or not {2}.issuperset(map(len, values))
+            or not _INT.issuperset(map(type, itertools.chain.from_iterable(values)))):
         return None
-    return dict(zip(keys, map(tuple, doc.values())))
-
-
-def _flat_regions(docs: list):
-    """The regions of a map document, or None.  A region kind is read once
-    per distinct list of (key, value, value type): 1 == True, and only
-    True is a flag."""
-    kinds = {}
-    out = []
-    for r in docs:
-        if type(r) is not dict:
-            return None
-        label, kind, circuits = r.get("label"), r.get("kind"), r.get("circuits")
-        if type(label) is not int or type(kind) is not dict or type(circuits) is not list:
-            return None
-        try:
-            key = (*kind.items(), *map(type, kind.values()))
-            read = kinds.get(key)
-        except TypeError:           # an unhashable value, which no kind has
-            return None
-        if read is None:
-            read = kinds[key] = SurfaceKind.from_json(kind)
-        built = []
-        for c in circuits:
-            tag = type(c) is dict and c.get("kind")
-            if tag == "ribbon":
-                seq = c.get("seq")
-                if type(seq) is not list or not _pairs(seq):
-                    return None
-                built.append(RibbonCircuit(tuple(map(tuple, seq))))
-            elif tag == "iso":
-                fields = c.get("index"), c.get("side"), c.get("direction")
-                if not _INT.issuperset(map(type, fields)):
-                    return None
-                built.append(IsoSide(*fields))
-            else:
-                return None
-        out.append(Region(label, read, tuple(built)))
-    return out
+    return dict(zip(keys, map(tuple, values)))
 
 
 # --------------------------------------------------------------------------
@@ -1271,8 +1228,8 @@ class RegionChecks:
     * ties: (anchor ties, circle ties) of the region in domain_solve,
       the distinct (anchor dart, bit) constraints of its boundary walks'
       corners (corner_constraints) and (circle id, bit) of its isolated
-      sides, and linked: whether there are other than exactly one (the
-      solve unites them then);
+      sides, and needs_node: whether there are other than exactly one,
+      so that the solve unites them (the region is linked);
     * euler and orientable, of the region's kind;
     * answers: per circuit, None for an isolated side, and for a ribbon
       circuit (walk key, or None when it is no boundary walk; then its
@@ -1292,7 +1249,7 @@ class RegionChecks:
     """
 
     __slots__ = ("region", "walk_keys", "iso_sides", "problems",
-                 "corner_problems", "ties", "linked", "euler", "orientable",
+                 "corner_problems", "ties", "needs_node", "euler", "orientable",
                  "answers", "_classes")
 
     def __init__(self, facts: RibbonFacts, region: Region, known=_UNKNOWN):
@@ -1356,7 +1313,7 @@ class RegionChecks:
         self.problems = tuple(problems)
         self.corner_problems = tuple(corner_problems)
         self.ties = (tuple(anchors), tuple(circles))
-        self.linked = len(anchors) + len(circles) != 1
+        self.needs_node = len(anchors) + len(circles) != 1
 
     def classes(self, facts: RibbonFacts) -> tuple:
         """classify_circuit's answer for each circuit, in order."""
@@ -1514,7 +1471,7 @@ class Tiling:
         for checks in gone.values():
             euler -= checks.euler
             nonorientable -= not checks.orientable
-            if checks.linked and linked is self.linked:
+            if checks.needs_node and linked is self.linked:
                 linked = [kept for kept in linked if kept.region not in gone]
             for key in checks.walk_keys:
                 del stored[key]
@@ -1541,7 +1498,7 @@ class Tiling:
                 return None
             euler += checks.euler
             nonorientable += not checks.orientable
-            if checks.linked:
+            if checks.needs_node:
                 linked = linked + [checks]
             label = region.label
             for key in checks.walk_keys:
@@ -1740,7 +1697,7 @@ def _sums(entries) -> tuple:
     for checks in entries:
         euler += checks.euler
         nonorientable += not checks.orientable
-        if checks.linked:
+        if checks.needs_node:
             linked.append(checks)
     return euler, nonorientable, linked
 

@@ -285,7 +285,7 @@ FACT_FIELDS = ("trace_circuits", "circuit_by_key", "circuit_of_token",
                "table_problem", "vertex_edge_problems", "flanks", "edge_keys",
                "rot_inv", "preimage_counts", "target_edges")
 CHECKS_FIELDS = ("walk_keys", "iso_sides", "problems", "corner_problems",
-                 "linked", "euler", "orientable", "answers")
+                 "needs_node", "euler", "orientable", "answers")
 
 
 def assert_facts_match_fresh(tm: TransverseMap):

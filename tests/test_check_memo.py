@@ -1147,7 +1147,7 @@ def test_a_normalization_that_keeps_the_tables_keeps_the_ties_of_its_regions_onl
     solve they hold those of the current linked regions, and no others."""
     def linked(tm):
         return {checks.region for checks in facts.region_checks(tm.regions)
-                if checks.linked}
+                if checks.needs_node}
 
     tm = scrambled(identity_map(builtin_triangulation("genus2")), 64, seed=0)
     facts = tm.ribbon_facts()

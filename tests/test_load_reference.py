@@ -1,7 +1,7 @@
 """The map reader and the domain solve against their verbatim references.
 
-TransverseMap.from_json reads plainly typed documents in whole-collection
-passes; on seeded mutations of
+TransverseMap.from_json reads the dart tables of plainly typed documents
+in whole-table passes; on seeded mutations of
 the `bounds` benchmark documents it must give the same map, or the same
 error text, as helpers.reference_from_json, which reads element by
 element.  The domain solve unites each region's ties with its first one
