@@ -88,13 +88,16 @@ def _as_map(doc):
 def _valid_map(doc):
     """The document's map, validated on entry.  An invalid map is bad
     input (exit 1), except that mixed preimage parity stays an impossible
-    outcome (exit 2): no map of closed surfaces has it."""
+    outcome (exit 2): no map of closed surfaces has it.  A valid map whose
+    domain is not one surface, empty or disconnected, is bad input too
+    (chi_domain raises Disconnected)."""
     tm = _as_map(doc)
     rep = transverse_mod.validate_map(tm)
     if not rep.ok:
         if tm.ribbon_facts().table_problem is None:
             transverse_mod.mod2_degree(tm)
         raise InvalidMap(rep.problems)
+    transverse_mod.chi_domain(tm)
     return tm
 
 

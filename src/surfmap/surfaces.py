@@ -123,11 +123,8 @@ def classify_surface(chi: int, orientable: bool) -> SurfaceKind:
     return classify_with_boundary(chi, 0, orientable)
 
 
-@functools.lru_cache(maxsize=1024)
 def classify_with_boundary(chi: int, boundary: int, orientable: bool) -> SurfaceKind:
-    """Compact-surface classification; raises InvalidChi on impossible data.
-    Kinds are frozen, so one object serves every caller that asks for it
-    (the moves ask for a region's kind on every rebuild)."""
+    """Compact-surface classification; raises InvalidChi on impossible data."""
     if boundary < 0:
         raise InvalidChi("negative boundary count")
     if orientable:

@@ -393,11 +393,9 @@ class TransverseMap:
     def from_json(obj: dict) -> "TransverseMap":
         """Parse a map document.  Types, arities and the target are checked
         here (malformed input raises InputError); the map conditions are
-        validate_map's.  The dart tables are read in whole-collection type
-        passes where every entry is plainly typed (_int_table, _pair_table),
-        and otherwise element by element, which takes integers written as
-        decimal strings and names the first bad element; the regions are
-        read element by element."""
+        validate_map's.  Every table and region is read element by
+        element, which takes integers written as decimal strings and names
+        the first bad element."""
         if not isinstance(obj, dict) or obj.get("type") != "transverse_map":
             raise InputError("not a transverse_map document")
         what = "transverse_map"
@@ -406,20 +404,14 @@ class TransverseMap:
         if problems:
             raise InputError(f"{what}: invalid target: {problems[:4]}")
         vmap = {str(v): v for v in target.vertices}
-        # an int vertex label names that vertex or none, and is kept as it is
-        int_ids = _INT.issuperset(map(type, target.vertices))
         # the context strings of the error texts, made once per document
         circuit_what, token_what = f"{what} circuit", f"{what} circuit token"
         region_what, circle_what = f"{what} region", f"{what} isolated circle"
 
-        def table(key, value, flat):
-            doc = doc_field(obj, key, dict, what)
-            out = flat(doc) if flat else None
-            if out is None:
-                dart_what, value_what = f"{what} {key} dart", f"{what} {key}"
-                out = {doc_int(d, dart_what): value(v, value_what)
-                       for d, v in doc.items()}
-            return out
+        def table(key, value):
+            dart_what, value_what = f"{what} {key} dart", f"{what} {key}"
+            return {doc_int(d, dart_what): value(v, value_what)
+                    for d, v in doc_field(obj, key, dict, what).items()}
 
         def circ(c):
             # a document's circle index is the circle's id
@@ -440,13 +432,12 @@ class TransverseMap:
 
         return TransverseMap(
             target=target,
-            pairing=table("pairing", doc_int, _int_table),
-            rotation=table("rotation", doc_int, _int_table),
-            edge_sign=table("edge_sign", doc_int, _int_table),
+            pairing=table("pairing", doc_int),
+            rotation=table("rotation", doc_int),
+            edge_sign=table("edge_sign", doc_int),
             vertex_label=table("vertex_label",
-                               lambda v, w: vmap.get(str(doc_id(v, w)), v),
-                               _int_table if int_ids else None),
-            dart_label=table("dart_label", doc_pair, _pair_table),
+                               lambda v, w: vmap.get(str(doc_id(v, w)), v)),
+            dart_label=table("dart_label", doc_pair),
             isolated={i: IsolatedCircle(doc_field(c, "edge", int, circle_what))
                       for i, c in enumerate(doc_field(obj, "isolated", list, what))},
             regions=[region(r) for r in doc_field(obj, "regions", list, what)],
@@ -462,45 +453,6 @@ class TransverseMap:
         return (TransverseMap, (self.target, *(dict(getattr(self, name))
                                                for name in _TABLES),
                                 dict(self.isolated), self.regions))
-
-
-# The whole-table reads of TransverseMap.from_json.  Each answers
-# None unless every entry has the exact JSON type the element-by-element
-# read takes as it is (an int that is no bool, a two-int list), and then
-# gives what that read gives; on None, from_json reads element by element.
-_INT = frozenset((int,))
-_KEY = frozenset((int, str))
-
-
-def _int_keys(doc: dict):
-    """The keys of a dart table as integers (doc_int's reading), when each
-    is an int or a str that int() reads; otherwise None."""
-    if not _KEY.issuperset(map(type, doc)):
-        return None
-    try:
-        return list(map(int, doc))
-    except ValueError:
-        return None
-
-
-def _int_table(doc: dict):
-    """A dart table of integers, or None."""
-    keys = _int_keys(doc)
-    if keys is None or not _INT.issuperset(map(type, doc.values())):
-        return None
-    return dict(zip(keys, doc.values()))
-
-
-def _pair_table(doc: dict):
-    """A dart table of integer pairs, each a list of two ints (doc_pair's
-    reading), or None."""
-    keys = _int_keys(doc)
-    values = doc.values()
-    if (keys is None or not {list}.issuperset(map(type, values))
-            or not {2}.issuperset(map(len, values))
-            or not _INT.issuperset(map(type, itertools.chain.from_iterable(values)))):
-        return None
-    return dict(zip(keys, map(tuple, values)))
 
 
 # --------------------------------------------------------------------------
@@ -1820,8 +1772,10 @@ def domain_solve(tm: TransverseMap) -> DomainSolve:
 
 
 def chi_domain(tm: TransverseMap) -> int:
+    """The domain's Euler characteristic; Disconnected unless the domain
+    is one surface (an empty domain has no component)."""
     solve = domain_solve(tm)
-    if solve.components > 1:
+    if solve.components != 1:
         raise Disconnected(f"domain has {solve.components} components")
     return graph_euler(tm) + solve.regions_euler
 

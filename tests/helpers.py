@@ -6,12 +6,12 @@ from dataclasses import replace
 
 from surfmap.covers import (assemble_total_space, perm_id, perm_inv, perm_mul,
                             random_cover)
-from surfmap.errors import Disconnected, InputError, InvalidChi, InvalidSurface, Stuck
+from surfmap.errors import Disconnected, InvalidChi, InvalidSurface, Stuck
 from surfmap.moves import is_normal
 from surfmap.surfaces import (SurfaceKind, Triangulation, builtin_triangulation,
                               classify_surface, classify_with_boundary,
-                              derive_rotations, doc_field, doc_id, doc_int, doc_pair)
-from surfmap.transverse import (DomainSolve, IsolatedCircle, IsoSide, Region,
+                              derive_rotations)
+from surfmap.transverse import (DomainSolve, IsoSide, Region,
                                 RegionChecks, RibbonCircuit, RibbonFacts,
                                 TransverseMap, _ties, chi_domain, classify_circuit,
                                 corners, domain_orientable, domain_solve,
@@ -556,66 +556,12 @@ def reference_triangle_signs(self):
 
 
 # --------------------------------------------------------------------------
-# References for the map reader and the domain solve: TransverseMap.from_json
-# as it read every document element by element, and _solve as it gave each
-# linked region a union-find node of its own, kept verbatim but
-# for their names, from_json's indentation as a function, and the count of
-# regions without a tie that _solve's DomainSolve takes (0: each such
+# A reference for the domain solve: _solve as it gave each linked region a
+# union-find node of its own, kept verbatim but for its name and the count
+# of regions without a tie that _solve's DomainSolve takes (0: each such
 # region has its own node).  tests/test_load_reference.py requires the
-# package's reader to give the same map or the same InputError text, and
-# its solve the same components, orientability and chart flips.
-
-
-def reference_from_json(obj: dict) -> TransverseMap:
-    """Parse a map document.  Types, arities and the target are checked
-    here (malformed input raises InputError); the map conditions are
-    validate_map's."""
-    if not isinstance(obj, dict) or obj.get("type") != "transverse_map":
-        raise InputError("not a transverse_map document")
-    what = "transverse_map"
-    target = Triangulation.from_json(doc_field(obj, "target", dict, what))
-    problems = target.validate()
-    if problems:
-        raise InputError(f"{what}: invalid target: {problems[:4]}")
-    vmap = {str(v): v for v in target.vertices}
-    # the context strings of the error texts, made once per document
-    circuit_what, token_what = f"{what} circuit", f"{what} circuit token"
-    region_what, circle_what = f"{what} region", f"{what} isolated circle"
-
-    def table(key, value):
-        dart_what, value_what = f"{what} {key} dart", f"{what} {key}"
-        return {doc_int(d, dart_what): value(v, value_what)
-                for d, v in doc_field(obj, key, dict, what).items()}
-
-    def circ(c):
-        # a document's circle index is the circle's id
-        kind = doc_field(c, "kind", str, circuit_what)
-        if kind == "ribbon":
-            seq = doc_field(c, "seq", list, circuit_what)
-            return RibbonCircuit(tuple(doc_pair(t, token_what) for t in seq))
-        if kind == "iso":
-            return IsoSide(*(doc_field(c, k, int, circuit_what)
-                             for k in ("index", "side", "direction")))
-        raise InputError(f"{what}: unknown circuit kind {kind!r}")
-
-    def region(r):
-        return Region(doc_field(r, "label", int, region_what),
-                      SurfaceKind.from_json(doc_field(r, "kind", dict, region_what)),
-                      tuple(circ(c) for c in doc_field(r, "circuits", list,
-                                                       region_what)))
-
-    return TransverseMap(
-        target=target,
-        pairing=table("pairing", doc_int),
-        rotation=table("rotation", doc_int),
-        edge_sign=table("edge_sign", doc_int),
-        vertex_label=table("vertex_label",
-                           lambda v, w: vmap.get(str(doc_id(v, w)), v)),
-        dart_label=table("dart_label", doc_pair),
-        isolated={i: IsolatedCircle(doc_field(c, "edge", int, circle_what))
-                  for i, c in enumerate(doc_field(obj, "isolated", list, what))},
-        regions=[region(r) for r in doc_field(obj, "regions", list, what)],
-    )
+# package's solve to give the same components, orientability and chart
+# flips.
 
 
 def reference_solve(facts: RibbonFacts, isolated: dict, euler: int, nonorientable: int,

@@ -439,3 +439,68 @@ def test_single_field_corruption_never_escapes(tmp_path_factory, docs, kind, pic
             assert "parit" in out["detail"], (path, out)
         else:
             assert out.get("error") == "input" or out.get("valid") is False, (path, out)
+
+
+def _sphere_map(*regions):
+    """A map document onto sphere_tetra with no graph and closed sphere
+    regions over the given triangles."""
+    return TransverseMap(builtin_triangulation("sphere_tetra"), {}, {}, {}, {}, {}, {},
+                         [transverse.Region(label, SurfaceKind(True))
+                          for label in regions]).to_json()
+
+
+@pytest.mark.parametrize("argv", [["analyze", what] for what in ANALYZE]
+                         + [["generate", "scramble", "--steps", "3",
+                             "--out", "unused.json", "--in"]])
+@pytest.mark.parametrize("regions", [(), (0, 1)], ids=["empty", "two_spheres"])
+def test_domain_that_is_not_one_surface_is_rejected_on_entry(tmp_path, argv, regions):
+    """A map with no region, or with two closed ones, passes validate_map,
+    but its domain is empty or disconnected: no map of closed surfaces."""
+    doc = _sphere_map(*regions)
+    assert transverse.validate_map(TransverseMap.from_json(doc)).ok
+    argv = [str(tmp_path / a) if a == "unused.json" else a for a in argv]
+    rc, out = run_cli(argv + [_write(tmp_path / "bad.json", doc)])
+    assert rc == 1 and out["error"] == "input", out
+    assert not (tmp_path / "unused.json").exists()
+
+
+def _renamed(tri):
+    """tri's document with each vertex v renamed to the string "v<v>"."""
+    doc = tri.to_json()
+    name = {v: f"v{v}" for v in doc["vertices"]}
+    doc["vertices"] = [name[v] for v in doc["vertices"]]
+    doc["edges"] = [[name[a], name[b]] for a, b in doc["edges"]]
+    doc["rotations"] = {name[int(v)]: rot for v, rot in doc["rotations"].items()}
+    return doc, name
+
+
+@pytest.mark.parametrize("base", ["torus_7", "klein_8"])
+def test_a_base_with_string_vertex_ids_maps_as_the_builtin_does(tmp_path, base):
+    """A target whose vertex ids are strings: generated, scrambled and
+    analyzed through --base-file, every command prints what it prints over
+    the built-in, and the written vertex labels are the string ids."""
+    doc, name = _renamed(builtin_triangulation(base))
+    base_file = _write(tmp_path / "base.json", doc)
+    outputs, written = {}, {}
+    for key, source in (("builtin", ["--base", base]),
+                        ("strings", ["--base-file", base_file])):
+        composite, scrambled = tmp_path / f"{key}-c.json", tmp_path / f"{key}-s.json"
+        runs = [["generate", "composite", *source, "--d", "2", "--seed", "3",
+                 "--pinch", "torus", "--out", str(composite)],
+                ["generate", "scramble", "--in", str(composite), "--steps", "8",
+                 "--out", str(scrambled)],
+                ["analyze", "degree", str(scrambled)],
+                ["analyze", "kneser", str(scrambled)]]
+        outputs[key] = []
+        for argv in runs:
+            rc, out = run_cli(argv)
+            assert rc == 0, out
+            out.pop("written", None)
+            outputs[key].append(out)
+        written[key] = [json.loads(p.read_text()) for p in (composite, scrambled)]
+    assert outputs["strings"] == outputs["builtin"]
+    assert outputs["strings"][2]["degree"] == 2
+    assert outputs["strings"][3]["deficit"] == 2
+    for plain, renamed in zip(written["builtin"], written["strings"]):
+        assert renamed["vertex_label"] == {d: name[v]
+                                           for d, v in plain["vertex_label"].items()}

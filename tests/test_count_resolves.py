@@ -28,6 +28,7 @@ def test_counts_of_the_first_corpus_maps():
                  transverse._ties, transverse.RegionChecks.__init__,
                  transverse.TransverseMap.own)
     charts = transverse.RibbonFacts.__dict__["vertex_charts"]
+    table_problem = transverse.RibbonFacts.__dict__["table_problem"]
     derive = transverse.RibbonFacts.__dict__["derive"]
     walk_key = transverse.RibbonFacts.__dict__["walk_key"]
     union = unionfind.ParityUF.union
@@ -77,6 +78,11 @@ def test_counts_of_the_first_corpus_maps():
     for name in ("join_isolated_circle", "insert_trivial_circle", "relocate_crosscap"):
         assert rows[name]["checks"] > 0 and rows[name]["walks"] == 0
     assert rows["collapse_edge"]["walks"] > 0
+    # facts derived after a collapse or a surgery read the table axioms at
+    # the changed darts only (_tables_hold): no whole-table pass
+    for name in ("collapse_edge", "boundary_surgery"):
+        assert rows[name]["table checks"] == 0
+    assert rows["(none)"]["table checks"] > 0
     # a solve unites each region's ties with its first one and gives the
     # regions no node: these maps' solves make 335 unions, where a node
     # per region made 557
@@ -88,6 +94,7 @@ def test_counts_of_the_first_corpus_maps():
     assert lines[0].split()[-1] == "charts"
     assert len(lines) == 1 + len(rows)
     assert transverse.RibbonFacts.__dict__["vertex_charts"] is charts
+    assert transverse.RibbonFacts.__dict__["table_problem"] is table_problem
     assert transverse.RibbonFacts.__dict__["derive"] is derive
     assert transverse.RibbonFacts.__dict__["walk_key"] is walk_key
     assert unionfind.ParityUF.union is union

@@ -8,7 +8,8 @@ after writing its maps to a temporary directory, which is not counted),
 with counting wrappers installed at run time on surfmap's moves, on
 RegionChecks.__init__, on RibbonFacts.walk_key, on moves.checked_tiling,
 on the domain-solve functions, on ParityUF.union, on TransverseMap.own,
-on RibbonFacts.derive and on RibbonFacts.vertex_charts, as
+on RibbonFacts.derive, on RibbonFacts.table_problem and on
+RibbonFacts.vertex_charts, as
 perfbench/tracer.py installs its spans; nothing under src/ has hooks.
 Prints one row per move kind, what is done outside any move under
 "(none)":
@@ -46,6 +47,10 @@ Prints one row per move kind, what is done outside any move under
   derive carries after both, so each reads 0;
 * unions: the ParityUF.union calls made inside the domain solves (solves
   and no tiling), one for each tie of a linked region but its first;
+* table checks: the whole-table passes over the dart tables for their
+  axioms (RibbonFacts.table_problem computed from the tables).  Facts
+  derived after a collapse or a surgery read the axioms at the changed
+  darts only (RibbonFacts._tables_hold), so each reads 0;
 * charts: the searches of the whole graph for its components and chart
   flips (RibbonFacts.vertex_charts), which every solve under new dart
   tables makes.
@@ -71,7 +76,8 @@ import workloads  # noqa: E402
 MOVES = ("collapse_edge", "join_isolated_circle", "boundary_surgery",
          "relocate_crosscap", "insert_trivial_circle")
 COLUMNS = ("moves", "checks", "walks", "solves", "ties resolved", "no tiling",
-           "tables owned", "entry checks", "uncarried", "unions", "charts")
+           "tables owned", "entry checks", "uncarried", "unions", "table checks",
+           "charts")
 
 
 class Counts:
@@ -182,15 +188,19 @@ class Counts:
             counts.rows[counts.move[-1]]["ties resolved"] += 1
             return ties(*args)
 
-        charts = transverse.RibbonFacts.__dict__["vertex_charts"].func
+        def counted(attr, column):
+            compute = transverse.RibbonFacts.__dict__[attr].func
 
-        def searched(facts):
-            counts.rows[counts.move[-1]]["charts"] += 1
-            return charts(facts)
+            def computed(facts):
+                counts.rows[counts.move[-1]][column] += 1
+                return compute(facts)
 
-        searched = functools.cached_property(searched)
-        searched.__set_name__(transverse.RibbonFacts, "vertex_charts")
-        self._set(transverse.RibbonFacts, "vertex_charts", searched)
+            prop = functools.cached_property(computed)
+            prop.__set_name__(transverse.RibbonFacts, attr)
+            self._set(transverse.RibbonFacts, attr, prop)
+
+        counted("table_problem", "table checks")
+        counted("vertex_charts", "charts")
         self._set(transverse.Tiling, "domain_solve", domain_solve)
         self._set(transverse, "_solve", solve)
         self._set(transverse, "_ties", resolved)
