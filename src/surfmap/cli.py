@@ -25,8 +25,8 @@ from . import covers as covers_mod
 from . import factorize as factorize_mod
 from . import moves as moves_mod
 from . import transverse as transverse_mod
-from .errors import (ImpossibleError, InputError, InternalInconsistency,
-                     InvalidMap, Stuck, SurfmapError)
+from .errors import (Disconnected, ImpossibleError, InputError,
+                     InternalInconsistency, InvalidMap, Stuck, SurfmapError)
 from .surfaces import (BUILTIN_NAMES, SurfaceKind, Triangulation,
                        builtin_triangulation)
 
@@ -153,6 +153,11 @@ def cmd_analyze(args) -> int:
             _emit({"valid": not problems, "problems": problems})
             return 0 if not problems else 1
         rep = transverse_mod.validate_map(doc)
+        if rep.ok:
+            try:
+                transverse_mod.chi_domain(doc)
+            except Disconnected as ex:
+                rep.add(str(ex))
         classes = {f"{ri}:{pos}": {"variant": c.variant, "index": c.index,
                                    "direction": c.direction}
                    for (ri, pos), c in rep.circuit_classes.items()}

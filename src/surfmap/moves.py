@@ -208,28 +208,20 @@ def _flip_circuit_entry(c, flip: bool):
     return IsoSide(c.circle, c.side, -c.direction)
 
 
-def _direction_votes(new_circuit: RibbonCircuit, old_succ: dict):
-    """Compare the traced direction of a rewritten circuit against stored
-    direction data of its constituents: +1 votes forward, -1 backward."""
-    votes = []
-    for a, b in corners(new_circuit.seq):
-        if old_succ.get(a) == b:
-            votes.append(1)
-        elif old_succ.get(b) == a:
-            votes.append(-1)
-    return votes
-
-
 def _orient(c: RibbonCircuit, old_succ: dict, strict: bool,
             context: str) -> RibbonCircuit:
     """A rewritten circuit in the direction most of its corners had in
     the stored circuits (successor map old_succ); with `strict`, in an
     orientable setting, votes both ways are a convention error."""
-    votes = _direction_votes(c, old_succ)
-    if not votes:
+    fwd = bwd = 0
+    for a, b in corners(c.seq):
+        if old_succ.get(a) == b:
+            fwd += 1
+        elif old_succ.get(b) == a:
+            bwd += 1
+    if not fwd and not bwd:
         raise InternalInconsistency(f"{context}: no direction evidence "
                                     "for a rewritten circuit")
-    fwd, bwd = votes.count(1), votes.count(-1)
     if strict and fwd and bwd:
         raise InternalInconsistency(f"{context}: direction votes conflict")
     return c if fwd >= bwd else c.reversed()
@@ -357,15 +349,9 @@ def collapse_edge(tm: TransverseMap, edge_key: int) -> TransverseMap:
         pairing[b_i] = a_i
         sign[min(a_i, b_i)] = s_x * s_y
 
-    changes = _rebuild_regions(regions, out, groups, dead_tokens, dead_tokens,
-                               circle_info=new_circle_info, context="collapse_edge")
-    # the regions not rebuilt are put in key order too (_in_key_order
-    # keeps a region that already is)
-    key_of = out.ribbon_facts().circuit_of_token
-    for ri, region in enumerate(regions):
-        if ri not in changes and len(region.circuits) >= 2:
-            changes[ri] = _in_key_order(region, key_of)
-    out.replace(regions=changes)
+    out.replace(regions=_rebuild_regions(regions, out, groups, dead_tokens,
+                                         dead_tokens, circle_info=new_circle_info,
+                                         context="collapse_edge"))
     return _post_move_check(before, out, edge_delta=(-m, -1),
                             context="collapse_edge")
 
@@ -454,21 +440,6 @@ def _rebuild_regions(regions: tuple, out: TransverseMap,
         rebuilt[root] = Region(label, _kind_from(chi, len(circuits), orientable,
                                                  context), circuits)
     return {ri: rebuilt.get(ri) for ri in groups.node}
-
-
-def _in_key_order(region: Region, key_of: dict) -> Region:
-    """The region with its ribbon circuits in key order (key_of: token ->
-    key of its traced circuit) followed by its isolated sides, as the same
-    object when they already are."""
-    circuits = region.circuits
-    ribbons = [c for c in circuits if isinstance(c, RibbonCircuit)]
-    if len(ribbons) < 2 and (not ribbons or circuits[0] is ribbons[0]):
-        return region
-    ribbons.sort(key=lambda c: key_of[c.seq[0]])
-    ordered = tuple(ribbons + [c for c in circuits if isinstance(c, IsoSide)])
-    if all(a is b for a, b in zip(ordered, circuits)):
-        return region
-    return Region(region.label, region.kind, ordered)
 
 
 # --------------------------------------------------------------------------

@@ -1636,10 +1636,6 @@ def edge_count(tm: TransverseMap) -> int:
     return len(tm.edge_keys()) + len(tm.isolated)
 
 
-def graph_euler(tm: TransverseMap) -> int:
-    return tm.ribbon_facts().graph_euler
-
-
 def _sums(entries) -> tuple:
     """What the domain solve reads of the RegionChecks of a state's
     regions: (their Euler sum, their count of nonorientable kinds, the
@@ -1777,7 +1773,7 @@ def chi_domain(tm: TransverseMap) -> int:
     solve = domain_solve(tm)
     if solve.components != 1:
         raise Disconnected(f"domain has {solve.components} components")
-    return graph_euler(tm) + solve.regions_euler
+    return tm.ribbon_facts().graph_euler + solve.regions_euler
 
 
 def domain_orientable(tm: TransverseMap) -> bool:

@@ -413,6 +413,39 @@ def test_flip_vertex_shares_the_regions_it_does_not_touch():
     assert_facts_match_fresh(flipped)
 
 
+def _digest_genus2_scramble() -> TransverseMap:
+    """The map of tests/digests.json's g4s.json: `generate composite --base
+    genus2 --d 4 --branch 2,2 --pinch klein --seed 1`, then `generate
+    scramble --steps 64 --seed 9`."""
+    tm = map_from_cover(random_cover(builtin_triangulation("genus2"), 4, [2, 2],
+                                     seed=1))
+    return scrambled(add_pinch(tm, 0, SurfaceKind(False, crosscaps=2)), 64, seed=9)
+
+
+def test_collapse_shares_the_regions_it_does_not_rebuild():
+    """A collapse replaces only the regions with a stored circuit through
+    a dart of the edge's two endpoints: every other region is the same
+    object in the result, its circuits in the order they were.  The
+    digests' genus2 scramble has a collapse beside a region whose
+    circuits are not in key order."""
+    kept = Counter()
+
+    def observer(before, after, move):
+        if move != "collapse_edge":
+            return
+        dead = before.pairing.keys() - after.pairing.keys()
+        for region in before.regions:
+            hit = not dead.isdisjoint(t[0] for c in region.circuits
+                                      if isinstance(c, RibbonCircuit) for t in c.seq)
+            if not hit:
+                assert any(region is again for again in after.regions)
+            kept[hit] += 1
+
+    for tm in (_slice_map(*SLICE[0]), _digest_genus2_scramble()):
+        normalize(tm, observer=observer)
+    assert kept[True] and kept[False]
+
+
 def _swap_rotation_entries(tm):
     """A copy of tm with two rotation entries swapped at a vertex of
     degree 3 or more."""

@@ -129,7 +129,7 @@ def _counting_readers(monkeypatch):
     return calls
 
 
-def test_integers_written_as_strings_are_read_by_the_fallback(docs, monkeypatch):
+def test_integers_written_as_strings_are_read(docs, monkeypatch):
     calls = _counting_readers(monkeypatch)
     tm = TransverseMap.from_json(docs["map"])
     again = TransverseMap.from_json(_as_strings(docs["map"]))
@@ -462,6 +462,18 @@ def test_domain_that_is_not_one_surface_is_rejected_on_entry(tmp_path, argv, reg
     rc, out = run_cli(argv + [_write(tmp_path / "bad.json", doc)])
     assert rc == 1 and out["error"] == "input", out
     assert not (tmp_path / "unused.json").exists()
+
+
+@pytest.mark.parametrize("regions,count", [((), 0), ((0, 1), 2)],
+                         ids=["empty", "two_spheres"])
+def test_validate_refuses_a_domain_that_is_not_one_surface(tmp_path, regions, count):
+    """analyze validate gives the verdict the entry gives: a map whose
+    domain is empty or disconnected is not valid, and the problem says
+    how many components the domain has."""
+    rc, out = run_cli(["analyze", "validate",
+                       _write(tmp_path / "bad.json", _sphere_map(*regions))])
+    assert rc == 1 and out["valid"] is False, out
+    assert out["problems"] == [f"domain has {count} components"]
 
 
 def _renamed(tri):
