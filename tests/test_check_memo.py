@@ -446,6 +446,21 @@ def test_collapse_shares_the_regions_it_does_not_rebuild():
     assert kept[True] and kept[False]
 
 
+def test_normal_form_does_not_follow_the_stored_circuit_order():
+    """A region a collapse does not rebuild keeps the circuit order it was
+    loaded with, and the joins pick by that order.  The digests' genus2
+    scramble loaded with every region's circuits reversed takes other
+    steps to the same normal form."""
+    tm = _digest_genus2_scramble()
+    doc = tm.to_json()
+    for region in doc["regions"]:
+        region["circuits"].reverse()
+    norm, trace = normalize(tm)
+    norm_reversed, trace_reversed = normalize(TransverseMap.from_json(doc))
+    assert trace_reversed != trace
+    assert norm_reversed.to_json() == norm.to_json()
+
+
 def _swap_rotation_entries(tm):
     """A copy of tm with two rotation entries swapped at a vertex of
     degree 3 or more."""

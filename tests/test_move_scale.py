@@ -1,9 +1,6 @@
 """tools/move_scale.py at its smallest size."""
 
-import contextlib
 import importlib.util
-import io
-import json
 from pathlib import Path
 
 from surfmap import moves
@@ -22,10 +19,7 @@ def _move_scale():
 def test_smallest_size_times_every_move_it_makes():
     tool = _move_scale()
     originals = [getattr(moves, name) for name in tool.MOVES]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        tool.main(["64"])
-    row, = json.loads(out.getvalue())
+    row = tool.measure(tool.STEPS[0])
     assert [getattr(moves, name) for name in tool.MOVES] == originals
     assert (row["steps"], row["edges"], row["regions"]) == (64, 220, 168)
     assert row["scramble"].keys() == {"insert_trivial_circle"}

@@ -1,17 +1,17 @@
 """Time each move kind on one map scrambled to three sizes.
 
-    python3 tools/move_scale.py [STEPS ...]     # default: 64 256 1024
+    python3 tools/move_scale.py
 
 The map is `generate composite --base genus2 --d 4 --seed 1 --pinch
-torus` (156 edges).  For each STEPS it is scrambled by STEPS trivial-circle
+torus` (156 edges).  It is scrambled by 64, 256 and 1,024 trivial-circle
 insertions (the loop of `generate scramble`, seeded with 3, with no cap
-on the step count), so 64, 256 and 1024 steps give 220, 412 and 1,180
-edges, and then normalized.  Prints one JSON list, one object per size:
-its steps, edges and regions after the scramble, and per phase (scramble,
-normalize) and per move kind the calls and the process-time milliseconds
-per call.  A move is timed by a wrapper installed at run time on the
-`surfmap.moves` attribute that `normalize` looks up, as
-perfbench/tracer.py installs its spans; nothing under src/ has hooks.
+on the step count), which gives 220, 412 and 1,180 edges, and each
+scramble is normalized.  Prints one JSON list, one object per size: its
+steps, edges and regions after the scramble, the `normalize` time, and
+per phase (scramble, normalize) and per move kind the calls and the
+process-time milliseconds per call.  Both phases run under
+perfbench/tracer.py's `Tracer`, so nothing under src/ has hooks; a
+move's time includes the spans of the self-checks it calls.
 """
 
 from __future__ import annotations
@@ -20,73 +20,63 @@ import json
 import os
 import random
 import sys
-import time
-from collections import defaultdict
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 from surfmap import moves, transverse  # noqa: E402
 from surfmap.covers import random_cover  # noqa: E402
 from surfmap.surfaces import SurfaceKind, builtin_triangulation  # noqa: E402
+from tracer import MOVES, Tracer  # noqa: E402
 
-MOVES = ("collapse_edge", "join_isolated_circle", "boundary_surgery",
-         "relocate_crosscap", "insert_trivial_circle")
 STEPS = (64, 256, 1024)
+
+
+def traced(fn):
+    """`fn()`'s result, its per-layer figures, and per move kind it made
+    the calls and the ms per call."""
+    tracer = Tracer().install()
+    try:
+        result = fn()
+    finally:
+        tracer.uninstall()
+    layers = tracer.per_layer()
+    made = {}
+    for name in MOVES:
+        calls = layers[f"moves.{name}.calls"]["value"]
+        if calls:
+            made[name] = {"count": calls, "ms_per_move": round(
+                layers[f"moves.{name}.time_s"]["value"] / calls * 1e3, 4)}
+    return result, layers, made
 
 
 def measure(steps: int) -> dict:
     """The scramble of the composite by `steps` insertions and its
-    normalization, each move kind timed by a wrapper on its moves attribute."""
-    spent = defaultdict(lambda: [0, 0])          # move -> [calls, ns]
-    originals = {name: getattr(moves, name) for name in MOVES}
+    normalization."""
+    tm = transverse.map_from_cover(random_cover(builtin_triangulation("genus2"),
+                                                4, None, seed=1))
+    tm = transverse.add_pinch(tm, 0, SurfaceKind(True, handles=1))
 
-    def timed(name, fn):
-        def wrapper(*args, **kwargs):
-            start = time.process_time_ns()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                spent[name][0] += 1
-                spent[name][1] += time.process_time_ns() - start
-        return wrapper
-
-    def phase():
-        out = {name: {"count": calls, "ms_per_move": round(ns / calls / 1e6, 4)}
-               for name, (calls, ns) in sorted(spent.items())}
-        spent.clear()
-        return out
-
-    for name, fn in originals.items():
-        setattr(moves, name, timed(name, fn))
-    try:
-        tm = transverse.map_from_cover(random_cover(builtin_triangulation("genus2"),
-                                                    4, None, seed=1))
-        tm = transverse.add_pinch(tm, 0, SurfaceKind(True, handles=1))
+    def scramble():
+        work = tm
         rng = random.Random(3)
         for _ in range(steps):
-            ri = rng.randrange(len(tm.regions))
-            edges = tm.target.triangle_edges(tm.regions[ri].label)
-            tm = moves.insert_trivial_circle(tm, ri, rng.choice(edges))
-        row = {"steps": steps, "edges": transverse.edge_count(tm),
-               "regions": len(tm.regions), "scramble": phase()}
-        start = time.process_time_ns()
-        moves.normalize(tm)
-        row["normalize_ms"] = round((time.process_time_ns() - start) / 1e6, 1)
-        row["normalize"] = phase()
-    finally:
-        for name, fn in originals.items():
-            setattr(moves, name, fn)
-    return row
+            ri = rng.randrange(len(work.regions))
+            edges = work.target.triangle_edges(work.regions[ri].label)
+            work = moves.insert_trivial_circle(work, ri, rng.choice(edges))
+        return work
+
+    work, _, scrambled = traced(scramble)
+    _, layers, normalized = traced(lambda: moves.normalize(work))
+    return {"steps": steps, "edges": transverse.edge_count(work),
+            "regions": len(work.regions),
+            "normalize_ms": round(layers["moves.normalize.time_s"]["value"] * 1e3, 1),
+            "scramble": scrambled, "normalize": normalized}
 
 
-def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    try:
-        steps = [int(a) for a in argv] or list(STEPS)
-    except ValueError:
-        raise SystemExit(__doc__)
-    print(json.dumps([measure(n) for n in steps], indent=1))
+def main():
+    print(json.dumps([measure(n) for n in STEPS], indent=1))
 
 
 if __name__ == "__main__":
