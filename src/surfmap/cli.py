@@ -144,11 +144,7 @@ def cmd_analyze(args) -> int:
     sub = args.what
 
     if sub == "validate":
-        if isinstance(doc, covers_mod.MonodromyCover):
-            problems = doc.validate()
-            _emit({"valid": not problems, "problems": problems})
-            return 0 if not problems else 1
-        if isinstance(doc, Triangulation):
+        if isinstance(doc, (covers_mod.MonodromyCover, Triangulation)):
             problems = doc.validate()
             _emit({"valid": not problems, "problems": problems})
             return 0 if not problems else 1

@@ -499,9 +499,9 @@ def _shuffle_into(getrandbits, steps: tuple, items, out, keys) -> None:
 def _random_branch(getrandbits, steps: tuple, triangles: list, sheets: tuple, spec):
     """Distribute requested cycle lengths over triangles, keeping cycles
     support-disjoint within each triangle.  `spec` is random_cover's
-    resolved spec: None, a list of lengths, or {triangle: lengths} with
-    each triangle's lengths summing to at most d; every length is an int
-    in 2..d.  `triangles` lists the base's triangles 0..F-1 and `sheets`
+    resolved spec: None or a list of lengths, each an int in 2..d.  Each
+    length goes to a triangle drawn from those with that many sheets
+    still free.  `triangles` lists the base's triangles 0..F-1 and `sheets`
     is the tuple 1..d (both shared across tries; not modified).  The draws
     are random.Random's choice and shuffle over its bound `getrandbits`,
     with their _randbelow inlined: a choice per length, then one batch of
@@ -510,29 +510,26 @@ def _random_branch(getrandbits, steps: tuple, triangles: list, sheets: tuple, sp
     if spec is None:
         return {}
     d = len(sheets)
-    if isinstance(spec, dict):
-        lengths_by_t = spec
-    else:
-        lengths_by_t = {}
-        used = {}     # triangle given cycles in this try -> sheets they use
-        fullest = 0   # the most sheets one triangle uses
-        for ln in spec:
-            # the triangles with ln free sheets, in order
-            fits = triangles
-            if fullest + ln > d:
-                fits = [t for t in triangles if used.get(t, 0) + ln <= d]
-            if not fits:
-                raise Unsatisfiable(f"cycle lengths {spec} do not fit on {d} sheets")
-            n = len(fits)
-            k = n.bit_length()
+    lengths_by_t = {}
+    used = {}     # triangle given cycles in this try -> sheets they use
+    fullest = 0   # the most sheets one triangle uses
+    for ln in spec:
+        # the triangles with ln free sheets, in order
+        fits = triangles
+        if fullest + ln > d:
+            fits = [t for t in triangles if used.get(t, 0) + ln <= d]
+        if not fits:
+            raise Unsatisfiable(f"cycle lengths {spec} do not fit on {d} sheets")
+        n = len(fits)
+        k = n.bit_length()
+        i = getrandbits(k)
+        while i >= n:
             i = getrandbits(k)
-            while i >= n:
-                i = getrandbits(k)
-            t = fits[i]
-            u = used[t] = used.get(t, 0) + ln
-            if u > fullest:
-                fullest = u
-            lengths_by_t.setdefault(t, []).append(ln)
+        t = fits[i]
+        u = used[t] = used.get(t, 0) + ln
+        if u > fullest:
+            fullest = u
+        lengths_by_t.setdefault(t, []).append(ln)
     branch = {}     # triangle -> its shuffled sheets, then its cycles
     _shuffle_into(getrandbits, steps, sheets, branch, lengths_by_t)
     for t, lengths in lengths_by_t.items():
@@ -716,8 +713,7 @@ def _walk(word: tuple, perms: list, s: int) -> int:
 
 
 def random_cover(tri: Triangulation, d: int, branch_spec=None, seed: int = 0,
-                 *, require_transitive: bool = True,
-                 max_tries: int = 50000) -> MonodromyCover:
+                 *, max_tries: int = 50000) -> MonodromyCover:
     """Deterministic-in-seed random branched cover.
 
     Edge permutations are solved vertex by vertex, leaves of a skeleton
@@ -736,24 +732,18 @@ def random_cover(tri: Triangulation, d: int, branch_spec=None, seed: int = 0,
     a try that fixes every sheet builds its sheet table from the
     compiled fan walks (_fan_programs) and fills edge_perm.  Such a cover
     must pass validate(), the uncompiled oracle (a failure is an
-    InternalInconsistency), and is kept when cover_connected allows.  The
-    random stream and the accepted cover are those of the uncompiled walk
-    (tests/sampler_digests.json pins them).  The spec is resolved to ints
-    and checked once, before the first try.
+    InternalInconsistency), and is kept when it is connected
+    (cover_connected).  The random stream and the accepted cover are
+    those of the uncompiled walk (tests/sampler_digests.json pins them).
+    The spec, None or a list of cycle lengths, is resolved to ints and
+    checked once, before the first try.
     """
     if d < 1:
         raise Unsatisfiable("d must be >= 1")
     rng = random.Random(seed)
 
     spec, lengths = None, []      # the spec resolved to ints, and its lengths
-    if isinstance(branch_spec, dict):
-        spec = {int(t): [int(x) for x in ls] for t, ls in branch_spec.items()}
-        lengths = [int(x) for ls in branch_spec.values() for x in ls]
-        outside = sorted(int(t) for t in branch_spec
-                         if not 0 <= int(t) < len(tri.triangles))
-        if outside:
-            raise Unsatisfiable(f"branch triangles {outside} are not in the base")
-    elif branch_spec is not None:
+    if branch_spec is not None:
         spec = lengths = [int(x) for x in branch_spec]
     if any(ln < 2 or ln > d for ln in lengths):
         raise Unsatisfiable(f"cycle lengths {lengths} out of range for d={d}")
@@ -765,13 +755,9 @@ def random_cover(tri: Triangulation, d: int, branch_spec=None, seed: int = 0,
     if chi_total % 2 != 0:
         raise Unsatisfiable(
             f"total-space Euler characteristic {chi_total} is odd; no surface exists")
-    if require_transitive and chi_total > 2:
+    if chi_total > 2:
         raise Unsatisfiable(
             f"connected total space cannot have Euler characteristic {chi_total} > 2")
-    for t_lengths in (spec.values() if isinstance(spec, dict) else ()):
-        if sum(t_lengths) > d:
-            raise Unsatisfiable(
-                f"cycle lengths {t_lengths} in one triangle exceed {d} sheets")
 
     draws, solves, root_word, assigned = _sampler_plan(tri)
     ident = tuple(range(d))
@@ -795,7 +781,7 @@ def random_cover(tri: Triangulation, d: int, branch_spec=None, seed: int = 0,
             raise InternalInconsistency(
                 "the root word fixes every sheet but the cover is invalid",
                 context="random_cover", problems=problems)
-        if require_transitive and not cover_connected(cover):
+        if not cover_connected(cover):
             continue
         return cover
     raise Unsatisfiable(

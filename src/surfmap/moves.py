@@ -134,7 +134,7 @@ def _circuits_through(tm: TransverseMap, tokens) -> list:
 
 
 def _post_move_check(before: TransverseMap, after: TransverseMap, *,
-                     edge_delta=None, context: str = "") -> TransverseMap:
+                     edge_delta: tuple, context: str) -> TransverseMap:
     """Validate the result in full and check that the domain surface and
     the mod-2 degree did not drift: each measure of `after` against the
     same measure of `before`.  `before` is measured first, so its tiling
@@ -159,12 +159,11 @@ def _post_move_check(before: TransverseMap, after: TransverseMap, *,
     for (what, measure), value in zip(measures, was):
         if measure(after) != value:
             fail(f"{what} drifted", [f"{what} drifted"])
-    if edge_delta is not None:
-        got = edge_count(after) - edge_count(before)
-        lo, hi = edge_delta
-        if not (lo <= got <= hi):
-            detail = f"edge count changed by {got}, expected in [{lo},{hi}]"
-            fail(detail, [detail])
+    got = edge_count(after) - edge_count(before)
+    lo, hi = edge_delta
+    if not (lo <= got <= hi):
+        detail = f"edge count changed by {got}, expected in [{lo},{hi}]"
+        fail(detail, [detail])
     return after
 
 
@@ -575,20 +574,6 @@ def insert_trivial_circle(tm: TransverseMap, region_index: int,
                             context="insert_trivial_circle")
 
 
-def split_circle(tm: TransverseMap, region_index: int, circuit_pos: int,
-                 t_edge: int) -> TransverseMap:
-    """Exact inverse of absorbing a trivially-bounding circle: pinch a
-    circle off next to an essential circuit."""
-    if not (0 <= region_index < len(tm.regions)):
-        raise BadEdge(f"no region {region_index}")
-    A = tm.regions[region_index]
-    if not (0 <= circuit_pos < len(A.circuits)):
-        raise NotEssential("no such circuit")
-    if classify_circuit(tm, A, A.circuits[circuit_pos]).variant != "essential":
-        raise NotEssential("can only split next to an essential circuit")
-    return insert_trivial_circle(tm, region_index, t_edge)
-
-
 # --------------------------------------------------------------------------
 # Boundary surgery
 
@@ -964,16 +949,16 @@ _REDUCTIONS = (
 )
 
 
-def normalize(tm: TransverseMap, observer=None):
+def normalize(tm: TransverseMap):
     """Apply moves until none fits: collapses first, then circle joins,
     then surgeries (which enable a collapse), then crosscap relocations
     (which enable a surgery).  Strictly decreasing edge count between
     compound steps forces termination; a run longer than 12 E + 64 steps
     (E the input's edge_count) raises Stuck.
 
-    observer, when given, is called as observer(before, after, move_name)
-    after every single move.  An input without a tiling is checked first
-    (checked_tiling)."""
+    Each move is looked up in this module as it is applied (_REDUCTIONS),
+    so a caller observes the moves by rebinding them.  An input without a
+    tiling is checked first (checked_tiling)."""
     checked_tiling(tm, "normalize")
     work = tm
     trace = []
@@ -994,8 +979,6 @@ def normalize(tm: TransverseMap, observer=None):
         after = globals()[move](work, *args)
         trace.append({"move": move, "params": params(*args),
                       "E_before": e0, "E_after": edge_count(after)})
-        if observer:
-            observer(work, after, move)
         work = after
 
     state = is_normal(work)

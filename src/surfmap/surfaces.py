@@ -648,24 +648,24 @@ def _genus2() -> Triangulation:
                                        for vs in faces])
 
 
+_BUILDERS = {
+    "sphere_tetra": _sphere_tetra,
+    "rp2_6": _rp2_6,
+    "torus_7": _torus_7,
+    "klein_8": _klein_8,
+    "genus2": _genus2,
+}
+BUILTIN_NAMES = tuple(_BUILDERS)
+
+
 @functools.cache
 def builtin_triangulation(name: str) -> Triangulation:
     """Built-in triangulation `name`: one frozen object, shared by all callers."""
-    builders = {
-        "sphere_tetra": _sphere_tetra,
-        "rp2_6": _rp2_6,
-        "torus_7": _torus_7,
-        "klein_8": _klein_8,
-        "genus2": _genus2,
-    }
-    if name not in builders:
+    if name not in _BUILDERS:
         raise UnknownName(f"unknown triangulation {name!r}; "
-                          f"choose from {sorted(builders)}")
-    tri = builders[name]()
+                          f"choose from {sorted(_BUILDERS)}")
+    tri = _BUILDERS[name]()
     problems = tri.validate()
     if problems:
         raise InvalidSurface(f"builtin {name} failed validation: {problems}")
     return tri
-
-
-BUILTIN_NAMES = ("sphere_tetra", "rp2_6", "torus_7", "klein_8", "genus2")

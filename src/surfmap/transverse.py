@@ -89,10 +89,9 @@ from typing import NamedTuple
 
 from .errors import (BadKind, Disconnected, DisconnectedCover,
                      InconsistentParity, InputError, InternalInconsistency,
-                     InvalidSurface, NotOrientable, UnknownName)
-from .surfaces import (SurfaceKind, Triangulation, builtin_triangulation,
-                       classify_surface, connected_sum_kind, doc_field, doc_id,
-                       doc_int, doc_pair, per_triangulation)
+                     InvalidSurface, NotOrientable)
+from .surfaces import (SurfaceKind, Triangulation, connected_sum_kind, doc_field,
+                       doc_id, doc_int, doc_pair, per_triangulation)
 from . import covers as covers_mod
 from .unionfind import ParityUF
 
@@ -1608,7 +1607,7 @@ def _check_parity(rep: ValidationReport, facts: RibbonFacts):
         rep.add("preimage counts of target vertices have mixed parity")
 
 
-def require_valid(tm: TransverseMap, context: str = ""):
+def require_valid(tm: TransverseMap, context: str):
     rep = validate_map(tm)
     if not rep.ok:
         raise InternalInconsistency(f"{context}: {rep.problems[:4]}",
@@ -1778,11 +1777,6 @@ def chi_domain(tm: TransverseMap) -> int:
 
 def domain_orientable(tm: TransverseMap) -> bool:
     return domain_solve(tm).orientable
-
-
-def domain_kind(tm: TransverseMap) -> SurfaceKind:
-    chi = chi_domain(tm)
-    return classify_surface(chi, domain_orientable(tm))
 
 
 def mod2_degree(tm: TransverseMap) -> int:
@@ -2139,91 +2133,3 @@ def add_pinch(tm: TransverseMap, region_index: int, closed_kind: SurfaceKind) ->
         reg.label, connected_sum_kind(reg.kind, closed_kind), reg.circuits)})
     require_valid(out, "add_pinch")
     return out
-
-
-def _fold_degree_zero() -> TransverseMap:
-    """Sphere-to-sphere fold of vanishing degree: the target cut along one
-    edge gives a disk; the domain is its double, two mirror copies glued
-    along the cut, and the preimage graph is the doubled truncated skeleton.
-    A disk region's label is the triangle at its circuit's first corner, as
-    in map_from_cover; no two triangles of the tetrahedron share two edges,
-    so the corner's two edges name it."""
-    tri = builtin_triangulation("sphere_tetra")
-    e_cut = 0
-    u, w = tri.edges[e_cut]
-
-    pairing = {}
-    rotation = {}
-    edge_sign = {}
-    vertex_label = {}
-    dart_label = {}
-    next_dart = [0]
-    dart_ids = {}
-
-    def dart(e, end, copy):
-        key = (e, end, copy)
-        if key not in dart_ids:
-            dart_ids[key] = next_dart[0]
-            next_dart[0] += 1
-        return dart_ids[key]
-
-    survivors = [z for z in tri.vertices if z not in (u, w)]
-    for e, (a, b) in enumerate(tri.edges):
-        if e == e_cut:
-            continue
-        ends_in = [x for x in (a, b) if x in (u, w)]
-        if len(ends_in) == 0:
-            for copy in (0, 1):
-                d0, d1 = dart(e, 0, copy), dart(e, 1, copy)
-                pairing[d0], pairing[d1] = d1, d0
-                dart_label[d0], dart_label[d1] = (e, 0), (e, 1)
-                vertex_label[d0], vertex_label[d1] = a, b
-                edge_sign[min(d0, d1)] = 1 if tri.edge_compatible(e) else -1
-        elif len(ends_in) == 1:
-            y = b if a in (u, w) else a
-            y_end = 0 if tri.edges[e][0] == y else 1
-            d0, d1 = dart(e, y_end, 0), dart(e, y_end, 1)
-            pairing[d0], pairing[d1] = d1, d0
-            dart_label[d0] = dart_label[d1] = (e, y_end)
-            vertex_label[d0] = vertex_label[d1] = y
-            edge_sign[min(d0, d1)] = 1
-        # both ends removed: would double to an isolated circle; the
-        # tetrahedron has no parallel edges, so nothing to do
-
-    for z in survivors:
-        rot = tri.rotations[z]
-        for copy in (0, 1):
-            seq = rot if copy == 0 else list(reversed(rot))
-            ds = []
-            for e in seq:
-                if e == e_cut:
-                    continue
-                z_end = 0 if tri.edges[e][0] == z else 1
-                ds.append(dart(e, z_end, copy))
-            for i, d in enumerate(ds):
-                rotation[d] = ds[(i + 1) % len(ds)]
-
-    tm = TransverseMap(tri, pairing, rotation, edge_sign, vertex_label, dart_label)
-    regions = []
-    for c in tm.trace_circuits():
-        a, b = next(corners(c.seq))
-        ends = {tm.label_edge(a[0]), tm.label_edge(b[0])}
-        fits = [t for t, x, y in tri.corners_at(tm.vertex_label[a[0]]) if {x, y} == ends]
-        if len(fits) != 1:
-            raise InternalInconsistency(f"fold circuit's first corner fits triangles {fits}")
-        regions.append(Region(fits[0], SurfaceKind(True, 0, 0, 1), (c,)))
-    tm.replace(append=regions)
-    require_valid(tm, "fold_degree_zero")
-    if chi_domain(tm) != 2 or mod2_degree(tm) != 0:
-        raise InternalInconsistency("fold model is not a degree-zero sphere map")
-    return tm
-
-
-def builtin_example(name: str) -> TransverseMap:
-    if name == "rp2_pinch":
-        tm = identity_map(builtin_triangulation("sphere_tetra"))
-        return add_pinch(tm, 0, SurfaceKind(False, crosscaps=1))
-    if name == "fold_degree_zero":
-        return _fold_degree_zero()
-    raise UnknownName(f"unknown example {name!r}; "
-                      "choose from ['fold_degree_zero', 'rp2_pinch']")

@@ -4,18 +4,21 @@ import itertools
 import random
 from dataclasses import replace
 
-from surfmap.covers import (assemble_total_space, perm_id, perm_inv, perm_mul,
-                            random_cover)
-from surfmap.errors import Disconnected, InvalidChi, InvalidSurface, Stuck
+from surfmap import moves
+from surfmap.covers import (MonodromyCover, assemble_total_space, perm_id,
+                            perm_inv, perm_mul, random_cover)
+from surfmap.errors import (Disconnected, InternalInconsistency, InvalidChi,
+                            InvalidSurface, Stuck, UnknownName)
 from surfmap.moves import is_normal
 from surfmap.surfaces import (SurfaceKind, Triangulation, builtin_triangulation,
                               classify_surface, classify_with_boundary,
                               derive_rotations)
 from surfmap.transverse import (DomainSolve, IsoSide, Region,
                                 RegionChecks, RibbonCircuit, RibbonFacts,
-                                TransverseMap, _ties, chi_domain, classify_circuit,
-                                corners, domain_orientable, domain_solve,
-                                map_from_cover, mod2_degree, signed_degree,
+                                TransverseMap, _ties, add_pinch, chi_domain,
+                                classify_circuit, corners, domain_orientable,
+                                domain_solve, identity_map, map_from_cover,
+                                mod2_degree, require_valid, signed_degree,
                                 validate_map)
 from surfmap.unionfind import ParityUF
 
@@ -241,6 +244,152 @@ def find_join_by_scan(tm):
                 return min(position[cid] for cid in circles), ri, pos
     raise Stuck({"reason": "isolated circles but no join target",
                  "state": is_normal(tm)})
+
+
+def normalize_observed(tm, observer):
+    """moves.normalize(tm), calling observer(before, after, move name) after
+    every move: each move that moves._REDUCTIONS names is rebound in
+    moves, where normalize looks it up, for this one call."""
+    originals = {name: getattr(moves, name) for name, _find, _params in moves._REDUCTIONS}
+
+    def observed(name, move):
+        def run(before, *args):
+            after = move(before, *args)
+            observer(before, after, name)
+            return after
+        return run
+
+    try:
+        for name, move in originals.items():
+            setattr(moves, name, observed(name, move))
+        return moves.normalize(tm)
+    finally:
+        for name, move in originals.items():
+            setattr(moves, name, move)
+
+
+# --------------------------------------------------------------------------
+# Fixture maps and covers
+
+
+def domain_kind(tm: TransverseMap) -> SurfaceKind:
+    """The closed surface the domain is."""
+    return classify_surface(chi_domain(tm), domain_orientable(tm))
+
+
+def branched_sphere_double():
+    """A double cover of the tetrahedron branched once in each of triangles
+    0 and 1: a sphere over the sphere."""
+    tet = builtin_triangulation("sphere_tetra")
+    return MonodromyCover(tet, 2, {0: (2, 1), 1: (2, 1), 2: (2, 1),
+                                   3: (1, 2), 4: (1, 2), 5: (1, 2)},
+                          {0: [(2, 1)], 1: [(2, 1)]})
+
+
+def disjoint_cover(first, second):
+    """The cover whose sheets are first's and then second's, renumbered past
+    first's: the two covers of one base side by side, a disconnected
+    total space."""
+    d = first.d
+
+    def shifted(perm):
+        return tuple(s + d for s in perm)
+
+    return MonodromyCover(
+        first.base, d + second.d,
+        {e: first.edge_perm[e] + shifted(second.edge_perm[e]) for e in first.edge_perm},
+        {t: [*first.branch.get(t, ()), *map(shifted, second.branch.get(t, ()))]
+         for t in first.branch.keys() | second.branch.keys()})
+
+
+def _fold_degree_zero() -> TransverseMap:
+    """Sphere-to-sphere fold of vanishing degree: the target cut along one
+    edge gives a disk; the domain is its double, two mirror copies glued
+    along the cut, and the preimage graph is the doubled truncated skeleton.
+    A disk region's label is the triangle at its circuit's first corner, as
+    in map_from_cover; no two triangles of the tetrahedron share two edges,
+    so the corner's two edges name it."""
+    tri = builtin_triangulation("sphere_tetra")
+    e_cut = 0
+    u, w = tri.edges[e_cut]
+
+    pairing = {}
+    rotation = {}
+    edge_sign = {}
+    vertex_label = {}
+    dart_label = {}
+    next_dart = [0]
+    dart_ids = {}
+
+    def dart(e, end, copy):
+        key = (e, end, copy)
+        if key not in dart_ids:
+            dart_ids[key] = next_dart[0]
+            next_dart[0] += 1
+        return dart_ids[key]
+
+    survivors = [z for z in tri.vertices if z not in (u, w)]
+    for e, (a, b) in enumerate(tri.edges):
+        if e == e_cut:
+            continue
+        ends_in = [x for x in (a, b) if x in (u, w)]
+        if len(ends_in) == 0:
+            for copy in (0, 1):
+                d0, d1 = dart(e, 0, copy), dart(e, 1, copy)
+                pairing[d0], pairing[d1] = d1, d0
+                dart_label[d0], dart_label[d1] = (e, 0), (e, 1)
+                vertex_label[d0], vertex_label[d1] = a, b
+                edge_sign[min(d0, d1)] = 1 if tri.edge_compatible(e) else -1
+        elif len(ends_in) == 1:
+            y = b if a in (u, w) else a
+            y_end = 0 if tri.edges[e][0] == y else 1
+            d0, d1 = dart(e, y_end, 0), dart(e, y_end, 1)
+            pairing[d0], pairing[d1] = d1, d0
+            dart_label[d0] = dart_label[d1] = (e, y_end)
+            vertex_label[d0] = vertex_label[d1] = y
+            edge_sign[min(d0, d1)] = 1
+        # both ends removed: would double to an isolated circle; the
+        # tetrahedron has no parallel edges, so nothing to do
+
+    for z in survivors:
+        rot = tri.rotations[z]
+        for copy in (0, 1):
+            seq = rot if copy == 0 else list(reversed(rot))
+            ds = []
+            for e in seq:
+                if e == e_cut:
+                    continue
+                z_end = 0 if tri.edges[e][0] == z else 1
+                ds.append(dart(e, z_end, copy))
+            for i, d in enumerate(ds):
+                rotation[d] = ds[(i + 1) % len(ds)]
+
+    tm = TransverseMap(tri, pairing, rotation, edge_sign, vertex_label, dart_label)
+    regions = []
+    for c in tm.trace_circuits():
+        a, b = next(corners(c.seq))
+        ends = {tm.label_edge(a[0]), tm.label_edge(b[0])}
+        fits = [t for t, x, y in tri.corners_at(tm.vertex_label[a[0]]) if {x, y} == ends]
+        if len(fits) != 1:
+            raise InternalInconsistency(f"fold circuit's first corner fits triangles {fits}")
+        regions.append(Region(fits[0], SurfaceKind(True, 0, 0, 1), (c,)))
+    tm.replace(append=regions)
+    require_valid(tm, "fold_degree_zero")
+    if chi_domain(tm) != 2 or mod2_degree(tm) != 0:
+        raise InternalInconsistency("fold model is not a degree-zero sphere map")
+    return tm
+
+
+def builtin_example(name: str) -> TransverseMap:
+    """A sphere map with an RP2 pinched into one region ("rp2_pinch"), or
+    the sphere fold of degree zero ("fold_degree_zero")."""
+    if name == "rp2_pinch":
+        tm = identity_map(builtin_triangulation("sphere_tetra"))
+        return add_pinch(tm, 0, SurfaceKind(False, crosscaps=1))
+    if name == "fold_degree_zero":
+        return _fold_degree_zero()
+    raise UnknownName(f"unknown example {name!r}; "
+                      "choose from ['fold_degree_zero', 'rp2_pinch']")
 
 
 # --------------------------------------------------------------------------

@@ -17,14 +17,14 @@ from surfmap.moves import (_post_move_check, collapse_edge, collapsible_edges,
                            flip_vertex, insert_trivial_circle, normalize)
 from surfmap.surfaces import SurfaceKind, builtin_triangulation
 from surfmap.transverse import (IsolatedCircle, IsoSide, Region, RibbonCircuit,
-                                TransverseMap, add_pinch, builtin_example,
-                                chi_domain, classify_circuit, domain_orientable,
+                                TransverseMap, add_pinch, chi_domain, classify_circuit, domain_orientable,
                                 domain_solve, identity_map, map_from_cover,
                                 mod2_degree, rotation_orbit, signed_degree,
                                 validate_map)
 
 from helpers import (assert_facts_match_fresh, assert_matches_oracle,
-                     find_join_by_scan, scrambled, tube_double, two_triangle_sphere)
+                     builtin_example, find_join_by_scan, normalize_observed,
+                     scrambled, tube_double, two_triangle_sphere)
 
 # (base, d, branch, pinch, cover seed); together their normalizations run
 # every move, the dart-rewiring ones included
@@ -58,7 +58,7 @@ def test_every_move_of_a_corpus_slice_matches_the_oracle():
     for spec in SLICE:
         tm = _slice_map(*spec)
         assert_matches_oracle(tm)
-        normalize(tm, observer=observer)
+        normalize_observed(tm, observer)
     assert seen == {"collapse_edge", "join_isolated_circle", "boundary_surgery",
                     "relocate_crosscap"}
 
@@ -124,7 +124,7 @@ def test_klein_target_at_d6_scramble_and_normalize_match_the_oracle():
 
     start = invariants(TransverseMap.from_json(tm.to_json()))
     assert invariants(tm) == start
-    normal, _trace = normalize(tm, observer=observer)
+    normal, _trace = normalize_observed(tm, observer)
     assert set(seen) == {"collapse_edge", "join_isolated_circle",
                          "boundary_surgery", "relocate_crosscap"}
     assert invariants(normal) == start
@@ -247,7 +247,7 @@ def test_classify_circuit_reads_the_class_its_region_checks_carry():
     maps = [_slice_map(*spec, check=check) for spec in SLICE]
     maps.append(_klein_scramble(check=check))
     for tm in maps:
-        normalize(tm, observer=observer)
+        normalize_observed(tm, observer)
     assert seen["carried"] >= 100 and seen["circuits"] >= 1000
 
 
@@ -295,7 +295,7 @@ def test_derived_facts_of_every_collapse_and_surgery_match_fresh_facts(monkeypat
     maps = ([_slice_map(*spec) for spec in SLICE + LARGE] + [_klein_scramble()]
             + _tube_maps())
     for tm in maps:
-        normalize(tm, observer=observer)
+        normalize_observed(tm, observer)
     assert seen["collapse_edge"] >= 60 and seen["boundary_surgery"] >= 8
     assert changed["components"] >= 10 and changed["twistedness"] >= 5
     # each result's facts were derived, none built afresh
@@ -320,7 +320,7 @@ def test_moves_that_keep_a_lift_s_tables_keep_its_pulled_back_facts():
         check(after)
 
     for spec in SLICE:
-        normalize(_slice_map(*spec, check=check), observer=observer)
+        normalize_observed(_slice_map(*spec, check=check), observer)
     assert seen["states"] >= 100, seen
 
 
@@ -351,13 +351,14 @@ def test_collapse_checks_only_the_regions_it_replaces(monkeypatch):
     monkeypatch.setattr(transverse, "RegionChecks", CountedChecks)
     monkeypatch.setattr(transverse.RibbonFacts, "_trace_from", counted_trace)
     local = Counter()
+    unobserved = {move: getattr(moves, move) for move in REWIRING}
 
     def observer(before, after, move):
         if move not in REWIRING:
             return
         args = REWIRING[move](before)
         start = built.copy()
-        redo = getattr(moves, move)(before, *args)
+        redo = unobserved[move](before, *args)
         traces = built["traces"] - start["traces"]
         checks = built["checks"] - start["checks"]
         if move == "collapse_edge":
@@ -368,7 +369,7 @@ def test_collapse_checks_only_the_regions_it_replaces(monkeypatch):
                              if not any(r is s for s in before.regions)), move
 
     for tm in [_slice_map(*spec) for spec in SLICE] + [_klein_scramble()]:
-        normalize(tm, observer=observer)
+        normalize_observed(tm, observer)
     assert local["collapse_edge"] >= 30 and local["boundary_surgery"] >= 5
 
 
@@ -393,7 +394,7 @@ def test_derived_side_coherence_matches_fresh_facts_for_any_labels():
         compared[move] += 1
 
     for tm in [_slice_map(*spec) for spec in SLICE] + _tube_maps():
-        normalize(tm, observer=observer)
+        normalize_observed(tm, observer)
     assert compared["collapse_edge"] >= 30 and compared["boundary_surgery"] >= 5
 
 
@@ -442,7 +443,7 @@ def test_collapse_shares_the_regions_it_does_not_rebuild():
             kept[hit] += 1
 
     for tm in (_slice_map(*SLICE[0]), _digest_genus2_scramble()):
-        normalize(tm, observer=observer)
+        normalize_observed(tm, observer)
     assert kept[True] and kept[False]
 
 
@@ -593,7 +594,7 @@ def test_tampered_region_kind_is_reported(checked):
     _add_summand(work, 0)
     assert validate_map(work).ok        # kinds are free data for the validator
     with pytest.raises(InternalInconsistency, match="Euler characteristic drifted") as ex:
-        _post_move_check(tm, work, context="tamper")
+        _post_move_check(tm, work, edge_delta=(0, 0), context="tamper")
     assert ex.value.context == "tamper"
     assert ex.value.problems == ["Euler characteristic drifted"]
     # tampered after its own check, a map's invariants from that check are
@@ -939,7 +940,7 @@ def test_every_join_of_a_large_map_matches_the_oracle():
         assert domain_solve(after).orientable
         assert_matches_oracle(after)
 
-    normalize(_genus2_scramble(), observer=observer)
+    normalize_observed(_genus2_scramble(), observer)
     assert counts == {"join_isolated_circle": 64}
 
 
@@ -973,7 +974,7 @@ def test_invalid_result_is_reported_before_any_drift(checked):
     _add_summand(work, 0)
     problems = validate_map(work).problems[:4]
     with pytest.raises(InternalInconsistency) as ex:
-        _post_move_check(tm, work, context="tamper")
+        _post_move_check(tm, work, edge_delta=(0, 0), context="tamper")
     assert str(ex.value).startswith(f"tamper: invalid result: {problems}")
     assert ex.value.problems == problems
 
@@ -1064,7 +1065,7 @@ def test_join_finder_reads_the_tiling_and_agrees_with_the_scan():
             found["none" if out is None else out[0] if out[0] == "stuck" else "join"] += 1
 
     for spec in SLICE:
-        normalize(_slice_map(*spec), observer=observer)
+        normalize_observed(_slice_map(*spec), observer)
     assert found["join"] >= 100 and found["none"] >= 30 and found["stuck"] >= 10
     # without a current tiling, the finder checks the map first
     work = _slice_map(*SLICE[0]).copy()
@@ -1169,7 +1170,7 @@ def test_every_join_of_the_klein_normalization_matches_the_oracle():
         if move == "join_isolated_circle":
             assert_matches_oracle(after)
 
-    normalize(_klein_scramble(), observer=observer)
+    normalize_observed(_klein_scramble(), observer)
     assert counts["join_isolated_circle"] >= 40
 
 
@@ -1206,7 +1207,7 @@ def test_a_normalization_that_keeps_the_tables_keeps_the_ties_of_its_regions_onl
         assert after.ribbon_facts() is facts
         assert set(facts._ties) == linked(after)
 
-    normal, _trace = normalize(tm, observer=observer)
+    normal, _trace = normalize_observed(tm, observer)
     assert set(facts._ties) == linked(normal)
 
 
@@ -1244,7 +1245,7 @@ def test_derived_tilings_carry_the_sums_of_their_regions(monkeypatch):
     maps = [_slice_map(*spec, check=_assert_sums_are_carried) for spec in SLICE]
     maps.append(_genus2_scramble(check=_assert_sums_are_carried))
     for tm in maps:
-        normalize(tm, observer=observer)
+        normalize_observed(tm, observer)
     assert set(seen) == {"collapse_edge", "join_isolated_circle", "boundary_surgery",
                          "relocate_crosscap"}
     assert derived["derived"] >= 250 and derived["from scratch"] == 0

@@ -4,8 +4,10 @@ from surfmap.contours import synthesize_contour
 from surfmap.covers import random_cover
 from surfmap.errors import GraphLike
 from surfmap.surfaces import SurfaceKind, builtin_triangulation
-from surfmap.transverse import add_pinch, builtin_example, identity_map, map_from_cover
+from surfmap.transverse import add_pinch, identity_map, map_from_cover
 from surfmap.factorize import geometric_degree
+
+from helpers import builtin_example
 
 
 def decompose(tm):

@@ -5,7 +5,9 @@ from pathlib import Path
 
 from surfmap import moves, transverse, unionfind
 from surfmap.surfaces import BUILTIN_NAMES, builtin_triangulation
-from surfmap.transverse import TransverseMap, builtin_example
+from surfmap.transverse import TransverseMap
+
+from helpers import builtin_example
 
 ROOT = Path(__file__).resolve().parent.parent
 

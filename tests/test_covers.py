@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -14,7 +15,7 @@ from surfmap.errors import (Branched, InternalInconsistency, NotClosed,
                             Unsatisfiable)
 from surfmap.surfaces import BUILTIN_NAMES, Triangulation, builtin_triangulation
 
-from helpers import two_triangle_sphere, with_rotations_reversed
+from helpers import disjoint_cover, two_triangle_sphere, with_rotations_reversed
 
 
 @st.composite
@@ -92,28 +93,6 @@ def test_validate_verdict_follows_in_place_edits():
     assert c.validate() == []
     c.d = 3
     assert any("d = 3" in q for q in c.validate())
-
-
-@pytest.mark.parametrize("spec", [{999: [2], 0: [2]}, {-1: [2], 0: [2]}])
-def test_branch_spec_outside_the_base_refused_before_sampling(monkeypatch, spec):
-    built = []
-    init = MonodromyCover.__init__
-    monkeypatch.setattr(MonodromyCover, "__init__",
-                        lambda obj, *a, **k: built.append(1) or init(obj, *a, **k))
-    with pytest.raises(Unsatisfiable, match="not in the base"):
-        random_cover(builtin_triangulation("genus2"), 4, spec, seed=3)
-    assert built == []
-
-
-def test_crowded_branch_triangle_refused_before_sampling(monkeypatch):
-    built = []
-    init = MonodromyCover.__init__
-    monkeypatch.setattr(MonodromyCover, "__init__",
-                        lambda obj, *a, **k: built.append(1) or init(obj, *a, **k))
-    with pytest.raises(Unsatisfiable, match=r"cycle lengths \[2, 2\] in one triangle "
-                                            r"exceed 3 sheets"):
-        random_cover(builtin_triangulation("sphere_tetra"), 3, {0: [2, 2], 1: [2, 2]})
-    assert built == []
 
 
 def _random_cycles(rng, d):
@@ -340,26 +319,31 @@ def test_cover_solve_matches_the_search_and_the_assembly():
     """cover_solve's components, numbered by least state, against a
     breadth-first search, and its orientability against the assembled
     total space's: every base and the two-triangle sphere, d <= 6, every
-    branch choice, connected covers and covers that may fall apart."""
+    branch choice, connected covers and every two of them side by side
+    (disjoint_cover) with at most 6 sheets in all."""
     n = disconnected = 0
     for name in BUILTIN_NAMES + ("two_triangles",):
         tri = (two_triangle_sphere() if name == "two_triangles"
                else builtin_triangulation(name))
+        connected = []
         for d in range(1, 7):
             for branch in BRANCH_CHOICES:
-                for transitive in (True, False):
-                    try:
-                        cover = random_cover(tri, d, list(branch or ()) or None,
-                                             seed=d, require_transitive=transitive)
-                    except Unsatisfiable:
-                        continue
-                    comp = cover_components(cover)
-                    assert comp == _bfs_components(cover), (name, d, branch)
-                    total = assemble_total_space(cover)
-                    assert covers.cover_solve(cover).ok == total.orientability()
-                    assert cover_connected(cover) == total.is_connected()
-                    n += 1
-                    disconnected += max(comp.values()) > 0
+                try:
+                    connected.append(random_cover(tri, d, list(branch or ()) or None,
+                                                  seed=d))
+                except Unsatisfiable:
+                    continue
+        apart = [disjoint_cover(first, second)
+                 for first, second in itertools.combinations(connected, 2)
+                 if first.d + second.d <= 6]
+        for cover in connected + apart:
+            comp = cover_components(cover)
+            assert comp == _bfs_components(cover), (name, cover.d, cover.branch)
+            total = assemble_total_space(cover)
+            assert covers.cover_solve(cover).ok == total.orientability()
+            assert cover_connected(cover) == total.is_connected()
+            n += 1
+            disconnected += max(comp.values()) > 0
     assert n >= 200 and disconnected >= 50, (n, disconnected)
 
 

@@ -6,16 +6,15 @@ from surfmap.covers import (assemble_total_space, cover_chi, random_cover)
 from surfmap.errors import (Branched, GraphLike, InputError, NotNormal,
                             Unsatisfiable, ZeroDegree)
 from surfmap.surfaces import BUILTIN_NAMES, SurfaceKind, builtin_triangulation
-from surfmap.transverse import (add_pinch, builtin_example, chi_domain,
-                                identity_map, map_from_cover, mod2_degree,
-                                signed_degree)
+from surfmap.transverse import (add_pinch, chi_domain, identity_map,
+                                map_from_cover, mod2_degree, signed_degree)
 from surfmap.factorize import (compose_with_covering, factorize,
                                geometric_degree, orientation_true,
                                verify_kneser)
 from surfmap.covers import induced_triangulation
 
-from helpers import (identity_copies, join_regions, scrambled, tube_cover_map,
-                     tube_double)
+from helpers import (branched_sphere_double, builtin_example, identity_copies,
+                     join_regions, scrambled, tube_cover_map, tube_double)
 
 
 def test_identity_decomposition():
@@ -198,9 +197,7 @@ def test_tube_maps_factorize_unless_the_free_sheets_are_too_few(name):
 
 
 def test_degree_zero_pinched_branched_composite():
-    tet = builtin_triangulation("sphere_tetra")
-    cover = random_cover(tet, 2, {0: [2], 1: [2]}, seed=3)
-    tm = map_from_cover(cover)
+    tm = map_from_cover(branched_sphere_double())
     from surfmap.transverse import classify_circuit
     idx1 = next(ri for ri, reg in enumerate(tm.regions)
                 if classify_circuit(tm, reg, reg.circuits[0]).index == 1)

@@ -11,7 +11,9 @@ and chart flips that helpers.reference_solve gives, with a node per
 region, on every state of the memo slices' normalizations and of the
 `bounds` scrambles, and on hand-built ties."""
 
+import contextlib
 import importlib.util
+import io
 import json
 import random
 from pathlib import Path
@@ -19,14 +21,15 @@ from types import SimpleNamespace
 
 import pytest
 
+from surfmap import cli
 from surfmap.covers import random_cover
-from surfmap.errors import InputError
-from surfmap.moves import checked_tiling, normalize
+from surfmap.errors import InconsistentParity, InputError, SurfmapError
+from surfmap.moves import checked_tiling
 from surfmap.surfaces import SurfaceKind, Triangulation, builtin_triangulation
 from surfmap.transverse import (Region, TransverseMap, _solve, domain_solve,
                                 identity_map, map_from_cover)
 
-from helpers import reference_solve, scrambled
+from helpers import normalize_observed, reference_solve, scrambled
 from test_check_memo import SLICE, _slice_map
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -213,6 +216,67 @@ def test_unmutated_documents_read_as_the_reference_reads_them(bounds):
 
 
 # --------------------------------------------------------------------------
+# `analyze validate` against the entry check
+
+
+def run_cli(argv):
+    """(exit code, the JSON object printed on stdout)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(argv)
+    return rc, json.loads(out.getvalue())
+
+
+def accepted_on_entry(doc) -> bool:
+    """Whether cli._valid_map, the check every command but `analyze
+    validate` runs first, accepts the document's map."""
+    try:
+        cli._valid_map(TransverseMap.from_json(doc))
+    except SurfmapError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_validate_agrees_with_the_entry_check_on_mutated_documents(bounds, tmp_path,
+                                                                   name):
+    """`analyze validate` says valid exactly when the entry check accepts
+    the document: two mutated documents per `bounds` document, drawn as
+    the reader test draws its eight."""
+    rng = random.Random(f"validate {name}")
+    mutate = MUTATIONS[name]
+    path = tmp_path / "doc.json"
+    for _spec, composite, text in bounds:
+        for doc_text in (composite, text):
+            for _ in range(2):
+                doc = json.loads(doc_text)
+                mutate(doc, rng)
+                if rng.random() < 0.25:
+                    mutate(doc, rng)
+                path.write_text(json.dumps(doc))
+                rc, out = run_cli(["analyze", "validate", str(path)])
+                assert (rc == 0 and out["valid"]) == accepted_on_entry(doc)
+
+
+def test_mixed_parity_is_invalid_to_validate_and_impossible_on_entry(bounds, tmp_path):
+    """A duplicate key that gives one dart another vertex label leaves the
+    preimage counts with mixed parity: `analyze validate` says invalid
+    (exit 1), and the entry check of every other command raises
+    InconsistentParity, an impossible outcome (exit 2)."""
+    doc = json.loads(bounds[0][1])
+    label = doc["vertex_label"]["0"]
+    doc["vertex_label"]["00"] = next(v for v in doc["target"]["vertices"] if v != label)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    rc, out = run_cli(["analyze", "validate", str(path)])
+    assert rc == 1 and not out["valid"]
+    with pytest.raises(InconsistentParity):
+        cli._valid_map(TransverseMap.from_json(doc))
+    rc, out = run_cli(["analyze", "degree", str(path)])
+    assert rc == 2 and out["error"] == "impossible"
+
+
+# --------------------------------------------------------------------------
 # The solve
 
 
@@ -239,7 +303,7 @@ def test_solve_of_every_normalization_state_of_the_slices_matches_the_reference(
             states += 1
             assert_solve_matches_reference(after)
 
-        normalize(tm, observer=observer)
+        normalize_observed(tm, observer)
     assert states > 50
 
 

@@ -7,17 +7,17 @@ from surfmap.errors import (BadEdge, BadTarget, InternalInconsistency,
                             NoCrosscap, NotAdjacent, NotCollapsible,
                             NotCompatible, NotEssential)
 from surfmap.surfaces import SurfaceKind, builtin_triangulation
-from surfmap.transverse import (RibbonCircuit, add_pinch, builtin_example,
-                                chi_domain, classify_circuit, domain_kind,
-                                edge_count, identity_map, map_from_cover,
-                                mod2_degree, validate_map)
+from surfmap.transverse import (RibbonCircuit, add_pinch, chi_domain,
+                                classify_circuit, edge_count, identity_map,
+                                map_from_cover, mod2_degree, validate_map)
 from surfmap.moves import (boundary_surgery, collapse_edge, collapsible_edges,
                            insert_trivial_circle, is_normal,
-                           join_isolated_circle, normalize, relocate_crosscap,
-                           split_circle)
+                           join_isolated_circle, normalize, relocate_crosscap)
 import surfmap.moves as moves_mod
 
-from helpers import assert_matches_oracle, scrambled, tube_double
+from helpers import (assert_matches_oracle, branched_sphere_double,
+                     builtin_example, domain_kind, normalize_observed,
+                     scrambled, tube_double)
 
 
 def check_invariants(before, after):
@@ -56,18 +56,6 @@ def test_insert_bad_edge():
         insert_trivial_circle(tm, 0, off_edges[0])
 
 
-def test_split_circle_requires_essential():
-    tm = identity_map(builtin_triangulation("sphere_tetra"))
-    e0 = tm.target.triangle_edges(tm.regions[0].label)[0]
-    out = split_circle(tm, 0, 0, e0)
-    assert edge_count(out) == 7
-    check_invariants(tm, out)
-    # a region bounded only by the new circle has no essential circuit
-    disk_idx = len(out.regions) - 1
-    with pytest.raises(NotEssential):
-        split_circle(out, disk_idx, 0, out.isolated[0].edge)
-
-
 def test_join_requires_adjacency_and_essential():
     tm = identity_map(builtin_triangulation("sphere_tetra"))
     e0 = tm.target.triangle_edges(tm.regions[0].label)[0]
@@ -90,9 +78,7 @@ def test_join_on_circle_only_map_impossible():
 
 
 def test_scramble_preserves_everything():
-    tet = builtin_triangulation("sphere_tetra")
-    cover = random_cover(tet, 2, {0: [2], 1: [2]}, seed=3)
-    tm = map_from_cover(cover)
+    tm = map_from_cover(branched_sphere_double())
     work = tm
     for step in range(20):
         nxt = scrambled(work, 1, seed=step)
@@ -123,7 +109,6 @@ def test_normalize_restores_scrambled_cover_edge_count():
 
 
 def test_normalize_observer_sees_monotone_edges():
-    tet = builtin_triangulation("sphere_tetra")
     sc = scrambled(builtin_example("fold_degree_zero"), 6, seed=9)
     log = []
 
@@ -135,7 +120,7 @@ def test_normalize_observer_sees_monotone_edges():
             assert edge_count(after) == edge_count(before)
         log.append(move)
 
-    norm, trace = normalize(sc, observer=obs)
+    norm, trace = normalize_observed(sc, obs)
     assert len(log) == len(trace)
     assert is_normal(norm)["normal"]
 
@@ -244,7 +229,7 @@ def test_every_surgery_on_the_fold_matches_the_oracle(monkeypatch):
         cover = random_cover(builtin_triangulation(base), d, branch, seed=1)
         tm = scrambled(add_pinch(map_from_cover(cover), 0, pinch), 12, seed=3)
         seen = [tm]
-        normalize(tm, observer=lambda _before, after, _move: seen.append(after))
+        normalize_observed(tm, lambda _before, after, _move: seen.append(after))
         states += seen[::3]
     monkeypatch.setattr(moves_mod, "_rebuild_regions", spy)
     for state in states:
@@ -279,9 +264,7 @@ def test_relocate_crosscap_errors():
 
 
 def test_relocate_crosscap_and_followup():
-    tet = builtin_triangulation("sphere_tetra")
-    cover = random_cover(tet, 2, {0: [2], 1: [2]}, seed=3)
-    tm = map_from_cover(cover)
+    tm = map_from_cover(branched_sphere_double())
     idx1 = next(ri for ri, reg in enumerate(tm.regions)
                 if classify_circuit(tm, reg, reg.circuits[0]).index == 1)
     pinched = add_pinch(tm, idx1, SurfaceKind(False, crosscaps=1))

@@ -4,7 +4,8 @@ or perfbench/ outside its own definition, or a place in the short list of
 public entry points below.  Dunder methods (dataclass hooks such as
 __post_init__ among them) are called by Python itself and are exempt.
 Every field of the package's classes (dataclass annotations, __slots__
-entries) is read as an attribute somewhere in src/ or perfbench/."""
+entries) is read as an attribute somewhere in src/ or perfbench/, and
+every name a module of the package imports is used in that module."""
 
 import ast
 from collections import Counter
@@ -16,8 +17,7 @@ PACKAGE = ROOT / "src" / "surfmap"
 # Entry points kept for users of the library although nothing in the
 # package or the benchmark calls them; compose_with_covering is the
 # composition that acceptance criterion 6 checks.
-PUBLIC_API = {"domain_kind", "builtin_example", "split_circle",
-              "compose_with_covering"}
+PUBLIC_API = {"compose_with_covering"}
 
 
 def _definitions(tree: ast.Module):
@@ -114,3 +114,23 @@ def test_every_field_is_read():
               for path, tree in trees.items() if path.parent == PACKAGE
               for shown, name in _fields(tree) if name not in read]
     assert not unread, f"fields no attribute load reads: {unread}"
+
+
+def _imported(tree: ast.Module):
+    """The names the module's import statements bind, __future__ features
+    left out: `import a.b` binds a, `from a import b as c` binds c."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def test_every_import_is_used():
+    """An imported name that its module never refers to is dead weight."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in _imported(tree) if name not in names]
+    assert not unused, f"imported names nothing refers to: {unused}"

@@ -12,16 +12,16 @@ from surfmap.errors import (BadKind, DisconnectedCover, InconsistentParity,
 from surfmap.surfaces import (SurfaceKind, Triangulation, builtin_triangulation,
                               classify_surface, derive_rotations)
 from surfmap.transverse import (IsoSide, Region, TransverseMap,
-                                add_pinch, builtin_example, chi_domain,
-                                classify_circuit, domain_kind,
+                                add_pinch, chi_domain, classify_circuit,
                                 domain_orientable, edge_count, identity_map,
                                 lift_facts, map_from_cover, mod2_degree,
                                 signed_degree, validate_map)
 from surfmap.moves import flip_vertex, insert_trivial_circle
 
 from helpers import (assembled_map_from_cover, assert_facts_match_fresh,
-                     assert_matches_oracle, tube_double, two_triangle_sphere,
-                     with_rotations_reversed)
+                     assert_matches_oracle, branched_sphere_double,
+                     builtin_example, domain_kind, tube_double,
+                     two_triangle_sphere, with_rotations_reversed)
 from record_sampler_digests import CASES
 
 BUILTINS = ("sphere_tetra", "rp2_6", "torus_7", "klein_8", "genus2")
@@ -100,9 +100,7 @@ def test_map_from_cover_trivial_is_identity_like():
 
 
 def test_map_from_cover_branched_sphere():
-    tri = builtin_triangulation("sphere_tetra")
-    cover = random_cover(tri, 2, {0: [2], 1: [2]}, seed=3)
-    tm = map_from_cover(cover)
+    tm = map_from_cover(branched_sphere_double())
     rep = validate_map(tm)
     assert rep.ok
     assert domain_kind(tm).name() == "sphere"

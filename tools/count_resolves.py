@@ -72,9 +72,8 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from surfmap import moves, transverse, unionfind  # noqa: E402
 
 import workloads  # noqa: E402
+from tracer import MOVES  # noqa: E402
 
-MOVES = ("collapse_edge", "join_isolated_circle", "boundary_surgery",
-         "relocate_crosscap", "insert_trivial_circle")
 COLUMNS = ("moves", "checks", "walks", "solves", "ties resolved", "no tiling",
            "tables owned", "entry checks", "uncarried", "unions", "table checks",
            "charts")
