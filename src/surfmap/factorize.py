@@ -25,9 +25,9 @@ from .errors import (Branched, GraphLike, ImpossibleError, InputError,
                      InconsistentSheets, InternalInconsistency, NotNormal,
                      Unsatisfiable, ZeroDegree)
 from .surfaces import SurfaceKind
-from .transverse import (IsolatedCircle, Region, TransverseMap, chi_domain,
-                         classify_circuit, domain_orientable, mod2_degree,
-                         require_valid, signed_degree)
+from .transverse import (IsolatedCircle, Region, TransverseMap, checked_tiling,
+                         chi_domain, classify_circuit, domain_orientable,
+                         mod2_degree, signed_degree)
 from .moves import is_normal, normalize
 from . import covers as covers_mod
 
@@ -411,5 +411,5 @@ def compose_with_covering(tm: TransverseMap, cover: MonodromyCover) -> Transvers
         {d: (elab[e], end) for d, (e, end) in tm.dart_label.items()},
         {cid: IsolatedCircle(elab[c.edge]) for cid, c in tm.isolated.items()},
         [Region(tlab[reg.label], reg.kind, reg.circuits) for reg in tm.regions])
-    require_valid(out, "compose_with_covering")
+    checked_tiling(out, "compose_with_covering")
     return out

@@ -67,8 +67,9 @@ ties of the regions it adds.  A derivation only ever answers that
 nothing is wrong: where it would find a problem, and for a map without a
 tiling, a record or carried facts, validate_map checks from scratch,
 with the same problem texts in the same order.  Every passed check
-leaves a tiling, and a move reads the regions it touches off its input's
-(checked_tiling, which checks an input that has none first).
+leaves a tiling; a move reads the regions it touches off its input's,
+and a domain answer the solve of its map's (checked_tiling, which
+checks a map that has none first, and refuses one that fails).
 
 A cover's lift (map_from_cover) is checked by its base: its ribbon facts,
 and the answers of its disks' circuits, are pulled back from the
@@ -515,8 +516,7 @@ class RibbonFacts:
       of the inherited tiling's regions (_carry);
     * per linked region object (one whose ties the domain solve
       unites), its ties resolved by the vertex chart flips (_solve);
-      derived facts start without them, as their charts may differ;
-    * per edge, its flanking circuits (flanks).
+      derived facts start without them, as their charts may differ.
 
     The facts of a cover's lift are pulled back from the one-sheeted lift
     instead where the lift's tables project onto it (lift_facts,
@@ -616,33 +616,29 @@ class RibbonFacts:
         out = cls(tm, parent)
         if (parent.table_problem is None
                 and not any(map(new_pairing.__contains__, moved))
-                and out._tables_hold(touched, parent)):
+                and out._tables_hold(touched)):
             out._carry(parent, touched, tm._tiling)
         return out
 
-    def _tables_hold(self, touched: set, parent: "RibbonFacts") -> bool:
+    def _tables_hold(self, touched: set) -> bool:
         """Whether the tables pass table_problem's axioms, given that they
-        differ from parent's, which pass them, only at the darts in
+        differ from the parent's, which pass them, only at the darts in
         `touched` (keys and values alike), and that a dart whose rotation
         entry or labels differ is gone (derive); if so that is the verdict.
 
-        So only those darts are read: the four dart sets agree at each; a
-        live one keeps its parent's rotation entry, which must be a live
-        dart; the darts gone are the value of no dart (those that had them
-        in parent, parent.rot_inv, must be touched, so gone too); and the
-        pairing and signs hold at each."""
+        So only those darts are read: the four dart sets agree at each,
+        and the pairing and signs hold at each live one.  A dart gone has
+        no rotation entry, so its parent entry changed and its parent
+        rotation target is gone too: the darts gone are whole vertices,
+        and a live dart keeps its parent's rotation entry, a live dart."""
         pairing, rotation, sign = self.pairing, self.rotation, self.edge_sign
         labels, vertices = self.dart_label, self.vertex_label
-        had = parent.rot_inv
         for d in touched:
             if d not in pairing:
                 if d in rotation or d in labels or d in vertices:
                     return False
-                if had.get(d, d) not in touched:
-                    return False
                 continue
-            if (d not in rotation or d not in labels or d not in vertices
-                    or rotation[d] not in pairing):
+            if d not in rotation or d not in labels or d not in vertices:
                 return False
             p = pairing[d]
             if p == d or pairing.get(p) != d or sign.get(min(d, p)) not in (1, -1):
@@ -740,13 +736,7 @@ class RibbonFacts:
         # the RegionChecks of the tiling's regions, less the owners of the
         # circuits traced again
         if tiling is not None and tiling.facts is parent:
-            memo = parent._regions
-            listed = tiling.regions
-            if (tiling.unique and len(memo) == len(listed)
-                    and all(map(memo.__contains__, listed))):
-                regions = dict(memo)
-            else:
-                regions = {region: parent.checks_of(region) for region in listed}
+            regions = {region: parent.checks_of(region) for region in tiling.regions}
             stored = tiling.stored
             for key in dead:
                 regions.pop(stored[key].region, None)
@@ -919,16 +909,11 @@ class RibbonFacts:
         return [by_key[key] for key in sorted(by_key)]
 
     def _flank(self, k: int) -> tuple:
-        """flanks' entry for edge key k."""
+        """For edge key k: (key of the traced circuit through (k, 0), key
+        of the one through (k, 1), the triangles at k's target edge)."""
         key_of = self.circuit_of_token
         return (key_of[(k, 0)], key_of[(k, 1)],
                 self.target_edges[self.dart_label[k][0]][0])
-
-    @cached_property
-    def flanks(self) -> dict:
-        """Per edge key k: (key of the traced circuit through (k, 0), key
-        of the one through (k, 1), the triangles at k's target edge)."""
-        return {k: self._flank(k) for k in self.edge_keys}
 
     def _local_sign(self, rep):
         labels = [self.dart_label[d][0] for d in self.vertex_darts(rep)]
@@ -1151,10 +1136,10 @@ class RibbonFacts:
         key]: the regions flanking an edge are labeled by its two
         triangles.  (A check that derives its tiling looks only at the
         edges of the regions it replaced, Tiling.derived.)"""
-        flanks = self.flanks
+        flank = self._flank
         problems = []
         for k in self.edge_keys:
-            c0, c1, want = flanks[k]
+            c0, c1, want = flank(k)
             sides = {labels[c0], labels[c1]}
             if sides != want:
                 problems.append(f"edge {k} flanked by regions labeled "
@@ -1314,10 +1299,10 @@ class Tiling:
     one map from circle sides to the regions they bound); whether no
     region is listed twice (`unique`: a passed check lets a map list a
     region twice that has neither a circuit nor a circle side); the sums
-    the domain solve reads (_sums): the regions' Euler sum (`euler`),
-    their count of nonorientable kinds (`nonorientable`) and the
-    RegionChecks of the linked regions (`linked`, one per listing); and
-    the domain solve, made on first use (domain_solve).
+    the domain solve reads: the regions' Euler sum (`euler`), their count
+    of nonorientable kinds (`nonorientable`) and the RegionChecks of the
+    linked regions (`linked`, one per listing); and the domain solve,
+    made on first use (domain_solve).
 
     A map passes the tiling it was checked with on to its copies, and a
     check of a copy derives the copy's tiling from it (derived), so the
@@ -1549,7 +1534,13 @@ def validate_map(tm: TransverseMap) -> ValidationReport:
     position = tm.circle_positions()
     stored = {}            # traced circuit key -> region index
     owner = {}             # (circle id, side) -> region index
+    euler = nonorientable = 0
+    linked = []            # the RegionChecks of the linked regions
     for ri, checks in enumerate(entries):
+        euler += checks.euler
+        nonorientable += not checks.orientable
+        if checks.needs_node:
+            linked.append(checks)
         if checks.problems:
             rep.problems.extend(problem.format(ri) for problem in checks.problems)
         for key in checks.walk_keys:
@@ -1594,7 +1585,8 @@ def validate_map(tm: TransverseMap) -> ValidationReport:
         tm._tiling = Tiling(facts, regions, isolated,
                             {key: entries[ri] for key, ri in stored.items()},
                             {side: entries[ri] for side, ri in owner.items()},
-                            len(set(regions)) == len(regions), _sums(entries))
+                            len(set(regions)) == len(regions),
+                            (euler, nonorientable, linked))
         tm._edits = None
     _check_parity(rep, facts)
     return rep
@@ -1607,21 +1599,17 @@ def _check_parity(rep: ValidationReport, facts: RibbonFacts):
         rep.add("preimage counts of target vertices have mixed parity")
 
 
-def require_valid(tm: TransverseMap, context: str):
-    rep = validate_map(tm)
-    if not rep.ok:
-        raise InternalInconsistency(f"{context}: {rep.problems[:4]}",
-                                    context=context, problems=rep.problems[:4])
-    return rep
-
-
 def checked_tiling(tm: TransverseMap, context: str) -> Tiling:
     """The tiling of tm's passed check (TransverseMap.tiling), checking tm
-    first (require_valid, with `context`) when it has none: the one way a
-    move reads the regions it touches."""
+    first when it has none, and InternalInconsistency (with `context` and
+    the first four problems) when it fails: the one way a move reads the
+    regions it touches, and a domain answer its solve."""
     tiling = tm.tiling()
     if tiling is None:
-        require_valid(tm, context)
+        rep = validate_map(tm)
+        if not rep.ok:
+            raise InternalInconsistency(f"{context}: {rep.problems[:4]}",
+                                        context=context, problems=rep.problems[:4])
         tiling = tm._tiling
     return tiling
 
@@ -1633,20 +1621,6 @@ def checked_tiling(tm: TransverseMap, context: str) -> Tiling:
 def edge_count(tm: TransverseMap) -> int:
     """Edges of the preimage graph, isolated circles counting as one each."""
     return len(tm.edge_keys()) + len(tm.isolated)
-
-
-def _sums(entries) -> tuple:
-    """What the domain solve reads of the RegionChecks of a state's
-    regions: (their Euler sum, their count of nonorientable kinds, the
-    linked ones, in order)."""
-    euler = nonorientable = 0
-    linked = []
-    for checks in entries:
-        euler += checks.euler
-        nonorientable += not checks.orientable
-        if checks.needs_node:
-            linked.append(checks)
-    return euler, nonorientable, linked
 
 
 def _ties(checks: RegionChecks, charts: dict, vertex_of: dict) -> tuple:
@@ -1692,7 +1666,7 @@ class DomainSolve:
 def _solve(facts: RibbonFacts, isolated: dict, euler: int, nonorientable: int,
            linked: list) -> DomainSolve:
     """The domain solve of a state with the circles `isolated`, whose
-    regions have the sums `euler`, `nonorientable` and `linked` (_sums):
+    regions have the sums `euler`, `nonorientable` and `linked` (Tiling):
     the union-find holds the graph components and the circles, and the
     ties of each region in `linked` are united with its first one, each
     region's anchor ties resolved once per facts (_ties, memoized by region
@@ -1753,17 +1727,11 @@ def domain_solve(tm: TransverseMap) -> DomainSolve:
     once per ribbon facts.  The answers do not depend on the order of the
     unions: chart flips are read only where the system is consistent.
 
-    A map whose tiling is current (TransverseMap.tiling) has the tiling's
-    solve, made once per map state from the sums the tiling carries.  Any
-    other map (one never checked, or changed in place since) is solved
-    from its regions' RegionChecks.  Meaningful for maps that pass
-    validate_map.
+    The solve is the one of the map's checked tiling (checked_tiling),
+    made once per map state from the sums the tiling carries; a map that
+    fails validate_map has none.
     """
-    tiling = tm.tiling()
-    if tiling is not None:
-        return tiling.domain_solve()
-    facts = tm.ribbon_facts()
-    return _solve(facts, tm.isolated, *_sums(facts.region_checks(tm.regions)))
+    return checked_tiling(tm, "domain_solve").domain_solve()
 
 
 def chi_domain(tm: TransverseMap) -> int:
@@ -2043,10 +2011,10 @@ def map_from_cover(cover) -> TransverseMap:
     vertices' local signs and problems, its edges' problems and its
     disks' RegionChecks are those of their images (OneSheetedLift);
     otherwise its facts are fresh.  validate_map then runs its
-    cross-region section (owners, flanks, parity) on those facts and
-    leaves the map its tiling, and χ is checked against cover_chi and the
-    domain's orientability against the cover's (covers.cover_solve), both
-    from a domain solve made from scratch.
+    cross-region section (owners, side coherence, parity) on those facts
+    and leaves the map its tiling, and χ is checked against cover_chi and
+    the domain's orientability against the cover's (covers.cover_solve),
+    both from the domain solve of that tiling.
     """
     cover.require_valid()
     solve = covers_mod.cover_solve(cover)
@@ -2110,7 +2078,7 @@ def map_from_cover(cover) -> TransverseMap:
         a = seq[1] if seq[1][1] == 1 else seq[2 % len(seq)]
         regions.append(Region(sector_of[a[0]], disk, (c,)))
     tm.replace(append=regions)
-    require_valid(tm, "map_from_cover")
+    checked_tiling(tm, "map_from_cover")
 
     chi = chi_domain(tm)
     if chi != covers_mod.cover_chi(cover):
@@ -2131,5 +2099,5 @@ def add_pinch(tm: TransverseMap, region_index: int, closed_kind: SurfaceKind) ->
     reg = out.regions[region_index]
     out.replace(regions={region_index: Region(
         reg.label, connected_sum_kind(reg.kind, closed_kind), reg.circuits)})
-    require_valid(out, "add_pinch")
+    checked_tiling(out, "add_pinch")
     return out

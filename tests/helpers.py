@@ -15,10 +15,10 @@ from surfmap.surfaces import (SurfaceKind, Triangulation, builtin_triangulation,
                               derive_rotations)
 from surfmap.transverse import (DomainSolve, IsoSide, Region,
                                 RegionChecks, RibbonCircuit, RibbonFacts,
-                                TransverseMap, _ties, add_pinch, chi_domain,
-                                classify_circuit, corners, domain_orientable,
-                                domain_solve, identity_map, map_from_cover,
-                                mod2_degree, require_valid, signed_degree,
+                                TransverseMap, _ties, add_pinch, checked_tiling,
+                                chi_domain, classify_circuit, corners,
+                                domain_orientable, domain_solve, identity_map,
+                                map_from_cover, mod2_degree, signed_degree,
                                 validate_map)
 from surfmap.unionfind import ParityUF
 
@@ -374,7 +374,7 @@ def _fold_degree_zero() -> TransverseMap:
             raise InternalInconsistency(f"fold circuit's first corner fits triangles {fits}")
         regions.append(Region(fits[0], SurfaceKind(True, 0, 0, 1), (c,)))
     tm.replace(append=regions)
-    require_valid(tm, "fold_degree_zero")
+    checked_tiling(tm, "fold_degree_zero")
     if chi_domain(tm) != 2 or mod2_degree(tm) != 0:
         raise InternalInconsistency("fold model is not a degree-zero sphere map")
     return tm
@@ -431,19 +431,22 @@ def assert_matches_oracle(tm: TransverseMap):
 
 FACT_FIELDS = ("trace_circuits", "circuit_by_key", "circuit_of_token",
                "vertex_of", "vertex_reps", "local_signs", "vertex_charts",
-               "table_problem", "vertex_edge_problems", "flanks", "edge_keys",
+               "table_problem", "vertex_edge_problems", "edge_keys",
                "rot_inv", "preimage_counts", "target_edges")
 CHECKS_FIELDS = ("walk_keys", "iso_sides", "problems", "corner_problems",
                  "needs_node", "euler", "orientable", "answers")
 
 
 def assert_facts_match_fresh(tm: TransverseMap):
-    """Every fact, memoized answer and RegionChecks in tm's ribbon facts
-    equals what RibbonFacts(tm), built from scratch, gives (a region's
-    ties as sets: their order is a set's)."""
+    """Every fact, each edge's flanking circuits (_flank), memoized answer
+    and RegionChecks in tm's ribbon facts equals what RibbonFacts(tm),
+    built from scratch, gives (a region's ties as sets: their order is a
+    set's)."""
     live, fresh = tm.ribbon_facts(), RibbonFacts(tm)
     for name in FACT_FIELDS:
         assert getattr(live, name) == getattr(fresh, name), name
+    for k in fresh.edge_keys:
+        assert live._flank(k) == fresh._flank(k), k
     for checks in live._regions.values():
         again = RegionChecks(fresh, checks.region)
         for name in CHECKS_FIELDS:
@@ -716,7 +719,7 @@ def reference_triangle_signs(self):
 def reference_solve(facts: RibbonFacts, isolated: dict, euler: int, nonorientable: int,
                     linked: list) -> DomainSolve:
     """The domain solve of a state with the circles `isolated`, whose
-    regions have the sums `euler`, `nonorientable` and `linked` (_sums):
+    regions have the sums `euler`, `nonorientable` and `linked` (Tiling):
     the ties of the regions in `linked` are united, each region's anchor
     ties resolved once per facts (_ties, memoized by region in the facts)."""
     charts, n_components, _bands_ok = facts.vertex_charts

@@ -5,6 +5,7 @@ it was copied from.  The oracle is the same question asked of
 TransverseMap.from_json(tm.to_json()), which shares nothing with `tm`.
 """
 
+import json
 import random
 from collections import Counter
 
@@ -374,10 +375,10 @@ def test_collapse_checks_only_the_regions_it_replaces(monkeypatch):
 
 
 def test_derived_side_coherence_matches_fresh_facts_for_any_labels():
-    """Derived facts carry the flanks of the edges away from the rewired
-    darts.  With arbitrary labels, also where a new circuit has the key
-    and the label of a circuit it replaced, their side coherence answers
-    as fresh facts do."""
+    """Derived facts carry the circuits flanking the edges away from the
+    rewired darts.  With arbitrary labels, also where a new circuit has
+    the key and the label of a circuit it replaced, their side coherence
+    answers as fresh facts do."""
     rng = random.Random(3)
     compared = Counter()
 
@@ -653,11 +654,14 @@ def test_stored_circuit_that_starts_elsewhere_is_read_as_the_oracle_reads_it(
 
 def _domain_answers(tm: TransverseMap):
     """chi_domain (or the Disconnected text), domain_orientable and the
-    signed degree where it is defined."""
+    signed degree where it is defined; for a map that fails validate_map,
+    the context and problems of the error the answers raise."""
     try:
         chi = chi_domain(tm)
     except Disconnected as ex:
         chi = str(ex)
+    except InternalInconsistency as ex:
+        return ex.context, ex.problems
     orientable = domain_orientable(tm)
     signed = (signed_degree(tm)
               if orientable and tm.target.orientability() else None)
@@ -857,6 +861,28 @@ def test_domain_solve_of_a_tampered_copy_follows_the_edit(name):
     after = _domain_answers(work)
     assert after == _domain_answers(fresh)
     assert after != before
+
+
+@pytest.mark.parametrize("name", ["circuit_dropped", "isolated_added"])
+def test_domain_answers_of_an_invalid_map_are_refused(name, tmp_path, capsys):
+    """A map that fails validate_map has no checked tiling and so no
+    domain answer: each raises as a move given the map does, with the
+    first four problems, and the CLI refuses its document on entry."""
+    build, edit = IN_PLACE_EDITS[name]
+    tm = build()
+    edit(tm)
+    problems = validate_map(tm).problems
+    assert problems
+    for answer in (chi_domain, domain_orientable, domain_solve, signed_degree):
+        with pytest.raises(InternalInconsistency) as info:
+            answer(tm)
+        assert info.value.context == "domain_solve"
+        assert info.value.problems == problems[:4]
+    path = tmp_path / "map.json"
+    path.write_text(tm.dumps())
+    assert cli.main(["analyze", "degree", str(path)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"] == "input" and out["problems"] == problems
 
 
 def _nested_circles() -> TransverseMap:
@@ -1217,8 +1243,10 @@ def _assert_sums_are_carried(tm: TransverseMap):
     multiset, by identity)."""
     tiling = tm.tiling()
     assert tiling is not None
-    euler, nonorientable, linked = transverse._sums(
-        tm.ribbon_facts().region_checks(tm.regions))
+    entries = tm.ribbon_facts().region_checks(tm.regions)
+    euler = sum(checks.euler for checks in entries)
+    nonorientable = sum(not checks.orientable for checks in entries)
+    linked = [checks for checks in entries if checks.needs_node]
     assert (tiling.euler, tiling.nonorientable) == (euler, nonorientable)
     assert Counter(map(id, tiling.linked)) == Counter(map(id, linked))
 

@@ -43,7 +43,6 @@ def test_counts_of_the_first_corpus_maps():
     # each move's check solves its result once, from the tiling
     assert all(rows[name]["solves"] == rows[name]["moves"] > 0
                for name in ("collapse_edge", "join_isolated_circle", "boundary_surgery"))
-    assert all(row["no tiling"] == 0 for row in rows.values())
     for name in ("collapse_edge", "boundary_surgery"):
         # a solve under new dart tables searches the graph, and resolves
         # the ties of every linked region (these surgeries'

@@ -7,7 +7,7 @@ Runs every operation of the catalog once, in catalog order (for `bounds`,
 after writing its maps to a temporary directory, which is not counted),
 with counting wrappers installed at run time on surfmap's moves, on
 RegionChecks.__init__, on RibbonFacts.walk_key, on moves.checked_tiling,
-on the domain-solve functions, on ParityUF.union, on TransverseMap.own,
+on the domain solve and its ties, on ParityUF.union, on TransverseMap.own,
 on RibbonFacts.derive, on RibbonFacts.table_problem and on
 RibbonFacts.vertex_charts, as
 perfbench/tracer.py installs its spans; nothing under src/ has hooks.
@@ -24,15 +24,15 @@ Prints one row per move kind, what is done outside any move under
   (RibbonFacts.walk_key).  A join, an insert or a relocation keeps the
   facts and takes the answers of the circuits its new regions share
   with those it replaces, so it reads 0;
-* solves: the domain solves made for a tiling (Tiling.domain_solve),
-  one per checked map state that is measured;
+* solves: the domain solves made (transverse._solve), each for the
+  tiling of a checked map state (Tiling.domain_solve), one per state
+  that is measured;
 * ties resolved: the regions whose ties were resolved by the chart
   flips (transverse._ties), the misses of the ties memoized per ribbon
   facts.  A join or an insert keeps the facts, so it resolves those of
   the at most three regions it adds; a collapse or a surgery derives new
   facts, so it resolves those of every linked region (one with other
   than one distinct tie);
-* no tiling: the solves of a map that had no current tiling;
 * tables owned: the dart tables copied to be written (TransverseMap.own
   on a shared table).  A move that keeps the tables (a join, an insert,
   a relocation) shares its input's, so it reads 0;
@@ -45,8 +45,8 @@ Prints one row per move kind, what is done outside any move under
   tables and whose map is checked from scratch.  A collapse deletes
   whole vertices and rewires bands, a surgery rewires bands only, and
   derive carries after both, so each reads 0;
-* unions: the ParityUF.union calls made inside the domain solves (solves
-  and no tiling), one for each tie of a linked region but its first;
+* unions: the ParityUF.union calls made inside the domain solves, one
+  for each tie of a linked region but its first;
 * table checks: the whole-table passes over the dart tables for their
   axioms (RibbonFacts.table_problem computed from the tables).  Facts
   derived after a collapse or a surgery read the axioms at the changed
@@ -74,9 +74,8 @@ from surfmap import moves, transverse, unionfind  # noqa: E402
 import workloads  # noqa: E402
 from tracer import MOVES  # noqa: E402
 
-COLUMNS = ("moves", "checks", "walks", "solves", "ties resolved", "no tiling",
-           "tables owned", "entry checks", "uncarried", "unions", "table checks",
-           "charts")
+COLUMNS = ("moves", "checks", "walks", "solves", "ties resolved", "tables owned",
+           "entry checks", "uncarried", "unions", "table checks", "charts")
 
 
 class Counts:
@@ -151,23 +150,11 @@ class Counts:
 
         self._set(transverse.RibbonFacts, "derive", classmethod(derived))
 
-        tiling_solve = transverse.Tiling.domain_solve
-        solving = []           # per open Tiling.domain_solve
-
-        def domain_solve(tiling):
-            if tiling._solve is not None:
-                return tiling_solve(tiling)
-            solving.append(True)
-            try:
-                return tiling_solve(tiling)
-            finally:
-                solving.pop()
-
         whole = transverse._solve
         inside = []            # per open _solve
 
         def solve(*args):
-            counts.rows[counts.move[-1]]["solves" if solving else "no tiling"] += 1
+            counts.rows[counts.move[-1]]["solves"] += 1
             inside.append(True)
             try:
                 return whole(*args)
@@ -200,7 +187,6 @@ class Counts:
 
         counted("table_problem", "table checks")
         counted("vertex_charts", "charts")
-        self._set(transverse.Tiling, "domain_solve", domain_solve)
         self._set(transverse, "_solve", solve)
         self._set(transverse, "_ties", resolved)
         self._set(unionfind.ParityUF, "union", united)
