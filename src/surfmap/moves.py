@@ -23,9 +23,13 @@ input's tiling (transverse.Tiling: the owners of the circuits and circle
 sides, and the sums the domain solve reads), from which the result's is
 derived by the regions and circles the result's record says it changed
 (TransverseMap.replace, Tiling.derived).  The result's domain solve,
-which chi_domain and domain_orientable share, is made once over the
-linked regions, from ties resolved once per ribbon facts, so a
-join or an insert resolves those of the regions it adds only.  Regions
+which chi_domain and domain_orientable share, is made once, from ties
+resolved once per ribbon facts.  A join, an insert or a relocation
+derives it from its input's solve: a copy of the input's union-find
+takes the ties of the regions the move adds, where the input's spanning
+forest certifies that the ties of the regions it replaced are still
+implied (transverse._derive_solve); otherwise, and after a collapse or
+a surgery, it is made from scratch over the linked regions.  Regions
 are frozen: a move replaces the regions it changes and shares the rest,
 so its check looks again only at those (a join or an insert changes at
 most three, a collapse the regions around the collapsed edge).  A

@@ -63,7 +63,11 @@ owners and sums updated.  The solve is made once per tiling, over the
 linked regions only; the ties of each such region, resolved by
 the vertex chart flips, are memoized in the facts beside its
 RegionChecks, so a move that keeps the dart tables resolves only the
-ties of the regions it adds.  A derivation only ever answers that
+ties of the regions it adds.  Such a move (a join, an insert, a
+relocation) also derives its result's solve from its input's where the
+input's spanning forest, the regions whose ties merged two classes,
+certifies it: a copy of the input's union-find takes the ties of the
+regions it adds only (_derive_solve).  A derivation only ever answers that
 nothing is wrong: where it would find a problem, and for a map without a
 tiling, a record or carried facts, validate_map checks from scratch,
 with the same problem texts in the same order.  Every passed check
@@ -1025,20 +1029,18 @@ class RibbonFacts:
 
     def walk_key(self, seq: tuple):
         """None when the token tuple is not an alternating boundary walk;
-        otherwise the key of the traced circuit with the same token set,
-        or that token set itself when no traced circuit has it.  Like the
+        otherwise the key of the traced circuit it walks.  A walk steps
+        from each token to its successor (a band step, then a corner step),
+        which is a bijection of the tokens once the table axioms hold, as
+        they do wherever regions are checked; so a walk goes round the
+        traced circuit through its first token, once or more.  Like the
         other per-circuit answers below, it is kept only in the RegionChecks
         of the region that stores the walk (RegionChecks.walk_keys)."""
         first = self.circuit_of_token.get(seq[0]) if seq else None
         if first is not None and self.circuit_by_key[first].seq == seq:
             # the traced circuit itself, which walks by construction
             return first
-        if not self._walk_ok(seq):
-            return None
-        tokens = frozenset(seq)
-        if first is None or frozenset(self.circuit_by_key[first].seq) != tokens:
-            return tokens
-        return first
+        return first if self._walk_ok(seq) else None
 
     def _walk_ok(self, seq: tuple) -> bool:
         """Whether seq alternates band steps (from even positions) and
@@ -1233,11 +1235,7 @@ class RegionChecks:
                 problems.append(f"region {{}} circuit {pos} is not an "
                                 "alternating boundary walk")
                 continue
-            if key.__class__ is tuple:
-                keys.append(key)
-            else:
-                problems.append(f"region {{}} circuit {pos} does not match "
-                                "any traced circuit")
+            keys.append(key)
             _key, problem, anchor, bits = answer
             if problem is not None:
                 corner_problems.append(f"region {{}} circuit {pos} {problem}")
@@ -1301,32 +1299,48 @@ class Tiling:
     region twice that has neither a circuit nor a circle side); the sums
     the domain solve reads: the regions' Euler sum (`euler`), their count
     of nonorientable kinds (`nonorientable`) and the RegionChecks of the
-    linked regions (`linked`, one per listing); and the domain solve,
-    made on first use (domain_solve).
+    linked regions (`linked`, one per listing: from a check from scratch,
+    and for a derived tiling listed on first use, which only a whole
+    solve makes); and the domain solve, made on first use (domain_solve).
 
     A map passes the tiling it was checked with on to its copies, and a
     check of a copy derives the copy's tiling from it (derived), so the
     tiling is put together from scratch only for a map that has none."""
 
     __slots__ = ("facts", "regions", "isolated", "stored", "owner", "unique",
-                 "euler", "nonorientable", "linked", "_solve")
+                 "euler", "nonorientable", "_linked", "_solve", "_base")
 
-    def __init__(self, facts, regions, isolated, stored, owner, unique, sums: tuple):
+    def __init__(self, facts, regions, isolated, stored, owner, unique, sums: tuple,
+                 base: tuple = None):
         self.facts = facts
         self.regions = regions
         self.isolated = isolated
         self.stored = stored
         self.owner = owner
         self.unique = unique
-        self.euler, self.nonorientable, self.linked = sums
+        self.euler, self.nonorientable, self._linked = sums
         self._solve = None
+        self._base = base
 
     def domain_solve(self) -> "DomainSolve":
-        """The domain solve of the state, made once (_solve)."""
+        """The domain solve of the state, made once: derived from the
+        solve of the tiling this one was derived from under the same facts
+        (`_base`: that solve and what changed) where its spanning forest
+        certifies it (_derive_solve), and otherwise from scratch
+        (_solve)."""
         if self._solve is None:
-            self._solve = _solve(self.facts, self.isolated, self.euler,
-                                 self.nonorientable, self.linked)
+            base, self._base = self._base, None
+            solve = base and _derive_solve(*base, self)
+            self._solve = solve or _solve(self.facts, self.isolated, self.euler,
+                                          self.nonorientable, self.linked)
         return self._solve
+
+    @property
+    def linked(self) -> list:
+        if self._linked is None:
+            self._linked = [checks for checks in self.facts.region_checks(self.regions)
+                            if checks.needs_node]
+        return self._linked
 
     def _holds(self, checks: "RegionChecks") -> bool:
         """Whether the region of `checks` is one of this tiling's: the
@@ -1366,10 +1380,15 @@ class Tiling:
         the circuits and circle sides that are new or whose owner's label
         changed (the coherence reads only the owners' labels).  The
         regions kept passed these checks with the same owners and
-        circuits.  The sums are updated by the regions replaced.  The facts
-        forget the RegionChecks and the resolved ties of the regions gone,
-        so facts that a normalization's joins and inserts share hold those
-        of the current regions only."""
+        circuits.  The Euler sum and the count of nonorientable kinds are
+        updated by the regions replaced; the linked regions are listed
+        only for a whole solve (linked).  Under this tiling's facts, once
+        this tiling has its solve, the new tiling keeps that solve with
+        the regions replaced and the circles changed, to derive its own
+        from (domain_solve).  The facts forget
+        the RegionChecks and the resolved ties of the regions gone, so
+        facts that a normalization's joins and inserts share hold those of
+        the current regions only."""
         if facts is self.facts:
             retraced = ()
         elif facts.origin is not None and facts.origin[0] == self.facts.serial:
@@ -1403,12 +1422,10 @@ class Tiling:
         # the regions gone (dict.copy clones the table where dict() would
         # hash every key again)
         stored, owner = self.stored.copy(), self.owner.copy()
-        euler, nonorientable, linked = self.euler, self.nonorientable, self.linked
+        euler, nonorientable = self.euler, self.nonorientable
         for checks in gone.values():
             euler -= checks.euler
             nonorientable -= not checks.orientable
-            if checks.needs_node and linked is self.linked:
-                linked = [kept for kept in linked if kept.region not in gone]
             for key in checks.walk_keys:
                 del stored[key]
             for side in checks.iso_sides:
@@ -1428,6 +1445,7 @@ class Tiling:
                 for c, answer, cls in zip(checks.region.circuits, checks.answers,
                                           classes):
                     known[id(c)] = (c, label, answer, cls)
+        fresh = []            # the linked checks of the regions added
         for region in came:
             checks = facts.checks_of(region, known)
             if checks.problems or checks.corner_problems:
@@ -1435,7 +1453,7 @@ class Tiling:
             euler += checks.euler
             nonorientable += not checks.orientable
             if checks.needs_node:
-                linked = linked + [checks]
+                fresh.append(checks)
             label = region.label
             for key in checks.walk_keys:
                 if key in stored:
@@ -1479,8 +1497,11 @@ class Tiling:
                     != edges[isolated[cid].edge][0]):
                 return None
 
+        base = None
+        if facts is old_facts and self._solve is not None:
+            base = (self._solve, gone.values(), fresh, changed, self.isolated)
         return Tiling(facts, regions, isolated, stored, owner, True,
-                      (euler, nonorientable, linked))
+                      (euler, nonorientable, None), base)
 
 
 def validate_map(tm: TransverseMap) -> ValidationReport:
@@ -1623,24 +1644,26 @@ def edge_count(tm: TransverseMap) -> int:
     return len(tm.edge_keys()) + len(tm.isolated)
 
 
-def _ties(checks: RegionChecks, charts: dict, vertex_of: dict) -> tuple:
-    """The distinct anchor ties of a region's node, resolved by the chart
-    flip of each anchor's vertex: (graph component's number, xor of the
-    two values), with bit 0 on a component whose band signs admit no
-    flips (the tie then only joins)."""
+def _ties(checks: RegionChecks, charts: dict, vertex_of: dict, n_components: int) -> tuple:
+    """The distinct ties of a region as (node, rel): first its anchor
+    ties, each resolved by the chart flip of its anchor's vertex to (graph
+    component's number, xor of the two values), with bit 0 on a component
+    whose band signs admit no flips (the tie then only joins); then its
+    circle ties, the circle of id c being node n_components + c."""
     resolved = set()
     for dart, bit in checks.ties[0]:
         component, flip = charts[vertex_of[dart]]
         resolved.add((component, 0 if flip is None else flip ^ bit))
-    return tuple(resolved)
+    return (*resolved, *[(n_components + cid, bit) for cid, bit in checks.ties[1]])
 
 
 class DomainSolve:
     """The domain's connectivity and orientation constraints, solved
-    (_solve), with the regions' Euler sum that chi_domain adds."""
+    (_solve, _derive_solve), with the regions' Euler sum that chi_domain
+    adds and the spanning forest a derived solve starts from (`forest`)."""
 
     def __init__(self, facts, uf: ParityUF, regions_euler: int, nonorientable: int,
-                 alone: int):
+                 alone: int, forest: dict):
         _charts, self._n_components, bands_ok = facts.vertex_charts
         # of the domain: the classes of the union-find, and the regions
         # with no tie
@@ -1649,6 +1672,8 @@ class DomainSolve:
         # kind is orientable
         self.orientable = bands_ok and uf.ok and not nonorientable
         self.regions_euler = regions_euler
+        self.forest = forest
+        self._alone = alone
         self._uf = uf
 
     @cached_property
@@ -1666,42 +1691,150 @@ class DomainSolve:
 def _solve(facts: RibbonFacts, isolated: dict, euler: int, nonorientable: int,
            linked: list) -> DomainSolve:
     """The domain solve of a state with the circles `isolated`, whose
-    regions have the sums `euler`, `nonorientable` and `linked` (Tiling):
-    the union-find holds the graph components and the circles, and the
-    ties of each region in `linked` are united with its first one, each
-    region's anchor ties resolved once per facts (_ties, memoized by region
-    in the facts).  Two ties (node, rel) and (node0, rel0) of one region
-    say that its flip is node's value xor rel and node0's xor rel0, so
-    node and node0 differ by rel xor rel0; a region with no tie is a class
-    of its own."""
+    regions have the sums `euler`, `nonorientable` and `linked` (Tiling),
+    from scratch: the union-find holds the graph components and a node
+    for each circle id up to the largest (an id no circle has counts as
+    no class), and takes the ties of every region in `linked` (_unite)."""
+    _charts, n_components, _bands_ok = facts.vertex_charts
+    uf = ParityUF(n_components + (max(isolated) + 1 if isolated else 0))
+    uf.sets = n_components + len(isolated)
+    forest = {}
+    alone = _unite(uf, facts, linked, forest)
+    return DomainSolve(facts, uf, euler, nonorientable, alone, forest)
+
+
+def _unite(uf: ParityUF, facts: RibbonFacts, linked, forest: dict) -> int:
+    """Unite the ties of each region in `linked` in uf, each with the
+    region's first one, put each region whose unions merged two classes
+    in the spanning forest (`forest`: region -> its ties), and return the
+    count of regions with no tie (each a class of its own).  A region's
+    ties are resolved once per facts (_ties, memoized by region in the
+    facts).  Two ties (node, rel) and (node0, rel0) of one region say that
+    its flip is node's value xor rel and node0's xor rel0, so node and
+    node0 differ by rel xor rel0.  Each union hangs the class of a circle
+    or a component under the root of the region's first tie, a component
+    where it has one."""
     charts, n_components, _bands_ok = facts.vertex_charts
     vertex_of = facts.vertex_of
     memo = facts._ties
-    circle_node = dict(zip(isolated, itertools.count(n_components)))
-    uf = ParityUF(n_components + len(circle_node))
     union = uf.union
     alone = 0
     for checks in linked:
         region = checks.region
-        anchored = memo.get(region)
-        if anchored is None:
-            anchored = memo[region] = _ties(checks, charts, vertex_of)
-        circles = checks.ties[1]
-        # each union hangs the class of a circle or a component under the
-        # root of the region's first tie, a component where it has one
-        if anchored:
-            first, rel0 = anchored[0]
-            for node, rel in anchored[1:]:
-                union(node, first, rel ^ rel0)
-        elif circles:
-            cid, rel0 = circles[0]
-            first, circles = circle_node[cid], circles[1:]
-        else:
+        ties = memo.get(region)
+        if ties is None:
+            ties = memo[region] = _ties(checks, charts, vertex_of, n_components)
+        if not ties:
             alone += 1
             continue
-        for cid, rel in circles:
-            union(circle_node[cid], first, rel ^ rel0)
-    return DomainSolve(facts, uf, euler, nonorientable, alone)
+        first, rel0 = ties[0]
+        sets = uf.sets
+        for node, rel in ties[1:]:
+            union(node, first, rel ^ rel0)
+        if uf.sets != sets:
+            forest[region] = ties
+    return alone
+
+
+def _covering(came: list, ties):
+    """The first (region, its ties, node -> rel of them) in `came` whose
+    ties hold every (node, rel) in `ties` up to one flip, so that they
+    imply every tie among those nodes; None when there is none."""
+    node0, rel0 = ties[0]
+    for hit in came:
+        tied = hit[2]
+        flip = tied.get(node0)
+        if flip is None:
+            continue
+        flip ^= rel0
+        for node, rel in ties:
+            if tied.get(node) != rel ^ flip:
+                break
+        else:
+            return hit
+    return None
+
+
+def _derive_solve(parent: DomainSolve, gone: list, came: list, circles,
+                  was_isolated, tiling: Tiling):
+    """The domain solve of `tiling`, derived under the same ribbon facts
+    from `parent`, the solve of the tiling it was derived from, where the
+    parent's spanning forest certifies it; None otherwise (the caller then
+    solves from scratch).  `gone` holds the RegionChecks of the regions
+    that went, `came` those of the linked regions that came, `circles`
+    the ids of the circles set or deleted, `was_isolated` the parent's.
+
+    The forest is kept by region: the regions whose unions merged two
+    classes (_unite), so the classes of their ties are the union-find's.
+    The certificate: the parent's system was consistent; the ties of each
+    forest region that went, but for those at a deleted circle, are held
+    by one region that came (which then implies them, _covering); and so
+    are the nodes that forest regions that went tie to each deleted
+    circle, so every path through it is implied.  A region that came and
+    holds such ties joins the forest.  Then a copy of the parent's
+    union-find, less one class per deleted circle without a forest tie
+    and with a node per new circle, takes the ties of the regions that
+    came.  A deleted circle's node stays in its neighbours' class, so a
+    circle that comes under an id the copy holds fails the certificate."""
+    uf = parent._uf
+    if not uf.ok:
+        return None
+    facts = tiling.facts
+    n_components = facts.vertex_charts[1]
+    isolated = tiling.isolated
+    size = len(uf.parent)
+    new, dead = [], set()
+    for cid in circles:
+        if cid in isolated:
+            if cid not in was_isolated:
+                new.append(n_components + cid)
+        elif cid in was_isolated:
+            dead.add(n_components + cid)
+    if new and min(new) < size:
+        return None
+    forest = parent.forest.copy()
+    alone = parent._alone
+    held = []          # the ties that a region that came must hold
+    star = {}          # deleted circle's node -> (node, rel) tied to it
+    for checks in gone:
+        ties = forest.pop(checks.region, None)
+        if ties is None:
+            if checks.ties == ((), ()):
+                alone -= 1
+            continue
+        if dead:
+            live = [tie for tie in ties if tie[0] not in dead]
+            if not live:
+                return None
+            node, rel0 = live[0]
+            for d, rel in ties:
+                if d in dead:
+                    star.setdefault(d, []).append((node, rel0 ^ rel))
+            ties = live
+        if len(ties) > 1:
+            held.append(ties)
+    held += [ties for ties in star.values() if len(ties) > 1]
+    if held:
+        charts, vertex_of, memo = facts.vertex_charts[0], facts.vertex_of, facts._ties
+        came_ties = []
+        for checks in came:
+            ties = memo.get(checks.region)
+            if ties is None:
+                ties = memo[checks.region] = _ties(checks, charts, vertex_of, n_components)
+            came_ties.append((checks.region, ties, dict(ties)))
+        for ties in held:
+            hit = _covering(came_ties, ties)
+            if hit is None:
+                return None
+            forest[hit[0]] = hit[1]
+    uf = uf.copy()
+    if new:
+        top = max(new) + 1
+        uf.parent.extend(range(size, top))
+        uf.parity.extend([0] * (top - size))
+    uf.sets += len(new) - len(dead) + len(star)
+    alone += _unite(uf, facts, came, forest)
+    return DomainSolve(facts, uf, tiling.euler, tiling.nonorientable, alone, forest)
 
 
 def domain_solve(tm: TransverseMap) -> DomainSolve:
@@ -1729,7 +1862,12 @@ def domain_solve(tm: TransverseMap) -> DomainSolve:
 
     The solve is the one of the map's checked tiling (checked_tiling),
     made once per map state from the sums the tiling carries; a map that
-    fails validate_map has none.
+    fails validate_map has none.  A tiling derived under the same facts
+    (a join, an insert, a relocation) derives its solve from the solve of
+    the tiling it came from where that solve's spanning forest certifies
+    it (_derive_solve); every other solve unites the ties of every linked
+    region from scratch (_solve).  Both unite ties one way (_unite), and a
+    circle of id c is node n_components + c in both.
     """
     return checked_tiling(tm, "domain_solve").domain_solve()
 

@@ -15,7 +15,7 @@ from surfmap.surfaces import (SurfaceKind, Triangulation, builtin_triangulation,
                               derive_rotations)
 from surfmap.transverse import (DomainSolve, IsoSide, Region,
                                 RegionChecks, RibbonCircuit, RibbonFacts,
-                                TransverseMap, _ties, add_pinch, checked_tiling,
+                                TransverseMap, add_pinch, checked_tiling,
                                 chi_domain, classify_circuit, corners,
                                 domain_orientable, domain_solve, identity_map,
                                 map_from_cover, mod2_degree, signed_degree,
@@ -709,9 +709,12 @@ def reference_triangle_signs(self):
 
 # --------------------------------------------------------------------------
 # A reference for the domain solve: _solve as it gave each linked region a
-# union-find node of its own, kept verbatim but for its name and the count
+# union-find node of its own, kept verbatim but for its name, the count
 # of regions without a tie that _solve's DomainSolve takes (0: each such
-# region has its own node).  tests/test_load_reference.py requires the
+# region has its own node), its spanning forest (none: no solve is
+# derived from a reference one), and the anchor ties, which it resolves
+# itself (_reference_anchor_ties, the package's _ties as it was before it
+# resolved circle ties too) instead of through the package's memo.  tests/test_load_reference.py requires the
 # package's solve to give the same components, orientability and chart
 # flips.
 
@@ -721,19 +724,15 @@ def reference_solve(facts: RibbonFacts, isolated: dict, euler: int, nonorientabl
     """The domain solve of a state with the circles `isolated`, whose
     regions have the sums `euler`, `nonorientable` and `linked` (Tiling):
     the ties of the regions in `linked` are united, each region's anchor
-    ties resolved once per facts (_ties, memoized by region in the facts)."""
+    ties resolved by the chart flips (_reference_anchor_ties)."""
     charts, n_components, _bands_ok = facts.vertex_charts
     vertex_of = facts.vertex_of
-    memo = facts._ties
     circle_node = dict(zip(isolated, itertools.count(n_components)))
     node = n_components + len(circle_node)
     uf = ParityUF(node + len(linked))
     union = uf.union
     for checks in linked:
-        region = checks.region
-        anchored = memo.get(region)
-        if anchored is None:
-            anchored = memo[region] = _ties(checks, charts, vertex_of)
+        anchored = _reference_anchor_ties(checks, charts, vertex_of)
         # each union hangs the class of its first node under the root of
         # its second's: a region's circles first, then the graph, so the
         # components stay near the roots
@@ -742,4 +741,16 @@ def reference_solve(facts: RibbonFacts, isolated: dict, euler: int, nonorientabl
         for component, rel in anchored:
             union(node, component, rel)
         node += 1
-    return DomainSolve(facts, uf, euler, nonorientable, 0)
+    return DomainSolve(facts, uf, euler, nonorientable, 0, {})
+
+
+def _reference_anchor_ties(checks, charts: dict, vertex_of: dict) -> tuple:
+    """The distinct anchor ties of a region's node, resolved by the chart
+    flip of each anchor's vertex: (graph component's number, xor of the
+    two values), with bit 0 on a component whose band signs admit no
+    flips (the tie then only joins)."""
+    resolved = set()
+    for dart, bit in checks.ties[0]:
+        component, flip = charts[vertex_of[dart]]
+        resolved.add((component, 0 if flip is None else flip ^ bit))
+    return tuple(resolved)

@@ -974,18 +974,25 @@ def test_first_join_after_a_load_solves_its_input_and_its_result(monkeypatch):
     """A map loaded and checked as the CLI does (_valid_map) has a tiling
     and its domain solve: the entry measures the domain (chi_domain), so
     the first join, which measures its input before it checks the result,
-    solves the domain once, for the result."""
+    solves the domain once, for the result, and derives that solve from
+    its input's (the join keeps the facts)."""
     tm = cli._valid_map(TransverseMap.from_json(_genus2_scramble().to_json()))
     calls = Counter()
-    solve = transverse._solve
+    solve, derive = transverse._solve, transverse._derive_solve
 
     def counted_solve(*args):
         calls["whole"] += 1
         return solve(*args)
 
+    def counted_derive(*args):
+        out = derive(*args)
+        calls["derived" if out is not None else "failed"] += 1
+        return out
+
     monkeypatch.setattr(transverse, "_solve", counted_solve)
+    monkeypatch.setattr(transverse, "_derive_solve", counted_derive)
     out = moves.join_isolated_circle(tm, *moves._find_join(tm))
-    assert calls["whole"] == 1
+    assert calls == {"derived": 1}
     monkeypatch.undo()
     assert_matches_oracle(out)
 
@@ -1239,8 +1246,9 @@ def test_a_normalization_that_keeps_the_tables_keeps_the_ties_of_its_regions_onl
 
 def _assert_sums_are_carried(tm: TransverseMap):
     """tm's tiling carries the sums its regions' RegionChecks give: the
-    Euler sum, the nonorientable kinds and the linked checks (as a
-    multiset, by identity)."""
+    Euler sum and the nonorientable kinds, and it lists the linked checks
+    (as a multiset, by identity; a derived tiling lists them on first
+    use)."""
     tiling = tm.tiling()
     assert tiling is not None
     entries = tm.ribbon_facts().region_checks(tm.regions)

@@ -63,6 +63,26 @@ def test_scramble_edge_count(tmp_path):
     assert json.loads(stdout)["edge_count"] == 6
 
 
+def test_factorize_a_graph_like_map(tmp_path):
+    """A double cover of the sphere branched over two points, pinched with
+    RP^2, normalizes to three isolated circles and no vertex: a graph-like
+    map, whose decomposition lists the dual edges its circles cross and
+    the triangles its regions lie over."""
+    out = tmp_path / "graph_like.json"
+    rc, stdout, _ = run("generate", "composite", "--base", "sphere_tetra", "--d", "2",
+                        "--branch", "2,2", "--seed", "1", "--pinch", "rp2",
+                        "--out", str(out))
+    assert rc == 0 and json.loads(stdout)["chi_domain"] == 1
+    rc, stdout, _ = run("analyze", "normalize", str(out))
+    normal = json.loads(stdout)
+    assert rc == 0 and normal["normal"]["graph_like"]
+    assert (normal["map"]["pairing"], len(normal["map"]["isolated"])) == ({}, 3)
+    rc, stdout, _ = run("analyze", "factorize", str(out))
+    assert rc == 0
+    assert stdout == ('{"image": {"dual_edges_hit": [2, 4, 5], "triangles_hit": '
+                      '[0, 1, 2, 3]}, "type": "decomposition", "variant": "graph_like"}\n')
+
+
 def test_kneser_report(tmp_path):
     pinch = tmp_path / "rp2_pinch.json"
     run("generate", "pinch", "--base", "sphere_tetra", "--pinch", "rp2",

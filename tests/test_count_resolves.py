@@ -20,15 +20,19 @@ def _count_resolves():
     return module
 
 
-def test_counts_of_the_first_corpus_maps():
-    tool = _count_resolves()
-    # the one-sheeted lifts the lifts are checked by, built and solved
-    # once per base, outside the count
+def _build_lifts():
+    """The one-sheeted lifts the lifts are checked by, built and solved
+    once per base, outside the count."""
     for name in BUILTIN_NAMES:
         transverse.identity_map(builtin_triangulation(name))
+
+
+def test_counts_of_the_first_corpus_maps():
+    tool = _count_resolves()
+    _build_lifts()
     originals = (moves.join_isolated_circle, moves.checked_tiling, transverse._solve,
-                 transverse._ties, transverse.RegionChecks.__init__,
-                 transverse.TransverseMap.own)
+                 transverse._derive_solve, transverse._ties,
+                 transverse.RegionChecks.__init__, transverse.TransverseMap.own)
     charts = transverse.RibbonFacts.__dict__["vertex_charts"]
     table_problem = transverse.RibbonFacts.__dict__["table_problem"]
     derive = transverse.RibbonFacts.__dict__["derive"]
@@ -36,13 +40,29 @@ def test_counts_of_the_first_corpus_maps():
     union = unionfind.ParityUF.union
     rows = tool.count("corpus", limit=4)
     assert (moves.join_isolated_circle, moves.checked_tiling, transverse._solve,
-            transverse._ties, transverse.RegionChecks.__init__,
-            transverse.TransverseMap.own) == originals
+            transverse._derive_solve, transverse._ties,
+            transverse.RegionChecks.__init__, transverse.TransverseMap.own) == originals
     assert set(rows) == set(tool.MOVES) | {"(none)"}
     joins = rows["join_isolated_circle"]
-    # each move's check solves its result once, from the tiling
-    assert all(rows[name]["solves"] == rows[name]["moves"] > 0
-               for name in ("collapse_edge", "join_isolated_circle", "boundary_surgery"))
+    # each move's check solves its result once, from the tiling: from
+    # scratch after a collapse or a surgery (new facts), derived from its
+    # input's solve after a join or a relocation, and after an insert too,
+    # which also derives the solve of a pinched map it is the first to
+    # measure (one more than the inserts); map_from_cover solves each map
+    # once.  None of these maps fails the certificate.  A solve unites
+    # each region's ties with its first one and gives the regions no
+    # node, and a derived solve unites those of the regions that came
+    # only: 89 unions, where whole solves made 335 and a node per region
+    # 557
+    solves = {name: tuple(row[column] for column in (
+        "moves", "whole solves", "derived solves", "certificate failures", "unions"))
+        for name, row in rows.items()}
+    assert solves == {"collapse_edge": (8, 8, 0, 0, 6),
+                      "join_isolated_circle": (27, 0, 27, 0, 47),
+                      "boundary_surgery": (2, 2, 0, 0, 0),
+                      "relocate_crosscap": (2, 0, 2, 0, 0),
+                      "insert_trivial_circle": (27, 0, 30, 0, 36),
+                      "(none)": (0, 4, 0, 0, 0)}
     for name in ("collapse_edge", "boundary_surgery"):
         # a solve under new dart tables searches the graph, and resolves
         # the ties of every linked region (these surgeries'
@@ -65,8 +85,7 @@ def test_counts_of_the_first_corpus_maps():
     # a collapse writes all five tables, a surgery the pairing and the signs
     assert rows["collapse_edge"]["tables owned"] == 5 * rows["collapse_edge"]["moves"]
     assert rows["boundary_surgery"]["tables owned"] == 2 * rows["boundary_surgery"]["moves"]
-    # map_from_cover solves each map once
-    assert rows["(none)"]["solves"] == rows["(none)"]["charts"] == 4
+    assert rows["(none)"]["charts"] == 4
     # every map a move, the join finder or normalize is given carries
     # the tiling of its last check
     assert all(row["entry checks"] == 0 for row in rows.values())
@@ -84,14 +103,9 @@ def test_counts_of_the_first_corpus_maps():
     for name in ("collapse_edge", "boundary_surgery"):
         assert rows[name]["table checks"] == 0
     assert rows["(none)"]["table checks"] > 0
-    # a solve unites each region's ties with its first one and gives the
-    # regions no node: these maps' solves make 335 unions, where a node
-    # per region made 557
-    assert sum(row["unions"] for row in rows.values()) == 335
-    assert rows["join_isolated_circle"]["unions"] == 151
     lines = tool.table(rows).splitlines()
-    assert lines[0].split()[:7] == ["move", "moves", "checks", "walks", "solves",
-                                    "ties", "resolved"]
+    assert lines[0].split()[:10] == ["move", "moves", "checks", "walks", "whole", "solves",
+                                     "derived", "solves", "certificate", "failures"]
     assert lines[0].split()[-1] == "charts"
     assert len(lines) == 1 + len(rows)
     assert transverse.RibbonFacts.__dict__["vertex_charts"] is charts
@@ -99,6 +113,27 @@ def test_counts_of_the_first_corpus_maps():
     assert transverse.RibbonFacts.__dict__["derive"] is derive
     assert transverse.RibbonFacts.__dict__["walk_key"] is walk_key
     assert unionfind.ParityUF.union is union
+
+
+def test_joins_whose_certificate_fails_are_solved_from_scratch():
+    """Over the first 19 corpus maps, five joins change a relation that
+    their input's forest carried (one of them: the circle joined was tied
+    to the graph and to a circle beside it by the two regions it bounded,
+    and the regions that came tie that circle to the graph with the
+    other parity), so each is solved from scratch; every other join and
+    insert, and every relocation, derives its solve."""
+    tool = _count_resolves()
+    _build_lifts()
+    rows = tool.count("corpus", limit=19)
+    solves = {name: tuple(row[column] for column in (
+        "moves", "whole solves", "derived solves", "certificate failures"))
+        for name, row in rows.items()}
+    assert solves == {"collapse_edge": (40, 40, 0, 0),
+                      "join_isolated_circle": (196, 5, 191, 5),
+                      "boundary_surgery": (10, 10, 0, 0),
+                      "relocate_crosscap": (6, 0, 6, 0),
+                      "insert_trivial_circle": (192, 0, 208, 0),
+                      "(none)": (0, 19, 0, 0)}
 
 
 def test_entry_checks_count_the_maps_checked_for_their_tiling():

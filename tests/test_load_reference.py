@@ -27,7 +27,7 @@ from surfmap.errors import InconsistentParity, InputError, SurfmapError
 from surfmap.moves import checked_tiling
 from surfmap.surfaces import SurfaceKind, Triangulation, builtin_triangulation
 from surfmap.transverse import (Region, TransverseMap, _solve, domain_solve,
-                                identity_map, map_from_cover)
+                                identity_map, map_from_cover, validate_map)
 
 from helpers import normalize_observed, reference_solve, scrambled
 from test_check_memo import SLICE, _slice_map
@@ -213,6 +213,56 @@ def test_unmutated_documents_read_as_the_reference_reads_them(bounds):
         for doc_text in (composite, text):
             doc = json.loads(doc_text)
             assert outcome(doc) == doc
+
+
+# --------------------------------------------------------------------------
+# What a region's checks find on their own (RegionChecks), on seeded
+# mutations of the `bounds` documents
+
+
+def _region_problems(bounds, seed, mutate):
+    """For each `bounds` document with a region that mutate(region, rng)
+    can change (it returns whether it could), one such region drawn by a
+    seeded rng and changed: the problems validate_map reports on the map
+    read back, and the region's position."""
+    rng = random.Random(seed)
+    out = []
+    for _spec, composite, text in bounds:
+        for doc_text in (composite, text):
+            doc = json.loads(doc_text)
+            regions = list(enumerate(doc["regions"]))
+            rng.shuffle(regions)
+            ri = next((ri for ri, region in regions if mutate(region, rng)), None)
+            if ri is None:
+                continue
+            problems = validate_map(TransverseMap.from_json(doc)).problems
+            out.append((problems, ri))
+    return out
+
+
+def test_a_region_labeled_by_an_unknown_triangle_is_reported(bounds):
+    def relabel(region, rng):
+        region["label"] = rng.choice((-1, 10_000))
+        return True
+
+    reports = _region_problems(bounds, "unknown triangle", relabel)
+    assert len(reports) == 2 * len(bounds)
+    for problems, ri in reports:
+        assert f"region {ri} labeled by unknown triangle" in problems
+
+
+def test_a_region_with_a_bad_isolated_side_is_reported(bounds):
+    def bad_side(region, rng):
+        sides = [c for c in region["circuits"] if c["kind"] == "iso"]
+        if sides:
+            rng.choice(sides)["side"] = rng.choice((-1, 2))
+        return bool(sides)
+
+    # the scrambled documents have circles
+    reports = _region_problems(bounds, "bad isolated side", bad_side)
+    assert len(reports) >= len(bounds)
+    for problems, ri in reports:
+        assert f"region {ri} references a bad isolated side" in problems
 
 
 # --------------------------------------------------------------------------

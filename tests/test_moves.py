@@ -263,6 +263,19 @@ def test_relocate_crosscap_errors():
         relocate_crosscap(rp, ok_src, src)
 
 
+def test_relocating_a_crosscap_within_its_region_changes_nothing():
+    """Source and target may be one region when it qualifies as a target
+    (here after a circle is inserted into it): the move returns a checked
+    copy of its input.  The normalizer never proposes it."""
+    rp = builtin_example("rp2_pinch")
+    src = next(ri for ri, r in enumerate(rp.regions) if not r.kind.orientable)
+    tm = insert_trivial_circle(rp, src, rp.target.triangle_edges(rp.regions[src].label)[0])
+    assert moves_mod._find_relocation(tm) != (src, src)
+    same = relocate_crosscap(tm, src, src)
+    assert same is not tm and same.to_json() == tm.to_json()
+    check_invariants(tm, same)
+
+
 def test_relocate_crosscap_and_followup():
     tm = map_from_cover(branched_sphere_double())
     idx1 = next(ri for ri, reg in enumerate(tm.regions)

@@ -7,7 +7,8 @@ Runs every operation of the catalog once, in catalog order (for `bounds`,
 after writing its maps to a temporary directory, which is not counted),
 with counting wrappers installed at run time on surfmap's moves, on
 RegionChecks.__init__, on RibbonFacts.walk_key, on moves.checked_tiling,
-on the domain solve and its ties, on ParityUF.union, on TransverseMap.own,
+on the domain solves (whole and derived) and the region ties they
+resolve, on ParityUF.union, on TransverseMap.own,
 on RibbonFacts.derive, on RibbonFacts.table_problem and on
 RibbonFacts.vertex_charts, as
 perfbench/tracer.py installs its spans; nothing under src/ has hooks.
@@ -24,9 +25,17 @@ Prints one row per move kind, what is done outside any move under
   (RibbonFacts.walk_key).  A join, an insert or a relocation keeps the
   facts and takes the answers of the circuits its new regions share
   with those it replaces, so it reads 0;
-* solves: the domain solves made (transverse._solve), each for the
-  tiling of a checked map state (Tiling.domain_solve), one per state
-  that is measured;
+* whole solves: the domain solves made from scratch (transverse._solve),
+  each for the tiling of a checked map state (Tiling.domain_solve), one
+  per state that is measured: a map without a parent solve, a collapse
+  or a surgery (they derive new facts), and a derived solve whose
+  certificate failed;
+* derived solves: the domain solves derived from the solve of the
+  state a join, an insert or a relocation was made on
+  (transverse._derive_solve), whose spanning forest certified them;
+* certificate failures: the derived solves that the parent's forest did
+  not certify, each then made from scratch (it counts under whole solves
+  too);
 * ties resolved: the regions whose ties were resolved by the chart
   flips (transverse._ties), the misses of the ties memoized per ribbon
   facts.  A join or an insert keeps the facts, so it resolves those of
@@ -46,7 +55,8 @@ Prints one row per move kind, what is done outside any move under
   whole vertices and rewires bands, a surgery rewires bands only, and
   derive carries after both, so each reads 0;
 * unions: the ParityUF.union calls made inside the domain solves, one
-  for each tie of a linked region but its first;
+  for each tie of a linked region but its first: of every linked region
+  in a whole solve, of the regions that came in a derived one;
 * table checks: the whole-table passes over the dart tables for their
   axioms (RibbonFacts.table_problem computed from the tables).  Facts
   derived after a collapse or a surgery read the axioms at the changed
@@ -74,8 +84,9 @@ from surfmap import moves, transverse, unionfind  # noqa: E402
 import workloads  # noqa: E402
 from tracer import MOVES  # noqa: E402
 
-COLUMNS = ("moves", "checks", "walks", "solves", "ties resolved", "tables owned",
-           "entry checks", "uncarried", "unions", "table checks", "charts")
+COLUMNS = ("moves", "checks", "walks", "whole solves", "derived solves",
+           "certificate failures", "ties resolved", "tables owned", "entry checks",
+           "uncarried", "unions", "table checks", "charts")
 
 
 class Counts:
@@ -150,16 +161,19 @@ class Counts:
 
         self._set(transverse.RibbonFacts, "derive", classmethod(derived))
 
-        whole = transverse._solve
-        inside = []            # per open _solve
+        inside = []            # per open solve
 
-        def solve(*args):
-            counts.rows[counts.move[-1]]["solves"] += 1
-            inside.append(True)
-            try:
-                return whole(*args)
-            finally:
-                inside.pop()
+        def solving(fn, column):
+            def solve(*args):
+                inside.append(True)
+                try:
+                    out = fn(*args)
+                finally:
+                    inside.pop()
+                row = counts.rows[counts.move[-1]]
+                row[column if out is not None else "certificate failures"] += 1
+                return out
+            return solve
 
         union = unionfind.ParityUF.union
 
@@ -187,7 +201,9 @@ class Counts:
 
         counted("table_problem", "table checks")
         counted("vertex_charts", "charts")
-        self._set(transverse, "_solve", solve)
+        self._set(transverse, "_solve", solving(transverse._solve, "whole solves"))
+        self._set(transverse, "_derive_solve",
+                  solving(transverse._derive_solve, "derived solves"))
         self._set(transverse, "_ties", resolved)
         self._set(unionfind.ParityUF, "union", united)
         return self
