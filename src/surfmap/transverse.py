@@ -1299,9 +1299,9 @@ class Tiling:
     region twice that has neither a circuit nor a circle side); the sums
     the domain solve reads: the regions' Euler sum (`euler`), their count
     of nonorientable kinds (`nonorientable`) and the RegionChecks of the
-    linked regions (`linked`, one per listing: from a check from scratch,
-    and for a derived tiling listed on first use, which only a whole
-    solve makes); and the domain solve, made on first use (domain_solve).
+    linked regions (`linked`, one per listing, listed on first use, which
+    only a whole solve makes); and the domain solve, made on first use
+    (domain_solve).
 
     A map passes the tiling it was checked with on to its copies, and a
     check of a copy derives the copy's tiling from it (derived), so the
@@ -1310,15 +1310,16 @@ class Tiling:
     __slots__ = ("facts", "regions", "isolated", "stored", "owner", "unique",
                  "euler", "nonorientable", "_linked", "_solve", "_base")
 
-    def __init__(self, facts, regions, isolated, stored, owner, unique, sums: tuple,
-                 base: tuple = None):
+    def __init__(self, facts, regions, isolated, stored, owner, unique, euler: int,
+                 nonorientable: int, base: tuple = None):
         self.facts = facts
         self.regions = regions
         self.isolated = isolated
         self.stored = stored
         self.owner = owner
         self.unique = unique
-        self.euler, self.nonorientable, self._linked = sums
+        self.euler, self.nonorientable = euler, nonorientable
+        self._linked = None
         self._solve = None
         self._base = base
 
@@ -1381,14 +1382,12 @@ class Tiling:
         changed (the coherence reads only the owners' labels).  The
         regions kept passed these checks with the same owners and
         circuits.  The Euler sum and the count of nonorientable kinds are
-        updated by the regions replaced; the linked regions are listed
-        only for a whole solve (linked).  Under this tiling's facts, once
+        updated by the regions replaced.  Under this tiling's facts, once
         this tiling has its solve, the new tiling keeps that solve with
         the regions replaced and the circles changed, to derive its own
-        from (domain_solve).  The facts forget
-        the RegionChecks and the resolved ties of the regions gone, so
-        facts that a normalization's joins and inserts share hold those of
-        the current regions only."""
+        from (domain_solve).  The facts forget the RegionChecks and the
+        resolved ties of the regions gone, so facts that a normalization's
+        joins and inserts share hold those of the current regions only."""
         if facts is self.facts:
             retraced = ()
         elif facts.origin is not None and facts.origin[0] == self.facts.serial:
@@ -1500,8 +1499,8 @@ class Tiling:
         base = None
         if facts is old_facts and self._solve is not None:
             base = (self._solve, gone.values(), fresh, changed, self.isolated)
-        return Tiling(facts, regions, isolated, stored, owner, True,
-                      (euler, nonorientable, None), base)
+        return Tiling(facts, regions, isolated, stored, owner, True, euler,
+                      nonorientable, base)
 
 
 def validate_map(tm: TransverseMap) -> ValidationReport:
@@ -1556,12 +1555,9 @@ def validate_map(tm: TransverseMap) -> ValidationReport:
     stored = {}            # traced circuit key -> region index
     owner = {}             # (circle id, side) -> region index
     euler = nonorientable = 0
-    linked = []            # the RegionChecks of the linked regions
     for ri, checks in enumerate(entries):
         euler += checks.euler
         nonorientable += not checks.orientable
-        if checks.needs_node:
-            linked.append(checks)
         if checks.problems:
             rep.problems.extend(problem.format(ri) for problem in checks.problems)
         for key in checks.walk_keys:
@@ -1606,8 +1602,7 @@ def validate_map(tm: TransverseMap) -> ValidationReport:
         tm._tiling = Tiling(facts, regions, isolated,
                             {key: entries[ri] for key, ri in stored.items()},
                             {side: entries[ri] for side, ri in owner.items()},
-                            len(set(regions)) == len(regions),
-                            (euler, nonorientable, linked))
+                            len(set(regions)) == len(regions), euler, nonorientable)
         tm._edits = None
     _check_parity(rep, facts)
     return rep

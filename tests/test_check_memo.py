@@ -1247,8 +1247,7 @@ def test_a_normalization_that_keeps_the_tables_keeps_the_ties_of_its_regions_onl
 def _assert_sums_are_carried(tm: TransverseMap):
     """tm's tiling carries the sums its regions' RegionChecks give: the
     Euler sum and the nonorientable kinds, and it lists the linked checks
-    (as a multiset, by identity; a derived tiling lists them on first
-    use)."""
+    (as a multiset, by identity; a tiling lists them on first use)."""
     tiling = tm.tiling()
     assert tiling is not None
     entries = tm.ribbon_facts().region_checks(tm.regions)
