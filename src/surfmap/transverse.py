@@ -519,8 +519,9 @@ class RibbonFacts:
       and circuit_class compute theirs afresh; derived facts carry those
       of the inherited tiling's regions (_carry);
     * per linked region object (one whose ties the domain solve
-      unites), its ties resolved by the vertex chart flips (_solve);
-      derived facts start without them, as their charts may differ.
+      unites), its ties, the anchor ties resolved by the vertex chart
+      flips (_ties); derived facts start without them, as their charts
+      may differ.
 
     The facts of a cover's lift are pulled back from the one-sheeted lift
     instead where the lift's tables project onto it (lift_facts,
@@ -548,7 +549,7 @@ class RibbonFacts:
             tables.append(table)
         self.tables = tuple(tables)
         self._regions = {}     # region -> RegionChecks
-        self._ties = {}        # region -> its resolved ties (_solve)
+        self._ties = {}        # region -> its resolved ties (_ties)
         # the one-sheeted lift these facts were pulled back from
         # (OneSheetedLift.pull_back), or None
         self._lift = None
