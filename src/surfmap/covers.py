@@ -11,6 +11,7 @@ so branch points never sit on the skeleton.
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -474,29 +475,50 @@ def induced_triangulation(cover: MonodromyCover):
 # Seeded random generation
 
 
+def _literal(x) -> str:
+    """x as kernel source text.  Only a Python int is ever formatted into
+    a kernel, so generated source holds nothing but the code around it."""
+    if type(x) is not int:
+        raise TypeError(f"kernel literal {x!r} is not an int")
+    return str(x)
+
+
+def _kernel(name: str, lines: list):
+    """The function `name` that the source `lines` define, compiled."""
+    namespace = {}
+    exec(compile("\n".join(lines), f"<surfmap.covers.{name}>", "exec"), namespace)
+    return namespace[name]
+
+
 def _shuffle_steps(n: int) -> tuple:
     """The swaps random.Random.shuffle makes on n items, in order: (position
     i, the bit length of its bound i + 1) for i from n - 1 down to 1."""
     return tuple((i, (i + 1).bit_length()) for i in range(n - 1, 0, -1))
 
 
-def _shuffle_into(getrandbits, steps: tuple, items, out, keys) -> None:
-    """out[key] = a copy of `items` put through random.Random.shuffle, for
-    each key of `keys` in turn, with shuffle's _randbelow inlined over the
-    bound `getrandbits` of the same generator: the same calls in the same
-    order, so the same permutations and the same stream afterwards.
-    `steps` is _shuffle_steps(len(items))."""
-    for key in keys:
-        x = [*items]
-        for i, k in steps:
-            j = getrandbits(k)
-            while j > i:
-                j = getrandbits(k)
-            x[i], x[j] = x[j], x[i]
-        out[key] = x
+@functools.cache
+def _shuffle_kernel(d: int):
+    """shuffle(getrandbits, items, out, keys): out[key] = a copy of the d
+    `items` put through random.Random.shuffle, for each key of `keys` in
+    turn, with shuffle's _randbelow inlined over the bound `getrandbits`
+    of the same generator: the same calls in the same order, so the same
+    permutations and the same stream afterwards.  Straight-line code with
+    every swap of _shuffle_steps(d) written out, its (i, k) as literals;
+    generated once per d."""
+    lines = ["def shuffle(getrandbits, items, out, keys):",
+             "    for key in keys:",
+             "        x = [*items]"]
+    for i, k in _shuffle_steps(d):
+        i, k = _literal(i), _literal(k)
+        lines += [f"        j = getrandbits({k})",
+                  f"        while j > {i}:",
+                  f"            j = getrandbits({k})",
+                  f"        x[{i}], x[j] = x[j], x[{i}]"]
+    lines.append("        out[key] = x")
+    return _kernel("shuffle", lines)
 
 
-def _random_branch(getrandbits, steps: tuple, triangles: list, sheets: tuple, spec):
+def _random_branch(getrandbits, shuffle, triangles: list, sheets: tuple, spec):
     """Distribute requested cycle lengths over triangles, keeping cycles
     support-disjoint within each triangle.  `spec` is random_cover's
     resolved spec: None or a list of lengths, each an int in 2..d.  Each
@@ -505,8 +527,8 @@ def _random_branch(getrandbits, steps: tuple, triangles: list, sheets: tuple, sp
     is the tuple 1..d (both shared across tries; not modified).  The draws
     are random.Random's choice and shuffle over its bound `getrandbits`,
     with their _randbelow inlined: a choice per length, then one batch of
-    shuffles, a triangle's sheets per shuffle; `steps` is
-    _shuffle_steps(d)."""
+    shuffles, a triangle's sheets per shuffle; `shuffle` is
+    _shuffle_kernel(d)."""
     if spec is None:
         return {}
     d = len(sheets)
@@ -531,7 +553,7 @@ def _random_branch(getrandbits, steps: tuple, triangles: list, sheets: tuple, sp
             fullest = u
         lengths_by_t.setdefault(t, []).append(ln)
     branch = {}     # triangle -> its shuffled sheets, then its cycles
-    _shuffle_into(getrandbits, steps, sheets, branch, lengths_by_t)
+    shuffle(getrandbits, sheets, branch, lengths_by_t)
     for t, lengths in lengths_by_t.items():
         avail = branch[t]
         cycles = []
@@ -598,17 +620,22 @@ def _sampler_plan(tri: Triangulation) -> tuple:
     """random_cover's per-try schedule, which the triangulation alone fixes:
     (edges drawn, in draw order; (table index of the parent-edge crossing,
     the fan program rotated to start just after it) per non-root vertex,
-    leaves of a breadth-first spanning tree first; the root word; the
-    order edges enter edge_perm).  Made once per triangulation
-    (per_triangulation).
+    leaves of a breadth-first spanning tree first; the root word; its
+    walk kernel; the order edges enter edge_perm).  Made once per
+    triangulation (per_triangulation).
 
     The root word is the root's program with every solved entry replaced
     by its defining product, leaves first: entry `cross ^ 1` by the
     rotated program, entry `cross` by that program reversed with every
     index inverted (^ 1).  It reads only drawn edges, each twice, and
     seams: the surface relator.  Its product is the root's fan product
-    itself, not a conjugate.  Steps are (slot, inverse?) pairs, as _walk
-    reads them.
+    itself, not a conjugate.  Steps are (slot, inverse?) pairs.
+
+    The walk kernel, walk(perms, s), carries sheet s through the root
+    word over the forward permutations `perms` by slot (_sheet_slots
+    with the draws filled in): straight-line code, one line per step
+    with its slot as a literal.  An edge step reads its draw directly;
+    a seam step tests for None, the identity of an unbranched triangle.
     """
     root = tri.vertices[0]
     parent_edge = {root: None}
@@ -645,7 +672,25 @@ def _sampler_plan(tri: Triangulation) -> tuple:
         expansion[cross ^ 1] = word
         expansion[cross] = tuple(i ^ 1 for i in reversed(word))
     root_word = tuple(divmod(i, 2) for i in expand(programs[root]))
-    return tuple(draws), tuple(solves), root_word, tuple(assigned)
+    walk = _walk_kernel(root_word, len(tri.edges))
+    return tuple(draws), tuple(solves), root_word, walk, tuple(assigned)
+
+
+def _walk_kernel(word: tuple, n_edges: int):
+    """walk(perms, s): sheet s carried through `word`, whose steps (slot,
+    inverse?) read slots below n_edges as edges, never None, and the
+    others as seams, None for the identity (see _sampler_plan)."""
+    lines = ["def walk(perms, s):"]
+    for k, inverse in word:
+        read = ".index(s)" if inverse else "[s]"
+        if k < n_edges:
+            lines.append(f"    s = perms[{_literal(k)}]{read}")
+        else:
+            lines += [f"    p = perms[{_literal(k)}]",
+                      "    if p is not None:",
+                      f"        s = p{read}"]
+    lines.append("    return s")
+    return _kernel("walk", lines)
 
 
 def _inverse(p: tuple) -> tuple:
@@ -702,16 +747,6 @@ def _run_fan(program, table, acc: tuple) -> tuple:
     return acc
 
 
-def _walk(word: tuple, perms: list, s: int) -> int:
-    """Sheet s carried through `word`, whose steps (slot, inverse?) read the
-    forward permutations `perms` by slot; a None slot is the identity."""
-    for k, inverse in word:
-        p = perms[k]
-        if p is not None:
-            s = p.index(s) if inverse else p[s]
-    return s
-
-
 def random_cover(tri: Triangulation, d: int, branch_spec=None, seed: int = 0,
                  *, max_tries: int = 50000) -> MonodromyCover:
     """Deterministic-in-seed random branched cover.
@@ -723,18 +758,23 @@ def random_cover(tri: Triangulation, d: int, branch_spec=None, seed: int = 0,
     genuine constraint; fresh randomness retries it.
 
     A try draws its branch cycles' sheets in one batch of shuffles and
-    its edge permutations in another (_shuffle_into), then walks sheets
-    through the root word (_sampler_plan), the root's fan with every
-    solve substituted: its product is the root's fan product, so the try
-    fails at the first sheet the word moves, before any solve or inverse
-    is computed.  Sheet 0 is walked first, and nearly every rejected try
-    fails there; the other sheets are walked only when it returns.  Only
-    a try that fixes every sheet builds its sheet table from the
-    compiled fan walks (_fan_programs) and fills edge_perm.  Such a cover
-    must pass validate(), the uncompiled oracle (a failure is an
-    InternalInconsistency), and is kept when it is connected
-    (cover_connected).  The random stream and the accepted cover are
-    those of the uncompiled walk (tests/sampler_digests.json pins them).
+    its edge permutations in another, then walks sheets through the root
+    word (_sampler_plan), the root's fan with every solve substituted:
+    its product is the root's fan product, so the try fails at the first
+    sheet the word moves, before any solve or inverse is computed.  Sheet
+    0 is walked first, and nearly every rejected try fails there; the
+    other sheets are walked only when it returns.  Two kernels do this
+    work, each straight-line Python generated once from ints only
+    (_literal): the shuffle kernel, one per d and cached by d
+    (_shuffle_kernel), makes both batches of shuffles; the walk kernel,
+    one per triangulation and kept with the plan (per_triangulation),
+    walks the root word.  Only a try that fixes every sheet builds its
+    sheet table from the compiled fan walks (_fan_programs) and fills
+    edge_perm.  Such a cover must pass validate(), the uncompiled oracle
+    (a failure is an InternalInconsistency), and is kept when it is
+    connected (cover_connected).  The random stream and every accepted
+    cover are those of the uncompiled steps (tests/helpers.py keeps them
+    as references; tests/sampler_digests.json pins the covers).
     The spec, None or a list of cycle lengths, is resolved to ints and
     checked once, before the first try.
     """
@@ -759,19 +799,18 @@ def random_cover(tri: Triangulation, d: int, branch_spec=None, seed: int = 0,
         raise Unsatisfiable(
             f"connected total space cannot have Euler characteristic {chi_total} > 2")
 
-    draws, solves, root_word, assigned = _sampler_plan(tri)
+    draws, solves, _root_word, walk, assigned = _sampler_plan(tri)
     ident = tuple(range(d))
-    steps = _shuffle_steps(d)
+    shuffle = _shuffle_kernel(d)
     getrandbits = rng.getrandbits
     triangles = list(range(len(tri.triangles)))
     sheets = tuple(range(1, d + 1))
     for _ in range(max_tries):
-        branch = _random_branch(getrandbits, steps, triangles, sheets, spec)
+        branch = _random_branch(getrandbits, shuffle, triangles, sheets, spec)
         cover = MonodromyCover(tri, d, {}, branch)   # tries are counted by covers built
         perms = _sheet_slots(tri, d, branch)
-        _shuffle_into(getrandbits, steps, ident, perms, draws)   # 1-based draws, minus 1
-        if _walk(root_word, perms, 0) or any(
-                _walk(root_word, perms, s) != s for s in ident[1:]):
+        shuffle(getrandbits, ident, perms, draws)   # 1-based draws, minus 1
+        if walk(perms, 0) or any(walk(perms, s) != s for s in ident[1:]):
             continue
         table = _sheet_table(perms, solves, d)
         for e in assigned:

@@ -985,9 +985,10 @@ class RibbonFacts:
         l1 = local.get(vertex_of[d1])
         l2 = local.get(vertex_of[d2])
         if l1 is None or l2 is None:
+            # a loop is among these: its two darts put one target edge
+            # twice among its vertex's labels, which no rotation of the
+            # loop-free target reads
             return None
-        if vertex_of[d1] == vertex_of[d2]:
-            return f"edge {k} is a loop"
         if (e1, end1) == (e2, end2):
             want = -l1 * l2
         else:
@@ -1064,18 +1065,16 @@ class RibbonFacts:
 
     def corner_problem(self, label: int, seq: tuple):
         """None, or how a boundary walk of a region labeled `label` breaks
-        the corner condition."""
-        T = self.target
-        tri_edges = set(T.triangle_edges(label))
+        the corner condition.  It is read only once every vertex's darts
+        biject onto the half-edges at its label (validate_map's vertex
+        problems), which puts both labels of a corner at its vertex."""
+        tri_edges = set(self.target.triangle_edges(label))
         for a, b in corners(seq):
             # corner step between a and b at a's vertex
             ea = self.dart_label[a[0]][0]
             eb = self.dart_label[b[0]][0]
-            P = self.vertex_label[a[0]]
             if ea not in tri_edges or eb not in tri_edges:
                 return "corner labels not on its triangle"
-            if P not in T.edges[ea] or P not in T.edges[eb]:
-                return "corner not at its vertex label"
         return None
 
     def corner_constraints(self, seq: tuple) -> tuple:

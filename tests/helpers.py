@@ -4,11 +4,11 @@ import itertools
 import random
 from dataclasses import replace
 
-from surfmap import moves
+from surfmap import covers, moves
 from surfmap.covers import (MonodromyCover, assemble_total_space, perm_id,
                             perm_inv, perm_mul, random_cover)
 from surfmap.errors import (Disconnected, InternalInconsistency, InvalidChi,
-                            InvalidSurface, Stuck, UnknownName)
+                            InvalidSurface, Stuck, UnknownName, Unsatisfiable)
 from surfmap.moves import is_normal
 from surfmap.surfaces import (SurfaceKind, Triangulation, builtin_triangulation,
                               classify_surface, classify_with_boundary,
@@ -533,12 +533,9 @@ def reference_validate(self) -> list:
         return problems
 
     try:
-        kind = classify_surface(self.euler, reference_triangle_signs(self) is not None)
+        classify_surface(self.euler, reference_triangle_signs(self) is not None)
     except InvalidChi:
         problems.append("V-E+F matches no closed surface")
-        return problems
-    if kind.euler != self.euler:
-        problems.append("euler characteristic mismatch")
     return problems
 
 
@@ -754,3 +751,109 @@ def _reference_anchor_ties(checks, charts: dict, vertex_of: dict) -> tuple:
         component, flip = charts[vertex_of[dart]]
         resolved.add((component, 0 if flip is None else flip ^ bit))
     return tuple(resolved)
+
+
+# -- the sampler's per-try steps, uncompiled: references for its kernels ------
+
+def reference_shuffle_into(getrandbits, steps: tuple, items, out, keys) -> None:
+    """out[key] = a copy of `items` put through random.Random.shuffle, for
+    each key of `keys` in turn, with shuffle's _randbelow inlined over the
+    bound `getrandbits` of the same generator: the same calls in the same
+    order, so the same permutations and the same stream afterwards.
+    `steps` is _shuffle_steps(len(items))."""
+    for key in keys:
+        x = [*items]
+        for i, k in steps:
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+        out[key] = x
+
+
+def reference_random_branch(getrandbits, steps: tuple, triangles: list, sheets: tuple,
+                            spec):
+    """Distribute requested cycle lengths over triangles, keeping cycles
+    support-disjoint within each triangle.  `spec` is random_cover's
+    resolved spec: None or a list of lengths, each an int in 2..d.  Each
+    length goes to a triangle drawn from those with that many sheets
+    still free.  `triangles` lists the base's triangles 0..F-1 and `sheets`
+    is the tuple 1..d (both shared across tries; not modified).  The draws
+    are random.Random's choice and shuffle over its bound `getrandbits`,
+    with their _randbelow inlined: a choice per length, then one batch of
+    shuffles, a triangle's sheets per shuffle; `steps` is
+    _shuffle_steps(d)."""
+    if spec is None:
+        return {}
+    d = len(sheets)
+    lengths_by_t = {}
+    used = {}     # triangle given cycles in this try -> sheets they use
+    fullest = 0   # the most sheets one triangle uses
+    for ln in spec:
+        # the triangles with ln free sheets, in order
+        fits = triangles
+        if fullest + ln > d:
+            fits = [t for t in triangles if used.get(t, 0) + ln <= d]
+        if not fits:
+            raise Unsatisfiable(f"cycle lengths {spec} do not fit on {d} sheets")
+        n = len(fits)
+        k = n.bit_length()
+        i = getrandbits(k)
+        while i >= n:
+            i = getrandbits(k)
+        t = fits[i]
+        u = used[t] = used.get(t, 0) + ln
+        if u > fullest:
+            fullest = u
+        lengths_by_t.setdefault(t, []).append(ln)
+    branch = {}     # triangle -> its shuffled sheets, then its cycles
+    reference_shuffle_into(getrandbits, steps, sheets, branch, lengths_by_t)
+    for t, lengths in lengths_by_t.items():
+        avail = branch[t]
+        cycles = []
+        pos = 0
+        for ln in lengths:
+            cycles.append(tuple(avail[pos:pos + ln]))
+            pos += ln
+        branch[t] = cycles
+    return branch
+
+
+def reference_walk(word: tuple, perms: list, s: int) -> int:
+    """Sheet s carried through `word`, whose steps (slot, inverse?) read the
+    forward permutations `perms` by slot; a None slot is the identity."""
+    for k, inverse in word:
+        p = perms[k]
+        if p is not None:
+            s = p.index(s) if inverse else p[s]
+    return s
+
+
+def reference_random_cover(tri: Triangulation, d: int, spec, seed: int,
+                           max_tries: int) -> tuple:
+    """random_cover's tries through the uncompiled steps above, for a
+    resolved spec (None or a list of ints) that random_cover does not
+    refuse: (the cover it keeps, or None when the tries run out; the
+    number of tries made)."""
+    rng = random.Random(seed)
+    draws, solves, root_word, _walk, assigned = covers._sampler_plan(tri)
+    ident = tuple(range(d))
+    steps = covers._shuffle_steps(d)
+    getrandbits = rng.getrandbits
+    triangles = list(range(len(tri.triangles)))
+    sheets = tuple(range(1, d + 1))
+    for tries in range(1, max_tries + 1):
+        branch = reference_random_branch(getrandbits, steps, triangles, sheets, spec)
+        cover = MonodromyCover(tri, d, {}, branch)
+        perms = covers._sheet_slots(tri, d, branch)
+        reference_shuffle_into(getrandbits, steps, ident, perms, draws)
+        if reference_walk(root_word, perms, 0) or any(
+                reference_walk(root_word, perms, s) != s for s in ident[1:]):
+            continue
+        table = covers._sheet_table(perms, solves, d)
+        for e in assigned:
+            cover.edge_perm[e] = tuple(s + 1 for s in table[2 * e])
+        assert cover.validate() == []
+        if covers.cover_connected(cover):
+            return cover, tries
+    return None, max_tries

@@ -1,11 +1,15 @@
+import argparse
+import contextlib
+import io
 import itertools
+import json
 import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
-from surfmap import covers
+from surfmap import cli, covers
 from surfmap.covers import (MonodromyCover, assemble_total_space, cover_chi,
                             cover_components, cover_connected, disk_pieces,
                             induced_triangulation,
@@ -15,7 +19,9 @@ from surfmap.errors import (Branched, InternalInconsistency, NotClosed,
                             Unsatisfiable)
 from surfmap.surfaces import BUILTIN_NAMES, Triangulation, builtin_triangulation
 
-from helpers import disjoint_cover, two_triangle_sphere, with_rotations_reversed
+from helpers import (disjoint_cover, reference_random_branch, reference_random_cover,
+                     reference_shuffle_into, reference_walk, two_triangle_sphere,
+                     with_rotations_reversed)
 
 
 @st.composite
@@ -109,9 +115,13 @@ def _random_cycles(rng, d):
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_compiled_fans_match_the_uncompiled_walk(name):
     """The sampler's compiled fan programs against MonodromyCover.fan_product
-    on arbitrary (mostly invalid) covers with d <= 8."""
+    on arbitrary (mostly invalid) covers with d <= 8; and its kernels (the
+    edge draws of the shuffle kernel, solved, and the root-word walk
+    kernel) against the root's fan_product on the covers they make."""
     tri = builtin_triangulation(name)
     programs = covers._fan_programs(tri)
+    draws, solves, _word, walk, assigned = covers._sampler_plan(tri)
+    root = tri.vertices[0]
     rng = random.Random(BUILTIN_NAMES.index(name))
     for _ in range(200):
         d = rng.randint(1, 8)
@@ -127,6 +137,12 @@ def test_compiled_fans_match_the_uncompiled_walk(name):
         for v in tri.vertices:
             got = covers._run_fan(programs[v], table, tuple(range(d)))
             assert tuple(s + 1 for s in got) == cover.fan_product(v), (d, v)
+        perms = covers._sheet_slots(tri, d, branch)
+        covers._shuffle_kernel(d)(rng.getrandbits, range(d), perms, draws)
+        table = covers._sheet_table(perms, solves, d)
+        drawn = MonodromyCover(tri, d, {e: tuple(s + 1 for s in table[2 * e])
+                                        for e in assigned}, branch)
+        assert tuple(walk(perms, s) + 1 for s in range(d)) == drawn.fan_product(root)
 
 
 ROOT_WORD_LENGTHS = {"sphere_tetra": 10, "rp2_6": 30, "torus_7": 44, "klein_8": 50,
@@ -140,7 +156,7 @@ def test_root_word_matches_the_compiled_root_fan(name):
     and branch cycles with d <= 8."""
     tri = (two_triangle_sphere() if name == "two_triangles"
            else builtin_triangulation(name))
-    draws, solves, word, _assigned = covers._sampler_plan(tri)
+    draws, solves, word, walk, _assigned = covers._sampler_plan(tri)
     root_program = covers._fan_programs(tri)[tri.vertices[0]]
     # the surface relator: every drawn edge twice, every seam once
     assert len(word) == ROOT_WORD_LENGTHS[name]
@@ -156,13 +172,15 @@ def test_root_word_matches_the_compiled_root_fan(name):
             perms[e] = rng.sample(range(d), d)
         table = covers._sheet_table(perms, solves, d)
         want = covers._run_fan(root_program, table, tuple(range(d)))
-        got = tuple(covers._walk(word, perms, s) for s in range(d))
-        assert got == want, (d, branch)
+        assert tuple(reference_walk(word, perms, s) for s in range(d)) == want, (d, branch)
+        assert tuple(walk(perms, s) for s in range(d)) == want, (d, branch)
 
 
 def test_root_fan_contradicting_the_root_word_is_an_internal_inconsistency(
         monkeypatch):
-    monkeypatch.setattr(covers, "_walk", lambda word, perms, s: s)
+    plan = covers._sampler_plan
+    monkeypatch.setattr(covers, "_sampler_plan", lambda tri: (
+        *plan(tri)[:3], lambda perms, s: s, plan(tri)[4]))
     with pytest.raises(InternalInconsistency) as ex:
         random_cover(builtin_triangulation("torus_7"), 3, None, seed=0)
     assert ex.value.context == "random_cover"
@@ -170,11 +188,13 @@ def test_root_fan_contradicting_the_root_word_is_an_internal_inconsistency(
 
 @pytest.mark.parametrize("d", range(1, 9))
 def test_inlined_shuffle_keeps_the_random_stream(d):
-    """The sampler's batch shuffle draws what random.Random.shuffle draws,
-    one shuffle per key in order, and leaves the generator in the same
-    state."""
+    """The sampler's batch shuffle, uncompiled and as the shuffle kernel,
+    draws what random.Random.shuffle draws, one shuffle per key in order,
+    and leaves the generator in the same state."""
     steps = covers._shuffle_steps(d)
-    for count in (1, 3):
+    shuffles = (lambda getrandbits, items, out, keys: reference_shuffle_into(
+        getrandbits, steps, items, out, keys), covers._shuffle_kernel(d))
+    for shuffle, count in itertools.product(shuffles, (1, 3)):
         keys = [2 * k + 1 for k in range(count)]
         for seed in range(1000):
             want, got = random.Random(seed), random.Random(seed)
@@ -184,9 +204,120 @@ def test_inlined_shuffle_keeps_the_random_stream(d):
                 want.shuffle(x)
                 xs.append(x)
             out = {}
-            covers._shuffle_into(got.getrandbits, steps, range(d), out, keys)
+            shuffle(got.getrandbits, range(d), out, keys)
             assert list(out) == keys and list(out.values()) == xs, (count, seed)
             assert got.getstate() == want.getstate(), (count, seed)
+
+
+def test_kernel_source_is_formatted_from_ints_only():
+    assert covers._literal(7) == "7"
+    for x in (True, 7.0, "7", "0; pass"):
+        with pytest.raises(TypeError):
+            covers._literal(x)
+
+
+BRANCH_CHOICES = (None, (2, 2), (3, 3), (2, 2, 2, 2), (4, 4), (3, 2, 2, 3))
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn(*args, **kwargs), or the text of the Unsatisfiable it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except Unsatisfiable as ex:
+        return f"Unsatisfiable: {ex}"
+
+
+def _assert_kernels_match_the_references(tri, ds=range(1, 9), tries=12):
+    """For every d in `ds` and branch choice, `tries` tries of the sampler
+    made twice from one seed, once by the kernels and once by the
+    uncompiled references: the same branch, the same slots after the edge
+    draws, the same sheets walked through the root word, and the same
+    generator state after each try."""
+    draws, _solves, word, walk, _assigned = covers._sampler_plan(tri)
+    triangles = list(range(len(tri.triangles)))
+    for d in ds:
+        steps, shuffle = covers._shuffle_steps(d), covers._shuffle_kernel(d)
+        ident, sheets = tuple(range(d)), tuple(range(1, d + 1))
+        for choice in BRANCH_CHOICES:
+            if choice and max(choice) > d:
+                continue
+            spec = list(choice) if choice else None
+            want, got = random.Random(d), random.Random(d)
+            for _ in range(tries):
+                branch = _outcome(reference_random_branch, want.getrandbits, steps,
+                                  triangles, sheets, spec)
+                assert _outcome(covers._random_branch, got.getrandbits, shuffle,
+                                triangles, sheets, spec) == branch, (d, choice)
+                assert got.getstate() == want.getstate(), (d, choice)
+                if isinstance(branch, str):
+                    break
+                expected = covers._sheet_slots(tri, d, branch)
+                reference_shuffle_into(want.getrandbits, steps, ident, expected, draws)
+                perms = covers._sheet_slots(tri, d, branch)
+                shuffle(got.getrandbits, ident, perms, draws)
+                assert perms == expected, (d, choice)
+                assert got.getstate() == want.getstate(), (d, choice)
+                assert ([walk(perms, s) for s in ident]
+                        == [reference_walk(word, expected, s) for s in ident]), (d, choice)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_kernels_match_the_uncompiled_steps(name):
+    _assert_kernels_match_the_references(builtin_triangulation(name))
+
+
+def test_kernels_match_the_uncompiled_steps_on_a_base_file(tmp_path):
+    """The same comparison on a base the package does not build: a total
+    space, read as the CLI reads --base-file; and `generate cover` over
+    it writes the cover of the uncompiled tries."""
+    total = assemble_total_space(random_cover(builtin_triangulation("torus_7"), 2,
+                                              [2, 2], seed=0))
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(total.to_json()))
+    tri = cli._base_triangulation(argparse.Namespace(base_file=str(path)))
+    assert tri.vertices != builtin_triangulation("torus_7").vertices
+    _assert_kernels_match_the_references(tri, ds=(1, 2, 3, 5, 8), tries=4)
+    out = tmp_path / "cover.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["generate", "cover", "--base-file", str(path), "--d", "2",
+                         "--seed", "1", "--out", str(out)]) == 0
+    cover, _tries = reference_random_cover(tri, 2, None, 1, 50000)
+    assert json.loads(out.read_text()) == cover.to_json()
+
+
+BUDGET = 1500
+
+
+def test_random_cover_at_d_7_and_8_matches_the_uncompiled_tries(monkeypatch):
+    """The whole outcome of random_cover at d = 7 and 8 with a small try
+    budget, against the uncompiled tries: the kept cover or the
+    exhaustion, and the number of tries (MonodromyCover objects built)."""
+    built = [0]
+    init = MonodromyCover.__init__
+
+    def counting_init(obj, *args, **kwargs):
+        built[0] += 1
+        init(obj, *args, **kwargs)
+
+    found = 0
+    for name, d, spec in itertools.product(("rp2_6", "torus_7", "klein_8"), (7, 8),
+                                           (None, [2, 2], [3, 2, 2, 3])):
+        tri = builtin_triangulation(name)
+        for seed in range(3):
+            monkeypatch.setattr(MonodromyCover, "__init__", counting_init)
+            built[0] = 0
+            got = _outcome(random_cover, tri, d, spec, seed, max_tries=BUDGET)
+            monkeypatch.undo()
+            if not built[0]:
+                continue        # refused before sampling
+            want, tries = reference_random_cover(tri, d, spec, seed, BUDGET)
+            assert built[0] == tries, (name, d, spec, seed)
+            if want is None:
+                assert got.startswith("Unsatisfiable: no valid cover found"), got
+            else:
+                assert got.to_json() == want.to_json(), (name, d, spec, seed)
+                found += 1
+    assert found >= 10, found
 
 
 def test_open_fan_reported():
@@ -310,9 +441,6 @@ def _bfs_components(cover):
                     comp[state] = n
                     frontier.append(state)
     return comp
-
-
-BRANCH_CHOICES = (None, (2, 2), (3, 3), (2, 2, 2, 2), (4, 4), (3, 2, 2, 3))
 
 
 def test_cover_solve_matches_the_search_and_the_assembly():

@@ -265,6 +265,44 @@ def test_a_region_with_a_bad_isolated_side_is_reported(bounds):
         assert f"region {ri} references a bad isolated side" in problems
 
 
+def _torus_lift(seed: int) -> dict:
+    """The document of a torus_7 d = 2 lift, whose vertices have degree 6,
+    and the darts of its vertex 0 in rotation order."""
+    doc = map_from_cover(random_cover(builtin_triangulation("torus_7"), 2, None,
+                                      seed=seed)).to_json()
+    orbit = [0]
+    while doc["rotation"][str(orbit[-1])] != 0:
+        orbit.append(doc["rotation"][str(orbit[-1])])
+    return doc, orbit
+
+
+def _vertex_problems(doc) -> list:
+    return validate_map(TransverseMap.from_json(doc)).problems
+
+
+def test_a_vertex_labeled_by_an_unknown_target_vertex_is_reported():
+    rng = random.Random("unknown target vertex")
+    doc, orbit = _torus_lift(rng.randrange(100))
+    for dart in orbit:
+        doc["vertex_label"][str(dart)] = 99
+    assert _vertex_problems(doc) == ["vertex 0 labeled by unknown target vertex 99"]
+
+
+def test_dart_labels_out_of_the_target_rotation_are_reported():
+    """Two darts of a degree-6 vertex swapped in its rotation: the vertex
+    keeps its darts, but their labels read the target rotation neither
+    way."""
+    rng = random.Random("out of rotation")
+    doc, orbit = _torus_lift(rng.randrange(100))
+    assert len(orbit) == 6
+    i = rng.randrange(1, 5)
+    orbit[i], orbit[i + 1] = orbit[i + 1], orbit[i]
+    for dart, successor in zip(orbit, orbit[1:] + orbit[:1]):
+        doc["rotation"][str(dart)] = successor
+    assert _vertex_problems(doc) == [
+        "dart labels around vertex 0 do not read the target rotation"]
+
+
 # --------------------------------------------------------------------------
 # `analyze validate` against the entry check
 
