@@ -345,9 +345,6 @@ def main(argv=None) -> int:
     except Stuck as ex:
         _emit({"error": "stuck", "detail": str(ex), "report": ex.report})
         return 3
-    except moves_mod.OneSidedCircle as ex:
-        _emit({"error": "one_sided_circle", "detail": str(ex)})
-        return 3
     except ImpossibleError as ex:
         out = {"error": "impossible", "detail": str(ex)}
         if isinstance(ex, InternalInconsistency):

@@ -33,14 +33,15 @@ a surgery, it is made from scratch over the linked regions.  Regions
 are frozen: a move replaces the regions it changes and shares the rest,
 so its check looks again only at those (a join or an insert changes at
 most three, a collapse the regions around the collapsed edge).  A
-collapse takes its own copy of the tables of its input (after the gauge
-flip, or of a plain copy; TransverseMap.own) and rewires them in place,
-and reads region groups and directions off the stored circuits through
-the darts it removes.  Each region rule is stated once: the strip-gluing
-rule (_glued), which _rebuild_regions applies to a collapse's groups and
-to a surgery's far side (one strip joining two regions, or one to
-itself) and the join to its far side, and the stored direction across a
-band (_stored_end).  Isolated circles keep their ids, so a join
+collapse takes its own copy of the tables of its input (TransverseMap.own)
+and rewires them in place, a twisted edge in the gauge that flips the
+chart at one endpoint, and reads region groups and directions off the
+stored circuits through the darts it removes, read once (_stored_through),
+as a surgery reads those through its strands.  Each region rule is stated
+once: the strip-gluing rule (_glued), which _rebuild_regions applies to a
+collapse's groups and to a surgery's far side (one strip joining two
+regions, or one to itself) and the join to its far side, and the stored
+direction across a band (_stored_end).  Isolated circles keep their ids, so a join
 deletes one circle and renumbers nothing.  A move finds the regions it
 touches as the owners in its input's tiling (transverse.checked_tiling,
 which first checks an input that has none, with the move's name as the
@@ -51,78 +52,50 @@ its input.
 from __future__ import annotations
 
 from collections import Counter
+from typing import NamedTuple
 
 from .errors import (BadEdge, BadTarget, InternalInconsistency, InvalidChi,
                      NoCrosscap, NotAdjacent, NotCollapsible, NotCompatible,
-                     NotEssential, Stuck, SurfmapError)
+                     NotEssential, Stuck)
 from .surfaces import SurfaceKind, classify_with_boundary
-from .transverse import (IsoSide, Region, RibbonCircuit, TransverseMap,
+from .transverse import (IsolatedCircle, IsoSide, Region, RibbonCircuit, TransverseMap,
                          checked_tiling, chi_domain, classify_circuit, corners,
                          domain_orientable, edge_count, mod2_degree,
                          rotation_orbit, successor_map, validate_map)
 from .unionfind import ParityUF
 
 
-class OneSidedCircle(SurfmapError):
-    """A move produced an isolated circle with a Moebius collar; the data
-    model deliberately excludes these."""
-
-
 # --------------------------------------------------------------------------
-# Gauge utility
+# Stored circuits
 
 
-def flip_vertex(tm: TransverseMap, dart_at_vertex: int) -> TransverseMap:
-    """Reverse the chart at one vertex: rotation reversed, incident edge
-    signs flipped, stored tokens at the vertex mirrored.  A pure
-    re-coordinatization; every observable is unchanged.  The regions with
-    no stored token at the vertex are shared with tm."""
-    out = tm.copy()
-    rotation, sign = out.own("rotation", "edge_sign")
-    orbit = rotation_orbit(tm.rotation, dart_at_vertex)
-    oset = set(orbit)
-    n = len(orbit)
-    for i, d in enumerate(orbit):
-        rotation[d] = orbit[(i - 1) % n]
-    for d in orbit:
-        k = out.edge_key(d)
-        sign[k] = -sign[k]
-
-    def fix(tok):
-        d, x = tok
-        return (d, 1 - x) if d in oset else tok
-
-    out.replace(regions={
-        ri: Region(reg.label, reg.kind,
-                   tuple(RibbonCircuit(tuple(fix(t) for t in c.seq))
-                         if isinstance(c, RibbonCircuit) else c
-                         for c in reg.circuits))
-        for ri in _regions_through(tm, {(d, x) for d in orbit for x in (0, 1)},
-                                   "flip_vertex")
-        for reg in (tm.regions[ri],)})
-    return out
+class _Stored(NamedTuple):
+    """The stored ribbon circuits through some tokens (_stored_through):
+    token -> index of the region storing it, token -> next token along its
+    stored circuit, and region index -> {position among the region's
+    circuits: token sequence} of those circuits."""
+    region: dict
+    succ: dict
+    circuits: dict
 
 
-def _regions_through(tm: TransverseMap, tokens: set, context: str) -> list:
-    """The indices, ascending, of the regions storing a traced circuit
-    through a token in `tokens`: their owners in tm's checked tiling."""
-    tiling = checked_tiling(tm, context)
+def _stored_through(tiling, tokens: set, mirror: dict = None) -> _Stored:
+    """The stored circuits through `tokens`, a set closed under `mirror`:
+    those of their owners in a map's checked tiling, by region index;
+    with `mirror` (token -> token), their tokens mapped by it."""
     key_of, stored = tiling.facts.circuit_of_token, tiling.stored
+    regions = tiling.regions
     owners = {stored[key_of[t]].region for t in tokens}
-    return sorted(map(tm.regions.index, owners))
-
-
-def _stored_through(regions: tuple, indices, tokens: set) -> tuple:
-    """(token -> region index, token -> next token) along the stored
-    ribbon circuits through `tokens` of the regions with the given
-    indices."""
-    tok2reg, succ = {}, {}
-    for ri in indices:
-        for c in regions[ri].circuits:
+    tok2reg, succ, circuits = {}, {}, {}
+    for ri in sorted(map(regions.index, owners)):
+        cut = circuits[ri] = {}
+        for pos, c in enumerate(regions[ri].circuits):
             if isinstance(c, RibbonCircuit) and not tokens.isdisjoint(c.seq):
-                tok2reg.update(dict.fromkeys(c.seq, ri))
-                succ.update(zip(c.seq, c.seq[1:] + c.seq[:1]))
-    return tok2reg, succ
+                seq = c.seq if mirror is None else tuple(map(mirror.get, c.seq, c.seq))
+                cut[pos] = seq
+                tok2reg.update(dict.fromkeys(seq, ri))
+                succ.update(zip(seq, seq[1:] + seq[:1]))
+    return _Stored(tok2reg, succ, circuits)
 
 
 def _circuits_through(tm: TransverseMap, tokens) -> list:
@@ -189,18 +162,12 @@ class _GroupTracker:
         self.gluings.append((r1, self.uf.union(self.node[r1], self.node[r2],
                                                flip_bit)))
 
-    def root(self, ri: int) -> int:
-        return self.regions[self.uf.find(self.node[ri])[0]]
-
-    def parity(self, ri: int) -> int:
-        return self.uf.find(self.node[ri])[1]
-
-    def groups(self):
-        """root -> list of member region indices."""
-        out = {}
-        for ri in self.regions:
-            out.setdefault(self.root(ri), []).append(ri)
-        return out
+    def frames(self) -> dict:
+        """region index -> (its group's root, its parity relative to the
+        root), in region order."""
+        find, regions = self.uf.find, self.regions
+        return {ri: (regions[root], parity) for ri, node in self.node.items()
+                for root, parity in (find(node),)}
 
 
 def _flip_circuit_entry(c, flip: bool):
@@ -274,7 +241,15 @@ def collapsible_edges(tm: TransverseMap) -> list:
 
 def collapse_edge(tm: TransverseMap, edge_key: int) -> TransverseMap:
     """Remove an edge whose two darts carry the same target half-edge,
-    rejoining the remaining strands around the collapsed band."""
+    rejoining the remaining strands around the collapsed band.
+
+    A twisted edge is collapsed in the gauge that reverses the chart at
+    its second endpoint, folded into the rewire: that vertex's orbit is
+    read backwards, its band signs are negated in the result's tables,
+    and its stored tokens are read mirrored (_stored_through).  Every
+    entry a flip of that chart changes is one the collapse deletes, so
+    the result is the collapse of the flipped map, where the edge is
+    plain."""
     if edge_key not in tm.pairing or tm.edge_key(edge_key) != edge_key:
         raise NotCollapsible(f"no edge with key {edge_key}")
     d = edge_key
@@ -283,38 +258,30 @@ def collapse_edge(tm: TransverseMap, edge_key: int) -> TransverseMap:
         raise NotCollapsible(f"edge {edge_key} maps onto its target edge; "
                              "endpoint images differ")
     before = tm
-    checked_tiling(tm, "collapse_edge")     # before the gauge flip reads it
+    tiling = checked_tiling(tm, "collapse_edge")
 
-    # the result takes its own copy of the five tables, rewired in place
-    # below into the result's; its ribbon facts are derived from tm's
-    out = flip_vertex(tm, dp) if tm.edge_sign[edge_key] < 0 else tm.copy()
-    pairing, rotation, sign, vertex_label, dart_label = out.own(
-        "pairing", "rotation", "edge_sign", "vertex_label", "dart_label")
-    if not sign[edge_key] > 0:
-        detail = f"the gauge flip left edge {edge_key} twisted"
-        raise InternalInconsistency(f"collapse_edge: {detail}",
-                                    context="collapse_edge", problems=[detail])
-
-    xs = rotation_orbit(rotation, d)                  # starts with d
+    xs = rotation_orbit(tm.rotation, d)               # starts with d
     if dp in xs:
         raise InternalInconsistency("collapse found a loop edge")
-    ys = rotation_orbit(rotation, dp)                 # starts with dp
+    ys = rotation_orbit(tm.rotation, dp)              # starts with dp
     m = len(xs)
     if len(ys) != m:
         raise InternalInconsistency("collapse endpoints have different degrees")
 
-    # nested matching x_i <-> y_{m-i} (labels must agree)
-    for i in range(1, m):
-        if dart_label[xs[i]] != dart_label[ys[m - i]]:
-            raise InternalInconsistency("collapse strands do not match by label")
+    # nested matching, labels agreeing: x_i with y_{m-i}, or with y_i in
+    # the gauge that reverses the orbit of dp and mirrors its tokens
+    twisted = tm.edge_sign[edge_key] < 0
+    partners = ys[1:] if twisted else ys[:0:-1]
+    if any(tm.dart_label[x] != tm.dart_label[y] for x, y in zip(xs[1:], partners)):
+        raise InternalInconsistency("collapse strands do not match by label")
 
-    # the regions through the darts of the two endpoints (the gauge flip
-    # kept every region's index), and their stored circuits
+    # the regions through the darts of the two endpoints, and their stored
+    # circuits
     dead = set(xs) | set(ys)
     dead_tokens = {(x, s) for x in dead for s in (0, 1)}
-    touched = _regions_through(before, dead_tokens, "collapse_edge")
-    regions = out.regions
-    tok2reg, succ = _stored_through(regions, touched, dead_tokens)
+    stored = _stored_through(tiling, dead_tokens, {
+        (y, s): (y, 1 - s) for y in ys for s in (0, 1)} if twisted else None)
+    tok2reg, succ = stored.region, stored.succ
 
     def corner_pass_bit(da, db):
         """0 if some stored circuit passes the corner (da -> db) forward."""
@@ -324,97 +291,116 @@ def collapse_edge(tm: TransverseMap, edge_key: int) -> TransverseMap:
             return 1, tok2reg[(db, 0)]
         raise InternalInconsistency("corner not on any stored circuit")
 
-    groups = _GroupTracker(touched)
+    groups = _GroupTracker(stored.circuits)
     for i in range(1, m - 1):
         pv, rv = corner_pass_bit(xs[i], xs[i + 1])
-        pw, rw = corner_pass_bit(ys[m - i - 1], ys[m - i])
+        pw, rw = corner_pass_bit(partners[i], partners[i - 1])
         groups.glue(rv, rw, pv ^ pw)
 
-    # rewire: each strand x_i, y_{m-i} joins its two far darts a_i, b_i
-    # into one band, or closes into an isolated circle
+    # the result takes its own copy of the five tables, rewired in place
+    # below into the result's; its ribbon facts are derived from tm's
+    out = tm.copy()
+    pairing, rotation, sign, vertex_label, dart_label = out.own(
+        "pairing", "rotation", "edge_sign", "vertex_label", "dart_label")
+    if twisted:
+        for y in ys:
+            k = min(y, pairing[y])
+            sign[k] = -sign[k]
+
+    # rewire: each strand x_i, y joins its two far darts a_i, b_i into one
+    # band, or closes into an isolated circle
     strands = [(x, y, pairing[x], pairing[y], sign[min(x, pairing[x])],
                 sign[min(y, pairing[y])], dart_label[x][0])
-               for x, y in zip(xs[1:], ys[:0:-1])]
+               for x, y in zip(xs[1:], partners)]
     for a in dead:
         sign.pop(min(a, pairing[a]), None)
     for a in dead:
         del pairing[a], rotation[a], vertex_label[a], dart_label[a]
-    new_circle_info = []      # (circle id, strand dart x_i, its partner y_{m-i})
+    circles = {}              # the new circles, by id
+    circle_info = []          # (circle id, strand dart x_i, its partner y)
+    cid = out.next_circle_id()
     for x, y, a_i, b_i, s_x, s_y, edge in strands:
         if a_i == y:
-            # parallel strand closes into an isolated circle
-            if s_x < 0:
-                raise OneSidedCircle(
-                    "collapse would close a strand into a one-sided circle")
-            new_circle_info.append((out.add_circle(edge), x, y))
+            # a parallel strand closes into an isolated circle, two-sided:
+            # its band is a fold edge between the two endpoints, so the
+            # band-sign check gives it the collapsed edge's sign, plain here
+            circles[cid] = IsolatedCircle(edge)
+            circle_info.append((cid, x, y))
+            cid += 1
             continue
         pairing[a_i] = b_i
         pairing[b_i] = a_i
         sign[min(a_i, b_i)] = s_x * s_y
 
-    out.replace(regions=_rebuild_regions(regions, out, groups, dead_tokens,
-                                         dead_tokens, circle_info=new_circle_info,
-                                         context="collapse_edge"))
+    out.replace(regions=_rebuild_regions(tm.regions, out, groups, stored, dead_tokens,
+                                         circle_info=circle_info,
+                                         context="collapse_edge"),
+                circles=circles)
     return _post_move_check(before, out, edge_delta=(-m, -1),
                             context="collapse_edge")
 
 
 def _rebuild_regions(regions: tuple, out: TransverseMap,
-                     groups: _GroupTracker, cut_tokens: set,
+                     groups: _GroupTracker, stored: _Stored,
                      dead_tokens=frozenset(), *, circle_info=(),
                      context: str = "") -> dict:
     """The changes (index -> region, or None) of the regions that a ribbon
     rewrite glues with strips: the one region rebuild of a collapse and
     of a surgery's far side.
 
-    regions: the pre-move regions (post gauge normalization); groups: the
-    regions with a stored circuit through a cut token, glued by the
-    rewrite's strips; cut_tokens: the tokens where the rewrite cuts the
-    glued regions' circuits (for a collapse, those of the dead darts; for
-    a surgery, its strands' far tokens); dead_tokens: those of the darts
-    the rewrite deleted; out: the post-move map, its tables rewired,
-    possibly with freshly appended isolated circles described by
-    circle_info (circle id, strand dart, the strand's other dart).  Only
-    those regions are rebuilt: a circuit of theirs through no cut token
-    runs through no rewired dart (every rewired dart is band-adjacent to a
-    cut token), so it is a traced circuit of out as it stands, and every
-    traced circuit of out through a token of a rebuilt region is made of
-    the surviving tokens of the cut circuits, so only those are read for
-    group roots and directions.  Each group becomes one region by the
-    strip-gluing rule (_glued), bounded by its ribbon circuits in key
-    order (the order of trace_circuits), then its isolated sides."""
-    strips, twisted = Counter(), set()
+    regions: the pre-move regions; groups: the regions with a stored
+    circuit through a token where the rewrite cuts the glued regions'
+    circuits (a cut token: for a collapse, one of the dead darts; for a
+    surgery, one of its strands' far tokens), glued by the rewrite's
+    strips; stored: the stored circuits through the cut tokens, of those
+    regions and possibly others (_stored_through, in the gauge the
+    rewrite reads); dead_tokens: the tokens of the darts the rewrite
+    deleted; out: the post-move map, its tables rewired, with the
+    isolated circles the rewrite makes described by circle_info (circle
+    id, strand dart, the strand's other dart).  Only those regions are
+    rebuilt: a circuit of theirs through no cut token runs through no
+    rewired dart (every rewired dart is band-adjacent to a cut token), so
+    it is a traced circuit of out as it stands, and every traced circuit
+    of out through a token of a rebuilt region is made of the surviving
+    tokens of the cut circuits, so only those are read for group roots
+    and directions.  Each group becomes one region by the strip-gluing
+    rule (_glued), bounded by its ribbon circuits in key order (the order
+    of trace_circuits), then its isolated sides."""
+    frames = groups.frames()
+    strips, twisted, members = Counter(), set(), {}
     for ri, twist in groups.gluings:
-        root = groups.root(ri)
+        root = frames[ri][0]
         strips[root] += 1
         if twist:
             twisted.add(root)
-    glued = {root: _glued([regions[ri] for ri in members], strips[root],
-                          root in twisted, context)
-             for root, members in groups.groups().items()}
+    for ri, (root, _parity) in frames.items():
+        members.setdefault(root, []).append(regions[ri])
+    glued = {root: _glued(group, strips[root], root in twisted, context)
+             for root, group in members.items()}
 
-    # the glued regions' circuits in group-aligned form
-    facts = out.ribbon_facts()
-    key_of = facts.circuit_of_token
-    tok2root = {}             # token -> group root, over the cut circuits
-    cut = []                  # the aligned circuits through cut tokens
+    # the glued regions' circuits in group-aligned form: of the cut ones,
+    # each token's group root and the token after it in its group's frame
+    key_of = out.ribbon_facts().circuit_of_token
+    tok2root, old_succ = {}, {}
     old_iso_entries = {}      # group root -> list[IsoSide] (aligned)
     new_circuits = {root: [] for root in glued}   # (key, circuit)
-    for ri in groups.regions:
-        root, flip = groups.root(ri), bool(groups.parity(ri))
-        for c in regions[ri].circuits:
-            c2 = _flip_circuit_entry(c, flip)
+    for ri, (root, parity) in frames.items():
+        cut = stored.circuits.get(ri, {})
+        for pos, c in enumerate(regions[ri].circuits):
+            seq = cut.get(pos)
+            if seq is not None:
+                tok2root.update(dict.fromkeys(seq, root))
+                nxt = seq[1:] + seq[:1]
+                old_succ.update(zip(nxt, seq) if parity else zip(seq, nxt))
+                continue
+            c2 = _flip_circuit_entry(c, parity)
             if isinstance(c2, IsoSide):
                 old_iso_entries.setdefault(root, []).append(c2)
-            elif cut_tokens.isdisjoint(c2.seq):
-                new_circuits[root].append((key_of[c2.seq[0]], c2))
             else:
-                tok2root.update(dict.fromkeys(c2.seq, root))
-                cut.append(c2)
-    old_succ = successor_map(cut)
+                new_circuits[root].append((key_of[c.seq[0]], c2))
 
     for c in _circuits_through(out, tok2root.keys() - dead_tokens):
-        roots = {tok2root.get(tok) for tok in c.seq}
+        roots = set(map(tok2root.get, c.seq))
         if len(roots) != 1 or None in roots:
             raise InternalInconsistency(f"{context}: rewritten circuit spans "
                                         f"{len(roots)} region groups")
@@ -442,7 +428,7 @@ def _rebuild_regions(regions: tuple, out: TransverseMap,
                          + new_iso_entries.get(root, []))
         rebuilt[root] = Region(label, _kind_from(chi, len(circuits), orientable,
                                                  context), circuits)
-    return {ri: rebuilt.get(ri) for ri in groups.node}
+    return {ri: rebuilt.get(ri) for ri in frames}
 
 
 # --------------------------------------------------------------------------
@@ -566,14 +552,15 @@ def insert_trivial_circle(tm: TransverseMap, region_index: int,
     t1, t2 = (s[0] for s in tm.target.edge_sides(t_edge))
     other = t2 if A.label == t1 else t1
     work = tm.copy()
-    cid = work.add_circle(t_edge)
+    cid = work.next_circle_id()
     work.replace(
         regions={region_index: Region(
             A.label,
             _kind_from(A.kind.euler - 1, A.kind.boundary + 1, A.kind.orientable,
                        "insert_trivial_circle"),
             A.circuits + (IsoSide(cid, 0, 1),))},
-        append=(Region(other, SurfaceKind(True, 0, 0, 1), (IsoSide(cid, 1, -1),)),))
+        append=(Region(other, SurfaceKind(True, 0, 0, 1), (IsoSide(cid, 1, -1),)),),
+        circles={cid: IsolatedCircle(t_edge)})
     return _post_move_check(tm, work, edge_delta=(1, 1),
                             context="insert_trivial_circle")
 
@@ -627,8 +614,8 @@ def boundary_surgery(tm: TransverseMap, region_index: int,
         raise NotCompatible(f"no region {region_index}")
     strands = {(d, x) for dart in (dart1, dart2) if dart in tm.pairing
                for d in (dart, tm.pairing[dart]) for x in (0, 1)}
-    tok2reg, succ = _stored_through(tm.regions, _regions_through(
-        tm, strands, "boundary_surgery"), strands)
+    stored = _stored_through(checked_tiling(tm, "boundary_surgery"), strands)
+    tok2reg, succ = stored.region, stored.succ
     before = tm
     work = tm.copy()
     A = work.regions[region_index]
@@ -690,8 +677,9 @@ def boundary_surgery(tm: TransverseMap, region_index: int,
     sign[min(w1, w2)] = 1 if sbF1 == 0 else -1
 
     # --- region A restructuring ------------------------------------------------
+    # the retraced circuits are made of A's stored circuits through the
+    # strands, so succ, which holds those, gives their directions
     new_A_side = _circuits_through(work, s1["tokens"] | s2["tokens"])
-    old_succ_A = successor_map(A.circuits)
 
     keep = [c for pos, c in enumerate(A.circuits) if pos not in cpos.values()]
     extra_region = None
@@ -703,19 +691,19 @@ def boundary_surgery(tm: TransverseMap, region_index: int,
         tok_pref = next(iter(s2["tokens"]))
         c_disk = next(c for c in new_A_side if tok_pref in set(c.seq))
         c_keep = next(c for c in new_A_side if c is not c_disk)
-        circuits = keep + [_orient(c_keep, old_succ_A, A.kind.orientable,
+        circuits = keep + [_orient(c_keep, succ, A.kind.orientable,
                                    "boundary_surgery")]
         kind = _kind_from(A.kind.euler, len(circuits),
                           A.kind.orientable, "boundary_surgery")
         extra_region = Region(A.label, SurfaceKind(True, 0, 0, 1),
-                              (_orient(c_disk, old_succ_A, True,
+                              (_orient(c_disk, succ, True,
                                        "boundary_surgery"),))
     else:
         # a merge of two circuits, or a twisted rejoin of one through a
         # crosscap (which leaves A orientable when it was its only one)
         if len(new_A_side) != 1:
             raise InternalInconsistency("surgery: expected one retraced circuit")
-        circuits = keep + [_orient(new_A_side[0], old_succ_A,
+        circuits = keep + [_orient(new_A_side[0], succ,
                                    A.kind.orientable and not route_crosscap,
                                    "boundary_surgery")]
         orientable = A.kind.orientable or (gamma_same and A.kind.crosscaps == 1)
@@ -736,7 +724,7 @@ def boundary_surgery(tm: TransverseMap, region_index: int,
                                     f"circuits, expected {expect}")
     far = _GroupTracker({rfar1, rfar2})
     far.glue(rfar2, rfar1, flip_far)
-    changes = _rebuild_regions(work.regions, work, far, ftoks,
+    changes = _rebuild_regions(work.regions, work, far, stored,
                                context="boundary_surgery far")
     changes[region_index] = Region(A.label, kind, tuple(circuits))
 

@@ -325,12 +325,10 @@ class TransverseMap:
         self._edits = _Edits(edits.base, edits.base_isolated, gone, came, changed,
                              self.regions, self.isolated)
 
-    def add_circle(self, edge: int) -> int:
-        """Add an isolated circle over `edge`, last in order, under an id
-        above every id in use (replace); return that id."""
-        cid = max(self.isolated, default=-1) + 1
-        self.replace(circles={cid: IsolatedCircle(edge)})
-        return cid
+    def next_circle_id(self) -> int:
+        """The id a new circle takes: one above every id in use (a move
+        sets it by replace, last in order)."""
+        return max(self.isolated, default=-1) + 1
 
     def circle_positions(self) -> dict:
         """circle id -> position in `isolated`."""

@@ -13,13 +13,13 @@ from surfmap.moves import is_normal
 from surfmap.surfaces import (SurfaceKind, Triangulation, builtin_triangulation,
                               classify_surface, classify_with_boundary,
                               derive_rotations)
-from surfmap.transverse import (DomainSolve, IsoSide, Region,
+from surfmap.transverse import (DomainSolve, IsolatedCircle, IsoSide, Region,
                                 RegionChecks, RibbonCircuit, RibbonFacts,
                                 TransverseMap, add_pinch, checked_tiling,
                                 chi_domain, classify_circuit, corners,
                                 domain_orientable, domain_solve, identity_map,
-                                map_from_cover, mod2_degree, signed_degree,
-                                validate_map)
+                                map_from_cover, mod2_degree, rotation_orbit,
+                                signed_degree, validate_map)
 from surfmap.unionfind import ParityUF
 
 
@@ -266,6 +266,56 @@ def normalize_observed(tm, observer):
     finally:
         for name, move in originals.items():
             setattr(moves, name, move)
+
+
+# --------------------------------------------------------------------------
+# Edits a move folds into its own
+
+
+def flip_vertex(tm: TransverseMap, dart_at_vertex: int) -> TransverseMap:
+    """Reverse the chart at one vertex: rotation reversed, incident edge
+    signs flipped, stored tokens at the vertex mirrored.  A pure
+    re-coordinatization; every observable is unchanged.  The regions with
+    no stored token at the vertex are shared with tm.  collapse_edge
+    collapses a twisted edge in this gauge at its second endpoint without
+    making the flipped map; the tests compare the two."""
+    out = tm.copy()
+    rotation, sign = out.own("rotation", "edge_sign")
+    orbit = rotation_orbit(tm.rotation, dart_at_vertex)
+    oset = set(orbit)
+    n = len(orbit)
+    for i, d in enumerate(orbit):
+        rotation[d] = orbit[(i - 1) % n]
+    for d in orbit:
+        k = out.edge_key(d)
+        sign[k] = -sign[k]
+
+    def fix(tok):
+        d, x = tok
+        return (d, 1 - x) if d in oset else tok
+
+    # the regions storing a traced circuit through a token at the vertex:
+    # their owners in tm's checked tiling
+    tiling = checked_tiling(tm, "flip_vertex")
+    key_of, stored = tiling.facts.circuit_of_token, tiling.stored
+    owners = {stored[key_of[(d, x)]].region for d in orbit for x in (0, 1)}
+    out.replace(regions={
+        ri: Region(reg.label, reg.kind,
+                   tuple(RibbonCircuit(tuple(fix(t) for t in c.seq))
+                         if isinstance(c, RibbonCircuit) else c
+                         for c in reg.circuits))
+        for ri in sorted(map(tm.regions.index, owners))
+        for reg in (tm.regions[ri],)})
+    return out
+
+
+def add_circle(tm: TransverseMap, edge: int) -> int:
+    """Add an isolated circle over `edge` to tm, last in order, under the
+    id a move gives a new circle (replace); return that id.  The moves set
+    their new circles in the one replace of their other edits."""
+    cid = tm.next_circle_id()
+    tm.replace(circles={cid: IsolatedCircle(edge)})
+    return cid
 
 
 # --------------------------------------------------------------------------

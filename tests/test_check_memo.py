@@ -15,7 +15,7 @@ from surfmap import cli, moves, transverse
 from surfmap.covers import random_cover
 from surfmap.errors import Disconnected, InternalInconsistency, Stuck
 from surfmap.moves import (_post_move_check, collapse_edge, collapsible_edges,
-                           flip_vertex, insert_trivial_circle, normalize)
+                           insert_trivial_circle, normalize)
 from surfmap.surfaces import SurfaceKind, builtin_triangulation
 from surfmap.transverse import (IsolatedCircle, IsoSide, Region, RibbonCircuit,
                                 TransverseMap, add_pinch, chi_domain, classify_circuit, domain_orientable,
@@ -23,9 +23,10 @@ from surfmap.transverse import (IsolatedCircle, IsoSide, Region, RibbonCircuit,
                                 mod2_degree, rotation_orbit, signed_degree,
                                 validate_map)
 
-from helpers import (assert_facts_match_fresh, assert_matches_oracle,
-                     builtin_example, find_join_by_scan, normalize_observed,
-                     scrambled, tube_double, two_triangle_sphere)
+from helpers import (add_circle, assert_facts_match_fresh, assert_matches_oracle,
+                     builtin_example, find_join_by_scan, flip_vertex,
+                     normalize_observed, scrambled, tube_double,
+                     two_triangle_sphere)
 
 # (base, d, branch, pinch, cover seed); together their normalizations run
 # every move, the dart-rewiring ones included
@@ -415,6 +416,26 @@ def test_flip_vertex_shares_the_regions_it_does_not_touch():
     assert_facts_match_fresh(flipped)
 
 
+def test_a_table_value_derive_cannot_diff_gets_fresh_facts():
+    """A copy of a checked map whose edge sign is a list, a table value
+    that RibbonFacts.derive cannot hash to diff the tables, gets facts
+    computed from its tables, which report the bad sign as the facts of
+    a map built afresh from the same tables do."""
+    tm = _slice_map(*SLICE[0])
+    assert validate_map(tm).ok
+    bad = tm.copy()
+    sign, = bad.own("edge_sign")
+    k = next(iter(sign))
+    sign[k] = [sign[k]]
+    facts = bad.ribbon_facts()
+    assert facts is not tm.ribbon_facts() and facts.origin is None
+    fresh = TransverseMap(bad.target, *(dict(getattr(bad, name))
+                                        for name in transverse._TABLES),
+                          bad.isolated, bad.regions)
+    assert validate_map(bad).problems == validate_map(fresh).problems == [
+        f"missing or bad sign for edge {k}"]
+
+
 def _digest_genus2_scramble() -> TransverseMap:
     """The map of tests/digests.json's g4s.json: `generate composite --base
     genus2 --d 4 --branch 2,2 --pinch klein --seed 1`, then `generate
@@ -676,7 +697,7 @@ def _handle_map() -> TransverseMap:
     edge = tm.target.triangle_edges(tm.regions[0].label)[0]
     tm = insert_trivial_circle(tm, 0, edge)
     holed, annulus = tm.regions[0], tm.regions[-1]
-    cid = tm.add_circle(edge)
+    cid = add_circle(tm, edge)
     circuits = holed.circuits + (IsoSide(cid, 0, 1),)
     tm.replace(regions={
         0: Region(holed.label, SurfaceKind(True, 0, 0, len(circuits)), circuits),
@@ -710,7 +731,7 @@ def _drop_circuit(tm):
 
 def _add_isolated_circle(tm):
     """A circle no region is bounded by: a second component."""
-    tm.add_circle(next(iter(tm.isolated.values())).edge)
+    add_circle(tm, next(iter(tm.isolated.values())).edge)
 
 
 IN_PLACE_EDITS = {
@@ -753,7 +774,7 @@ def _reuse_circle_id(tm):
     cid = max(tm.isolated)
     edge = tm.isolated[cid].edge
     tm.replace(circles={cid: None})
-    assert tm.add_circle((edge + 1) % len(tm.target.edges)) == cid
+    assert add_circle(tm, (edge + 1) % len(tm.target.edges)) == cid
 
 
 def _relabel_region(tm):
@@ -1044,7 +1065,7 @@ def _circle_sphere() -> TransverseMap:
     t1 = tm.regions[0].label
     edge = tm.target.triangle_edges(t1)[0]
     t2 = next(t for t, _ in tm.target.edge_sides(edge) if t != t1)
-    x, y = tm.add_circle(edge), tm.add_circle(edge)
+    x, y = add_circle(tm, edge), add_circle(tm, edge)
     disk, annulus = SurfaceKind(True, 0, 0, 1), SurfaceKind(True, 0, 0, 2)
     tm.replace(append=(Region(t1, disk, (IsoSide(x, 0, 1),)),
                        Region(t2, annulus, (IsoSide(x, 1, -1), IsoSide(y, 0, 1))),

@@ -32,7 +32,8 @@ def test_counts_of_the_first_corpus_maps():
     _build_lifts()
     originals = (moves.join_isolated_circle, moves.checked_tiling, transverse._solve,
                  transverse._derive_solve, transverse._ties,
-                 transverse.RegionChecks.__init__, transverse.TransverseMap.own)
+                 transverse.RegionChecks.__init__, transverse.TransverseMap.own,
+                 transverse.TransverseMap.replace)
     charts = transverse.RibbonFacts.__dict__["vertex_charts"]
     table_problem = transverse.RibbonFacts.__dict__["table_problem"]
     derive = transverse.RibbonFacts.__dict__["derive"]
@@ -41,7 +42,8 @@ def test_counts_of_the_first_corpus_maps():
     rows = tool.count("corpus", limit=4)
     assert (moves.join_isolated_circle, moves.checked_tiling, transverse._solve,
             transverse._derive_solve, transverse._ties,
-            transverse.RegionChecks.__init__, transverse.TransverseMap.own) == originals
+            transverse.RegionChecks.__init__, transverse.TransverseMap.own,
+            transverse.TransverseMap.replace) == originals
     assert set(rows) == set(tool.MOVES) | {"(none)"}
     joins = rows["join_isolated_circle"]
     # each move's check solves its result once, from the tiling: from
@@ -86,6 +88,11 @@ def test_counts_of_the_first_corpus_maps():
     assert rows["collapse_edge"]["tables owned"] == 5 * rows["collapse_edge"]["moves"]
     assert rows["boundary_surgery"]["tables owned"] == 2 * rows["boundary_surgery"]["moves"]
     assert rows["(none)"]["charts"] == 4
+    # every move writes one edit record, its new circles included; outside
+    # the moves, each of the 4 lifts writes one and each of the 3 pinches
+    for name in tool.MOVES:
+        assert rows[name]["replaces"] == rows[name]["moves"] > 0, name
+    assert rows["(none)"]["replaces"] == 7
     # every map a move, the join finder or normalize is given carries
     # the tiling of its last check
     assert all(row["entry checks"] == 0 for row in rows.values())

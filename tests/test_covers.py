@@ -11,7 +11,8 @@ from hypothesis import given, strategies as st
 
 from surfmap import cli, covers
 from surfmap.covers import (MonodromyCover, assemble_total_space, cover_chi,
-                            cover_components, cover_connected, disk_pieces,
+                            cover_components, cover_connected, cover_solve,
+                            disk_pieces,
                             induced_triangulation,
                             perm_from_cycles, perm_id, perm_inv, perm_mul,
                             random_cover)
@@ -99,6 +100,25 @@ def test_validate_verdict_follows_in_place_edits():
     assert c.validate() == []
     c.d = 3
     assert any("d = 3" in q for q in c.validate())
+
+
+def test_data_the_snapshot_cannot_read_is_checked_and_solved_afresh():
+    """An edge_perm entry of None, under an edge the base lacks, is data
+    the state snapshot cannot read: validate() gives the uncached check's
+    problems and cover_solve a solve from scratch, which reads the base's
+    edges only, and neither memo changes."""
+    c = random_cover(builtin_triangulation("sphere_tetra"), 2, [2, 2], seed=0)
+    solved = cover_solve(c)
+    verdict, memo = c._verdict, c._solved
+    c.edge_perm[99] = None
+    assert c.validate() == c._problems() == [
+        "edge_perm names edge 99, which the base lacks"]
+    again = cover_solve(c)
+    assert (again.parent, again.parity, again.sets, again.ok) == \
+        (solved.parent, solved.parity, solved.sets, solved.ok)
+    assert (c._verdict, c._solved) == (verdict, memo)
+    del c.edge_perm[99]
+    assert c.validate() == []
 
 
 def _random_cycles(rng, d):

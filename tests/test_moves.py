@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -16,8 +17,9 @@ from surfmap.moves import (boundary_surgery, collapse_edge, collapsible_edges,
 import surfmap.moves as moves_mod
 
 from helpers import (assert_matches_oracle, branched_sphere_double,
-                     builtin_example, domain_kind, normalize_observed,
-                     scrambled, tube_double)
+                     builtin_example, domain_kind, flip_vertex,
+                     normalize_observed, scrambled, tube_double)
+from test_check_memo import SLICE, _slice_map
 
 
 def check_invariants(before, after):
@@ -216,13 +218,12 @@ def test_every_surgery_on_the_fold_matches_the_oracle(monkeypatch):
     far_sides = set()
     rebuild = moves_mod._rebuild_regions
 
-    def spy(regions, out, groups, cut_tokens, *args, **kwargs):
+    def spy(regions, out, groups, stored, *args, **kwargs):
         if kwargs.get("context") == "boundary_surgery far":
-            cut = sum(not cut_tokens.isdisjoint(c.seq) for ri in groups.regions
-                      for c in regions[ri].circuits if isinstance(c, RibbonCircuit))
+            cut = sum(len(stored.circuits.get(ri, ())) for ri in groups.regions)
             far_sides.add("merged" if len(groups.regions) == 2 else
                           "twisted" if groups.gluings[0][1] else f"{cut} cut")
-        return rebuild(regions, out, groups, cut_tokens, *args, **kwargs)
+        return rebuild(regions, out, groups, stored, *args, **kwargs)
 
     states = []
     for base, d, branch, pinch in SURGERY_CELLS:
@@ -239,17 +240,39 @@ def test_every_surgery_on_the_fold_matches_the_oracle(monkeypatch):
     assert far_sides == {"merged", "1 cut", "twisted"}
 
 
-def test_collapse_reports_a_gauge_flip_that_leaves_the_edge_twisted(monkeypatch):
-    """The gauge check is a raise, not an assert, so it also runs under
-    python -O."""
-    opp = tube_double(builtin_triangulation("sphere_tetra"), 0, same_direction=False)
-    out = boundary_surgery(opp, *moves_mod._find_surgery(opp))
-    k = next(k for k in collapsible_edges(out) if out.edge_sign[k] < 0)
-    monkeypatch.setattr(moves_mod, "flip_vertex", lambda tm, dart: tm.copy())
-    with pytest.raises(InternalInconsistency) as ex:
-        collapse_edge(out, k)
-    assert ex.value.context == "collapse_edge"
-    assert ex.value.problems == [f"the gauge flip left edge {k} twisted"]
+def test_a_collapse_folds_the_gauge_flip_into_its_rewire():
+    """A collapse reads a twisted edge in the gauge that flips the chart at
+    its second endpoint, without making the flipped map; the result is the
+    collapse of the flipped map, where the edge is plain; on a plain edge
+    it is the collapse of the flipped map, where the edge is twisted.
+    Every collapsible edge of every state a collapse is made on: in the
+    normalizations of the memo slices, of the fold and of the surgery
+    cells' scrambles."""
+    states = []
+    cells = [scrambled(add_pinch(map_from_cover(random_cover(
+        builtin_triangulation(base), d, branch, seed=1)), 0, pinch), 12, seed=3)
+        for base, d, branch, pinch in SURGERY_CELLS]
+    maps = ([_slice_map(*spec) for spec in SLICE]
+            + [builtin_example("fold_degree_zero")] + cells)
+
+    def observer(before, _after, move):
+        if move == "collapse_edge":
+            states.append(before)
+
+    for tm in maps:
+        normalize_observed(tm, observer)
+    signs = Counter()
+    for tm in states:
+        for k in collapsible_edges(tm):
+            folded = collapse_edge(tm, k)
+            flipped = collapse_edge(flip_vertex(tm, tm.pairing[k]), k)
+            assert folded.dumps() == flipped.dumps()
+            assert_matches_oracle(folded)
+            assert_matches_oracle(flipped)
+            signs[tm.edge_sign[k], len(folded.isolated) > len(tm.isolated)] += 1
+    # both signs, and twisted edges whose parallel strands close circles
+    assert signs[-1, True] >= 100 and signs[-1, False] >= 20, signs
+    assert signs[1, True] >= 5, signs
 
 
 def test_relocate_crosscap_errors():

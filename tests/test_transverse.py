@@ -16,11 +16,12 @@ from surfmap.transverse import (IsoSide, Region, TransverseMap,
                                 domain_orientable, edge_count, identity_map,
                                 lift_facts, map_from_cover, mod2_degree,
                                 signed_degree, validate_map)
-from surfmap.moves import flip_vertex, insert_trivial_circle
+from surfmap.moves import insert_trivial_circle
 
-from helpers import (assembled_map_from_cover, assert_facts_match_fresh,
-                     assert_matches_oracle, branched_sphere_double,
-                     builtin_example, domain_kind, tube_double,
+from helpers import (add_circle, assembled_map_from_cover,
+                     assert_facts_match_fresh, assert_matches_oracle,
+                     branched_sphere_double, builtin_example, domain_kind,
+                     flip_vertex, tube_double,
                      two_triangle_sphere, with_rotations_reversed)
 from record_sampler_digests import CASES
 
@@ -428,7 +429,7 @@ def test_isolated_circle_between_adjacent_regions(directions, kind):
     edge = T.triangle_edges(tm.regions[0].label)[0]
     across = next(t for t, _ in T.edge_sides(edge) if t != tm.regions[0].label)
     b = next(ri for ri, r in enumerate(tm.regions) if r.label == across)
-    cid = tm.add_circle(edge)
+    cid = add_circle(tm, edge)
     for side, ri in enumerate((0, b)):
         region = tm.regions[ri]
         side_entry = IsoSide(cid, side, directions[side])

@@ -8,8 +8,8 @@ after writing its maps to a temporary directory, which is not counted),
 with counting wrappers installed at run time on surfmap's moves, on
 RegionChecks.__init__, on RibbonFacts.walk_key, on moves.checked_tiling,
 on the domain solves (whole and derived) and the region ties they
-resolve, on ParityUF.union, on TransverseMap.own,
-on RibbonFacts.derive, on RibbonFacts.table_problem and on
+resolve, on ParityUF.union, on TransverseMap.own and
+TransverseMap.replace, on RibbonFacts.derive, on RibbonFacts.table_problem and on
 RibbonFacts.vertex_charts, as
 perfbench/tracer.py installs its spans; nothing under src/ has hooks.
 Prints one row per move kind, what is done outside any move under
@@ -45,6 +45,10 @@ Prints one row per move kind, what is done outside any move under
 * tables owned: the dart tables copied to be written (TransverseMap.own
   on a shared table).  A move that keeps the tables (a join, an insert,
   a relocation) shares its input's, so it reads 0;
+* replaces: the edit records a move writes (TransverseMap.replace, the
+  one way a map's regions and circles change).  Each move makes its
+  region and circle edits in one call, so each reads 1 per move; the
+  lift's disks and a pinch count under "(none)";
 * entry checks: the checks moves.checked_tiling ran because the map it
   was given, a move's input or the join finder's or normalize's (these
   two count under "(none)"), had no current tiling.  Every map a pass
@@ -85,7 +89,8 @@ import workloads  # noqa: E402
 from tracer import MOVES  # noqa: E402
 
 COLUMNS = ("moves", "checks", "walks", "whole solves", "derived solves",
-           "certificate failures", "ties resolved", "tables owned", "entry checks",
+           "certificate failures", "ties resolved", "tables owned", "replaces",
+           "entry checks",
            "uncarried", "unions", "table checks", "charts")
 
 
@@ -150,6 +155,14 @@ class Counts:
             return own(tm, *names)
 
         self._set(transverse.TransverseMap, "own", owned)
+
+        replace = transverse.TransverseMap.replace
+
+        def replaced(tm, *args, **kwargs):
+            counts.rows[counts.move[-1]]["replaces"] += 1
+            return replace(tm, *args, **kwargs)
+
+        self._set(transverse.TransverseMap, "replace", replaced)
 
         derive = transverse.RibbonFacts.derive.__func__
 
