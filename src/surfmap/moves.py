@@ -72,30 +72,29 @@ from .unionfind import ParityUF
 class _Stored(NamedTuple):
     """The stored ribbon circuits through some tokens (_stored_through):
     token -> index of the region storing it, token -> next token along its
-    stored circuit, and region index -> {position among the region's
-    circuits: token sequence} of those circuits."""
+    stored circuit, and region index -> the positions of those circuits
+    among the region's circuits."""
     region: dict
     succ: dict
-    circuits: dict
+    positions: dict
 
 
-def _stored_through(tiling, tokens: set, mirror: dict = None) -> _Stored:
-    """The stored circuits through `tokens`, a set closed under `mirror`:
-    those of their owners in a map's checked tiling, by region index;
-    with `mirror` (token -> token), their tokens mapped by it."""
+def _stored_through(tiling, tokens: set) -> _Stored:
+    """The stored circuits through `tokens`: those of their owners in a
+    map's checked tiling, by region index."""
     key_of, stored = tiling.facts.circuit_of_token, tiling.stored
     regions = tiling.regions
     owners = {stored[key_of[t]].region for t in tokens}
-    tok2reg, succ, circuits = {}, {}, {}
+    tok2reg, succ, positions = {}, {}, {}
     for ri in sorted(map(regions.index, owners)):
-        cut = circuits[ri] = {}
+        cut = positions[ri] = set()
         for pos, c in enumerate(regions[ri].circuits):
             if isinstance(c, RibbonCircuit) and not tokens.isdisjoint(c.seq):
-                seq = c.seq if mirror is None else tuple(map(mirror.get, c.seq, c.seq))
-                cut[pos] = seq
+                cut.add(pos)
+                seq = c.seq
                 tok2reg.update(dict.fromkeys(seq, ri))
                 succ.update(zip(seq, seq[1:] + seq[:1]))
-    return _Stored(tok2reg, succ, circuits)
+    return _Stored(tok2reg, succ, positions)
 
 
 def _circuits_through(tm: TransverseMap, tokens) -> list:
@@ -246,10 +245,11 @@ def collapse_edge(tm: TransverseMap, edge_key: int) -> TransverseMap:
     A twisted edge is collapsed in the gauge that reverses the chart at
     its second endpoint, folded into the rewire: that vertex's orbit is
     read backwards, its band signs are negated in the result's tables,
-    and its stored tokens are read mirrored (_stored_through).  Every
-    entry a flip of that chart changes is one the collapse deletes, so
-    the result is the collapse of the flipped map, where the edge is
-    plain."""
+    and the two sides of its darts' tokens are swapped where the collapse
+    reads the stored circuits through them (at the corners it glues
+    across and at the circles it closes).  Every entry a flip of that
+    chart changes is one the collapse deletes, so the result is the
+    collapse of the flipped map, where the edge is plain."""
     if edge_key not in tm.pairing or tm.edge_key(edge_key) != edge_key:
         raise NotCollapsible(f"no edge with key {edge_key}")
     d = edge_key
@@ -269,9 +269,10 @@ def collapse_edge(tm: TransverseMap, edge_key: int) -> TransverseMap:
         raise InternalInconsistency("collapse endpoints have different degrees")
 
     # nested matching, labels agreeing: x_i with y_{m-i}, or with y_i in
-    # the gauge that reverses the orbit of dp and mirrors its tokens
-    twisted = tm.edge_sign[edge_key] < 0
-    partners = ys[1:] if twisted else ys[:0:-1]
+    # the gauge that reverses the orbit of dp; `mirror` is 1 when that
+    # gauge swaps the sides of the tokens at dp's vertex
+    mirror = 1 if tm.edge_sign[edge_key] < 0 else 0
+    partners = ys[1:] if mirror else ys[:0:-1]
     if any(tm.dart_label[x] != tm.dart_label[y] for x, y in zip(xs[1:], partners)):
         raise InternalInconsistency("collapse strands do not match by label")
 
@@ -279,22 +280,23 @@ def collapse_edge(tm: TransverseMap, edge_key: int) -> TransverseMap:
     # circuits
     dead = set(xs) | set(ys)
     dead_tokens = {(x, s) for x in dead for s in (0, 1)}
-    stored = _stored_through(tiling, dead_tokens, {
-        (y, s): (y, 1 - s) for y in ys for s in (0, 1)} if twisted else None)
+    stored = _stored_through(tiling, dead_tokens)
     tok2reg, succ = stored.region, stored.succ
 
-    def corner_pass_bit(da, db):
-        """0 if some stored circuit passes the corner (da -> db) forward."""
-        if succ.get((da, 1)) == (db, 0):
-            return 0, tok2reg[(da, 1)]
-        if succ.get((db, 0)) == (da, 1):
-            return 1, tok2reg[(db, 0)]
+    def corner_pass_bit(da, db, swap=0):
+        """0 if some stored circuit passes the corner (da -> db) forward:
+        from side 1 of da to side 0 of db, the sides swapped with `swap`."""
+        a, b = (da, 1 - swap), (db, swap)
+        if succ.get(a) == b:
+            return 0, tok2reg[a]
+        if succ.get(b) == a:
+            return 1, tok2reg[b]
         raise InternalInconsistency("corner not on any stored circuit")
 
-    groups = _GroupTracker(stored.circuits)
+    groups = _GroupTracker(stored.positions)
     for i in range(1, m - 1):
         pv, rv = corner_pass_bit(xs[i], xs[i + 1])
-        pw, rw = corner_pass_bit(partners[i], partners[i - 1])
+        pw, rw = corner_pass_bit(partners[i], partners[i - 1], mirror)
         groups.glue(rv, rw, pv ^ pw)
 
     # the result takes its own copy of the five tables, rewired in place
@@ -302,7 +304,7 @@ def collapse_edge(tm: TransverseMap, edge_key: int) -> TransverseMap:
     out = tm.copy()
     pairing, rotation, sign, vertex_label, dart_label = out.own(
         "pairing", "rotation", "edge_sign", "vertex_label", "dart_label")
-    if twisted:
+    if mirror:
         for y in ys:
             k = min(y, pairing[y])
             sign[k] = -sign[k]
@@ -317,7 +319,7 @@ def collapse_edge(tm: TransverseMap, edge_key: int) -> TransverseMap:
     for a in dead:
         del pairing[a], rotation[a], vertex_label[a], dart_label[a]
     circles = {}              # the new circles, by id
-    circle_info = []          # (circle id, strand dart x_i, its partner y)
+    circle_info = []          # (circle id, strand dart x_i, its partner y, mirror)
     cid = out.next_circle_id()
     for x, y, a_i, b_i, s_x, s_y, edge in strands:
         if a_i == y:
@@ -325,7 +327,7 @@ def collapse_edge(tm: TransverseMap, edge_key: int) -> TransverseMap:
             # its band is a fold edge between the two endpoints, so the
             # band-sign check gives it the collapsed edge's sign, plain here
             circles[cid] = IsolatedCircle(edge)
-            circle_info.append((cid, x, y))
+            circle_info.append((cid, x, y, mirror))
             cid += 1
             continue
         pairing[a_i] = b_i
@@ -357,7 +359,8 @@ def _rebuild_regions(regions: tuple, out: TransverseMap,
     rewrite reads); dead_tokens: the tokens of the darts the rewrite
     deleted; out: the post-move map, its tables rewired, with the
     isolated circles the rewrite makes described by circle_info (circle
-    id, strand dart, the strand's other dart).  Only those regions are
+    id, strand dart, the strand's other dart, and 1 where the rewrite
+    reads that dart's token sides swapped, else 0).  Only those regions are
     rebuilt: a circuit of theirs through no cut token runs through no
     rewired dart (every rewired dart is band-adjacent to a cut token), so
     it is a traced circuit of out as it stands, and every traced circuit
@@ -385,10 +388,10 @@ def _rebuild_regions(regions: tuple, out: TransverseMap,
     old_iso_entries = {}      # group root -> list[IsoSide] (aligned)
     new_circuits = {root: [] for root in glued}   # (key, circuit)
     for ri, (root, parity) in frames.items():
-        cut = stored.circuits.get(ri, {})
+        cut = stored.positions.get(ri, ())
         for pos, c in enumerate(regions[ri].circuits):
-            seq = cut.get(pos)
-            if seq is not None:
+            if pos in cut:
+                seq = c.seq
                 tok2root.update(dict.fromkeys(seq, root))
                 nxt = seq[1:] + seq[:1]
                 old_succ.update(zip(nxt, seq) if parity else zip(seq, nxt))
@@ -410,13 +413,14 @@ def _rebuild_regions(regions: tuple, out: TransverseMap,
 
     # new isolated circles created by the rewrite
     new_iso_entries = {}
-    for cid, strand, partner in circle_info:
+    for cid, strand, partner, swap in circle_info:
         for side in (0, 1):
             tok = (strand, side)
             root = tok2root[tok]
             # direction +1: the aligned stored walk leaves the vertex; the
             # strand's band is plain (a twisted one closes no circle)
-            direction = 1 if old_succ.get(tok) == (partner, 1 - side) else -1
+            across = (partner, (1 - side) ^ swap)
+            direction = 1 if old_succ.get(tok) == across else -1
             new_iso_entries.setdefault(root, []).append(
                 IsoSide(cid, side, direction))
 

@@ -220,7 +220,7 @@ def test_every_surgery_on_the_fold_matches_the_oracle(monkeypatch):
 
     def spy(regions, out, groups, stored, *args, **kwargs):
         if kwargs.get("context") == "boundary_surgery far":
-            cut = sum(len(stored.circuits.get(ri, ())) for ri in groups.regions)
+            cut = sum(len(stored.positions.get(ri, ())) for ri in groups.regions)
             far_sides.add("merged" if len(groups.regions) == 2 else
                           "twisted" if groups.gluings[0][1] else f"{cut} cut")
         return rebuild(regions, out, groups, stored, *args, **kwargs)
