@@ -41,8 +41,8 @@ as a surgery reads those through its strands.  Each region rule is stated
 once: the strip-gluing rule (_glued), which _rebuild_regions applies to a
 collapse's groups and to a surgery's far side (one strip joining two
 regions, or one to itself) and the join to its far side, and the stored
-direction across a band (_stored_end).  Isolated circles keep their ids, so a join
-deletes one circle and renumbers nothing.  A move finds the regions it
+direction across a band (_stored_end).  Isolated circles keep their ids,
+so a join deletes one circle and renumbers nothing.  A move finds the regions it
 touches as the owners in its input's tiling (transverse.checked_tiling,
 which first checks an input that has none, with the move's name as the
 context of a failure); so does the join finder, and normalize checks
@@ -58,10 +58,11 @@ from .errors import (BadEdge, BadTarget, InternalInconsistency, InvalidChi,
                      NoCrosscap, NotAdjacent, NotCollapsible, NotCompatible,
                      NotEssential, Stuck)
 from .surfaces import SurfaceKind, classify_with_boundary
-from .transverse import (IsolatedCircle, IsoSide, Region, RibbonCircuit, TransverseMap,
-                         checked_tiling, chi_domain, classify_circuit, corners,
-                         domain_orientable, edge_count, mod2_degree,
-                         rotation_orbit, successor_map, validate_map)
+from .transverse import (IsolatedCircle, IsoSide, Region, RibbonCircuit,
+                         TransverseMap, checked_tiling, chi_domain,
+                         classify_circuit, corners, domain_orientable,
+                         edge_count, mod2_degree, rotation_orbit,
+                         successor_map, validate_map)
 from .unionfind import ParityUF
 
 
