@@ -12,8 +12,7 @@ from hypothesis import given, strategies as st
 from surfmap import cli, covers
 from surfmap.covers import (MonodromyCover, assemble_total_space, cover_chi,
                             cover_components, cover_connected, cover_solve,
-                            disk_pieces,
-                            induced_triangulation,
+                            disk_pieces, induced_triangulation,
                             perm_from_cycles, perm_id, perm_inv, perm_mul,
                             random_cover)
 from surfmap.errors import (Branched, InternalInconsistency, NotClosed,

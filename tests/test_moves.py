@@ -4,9 +4,8 @@ from collections import Counter
 import pytest
 
 from surfmap.covers import random_cover
-from surfmap.errors import (BadEdge, BadTarget, InternalInconsistency,
-                            NoCrosscap, NotAdjacent, NotCollapsible,
-                            NotCompatible, NotEssential)
+from surfmap.errors import (BadEdge, BadTarget, NoCrosscap, NotAdjacent,
+                            NotCollapsible, NotCompatible, NotEssential)
 from surfmap.surfaces import SurfaceKind, builtin_triangulation
 from surfmap.transverse import (RibbonCircuit, add_pinch, chi_domain,
                                 classify_circuit, edge_count, identity_map,

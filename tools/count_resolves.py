@@ -9,8 +9,8 @@ with counting wrappers installed at run time on surfmap's moves, on
 RegionChecks.__init__, on RibbonFacts.walk_key, on moves.checked_tiling,
 on the domain solves (whole and derived) and the region ties they
 resolve, on ParityUF.union, on TransverseMap.own and
-TransverseMap.replace, on RibbonFacts.derive, on RibbonFacts.table_problem and on
-RibbonFacts.vertex_charts, as
+TransverseMap.replace, on RibbonFacts.derive, on
+RibbonFacts.table_problem and on RibbonFacts.vertex_charts, as
 perfbench/tracer.py installs its spans; nothing under src/ has hooks.
 Prints one row per move kind, what is done outside any move under
 "(none)":
@@ -90,8 +90,7 @@ from tracer import MOVES  # noqa: E402
 
 COLUMNS = ("moves", "checks", "walks", "whole solves", "derived solves",
            "certificate failures", "ties resolved", "tables owned", "replaces",
-           "entry checks",
-           "uncarried", "unions", "table checks", "charts")
+           "entry checks", "uncarried", "unions", "table checks", "charts")
 
 
 class Counts:
