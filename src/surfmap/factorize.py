@@ -26,8 +26,7 @@ from .errors import (Branched, GraphLike, ImpossibleError, InputError,
                      Unsatisfiable, ZeroDegree)
 from .surfaces import SurfaceKind
 from .transverse import (IsolatedCircle, Region, TransverseMap, checked_tiling,
-                         chi_domain, classify_circuit, domain_orientable,
-                         mod2_degree, signed_degree)
+                         chi_domain, domain_orientable, mod2_degree, signed_degree)
 from .moves import is_normal, normalize
 from . import covers as covers_mod
 
@@ -85,9 +84,9 @@ class _SheetTable:
         self.by_triangle = {t: [] for t in range(len(tm.target.triangles))}
         self.sheet_no = {}          # (region, circuit pos, winding) -> sheet
         self.indices = {}           # (region, circuit pos) -> (index, direction)
+        facts = tm.ribbon_facts()
         for ri, region in enumerate(tm.regions):
-            for pos, c in enumerate(region.circuits):
-                cls = classify_circuit(tm, region, c)
+            for pos, cls in enumerate(facts.checks_of(region).classes(facts)):
                 if cls.variant != "essential":
                     raise NotNormal("non-essential circuit in a normal form")
                 self.indices[(ri, pos)] = (cls.index, cls.direction)

@@ -61,8 +61,7 @@ from .surfaces import SurfaceKind, classify_with_boundary
 from .transverse import (IsolatedCircle, IsoSide, Region, RibbonCircuit,
                          TransverseMap, checked_tiling, chi_domain,
                          classify_circuit, corners, domain_orientable,
-                         edge_count, mod2_degree, rotation_orbit,
-                         successor_map, validate_map)
+                         edge_count, mod2_degree, rotation_orbit, validate_map)
 from .unionfind import ParityUF
 
 
@@ -480,15 +479,17 @@ def join_isolated_circle(tm: TransverseMap, iso_index: int,
     d_S = tm.dart_label[dep[0]][1]            # 0 iff departing the end-0 dart
 
     # far side of the strand: the region storing the traced circuit
-    # through its two (band-adjacent) far tokens; and the region on the
-    # circle's other side
+    # through its two (band-adjacent) far tokens, read with that circuit
+    # from the input's tiling; and the region on the circle's other side
     far_tokens = {(dep[0], 1 - dep[1]), (arr[0], 1 - arr[1])}
     far_side = (cid, 1 - side_entry.side)
-    r2, rb = _owners(tm, (dep[0], 1 - dep[1]), far_side, "join_isolated_circle")
-    succ = successor_map(tm.regions[r2].circuits)
-    if not far_tokens <= succ.keys():
+    tiling = checked_tiling(tm, "join_isolated_circle")
+    stored = _stored_through(tiling, far_tokens)
+    if len(stored.positions) != 1:
         raise InternalInconsistency("strand sides are inconsistent")
-    d_R = _stored_end(tm, far_tokens, succ)
+    (r2,) = stored.positions
+    rb = tm.regions.index(tiling.owner[far_side].region)
+    d_R = _stored_end(tm, far_tokens, stored.succ)
     delta_b = next(c.direction for c in tm.regions[rb].circuits
                    if isinstance(c, IsoSide) and (c.circle, c.side) == far_side)
     delta_a = side_entry.direction
@@ -529,16 +530,6 @@ def join_isolated_circle(tm: TransverseMap, iso_index: int,
     work.replace(regions=changes, circles={cid: None})
     return _post_move_check(tm, work, edge_delta=(-1, -1),
                             context="join_isolated_circle")
-
-
-def _owners(tm: TransverseMap, token: tuple, side: tuple, context: str) -> tuple:
-    """The indices of the region storing the traced circuit through a
-    token and of the region bounded by a circle side of tm: their owners
-    in tm's checked tiling."""
-    tiling = checked_tiling(tm, context)
-    key = tiling.facts.circuit_of_token[token]
-    return (tm.regions.index(tiling.stored[key].region),
-            tm.regions.index(tiling.owner[side].region))
 
 
 # --------------------------------------------------------------------------
@@ -656,16 +647,12 @@ def boundary_surgery(tm: TransverseMap, region_index: int,
     if rfar1 == region_index or rfar2 == region_index:
         raise InternalInconsistency("far side equals the cut region")
 
-    # the two A-side circuits at the positions
-    cpos = {}
-    for pos, c in enumerate(A.circuits):
-        if isinstance(c, RibbonCircuit):
-            toks = set(c.seq)
-            if s1["tokens"] & toks:
-                cpos[1] = pos
-            if s2["tokens"] & toks:
-                cpos[2] = pos
-    gamma_same = cpos.get(1) == cpos.get(2)
+    # A owns no far token, so its stored circuits through the strands are
+    # those through their A-side tokens: one or two; the far regions' are
+    # the far side's circuits before the move
+    cut = stored.positions[region_index]
+    gamma_same = len(cut) == 1
+    far_before = sum(len(stored.positions[ri]) for ri in {rfar1, rfar2})
 
     sb1 = 0 if work.edge_sign[work.edge_key(u1)] > 0 else 1
     sb2 = 0 if work.edge_sign[work.edge_key(u2)] > 0 else 1
@@ -686,7 +673,7 @@ def boundary_surgery(tm: TransverseMap, region_index: int,
     # strands, so succ, which holds those, gives their directions
     new_A_side = _circuits_through(work, s1["tokens"] | s2["tokens"])
 
-    keep = [c for pos, c in enumerate(A.circuits) if pos not in cpos.values()]
+    keep = [c for pos, c in enumerate(A.circuits) if pos not in cut]
     extra_region = None
     if gamma_same and not route_crosscap:
         if len(new_A_side) != 2:
@@ -722,7 +709,7 @@ def boundary_surgery(tm: TransverseMap, region_index: int,
     # decide whether the second far region must flip.  The corridor is one
     # strip glued as a collapse glues its strips, with rfar1 as the root
     flip_far = 1 if fsig1 == fsig2 else 0
-    expect = 2 if len(_circuits_through(before, ftoks)) == 1 and not flip_far else 1
+    expect = 2 if far_before == 1 and not flip_far else 1
     traced = len(_circuits_through(work, ftoks))
     if traced != expect:
         raise InternalInconsistency(f"surgery: far side traced {traced} "
@@ -751,8 +738,8 @@ def _branchy(region: Region, classes) -> bool:
 
 
 def _qualifies_as_target(tm: TransverseMap, region: Region) -> bool:
-    return _branchy(region, (classify_circuit(tm, region, c)
-                             for c in region.circuits))
+    facts = tm.ribbon_facts()
+    return _branchy(region, facts.checks_of(region).classes(facts))
 
 
 def relocate_crosscap(tm: TransverseMap, source_index: int,
@@ -825,8 +812,9 @@ def is_normal(tm: TransverseMap) -> dict:
     any_nonorientable = False
     any_branchy = False
     if has_vertices:
+        facts = tm.ribbon_facts()
         for region in tm.regions:
-            classes = [classify_circuit(tm, region, c) for c in region.circuits]
+            classes = facts.checks_of(region).classes(facts)
             if not region.kind.orientable:
                 any_nonorientable = True
             if _branchy(region, classes):
@@ -874,8 +862,9 @@ def _find_join(tm: TransverseMap):
 def _find_surgery(tm: TransverseMap):
     """A region violating the reduced-region condition plus a canonical
     pair of strand darts over one target edge."""
+    facts = tm.ribbon_facts()
     for ri, region in enumerate(tm.regions):
-        classes = [classify_circuit(tm, region, c) for c in region.circuits]
+        classes = facts.checks_of(region).classes(facts)
         if _region_reduced(region, classes):
             continue
         ribbons = [(pos, c) for pos, c in enumerate(region.circuits)

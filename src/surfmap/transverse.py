@@ -127,16 +127,6 @@ def corners(seq: tuple):
     return zip(seq[1::2], seq[2::2] + seq[:1])
 
 
-def successor_map(circuits) -> dict:
-    """token -> next token along each ribbon circuit among `circuits`
-    (isolated sides are skipped)."""
-    succ = {}
-    for c in circuits:
-        if isinstance(c, RibbonCircuit):
-            succ.update(zip(c.seq, c.seq[1:] + c.seq[:1]))
-    return succ
-
-
 def rotation_orbit(rotation: dict, d: int) -> list:
     """The darts of d's rotation orbit (its vertex) in rotation order,
     starting at d."""
@@ -1170,8 +1160,9 @@ class RegionChecks:
     * answers: per circuit, None for an isolated side, and for a ribbon
       circuit (walk key, or None when it is no boundary walk; then its
       corner problem, anchor and corner bits);
-    * classes(facts): each circuit's class, on first use; classify_circuit
-      reads it here, so the checks, the finders and factorize share it.
+    * classes(facts): each circuit's class, on first use; the checks,
+      the move finders, factorize and classify_circuit (the join's one
+      circuit) read it here, once per region.
 
     One constructor builds them all.  A circuit whose answer is known is
     not walked: `known` maps id(circuit) to (circuit, region label,
