@@ -37,16 +37,19 @@ collapse takes its own copy of the tables of its input (TransverseMap.own)
 and rewires them in place, a twisted edge in the gauge that flips the
 chart at one endpoint, and reads region groups and directions off the
 stored circuits through the darts it removes, read once (_stored_through),
-as a surgery reads those through its strands.  Each region rule is stated
-once: the strip-gluing rule (_glued), which _rebuild_regions applies to a
-collapse's groups and to a surgery's far side (one strip joining two
-regions, or one to itself) and the join to its far side, and the stored
-direction across a band (_stored_end).  Isolated circles keep their ids,
-so a join deletes one circle and renumbers nothing.  A move finds the regions it
-touches as the owners in its input's tiling (transverse.checked_tiling,
-which first checks an input that has none, with the move's name as the
-context of a failure); so does the join finder, and normalize checks
-its input.
+as a surgery reads those through its strands (its region's cut circuits
+and the far side's circuit count before the move among them) and a join
+the one through its strand's far side, with its owner.  The finders,
+is_normal and factorize read each region's circuit classes once, off its
+RegionChecks.  Each region rule is stated once: the strip-gluing rule
+(_glued), which _rebuild_regions applies to a collapse's groups and to a
+surgery's far side (one strip joining two regions, or one to itself) and
+the join to its far side, and the stored direction across a band
+(_stored_end).  Isolated circles keep their ids, so a join deletes one
+circle and renumbers nothing.  A move finds the regions it touches as the
+owners in its input's tiling (transverse.checked_tiling, which first
+checks an input that has none, with the move's name as the context of a
+failure); so does the join finder, and normalize checks its input.
 """
 
 from __future__ import annotations

@@ -516,3 +516,76 @@ def test_a_base_with_string_vertex_ids_maps_as_the_builtin_does(tmp_path, base):
     for plain, renamed in zip(written["builtin"], written["strings"]):
         assert renamed["vertex_label"] == {d: name[v]
                                            for d, v in plain["vertex_label"].items()}
+
+
+# --------------------------------------------------------------------------
+# Refusals of a document of the wrong type, a flag out of range and a
+# malformed cover or base: each exits 1 with its own detail, writing nothing
+
+DOC, OUT = "<doc>", "<out>"
+REFUSED = {
+    # case: (document, its corruption or None, argv, detail)
+    "degree_of_a_triangulation": (
+        "triangulation", None, ["analyze", "degree", DOC],
+        "expected a transverse map or cover document"),
+    "base_file_holding_a_cover": (
+        "cover", None, ["generate", "cover", "--base-file", DOC, "--out", OUT],
+        "--base-file must hold a triangulation"),
+    "cover_of_nine_sheets": (
+        None, None, ["generate", "cover", "--d", "9", "--out", OUT],
+        "--d must be in 1..8"),
+    "composite_of_no_sheet": (
+        None, None, ["generate", "composite", "--d", "0", "--out", OUT],
+        "--d must be in 1..8"),
+    "unknown_pinch": (
+        None, None, ["generate", "pinch", "--pinch", "bogus", "--out", OUT],
+        "--pinch must be one of ['crosscaps3', 'crosscaps4', 'genus2', 'klein', "
+        "'rp2', 'torus']"),
+    "oracle_on_a_map": (
+        "map", None, ["oracle", DOC], "oracle expects a cover document"),
+    "edge_permutation_not_a_list": (
+        "cover", lambda doc: doc["edge_perm"].update({"0": 5}),
+        ["analyze", "validate", DOC], "cover edge permutation: expected a list, got 5"),
+    "branch_not_a_dict": (
+        "cover", lambda doc: doc.update(branch=[]), ["analyze", "validate", DOC],
+        "cover: 'branch' must be a JSON dict"),
+    "branch_on_an_unknown_triangle": (
+        "cover", lambda doc: doc.update(branch={"99": [[1, 2]]}),
+        ["analyze", "validate", DOC], "cover: bad branch entry for triangle 99"),
+    "branch_cycles_not_a_list": (
+        "cover", lambda doc: doc.update(branch={"0": "12"}),
+        ["analyze", "validate", DOC], "cover: bad branch entry for triangle 0"),
+    "branch_cycle_not_a_list": (
+        "cover", lambda doc: doc.update(branch={"0": [5]}),
+        ["analyze", "validate", DOC], "cover branch cycle: expected a list, got 5"),
+    "base_rotation_at_an_unknown_vertex": (
+        "triangulation", lambda doc: doc["rotations"].update(bogus=[0]),
+        ["generate", "cover", "--base-file", DOC, "--d", "2", "--out", OUT],
+        "triangulation: rotation at unknown vertex 'bogus'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_refusal_names_what_it_refused(tmp_path, docs, case):
+    kind, corrupt, argv, detail = REFUSED[case]
+    paths = {OUT: str(tmp_path / "out.json")}
+    if kind is not None:
+        doc = copy.deepcopy(docs[kind])
+        if corrupt is not None:
+            corrupt(doc)
+        paths[DOC] = _write(tmp_path / "doc.json", doc)
+    rc, out = run_cli([paths.get(a, a) for a in argv])
+    assert rc == 1 and out == {"error": "input", "detail": detail}
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_cover_of_no_sheet_is_refused(tmp_path, docs):
+    """A cover document with d = 0: `analyze validate` says invalid, and
+    every other command refuses it on entry, with the same text."""
+    path = _write(tmp_path / "cover.json", {**docs["cover"], "d": 0})
+    rc, out = run_cli(["analyze", "validate", path])
+    assert rc == 1 and out == {"valid": False,
+                               "problems": ["sheet count must be positive"]}
+    for argv in (["analyze", "degree", path], ["oracle", path]):
+        assert run_cli(argv) == (1, {"error": "input",
+                                     "detail": "sheet count must be positive"})

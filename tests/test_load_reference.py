@@ -29,7 +29,7 @@ from surfmap.surfaces import SurfaceKind, Triangulation, builtin_triangulation
 from surfmap.transverse import (Region, TransverseMap, _solve, domain_solve,
                                 identity_map, map_from_cover, validate_map)
 
-from helpers import normalize_observed, reference_solve, scrambled
+from helpers import disjoint_union, normalize_observed, reference_solve, scrambled
 from test_check_memo import SLICE, _slice_map
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -301,6 +301,20 @@ def test_dart_labels_out_of_the_target_rotation_are_reported():
         doc["rotation"][str(dart)] = successor
     assert _vertex_problems(doc) == [
         "dart labels around vertex 0 do not read the target rotation"]
+
+
+def test_mixed_preimage_parity_is_reported_over_a_disconnected_target():
+    """sphere_tetra's identity map over two copies of sphere_tetra: each
+    vertex of the first copy has one preimage, each of the second none.
+    Over a connected target no map reaches this check: across each target
+    edge the preimage counts of its two ends agree mod 2."""
+    tet = builtin_triangulation("sphere_tetra")
+    tm = identity_map(tet)
+    two = TransverseMap(disjoint_union(tet, tet), tm.pairing, tm.rotation,
+                        tm.edge_sign, tm.vertex_label, tm.dart_label, tm.isolated,
+                        tm.regions)
+    assert validate_map(two).problems == [
+        "preimage counts of target vertices have mixed parity"]
 
 
 # --------------------------------------------------------------------------

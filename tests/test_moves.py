@@ -7,9 +7,10 @@ from surfmap.covers import random_cover
 from surfmap.errors import (BadEdge, BadTarget, NoCrosscap, NotAdjacent,
                             NotCollapsible, NotCompatible, NotEssential)
 from surfmap.surfaces import SurfaceKind, builtin_triangulation
-from surfmap.transverse import (RibbonCircuit, add_pinch, chi_domain,
-                                classify_circuit, edge_count, identity_map,
-                                map_from_cover, mod2_degree, validate_map)
+from surfmap.transverse import (RibbonCircuit, TransverseMap, add_pinch,
+                                chi_domain, classify_circuit, edge_count,
+                                identity_map, map_from_cover, mod2_degree,
+                                validate_map)
 from surfmap.moves import (boundary_surgery, collapse_edge, collapsible_edges,
                            insert_trivial_circle, is_normal,
                            join_isolated_circle, normalize, relocate_crosscap)
@@ -338,3 +339,79 @@ def test_graph_like_map_keeps_its_crosscap():
     assert moves_mod._find_relocation(norm) == (0, 1)
     assert "relocate_crosscap" not in {step["move"] for step in trace}
     assert norm.regions[0].kind.crosscaps == 1
+
+
+def _circle_off_its_region():
+    """(sphere_tetra's identity map, that map with a circle inserted into
+    region 0, and a copy whose circle is labeled by an edge off region 0's
+    triangle, which fails validate_map)."""
+    tm = identity_map(builtin_triangulation("sphere_tetra"))
+    edges = tm.target.triangle_edges(tm.regions[0].label)
+    ins = insert_trivial_circle(tm, 0, edges[0])
+    doc = ins.to_json()
+    doc["isolated"][0]["edge"] = next(e for e in range(len(tm.target.edges))
+                                      if e not in edges)
+    return tm, ins, TransverseMap.from_json(doc)
+
+
+# (move, argument builder over _circle_off_its_region's maps and the
+# identity map's dart a on region 0 and dart b off it, exception, text)
+ARGUMENT_REFUSALS = {
+    "collapse_of_a_dart_that_is_no_edge_key": (
+        collapse_edge, lambda tm, ins, bad, a, b: (tm, tm.pairing[min(tm.pairing)]),
+        NotCollapsible, "no edge with key 1"),
+    "join_of_an_unknown_circle": (
+        join_isolated_circle, lambda tm, ins, bad, a, b: (ins, 1, 0, 0),
+        NotAdjacent, "no isolated circle 1"),
+    "join_into_an_unknown_region": (
+        join_isolated_circle, lambda tm, ins, bad, a, b: (ins, 0, len(ins.regions), 0),
+        NotAdjacent, "no region 5"),
+    "join_onto_an_unknown_circuit": (
+        join_isolated_circle, lambda tm, ins, bad, a, b: (ins, 0, 0, 2),
+        NotEssential, "no such circuit"),
+    "join_of_a_circle_off_the_region_triangle": (
+        join_isolated_circle, lambda tm, ins, bad, a, b: (bad, 0, 0, 0),
+        NotAdjacent, "circle label is not an edge of the region's triangle"),
+    "insert_into_an_unknown_region": (
+        insert_trivial_circle, lambda tm, ins, bad, a, b: (tm, len(tm.regions), 0),
+        BadEdge, "no region 4"),
+    "surgery_of_an_unknown_region": (
+        boundary_surgery, lambda tm, ins, bad, a, b: (tm, len(tm.regions), a, b),
+        NotCompatible, "no region 4"),
+    "surgery_of_an_unknown_dart": (
+        boundary_surgery, lambda tm, ins, bad, a, b: (tm, 0, 10 ** 6, a),
+        NotCompatible, "no dart 1000000"),
+    "surgery_of_a_strand_off_the_region": (
+        boundary_surgery, lambda tm, ins, bad, a, b: (tm, 0, b, a),
+        NotCompatible, "strand does not bound the given region"),
+    "surgery_of_one_strand_twice": (
+        boundary_surgery, lambda tm, ins, bad, a, b: (tm, 0, a, tm.pairing[a]),
+        NotCompatible, "the two positions lie on one strand"),
+    "relocation_from_an_unknown_region": (
+        relocate_crosscap, lambda tm, ins, bad, a, b: (tm, len(tm.regions), 0),
+        NoCrosscap, "no region 4"),
+    "relocation_to_an_unknown_region": (
+        relocate_crosscap, lambda tm, ins, bad, a, b: (tm, 0, len(tm.regions)),
+        BadTarget, "no region 4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARGUMENT_REFUSALS))
+def test_a_move_refuses_arguments_that_name_nothing_it_can_rewrite(case):
+    move, arguments, error, text = ARGUMENT_REFUSALS[case]
+    tm, ins, bad = _circle_off_its_region()
+    a = tm.regions[0].circuits[0].seq[0][0]
+    b = next(d for d in tm.pairing
+             if tm.label_edge(d) not in tm.target.triangle_edges(tm.regions[0].label))
+    with pytest.raises(error) as refused:
+        move(*arguments(tm, ins, bad, a, b))
+    assert str(refused.value) == text
+
+
+def test_is_normal_reports_every_property_false_on_an_invalid_map():
+    _tm, _ins, bad = _circle_off_its_region()
+    assert not validate_map(bad).ok
+    assert is_normal(bad) == {"valid": False, "no_collapsible_edge": False,
+                              "no_mixed_circles": False, "regions_reduced": False,
+                              "crosscap_separation": False, "graph_like": False,
+                              "normal": False}
