@@ -74,9 +74,9 @@ from .unionfind import ParityUF
 
 class _Stored(NamedTuple):
     """The stored ribbon circuits through some tokens (_stored_through):
-    token -> index of the region storing it, token -> next token along its
-    stored circuit, and region index -> the positions of those circuits
-    among the region's circuits."""
+    each of those tokens -> index of the region storing its circuit, token
+    -> next token along each of those circuits, and region index -> the
+    positions of those circuits among the region's circuits."""
     region: dict
     succ: dict
     positions: dict
@@ -87,15 +87,19 @@ def _stored_through(tiling, tokens: set) -> _Stored:
     map's checked tiling, by region index."""
     key_of, stored = tiling.facts.circuit_of_token, tiling.stored
     regions = tiling.regions
-    owners = {stored[key_of[t]].region for t in tokens}
-    tok2reg, succ, positions = {}, {}, {}
-    for ri in sorted(map(regions.index, owners)):
+    index, tok2reg = {}, {}
+    for t in tokens:
+        region = stored[key_of[t]].region
+        if region not in index:
+            index[region] = regions.index(region)
+        tok2reg[t] = index[region]
+    succ, positions = {}, {}
+    for ri in sorted(index.values()):
         cut = positions[ri] = set()
         for pos, c in enumerate(regions[ri].circuits):
             if isinstance(c, RibbonCircuit) and not tokens.isdisjoint(c.seq):
                 cut.add(pos)
                 seq = c.seq
-                tok2reg.update(dict.fromkeys(seq, ri))
                 succ.update(zip(seq, seq[1:] + seq[:1]))
     return _Stored(tok2reg, succ, positions)
 
@@ -571,9 +575,9 @@ def insert_trivial_circle(tm: TransverseMap, region_index: int,
 def _strand_info(tm: TransverseMap, region_index: int, dart: int,
                  tok2reg: dict, succ: dict):
     """A-side data for the strand through `dart`: tokens, side bit at the
-    end-0 dart, stored direction bit.  tok2reg and succ map the tokens of
-    the stored circuits of the regions through the strand
-    (_stored_through)."""
+    end-0 dart, stored direction bit.  tok2reg maps the tokens of the
+    strand to the regions storing their circuits, and succ the tokens of
+    those circuits (_stored_through)."""
     if dart not in tm.pairing:
         raise NotCompatible(f"no dart {dart}")
     d1, d2 = dart, tm.pairing[dart]
