@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -342,56 +343,60 @@ def test_graph_like_map_keeps_its_crosscap():
 
 
 def _circle_off_its_region():
-    """(sphere_tetra's identity map, that map with a circle inserted into
-    region 0, and a copy whose circle is labeled by an edge off region 0's
-    triangle, which fails validate_map)."""
+    """sphere_tetra's identity map (tm), that map with a circle inserted
+    into region 0 (ins), a copy of ins whose circle is labeled by an edge
+    off region 0's triangle, which fails validate_map (bad), and darts of
+    tm on region 0 (a) and off it (b)."""
     tm = identity_map(builtin_triangulation("sphere_tetra"))
     edges = tm.target.triangle_edges(tm.regions[0].label)
     ins = insert_trivial_circle(tm, 0, edges[0])
     doc = ins.to_json()
     doc["isolated"][0]["edge"] = next(e for e in range(len(tm.target.edges))
                                       if e not in edges)
-    return tm, ins, TransverseMap.from_json(doc)
+    return SimpleNamespace(
+        tm=tm, ins=ins, bad=TransverseMap.from_json(doc),
+        a=tm.regions[0].circuits[0].seq[0][0],
+        b=next(d for d in tm.pairing if tm.label_edge(d) not in edges))
 
 
-# (move, argument builder over _circle_off_its_region's maps and the
-# identity map's dart a on region 0 and dart b off it, exception, text)
+# move, its arguments over _circle_off_its_region's maps and darts, and
+# the exception and text it refuses them with
 ARGUMENT_REFUSALS = {
     "collapse_of_a_dart_that_is_no_edge_key": (
-        collapse_edge, lambda tm, ins, bad, a, b: (tm, tm.pairing[min(tm.pairing)]),
+        collapse_edge, lambda m: (m.tm, m.tm.pairing[min(m.tm.pairing)]),
         NotCollapsible, "no edge with key 1"),
     "join_of_an_unknown_circle": (
-        join_isolated_circle, lambda tm, ins, bad, a, b: (ins, 1, 0, 0),
+        join_isolated_circle, lambda m: (m.ins, 1, 0, 0),
         NotAdjacent, "no isolated circle 1"),
     "join_into_an_unknown_region": (
-        join_isolated_circle, lambda tm, ins, bad, a, b: (ins, 0, len(ins.regions), 0),
+        join_isolated_circle, lambda m: (m.ins, 0, len(m.ins.regions), 0),
         NotAdjacent, "no region 5"),
     "join_onto_an_unknown_circuit": (
-        join_isolated_circle, lambda tm, ins, bad, a, b: (ins, 0, 0, 2),
+        join_isolated_circle, lambda m: (m.ins, 0, 0, 2),
         NotEssential, "no such circuit"),
     "join_of_a_circle_off_the_region_triangle": (
-        join_isolated_circle, lambda tm, ins, bad, a, b: (bad, 0, 0, 0),
+        join_isolated_circle, lambda m: (m.bad, 0, 0, 0),
         NotAdjacent, "circle label is not an edge of the region's triangle"),
     "insert_into_an_unknown_region": (
-        insert_trivial_circle, lambda tm, ins, bad, a, b: (tm, len(tm.regions), 0),
+        insert_trivial_circle, lambda m: (m.tm, len(m.tm.regions), 0),
         BadEdge, "no region 4"),
     "surgery_of_an_unknown_region": (
-        boundary_surgery, lambda tm, ins, bad, a, b: (tm, len(tm.regions), a, b),
+        boundary_surgery, lambda m: (m.tm, len(m.tm.regions), m.a, m.b),
         NotCompatible, "no region 4"),
     "surgery_of_an_unknown_dart": (
-        boundary_surgery, lambda tm, ins, bad, a, b: (tm, 0, 10 ** 6, a),
+        boundary_surgery, lambda m: (m.tm, 0, 10 ** 6, m.a),
         NotCompatible, "no dart 1000000"),
     "surgery_of_a_strand_off_the_region": (
-        boundary_surgery, lambda tm, ins, bad, a, b: (tm, 0, b, a),
+        boundary_surgery, lambda m: (m.tm, 0, m.b, m.a),
         NotCompatible, "strand does not bound the given region"),
     "surgery_of_one_strand_twice": (
-        boundary_surgery, lambda tm, ins, bad, a, b: (tm, 0, a, tm.pairing[a]),
+        boundary_surgery, lambda m: (m.tm, 0, m.a, m.tm.pairing[m.a]),
         NotCompatible, "the two positions lie on one strand"),
     "relocation_from_an_unknown_region": (
-        relocate_crosscap, lambda tm, ins, bad, a, b: (tm, len(tm.regions), 0),
+        relocate_crosscap, lambda m: (m.tm, len(m.tm.regions), 0),
         NoCrosscap, "no region 4"),
     "relocation_to_an_unknown_region": (
-        relocate_crosscap, lambda tm, ins, bad, a, b: (tm, 0, len(tm.regions)),
+        relocate_crosscap, lambda m: (m.tm, 0, len(m.tm.regions)),
         BadTarget, "no region 4"),
 }
 
@@ -399,17 +404,13 @@ ARGUMENT_REFUSALS = {
 @pytest.mark.parametrize("case", sorted(ARGUMENT_REFUSALS))
 def test_a_move_refuses_arguments_that_name_nothing_it_can_rewrite(case):
     move, arguments, error, text = ARGUMENT_REFUSALS[case]
-    tm, ins, bad = _circle_off_its_region()
-    a = tm.regions[0].circuits[0].seq[0][0]
-    b = next(d for d in tm.pairing
-             if tm.label_edge(d) not in tm.target.triangle_edges(tm.regions[0].label))
     with pytest.raises(error) as refused:
-        move(*arguments(tm, ins, bad, a, b))
+        move(*arguments(_circle_off_its_region()))
     assert str(refused.value) == text
 
 
 def test_is_normal_reports_every_property_false_on_an_invalid_map():
-    _tm, _ins, bad = _circle_off_its_region()
+    bad = _circle_off_its_region().bad
     assert not validate_map(bad).ok
     assert is_normal(bad) == {"valid": False, "no_collapsible_edge": False,
                               "no_mixed_circles": False, "regions_reduced": False,
