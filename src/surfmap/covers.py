@@ -15,11 +15,11 @@ import functools
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import add, sub
 
 from .errors import (Branched, InputError, InternalInconsistency, InvalidSurface,
                      NotClosed, Unsatisfiable)
-from .surfaces import (Triangulation, derive_rotations, doc_field, doc_int,
-                       per_triangulation)
+from .surfaces import Triangulation, doc_field, doc_int, per_triangulation
 from .unionfind import ParityUF
 
 
@@ -319,7 +319,10 @@ def cover_connected(cover: MonodromyCover) -> bool:
 def disk_pieces(cover: MonodromyCover):
     """Disk pieces of the preimage of each closed triangle: (triangle,
     sheet loop).  A loop of length 1 is an unbranched lift; length i is a
-    branched disk whose boundary winds i times around the triangle."""
+    branched disk whose boundary winds i times around the triangle: the
+    orbit of the cycle's least sheet under the seam permutation, which
+    is the cycle read from that sheet (a valid cover's cycles are
+    disjoint)."""
     out = []
     for t in range(len(cover.base.triangles)):
         cycles = [tuple(c) for c in cover.branch.get(t, ())]
@@ -327,13 +330,9 @@ def disk_pieces(cover: MonodromyCover):
         for s in range(1, cover.d + 1):
             if s not in in_cycle:
                 out.append((t, [s]))
-        beta = cover.seam_perm(t)
         for c in cycles:
-            s0 = min(c)
-            loop = [s0]
-            while beta[loop[-1] - 1] != s0:
-                loop.append(beta[loop[-1] - 1])
-            out.append((t, loop))
+            i = c.index(min(c))
+            out.append((t, [*c[i:], *c[:i]]))
     return out
 
 
@@ -341,15 +340,31 @@ def assemble_total_space(cover: MonodromyCover, *, with_labels: bool = False):
     """Build the total space explicitly: d copies of every triangle glued
     by the edge permutations, each branch cycle realized by coning the
     merged disk.  Comparing V-E+F of the result against cover_chi is the
-    caller's oracle; the two are computed by unrelated routes.  The
-    rotations are derived from the result's own corner fans
-    (derive_rotations).
+    caller's oracle; the two are computed by unrelated routes.
 
     The polygons' corners are numbered in one run, piece by piece
     (disk_pieces), and kept in flat lists: per corner the copy of the
     side leaving it, that side's sign and the base vertex under the
     corner.  Edge copy (e, s) is number e*d + s - 1, s the sheet on e's
-    first side.
+    first side.  The copies are the total space's first edges, in order
+    of their first corner; the coned polygons' spokes follow, piece by
+    piece.  Every copy lies on exactly two sides once require_valid
+    passes: every base edge then has a permutation of the d sheets,
+    _actions has read two sides of it, and disk_pieces holds each
+    (triangle, sheet) once.
+
+    A vertex lift is one walk round its corners from its first corner:
+    cross a side to the partner corner at the same end of that edge copy,
+    then cross that corner's other side, until the walk is back.  Lifts
+    are numbered in order of their first corner, and the walk writes the
+    lift's rotation as it goes: the first corner's entering side, then
+    per corner its spoke (on a coned polygon) and the side it leaves by,
+    ending before the entering side again.  A lift whose first corner is
+    corner 0 of a coned polygon starts at that corner's spoke and ends
+    with its entering side.  A cone centre's rotation is its spokes s1,
+    s0, s(n-1), ..., s2.  These are the rotations derive_rotations reads
+    off the finished triangles, whose corner fans start at the same
+    corners.
 
     Raises NotClosed when the data does not give d vertices over every
     base vertex.
@@ -385,80 +400,101 @@ def assemble_total_space(cover: MonodromyCover, *, with_labels: bool = False):
         offset.append(len(copies))
     n_corners = len(copies)
     head = list(range(1, n_corners + 1))     # corner -> the next one round its polygon
+    prev = list(range(-1, n_corners - 1))    # corner -> the one before it
     for start, end in zip(offset, offset[1:]):
-        head[end - 1] = start
+        head[end - 1], prev[start] = start, end - 1
 
-    # each edge copy's first and last corner, copies in order of the first
-    glued = Counter(copies)
-    for copy, n in glued.items():
-        if n != 2:
-            raise NotClosed(f"edge copy {(copy // d, copy % d + 1)} glued {n} times")
+    # each copy's first corner, copies in order of it; per corner the edge
+    # of the side leaving it and the other corner whose side is that copy
     first = dict(zip(reversed(copies), range(n_corners - 1, -1, -1)))
+    firsts = sorted(first.values())
+    edge_of = dict(zip(map(copies.__getitem__, firsts), range(len(firsts))))
+    side_edge = list(map(edge_of.__getitem__, copies))
     last = dict(zip(copies, range(n_corners)))
+    lasts = map(last.__getitem__, map(copies.__getitem__, firsts))
+    corner_sums = list(map(add, firsts, lasts))      # per copy: its two corners' sum
+    other = list(map(sub, map(corner_sums.__getitem__, side_edge), range(n_corners)))
 
-    # glue the corners into vertex lifts
-    uf = ParityUF(n_corners)
-    union = uf.union
-    for copy in glued:
-        c1, c2 = first[copy], last[copy]
-        if signs[c1] == signs[c2]:
-            union(c1, c2, 0)
-            union(head[c1], head[c2], 0)
-        else:
-            union(c1, head[c2], 0)
-            union(head[c1], c2, 0)
+    # the coned polygons (triangle, first corner, end) and their spokes,
+    # one per corner, numbered on from the copies
+    cones = [(t, start, end) for (t, _loop), start, end in zip(pieces, offset, offset[1:])
+             if end - start > 3]
+    spoke = [None] * n_corners
+    n_edges = len(firsts)
+    for _t, start, end in cones:
+        spoke[start:end] = range(n_edges, n_edges + end - start)
+        n_edges += end - start
+    cone_starts = {start for _t, start, _end in cones}
 
-    # lifts numbered in order of their first corner
-    find = uf.find
-    reps = {}
-    lift = [reps.setdefault(find(c)[0], len(reps)) for c in range(n_corners)]
+    # one walk per vertex lift numbers it and writes its rotation
+    lift = [-1] * n_corners
+    under, rotations = [], {}          # per lift: the base vertex under it, its rotation
+    for c0 in range(n_corners):
+        if lift[c0] >= 0:
+            continue
+        lv = len(under)
+        under.append(tails[c0])
+        rot = []
+        c, leaving = c0, True          # the side to cross next leaves c, or enters it
+        while True:
+            lift[c] = lv
+            if spoke[c] is not None:
+                rot.append(spoke[c])
+            x = c if leaving else prev[c]
+            rot.append(side_edge[x])
+            o = other[x]
+            # x is crossed at its tail end when leaving, else at its head
+            # end, and the walk lands at the same end of o exactly when the
+            # two sides run the same way: at o's tail (corner o, whose
+            # entering side is crossed next) or at its head (corner head[o])
+            if (signs[x] == signs[o]) == leaving:
+                c, leaving = o, False
+            else:
+                c, leaving = head[o], True
+            if c == c0:
+                break
+        if c0 not in cone_starts:
+            rot.insert(0, rot.pop())   # the entering side first
+        rotations[lv] = rot
 
     # d lifts over every base vertex, each projecting to one base vertex:
     # the one under its first corner
-    under_first = dict(zip(reversed(lift), reversed(tails)))
-    base_vertex_of_lift = [under_first[lv] for lv in range(len(reps))]
-    if list(map(base_vertex_of_lift.__getitem__, lift)) != tails:
+    if list(map(under.__getitem__, lift)) != tails:
         raise NotClosed("a vertex lift projects to two base vertices")
-    per_base = Counter(base_vertex_of_lift)
+    per_base = Counter(under)
     for v in base.vertices:
         if per_base[v] != d:
             raise NotClosed(f"{per_base[v]} lifts over vertex {v}, expected {d}")
 
     # build the triangulated total space: the edge copies first, each
-    # keeping the base edge's own end order
-    vertex_names = list(range(len(reps)))
+    # keeping the base edge's own end order, then per coned polygon its
+    # centre, spokes and triangles
     edges = [(lift[c], lift[head[c]]) if signs[c] > 0 else (lift[head[c]], lift[c])
-             for c in map(first.__getitem__, glued)]
-    edge_index = dict(zip(glued, range(len(glued))))
-    edge_labels = {i: copy // d for i, copy in enumerate(glued)}
-    vert_labels = dict(enumerate(base_vertex_of_lift))
-
-    side_edge = list(map(edge_index.__getitem__, copies))    # corner -> its side's edge
+             for c in firsts]
     sides = tuple(zip(side_edge, signs))     # sliced into the triangles' walks
     triangles, tri_labels = [], []
+    center = len(under)
     for (t, _loop), start, end in zip(pieces, offset, offset[1:]):
-        if end - start == 3:
+        n = end - start
+        if n == 3:
             triangles.append(sides[start:end])
             tri_labels.append(t)
-        else:
-            center = len(vertex_names)
-            vertex_names.append(center)
-            vert_labels[center] = None
-            n = end - start
-            corner_lifts = lift[start:end]
-            spokes = list(range(len(edges), len(edges) + n))
-            for lv in corner_lifts:
-                edge_labels[len(edges)] = None
-                edges.append((center, lv))
-            for ci in range(n):
-                e_side = side_edge[start + ci]
-                s_here = 1 if edges[e_side][0] == corner_lifts[ci] else -1
-                nxt = (ci + 1) % n
-                triangles.append(((e_side, s_here), (spokes[nxt], -1), (spokes[ci], 1)))
-                tri_labels.append(t)
+            continue
+        s0 = spoke[start]
+        edges += [(center, lv) for lv in lift[start:end]]
+        for ci in range(n):
+            triangles.append((sides[start + ci], (s0 + (ci + 1) % n, -1), (s0 + ci, 1)))
+        tri_labels += [t] * n
+        rotations[center] = [s0 + 1, s0, *range(s0 + n - 1, s0 + 1, -1)]
+        center += 1
 
-    total = derive_rotations(Triangulation(vertex_names, edges, triangles))
+    total = Triangulation(range(center), edges, triangles, rotations)
     if with_labels:
+        # cone centres and spokes project to no vertex or edge of the base
+        vert_labels = dict(enumerate(under))
+        vert_labels.update(dict.fromkeys(range(len(under), center)))
+        edge_labels = {i: copies[c] // d for i, c in enumerate(firsts)}
+        edge_labels.update(dict.fromkeys(range(len(firsts), len(edges))))
         return total, {"vertices": vert_labels, "edges": edge_labels,
                        "triangles": dict(enumerate(tri_labels))}
     return total

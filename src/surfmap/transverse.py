@@ -2116,10 +2116,10 @@ def map_from_cover(cover) -> TransverseMap:
     and 2i + 1 over e's ends 0 and 1.  The lifts of a base vertex w are
     its fan walk (as in MonodromyCover.fan_steps) started once on each
     sheet, and the darts crossed, in order, give a lift's rotation.  The
-    assembly's derive_rotations would turn a lift the way its first
-    corner runs, the one over w's least triangle (pieces are in triangle
-    order), so all lifts of w are reversed where that triangle's corner
-    runs against the fan.  A copy's band sign is its base edge's times
+    assembly's lift walk turns a lift the way its first corner runs, the
+    one over w's least triangle (pieces are in triangle order), so all
+    lifts of w are reversed where that triangle's corner runs against
+    the fan.  A copy's band sign is its base edge's times
     the turns (+1/-1) of its two end vertices, a two-edge vertex counting
     +1 (its rotation reads the target's both ways, see validate_map's
     local signs).  A disk region's label is the triangle of the sector at

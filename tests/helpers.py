@@ -2,13 +2,15 @@
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import replace
 
 from surfmap import covers, moves
-from surfmap.covers import (MonodromyCover, assemble_total_space, perm_id,
-                            perm_inv, perm_mul, random_cover)
+from surfmap.covers import (MonodromyCover, assemble_total_space, disk_pieces,
+                            perm_id, perm_inv, perm_mul, random_cover)
 from surfmap.errors import (Disconnected, InternalInconsistency, InvalidChi,
-                            InvalidSurface, Stuck, UnknownName, Unsatisfiable)
+                            InvalidSurface, NotClosed, Stuck, UnknownName,
+                            Unsatisfiable)
 from surfmap.moves import is_normal
 from surfmap.surfaces import (SurfaceKind, Triangulation, builtin_triangulation,
                               classify_surface, classify_with_boundary,
@@ -629,6 +631,136 @@ def reference_derive_rotations(tri: Triangulation) -> Triangulation:
             raise InvalidSurface(f"vertex link at {v} does not close")
         rotations[v] = cycle
     return Triangulation(tri.vertices, tri.edges, tri.triangles, rotations)
+
+
+def reference_assemble_total_space(cover: MonodromyCover, *, with_labels: bool = False):
+    """assemble_total_space's reference, which glues the corners in one
+    union-find and derives the rotations from the finished triangles.
+
+    Build the total space explicitly: d copies of every triangle glued
+    by the edge permutations, each branch cycle realized by coning the
+    merged disk.  Comparing V-E+F of the result against cover_chi is the
+    caller's oracle; the two are computed by unrelated routes.  The
+    rotations are derived from the result's own corner fans
+    (derive_rotations).
+
+    The polygons' corners are numbered in one run, piece by piece
+    (disk_pieces), and kept in flat lists: per corner the copy of the
+    side leaving it, that side's sign and the base vertex under the
+    corner.  Edge copy (e, s) is number e*d + s - 1, s the sheet on e's
+    first side.
+
+    Raises NotClosed when the data does not give d vertices over every
+    base vertex.
+    """
+    cover.require_valid()
+    base, d = cover.base, cover.d
+    base_edges = base.edges
+
+    # per base triangle: the copies of its three sides on each sheet, and
+    # the sides' signs and tails
+    rows, side_signs, side_tails = [], [], []
+    for t, walk in enumerate(base.triangles):
+        columns = []
+        for e, sg in walk:
+            if base.edge_sides(e)[0][0] == t:
+                columns.append(range(e * d, e * d + d))
+            else:
+                columns.append([e * d + s - 1 for s in perm_inv(cover.edge_perm[e])])
+        rows.append(list(zip(*columns)))
+        side_signs.append([sg for _e, sg in walk])
+        side_tails.append([base_edges[e][0] if sg > 0 else base_edges[e][1]
+                           for e, sg in walk])
+
+    # polygon pi's corners run from offset[pi] to offset[pi + 1]
+    pieces = disk_pieces(cover)
+    copies, signs, tails, offset = [], [], [], [0]
+    for t, loop in pieces:
+        row = rows[t]
+        for s in loop:
+            copies += row[s - 1]
+        signs += side_signs[t] * len(loop)
+        tails += side_tails[t] * len(loop)
+        offset.append(len(copies))
+    n_corners = len(copies)
+    head = list(range(1, n_corners + 1))     # corner -> the next one round its polygon
+    for start, end in zip(offset, offset[1:]):
+        head[end - 1] = start
+
+    # each edge copy's first and last corner, copies in order of the first
+    glued = Counter(copies)
+    for copy, n in glued.items():
+        if n != 2:
+            raise NotClosed(f"edge copy {(copy // d, copy % d + 1)} glued {n} times")
+    first = dict(zip(reversed(copies), range(n_corners - 1, -1, -1)))
+    last = dict(zip(copies, range(n_corners)))
+
+    # glue the corners into vertex lifts
+    uf = ParityUF(n_corners)
+    union = uf.union
+    for copy in glued:
+        c1, c2 = first[copy], last[copy]
+        if signs[c1] == signs[c2]:
+            union(c1, c2, 0)
+            union(head[c1], head[c2], 0)
+        else:
+            union(c1, head[c2], 0)
+            union(head[c1], c2, 0)
+
+    # lifts numbered in order of their first corner
+    find = uf.find
+    reps = {}
+    lift = [reps.setdefault(find(c)[0], len(reps)) for c in range(n_corners)]
+
+    # d lifts over every base vertex, each projecting to one base vertex:
+    # the one under its first corner
+    under_first = dict(zip(reversed(lift), reversed(tails)))
+    base_vertex_of_lift = [under_first[lv] for lv in range(len(reps))]
+    if list(map(base_vertex_of_lift.__getitem__, lift)) != tails:
+        raise NotClosed("a vertex lift projects to two base vertices")
+    per_base = Counter(base_vertex_of_lift)
+    for v in base.vertices:
+        if per_base[v] != d:
+            raise NotClosed(f"{per_base[v]} lifts over vertex {v}, expected {d}")
+
+    # build the triangulated total space: the edge copies first, each
+    # keeping the base edge's own end order
+    vertex_names = list(range(len(reps)))
+    edges = [(lift[c], lift[head[c]]) if signs[c] > 0 else (lift[head[c]], lift[c])
+             for c in map(first.__getitem__, glued)]
+    edge_index = dict(zip(glued, range(len(glued))))
+    edge_labels = {i: copy // d for i, copy in enumerate(glued)}
+    vert_labels = dict(enumerate(base_vertex_of_lift))
+
+    side_edge = list(map(edge_index.__getitem__, copies))    # corner -> its side's edge
+    sides = tuple(zip(side_edge, signs))     # sliced into the triangles' walks
+    triangles, tri_labels = [], []
+    for (t, _loop), start, end in zip(pieces, offset, offset[1:]):
+        if end - start == 3:
+            triangles.append(sides[start:end])
+            tri_labels.append(t)
+        else:
+            center = len(vertex_names)
+            vertex_names.append(center)
+            vert_labels[center] = None
+            n = end - start
+            corner_lifts = lift[start:end]
+            spokes = list(range(len(edges), len(edges) + n))
+            for lv in corner_lifts:
+                edge_labels[len(edges)] = None
+                edges.append((center, lv))
+            for ci in range(n):
+                e_side = side_edge[start + ci]
+                s_here = 1 if edges[e_side][0] == corner_lifts[ci] else -1
+                nxt = (ci + 1) % n
+                triangles.append(((e_side, s_here), (spokes[nxt], -1), (spokes[ci], 1)))
+                tri_labels.append(t)
+
+    total = derive_rotations(Triangulation(vertex_names, edges, triangles))
+    if with_labels:
+        return total, {"vertices": vert_labels, "edges": edge_labels,
+                       "triangles": dict(enumerate(tri_labels))}
+    return total
 
 
 def reference_cover_problems(self) -> list:

@@ -19,9 +19,10 @@ from surfmap.errors import (Branched, InternalInconsistency, NotClosed,
                             Unsatisfiable)
 from surfmap.surfaces import BUILTIN_NAMES, Triangulation, builtin_triangulation
 
-from helpers import (disjoint_cover, reference_random_branch, reference_random_cover,
+from helpers import (disjoint_cover, disjoint_union, reference_assemble_total_space,
+                     reference_random_branch, reference_random_cover,
                      reference_shuffle_into, reference_walk, two_triangle_sphere,
-                     with_rotations_reversed)
+                     with_entry, with_rotations_reversed)
 
 
 @st.composite
@@ -352,6 +353,51 @@ def test_open_fan_reported():
     assert any("does not close" in p for p in c.validate())
     with pytest.raises(NotClosed):
         assemble_total_space(c)
+
+
+def _one_sheet(base):
+    return MonodromyCover(base, 1, {e: (1,) for e in range(len(base.edges))}, {})
+
+
+def _assembly_refusals(cover):
+    """The text of the NotClosed that the assembly and its reference raise
+    on cover."""
+    out = []
+    for assemble in (assemble_total_space, reference_assemble_total_space):
+        with pytest.raises(NotClosed) as ex:
+            assemble(cover)
+        out.append(str(ex.value))
+    return out
+
+
+def test_assembly_refuses_a_lift_over_two_base_vertices():
+    """A base whose rotations are all empty has empty fan walks, so a
+    one-sheeted cover over it passes require_valid whatever its triangles
+    say.  With edge 0 of sphere_tetra moved from (0, 1) to (0, 2), the
+    walks through it no longer close: a corner over vertex 2 (the tail
+    of edge 0 walked backwards) is glued to one over vertex 1."""
+    tet = builtin_triangulation("sphere_tetra")
+    bare = Triangulation(tet.vertices, tet.edges, tet.triangles,
+                         {v: () for v in tet.vertices})
+    cover = _one_sheet(with_entry(bare, "edges", 0, (0, 2)))
+    assert cover.validate() == []
+    assert _assembly_refusals(cover) == ["a vertex lift projects to two base vertices"] * 2
+
+
+def test_assembly_refuses_a_base_vertex_with_other_than_d_lifts():
+    """Two sphere_tetra sharing vertex 0, its rotation the first one's: the
+    fan walk at 0 goes round the first tetrahedron only, so a one-sheeted
+    cover passes require_valid, and vertex 0 has a lift in each."""
+    tet = builtin_triangulation("sphere_tetra")
+    two = disjoint_union(tet, tet)
+    moved = 4                   # the second copy of vertex 0
+    pinched = Triangulation(
+        [v for v in two.vertices if v != moved],
+        [tuple(0 if v == moved else v for v in ends) for ends in two.edges],
+        two.triangles, {v: rot for v, rot in two.rotations.items() if v != moved})
+    cover = _one_sheet(pinched)
+    assert cover.validate() == [] and pinched.validate() != []
+    assert _assembly_refusals(cover) == ["2 lifts over vertex 0, expected 1"] * 2
 
 
 SPECS = [

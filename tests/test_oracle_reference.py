@@ -4,7 +4,9 @@ fan_product must give the problems, signs, rotations, sheet actions and
 exceptions (type and text) that the verbatim references in helpers
 give, on the built-in bases, the bases with some rotations reversed,
 every cover of the sampler's fixed calls with its assembled total space,
-and seeded mutations of all of them."""
+and seeded mutations of all of them.  assemble_total_space must build
+what its union-find reference builds, on those covers and on seeded
+covers for every d up to 8 over every base."""
 
 import functools
 import random
@@ -19,10 +21,11 @@ from surfmap.errors import SurfmapError
 from surfmap.surfaces import (BUILTIN_NAMES, Triangulation, builtin_triangulation,
                               derive_rotations)
 
-from helpers import (disjoint_union, reference_cover_problems,
-                     reference_derive_rotations, reference_fan_product,
-                     reference_triangle_signs, reference_validate, with_entry,
-                     with_rotation, with_rotations_reversed)
+from helpers import (disjoint_union, reference_assemble_total_space,
+                     reference_cover_problems, reference_derive_rotations,
+                     reference_fan_product, reference_triangle_signs,
+                     reference_validate, with_entry, with_rotation,
+                     with_rotations_reversed)
 
 
 def outcome(fn, arg):
@@ -57,6 +60,19 @@ def assert_cover_agrees(cover):
         outcome(reference_cover_problems, cover)
 
 
+def assert_assembly_agrees(cover):
+    """The reference's vertices, edges, triangles, rotations (in their
+    order) and projection labels, and the rotations derive_rotations
+    reads off the assembled triangles."""
+    total, labels = assemble_total_space(cover, with_labels=True)
+    want, want_labels = reference_assemble_total_space(cover, with_labels=True)
+    assert (total.vertices, total.edges, total.triangles) == \
+        (want.vertices, want.edges, want.triangles)
+    assert list(total.rotations.items()) == list(want.rotations.items())
+    assert labels == want_labels
+    assert total.rotations == derive_rotations(replace(total, rotations={})).rotations
+
+
 # -- the inputs --------------------------------------------------------------
 
 
@@ -82,6 +98,29 @@ def sampled_covers() -> tuple:
                 out.append(random_cover(turned, d, branch, seed=0))
             except SurfmapError:
                 pass
+    return tuple(out)
+
+
+SEEDED_BRANCHES = (None, [2, 2], [3, 3])
+
+
+@functools.lru_cache(maxsize=None)
+def seeded_covers() -> tuple:
+    """Per base, d in 1..8 and branch in SEEDED_BRANCHES, the base's name
+    and the cover of the first seed in 0..7 that random_cover keeps
+    within 3,000 tries, where one does."""
+    out = []
+    for name in BUILTIN_NAMES:
+        tri = builtin_triangulation(name)
+        for d in range(1, 9):
+            for branch in SEEDED_BRANCHES:
+                for seed in range(8):
+                    try:
+                        out.append((name, random_cover(tri, d, branch, seed=seed,
+                                                         max_tries=3000)))
+                        break
+                    except SurfmapError:
+                        pass
     return tuple(out)
 
 
@@ -254,6 +293,22 @@ def test_sampled_covers_and_their_total_spaces_agree_with_the_references():
         assert_triangulation_agrees(total)
         mutation = TRIANGULATION_MUTATIONS[i % len(TRIANGULATION_MUTATIONS)]
         assert_triangulation_agrees(mutated(total, mutation, i))
+
+
+def test_sampled_covers_assemble_as_the_reference_assembles():
+    for cover in sampled_covers():
+        assert_assembly_agrees(cover)
+
+
+def test_seeded_covers_assemble_as_the_reference_assembles_at_every_d():
+    """Unbranched covers at every d from 1 to 8 and branched ones from 2
+    to 8, over all five bases."""
+    kept = seeded_covers()
+    for _name, cover in kept:
+        assert_assembly_agrees(cover)
+    assert {c.d for _name, c in kept if not c.branch_indices()} == set(range(1, 9))
+    assert {c.d for _name, c in kept if c.branch_indices()} == set(range(2, 9))
+    assert {name for name, _c in kept} == set(BUILTIN_NAMES)
 
 
 @pytest.mark.parametrize("mutation", COVER_MUTATIONS, ids=lambda m: m.__name__)

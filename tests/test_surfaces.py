@@ -11,7 +11,8 @@ from surfmap.surfaces import (BUILTIN_NAMES, SurfaceKind, Triangulation,
                               classify_with_boundary, complex_from_faces,
                               connected_sum_kind, derive_rotations)
 
-from helpers import disjoint_union, two_triangle_sphere, with_entry, with_rotation
+from helpers import (disjoint_union, reference_derive_rotations, two_triangle_sphere,
+                     with_entry, with_rotation)
 
 
 def test_euler_char_examples():
@@ -273,6 +274,16 @@ def test_derive_rotations_refuses_a_link_that_does_not_close():
          [(2, -1), (2, 1), (2, -1)]]
     with pytest.raises(InvalidSurface, match="^vertex link at 0 does not close$"):
         derive_rotations(Triangulation([0, 1, 2, 3], E, T))
+
+
+def test_derive_rotations_refuses_a_one_edge_link():
+    """Vertex 1 has one edge, and its one corner turns from that edge back
+    onto it: the edge's slot holds that corner twice, the walk is done
+    before it starts, and no corner is left over to close it."""
+    tri = Triangulation([1, 0, 2], [(0, 1), (0, 2)], [[(0, 1), (0, -1), (1, 1)]])
+    for derive in (derive_rotations, reference_derive_rotations):
+        with pytest.raises(InvalidSurface, match="^vertex link at 1 is not a single cycle$"):
+            derive(tri)
 
 
 def _repeat_first_side(tri):
